@@ -8,11 +8,10 @@ each schedule with both backends, and checks:
 - bit-identical delivery records, cycle counts and link loads (the
   deterministic-routing equivalence contract);
 - the fast backend is >= 10x faster in aggregate.  The compiled kernel
-  (loaded automatically when a C compiler is available; see
+  (built automatically when a C compiler is available; see
   ``repro/noc/_ckernel.py``) measures 30-50x here.  Without a compiler
-  the pure-Python engine measures ~5x, so the 10x acceptance assertion
-  only runs when the kernel is active and a relaxed 2.5x floor guards
-  the fallback.
+  ``backend="fast"`` *is* the reference engine, so the speed floor only
+  applies when the kernel is active; bit-identity is asserted always.
 
 Set ``FASTSIM_REPORT_PATH`` to also write the measurements as JSON
 (uploaded as a CI artifact).
@@ -98,7 +97,7 @@ def test_fastsim_speedup_on_fig5_workloads(benchmark, synthetic_graphs,
 
     print()
     print("Fast backend vs reference loop (Fig. 5 workloads)"
-          + ("" if kernel_active else " — pure-Python engine, no C kernel"))
+          + ("" if kernel_active else " — no C kernel: reference engine"))
     print(format_table(
         ["workload", "reference (ms)", "fast (ms)", "speedup"],
         [
@@ -126,11 +125,6 @@ def test_fastsim_speedup_on_fig5_workloads(benchmark, synthetic_graphs,
         assert aggregate >= 10.0, (
             f"fast backend only {aggregate:.1f}x faster than the reference "
             "loop on the Fig. 5 workload (acceptance floor is 10x)"
-        )
-    else:
-        assert aggregate >= 2.5, (
-            f"pure-Python fast engine only {aggregate:.1f}x faster than "
-            "the reference loop (fallback floor is 2.5x)"
         )
 
     # Record something in pytest-benchmark's output for trend tracking.

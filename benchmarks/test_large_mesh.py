@@ -1,15 +1,15 @@
 """TrueNorth-scale mesh: the multi-word compiled path + batched building.
 
 The 30-70x compiled kernel used to stop at 63 routers (one uint64
-destination mask); a 16x16 ``truenorth_like`` mesh silently fell back to
-pure Python.  This bench pins the two acceptance contracts of the
+destination mask); a 16x16 ``truenorth_like`` mesh silently fell off
+the compiled path.  This bench pins the two acceptance contracts of the
 columnar injection pipeline on a fig-5-style workload (the paper's
 4x200 synthetic topology mapped onto a 256-crossbar NoC-mesh):
 
 - the 256-router workload runs through the compiled **multi-word**
-  kernel bit-identically to the reference backend, >= 10x faster (the
-  pure-Python engine leg — ``REPRO_NO_CKERNEL=1`` in CI — guards a
-  relaxed 2.5x floor instead);
+  kernel bit-identically to the reference backend, >= 10x faster (on
+  a host with no C compiler ``backend="fast"`` *is* the reference
+  engine, so only the bit-identity half is asserted there);
 - ``build_injections_batch`` builds a 32-particle swarm's schedules
   >= 3x faster than the per-particle row-oriented loop it replaced.
 
@@ -29,7 +29,7 @@ import pytest
 
 from repro.apps import build_application
 from repro.hardware.presets import truenorth_like
-from repro.noc._ckernel import kernel_disabled
+from repro.noc._ckernel import load_kernel
 from repro.noc.fastsim import FastInterconnect
 from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.traffic import (
@@ -85,11 +85,10 @@ def test_multiword_kernel_speedup_on_16x16_mesh(benchmark, large_mesh_case):
     fast = FastInterconnect(topology, config=NocConfig(backend="fast"))
     kernel_active = fast._ck is not None
     assert fast._n_words == 4  # 256 routers -> four uint64 words
-    if not kernel_disabled():
-        # The point of the multi-word variant: with a compiler present,
-        # TrueNorth-scale fabrics must engage the compiled path instead
-        # of silently dropping to pure Python.
-        assert kernel_active
+    # The point of the multi-word variant: wherever a kernel loads,
+    # TrueNorth-scale fabrics must engage it instead of silently
+    # dropping to the reference engine.
+    assert kernel_active == (load_kernel() is not None)
 
     t0 = time.perf_counter()
     ref_stats = Interconnect(topology).simulate(schedule.injections)
@@ -125,17 +124,12 @@ def test_multiword_kernel_speedup_on_16x16_mesh(benchmark, large_mesh_case):
     print(
         f"\n16x16 mesh: reference {t_ref * 1e3:.0f} ms, "
         f"fast {t_fast * 1e3:.1f} ms -> {speedup:.1f}x "
-        f"({'multi-word C kernel' if kernel_active else 'pure-Python engine'})"
+        f"({'multi-word C kernel' if kernel_active else 'no kernel: reference engine'})"
     )
     if kernel_active:
         assert speedup >= 10.0, (
             f"multi-word kernel only {speedup:.1f}x faster than the "
             "reference loop (acceptance floor is 10x)"
-        )
-    else:
-        assert speedup >= 2.5, (
-            f"pure-Python engine only {speedup:.1f}x faster than the "
-            "reference loop (fallback floor is 2.5x)"
         )
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

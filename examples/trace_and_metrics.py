@@ -43,8 +43,8 @@ def main() -> None:
     ncfg = NocConfig(backend="fast")
 
     # -- 1. a traced pipeline run -----------------------------------------
-    # threads=2 routes swarm scoring through the threaded batch kernel
-    # (one GIL-free C call per generation, bit-identical to serial);
+    # threads=2 caps the batch kernel's thread team at two (swarm
+    # scoring is one GIL-free C call per generation either way);
     # its noc.simulate_batch spans appear in the trace below.
     with observe() as obs:
         result = run_pipeline(graph, arch, method="pso", seed=1,

@@ -75,11 +75,12 @@ class InterconnectFitness:
         as a context manager) to release the pool.
     threads:
         Thread cap for the compiled batch kernel in ``noc_in_loop``
-        mode (``None`` defers to ``REPRO_NOC_THREADS``, ``0`` disables
-        it).  When the kernel was built with OpenMP, whole swarm
-        batches run in one GIL-free C call across cores — preferred
-        over the process pool when both are available, bit-identical
-        either way.
+        mode (``None`` defers to ``REPRO_NOC_THREADS``; ``0`` = no
+        in-process thread team, which leaves ``workers > 1`` to its
+        process pool).  A swarm batch is always one GIL-free C call;
+        when the kernel was built with OpenMP it spreads across cores —
+        preferred over the process pool when both are available,
+        bit-identical either way.
     cache:
         An :class:`~repro.framework.artifacts.ArtifactCache` for derived
         artifacts (the crossbar hop matrix, the default routing table of

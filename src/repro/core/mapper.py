@@ -126,7 +126,8 @@ def map_snn(
         closed-form objectives, which are already vectorized).
     threads:
         Thread cap for the ``"noc"`` objective's compiled batch kernel
-        (``None`` defers to ``REPRO_NOC_THREADS``; ``0`` disables it).
+        (``None`` defers to ``REPRO_NOC_THREADS``; ``0`` = no in-process
+        thread team, so ``workers > 1`` uses its process pool).
         Like ``workers``, excluded from the memo token — thread counts
         never change results.
     noc_config:

@@ -139,8 +139,8 @@ def _add_pso_arguments(parser: argparse.ArgumentParser) -> None:
         "--threads", default=None, type=_parse_threads,
         help="thread cap for the compiled batch NoC kernel in "
              "--objective noc swarm scoring ('auto' = one per core, "
-             "0 = disable the threaded batch path; default defers to "
-             "REPRO_NOC_THREADS)",
+             "0 = no in-process thread team, so --workers > 1 uses "
+             "its process pool; default defers to REPRO_NOC_THREADS)",
     )
 
 
@@ -223,6 +223,30 @@ def _build_architecture(args, graph):
     return arch
 
 
+def _noc_execution_plan() -> List[str]:
+    """What ``--noc-backend fast`` resolves to on this host, right now."""
+    from repro.noc import _ckernel
+    from repro.noc.fastsim import kernel_engine
+
+    lib = _ckernel.load_kernel()
+    if lib is None:
+        kernel = f"unavailable ({_ckernel.load_error()!r})"
+        small = large = "reference (no kernel: same results, 30-70x slower)"
+    else:
+        kernel = "present"
+        small, large = kernel_engine(63), kernel_engine(64)
+    threads = _ckernel.resolve_threads(None)
+    team = f"{threads}" if threads else "0 (no in-process thread team)"
+    return [
+        "NoC execution plan:",
+        f"  compiled kernel: {kernel}",
+        f"  OpenMP: {'yes' if _ckernel.openmp_enabled(lib) else 'no'}",
+        f"  effective threads: {team}",
+        f"  --noc-backend fast, <=63 routers: engine {small}",
+        f"  --noc-backend fast, >63 routers: engine {large}",
+    ]
+
+
 def _cmd_info(_args) -> int:
     print("Applications:")
     for name in sorted(APPLICATIONS):
@@ -230,6 +254,7 @@ def _cmd_info(_args) -> int:
     print("  synth_MxN (e.g. synth_2x200)")
     print("Abbreviations:", ", ".join(sorted(ABBREVIATIONS)))
     print("Methods:", ", ".join(METHODS))
+    print("\n".join(_noc_execution_plan()))
     return 0
 
 
@@ -607,7 +632,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("info", help="list applications and methods")
+    sub.add_parser(
+        "info",
+        help="list applications and methods, and the NoC execution plan "
+             "(kernel, OpenMP, threads, engine per fabric size)",
+    )
 
     p_map = sub.add_parser("map", help="map one application and measure it")
     _add_app_arguments(p_map)

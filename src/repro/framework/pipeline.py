@@ -99,7 +99,8 @@ def run_pipeline(
     threads:
         Thread cap for the compiled batch kernel in "noc"-objective
         swarm scoring (``None`` defers to ``REPRO_NOC_THREADS``; ``0``
-        disables the threaded batch path).
+        = no in-process thread team, so ``workers > 1`` uses its
+        process pool).
     faults:
         Random survivable link faults to inject into the built
         topology (:func:`~repro.noc.faults.inject_random_faults`)

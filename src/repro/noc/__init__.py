@@ -15,9 +15,10 @@ surface:
   tables;
 - :mod:`repro.noc.interconnect` — the cycle-accurate, input-buffered,
   round-robin-arbitrated simulation loop with multicast forking;
-- :mod:`repro.noc.fastsim` — the table-driven vectorized backend
+- :mod:`repro.noc.fastsim` — the compiled-kernel backend
   (``NocConfig(backend="fast")``), bit-identical to the reference loop
-  under deterministic routing and batched via ``simulate_many``;
+  (which it falls back to when no kernel can run) and batched via
+  ``simulate_many``;
 - :mod:`repro.noc.parallel` — shards ``simulate_many`` batches across a
   process pool (``ParallelNocSimulator``), returning compact columnar
   ``ScheduleSummary`` results that are bit-identical to serial runs;

@@ -1,13 +1,14 @@
-"""Loader for the optional compiled NoC kernel.
+"""Loader for the compiled NoC kernel.
 
-The deterministic-routing hot loop of the fast backend has a C
-transcription in ``_fastsim_kernel.c``.  When a C compiler is available
-the kernel is built once (into the package directory, rebuilt when the
-source *or the compile flag set* changes) and loaded through
-:mod:`ctypes`; when it is not — or when ``REPRO_NOC_NO_CKERNEL`` (or
-the shorter CI alias ``REPRO_NO_CKERNEL``) is set — :func:`load_kernel`
-returns ``None`` and the pure-Python engine runs instead.  No extra
-Python dependencies are involved either way.
+The fast backend *is* the C transcription of the reference loop in
+``_fastsim_kernel.c``.  When a C compiler is available the kernel is
+built once (into the package directory, rebuilt when the source *or the
+compile flag set* changes) and loaded through :mod:`ctypes`; when it is
+not, :func:`load_kernel` warns once (the build/load error is the
+warning's ``__cause__``), counts ``noc.kernel.unavailable`` and returns
+``None``, and ``backend="fast"`` runs the reference engine instead —
+same results, 30-70x slower.  No extra Python dependencies are involved
+either way.
 
 The kernel is built with ``-fopenmp`` when the compiler supports it
 (probed with a throwaway compile, falling back to a serial build
@@ -17,7 +18,7 @@ is stamped next to the artifact (``_fastsim_kernel.so.flags``) and
 compared on every load: a cached no-OpenMP build no longer shadows a
 compiler upgrade, and ``REPRO_NOC_NO_OPENMP=1`` forces a serial
 rebuild for fallback testing.  ``REPRO_NOC_THREADS`` caps the batch
-thread count (``0`` disables the batch path entirely).
+thread count (``0`` = no in-process thread team).
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ import ctypes
 import os
 import subprocess
 import tempfile
+import warnings
 from typing import List, Optional
+
+from repro.obs import get_observer
 
 _SRC = os.path.join(os.path.dirname(__file__), "_fastsim_kernel.c")
 _SO = os.path.join(os.path.dirname(__file__), "_fastsim_kernel.so")
@@ -53,35 +57,7 @@ class KernelResult(ctypes.Structure):
     ]
 
 
-_ARGTYPES = [
-    ctypes.c_int32,  # n_routers
-    ctypes.c_int32,  # n_flat_ports
-    _i32p,           # port_base
-    _i32p,           # nports
-    _i32p,           # deg_off
-    _i32p,           # nbr
-    _u64p,           # out_mask
-    _i32p,           # out_gp
-    _i32p,           # out_eidx
-    ctypes.c_int32,  # capacity
-    ctypes.c_int32,  # ej_max
-    ctypes.c_int64,  # deadline
-    ctypes.c_int64,  # n_packets
-    _u64p,           # pk_mask
-    _i32p,           # pk_srcgp
-    ctypes.c_int64,  # n_buckets
-    _i64p,           # bucket_cycle
-    _i64p,           # bucket_off
-    _i32p,           # bucket_pid
-    _i64p,           # link_counts
-    _i32p,           # peaks
-]
-
-# The multi-word entry point takes n_words right after n_routers; the
-# mask-carrying pointers then address n_words uint64 per entry.
-_ARGTYPES_MW = _ARGTYPES[:1] + [ctypes.c_int32] + _ARGTYPES[1:]
-
-# Batch entry points: shared tables once, then CSR-concatenated
+# The entry points: shared tables once, then CSR-concatenated
 # per-schedule arrays (see the comment above nocsim_run_batch in the
 # C source for the exact layout).
 _ARGTYPES_BATCH = [
@@ -111,10 +87,13 @@ _ARGTYPES_BATCH = [
     _i32p,           # peaks [S * n_flat_ports]
 ]
 
+# The multi-word entry point takes n_words right after n_routers; the
+# mask-carrying pointers then address n_words uint64 per entry.
 _ARGTYPES_BATCH_MW = _ARGTYPES_BATCH[:1] + [ctypes.c_int32] + _ARGTYPES_BATCH[1:]
 
 _cached: Optional[ctypes.CDLL] = None
 _load_attempted = False
+_load_error: Optional[BaseException] = None
 
 
 def _stamp_path() -> str:
@@ -217,21 +196,14 @@ def _build() -> None:
             os.unlink(tmp)
 
 
-def kernel_disabled() -> bool:
-    """True when an env var forces the pure-Python engine."""
-    return bool(
-        os.environ.get("REPRO_NOC_NO_CKERNEL")
-        or os.environ.get("REPRO_NO_CKERNEL")
-    )
-
-
 def resolve_threads(requested: Optional[int] = None) -> int:
     """Effective thread count for the batch kernel.
 
     ``requested`` wins when given; otherwise ``REPRO_NOC_THREADS`` is
     consulted.  Unset / ``auto`` / negative means one thread per core;
-    ``N >= 1`` caps the team at N; ``0`` disables the batch path
-    entirely (callers fall back to per-schedule calls).
+    ``N >= 1`` caps the team at N; ``0`` means no in-process thread
+    team — the batch still runs in one kernel call, on the calling
+    thread, and callers holding a process pool use that instead.
     """
     if requested is None:
         raw = os.environ.get("REPRO_NOC_THREADS", "").strip().lower()
@@ -261,49 +233,49 @@ def openmp_enabled(lib: Optional[ctypes.CDLL] = None) -> bool:
 
 
 def has_batch(lib: Optional[ctypes.CDLL]) -> bool:
-    """True when the loaded kernel exposes the batch entry points."""
-    return bool(lib is not None and getattr(lib, "_repro_has_batch", False))
+    """True when a kernel is loaded (its only entry points are batch)."""
+    return lib is not None
+
+
+def load_error() -> Optional[BaseException]:
+    """Why :func:`load_kernel` returns ``None``; ``None`` when it loads."""
+    load_kernel()
+    return _load_error
 
 
 def load_kernel() -> Optional[ctypes.CDLL]:
-    """Compile (if needed) and load the C kernel, or ``None``."""
-    global _cached, _load_attempted
+    """Compile (if needed) and load the C kernel, or warn and ``None``."""
+    global _cached, _load_attempted, _load_error
     if _load_attempted:
         return _cached
     _load_attempted = True
-    if kernel_disabled():
-        return None
     try:
         if _stale():
             _build()
         lib = ctypes.CDLL(_SO)
-        lib.nocsim_run.argtypes = _ARGTYPES
-        lib.nocsim_run.restype = ctypes.POINTER(KernelResult)
-        # A stale .so predating the multi-word variant raises
-        # AttributeError here and falls through to the Python engine.
-        lib.nocsim_run_mw.argtypes = _ARGTYPES_MW
-        lib.nocsim_run_mw.restype = ctypes.POINTER(KernelResult)
-        lib.nocsim_free.argtypes = [ctypes.POINTER(KernelResult)]
-        lib.nocsim_free.restype = None
-        try:
-            lib.nocsim_run_batch.argtypes = _ARGTYPES_BATCH
-            lib.nocsim_run_batch.restype = ctypes.POINTER(KernelResult)
-            lib.nocsim_run_batch_mw.argtypes = _ARGTYPES_BATCH_MW
-            lib.nocsim_run_batch_mw.restype = ctypes.POINTER(KernelResult)
-            lib.nocsim_free_batch.argtypes = [
-                ctypes.POINTER(KernelResult),
-                ctypes.c_int64,
-            ]
-            lib.nocsim_free_batch.restype = None
-            lib.nocsim_openmp.argtypes = []
-            lib.nocsim_openmp.restype = ctypes.c_int32
-            lib._repro_has_batch = True
-            lib._repro_openmp = bool(lib.nocsim_openmp())
-        except AttributeError:
-            # Pre-batch .so: single-schedule entries still work.
-            lib._repro_has_batch = False
-            lib._repro_openmp = False
+        lib.nocsim_run_batch.argtypes = _ARGTYPES_BATCH
+        lib.nocsim_run_batch.restype = ctypes.POINTER(KernelResult)
+        lib.nocsim_run_batch_mw.argtypes = _ARGTYPES_BATCH_MW
+        lib.nocsim_run_batch_mw.restype = ctypes.POINTER(KernelResult)
+        lib.nocsim_free_batch.argtypes = [
+            ctypes.POINTER(KernelResult),
+            ctypes.c_int64,
+        ]
+        lib.nocsim_free_batch.restype = None
+        lib.nocsim_openmp.argtypes = []
+        lib.nocsim_openmp.restype = ctypes.c_int32
+        lib._repro_openmp = bool(lib.nocsim_openmp())
         _cached = lib
-    except Exception:
-        _cached = None
+    except Exception as exc:
+        # Whatever went wrong (no gcc, a compile error, an unloadable or
+        # symbol-less .so), the reference engine still answers — but at
+        # 30-70x the cost, so say so once, with the reason attached.
+        warning = RuntimeWarning(
+            f"compiled NoC kernel unavailable ({exc!r}); "
+            "backend='fast' falls back to the reference engine"
+        )
+        warning.__cause__ = exc
+        warnings.warn(warning, stacklevel=2)
+        get_observer().inc("noc.kernel.unavailable", error=type(exc).__name__)
+        _cached, _load_error = None, exc
     return _cached

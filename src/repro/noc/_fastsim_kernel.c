@@ -1,16 +1,20 @@
-/* C kernel for the deterministic fast NoC backend.
+/* C kernel for the fast NoC backend: the one compiled engine behind
+ * repro/noc/fastsim.py.
  *
  * This is a mechanical transcription of the cycle-accurate reference
- * loop in repro/noc/interconnect.py (and of the pure-Python engine in
- * repro/noc/fastsim.py) restricted to deterministic routing.  Two entry
- * points share the semantics:
+ * loop in repro/noc/interconnect.py restricted to deterministic routing
+ * (whatever it cannot run, the host reruns on that reference loop).
+ * Two bodies share the semantics, and the host picks between them from
+ * the router count it observes:
  *
- *   - nocsim_run    — at most 63 routers; a packet's remaining
+ *   - run_single    — at most 63 routers; a packet's remaining
  *                     destination set is one uint64 bitmask;
- *   - nocsim_run_mw — multi-word masks (n_words uint64 per packet /
+ *   - run_single_mw — multi-word masks (n_words uint64 per packet /
  *                     per next-hop table entry), opening the compiled
  *                     path to TrueNorth-scale fabrics (16x16 meshes,
- *                     large multichip boards).
+ *                     large multichip boards).  Forced onto small
+ *                     fabrics it measured 5-25 % slower than
+ *                     run_single, so both stay.
  *
  * Semantics reproduced bit for bit:
  *   - routers arbitrate in ascending index order each cycle;
@@ -24,19 +28,17 @@
  *   - idle gaps between injection bursts are skipped; the run stops at
  *     `deadline`, leaving undelivered packets in place.
  *
- * The host passes flattened tables (port layout, next-hop masks, edge
- * ids) and the packet pool columns; the kernel returns the delivery
- * log (meta index, destination router, cycle, hop count), per-edge
- * link loads, per-port peak occupancies and the cycle count.
- *
- * Batch entry points (nocsim_run_batch / nocsim_run_batch_mw) take the
- * shared network tables once plus concatenated per-schedule packet and
- * bucket arrays (CSR-style offsets) and run every schedule of a
- * simulate_many batch in one call — parallel over independent
- * schedules with OpenMP when compiled with -fopenmp, a plain serial
- * loop otherwise.  Each schedule writes into its own Result slab and
- * its own link_counts/peaks slices, so the output is bit-identical to
- * the serial per-schedule path regardless of thread count.
+ * The only entry points are the batch ones (nocsim_run_batch /
+ * nocsim_run_batch_mw); a single simulation is a batch of one.  They
+ * take the shared network tables (port layout, next-hop masks, edge
+ * ids) once plus concatenated per-schedule packet and bucket arrays
+ * (CSR-style offsets) and run every schedule in one call — parallel
+ * over independent schedules with OpenMP when compiled with -fopenmp, a
+ * plain serial loop otherwise.  Each schedule writes its delivery log
+ * (meta index, destination router, cycle, hop count) and cycle count
+ * into its own Result slab and its link loads / per-port peak
+ * occupancies into its own link_counts/peaks slices, so the output is
+ * the same bit for bit regardless of thread count.
  */
 
 #include <stdint.h>
@@ -143,7 +145,8 @@ static int log_push(Log *g, int32_t meta, int32_t dst, int64_t cycle, int32_t ho
     return 0;
 }
 
-/* Result handle: the host reads the arrays, then calls nocsim_free. */
+/* One schedule's result slab: the host reads the arrays of the whole
+ * batch, then calls nocsim_free_batch. */
 typedef struct {
     int32_t *d_meta;
     int32_t *d_dst;
@@ -153,15 +156,6 @@ typedef struct {
     int64_t cycles_run;
     int32_t status; /* 0 ok, 1 allocation failure */
 } Result;
-
-void nocsim_free(Result *res) {
-    if (!res) return;
-    free(res->d_meta);
-    free(res->d_dst);
-    free(res->d_cycle);
-    free(res->d_hops);
-    free(res);
-}
 
 /* Staged forward: lands downstream at end of cycle. */
 typedef struct {
@@ -381,38 +375,6 @@ cleanup:
     free(dlog.dst);
     free(dlog.cycle);
     free(dlog.hops);
-}
-
-Result *nocsim_run(
-    int32_t n_routers,
-    int32_t n_flat_ports,
-    const int32_t *port_base,
-    const int32_t *nports,
-    const int32_t *deg_off,
-    const int32_t *nbr,
-    const uint64_t *out_mask,
-    const int32_t *out_gp,
-    const int32_t *out_eidx,
-    int32_t capacity,
-    int32_t ej_max,
-    int64_t deadline,
-    int64_t n_packets,
-    const uint64_t *pk_mask,
-    const int32_t *pk_srcgp,
-    int64_t n_buckets,
-    const int64_t *bucket_cycle,
-    const int64_t *bucket_off,
-    const int32_t *bucket_pid,
-    int64_t *link_counts,
-    int32_t *peaks
-) {
-    Result *res = (Result *)calloc(1, sizeof(Result));
-    if (!res) return NULL;
-    run_single(res, n_routers, n_flat_ports, port_base, nports, deg_off,
-               nbr, out_mask, out_gp, out_eidx, capacity, ej_max, deadline,
-               n_packets, pk_mask, pk_srcgp, n_buckets, bucket_cycle,
-               bucket_off, bucket_pid, link_counts, peaks);
-    return res;
 }
 
 /* ------------------------------------------------------------------ */
@@ -707,39 +669,6 @@ cleanup:
     free(dlog.dst);
     free(dlog.cycle);
     free(dlog.hops);
-}
-
-Result *nocsim_run_mw(
-    int32_t n_routers,
-    int32_t n_words,
-    int32_t n_flat_ports,
-    const int32_t *port_base,
-    const int32_t *nports,
-    const int32_t *deg_off,
-    const int32_t *nbr,
-    const uint64_t *out_mask,
-    const int32_t *out_gp,
-    const int32_t *out_eidx,
-    int32_t capacity,
-    int32_t ej_max,
-    int64_t deadline,
-    int64_t n_packets,
-    const uint64_t *pk_mask,
-    const int32_t *pk_srcgp,
-    int64_t n_buckets,
-    const int64_t *bucket_cycle,
-    const int64_t *bucket_off,
-    const int32_t *bucket_pid,
-    int64_t *link_counts,
-    int32_t *peaks
-) {
-    Result *res = (Result *)calloc(1, sizeof(Result));
-    if (!res) return NULL;
-    run_single_mw(res, n_routers, n_words, n_flat_ports, port_base, nports,
-                  deg_off, nbr, out_mask, out_gp, out_eidx, capacity, ej_max,
-                  deadline, n_packets, pk_mask, pk_srcgp, n_buckets,
-                  bucket_cycle, bucket_off, bucket_pid, link_counts, peaks);
-    return res;
 }
 
 /* ------------------------------------------------------------------ */

@@ -1,44 +1,45 @@
-"""Fast table-driven NoC simulation backend.
+"""Fast NoC simulation backend: one compiled kernel, one fallback.
 
-This module re-implements the cycle-accurate loop of
-:mod:`repro.noc.interconnect` on flat arrays instead of per-router
-objects.  It is selected with ``NocConfig(backend="fast")`` (or the
-:func:`build_interconnect` factory) and is the engine behind the batch
-:meth:`FastInterconnect.simulate_many` API used for swarm-scale
-NoC-in-the-loop fitness evaluation.
+``NocConfig(backend="fast")`` (or the :func:`build_interconnect`
+factory) selects :class:`FastInterconnect`, which means exactly one
+thing: the C transcription of the cycle-accurate loop of
+:mod:`repro.noc.interconnect` in ``_fastsim_kernel.c``, reached through
+one entry point.  :meth:`FastInterconnect.simulate` is a batch of one
+and :meth:`FastInterconnect.simulate_many` — the swarm-scale
+NoC-in-the-loop fitness path — is one kernel call for the whole batch.
+Whatever the kernel cannot run falls through to the reference
+:class:`~repro.noc.interconnect.Interconnect`, which takes the same
+inputs and is the bit-identity oracle:
+
+- no kernel (no C compiler on the host: :func:`load_kernel` warns once
+  and ``backend="fast"`` then runs at reference speed, 30-70x slower
+  than the kernel — no pure-Python middle tier exists any more);
+- a kernel call that reports a failure (``noc.kernel.fallbacks``);
+- non-deterministic routing (adaptive candidates resolved by
+  ``selection="bufferlevel"``), which only the oracle implements.
 
 Design
 ------
-Routers are renumbered to dense indices; every per-cycle quantity lives
-in a preallocated flat structure:
+Routers are renumbered to dense indices and everything the kernel reads
+is a flat array:
 
 - **destination sets as bitmasks** — a packet's remaining destinations
-  are one integer bitmask over router indices, so multicast fork /
-  eject / progress bookkeeping are single AND/OR operations instead of
-  frozenset algebra; for the compiled kernel the masks are laid out as
-  ``(n_packets, n_words)`` uint64 words, one word on fabrics up to 63
-  routers and multi-word beyond (TrueNorth-scale meshes), selecting the
-  matching kernel entry point;
+  are ``(n_packets, n_words)`` uint64 words over router indices, so
+  multicast fork / eject / progress bookkeeping are AND/OR operations
+  instead of frozenset algebra; one word on fabrics up to 63 routers
+  (kernel body ``run_single``) and multi-word beyond (TrueNorth-scale
+  meshes, ``run_single_mw``) — chosen from the router count, never by
+  an option;
 - **columnar schedules in, columns out** — a
   :class:`~repro.noc.traffic.ColumnarSchedule` is adopted directly as
-  the packet plan (mask words, source indices and bucket offsets are
+  the packet plan (mask words, source ports and bucket offsets are
   array slices, not per-packet conversions), and deliveries come back
   as flat columns;
-- **precomputed next-hop port masks** — for deterministic routing the
-  whole routing table collapses into per-router ``(dst_mask, neighbor,
-  downstream_port, ...)`` triples: grouping a head packet's
-  destinations by output port (the router crossbar fork) is one AND
-  per port, and the downstream credit check is one deque length
-  comparison;
-- **occupancy-indexed arbitration tables** — which input ports a
-  router scans, in round-robin rotation, is a precomputed lookup keyed
-  by (cycle offset, occupied-port bitmask), so empty ports cost
-  nothing;
-- **struct-of-arrays packet pool** — the immutable packet fields (uid,
-  source neuron/router, injection cycle) are one shared tuple per
-  injection; forked copies append only a mask and a hop count, and a
-  packet that moves whole through a router allocates nothing;
-- **columnar, lazily materialized statistics** — the fast backend
+- **precomputed next-hop port masks** — the whole routing table
+  collapses into per-router ``(dst_mask, neighbor, downstream_port,
+  edge)`` entries: grouping a head packet's destinations by output port
+  (the router crossbar fork) is one AND per port;
+- **columnar, lazily materialized statistics** — the kernel path
   returns a :class:`FastNocStats` whose per-delivery
   :class:`~repro.noc.stats.DeliveryRecord` objects are only built when
   the ``deliveries`` list is first touched; aggregate queries
@@ -46,23 +47,23 @@ in a preallocated flat structure:
 
 Equivalence contract
 --------------------
-Under deterministic routing (XY, shortest-path, or any configuration
-with ``selection="first"``) the fast backend reproduces the reference
-loop **bit for bit**: identical delivery records, cycle counts, link
-loads and peak buffer occupancies.  This holds because the reference
-cycle order is replicated exactly — routers arbitrate in ascending
-order, input ports rotate round-robin by cycle, and the groups of one
-head packet never interact with each other (distinct output ports, at
-most one eject group), so the only orderings that matter are across
-ports and across routers, both of which are preserved.  Under adaptive
-routing with ``selection="bufferlevel"`` the same tie-breaking rules
-are applied to live buffer lengths, so runs are reproducible and
-statistically equivalent to the reference.
+The fast backend reproduces the reference loop **bit for bit**:
+identical delivery records, cycle counts, link loads and peak buffer
+occupancies, for every routing algorithm and selection strategy, any
+thread count, and with or without a compiler.  Under deterministic
+routing (XY, shortest-path, or any table with ``selection="first"``)
+that holds because the kernel replicates the reference cycle order
+exactly — routers arbitrate in ascending order, input ports rotate
+round-robin by cycle, and the groups of one head packet never interact
+with each other (distinct output ports, at most one eject group), so
+the only orderings that matter are across ports and across routers,
+both of which are preserved.  Everything else *is* the reference loop.
 
 ``tests/noc/test_backend_equivalence.py`` enforces the contract over
 mesh/torus topologies, unicast/multicast traffic and tight/roomy
-buffers, and property tests assert the fast backend always drains
-feasible schedules.
+buffers, ``tests/noc/test_kernel_fallback.py`` over the failure paths,
+and property tests assert the fast backend always drains feasible
+schedules.
 """
 
 from __future__ import annotations
@@ -71,17 +72,11 @@ import ctypes
 import dataclasses
 import itertools
 import os
-from collections import deque
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.noc._ckernel import (
-    has_batch,
-    load_kernel,
-    openmp_enabled,
-    resolve_threads,
-)
+from repro.noc._ckernel import load_kernel, openmp_enabled, resolve_threads
 from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.packet import Injection
 from repro.noc.routing import RoutingTable, routing_for
@@ -95,86 +90,98 @@ from repro.obs import get_observer
 #: schedule the traffic builders produce.
 ScheduleLike = Union[Sequence[Injection], ColumnarSchedule]
 
-# Occupancy-indexed arbitration tables grow as n_ports * 2**n_ports per
-# router; beyond this port count (e.g. a big star hub) the engine falls
-# back to scanning the full rotation and skipping empty deques.
-_MAX_TABLE_PORTS = 8
+
+def _offsets(sizes) -> np.ndarray:
+    """CSR offsets ``[0, s0, s0 + s1, ...]`` (int64) of consecutive runs."""
+    return np.array([0, *itertools.accumulate(sizes)], dtype=np.int64)
+
+
+_POINTER_OF = {
+    np.dtype(np.int32): ctypes.POINTER(ctypes.c_int32),
+    np.dtype(np.int64): ctypes.POINTER(ctypes.c_int64),
+    np.dtype(np.uint64): ctypes.POINTER(ctypes.c_uint64),
+}
+
+
+def _ptr(a: np.ndarray):
+    """Typed pointer to ``a`` for the kernel (the caller keeps ``a``
+    alive across the call); a dtype or layout the kernel does not read
+    raises here instead of corrupting memory there."""
+    if not a.flags.c_contiguous:
+        raise ValueError("kernel arrays must be C-contiguous")
+    return a.ctypes.data_as(_POINTER_OF[a.dtype])
+
+
+def kernel_engine(n_routers: int) -> str:
+    """Kernel body (and ``noc.engine_runs`` label) serving a fabric of
+    ``n_routers``: ``"c"``, one uint64 destination-mask word, up to 63
+    routers; ``"c-mw"``, multi-word masks, beyond."""
+    return "c" if n_routers <= 63 else "c-mw"
 
 
 class _MetaColumns:
     """Columnar packet metadata: the struct-of-arrays twin of the
-    per-packet ``(uid, src_neuron, src_node, cycle, src_idx)`` tuples the
+    per-packet ``(uid, src_neuron, src_node, cycle)`` tuples the
     row-oriented plan carries.  ``__getitem__`` yields that tuple so the
     lazy record builder works unchanged; the latency path reads the
     ``cycle`` column directly."""
 
-    __slots__ = ("uid", "src_neuron", "src_node", "cycle", "src_idx")
+    __slots__ = ("uid", "src_neuron", "src_node", "cycle")
 
-    def __init__(self, uid, src_neuron, src_node, cycle, src_idx) -> None:
+    def __init__(self, uid, src_neuron, src_node, cycle) -> None:
         self.uid = uid
         self.src_neuron = src_neuron
         self.src_node = src_node
         self.cycle = cycle
-        self.src_idx = src_idx
 
     def __len__(self) -> int:
         return int(self.uid.shape[0])
 
-    def __getitem__(self, pid) -> Tuple[int, int, int, int, int]:
+    def __getitem__(self, pid) -> Tuple[int, int, int, int]:
         return (
             int(self.uid[pid]),
             int(self.src_neuron[pid]),
             int(self.src_node[pid]),
             int(self.cycle[pid]),
-            int(self.src_idx[pid]),
         )
 
 
-class _ColumnarPlan(NamedTuple):
-    """Array-native packet plan (packet ``pid`` sits in bucket order, so
-    the implicit bucket pid list is ``arange(n_packets)``)."""
+class _Plan(NamedTuple):
+    """Kernel-ready packet plan of one schedule.  The five arrays are
+    C-contiguous in the dtypes the kernel reads, in its argument order
+    (a batch concatenates them column by column); ``meta`` maps a packet
+    index back to its injection for the delivery records."""
 
+    mask_words: np.ndarray    # uint64 (n_packets, n_words)
+    src_gp: np.ndarray        # int32 (n_packets,) source injection port
     bucket_cycle: np.ndarray  # int64 (n_buckets,) ascending
     bucket_off: np.ndarray    # int64 (n_buckets + 1,)
-    mask_words: np.ndarray    # uint64 (n_packets, n_words)
-    src_idx: np.ndarray       # int64 (n_packets,) dense source index
-    meta: _MetaColumns
+    bucket_pid: np.ndarray    # int32 (n_packets,) packets in bucket order
+    meta: Union[_MetaColumns, List[Tuple[int, int, int, int]]]
 
 
 class FastNocStats(NocStats):
     """:class:`NocStats` with columnar, lazily materialized deliveries.
 
-    The engine records deliveries as flat ``(packet, router, cycle,
-    hops)`` tuples; full :class:`DeliveryRecord` objects are only
+    The kernel records deliveries as flat ``(packet, router, cycle,
+    hops)`` columns; full :class:`DeliveryRecord` objects are only
     constructed when ``deliveries`` is first accessed.  Aggregate
     queries (counts, latencies) are answered from the columns directly,
     so swarm scoring that only reads ``total_hops`` or ``mean_latency``
     never pays for record construction.
     """
 
-    def _attach(self, delivered, p_meta, node_ids, needs_sort) -> None:
+    def _attach(self, delivered, p_meta, node_ids) -> None:
         self._delivered = delivered
         self._p_meta = p_meta
         self._node_ids = node_ids
-        self._needs_sort = needs_sort
         self._records: Optional[List[DeliveryRecord]] = None
 
-    def _columns(self):
-        # The C kernel hands back four flat arrays; widen them into the
-        # tuple rows the record builder expects, once, on first access.
-        if isinstance(self._delivered, tuple):
-            meta, dst, at, hops = self._delivered
-            self._delivered = list(
-                zip(meta.tolist(), dst.tolist(), at.tolist(), hops.tolist())
-            )
-        # Lazily replayed router drains append out of chronological
-        # order; restore the reference order (cycle, then router) once,
-        # on first access.  Entries of one router within one cycle stay
-        # in arbitration order because the sort is stable.
-        if self._needs_sort:
-            self._delivered.sort(key=lambda t: (t[2], t[1]))
-            self._needs_sort = False
-        return self._delivered
+    def _rows(self):
+        # The kernel hands back four flat arrays; widen them into the
+        # (packet, router, cycle, hops) rows the record builder expects.
+        meta, dst, at, hops = self._delivered
+        return zip(meta.tolist(), dst.tolist(), at.tolist(), hops.tolist())
 
     @property
     def deliveries(self) -> List[DeliveryRecord]:
@@ -193,7 +200,7 @@ class FastNocStats(NocStats):
                     delivered_cycle=at,
                     hops=hops,
                 )
-                for pid, dst, at, hops in self._columns()
+                for pid, dst, at, hops in self._rows()
             ]
         return self._records
 
@@ -206,24 +213,18 @@ class FastNocStats(NocStats):
     def delivered_count(self) -> int:
         if getattr(self, "_delivered", None) is None:
             return len(self._eager_deliveries)
-        if isinstance(self._delivered, tuple):
-            return len(self._delivered[0])
-        return len(self._delivered)
+        return len(self._delivered[0])
 
     def latencies(self) -> np.ndarray:
         if getattr(self, "_delivered", None) is None:
             return super().latencies()
         p_meta = self._p_meta
-        if (
-            isinstance(self._delivered, tuple)
-            and isinstance(p_meta, _MetaColumns)
-            and not self._needs_sort
-        ):
+        if isinstance(p_meta, _MetaColumns):
             # Columnar plan + kernel columns: one gather, no Python loop.
             meta_idx, _, at, _ = self._delivered
             return (at - p_meta.cycle[meta_idx]).astype(np.int64)
         return np.asarray(
-            [at - p_meta[pid][3] for pid, _, at, _ in self._columns()],
+            [at - p_meta[pid][3] for pid, _, at, _ in self._rows()],
             dtype=np.int64,
         )
 
@@ -233,17 +234,17 @@ class FastNocStats(NocStats):
             return
         p_meta = self._p_meta
         node_ids = self._node_ids
-        for pid, dst, at, _ in self._columns():
+        for pid, dst, at, _ in self._rows():
             meta = p_meta[pid]
             yield meta[2], node_ids[dst], at - meta[3]
 
 
 class FastInterconnect:
-    """Vectorized drop-in replacement for :class:`Interconnect`.
+    """Compiled drop-in replacement for :class:`Interconnect`.
 
-    Construction precomputes the routing/port tables, so one instance
-    amortizes that cost over arbitrarily many :meth:`simulate` /
-    :meth:`simulate_many` calls (the swarm-scoring hot path).
+    Construction precomputes the kernel's routing/port tables, so one
+    instance amortizes that cost over arbitrarily many :meth:`simulate`
+    / :meth:`simulate_many` calls (the swarm-scoring hot path).
     """
 
     def __init__(
@@ -277,162 +278,74 @@ class FastInterconnect:
         idx = self._idx
         n = len(nodes)
         self._n = n
+        self._node_arr = np.asarray(nodes, dtype=np.int64)
+        # Destination masks span this many uint64 words: one for the
+        # single-word kernel body, as many as it takes beyond.
+        self._engine = kernel_engine(n)
+        self._n_words = 1 if self._engine == "c" else -(-n // 64)
 
         # Port layout: slot 0 is the local injection queue, slots 1..k
         # are the bounded channel buffers from sorted neighbors — the
         # same canonical order the reference router arbitrates over.
-        self._nbrs: List[List[int]] = []
-        self._in_slot: List[Dict[int, int]] = []  # upstream idx -> slot
-        self._port_base: List[int] = []
+        nbrs: List[List[int]] = []
+        port_base: List[int] = []
         base = 0
         for node in nodes:
-            nbrs = [idx[v] for v in sorted(self.topology.graph.neighbors(node))]
-            self._nbrs.append(nbrs)
-            self._in_slot.append({u: s + 1 for s, u in enumerate(nbrs)})
-            self._port_base.append(base)
-            base += 1 + len(nbrs)
+            nbrs.append([idx[v] for v in sorted(self.topology.graph.neighbors(node))])
+            port_base.append(base)
+            base += 1 + len(nbrs[-1])
         self._n_flat_ports = base
-
-        self._nports = [1 + len(self._nbrs[i]) for i in range(n)]
-        self._one_port = [(gp,) for gp in range(self._n_flat_ports)]
-
-        # Arbitration tables: _arb[i][cycle % n_ports][occupied_mask]
-        # lists this router's occupied global port ids in round-robin
-        # order.  None for very-high-degree routers (table too big).
-        self._arb: List[Optional[List[List[Tuple[int, ...]]]]] = []
-        self._rot: List[List[Tuple[int, ...]]] = []
-        for i in range(n):
-            k = 1 + len(self._nbrs[i])
-            ports = tuple(self._port_base[i] + s for s in range(k))
-            rotations = [ports[start:] + ports[:start] for start in range(k)]
-            self._rot.append(rotations)
-            if k > _MAX_TABLE_PORTS:
-                self._arb.append(None)
-                continue
-            self._arb.append(
-                [
-                    [
-                        tuple(
-                            gp
-                            for gp in rotation
-                            if (occ >> (gp - ports[0])) & 1
-                        )
-                        for occ in range(1 << k)
-                    ]
-                    for rotation in rotations
-                ]
-            )
-
-        # Candidate next hops per (here, dst), as dense index tuples.
-        # ``selection="first"`` always takes the first candidate, which
-        # makes even an adaptive table behave deterministically, so the
-        # bitmask fast path applies there too.
-        cand: List[List[Tuple[int, ...]]] = []
-        deterministic = True
-        for i, here in enumerate(nodes):
-            row: List[Tuple[int, ...]] = []
-            for dst in nodes:
-                if dst == here:
-                    row.append(())
-                    continue
-                options = tuple(
-                    idx[v] for v in self.routing.candidates(here, dst)
-                )
-                if len(options) > 1:
-                    deterministic = False
-                row.append(options)
-            cand.append(row)
-        self._cand = cand
-        self._deterministic = deterministic or self.config.selection == "first"
+        self._port_base_arr = np.asarray(port_base, dtype=np.int32)
 
         # Directed links in a fixed order; loads accumulate in a flat
-        # counter list indexed by these ids.
-        self._edges: List[Tuple[int, int]] = []  # edge id -> (u_id, v_id)
-        edge_id: Dict[Tuple[int, int], int] = {}
-        for i in range(n):
-            for nb in self._nbrs[i]:
-                edge_id[(i, nb)] = len(self._edges)
-                self._edges.append((nodes[i], nodes[nb]))
+        # counter array indexed by these ids.
+        pairs = [(i, nb) for i in range(n) for nb in nbrs[i]]
+        self._edges: List[Tuple[int, int]] = [  # edge id -> (u_id, v_id)
+            (nodes[i], nodes[nb]) for i, nb in pairs
+        ]
 
-        # Output stage per router: (dst_mask, neighbor, downstream port,
-        # downstream slot bit, edge id) per neighbor.  dst_mask is only
-        # meaningful under deterministic routing (bit d set iff
-        # destination d leaves through this neighbor); adaptive runs
-        # index this table by neighbor for the shared fields.
-        self._fwd: List[Tuple[Tuple[int, int, int, int, int], ...]] = []
-        self._fwd_of: List[Dict[int, Tuple[int, int, int, int, int]]] = []
-        for i in range(n):
-            masks = {nb: 0 for nb in self._nbrs[i]}
-            if self._deterministic:
-                for d in range(n):
-                    if d != i:
-                        masks[cand[i][d][0]] |= 1 << d
-            entries = tuple(
-                (
-                    masks[nb],
-                    nb,
-                    self._port_base[nb] + self._in_slot[nb][i],
-                    1 << self._in_slot[nb][i],
-                    edge_id[(i, nb)],
-                )
-                for nb in self._nbrs[i]
-            )
-            self._fwd.append(entries)
-            self._fwd_of.append({e[1]: e for e in entries})
+        # The compiled kernel, or None: then every schedule runs on the
+        # reference engine and none of the tables below are needed.
+        self._ck = load_kernel()
+        if self._ck is None:
+            return
 
-        self._node_arr = np.asarray(nodes, dtype=np.int64)
-        self._port_base_arr = np.asarray(self._port_base, dtype=np.int32)
-        # Destination masks span this many uint64 words.  The original
-        # single-word layout (and its kernel) keeps the <=63-router
-        # boundary; anything larger goes multi-word.
-        self._n_words = 1 if n <= 63 else -(-n // 64)
+        # Next-hop masks per (router, neighbor): bit d set iff
+        # destination d leaves through that neighbor.  ``selection=
+        # "first"`` always takes the first candidate, which makes even
+        # an adaptive table deterministic; a table that really offers a
+        # choice is the reference engine's job.
+        first = self.config.selection == "first"
+        masks: List[Dict[int, int]] = [{nb: 0 for nb in row} for row in nbrs]
+        for i, here in enumerate(nodes):
+            for d, dst in enumerate(nodes):
+                if d == i:
+                    continue
+                options = self.routing.candidates(here, dst)
+                if len(options) > 1 and not first:
+                    self._ck = None
+                    return
+                masks[i][idx[options[0]]] |= 1 << d
 
-        # Compiled kernel (optional): deterministic routing runs in C
-        # when a compiler is available — the single-word kernel for <=63
-        # routers, the multi-word variant beyond that.  Adaptive
-        # selection (and no-compiler hosts) use the pure-Python engine.
-        self._ck = None
-        if self._deterministic:
-            lib = load_kernel()
-            if lib is not None:
-                deg = [len(self._nbrs[i]) for i in range(n)]
-                entries = [e for i in range(n) for e in self._fwd[i]]
-                out_mask = self._pack_mask_words([e[0] for e in entries])
-                self._ck = lib
-                self._ck_tables = (
-                    self._port_base_arr,
-                    np.asarray(self._nports, dtype=np.int32),
-                    np.asarray([0] + list(np.cumsum(deg)), dtype=np.int32),
-                    np.asarray([e[1] for e in entries], dtype=np.int32),
-                    out_mask,
-                    np.asarray([e[2] for e in entries], dtype=np.int32),
-                    np.asarray([e[4] for e in entries], dtype=np.int32),
-                )
-
-        # Unicast shortcut (deterministic only): one direct lookup
-        # (router, destination) -> (neighbor, downstream port, slot bit,
-        # edge id, arrives-home flag) replaces the per-neighbor scan for
-        # single-destination packets — the bulk of in-flight traffic
-        # once multicast forks have diverged.
-        self._route1: List[List[Optional[Tuple[int, int, int, int, bool]]]] = []
-        if self._deterministic:
-            for i in range(n):
-                row: List[Optional[Tuple[int, int, int, int, bool]]] = []
-                for d in range(n):
-                    if d == i:
-                        row.append(None)
-                        continue
-                    nb = cand[i][d][0]
-                    row.append(
-                        (
-                            nb,
-                            self._port_base[nb] + self._in_slot[nb][i],
-                            1 << self._in_slot[nb][i],
-                            edge_id[(i, nb)],
-                            d == nb,
-                        )
-                    )
-                self._route1.append(row)
+        # Output stage per (router, neighbor), flattened in edge order:
+        # neighbor, next-hop mask words, downstream global port (the
+        # neighbor's input slot for this router), edge id.
+        in_slot = [{u: s + 1 for s, u in enumerate(row)} for row in nbrs]
+        # The arrays stay referenced here for as long as the kernel may
+        # read them through the pointers made (once) from them.
+        self._ck_tables = (
+            self._port_base_arr,
+            np.asarray([1 + len(row) for row in nbrs], dtype=np.int32),
+            _offsets(len(row) for row in nbrs).astype(np.int32),
+            np.asarray([nb for _, nb in pairs], dtype=np.int32),
+            self._pack_mask_words([masks[i][nb] for i, nb in pairs]),
+            np.asarray(
+                [port_base[nb] + in_slot[nb][i] for i, nb in pairs],
+                dtype=np.int32,
+            ),
+            np.arange(len(pairs), dtype=np.int32),
+        )
+        self._ck_table_args = tuple(_ptr(table) for table in self._ck_tables)
 
     # -- public API ----------------------------------------------------------
 
@@ -443,36 +356,21 @@ class FastInterconnect:
         ``InjectionSchedule`` (its ``.injections`` list is used), or a
         :class:`~repro.noc.traffic.ColumnarSchedule` — for the latter
         the packet plan is adopted straight from the schedule's arrays
-        (no per-packet Python conversion).
+        (no per-packet Python conversion).  A batch of one: the same
+        kernel call :meth:`simulate_many` makes.
         """
         obs = get_observer()
         if not obs.enabled:
-            return self._simulate_impl(injections)
+            return self._run_batch([injections], 1)[0]
         with obs.span("noc.simulate", backend="fast", routers=self._n) as span:
-            stats = self._simulate_impl(injections)
+            stats = self._run_batch([injections], 1)[0]
             span.set(
                 n_packets=stats.n_injected,
                 delivered=stats.delivered_count,
                 cycles=stats.cycles_run,
             )
-        obs.inc("noc.simulations", backend="fast")
-        obs.inc("noc.packets_injected", stats.n_injected)
-        obs.inc("noc.deliveries", stats.delivered_count)
+        self._count(obs, [stats])
         return stats
-
-    def _simulate_impl(self, injections: ScheduleLike) -> NocStats:
-        stats = FastNocStats()
-        if isinstance(injections, ColumnarSchedule):
-            plan = self._columnar_plan(injections, stats)
-        else:
-            if hasattr(injections, "injections"):
-                injections = injections.injections
-            plan = self._build_pool_schedule(injections, stats)
-        if plan is None:
-            return stats
-        if self._ck is not None:
-            return self._run_c(plan, stats)
-        return self._run(plan, stats)
 
     def simulate_many(
         self,
@@ -481,47 +379,46 @@ class FastInterconnect:
     ) -> List[NocStats]:
         """Simulate a batch of injection schedules on this network.
 
-        The routing/port tables are built once per instance, so scoring
-        a whole swarm of candidate placements costs one table build plus
-        one lean simulation per schedule.
-
-        When the compiled kernel exposes the batch entry points, the
+        The routing/port tables are built once per instance and the
         whole batch runs in **one** C call (the ctypes call releases
-        the GIL) with OpenMP parallelism across independent schedules —
-        bit-identical to the serial per-schedule path for any thread
-        count, because each schedule runs the same single-schedule
-        algorithm into its own result slab.  ``threads`` caps the team
-        (``None`` defers to ``REPRO_NOC_THREADS``, then one per core;
-        ``0`` disables the batch path).
+        the GIL), with OpenMP parallelism across independent schedules
+        when the kernel was built with it — bit-identical for any
+        thread count, because each schedule runs the same
+        single-schedule algorithm into its own result slab.
 
-        An explicit ``threads`` argument always takes the batch path
-        (tests pin its single-thread behavior that way); on auto it is
-        only taken when it can actually parallelize (OpenMP build, more
-        than one effective thread) — a 1-thread batch call pays the
-        concatenation and result-slab overhead with nothing to buy it
-        back.
+        ``threads`` caps the team (``None`` defers to
+        ``REPRO_NOC_THREADS``, then one per core).  ``0`` means "no
+        in-process thread team": the same call on the calling thread
+        alone, which is what process-pool workers ask for.
         """
         schedules = list(schedules)
-        if len(schedules) > 1 and has_batch(self._ck):
-            n_threads = resolve_threads(threads)
-            if n_threads != 0 and (
-                threads is not None or self.batch_threads(threads) > 1
-            ):
-                out = self._simulate_many_c(schedules, n_threads)
-                if out is not None:
-                    return out
-        return [self.simulate(injections) for injections in schedules]
+        # The kernel reads n_threads <= 0 as "runtime default", so "no
+        # team" has to reach it as 1.
+        n_threads = resolve_threads(threads) or 1
+        obs = get_observer()
+        if not obs.enabled:
+            return self._run_batch(schedules, n_threads)
+        with obs.span(
+            "noc.simulate_batch",
+            backend="fast",
+            routers=self._n,
+            n_schedules=len(schedules),
+            threads=n_threads,
+        ):
+            results = self._run_batch(schedules, n_threads)
+        self._count(obs, results)
+        return results
 
     def batch_threads(self, requested: Optional[int] = None) -> int:
         """Effective parallelism of the threaded batch kernel.
 
-        ``0`` when the batch path is unavailable or disabled; ``1``
-        when it runs but cannot parallelize (no OpenMP); otherwise the
-        thread count capped by the core count.  Callers use this to
-        decide between the in-process threaded kernel and the process
-        pool.
+        ``0`` when there is no kernel or no thread team was asked for
+        (``threads=0`` / ``REPRO_NOC_THREADS=0``); ``1`` when it runs
+        but cannot parallelize (no OpenMP); otherwise the thread count
+        capped by the core count.  Callers use this to decide between
+        the in-process threaded kernel and the process pool.
         """
-        if not has_batch(self._ck):
+        if self._ck is None:
             return 0
         n_threads = resolve_threads(requested)
         if n_threads == 0:
@@ -530,11 +427,17 @@ class FastInterconnect:
             return 1
         return max(1, min(n_threads, os.cpu_count() or 1))
 
+    @staticmethod
+    def _count(obs, results: Sequence[NocStats]) -> None:
+        obs.inc("noc.simulations", len(results), backend="fast")
+        obs.inc("noc.packets_injected", sum(s.n_injected for s in results))
+        obs.inc("noc.deliveries", sum(s.delivered_count for s in results))
+
     # -- schedule expansion --------------------------------------------------
 
     def _columnar_plan(
         self, schedule: ColumnarSchedule, stats: FastNocStats
-    ) -> Optional[_ColumnarPlan]:
+    ) -> Optional[_Plan]:
         """Adopt a columnar schedule as the packet plan.
 
         The schedule's mask words already use this network's dense
@@ -613,47 +516,18 @@ class FastInterconnect:
             src_idx = src_idx[rows]
         bounds = np.flatnonzero(np.diff(cycle)) + 1
         starts = np.concatenate(([0], bounds))
-        return _ColumnarPlan(
-            bucket_cycle=cycle[starts],
-            bucket_off=np.concatenate(
-                (starts, [cycle.shape[0]])
-            ).astype(np.int64),
-            mask_words=words,
-            src_idx=src_idx,
-            meta=_MetaColumns(uid, src_neuron, src_node, cycle, src_idx),
+        n_packets = cycle.shape[0]
+        return _Plan(
+            mask_words=np.ascontiguousarray(words, dtype=np.uint64),
+            src_gp=self._port_base_arr[src_idx],
+            bucket_cycle=np.ascontiguousarray(cycle[starts], dtype=np.int64),
+            bucket_off=np.concatenate((starts, [n_packets])).astype(np.int64),
+            bucket_pid=np.arange(n_packets, dtype=np.int32),
+            meta=_MetaColumns(uid, src_neuron, src_node, cycle),
         )
 
-    def _legacy_plan(self, plan: _ColumnarPlan):
-        """Row-oriented plan from a columnar one (pure-Python engine
-        input: appendable lists, arbitrary-precision int masks)."""
-        bucket_cycle = plan.bucket_cycle.tolist()
-        off = plan.bucket_off.tolist()
-        buckets = [
-            list(range(off[b], off[b + 1]))
-            for b in range(len(bucket_cycle))
-        ]
-        meta = plan.meta
-        p_meta = list(
-            zip(
-                meta.uid.tolist(),
-                meta.src_neuron.tolist(),
-                meta.src_node.tolist(),
-                meta.cycle.tolist(),
-                meta.src_idx.tolist(),
-            )
-        )
-        words = plan.mask_words
-        p_mask = words[:, 0].tolist()
-        for w in range(1, words.shape[1]):
-            shift = 64 * w
-            p_mask = [
-                m | (c << shift)
-                for m, c in zip(p_mask, words[:, w].tolist())
-            ]
-        return (bucket_cycle, buckets, p_meta, [0] * len(p_meta), p_mask)
-
-    def _build_pool_schedule(self, injections, stats):
-        """Expand injections straight into the packet pool.
+    def _pool_plan(self, injections, stats) -> Optional[_Plan]:
+        """Expand row-oriented injections straight into a packet plan.
 
         Mirrors :func:`~repro.noc.interconnect.build_packet_schedule`
         (same uid numbering, self-destination dropping and multicast/
@@ -661,11 +535,14 @@ class FastInterconnect:
         objects.  Unicast split order is ascending node id, which is
         ascending bit order because indices follow sorted node ids.
         """
+        if hasattr(injections, "injections"):
+            injections = injections.injections
         idx = self._idx
+        port_base = self._port_base_arr.tolist()
         multicast = self.config.multicast
         buckets: Dict[int, List[int]] = {}
-        p_meta: List[Tuple[int, int, int, int, int]] = []
-        p_hops: List[int] = []
+        p_meta: List[Tuple[int, int, int, int]] = []
+        p_srcgp: List[int] = []
         p_mask: List[int] = []
         next_uid = 0
         n_injected = 0
@@ -682,36 +559,41 @@ class FastInterconnect:
             next_uid = max(next_uid, uid) + 1
             n_injected += 1
             n_expected += mask.bit_count()
-            meta = (uid, inj.src_neuron, src, inj.cycle, idx[src])
+            meta = (uid, inj.src_neuron, src, inj.cycle)
+            srcgp = port_base[idx[src]]
             bucket = buckets.setdefault(inj.cycle, [])
             if multicast:
-                bucket.append(len(p_hops))
+                bucket.append(len(p_mask))
                 p_meta.append(meta)
-                p_hops.append(0)
+                p_srcgp.append(srcgp)
                 p_mask.append(mask)
             else:
                 m = mask
                 while m:
                     low = m & -m
                     m ^= low
-                    bucket.append(len(p_hops))
+                    bucket.append(len(p_mask))
                     p_meta.append(meta)
-                    p_hops.append(0)
+                    p_srcgp.append(srcgp)
                     p_mask.append(low)
         stats.n_injected = n_injected
         stats.n_expected_deliveries = n_expected
         if not buckets:
             return None
         inject_cycles = sorted(buckets)
-        return (
-            inject_cycles,
-            [buckets[c] for c in inject_cycles],
-            p_meta,
-            p_hops,
-            p_mask,
+        ordered = [buckets[c] for c in inject_cycles]
+        return _Plan(
+            mask_words=self._pack_mask_words(p_mask),
+            src_gp=np.asarray(p_srcgp, dtype=np.int32),
+            bucket_cycle=np.asarray(inject_cycles, dtype=np.int64),
+            bucket_off=_offsets(map(len, ordered)),
+            bucket_pid=np.fromiter(
+                itertools.chain.from_iterable(ordered),
+                dtype=np.int32,
+                count=len(p_mask),
+            ),
+            meta=p_meta,
         )
-
-    # -- the engines ---------------------------------------------------------
 
     def _pack_mask_words(self, p_mask) -> np.ndarray:
         """Arbitrary-precision int masks -> (n_packets, n_words) words."""
@@ -728,267 +610,97 @@ class FastInterconnect:
                 w += 1
         return words
 
-    def _marshal_plan(self, plan):
-        """Kernel-ready arrays for one plan (shared by the single-
-        schedule and batch paths, so both feed the C code identical
-        inputs — the root of the batch bit-identity guarantee).
+    # -- the engine and its fallback -----------------------------------------
 
-        Returns ``(p_meta, n_packets, mask_words, pk_srcgp,
-        bucket_cycle, bucket_off, bucket_pid, n_buckets, deadline)``.
-        """
-        if isinstance(plan, _ColumnarPlan):
-            p_meta = plan.meta
-            n_packets = plan.mask_words.shape[0]
-            mask_words = np.ascontiguousarray(plan.mask_words)
-            pk_srcgp = np.ascontiguousarray(
-                self._port_base_arr[plan.src_idx]
-            )
-            bucket_cycle = np.ascontiguousarray(plan.bucket_cycle)
-            bucket_off = np.ascontiguousarray(plan.bucket_off)
-            bucket_pid = np.arange(n_packets, dtype=np.int32)
-            n_buckets = len(bucket_cycle)
-            deadline = int(bucket_cycle[-1]) + self.config.max_extra_cycles
-        else:
-            inject_cycles, buckets, p_meta, p_hops, p_mask = plan
-            port_base = self._port_base
-            n_packets = len(p_mask)
-            mask_words = self._pack_mask_words(p_mask)
-            pk_srcgp = np.fromiter(
-                (port_base[m[4]] for m in p_meta),
-                dtype=np.int32,
-                count=n_packets,
-            )
-            bucket_cycle = np.asarray(inject_cycles, dtype=np.int64)
-            bucket_off = np.zeros(len(buckets) + 1, dtype=np.int64)
-            np.cumsum([len(b) for b in buckets], out=bucket_off[1:])
-            bucket_pid = np.fromiter(
-                itertools.chain.from_iterable(buckets),
-                dtype=np.int32,
-                count=n_packets,
-            )
-            n_buckets = len(buckets)
-            deadline = inject_cycles[-1] + self.config.max_extra_cycles
-        return (
-            p_meta,
-            n_packets,
-            mask_words,
-            pk_srcgp,
-            bucket_cycle,
-            bucket_off,
-            bucket_pid,
-            n_buckets,
-            deadline,
-        )
-
-    def _run_c(self, plan, stats: FastNocStats) -> FastNocStats:
-        """Hand the cycle loop to the compiled kernel (same semantics)."""
-        (
-            p_meta,
-            n_packets,
-            mask_words,
-            pk_srcgp,
-            bucket_cycle,
-            bucket_off,
-            bucket_pid,
-            n_buckets,
-            deadline,
-        ) = self._marshal_plan(plan)
-        link_counts = np.zeros(len(self._edges), dtype=np.int64)
-        peaks = np.zeros(self._n_flat_ports, dtype=np.int32)
-        tb = self._ck_tables
-
-        def ptr(a, ctype):
-            return a.ctypes.data_as(ctypes.POINTER(ctype))
-
-        common_args = (
-            ptr(tb[0], ctypes.c_int32),
-            ptr(tb[1], ctypes.c_int32),
-            ptr(tb[2], ctypes.c_int32),
-            ptr(tb[3], ctypes.c_int32),
-            ptr(tb[4], ctypes.c_uint64),
-            ptr(tb[5], ctypes.c_int32),
-            ptr(tb[6], ctypes.c_int32),
-            self.config.buffer_capacity,
-            self.config.ejections_per_cycle,
-            deadline,
-            n_packets,
-            ptr(mask_words, ctypes.c_uint64),
-            ptr(pk_srcgp, ctypes.c_int32),
-            n_buckets,
-            ptr(bucket_cycle, ctypes.c_int64),
-            ptr(bucket_off, ctypes.c_int64),
-            ptr(bucket_pid, ctypes.c_int32),
-            ptr(link_counts, ctypes.c_int64),
-            ptr(peaks, ctypes.c_int32),
-        )
-        if self._n <= 63:
-            res_p = self._ck.nocsim_run(
-                self._n, self._n_flat_ports, *common_args
-            )
-        else:
-            res_p = self._ck.nocsim_run_mw(
-                self._n, self._n_words, self._n_flat_ports, *common_args
-            )
-        if not res_p:
-            return self._run(plan, stats)
-        try:
-            res = res_p.contents
-            if res.status != 0:
-                return self._run(plan, stats)
-            d_len = res.d_len
-            if d_len:
-                d_meta = np.ctypeslib.as_array(res.d_meta, shape=(d_len,)).copy()
-                d_dst = np.ctypeslib.as_array(res.d_dst, shape=(d_len,)).copy()
-                d_cycle = np.ctypeslib.as_array(res.d_cycle, shape=(d_len,)).copy()
-                d_hops = np.ctypeslib.as_array(res.d_hops, shape=(d_len,)).copy()
-            else:
-                d_meta = np.empty(0, dtype=np.int32)
-                d_dst = np.empty(0, dtype=np.int32)
-                d_cycle = np.empty(0, dtype=np.int64)
-                d_hops = np.empty(0, dtype=np.int32)
-            cycles_run = res.cycles_run
-        finally:
-            self._ck.nocsim_free(res_p)
-
-        stats.cycles_run = int(cycles_run)
-        counts = link_counts.tolist()
-        stats.link_loads = {
-            edge: count for edge, count in zip(self._edges, counts) if count
-        }
-        stats.peak_buffer_occupancy = int(peaks.max()) if peaks.size else 0
-        stats._attach(
-            (d_meta, d_dst, d_cycle, d_hops), p_meta, self._nodes, False
-        )
-        obs = get_observer()
-        if obs.enabled:
-            obs.inc(
-                "noc.engine_runs", engine="c" if self._n <= 63 else "c-mw"
-            )
-        return stats
-
-    def _simulate_many_c(
+    def _run_batch(
         self, schedules: Sequence[ScheduleLike], n_threads: int
-    ) -> Optional[List[NocStats]]:
-        """Score the whole batch in one threaded kernel call.
-
-        Returns ``None`` when the kernel reports a failure, making the
-        caller fall back to the serial per-schedule path (which has its
-        own per-schedule Python fallback).
-        """
-        results: List[FastNocStats] = []
-        live: List[Tuple[FastNocStats, tuple]] = []
+    ) -> List[NocStats]:
+        """Plan every schedule, run the non-empty ones in one kernel
+        call, and rerun on the reference engine what the kernel cannot
+        (there is none, its routing needs run-time selection, or the
+        call reported a failure)."""
+        results: List[NocStats] = []
+        live: List[Tuple[int, FastNocStats, _Plan]] = []
         for injections in schedules:
             stats = FastNocStats()
             if isinstance(injections, ColumnarSchedule):
                 plan = self._columnar_plan(injections, stats)
             else:
-                if hasattr(injections, "injections"):
-                    injections = injections.injections
-                plan = self._build_pool_schedule(injections, stats)
+                plan = self._pool_plan(injections, stats)
             if plan is not None:
-                live.append((stats, self._marshal_plan(plan)))
+                live.append((len(results), stats, plan))
             results.append(stats)
-
+        if not live:
+            return results
         obs = get_observer()
-        if live:
-            if obs.enabled:
-                with obs.span(
-                    "noc.simulate_batch",
-                    backend="fast",
-                    routers=self._n,
-                    n_schedules=len(schedules),
-                    threads=n_threads,
-                ):
-                    ok = self._dispatch_batch(live, n_threads)
-            else:
-                ok = self._dispatch_batch(live, n_threads)
-            if not ok:
-                return None
+        engine = self._engine
+        if self._ck is None or not self._dispatch_batch(live, n_threads):
+            if self._ck is not None:
+                obs.inc("noc.kernel.fallbacks")
+            engine = "reference"
+            for k, _, _ in live:
+                # A fresh oracle per schedule: its buffers keep their
+                # high-water marks from one run to the next.
+                results[k] = Interconnect(
+                    self.topology, self.routing, self.config
+                )._simulate_impl(schedules[k])
         if obs.enabled:
-            obs.inc("noc.engine_runs", len(live), engine="c-batch")
-            obs.inc("noc.simulations", len(results), backend="fast")
-            obs.inc(
-                "noc.packets_injected",
-                sum(s.n_injected for s in results),
-            )
-            obs.inc(
-                "noc.deliveries",
-                sum(s.delivered_count for s in results),
-            )
+            obs.inc("noc.engine_runs", len(live), engine=engine)
         return results
 
     def _dispatch_batch(
-        self, live: List[Tuple[FastNocStats, tuple]], n_threads: int
+        self, live: List[Tuple[int, FastNocStats, _Plan]], n_threads: int
     ) -> bool:
-        """Concatenate marshalled plans CSR-style, run the batch entry
-        point once, and attach each schedule's result slab.  ``False``
-        on any kernel failure (caller falls back)."""
+        """Concatenate the plans CSR-style, run the batch entry point
+        once, and attach each schedule's result slab.  ``False`` on any
+        kernel failure (caller falls back)."""
         n_live = len(live)
-        plans = [m for _, m in live]
-        pk_off = np.zeros(n_live + 1, dtype=np.int64)
-        np.cumsum([m[1] for m in plans], out=pk_off[1:])
-        bk_off = np.zeros(n_live + 1, dtype=np.int64)
-        np.cumsum([m[7] for m in plans], out=bk_off[1:])
-        pk_mask = np.ascontiguousarray(
-            np.concatenate([m[2] for m in plans])
+        plans = [plan for _, _, plan in live]
+        if n_live == 1:
+            # A batch of one is already laid out; skip the copies.
+            pk_mask, pk_srcgp, bucket_cycle, bucket_off, bucket_pid = plans[0][:5]
+        else:
+            # Schedule s's bucket_off slice (length n_buckets_s + 1,
+            # local offsets) lives at bk_off[s] + s in the concatenation
+            # — the layout the C batch entry expects.
+            pk_mask, pk_srcgp, bucket_cycle, bucket_off, bucket_pid = (
+                np.concatenate(column) for column in zip(*(p[:5] for p in plans))
+            )
+        pk_off = _offsets(len(p.src_gp) for p in plans)
+        bk_off = _offsets(len(p.bucket_cycle) for p in plans)
+        max_extra = self.config.max_extra_cycles
+        deadlines = np.array(
+            [int(p.bucket_cycle[-1]) + max_extra for p in plans], dtype=np.int64
         )
-        pk_srcgp = np.ascontiguousarray(
-            np.concatenate([m[3] for m in plans])
-        )
-        bucket_cycle = np.ascontiguousarray(
-            np.concatenate([m[4] for m in plans])
-        )
-        # Schedule s's bucket_off slice (length n_buckets_s + 1, local
-        # offsets) lives at bk_off[s] + s in the concatenation — the
-        # layout the C batch entry expects.
-        bucket_off = np.ascontiguousarray(
-            np.concatenate([m[5] for m in plans])
-        )
-        bucket_pid = np.ascontiguousarray(
-            np.concatenate([m[6] for m in plans])
-        )
-        deadlines = np.asarray([m[8] for m in plans], dtype=np.int64)
         n_edges = len(self._edges)
+        n_ports = self._n_flat_ports
         link_counts = np.zeros(n_live * n_edges, dtype=np.int64)
-        peaks = np.zeros(n_live * self._n_flat_ports, dtype=np.int32)
-        tb = self._ck_tables
-
-        def ptr(a, ctype):
-            return a.ctypes.data_as(ctypes.POINTER(ctype))
-
+        peaks = np.zeros(n_live * n_ports, dtype=np.int32)
         common_args = (
-            ptr(tb[0], ctypes.c_int32),
-            ptr(tb[1], ctypes.c_int32),
-            ptr(tb[2], ctypes.c_int32),
-            ptr(tb[3], ctypes.c_int32),
-            ptr(tb[4], ctypes.c_uint64),
-            ptr(tb[5], ctypes.c_int32),
-            ptr(tb[6], ctypes.c_int32),
+            *self._ck_table_args,
             self.config.buffer_capacity,
             self.config.ejections_per_cycle,
             n_edges,
             n_live,
-            ptr(pk_off, ctypes.c_int64),
-            ptr(pk_mask, ctypes.c_uint64),
-            ptr(pk_srcgp, ctypes.c_int32),
-            ptr(bk_off, ctypes.c_int64),
-            ptr(bucket_cycle, ctypes.c_int64),
-            ptr(bucket_off, ctypes.c_int64),
-            ptr(bucket_pid, ctypes.c_int32),
-            ptr(deadlines, ctypes.c_int64),
+            _ptr(pk_off),
+            _ptr(pk_mask),
+            _ptr(pk_srcgp),
+            _ptr(bk_off),
+            _ptr(bucket_cycle),
+            _ptr(bucket_off),
+            _ptr(bucket_pid),
+            _ptr(deadlines),
             n_threads,
-            ptr(link_counts, ctypes.c_int64),
-            ptr(peaks, ctypes.c_int32),
+            _ptr(link_counts),
+            _ptr(peaks),
         )
         # One ctypes call for the whole batch; ctypes releases the GIL
         # for the duration, so the OpenMP team runs truly in parallel.
-        if self._n <= 63:
-            res_p = self._ck.nocsim_run_batch(
-                self._n, self._n_flat_ports, *common_args
-            )
+        if self._engine == "c":
+            res_p = self._ck.nocsim_run_batch(self._n, n_ports, *common_args)
         else:
             res_p = self._ck.nocsim_run_batch_mw(
-                self._n, self._n_words, self._n_flat_ports, *common_args
+                self._n, self._n_words, n_ports, *common_args
             )
         if not res_p:
             return False
@@ -1000,19 +712,9 @@ class FastInterconnect:
                     return False
                 d_len = res.d_len
                 if d_len:
-                    cols = (
-                        np.ctypeslib.as_array(
-                            res.d_meta, shape=(d_len,)
-                        ).copy(),
-                        np.ctypeslib.as_array(
-                            res.d_dst, shape=(d_len,)
-                        ).copy(),
-                        np.ctypeslib.as_array(
-                            res.d_cycle, shape=(d_len,)
-                        ).copy(),
-                        np.ctypeslib.as_array(
-                            res.d_hops, shape=(d_len,)
-                        ).copy(),
+                    cols = tuple(
+                        np.ctypeslib.as_array(column, shape=(d_len,)).copy()
+                        for column in (res.d_meta, res.d_dst, res.d_cycle, res.d_hops)
                     )
                 else:
                     cols = (
@@ -1025,7 +727,7 @@ class FastInterconnect:
         finally:
             self._ck.nocsim_free_batch(res_p, n_live)
 
-        for s, (stats, m) in enumerate(live):
+        for s, (_, stats, plan) in enumerate(live):
             cols, cycles_run = extracted[s]
             stats.cycles_run = int(cycles_run)
             counts = link_counts[s * n_edges:(s + 1) * n_edges].tolist()
@@ -1034,417 +736,10 @@ class FastInterconnect:
                 for edge, count in zip(self._edges, counts)
                 if count
             }
-            pk = peaks[
-                s * self._n_flat_ports:(s + 1) * self._n_flat_ports
-            ]
+            pk = peaks[s * n_ports:(s + 1) * n_ports]
             stats.peak_buffer_occupancy = int(pk.max()) if pk.size else 0
-            stats._attach(cols, m[0], self._nodes, False)
+            stats._attach(cols, plan.meta, self._nodes)
         return True
-
-    def _run(self, plan, stats: FastNocStats) -> FastNocStats:
-        obs = get_observer()
-        if obs.enabled:
-            obs.inc("noc.engine_runs", engine="python")
-        if isinstance(plan, _ColumnarPlan):
-            plan = self._legacy_plan(plan)
-        inject_cycles, buckets, p_meta, p_hops, p_mask = plan
-        cfg = self.config
-        node_ids = self._nodes
-        port_base = self._port_base
-        in_slot = self._in_slot
-        arb = self._arb
-        rot = self._rot
-        nports = self._nports
-        one_port = self._one_port
-        deterministic = self._deterministic
-        fwd = self._fwd
-        fwd_of = self._fwd_of
-        route1 = self._route1
-        cand = self._cand
-        capacity = cfg.buffer_capacity
-        ej_max = cfg.ejections_per_cycle
-        bufferlevel = cfg.selection == "bufferlevel"
-
-        # Flat per-port FIFOs of packet ids, occupancy bitmasks, queued
-        # counts, and the set of live routers as one bitmask.
-        bufs: List[deque] = [deque() for _ in range(self._n_flat_ports)]
-        peaks = [0] * self._n_flat_ports
-        occ = [0] * self._n
-        qcount = [0] * self._n
-        busy = 0
-        # Sink-only routers (every queued packet waits for this router's
-        # decoder) get *parked*: dropped from the per-cycle scan, their
-        # pending decoder drain replayed lazily — per event, not per
-        # cycle — the moment anything touches them again (a credit
-        # check, an arrival, an injection, or the end of the run).
-        parked = 0
-        since = [0] * self._n  # first un-replayed cycle per parked router
-        ns = [0] * self._n     # queued packets with somewhere left to go
-
-        # (pid, dst_idx, cycle, hops) per delivery — hops snapshot taken
-        # eagerly because a pool entry reused for whole-packet
-        # forwarding keeps counting afterwards.
-        delivered: List[Tuple[int, int, int, int]] = []
-        link_counts = [0] * len(self._edges)
-        # Forwards staged this cycle, landing downstream next cycle
-        # (one-cycle link latency): (port, slot bit, router idx, pid).
-        staged: List[Tuple[int, int, int, int]] = []
-
-        deadline = inject_cycles[-1] + cfg.max_extra_cycles
-        n_buckets = len(inject_cycles)
-        pos = 0
-        cycle = 0
-        parked_used = False
-
-        def replay(i: int, upto: int) -> int:
-            """Materialize parked router ``i``'s ejects through ``upto``.
-
-            One head leaves per occupied port per cycle in rotation
-            order, at most ``ej_max`` per cycle — exactly what full
-            arbitration would have done for a router whose packets can
-            only eject.  A single-queue drain needs no rotation at all.
-            Returns one past the last cycle that ejected.
-            """
-            c = since[i]
-            since[i] = upto + 1
-            if c > upto or not qcount[i]:
-                return c
-            o = occ[i]
-            base_i = port_base[i]
-            if not (o & (o - 1)):
-                gp = base_i + o.bit_length() - 1
-                dq = bufs[gp]
-                k = len(dq)
-                if upto - c + 1 < k:
-                    k = upto - c + 1
-                qcount[i] -= k
-                for _ in range(k):
-                    pid = dq.popleft()
-                    delivered.append((pid, i, c, p_hops[pid]))
-                    c += 1
-                if not dq:
-                    occ[i] = 0
-                return c
-            np_i = nports[i]
-            arb_i = arb[i]
-            rot_i = rot[i]
-            while qcount[i] and c <= upto:
-                if arb_i is not None:
-                    ports = arb_i[c % np_i][occ[i]]
-                else:
-                    ports = rot_i[c % np_i]
-                ej = 0
-                for gp in ports:
-                    dq = bufs[gp]
-                    if not dq:
-                        continue
-                    pid = dq.popleft()
-                    delivered.append((pid, i, c, p_hops[pid]))
-                    qcount[i] -= 1
-                    if not dq:
-                        occ[i] ^= 1 << (gp - base_i)
-                    ej += 1
-                    if ej >= ej_max or not qcount[i]:
-                        break
-                c += 1
-            return c
-
-        while cycle <= deadline:
-            if pos < n_buckets and inject_cycles[pos] == cycle:
-                for pid in buckets[pos]:
-                    src = p_meta[pid][4]
-                    sbit_r = 1 << src
-                    if parked & sbit_r:
-                        # Injections enter before arbitration, so the
-                        # parked drain runs through the previous cycle.
-                        replay(src, cycle - 1)
-                        parked ^= sbit_r
-                    bufs[port_base[src]].append(pid)
-                    qcount[src] += 1
-                    occ[src] |= 1
-                    ns[src] += 1  # a source is never its own destination
-                    busy |= sbit_r
-                pos += 1
-            if not busy:
-                if pos >= n_buckets:
-                    break
-                # Fast-forward idle gaps between injection bursts (any
-                # parked drains are materialized on later contact).
-                cycle = inject_cycles[pos]
-                continue
-
-            # -- one cycle: arbitrate live routers in ascending order
-            # (reproduces the reference's sorted(active) walk: pops by
-            # low-index routers free downstream space that higher-index
-            # upstream routers may use this same cycle) --
-            scan = busy
-            while scan:
-                low_r = scan & -scan
-                i = low_r.bit_length() - 1
-                scan ^= low_r
-                if deterministic and not ns[i]:
-                    # Sink-only: nothing but ejections left here.
-                    parked |= low_r
-                    since[i] = cycle
-                    busy ^= low_r
-                    parked_used = True
-                    continue
-                o = occ[i]
-                base_i = port_base[i]
-                if not (o & (o - 1)):
-                    # Single occupied port: rotation is irrelevant.
-                    ports = one_port[base_i + o.bit_length() - 1]
-                else:
-                    arb_i = arb[i]
-                    if arb_i is not None:
-                        ports = arb_i[cycle % nports[i]][o]
-                    else:
-                        ports = rot[i][cycle % nports[i]]
-                ibit = 1 << i
-                route1_i = route1[i] if deterministic else None
-                outputs_used = 0
-                ejections = 0
-                for gp in ports:
-                    dq = bufs[gp]
-                    if not dq:
-                        continue
-                    pid = dq[0]
-                    mask = p_mask[pid]
-
-                    if deterministic and not (mask & (mask - 1)):
-                        # Single destination: either this router (pure
-                        # sink — ejection is all it can do) or one
-                        # precomputed output hop.
-                        if mask == ibit:
-                            if ejections < ej_max:
-                                ejections += 1
-                                delivered.append(
-                                    (pid, i, cycle, p_hops[pid])
-                                )
-                                dq.popleft()
-                                qcount[i] -= 1
-                                if not dq:
-                                    occ[i] ^= 1 << (gp - base_i)
-                                    if not qcount[i]:
-                                        busy ^= low_r
-                            continue
-                        nb, gp2, sbit, eidx, home = route1_i[
-                            mask.bit_length() - 1
-                        ]
-                        if (outputs_used >> nb) & 1:
-                            continue
-                        if (parked >> nb) & 1:
-                            # The downstream decoder has been draining
-                            # unobserved; materialize before the credit
-                            # check (its pops this cycle are visible
-                            # only if it arbitrates before this router).
-                            replay(nb, cycle if nb < i else cycle - 1)
-                        if len(bufs[gp2]) >= capacity:
-                            continue  # backpressure: downstream full
-                        p_hops[pid] += 1
-                        staged.append((gp2, sbit, nb, pid))
-                        outputs_used |= 1 << nb
-                        link_counts[eidx] += 1
-                        ns[i] -= 1
-                        dq.popleft()
-                        qcount[i] -= 1
-                        if not dq:
-                            occ[i] ^= 1 << (gp - base_i)
-                            if not qcount[i]:
-                                busy ^= low_r
-                        continue
-
-                    if mask == ibit:
-                        # Pure sink head under adaptive routing.
-                        if ejections < ej_max:
-                            ejections += 1
-                            delivered.append((pid, i, cycle, p_hops[pid]))
-                            dq.popleft()
-                            qcount[i] -= 1
-                            if not dq:
-                                occ[i] ^= 1 << (gp - base_i)
-                                if not qcount[i]:
-                                    busy ^= low_r
-                        continue
-
-                    progressed = 0
-                    # Eject group: decoder bandwidth is shared across
-                    # this router's input ports.  A head packet has at
-                    # most one eject group, and its output groups go to
-                    # distinct ports, so group order within one packet
-                    # cannot change the outcome.
-                    if mask & ibit and ejections < ej_max:
-                        ejections += 1
-                        delivered.append((pid, i, cycle, p_hops[pid]))
-                        progressed = ibit
-
-                    if deterministic:
-                        moved_whole = False
-                        for om, nb, gp2, sbit, eidx in fwd[i]:
-                            g = mask & om
-                            if not g:
-                                continue
-                            if (outputs_used >> nb) & 1:
-                                continue
-                            if (parked >> nb) & 1:
-                                replay(nb, cycle if nb < i else cycle - 1)
-                            if len(bufs[gp2]) >= capacity:
-                                continue  # backpressure: downstream full
-                            # At most one packet per link per cycle (the
-                            # output-port exclusivity above), so no
-                            # staged-arrival credit adjustment is needed.
-                            if g == mask:
-                                # Whole packet moves: reuse the entry.
-                                p_hops[pid] += 1
-                                npid = pid
-                                moved_whole = True
-                            else:
-                                npid = len(p_hops)
-                                p_meta.append(p_meta[pid])
-                                p_hops.append(p_hops[pid] + 1)
-                                p_mask.append(g)
-                            staged.append((gp2, sbit, nb, npid))
-                            outputs_used |= 1 << nb
-                            link_counts[eidx] += 1
-                            progressed |= g
-                        if moved_whole:
-                            ns[i] -= 1
-                            dq.popleft()
-                            qcount[i] -= 1
-                            if not dq:
-                                occ[i] ^= 1 << (gp - base_i)
-                                if not qcount[i]:
-                                    busy ^= low_r
-                        elif progressed:
-                            remaining = mask & ~progressed
-                            if remaining:
-                                p_mask[pid] = remaining
-                                if remaining == ibit:
-                                    ns[i] -= 1  # only ejection left
-                            else:
-                                ns[i] -= 1
-                                dq.popleft()
-                                qcount[i] -= 1
-                                if not dq:
-                                    occ[i] ^= 1 << (gp - base_i)
-                                    if not qcount[i]:
-                                        busy ^= low_r
-                        continue
-
-                    # Adaptive routing: resolve each destination's port
-                    # with the reference's tie-breaking (least-occupied
-                    # downstream buffer, lowest index), scanning
-                    # destinations in ascending order.  (Parking is
-                    # deterministic-only, so buffer lengths read here
-                    # are always live.)
-                    groups: Dict[int, int] = {}
-                    m = mask & ~ibit
-                    while m:
-                        low = m & -m
-                        d = low.bit_length() - 1
-                        m ^= low
-                        options = cand[i][d]
-                        if len(options) == 1 or not bufferlevel:
-                            key = options[0]
-                        else:
-                            key = min(
-                                options,
-                                key=lambda x: (
-                                    len(bufs[port_base[x] + in_slot[x][i]]),
-                                    x,
-                                ),
-                            )
-                        groups[key] = groups.get(key, 0) | low
-                    moved_whole = False
-                    for nb, g in groups.items():
-                        if (outputs_used >> nb) & 1:
-                            continue
-                        _, _, gp2, sbit, eidx = fwd_of[i][nb]
-                        if len(bufs[gp2]) >= capacity:
-                            continue
-                        if g == mask:
-                            p_hops[pid] += 1
-                            npid = pid
-                            moved_whole = True
-                        else:
-                            npid = len(p_hops)
-                            p_meta.append(p_meta[pid])
-                            p_hops.append(p_hops[pid] + 1)
-                            p_mask.append(g)
-                        staged.append((gp2, sbit, nb, npid))
-                        outputs_used |= 1 << nb
-                        link_counts[eidx] += 1
-                        progressed |= g
-                    if moved_whole:
-                        ns[i] -= 1
-                        dq.popleft()
-                        qcount[i] -= 1
-                        if not dq:
-                            occ[i] ^= 1 << (gp - base_i)
-                            if not qcount[i]:
-                                busy ^= low_r
-                    elif progressed:
-                        remaining = mask & ~progressed
-                        if remaining:
-                            p_mask[pid] = remaining
-                            if remaining == ibit:
-                                ns[i] -= 1
-                        else:
-                            ns[i] -= 1
-                            dq.popleft()
-                            qcount[i] -= 1
-                            if not dq:
-                                occ[i] ^= 1 << (gp - base_i)
-                                if not qcount[i]:
-                                    busy ^= low_r
-
-            if staged:
-                for gp, sbit, nb, npid in staged:
-                    home = p_mask[npid] == 1 << nb
-                    if (parked >> nb) & 1:
-                        # Arrivals land after every router arbitrated,
-                        # so the parked drain runs through this cycle.
-                        replay(nb, cycle)
-                        if not home:
-                            parked ^= 1 << nb
-                            busy |= 1 << nb
-                    else:
-                        busy |= 1 << nb
-                    if not home:
-                        ns[nb] += 1
-                    dq = bufs[gp]
-                    dq.append(npid)
-                    if len(dq) > peaks[gp]:
-                        peaks[gp] = len(dq)
-                    occ[nb] |= sbit
-                    qcount[nb] += 1
-                staged.clear()
-            cycle += 1
-
-        # Materialize whatever parked drains never got touched again.
-        last = cycle
-        pk = parked
-        while pk:
-            low_r = pk & -pk
-            i = low_r.bit_length() - 1
-            pk ^= low_r
-            e = replay(i, deadline)
-            if qcount[i]:
-                last = deadline + 1
-            elif e > last:
-                last = e
-
-        stats.cycles_run = last
-        stats.link_loads = {
-            edge: count
-            for edge, count in zip(self._edges, link_counts)
-            if count
-        }
-        # Peak over bounded (link) buffers only; staged arrivals only
-        # ever land on link ports, so local-queue peaks stay zero.
-        stats.peak_buffer_occupancy = max(peaks, default=0)
-        stats._attach(delivered, p_meta, node_ids, parked_used)
-        return stats
 
 
 def build_interconnect(
@@ -1476,7 +771,7 @@ def simulate_many(
 
     Convenience wrapper that always uses the fast backend (that is the
     point of batching); the routing tables are built once and shared
-    across all schedules.  ``threads`` caps the threaded batch kernel
+    across all schedules.  ``threads`` caps the kernel's thread team
     (``None`` defers to ``REPRO_NOC_THREADS``).
     """
     cfg = config if config is not None else NocConfig()

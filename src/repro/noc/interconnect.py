@@ -45,8 +45,9 @@ class NocConfig:
     routing; ``max_extra_cycles`` bounds post-injection drain time before
     the simulation declares itself stuck; ``backend`` selects the
     simulation engine — "reference" is the object-per-packet oracle loop
-    in this module, "fast" is the table-driven vectorized engine in
-    :mod:`repro.noc.fastsim` (bit-identical under deterministic routing).
+    in this module, "fast" is the compiled kernel behind
+    :mod:`repro.noc.fastsim` (bit-identical; it hands whatever it cannot
+    run back to this loop).
     """
 
     buffer_capacity: int = 8

@@ -201,10 +201,8 @@ def _run_chunk(
     sim = _WORKER_SIM
     registry: Union[MetricsRegistry, bool] = MetricsRegistry() if collect else False
     with observe(tracer=False, metrics=registry):
-        # No batch kernel inside workers: the pool already owns the
-        # machine's cores, so nested OpenMP teams would only thrash,
-        # and a 1-thread batch call is pure overhead over the
-        # per-schedule loop.
+        # No thread team inside workers: the pool already owns the
+        # machine's cores, so nested OpenMP teams would only thrash.
         summaries = [
             summarize(s, sim.topology)
             for s in sim.simulate_many(schedules, threads=0)
@@ -236,12 +234,13 @@ class ParallelNocSimulator:
         queue in tiny messages.
     threads:
         Thread cap for the compiled batch kernel (``None`` defers to
-        ``REPRO_NOC_THREADS``, ``0`` disables it).  When the kernel can
-        parallelize in-process (OpenMP build, more than one effective
-        thread), batches run through it instead of the process pool —
-        same results, none of the pickling/dispatch overhead.  The pool
-        remains the fallback for no-OpenMP builds and the pure-Python
-        engine.
+        ``REPRO_NOC_THREADS``, ``0`` = no in-process thread team).
+        When the kernel can parallelize in-process (OpenMP build, more
+        than one effective thread), batches run through it instead of
+        the process pool — same results, none of the pickling/dispatch
+        overhead.  The pool is the parallel path everywhere else:
+        no-OpenMP builds, ``threads=0``, and hosts without a kernel
+        (where it shards the reference engine).
     """
 
     def __init__(

@@ -29,6 +29,21 @@ class TestCommands:
         assert "hello_world" in out
         assert "pso" in out
 
+    def test_info_prints_noc_execution_plan(self, capsys):
+        """Which engine and how many threads a run would use is printed,
+        not inferred from a failing test."""
+        assert main(["info"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        plan = lines[lines.index("NoC execution plan:") + 1 :]
+        for prefix in (
+            "  compiled kernel: ",
+            "  OpenMP: ",
+            "  effective threads: ",
+            "  --noc-backend fast, <=63 routers: engine ",
+            "  --noc-backend fast, >63 routers: engine ",
+        ):
+            assert sum(line.startswith(prefix) for line in plan) == 1, prefix
+
     def test_map_small(self, capsys):
         code = main([
             "map", "--app", "synth_1x20", "--seed", "3",

@@ -1,13 +1,14 @@
 """Cross-backend equivalence: fast backend vs the reference oracle.
 
-The fast backend (:mod:`repro.noc.fastsim`, both its pure-Python engine
-and the optional compiled kernel) promises *bit-identical* results to
-the reference loop under deterministic routing: the same delivery
-records, cycle counts, link loads and peak buffer occupancies.  Under
-adaptive routing it promises reproducibility and statistical
-equivalence.  This suite pins both promises over mesh/torus topologies,
-unicast/multicast traffic and tight/roomy buffers, and adds hypothesis
-property tests that the fast backend always drains feasible schedules.
+The fast backend (:mod:`repro.noc.fastsim`: the compiled kernel, and
+the reference engine for whatever the kernel cannot run) promises
+*bit-identical* results to the reference loop: the same delivery
+records, cycle counts, link loads and peak buffer occupancies, under
+deterministic and adaptive routing alike.  This suite pins the promise
+over mesh/torus topologies, unicast/multicast traffic and tight/roomy
+buffers, and adds hypothesis property tests that the fast backend
+always drains feasible schedules.  ``test_kernel_fallback.py`` covers
+the missing/failing-kernel paths.
 """
 
 from __future__ import annotations
@@ -103,18 +104,6 @@ class TestDeterministicBitIdentical:
         assert ref.undelivered_count > 0  # the cap must actually bite
         assert_identical(ref, fast)
 
-    def test_python_engine_without_compiled_kernel(self):
-        """The pure-Python engine honors the same contract as the kernel."""
-        topo = build_topology("mesh", 9)
-        schedule = synthetic_injections([0.4] * 9, topo, 100, fanout=3, seed=8)
-        fast = FastInterconnect(topo, config=NocConfig(backend="fast"))
-        ref_stats = Interconnect(topo).simulate(schedule.injections)
-        if fast._ck is not None:
-            kernel_stats = fast.simulate(schedule.injections)
-            assert_identical(ref_stats, kernel_stats)
-        fast._ck = None  # force the pure-Python engine
-        assert_identical(ref_stats, fast.simulate(schedule.injections))
-
     def test_empty_schedule(self):
         topo = build_topology("mesh", 4)
         ref, fast = run_both(topo, [])
@@ -132,7 +121,9 @@ class TestDeterministicBitIdentical:
 
 
 class TestAdaptiveStatisticalEquivalence:
-    """Adaptive selection: same deliveries, reproducible, close latency."""
+    """Adaptive selection is exact too (the name predates that): run-time
+    next-hop selection is the reference engine's job, so the fast
+    backend hands it over instead of approximating it."""
 
     def _stats_pair(self, selection):
         topo = mesh(4)
@@ -154,16 +145,12 @@ class TestAdaptiveStatisticalEquivalence:
     def test_bufferlevel_same_delivery_set(self):
         ref, fast = self._stats_pair("bufferlevel")
         assert ref.undelivered_count == 0
-        assert fast.undelivered_count == 0
-        assert sorted(
-            (r.uid, r.dst_node) for r in ref.deliveries
-        ) == sorted((r.uid, r.dst_node) for r in fast.deliveries)
+        assert_identical(ref, fast)
 
     def test_bufferlevel_latency_close(self):
         ref, fast = self._stats_pair("bufferlevel")
-        assert fast.mean_latency() == pytest.approx(
-            ref.mean_latency(), rel=0.15, abs=2.0
-        )
+        assert fast.mean_latency() == ref.mean_latency()
+        assert fast.max_latency() == ref.max_latency()
 
     def test_first_selection_is_bit_identical(self):
         """selection='first' is deterministic even on adaptive tables."""

@@ -251,17 +251,6 @@ class TestBackendEquivalence:
         )
         assert_identical(ref, fast)
 
-    def test_kernel_and_python_engines_agree(self):
-        """The C-kernel mask path and the pure-Python engine both hold."""
-        topo = multichip(8, n_chips=2, chip_kind="mesh", bridge_latency=2)
-        schedule = synthetic_injections([0.4] * 8, topo, 100, fanout=3, seed=8)
-        ref = Interconnect(topo).simulate(schedule.injections)
-        fast = FastInterconnect(topo, config=NocConfig(backend="fast"))
-        if fast._ck is not None:
-            assert_identical(ref, fast.simulate(schedule.injections))
-            fast._ck = None
-        assert_identical(ref, fast.simulate(schedule.injections))
-
 
 class TestSummaries:
     def test_flat_topology_summary_has_zero_breakdown(self):

@@ -14,7 +14,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.noc._ckernel import kernel_disabled
 from repro.noc.fastsim import FastInterconnect
 from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.parallel import (
@@ -172,6 +171,10 @@ class TestDeterminismMatrix:
 
 
 class TestSerialFallback:
+    """``threads=0`` pins the pool path these tests break: on an OpenMP
+    host with 2+ cores the default would answer from the threaded
+    kernel and never start a pool."""
+
     def test_pool_failure_warns_once_and_matches_serial(
         self, monkeypatch, mesh_topology, mesh_schedules, serial_summaries
     ):
@@ -181,7 +184,7 @@ class TestSerialFallback:
             raise PermissionError("sem_open blocked by sandbox")
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", boom)
-        sim = ParallelNocSimulator(mesh_topology, workers=2)
+        sim = ParallelNocSimulator(mesh_topology, workers=2, threads=0)
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             assert sim.summarize_many(mesh_schedules) == serial_summaries
         # Once broken, stays serial — and silent — for later batches.
@@ -200,7 +203,7 @@ class TestSerialFallback:
             def shutdown(self, **kwargs):
                 pass
 
-        sim = ParallelNocSimulator(mesh_topology, workers=2)
+        sim = ParallelNocSimulator(mesh_topology, workers=2, threads=0)
         sim._pool = Exploding()
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             assert sim.summarize_many(mesh_schedules) == serial_summaries
@@ -220,16 +223,18 @@ class TestPickling:
         assert clone.config == cfg
 
 
-class TestKernelEscapeHatch:
-    def test_both_env_names_disable(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NOC_NO_CKERNEL", raising=False)
-        monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
-        assert not kernel_disabled()
-        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
-        assert kernel_disabled()
-        monkeypatch.delenv("REPRO_NO_CKERNEL")
-        monkeypatch.setenv("REPRO_NOC_NO_CKERNEL", "1")
-        assert kernel_disabled()
+class TestThreadsZeroKeepsThePool:
+    """``REPRO_NOC_THREADS=0`` means "no in-process thread team", so a
+    multi-worker simulator answers from its pool on any host."""
+
+    def test_env_zero_routes_to_the_pool(
+        self, monkeypatch, mesh_topology, mesh_schedules, serial_summaries
+    ):
+        monkeypatch.setenv("REPRO_NOC_THREADS", "0")
+        with ParallelNocSimulator(mesh_topology, workers=2) as sim:
+            assert sim._sim.batch_threads() == 0
+            assert sim.summarize_many(mesh_schedules) == serial_summaries
+            assert sim._pool is not None or sim._pool_broken
 
 
 class TestValidation:

@@ -1,11 +1,11 @@
 """Threaded batch kernel (``nocsim_run_batch``) contract tests.
 
-The contract: ``simulate_many`` through the batch kernel returns results
-*bit-identical* to per-schedule ``simulate`` calls — same delivery
-records, link loads and buffer high-water marks — for every thread
-count, on single- and multi-word fabrics, healthy or degraded, and the
-batch path degrades gracefully (``REPRO_NOC_THREADS=0``, no-OpenMP
-builds, process-pool interaction) without changing a single bit.
+The contract: ``simulate_many`` (one kernel call for the batch) returns
+results *bit-identical* to per-schedule ``simulate`` calls (batches of
+one) — same delivery records, link loads and buffer high-water marks —
+for every thread count, on single- and multi-word fabrics, healthy or
+degraded, and no steering (``REPRO_NOC_THREADS=0``, no-OpenMP builds,
+process-pool interaction) changes a single bit or the code path.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 import repro.noc._ckernel as ckernel
 from repro.noc._ckernel import (
     has_batch,
-    kernel_disabled,
     load_kernel,
     openmp_enabled,
     resolve_threads,
@@ -29,11 +28,11 @@ from repro.noc.parallel import ParallelNocSimulator, summarize
 from repro.noc.topology import mesh, tree
 from repro.noc.traffic import synthetic_injections
 
-KERNEL = None if kernel_disabled() else load_kernel()
+KERNEL = load_kernel()
 
 pytestmark = pytest.mark.skipif(
     not has_batch(KERNEL),
-    reason="compiled batch kernel unavailable (no C compiler or disabled)",
+    reason="compiled batch kernel unavailable (no C compiler)",
 )
 
 #: Low buffer capacity so the batch exercises backpressure, parking and
@@ -61,6 +60,19 @@ def _fingerprint(stats):
         dict(stats.link_loads),
         stats.peak_buffer_occupancy,
     )
+
+
+def _spy_on_dispatch(monkeypatch, sim):
+    """Record ``(n_schedules, n_threads)`` of every kernel dispatch."""
+    calls = []
+    dispatch = sim._dispatch_batch
+
+    def spy(live, n_threads):
+        calls.append((len(live), n_threads))
+        return dispatch(live, n_threads)
+
+    monkeypatch.setattr(sim, "_dispatch_batch", spy)
+    return calls
 
 
 def _serial_fingerprints(sim, schedules):
@@ -102,16 +114,39 @@ class TestBitIdentity:
         got = [_fingerprint(s) for s in sim.simulate_many(schedules)]
         assert got == want
 
-    def test_threads_zero_disables_batch_path(self, monkeypatch):
-        """``REPRO_NOC_THREADS=0`` falls back to per-schedule calls."""
+    @pytest.mark.parametrize("via_env", [True, False])
+    def test_threads_zero_is_one_call_on_one_thread(self, monkeypatch, via_env):
+        """``threads=0`` / ``REPRO_NOC_THREADS=0`` mean "no thread team",
+        not another code path: still one batch call, handed
+        ``n_threads=1`` (the C side reads ``<= 0`` as "runtime
+        default", i.e. every core)."""
         topo = mesh(3)
         schedules = _schedules(topo, 4)
         sim = FastInterconnect(topo, config=CONFIG)
         want = _serial_fingerprints(sim, schedules)
-        monkeypatch.setenv("REPRO_NOC_THREADS", "0")
-        assert sim.batch_threads() == 0
-        got = [_fingerprint(s) for s in sim.simulate_many(schedules)]
-        assert got == want
+        calls = _spy_on_dispatch(monkeypatch, sim)
+        if via_env:
+            monkeypatch.setenv("REPRO_NOC_THREADS", "0")
+            assert sim.batch_threads() == 0
+            got = sim.simulate_many(schedules)
+        else:
+            assert sim.batch_threads(0) == 0
+            got = sim.simulate_many(schedules, threads=0)
+        assert [_fingerprint(s) for s in got] == want
+        assert calls == [(4, 1)]
+
+    def test_auto_threads_take_the_same_single_call(self, monkeypatch):
+        """No "only when the team can parallelize" heuristic: auto, an
+        explicit cap and a batch of one all reach the one dispatcher."""
+        topo = mesh(3)
+        schedules = _schedules(topo, 3)
+        sim = FastInterconnect(topo, config=CONFIG)
+        calls = _spy_on_dispatch(monkeypatch, sim)
+        monkeypatch.delenv("REPRO_NOC_THREADS", raising=False)
+        sim.simulate_many(schedules)
+        sim.simulate_many(schedules, threads=3)
+        sim.simulate(schedules[0])
+        assert calls == [(3, os.cpu_count() or 1), (3, 3), (1, 1)]
 
 
 class TestResolveThreads:

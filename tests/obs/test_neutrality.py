@@ -112,7 +112,9 @@ class TestParallelNeutrality:
             synthetic_injections(rates, topology, 60, fanout=2, seed=i).injections
             for i in range(6)
         ]
-        with ParallelNocSimulator(topology, workers=2) as sim:
+        # threads=0 pins the process pool: the default would prefer the
+        # threaded kernel wherever OpenMP and a second core exist.
+        with ParallelNocSimulator(topology, workers=2, threads=0) as sim:
             bare = sim.summarize_many(schedules)
             with observe() as obs:
                 traced = sim.summarize_many(schedules)
