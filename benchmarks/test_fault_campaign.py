@@ -5,9 +5,6 @@ with ``spare_capacity=0`` (the paper's mapping) and once fault-aware —
 then replays the *same* seeded fault draws against both through
 ``run_fault_campaign``:
 
-- **parallel bit-identity** — the draw grid run on a thread pool
-  (``workers=4``, batched through the threaded C kernel) produces the
-  exact ``CampaignDraw`` list of the serial run;
 - **fault-aware payoff** — at comparable healthy-fabric fitness
   (asserted within 10%), the fault-aware mapping must beat the
   baseline on survival rate or p95 latency overhead at the deepest
@@ -63,17 +60,6 @@ def test_fault_campaign(benchmark, hello_world_graph):
         draws=DRAWS, campaign_seed=CAMPAIGN_SEED, noc_config=noc,
     )
     serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    threaded = run_fault_campaign(
-        graph, arch, mappings=mappings, fault_levels=FAULT_LEVELS,
-        draws=DRAWS, campaign_seed=CAMPAIGN_SEED, noc_config=noc,
-        workers=4,
-    )
-    parallel_s = time.perf_counter() - t0
-    assert serial.draws == threaded.draws, (
-        "parallel campaign diverged from the serial draw grid"
-    )
-    assert serial.healthy == threaded.healthy
 
     deepest = max(FAULT_LEVELS)
     base_stats = serial.level_stats("baseline", deepest)
@@ -95,8 +81,7 @@ def test_fault_campaign(benchmark, hello_world_graph):
     print()
     print(serial.table())
     print(
-        f"campaign {len(serial.draws)} draws: serial {serial_s * 1e3:.0f}ms, "
-        f"4 workers {parallel_s * 1e3:.0f}ms (bit-identical); "
+        f"campaign {len(serial.draws)} draws: {serial_s * 1e3:.0f}ms; "
         f"fault-aware paid {fitness_ratio:.3f}x fitness, level-{deepest} "
         f"p95 overhead {fa_stats.p95_latency_overhead:.4f} vs "
         f"{base_stats.p95_latency_overhead:.4f}"
@@ -109,9 +94,7 @@ def test_fault_campaign(benchmark, hello_world_graph):
                 {
                     "campaign": serial.to_dict(),
                     "fitness_ratio": fitness_ratio,
-                    "bit_identical_parallel": serial.draws == threaded.draws,
                     "serial_s": serial_s,
-                    "parallel_s": parallel_s,
                     "deepest_level": deepest,
                     "survival_win": survival_win,
                     "p95_win": p95_win,
@@ -127,6 +110,3 @@ def test_fault_campaign(benchmark, hello_world_graph):
     benchmark.extra_info["fitness_ratio"] = fitness_ratio
     benchmark.extra_info["p95_win"] = p95_win
     benchmark.extra_info["survival_win"] = survival_win
-    benchmark.extra_info["bit_identical_parallel"] = (
-        serial.draws == threaded.draws
-    )

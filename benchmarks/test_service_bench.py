@@ -1,4 +1,4 @@
-"""Bench: the mapping service — cache-hit speedup and coalescing identity.
+"""Bench: the mapping service — cache-hit speedup and batch identity.
 
 Serves hello_world mapping requests through ``MappingService`` and
 measures the serving layer's two contracts:
@@ -6,9 +6,9 @@ measures the serving layer's two contracts:
 - **cache-hit speedup** — a repeat of a deterministic request must be
   answered from the content-addressed artifact cache at least 3x faster
   than the cold computation, and bit-identically to it;
-- **coalesced identity** — concurrent NoC-in-the-loop requests on the
-  same fabric share swarm-scoring batches (``merged_flushes > 0``) and
-  still return results bit-identical to serial one-shot runs.
+- **batch identity** — a ``serve_batch`` of NoC-in-the-loop requests on
+  the same fabric returns, in request order, results bit-identical to
+  one-shot ``run_pipeline`` calls.
 
 Set ``SERVICE_REPORT_PATH`` to also write the measurements as JSON
 (uploaded as a CI artifact and merged into ``BENCH_summary.json``).
@@ -66,20 +66,17 @@ def test_service(benchmark, hello_world_graph):
         f"floor is {MIN_CACHE_HIT_SPEEDUP}x"
     )
 
-    # -- coalesced vs serial bit-identity -----------------------------------
+    # -- batch vs one-shot bit-identity -------------------------------------
     seeds = (1, 2, 3)
-    t2 = time.perf_counter()
-    serial = [
+    one_shot = [
         run_pipeline(
             graph, arch, seed=s, pso_config=NOC_PSO,
             noc_config=noc_config, objective="noc",
         )
         for s in seeds
     ]
-    t_serial = time.perf_counter() - t2
-    coalescing = MappingService()  # fresh cache: no memo shortcuts
-    t3 = time.perf_counter()
-    coalesced = coalescing.serve_batch(
+    # A fresh cache: no memo shortcuts.
+    batch = MappingService().serve_batch(
         [
             MapRequest(
                 graph=graph, architecture=arch, seed=s,
@@ -88,26 +85,20 @@ def test_service(benchmark, hello_world_graph):
             for s in seeds
         ]
     )
-    t_coalesced = time.perf_counter() - t3
 
-    for a, b in zip(serial, coalesced):
+    for a, b in zip(one_shot, batch):
         assert np.array_equal(a.mapping.assignment, b.mapping.assignment), (
-            "coalesced request diverged from the one-shot path"
+            "served request diverged from the one-shot path"
         )
         assert a.schedule == b.schedule
         assert a.noc_stats.total_hops() == b.noc_stats.total_hops()
         assert a.report.total_energy_pj == b.report.total_energy_pj
-    stats = coalescing.coalescer_stats
-    assert stats["merged_flushes"] > 0, "requests never shared a batch"
-    assert stats["member_batches"] > stats["flushes"]
 
     print()
     print(
         f"cache hit: {t_cold * 1e3:.0f}ms cold -> {t_warm * 1e3:.1f}ms warm "
-        f"(x{cache_hit_speedup:.0f}); coalesced 3 noc-swarms in "
-        f"{t_coalesced * 1e3:.0f}ms vs {t_serial * 1e3:.0f}ms serial "
-        f"({stats['merged_flushes']}/{stats['flushes']} flushes merged, "
-        f"{stats['rows']} rows)"
+        f"(x{cache_hit_speedup:.0f}); batch of {len(seeds)} noc-swarms "
+        f"bit-identical to one-shot runs"
     )
 
     report_path = os.environ.get("SERVICE_REPORT_PATH")
@@ -118,10 +109,7 @@ def test_service(benchmark, hello_world_graph):
                     "cache_hit_speedup": cache_hit_speedup,
                     "t_cold_s": t_cold,
                     "t_warm_s": t_warm,
-                    "coalesced_bit_identical": True,
-                    "t_serial_s": t_serial,
-                    "t_coalesced_s": t_coalesced,
-                    "coalescer": dict(stats),
+                    "batch_bit_identical": True,
                     "cache": dict(service.cache.stats),
                 },
                 fh,
@@ -130,5 +118,4 @@ def test_service(benchmark, hello_world_graph):
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     benchmark.extra_info["cache_hit_speedup"] = cache_hit_speedup
-    benchmark.extra_info["merged_flushes"] = stats["merged_flushes"]
-    benchmark.extra_info["coalesced_bit_identical"] = True
+    benchmark.extra_info["batch_bit_identical"] = True

@@ -125,7 +125,6 @@ def main() -> None:
         draws=8,
         campaign_seed=SEED,
         noc_config=NocConfig(backend="fast"),
-        workers=4,
     )
     print(summary.table())
     deepest = max(summary.levels)

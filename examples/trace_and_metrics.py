@@ -12,7 +12,7 @@ tours the three surfaces:
    summarized as a tree and exported as a JSONL trace;
 2. the Prometheus-style metrics snapshot the same run accumulated
    (simulation counts per backend, packets, cache traffic, ...);
-3. live service counters from a coalesced ``MappingService`` batch.
+3. service and cache counters from a ``MappingService`` batch.
 
 Run:  python examples/trace_and_metrics.py
 """
@@ -69,7 +69,7 @@ def main() -> None:
         fh.write(prometheus_text(obs.metrics))
     print(f"Prometheus snapshot -> {METRICS_PATH}")
 
-    # -- 3. live counters from a coalesced serving batch -------------------
+    # -- 3. counters from a serving batch -----------------------------------
     service = MappingService()
     service.serve_batch([
         MapRequest(graph=graph, architecture=arch, seed=s, pso_config=pso,
@@ -77,7 +77,7 @@ def main() -> None:
         for s in (1, 2)
     ])
     print(f"\nservice: requests_served={service.requests_served}")
-    print(f"service: coalescer {service.coalescer_stats}")
+    print(f"service: cache {dict(service.cache.stats)}")
 
 
 if __name__ == "__main__":

@@ -87,12 +87,6 @@ class InterconnectFitness:
         the ``noc_in_loop`` engine).  ``None`` uses the process-wide
         default cache, so content-identical (topology, routing) pairs
         share one hop matrix across fitness instances and sweep points.
-    coalescer:
-        Serving-layer hook: when set, ``noc_in_loop`` swarm batches are
-        routed through
-        :meth:`~repro.framework.service.SwarmCoalescer.score`, which
-        merges concurrently scoring requests on the same fabric into one
-        shared build/simulate batch (bit-identical per row).
     balance_watermark / balance_weight:
         Fault-aware spreading term: each cluster packing more than
         ``balance_watermark`` neurons adds
@@ -117,7 +111,6 @@ class InterconnectFitness:
         workers=1,
         threads=None,
         cache=None,
-        coalescer=None,
         balance_watermark: Optional[int] = None,
         balance_weight: float = 0.0,
     ) -> None:
@@ -154,7 +147,6 @@ class InterconnectFitness:
         self.noc_metric = noc_metric
         self.cycles_per_ms = cycles_per_ms
         self._cache = cache
-        self._coalescer = coalescer
         self._noc = None
         self._parallel = None
         if noc_in_loop:
@@ -339,12 +331,6 @@ class InterconnectFitness:
         from repro.noc.traffic import build_injections_batch
 
         self._check_clusters(assignments)
-        if self._coalescer is not None:
-            # Serving layer: merge this batch with other requests scoring
-            # on the same fabric right now.  Each row is built and
-            # simulated exactly as below, so the scores are bit-identical
-            # to the solo path.
-            return self._coalescer.score(self, assignments)
         # One columnar batch: spike events are computed once and each
         # particle only re-derives its destination sets; the schedules
         # flow to the simulator (and across worker processes) as array

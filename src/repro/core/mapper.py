@@ -88,7 +88,6 @@ def map_snn(
     threads=None,
     noc_config=None,
     cache=None,
-    coalescer=None,
     warm_seeds=None,
     spare_capacity: float = 0.0,
     **kwargs,
@@ -142,10 +141,6 @@ def map_snn(
         requests (seeded, or a deterministic method, and no extra
         ``kwargs``) — a repeat request returns the cached result, which
         is bit-identical to recomputing it.
-    coalescer:
-        Serving-layer :class:`~repro.framework.service.SwarmCoalescer`;
-        forwarded to the ``"noc"`` objective's fitness so concurrent
-        requests on the same fabric share build/simulate batches.
     warm_seeds:
         Extra (K, N) assignments stacked into the PSO warm-start pool
         (e.g. the cache's best recorded swarm state for this problem);
@@ -196,8 +191,8 @@ def map_snn(
     # Full-result memoization: only for calls that are deterministic
     # functions of the token (seeded, or a seed-free deterministic
     # method) with no free-form kwargs, so a cache hit is bit-identical
-    # to recomputing.  Worker counts and the coalescer are excluded from
-    # the token — both paths are bit-identical by contract.
+    # to recomputing.  Worker and thread counts are excluded from the
+    # token — every execution path is bit-identical by contract.
     memo_key = None
     if cache is not None and not kwargs:
         deterministic = seed is not None or method in ("pacman", "greedy")
@@ -275,7 +270,6 @@ def map_snn(
                     workers=workers,
                     threads=threads,
                     cache=cache,
-                    coalescer=coalescer,
                     **balance_kwargs,
                 )
             else:

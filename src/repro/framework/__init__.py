@@ -6,9 +6,10 @@ partitioner → NoC simulation → metric report.
 - :func:`run_pipeline` — one (application, architecture, method) run;
 - :mod:`repro.framework.exploration` — the paper's design-space studies
   (Fig. 6 crossbar-size sweep, Fig. 7 swarm-size sweep);
-- :mod:`repro.framework.service` — the serving layer: a coalescing
-  :class:`MappingService` job queue over a content-addressed
-  :class:`ArtifactCache`, plus resumable sweep campaigns;
+- :mod:`repro.framework.service` — the serving layer: a
+  :class:`MappingService` that answers requests in order over a
+  content-addressed :class:`ArtifactCache`, plus resumable sweep
+  campaigns;
 - :mod:`repro.framework.experiment` — result records for EXPERIMENTS.md.
 """
 
@@ -35,7 +36,6 @@ from repro.framework.exploration import (
 from repro.framework.service import (
     MapRequest,
     MappingService,
-    SwarmCoalescer,
     SweepRun,
     run_sweep_resumable,
 )
@@ -55,7 +55,6 @@ __all__ = [
     "ArtifactCache",
     "MapRequest",
     "MappingService",
-    "SwarmCoalescer",
     "SweepRun",
     "run_sweep_resumable",
     "architecture_point",

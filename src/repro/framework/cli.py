@@ -132,8 +132,8 @@ def _add_pso_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--workers", default=1, type=resolve_workers,
-        help="worker processes for --objective noc swarm scoring "
-             "(1 = serial, 0 or 'auto' = one per CPU)",
+        help="worker processes, used by --objective noc swarm scoring "
+             "only (1 = serial, 0 or 'auto' = one per CPU)",
     )
     parser.add_argument(
         "--threads", default=None, type=_parse_threads,
@@ -493,7 +493,6 @@ def _cmd_faults(args) -> int:
         draws=args.draws,
         campaign_seed=args.campaign_seed,
         noc_config=noc_config,
-        workers=args.workers,
         threads=args.threads,
         cache=cache,
         state_dir=(
@@ -576,7 +575,7 @@ def _cmd_serve(args) -> int:
                 method=ns.method,
                 # `seed` seeds both the workload and the mapper; `map_seed`
                 # decouples them so same-workload requests with different
-                # mapper seeds stay coalescible (identical graph content).
+                # mapper seeds share cached artifacts (identical graph content).
                 seed=ns.seed if ns.map_seed is None else ns.map_seed,
                 pso_config=PSOConfig(
                     n_particles=ns.particles, n_iterations=ns.iterations
@@ -613,13 +612,6 @@ def _cmd_serve(args) -> int:
         stats = dict(service.cache.stats)
         line = ", ".join(f"{k}={v}" for k, v in sorted(stats.items()))
         print(f"cache: {line}")
-        if service.coalescer_stats:
-            line = ", ".join(
-                f"{k}={v}" for k, v in sorted(service.coalescer_stats.items())
-            )
-            print(f"coalescer: {line}")
-        # Live cumulative service counters (the daemon-facing view of
-        # the same MetricsRegistry the obs exporters read).
         print(f"service: requests_served={service.requests_served}")
     return 0
 

@@ -69,7 +69,6 @@ def run_pipeline(
     faults: int = 0,
     fault_seed: SeedLike = None,
     cache=None,
-    coalescer=None,
     warm_seeds=None,
     spare_capacity: float = 0.0,
 ) -> PipelineResult:
@@ -116,8 +115,8 @@ def run_pipeline(
         :class:`PipelineResult` for deterministic runs (seeded mapping,
         seeded or absent faults) — a repeat request is answered from the
         cache, bit-identical to recomputing it.
-    coalescer / warm_seeds:
-        Serving-layer hooks, forwarded to
+    warm_seeds:
+        Serving-layer hook, forwarded to
         :func:`~repro.core.mapper.map_snn` (see
         :class:`~repro.framework.service.MappingService`).
     spare_capacity:
@@ -172,7 +171,7 @@ def run_pipeline(
             graph, architecture, method=method, seed=seed,
             pso_config=pso_config, objective=objective, workers=workers,
             threads=threads, noc_config=noc_config, cache=cache,
-            coalescer=coalescer, warm_seeds=warm_seeds,
+            warm_seeds=warm_seeds,
             spare_capacity=spare_capacity,
         )
         with obs.span("pipeline.build_topology"):
@@ -386,7 +385,6 @@ def run_fault_campaign(
     pso_config: Optional[PSOConfig] = None,
     noc_config: Optional[NocConfig] = None,
     spare_capacity: float = 0.0,
-    workers: int = 1,
     threads=None,
     cache=None,
     state_dir: Optional[str] = None,
@@ -411,17 +409,14 @@ def run_fault_campaign(
         ``spare_capacity`` and labels it ``method``.
     fault_levels / draws:
         Link-fault counts to sweep, and seeded draws per level.
-    workers:
-        Draw-level thread fan-out (``workers > 1``).  Each draw's
-        schedules batch through the engine's ``simulate_many`` (the
-        threaded batch kernel when compiled with OpenMP), and draws run
-        concurrently on a thread pool — the C kernel releases the GIL,
-        so independent draws overlap.  Results are assembled by draw
-        index and therefore bit-identical to the serial path.
+    threads:
+        Thread cap for the compiled batch kernel: each draw's schedules
+        (one per mapping) go through one ``simulate_many`` call.  Draws
+        themselves run one after another.
     state_dir:
         Checkpoint directory: every completed draw is persisted through
-        :func:`~repro.framework.service.run_sweep_resumable` (serial
-        execution), so a killed campaign recomputes only missing draws.
+        :func:`~repro.framework.service.run_sweep_resumable`, so a
+        killed campaign recomputes only missing draws.
         The manifest fingerprint covers the mappings' assignments, the
         levels/draws grid, the campaign seed and the NoC config.
     """
@@ -466,6 +461,8 @@ def run_fault_campaign(
         engine = build_interconnect(topology, config=noc_config)
         if hasattr(engine, "simulate_many"):
             return list(engine.simulate_many(schedules, threads=threads))
+        # backend="reference": one engine reused across the mappings,
+        # which relies on Interconnect starting every run empty.
         return [engine.simulate(s) for s in schedules]
 
     def make_draw(
@@ -570,17 +567,6 @@ def run_fault_campaign(
                 ),
             )
             per_item = run.results
-        elif workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            # The heavy per-draw work (the batched C kernel call)
-            # releases the GIL, so independent draws overlap on a thread
-            # pool; assembling by index keeps the output order — and
-            # therefore the summary — bit-identical to the serial loop.
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                per_item = list(pool.map(
-                    draw_point, range(len(items)), items
-                ))
         else:
             per_item = [draw_point(i, item) for i, item in enumerate(items)]
 

@@ -1,27 +1,22 @@
-"""Mapping-as-a-service: job queue, request coalescing, resumable sweeps.
+"""Mapping-as-a-service: cache-backed request serving, resumable sweeps.
 
 Every entry point of the framework used to be one-shot: each
 ``map_snn`` / ``run_pipeline`` call re-derived the topology, routing
 tables, hop matrices and columnar schedules it needed, then threw them
 away.  This module is the long-lived serving layer on top:
 
-- :class:`MappingService` — accepts many concurrent map requests
-  (thread-safe :meth:`~MappingService.submit` returning futures, plus a
-  synchronous :meth:`~MappingService.serve_batch` for deterministic
-  tests), backed by one shared content-addressed
-  :class:`~repro.framework.artifacts.ArtifactCache`.
-- :class:`SwarmCoalescer` — merges the NoC-in-the-loop swarm-scoring
-  batches of requests targeting the same fabric into shared
-  ``build_injections_batch`` + ``simulate_many`` calls, extending the
-  existing cross-particle batching across *requests*.  Every row is
-  built and simulated exactly as the solo path would, so coalesced
-  results are bit-identical to one-shot ``map_snn``/``run_pipeline``.
+- :class:`MappingService` — answers map requests one after another on
+  the calling thread (:meth:`~MappingService.serve_batch`), or queues
+  them behind thread-safe :meth:`~MappingService.submit` futures that
+  one background worker drains in arrival order, backed by one shared
+  content-addressed :class:`~repro.framework.artifacts.ArtifactCache`.
+  Every answer is bit-identical to a one-shot ``run_pipeline`` call;
+  what requests share is the cache, not threads.
 - :func:`run_sweep_resumable` — a processed-index manifest runner: a
   killed ``explore_architecture`` / ``run_fault_sweep`` campaign
   restarted mid-way recomputes only the unfinished points.
 
-The CLI surfaces all three (``repro serve``, ``--cache-dir``,
-``--resume``).
+The CLI surfaces both (``repro serve``, ``--cache-dir``, ``--resume``).
 """
 
 from __future__ import annotations
@@ -35,22 +30,12 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.pso import PSOConfig
-from repro.framework.artifacts import (
-    ArtifactCache,
-    architecture_token,
-    config_token,
-    graph_token,
-    stable_hash,
-    topology_token,
-)
+from repro.framework.artifacts import ArtifactCache, stable_hash
 from repro.framework.pipeline import PipelineResult, run_pipeline
 from repro.hardware.architecture import Architecture
 from repro.noc.interconnect import NocConfig
 from repro.obs import get_observer
-from repro.obs.metrics import MetricsRegistry
 from repro.snn.graph import SpikeGraph
 from repro.utils.rng import SeedLike
 
@@ -58,7 +43,6 @@ __all__ = [
     "ArtifactCache",
     "MapRequest",
     "MappingService",
-    "SwarmCoalescer",
     "SweepRun",
     "run_sweep_resumable",
 ]
@@ -96,212 +80,6 @@ class MapRequest:
     label: Optional[str] = None
 
 
-# -- cross-request swarm coalescing ------------------------------------------
-
-
-class _PendingScore:
-    """One member's swarm batch awaiting the shared flush."""
-
-    __slots__ = (
-        "fitness",
-        "assignments",
-        "build_key",
-        "sim_key",
-        "schedules",
-        "result",
-        "error",
-        "done",
-    )
-
-    def __init__(self, fitness, assignments, build_key, sim_key) -> None:
-        self.fitness = fitness
-        self.assignments = assignments
-        self.build_key = build_key
-        self.sim_key = sim_key
-        self.schedules = None
-        self.result = None
-        self.error = None
-        self.done = False
-
-
-class SwarmCoalescer:
-    """Merge concurrent NoC-in-the-loop scoring batches across requests.
-
-    Requests mapping the same graph onto the same fabric each run their
-    own PSO, but their per-generation fitness batches land here: when
-    every active member has a batch pending, the batches are stacked
-    into one ``build_injections_batch`` call per (graph, topology,
-    cycles) group and one ``simulate_many`` call per (topology, config)
-    group, then split back per member.  Each row is processed exactly as
-    :meth:`~repro.core.fitness.InterconnectFitness._simulate_batch`
-    would process it solo, so per-request scores are bit-identical to
-    the one-shot path — the shared batch only amortizes the spike-column
-    and routing-table work.
-
-    Membership protocol: the service calls :meth:`join` before a
-    request's optimizer starts and :meth:`leave` (in a ``finally``) when
-    it returns.  A member that finishes early shrinks the quorum, so
-    surviving members keep flushing; mixed phases (one member evaluating
-    warm seeds while another runs generation 12) are fine — the barrier
-    only decides *when* to execute, never what a row scores.
-    """
-
-    #: Stable key order of :attr:`stats` (pinned by the serve CLI table).
-    STAT_KEYS = (
-        "flushes",
-        "merged_flushes",
-        "rows",
-        "member_batches",
-        "build_calls",
-        "simulate_calls",
-    )
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._members = 0
-        self._pending: List[_PendingScore] = []
-        self._engines: Dict[str, Any] = {}
-        self.metrics = MetricsRegistry()
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Counter snapshot with the legacy dict shape (all keys present)."""
-        return {
-            key: int(self.metrics.counter_value(key)) for key in self.STAT_KEYS
-        }
-
-    # -- membership ----------------------------------------------------------
-
-    def join(self) -> None:
-        with self._cond:
-            self._members += 1
-
-    def leave(self) -> None:
-        with self._cond:
-            self._members -= 1
-            self._flush_if_ready()
-            self._cond.notify_all()
-
-    # -- scoring -------------------------------------------------------------
-
-    def _keys_for(self, fitness) -> Tuple[str, str]:
-        keys = getattr(fitness, "_coalesce_keys", None)
-        if keys is None:
-            topo = topology_token(fitness.topology)
-            build_key = stable_hash(
-                (
-                    "coalesce-build",
-                    graph_token(fitness.graph),
-                    topo,
-                    fitness.cycles_per_ms,
-                )
-            )
-            sim_key = stable_hash(
-                ("coalesce-sim", topo, config_token(fitness._noc.config))
-            )
-            keys = (build_key, sim_key)
-            fitness._coalesce_keys = keys
-        return keys
-
-    def score(self, fitness, assignments: np.ndarray) -> np.ndarray:
-        """Score one member's (P, N) batch through the shared flush."""
-        assignments = np.atleast_2d(np.asarray(assignments, dtype=np.int64))
-        build_key, sim_key = self._keys_for(fitness)
-        entry = _PendingScore(fitness, assignments, build_key, sim_key)
-        with self._cond:
-            self._pending.append(entry)
-            self._flush_if_ready()
-            while not entry.done:
-                self._cond.wait()
-        if entry.error is not None:
-            raise entry.error
-        return entry.result
-
-    def _flush_if_ready(self) -> None:
-        """Execute the shared batch once every active member is pending.
-
-        Runs with the condition lock held; by construction every other
-        member is blocked waiting for this flush, so holding the lock
-        serializes nothing that could otherwise proceed.
-        """
-        if self._members <= 0 or not self._pending:
-            return
-        if len(self._pending) < self._members:
-            return
-        pending, self._pending = self._pending, []
-        n_rows = sum(e.assignments.shape[0] for e in pending)
-        self.metrics.inc("flushes")
-        self.metrics.inc("member_batches", len(pending))
-        self.metrics.inc("rows", n_rows)
-        if len(pending) > 1:
-            self.metrics.inc("merged_flushes")
-        try:
-            with get_observer().span(
-                "coalescer.flush", members=len(pending), rows=n_rows
-            ):
-                self._execute(pending)
-        except BaseException as exc:
-            for entry in pending:
-                if entry.result is None:
-                    entry.error = exc
-        finally:
-            for entry in pending:
-                entry.done = True
-            self._cond.notify_all()
-
-    def _execute(self, pending: List[_PendingScore]) -> None:
-        from repro.noc.parallel import summarize
-        from repro.noc.traffic import build_injections_batch
-
-        # Stage 1 — one columnar build per (graph, topology, cycles)
-        # group: spike columns and synapse-pair dedup are shared across
-        # every member's whole swarm.
-        by_build: Dict[str, List[_PendingScore]] = {}
-        for entry in pending:
-            by_build.setdefault(entry.build_key, []).append(entry)
-        for entries in by_build.values():
-            rep = entries[0].fitness
-            stacked = np.vstack([e.assignments for e in entries])
-            self.metrics.inc("build_calls")
-            schedules = build_injections_batch(
-                rep.graph,
-                stacked,
-                rep.topology,
-                cycles_per_ms=rep.cycles_per_ms,
-            )
-            offset = 0
-            for entry in entries:
-                n = entry.assignments.shape[0]
-                entry.schedules = schedules[offset : offset + n]
-                offset += n
-
-        # Stage 2 — one simulate_many per (topology, config) group on a
-        # shared engine (adopted from the first member; engines are
-        # content-identical across members of a group).
-        by_sim: Dict[str, List[_PendingScore]] = {}
-        for entry in pending:
-            by_sim.setdefault(entry.sim_key, []).append(entry)
-        for sim_key, entries in by_sim.items():
-            engine = self._engines.setdefault(sim_key, entries[0].fitness._noc)
-            batch = [s for e in entries for s in e.schedules]
-            self.metrics.inc("simulate_calls")
-            summaries = [
-                summarize(s, engine.topology) for s in engine.simulate_many(batch)
-            ]
-            offset = 0
-            for entry in entries:
-                n = len(entry.schedules)
-                entry.result = np.asarray(
-                    [
-                        entry.fitness._score(s)
-                        for s in summaries[offset : offset + n]
-                    ],
-                    dtype=np.float64,
-                )
-                offset += n
-                entry.schedules = None
-
-
 # -- the service -------------------------------------------------------------
 
 
@@ -311,18 +89,19 @@ class MappingService:
     Two serving modes:
 
     - :meth:`serve_batch` — synchronous and deterministic: requests are
-      answered in order; coalescible groups (same graph + architecture +
-      NoC config, ``objective="noc"``) run through one
-      :class:`SwarmCoalescer`.  This is the mode tests pin.
+      answered one after another, in order, on the calling thread.
+      This is the mode tests pin.
     - :meth:`submit` — thread-safe fire-and-forget returning a
-      :class:`~concurrent.futures.Future`.  A background worker drains
+      :class:`~concurrent.futures.Future`.  One background worker drains
       the queue in arrival order, serving everything queued at each
-      wake-up as one batch — a burst of same-architecture requests
-      coalesces exactly as in :meth:`serve_batch`.
+      wake-up exactly as :meth:`serve_batch` would.
 
     Either way the answers are bit-identical to one-shot
     :func:`~repro.framework.pipeline.run_pipeline` calls, and repeat
-    requests are answered from the cache.
+    requests are answered from the cache.  Requests share the cache
+    (topologies, routing tables, schedules, memoized results), never
+    threads — one thread per same-fabric request measured slower than
+    this loop (ROADMAP, "Collapse the execution-backend matrix").
     """
 
     def __init__(
@@ -343,7 +122,6 @@ class MappingService:
             if cache is not None
             else ArtifactCache(cache_dir, max_entries=max_entries)
         )
-        self.metrics = MetricsRegistry()
         self.requests_served = 0
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
@@ -351,28 +129,20 @@ class MappingService:
         self._worker: Optional[threading.Thread] = None
         self._closed = False
 
-    _COALESCER_PREFIX = "coalescer."
-
     @property
     def coalescer_stats(self) -> Dict[str, int]:
-        """Cumulative coalescer counters with the legacy dict shape.
+        """Always ``{}``: nothing coalesces any more.
 
-        Empty until the first coalesced group runs (so ``if
-        service.coalescer_stats:`` keeps meaning "any coalescing
-        happened"), then holds the same keys ``SwarmCoalescer.stats``
-        exposes, summed over every group served.
+        Kept only because the repo benchmark (``perfbench``, read-only
+        for ordinary PRs) still reads it; it goes with the next
+        benchmark PR.
         """
-        prefix = self._COALESCER_PREFIX
-        return {
-            name[len(prefix):]: int(value)
-            for name, value in self.metrics.counters().items()
-            if name.startswith(prefix)
-        }
+        return {}
 
     # -- synchronous serving -------------------------------------------------
 
     def serve(self, request: MapRequest) -> PipelineResult:
-        """Answer one request (cache-backed, no coalescing partner)."""
+        """Answer one request (cache-backed)."""
         return self.serve_batch([request])[0]
 
     def serve_batch(self, requests: Sequence[MapRequest]) -> List[PipelineResult]:
@@ -433,80 +203,22 @@ class MappingService:
 
     # -- internals -----------------------------------------------------------
 
-    def _coalesce_group(self, request: MapRequest) -> Optional[str]:
-        """Group key for requests whose swarm scoring can share batches."""
-        if request.method != "pso" or request.objective != "noc":
-            return None
-        return stable_hash(
-            (
-                "coalesce-group",
-                graph_token(request.graph),
-                architecture_token(request.architecture),
-                config_token(request.noc_config),
-            )
-        )
-
     def _serve_many(
         self, requests: List[MapRequest]
-    ) -> Tuple[List[Optional[PipelineResult]], List[Optional[BaseException]]]:
+    ) -> Tuple[List[Optional[PipelineResult]], List[Optional[Exception]]]:
+        """Answer every request in order; a failure never stops the rest."""
         results: List[Optional[PipelineResult]] = [None] * len(requests)
-        errors: List[Optional[BaseException]] = [None] * len(requests)
-        groups: Dict[str, List[int]] = {}
-        for i, request in enumerate(requests):
-            key = self._coalesce_group(request) or f"solo-{i}"
-            groups.setdefault(key, []).append(i)
-        with get_observer().span(
-            "service.serve_batch", n_requests=len(requests), n_groups=len(groups)
-        ):
-            return self._serve_groups(requests, groups, results, errors)
-
-    def _serve_groups(
-        self,
-        requests: List[MapRequest],
-        groups: Dict[str, List[int]],
-        results: List[Optional[PipelineResult]],
-        errors: List[Optional[BaseException]],
-    ) -> Tuple[List[Optional[PipelineResult]], List[Optional[BaseException]]]:
-
-        def serve_into(i: int, coalescer) -> None:
-            try:
-                results[i] = self._serve_one(requests[i], coalescer)
-            except BaseException as exc:
-                errors[i] = exc
-
-        for indices in groups.values():
-            if len(indices) == 1:
-                serve_into(indices[0], None)
-                continue
-            coalescer = SwarmCoalescer()
-            threads = []
-            for i in indices:
-                coalescer.join()
-
-                def member(i=i) -> None:
-                    try:
-                        serve_into(i, coalescer)
-                    finally:
-                        coalescer.leave()
-
-                threads.append(
-                    threading.Thread(target=member, name=f"map-request-{i}")
-                )
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            self.metrics.merge(coalescer.metrics, prefix=self._COALESCER_PREFIX)
-            obs = get_observer()
-            if obs.enabled:
-                obs.metrics.merge(
-                    coalescer.metrics, prefix=self._COALESCER_PREFIX
-                )
+        errors: List[Optional[Exception]] = [None] * len(requests)
+        with get_observer().span("service.serve_batch", n_requests=len(requests)):
+            for i, request in enumerate(requests):
+                try:
+                    results[i] = self._serve_one(request)
+                except Exception as exc:
+                    errors[i] = exc
         self.requests_served += len(requests)
-        self.metrics.inc("requests_served", len(requests))
         return results, errors
 
-    def _serve_one(self, request: MapRequest, coalescer) -> PipelineResult:
+    def _serve_one(self, request: MapRequest) -> PipelineResult:
         warm_seeds = None
         if request.warm and request.method == "pso":
             warm = self.cache.warm_assignment(
@@ -529,7 +241,6 @@ class MappingService:
             fault_seed=request.fault_seed,
             spare_capacity=request.spare_capacity,
             cache=self.cache,
-            coalescer=coalescer,
             warm_seeds=warm_seeds,
         )
 

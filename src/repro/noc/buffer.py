@@ -46,6 +46,11 @@ class ChannelBuffer:
         self._items.append(packet)
         self.peak = max(self.peak, len(self._items))
 
+    def clear(self) -> None:
+        """Drop queued packets and the high-water mark (start of a run)."""
+        self._items.clear()
+        self.peak = 0
+
     def head(self) -> SpikePacket:
         return self._items[0]
 

@@ -638,12 +638,9 @@ class FastInterconnect:
             if self._ck is not None:
                 obs.inc("noc.kernel.fallbacks")
             engine = "reference"
+            oracle = Interconnect(self.topology, self.routing, self.config)
             for k, _, _ in live:
-                # A fresh oracle per schedule: its buffers keep their
-                # high-water marks from one run to the next.
-                results[k] = Interconnect(
-                    self.topology, self.routing, self.config
-                )._simulate_impl(schedules[k])
+                results[k] = oracle._simulate_impl(schedules[k])
         if obs.enabled:
             obs.inc("noc.engine_runs", len(live), engine=engine)
         return results

@@ -169,6 +169,11 @@ class Interconnect:
     def _simulate_impl(self, injections) -> NocStats:
         if hasattr(injections, "injections"):
             injections = injections.injections
+        # A reused engine starts every run empty: no high-water marks and
+        # no packets a previous run's deadline left queued.
+        for router in self.routers.values():
+            for buffer in router.buffers.values():
+                buffer.clear()
         stats = NocStats()
         schedule = self._build_schedule(injections, stats)
         if not schedule:

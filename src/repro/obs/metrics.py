@@ -2,9 +2,9 @@
 
 A :class:`MetricsRegistry` is a plain in-memory store keyed by
 ``(name, sorted label items)``.  It is deliberately *always functional*
-(no global gating inside): subsystems that own their own stats — the
-``SwarmCoalescer``, per-worker chunk deltas — hold a private registry
-and merge it wherever it needs to surface, while hot-path
+(no global gating inside): a NoC pool worker scores its chunk under a
+private registry and ships the counter deltas back to be added to the
+parent's (:meth:`MetricsRegistry.merge_counters`), while hot-path
 instrumentation reaches the registry only through the active observer
 (``repro.obs.get_observer()``), which is a no-op singleton when
 observability is off.
@@ -64,16 +64,6 @@ class Histogram:
         if value > self.max:
             self.max = value
 
-    def merge(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        for i, n in enumerate(other.bucket_counts):
-            self.bucket_counts[i] += n
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
@@ -97,8 +87,8 @@ class MetricsRegistry:
 
     Counter/gauge values are plain numbers; labels are optional keyword
     arguments on every mutator (``inc("noc.simulations", backend="fast")``).
-    ``merge`` folds another registry in (optionally under a name prefix),
-    which is how per-worker and per-coalescer deltas aggregate upward.
+    ``merge_counters`` adds another registry's ``counter_deltas`` in, which
+    is how per-worker counts aggregate upward.
     """
 
     enabled = True
@@ -163,32 +153,6 @@ class MetricsRegistry:
 
     # -- aggregation ---------------------------------------------------------
 
-    def merge(self, other: "MetricsRegistry", prefix: str = "") -> None:
-        """Fold ``other`` into this registry.
-
-        Counters and histogram contents add; gauges take ``other``'s
-        value (last write wins).  ``prefix`` is prepended to every
-        metric name, so a subsystem-local registry can surface as e.g.
-        ``coalescer.*`` in the global one.
-        """
-        with other._lock:
-            counters = list(other._counters.items())
-            gauges = list(other._gauges.items())
-            hists = [(k, h) for k, h in other._histograms.items()]
-        with self._lock:
-            for (name, labels), value in counters:
-                key = (prefix + name, labels)
-                self._counters[key] = self._counters.get(key, 0) + value
-            for (name, labels), value in gauges:
-                self._gauges[(prefix + name, labels)] = value
-        for (name, labels), hist in hists:
-            key = (prefix + name, labels)
-            with self._lock:
-                mine = self._histograms.get(key)
-                if mine is None:
-                    mine = self._histograms[key] = Histogram(hist.bounds)
-            mine.merge(hist)
-
     def merge_counters(
         self, deltas: Iterable[Tuple[str, Tuple[Tuple[str, str], ...], float]]
     ) -> None:
@@ -235,9 +199,6 @@ class NullMetricsRegistry:
 
     def __bool__(self) -> bool:
         return False
-
-    def merge(self, other, prefix: str = "") -> None:
-        pass
 
     def merge_counters(self, deltas) -> None:
         pass

@@ -69,10 +69,15 @@ class TestRunFaultCampaign:
             )
 
     def test_parallel_bit_identical(self, graph, arch, mapping):
-        serial = _run(graph, arch, mapping)
-        threaded = _run(graph, arch, mapping, workers=4)
+        """The kernel thread team is the campaign's only parallel knob."""
+        fast = NocConfig(backend="fast")
+        serial = _run(graph, arch, mapping, noc_config=fast, threads=0)
+        threaded = _run(graph, arch, mapping, noc_config=fast, threads=4)
         assert serial.draws == threaded.draws
         assert serial.healthy == threaded.healthy
+        assert serial.table() == threaded.table()
+        with pytest.raises(TypeError):
+            _run(graph, arch, mapping, workers=4)
 
     def test_fast_backend_campaign(self, graph, arch, mapping):
         ref = _run(graph, arch, mapping)

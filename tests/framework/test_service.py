@@ -1,4 +1,4 @@
-"""Serving layer: cache keys, coalescing, futures, resumable sweeps."""
+"""Serving layer: cache keys, in-order serving, futures, resumable sweeps."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -322,11 +323,7 @@ class TestMappingService:
             assert np.array_equal(a.mapping.assignment, b.mapping.assignment)
             assert a.schedule == b.schedule
             assert a.noc_stats.total_hops() == b.noc_stats.total_hops()
-        # The two swarms really shared batches, not just ran side by side.
-        assert service.coalescer_stats["merged_flushes"] > 0
-        assert service.coalescer_stats["member_batches"] > (
-            service.coalescer_stats["flushes"]
-        )
+        assert service.coalescer_stats == {}
 
     def test_mixed_batch_coalesces_only_matching_requests(self, graph, arch):
         ncfg = NocConfig(backend="fast")
@@ -348,7 +345,52 @@ class TestMappingService:
         assert np.array_equal(
             served[1].mapping.assignment, ref.mapping.assignment
         )
-        assert service.coalescer_stats["merged_flushes"] > 0
+        for i, s in ((0, 1), (2, 2)):
+            solo = run_pipeline(
+                graph, arch, seed=s, pso_config=SMALL_PSO,
+                noc_config=ncfg, objective="noc",
+            )
+            assert np.array_equal(
+                served[i].mapping.assignment, solo.mapping.assignment
+            )
+            assert served[i].noc_stats.total_hops() == solo.noc_stats.total_hops()
+
+    def test_serve_batch_survives_a_failing_request(self, graph, arch):
+        """Three same-fabric noc requests, the middle one cannot fit:
+        the other two are still answered (bit-identically to one-shot
+        runs), the error is re-raised, and no thread is started."""
+        ncfg = NocConfig(backend="fast")
+        bad_arch = custom(2, 4, interconnect="mesh", name="too-small")
+
+        def request(architecture, seed):
+            return MapRequest(
+                graph=graph, architecture=architecture, seed=seed,
+                pso_config=SMALL_PSO, noc_config=ncfg, objective="noc",
+            )
+
+        good = [request(arch, 1), request(arch, 2)]
+        service = MappingService()
+        threads_before = threading.active_count()
+        with pytest.raises(ValueError):
+            service.serve_batch([good[0], request(bad_arch, 3), good[1]])
+        assert threading.active_count() == threads_before
+        assert service.requests_served == 3
+        # Both survivors were computed and stored: serving them again
+        # misses nothing, and the answer equals a one-shot run.
+        for req in good:
+            misses_before = service.cache.stats["misses"]
+            served = service.serve(req)
+            assert service.cache.stats["misses"] == misses_before
+            solo = run_pipeline(
+                graph, arch, seed=req.seed, pso_config=SMALL_PSO,
+                noc_config=ncfg, objective="noc",
+            )
+            assert np.array_equal(
+                served.mapping.assignment, solo.mapping.assignment
+            )
+            assert served.mapping.fitness == solo.mapping.fitness
+            assert served.schedule == solo.schedule
+            assert served.report == solo.report
 
     def test_submit_futures_match_serve(self, graph, arch):
         with MappingService() as service:

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.noc.fastsim import FastInterconnect
 from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.packet import Injection
 from repro.noc.routing import shortest_path_routing
 from repro.noc.topology import mesh, star, tree
+from repro.noc.traffic import synthetic_injections
 
 
 def _inject(cycle, src, dsts, neuron=0, uid=-1):
@@ -130,6 +132,49 @@ class TestDrainSafety:
             [_inject(0, 0, [1]), _inject(1_000_000, 0, [1])]
         )
         assert stats.delivered_count == 2
+
+
+class TestEngineReuse:
+    """A reused engine starts every run empty, like a fresh one."""
+
+    FIELDS = (
+        "deliveries", "n_injected", "n_expected_deliveries", "cycles_run",
+        "link_loads", "peak_buffer_occupancy",
+    )
+
+    def _assert_same(self, a, b):
+        for name in self.FIELDS:
+            assert getattr(a, name) == getattr(b, name), name
+
+    def test_heavy_then_light_matches_fresh_and_fast(self):
+        topo = mesh(9)
+        n = topo.n_attach_points
+        heavy = synthetic_injections([0.5] * n, topo, 60, fanout=3, seed=1)
+        light = synthetic_injections([0.002] * n, topo, 60, fanout=1, seed=2)
+        fresh_heavy = Interconnect(topo).simulate(heavy)
+        fresh_light = Interconnect(topo).simulate(light)
+        # The case is only meaningful if the two loads peak differently.
+        assert fresh_heavy.peak_buffer_occupancy > fresh_light.peak_buffer_occupancy
+
+        reused = Interconnect(topo)
+        self._assert_same(reused.simulate(heavy), fresh_heavy)
+        self._assert_same(reused.simulate(light), fresh_light)
+
+        fast = FastInterconnect(topo)
+        self._assert_same(fast.simulate(heavy), fresh_heavy)
+        self._assert_same(fast.simulate(light), fresh_light)
+
+    def test_packets_left_by_a_deadline_do_not_replay(self):
+        topo = tree(2)
+        config = NocConfig(max_extra_cycles=4)
+        burst = [_inject(0, 0, [1], neuron=k) for k in range(8)]
+        single = [_inject(0, 0, [1], neuron=99)]
+        engine = Interconnect(topo, config=config)
+        assert engine.simulate(burst).undelivered_count > 0
+        self._assert_same(
+            engine.simulate(single),
+            Interconnect(topo, config=config).simulate(single),
+        )
 
 
 class TestConfigValidation:

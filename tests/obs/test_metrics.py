@@ -13,7 +13,6 @@ from repro.obs import (
     write_metrics_text,
 )
 from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
     Histogram,
     NULL_METRICS,
     parse_flat_name,
@@ -73,20 +72,6 @@ class TestGaugesAndHistograms:
         assert d["buckets"][repr(10.0)] == 1
         assert sum(d["buckets"].values()) == 4
 
-    def test_histogram_merge(self):
-        a, b = Histogram(), Histogram()
-        a.observe(0.5)
-        b.observe(50.0)
-        a.merge(b)
-        assert a.count == 2
-        assert a.min == 0.5
-        assert a.max == 50.0
-
-    def test_histogram_merge_rejects_mismatched_bounds(self):
-        a = Histogram(bounds=(1.0,))
-        with pytest.raises(ValueError):
-            a.merge(Histogram(bounds=DEFAULT_BUCKETS))
-
     def test_registry_observe(self):
         reg = MetricsRegistry()
         reg.observe("latency", 0.05, stage="map")
@@ -103,29 +88,6 @@ class TestGaugesAndHistograms:
 
 
 class TestMergeAndDeltas:
-    def test_merge_with_prefix(self):
-        child = MetricsRegistry()
-        child.inc("flushes", 2)
-        child.inc("rows", 10, kind="noc")
-        parent = MetricsRegistry()
-        parent.merge(child, prefix="coalescer.")
-        parent.merge(child, prefix="coalescer.")
-        assert parent.counter_value("coalescer.flushes") == 4
-        assert parent.counter_value("coalescer.rows", kind="noc") == 20
-        # Source registry untouched.
-        assert child.counter_value("flushes") == 2
-
-    def test_merge_gauges_and_histograms(self):
-        child = MetricsRegistry()
-        child.set_gauge("depth", 3)
-        child.observe("lat", 0.1)
-        parent = MetricsRegistry()
-        parent.set_gauge("depth", 9)
-        parent.observe("lat", 0.2)
-        parent.merge(child)
-        assert parent.gauges() == {"depth": 3}
-        assert parent.histograms()["lat"]["count"] == 2
-
     def test_counter_deltas_round_trip(self):
         src = MetricsRegistry()
         src.inc("packets", 42, backend="fast")
@@ -153,7 +115,6 @@ class TestNullRegistry:
         NULL_METRICS.inc("x", 5, a="b")
         NULL_METRICS.set_gauge("g", 1)
         NULL_METRICS.observe("h", 0.5)
-        NULL_METRICS.merge(MetricsRegistry())
         NULL_METRICS.merge_counters([("x", (), 1)])
         assert NULL_METRICS.counter_value("x") == 0
         assert NULL_METRICS.counters() == {}

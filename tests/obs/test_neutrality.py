@@ -138,18 +138,22 @@ class TestServiceNeutrality:
                 for s in (1, 2)
             ]
 
-        bare_service = MappingService()
-        bare = bare_service.serve_batch(batch())
+        bare = MappingService().serve_batch(batch())
         with observe() as obs:
-            traced_service = MappingService()
-            traced = traced_service.serve_batch(batch())
-        for a, b in zip(bare, traced):
+            traced = MappingService().serve_batch(batch())
+        for request, a, b in zip(batch(), bare, traced):
             _assert_pipeline_results_equal(a, b)
-        # Coalescing really happened in both runs, stats API unchanged.
-        assert bare_service.coalescer_stats == traced_service.coalescer_stats
-        assert traced_service.coalescer_stats["merged_flushes"] > 0
-        # ... and surfaced into the active observer under the prefix.
-        assert obs.metrics.counter_value("coalescer.merged_flushes") > 0
+            one_shot = run_pipeline(
+                graph, arch, seed=request.seed, pso_config=SMALL_PSO,
+                objective="noc", noc_config=request.noc_config,
+            )
+            _assert_pipeline_results_equal(one_shot, b)
+        # Both requests really ran under the observer, on the plain
+        # pipeline path: nothing coalesces any more.
+        assert obs.metrics.counter_value("pipeline.runs", method="pso") == 2
+        assert not any(
+            name.startswith("coalescer.") for name in obs.metrics.counters()
+        )
 
 
 class TestTraceWellFormedness:
