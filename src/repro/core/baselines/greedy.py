@@ -32,8 +32,10 @@ def greedy_partition(
         )
     matrix = TrafficMatrix(graph)
 
-    parent = np.arange(n)
-    group_size = np.ones(n, dtype=np.int64)
+    # Plain lists: the union-find touches one scalar at a time, which
+    # numpy indexing makes several times slower.
+    parent = list(range(n))
+    group_size = [1] * n
 
     def find(x: int) -> int:
         root = x
@@ -44,8 +46,8 @@ def greedy_partition(
         return root
 
     order = np.argsort(-matrix.traffic, kind="stable")
-    for e in order:
-        a, b = find(int(matrix.src[e])), find(int(matrix.dst[e]))
+    for src, dst in zip(matrix.src[order].tolist(), matrix.dst[order].tolist()):
+        a, b = find(src), find(dst)
         if a == b:
             continue
         if group_size[a] + group_size[b] > capacity:

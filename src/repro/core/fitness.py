@@ -301,7 +301,7 @@ class InterconnectFitness:
     # -- NoC-in-the-loop variant ------------------------------------------------
 
     def _score(self, summary) -> float:
-        """Objective from a :class:`~repro.noc.parallel.ScheduleSummary`.
+        """Objective from a :class:`~repro.noc.stats.ScheduleSummary`.
 
         Integer-exact inputs (hop totals, latency sums, delivery counts)
         make this bit-identical whether the summary came from the serial
@@ -314,7 +314,7 @@ class InterconnectFitness:
         return value + UNDELIVERED_PENALTY * summary.undelivered
 
     def _simulate_one(self, assignment: np.ndarray) -> float:
-        from repro.noc.parallel import summarize
+        from repro.noc.stats import summarize
         from repro.noc.traffic import build_injections
 
         self._check_clusters(assignment)
@@ -327,7 +327,8 @@ class InterconnectFitness:
         )
 
     def _simulate_batch(self, assignments: np.ndarray) -> np.ndarray:
-        from repro.noc.parallel import ParallelNocSimulator, summarize
+        from repro.noc.parallel import ParallelNocSimulator
+        from repro.noc.stats import summarize
         from repro.noc.traffic import build_injections_batch
 
         self._check_clusters(assignments)

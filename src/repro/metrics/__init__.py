@@ -11,7 +11,8 @@ degradation caused by time-multiplexing global synapses:
   congestion-induced jitter changes the ISIs a receiving neuron observes
   relative to what the sender emitted.
 
-Both are computed from the NoC simulator's delivery records.
+Both are computed from the NoC simulator's deliveries, read as the
+columns of ``NocStats.delivery_columns()``.
 """
 
 from repro.metrics.congestion import (

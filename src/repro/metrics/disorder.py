@@ -6,29 +6,50 @@ wrong order, which the paper identifies as a source of information loss
 (its A/B/C example: crossbar B wins arbitration over crossbar A, so B's
 later spike lands at C first).
 
-We scan each destination's deliveries in arrival order and flag every
-spike whose injection time is strictly earlier than the latest injection
-time already delivered: such a spike was overtaken by at least one
+Each destination's deliveries are taken in arrival order and every spike
+whose injection time is strictly earlier than the latest injection time
+already delivered is flagged: such a spike was overtaken by at least one
 later-injected spike.
+
+Computed from ``stats.delivery_columns()`` with whole-array numpy: one
+sort by ``(dst_node, delivered_cycle, uid)`` — ``uid`` breaks ties
+between spikes arriving at one destination in the same cycle, the order
+the record form always used — then a running maximum of the injection
+cycle that restarts at every destination.  The restart is done by
+numbering the destinations and ranking the injection cycles (both dense,
+below the delivery count ``n``) and accumulating ``destination * n +
+rank``: a later destination's keys exceed every earlier one's, and the
+key stays under ``n ** 2`` however large the cycle values are.  Equal
+injection cycles share a rank, so the comparison stays strict.
+Injection cycles are non-negative (a packet with a negative one is
+rejected at construction), so the first arrival is never overtaken.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
+
+import numpy as np
 
 from repro.noc.stats import NocStats
 
 
+def _disordered(stats: NocStats) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(dst_nodes, destination index, overtaken flag)``: the distinct
+    destinations, then per delivery (in the sorted order) which of them
+    it reached and whether it was overtaken."""
+    columns = stats.delivery_columns()
+    dst_nodes, dst_index = np.unique(columns.dst_node, return_inverse=True)
+    order = np.lexsort((columns.uid, columns.delivered_cycle, dst_index))
+    dst_index = dst_index[order]
+    rank = np.unique(columns.injected_cycle[order], return_inverse=True)[1]
+    key = dst_index * dst_index.size + rank
+    return dst_nodes, dst_index, key < np.maximum.accumulate(key)
+
+
 def disorder_count(stats: NocStats) -> int:
     """Number of delivered spikes that were overtaken by later injections."""
-    disordered = 0
-    for recs in stats.records_by_destination().values():
-        latest_injection_seen = -1
-        for rec in recs:
-            if rec.injected_cycle < latest_injection_seen:
-                disordered += 1
-            latest_injection_seen = max(latest_injection_seen, rec.injected_cycle)
-    return disordered
+    return int(_disordered(stats)[2].sum())
 
 
 def disorder_fraction(stats: NocStats) -> float:
@@ -41,13 +62,10 @@ def disorder_fraction(stats: NocStats) -> float:
 
 def disorder_by_destination(stats: NocStats) -> Dict[int, float]:
     """Per-destination disorder fraction, for congestion diagnosis."""
-    out: Dict[int, float] = {}
-    for dst, recs in stats.records_by_destination().items():
-        latest = -1
-        bad = 0
-        for rec in recs:
-            if rec.injected_cycle < latest:
-                bad += 1
-            latest = max(latest, rec.injected_cycle)
-        out[dst] = bad / len(recs) if recs else 0.0
-    return out
+    dst_nodes, dst_index, overtaken = _disordered(stats)
+    bad = np.bincount(dst_index[overtaken], minlength=dst_nodes.size)
+    total = np.bincount(dst_index, minlength=dst_nodes.size)
+    return {
+        dst: b / n
+        for dst, b, n in zip(dst_nodes.tolist(), bad.tolist(), total.tolist())
+    }

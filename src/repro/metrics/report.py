@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.mapper import MappingResult
 from repro.hardware.architecture import Architecture
 from repro.metrics.disorder import disorder_fraction
-from repro.metrics.isi import isi_distortion_mean, isi_distortion_worst
+from repro.metrics.isi import isi_distortion_summary
 from repro.noc.stats import NocStats
 from repro.utils.tables import format_table
 
@@ -469,11 +469,12 @@ def build_report(
         crossings = breakdown.bridge_crossings
         mean_inter_latency = breakdown.mean_inter_latency
     energy = architecture.energy
+    isi_mean, isi_worst = isi_distortion_summary(stats)
     return MetricReport(
         app=app,
         method=mapping.method,
-        isi_distortion_cycles=isi_distortion_mean(stats),
-        isi_distortion_worst_cycles=isi_distortion_worst(stats),
+        isi_distortion_cycles=isi_mean,
+        isi_distortion_worst_cycles=isi_worst,
         disorder_fraction=disorder_fraction(stats),
         throughput_aer_per_ms=stats.throughput_aer_per_ms(
             architecture.cycles_per_ms

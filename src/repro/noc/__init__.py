@@ -26,8 +26,10 @@ surface:
   injection schedules, built columnar (``ColumnarSchedule`` arrays the
   fast backend consumes directly, with a lazy legacy ``Injection`` view)
   and batched across whole swarms via ``build_injections_batch``;
-- :mod:`repro.noc.stats` — per-packet delivery records and link utilization
-  from which latency / throughput / energy / disorder / ISI metrics derive.
+- :mod:`repro.noc.stats` — per-packet delivery records (read by the
+  metrics as ``delivery_columns()`` arrays) and link utilization from
+  which latency / throughput / energy / disorder / ISI metrics derive,
+  plus the integer ``ScheduleSummary`` of one simulation (``summarize``).
 """
 
 from repro.noc.packet import SpikePacket
@@ -49,12 +51,15 @@ from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.fastsim import FastInterconnect, build_interconnect, simulate_many
 from repro.noc.parallel import (
     ParallelNocSimulator,
-    ScheduleSummary,
     parallel_simulate_many,
     resolve_workers,
+)
+from repro.noc.stats import (
+    DeliveryRecord,
+    NocStats,
+    ScheduleSummary,
     summarize,
 )
-from repro.noc.stats import DeliveryRecord, NocStats
 from repro.noc.traffic import (
     ColumnarSchedule,
     InjectionSchedule,

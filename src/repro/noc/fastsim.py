@@ -80,7 +80,7 @@ from repro.noc._ckernel import load_kernel, openmp_enabled, resolve_threads
 from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.packet import Injection
 from repro.noc.routing import RoutingTable, routing_for
-from repro.noc.stats import DeliveryRecord, NocStats
+from repro.noc.stats import DeliveryColumns, DeliveryRecord, NocStats
 from repro.noc.topology import Topology
 from repro.noc.traffic import ColumnarSchedule, unpack_destination_bits
 from repro.obs import get_observer
@@ -119,31 +119,14 @@ def kernel_engine(n_routers: int) -> str:
     return "c" if n_routers <= 63 else "c-mw"
 
 
-class _MetaColumns:
-    """Columnar packet metadata: the struct-of-arrays twin of the
-    per-packet ``(uid, src_neuron, src_node, cycle)`` tuples the
-    row-oriented plan carries.  ``__getitem__`` yields that tuple so the
-    lazy record builder works unchanged; the latency path reads the
-    ``cycle`` column directly."""
+class _MetaColumns(NamedTuple):
+    """Per-packet injection metadata as int64 columns indexed by packet
+    id — what the kernel's delivery columns are gathered through."""
 
-    __slots__ = ("uid", "src_neuron", "src_node", "cycle")
-
-    def __init__(self, uid, src_neuron, src_node, cycle) -> None:
-        self.uid = uid
-        self.src_neuron = src_neuron
-        self.src_node = src_node
-        self.cycle = cycle
-
-    def __len__(self) -> int:
-        return int(self.uid.shape[0])
-
-    def __getitem__(self, pid) -> Tuple[int, int, int, int]:
-        return (
-            int(self.uid[pid]),
-            int(self.src_neuron[pid]),
-            int(self.src_node[pid]),
-            int(self.cycle[pid]),
-        )
+    uid: np.ndarray
+    src_neuron: np.ndarray
+    src_node: np.ndarray
+    cycle: np.ndarray
 
 
 class _Plan(NamedTuple):
@@ -157,7 +140,7 @@ class _Plan(NamedTuple):
     bucket_cycle: np.ndarray  # int64 (n_buckets,) ascending
     bucket_off: np.ndarray    # int64 (n_buckets + 1,)
     bucket_pid: np.ndarray    # int32 (n_packets,) packets in bucket order
-    meta: Union[_MetaColumns, List[Tuple[int, int, int, int]]]
+    meta: _MetaColumns
 
 
 class FastNocStats(NocStats):
@@ -165,42 +148,43 @@ class FastNocStats(NocStats):
 
     The kernel records deliveries as flat ``(packet, router, cycle,
     hops)`` columns; full :class:`DeliveryRecord` objects are only
-    constructed when ``deliveries`` is first accessed.  Aggregate
-    queries (counts, latencies) are answered from the columns directly,
-    so swarm scoring that only reads ``total_hops`` or ``mean_latency``
-    never pays for record construction.
+    constructed when ``deliveries`` is first accessed.  Every metric
+    (counts, latencies, ISI distortion, disorder, chip breakdown) is
+    answered from :meth:`delivery_columns` — gathers over those columns
+    — so neither swarm scoring nor the metric report pays for record
+    construction.
     """
 
-    def _attach(self, delivered, p_meta, node_ids) -> None:
+    def _attach(self, delivered, p_meta: _MetaColumns, node_ids) -> None:
         self._delivered = delivered
         self._p_meta = p_meta
-        self._node_ids = node_ids
+        self._node_ids = node_ids  # int64 array: dense index -> node id
         self._records: Optional[List[DeliveryRecord]] = None
 
-    def _rows(self):
-        # The kernel hands back four flat arrays; widen them into the
-        # (packet, router, cycle, hops) rows the record builder expects.
-        meta, dst, at, hops = self._delivered
-        return zip(meta.tolist(), dst.tolist(), at.tolist(), hops.tolist())
+    def delivery_columns(self) -> DeliveryColumns:
+        if getattr(self, "_delivered", None) is None:
+            return super().delivery_columns()
+        pid, dst, at, _ = self._delivered
+        meta = self._p_meta
+        return DeliveryColumns(
+            uid=meta.uid[pid],
+            src_neuron=meta.src_neuron[pid],
+            src_node=meta.src_node[pid],
+            dst_node=self._node_ids[dst],
+            injected_cycle=meta.cycle[pid],
+            delivered_cycle=at,
+        )
 
     @property
     def deliveries(self) -> List[DeliveryRecord]:
         if getattr(self, "_delivered", None) is None:
             return self._eager_deliveries
         if self._records is None:
-            p_meta = self._p_meta
-            node_ids = self._node_ids
+            # DeliveryRecord's fields are the six columns, then hops.
+            columns = (*self.delivery_columns(), self._delivered[3])
             self._records = [
-                DeliveryRecord(
-                    uid=p_meta[pid][0],
-                    src_neuron=p_meta[pid][1],
-                    src_node=p_meta[pid][2],
-                    dst_node=node_ids[dst],
-                    injected_cycle=p_meta[pid][3],
-                    delivered_cycle=at,
-                    hops=hops,
-                )
-                for pid, dst, at, hops in self._rows()
+                DeliveryRecord(*row)
+                for row in zip(*(column.tolist() for column in columns))
             ]
         return self._records
 
@@ -218,25 +202,8 @@ class FastNocStats(NocStats):
     def latencies(self) -> np.ndarray:
         if getattr(self, "_delivered", None) is None:
             return super().latencies()
-        p_meta = self._p_meta
-        if isinstance(p_meta, _MetaColumns):
-            # Columnar plan + kernel columns: one gather, no Python loop.
-            meta_idx, _, at, _ = self._delivered
-            return (at - p_meta.cycle[meta_idx]).astype(np.int64)
-        return np.asarray(
-            [at - p_meta[pid][3] for pid, _, at, _ in self._rows()],
-            dtype=np.int64,
-        )
-
-    def delivery_endpoints(self):
-        if getattr(self, "_delivered", None) is None:
-            yield from super().delivery_endpoints()
-            return
-        p_meta = self._p_meta
-        node_ids = self._node_ids
-        for pid, dst, at, _ in self._rows():
-            meta = p_meta[pid]
-            yield meta[2], node_ids[dst], at - meta[3]
+        pid, _, at, _ = self._delivered
+        return at - self._p_meta.cycle[pid]
 
 
 class FastInterconnect:
@@ -273,12 +240,11 @@ class FastInterconnect:
 
     def _build_tables(self) -> None:
         nodes = sorted(self.topology.graph.nodes)
-        self._nodes: List[int] = nodes  # dense index -> node id
         self._idx: Dict[int, int] = {node: i for i, node in enumerate(nodes)}
         idx = self._idx
         n = len(nodes)
         self._n = n
-        self._node_arr = np.asarray(nodes, dtype=np.int64)
+        self._node_arr = np.asarray(nodes, dtype=np.int64)  # dense index -> id
         # Destination masks span this many uint64 words: one for the
         # single-word kernel body, as many as it takes beyond.
         self._engine = kernel_engine(n)
@@ -592,7 +558,9 @@ class FastInterconnect:
                 dtype=np.int32,
                 count=len(p_mask),
             ),
-            meta=p_meta,
+            meta=_MetaColumns(
+                *np.asarray(p_meta, dtype=np.int64).reshape(-1, 4).T
+            ),
         )
 
     def _pack_mask_words(self, p_mask) -> np.ndarray:
@@ -735,7 +703,7 @@ class FastInterconnect:
             }
             pk = peaks[s * n_ports:(s + 1) * n_ports]
             stats.peak_buffer_occupancy = int(pk.max()) if pk.size else 0
-            stats._attach(cols, plan.meta, self._nodes)
+            stats._attach(cols, plan.meta, self._node_arr)
         return True
 
 

@@ -36,7 +36,7 @@ of expanded bridge segments, and the directed *entry* segments used to
 count crossings.  The chip-aware placement pass
 (:func:`repro.core.placement.place_clusters`), the per-chip statistics
 breakdown (:func:`chip_breakdown`,
-:func:`repro.noc.parallel.summarize`) and the bridge energy term all
+:func:`repro.noc.stats.summarize`) and the bridge energy term all
 read these.
 """
 
@@ -45,6 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.utils.validation import check_positive
 
@@ -109,7 +111,7 @@ class MultiChipTopology(Topology):
 
         The router graph alone already encodes relay chains, but the
         chip ownership maps decide inter-chip accounting in
-        :func:`~repro.noc.parallel.summarize`, so fabrics that differ
+        :func:`~repro.noc.stats.summarize`, so fabrics that differ
         only there must not share cached artifacts.
         """
         return super()._signature_fields() + (
@@ -140,6 +142,24 @@ class MultiChipTopology(Topology):
     def crossbars_of_chip(self, chip: int) -> List[int]:
         """Crossbar indices hosted on ``chip``, ascending."""
         return [k for k, c in enumerate(self.chip_of_crossbar) if c == chip]
+
+    def crosses_chips(
+        self, src_nodes: np.ndarray, dst_nodes: np.ndarray
+    ) -> np.ndarray:
+        """Boolean mask over router-id columns: ``chip_of(src) !=
+        chip_of(dst)`` per row — how deliveries are classified as
+        inter-chip from their endpoint columns."""
+        n = len(self.chip_of_router)
+        routers = np.fromiter(self.chip_of_router, dtype=np.int64, count=n)
+        chips = np.fromiter(
+            self.chip_of_router.values(), dtype=np.int64, count=n
+        )
+        order = np.argsort(routers)
+        routers, chips = routers[order], chips[order]
+        return (
+            chips[np.searchsorted(routers, src_nodes)]
+            != chips[np.searchsorted(routers, dst_nodes)]
+        )
 
     # -- load classification -------------------------------------------------
 
@@ -250,20 +270,17 @@ def chip_breakdown(stats, topology: MultiChipTopology) -> ChipBreakdown:
     """Split a :class:`~repro.noc.stats.NocStats` along chip boundaries.
 
     Hops are classified from ``link_loads`` (bridge segments are
-    inter-chip); deliveries from their endpoints' owning chips.  Works
-    on both backends — the fast backend answers from its lazy columns
-    without materializing delivery records.
+    inter-chip); deliveries from their endpoints' owning chips, as one
+    mask over ``stats.delivery_columns()`` — on either backend no
+    delivery record is touched.
     """
-    chip_of = topology.chip_of_router
-    intra_n = inter_n = 0
-    intra_lat = inter_lat = 0
-    for src, dst, latency in stats.delivery_endpoints():
-        if chip_of[src] == chip_of[dst]:
-            intra_n += 1
-            intra_lat += latency
-        else:
-            inter_n += 1
-            inter_lat += latency
+    columns = stats.delivery_columns()
+    latency = stats.latencies()  # same record order as the columns
+    inter = topology.crosses_chips(columns.src_node, columns.dst_node)
+    inter_n = int(inter.sum())
+    inter_lat = int(latency[inter].sum())
+    intra_n = int(inter.size) - inter_n
+    intra_lat = int(latency.sum()) - inter_lat
     return ChipBreakdown(
         n_chips=topology.n_chips,
         per_chip_hops=topology.per_chip_hops(stats.link_loads),

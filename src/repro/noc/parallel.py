@@ -18,11 +18,11 @@ across a :class:`concurrent.futures.ProcessPoolExecutor`:
   is invariant to worker count, chunk size and completion order (the
   deltas only feed the observability registry, never the summaries);
 - **results are columnar summaries** — workers return one compact
-  :class:`ScheduleSummary` per schedule (hop totals, latency sums,
-  delivery counts, ...) instead of full delivery records, keeping the
-  inter-process payload tiny.  The serial path produces summaries with
-  the same :func:`summarize` function, so ``workers=N`` is bit-identical
-  to ``workers=1`` by construction;
+  :class:`~repro.noc.stats.ScheduleSummary` per schedule (hop totals,
+  latency sums, delivery counts, ...) instead of full delivery records,
+  keeping the inter-process payload tiny.  The serial path produces
+  summaries with the same :func:`~repro.noc.stats.summarize` function,
+  so ``workers=N`` is bit-identical to ``workers=1`` by construction;
 - **graceful serial fallback** — sandboxed CI runners routinely forbid
   the primitives process pools need (``fork``, ``sem_open``, ``/dev/shm``).
   Any failure to start or use the pool emits one :class:`RuntimeWarning`
@@ -45,7 +45,7 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 # ScheduleLike: a row-oriented injection list or a columnar schedule.
 # Columnar items ship to workers as numpy array shards (compact to
@@ -53,99 +53,13 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 from repro.noc.fastsim import FastInterconnect, ScheduleLike
 from repro.noc.interconnect import NocConfig
 from repro.noc.routing import RoutingTable
-from repro.noc.stats import NocStats
+from repro.noc.stats import NocStats, ScheduleSummary, summarize
 from repro.noc.topology import Topology
 from repro.noc.traffic import ColumnarSchedule
 from repro.obs import get_observer, observe
 from repro.obs.metrics import MetricsRegistry
 
 WorkersSpec = Union[int, str, None]
-
-
-class ScheduleSummary(NamedTuple):
-    """Columnar aggregate of one simulated schedule.
-
-    Everything swarm scoring reads off a simulation, as plain integers:
-    tiny to pickle, exact to compare (worker-vs-serial equivalence tests
-    use ``==`` on whole summaries, no float tolerance needed).
-
-    The four trailing fields carry the multi-chip breakdown and stay
-    zero on single-chip fabrics (or when :func:`summarize` is called
-    without a topology).
-    """
-
-    n_injected: int
-    n_expected: int
-    delivered: int
-    total_hops: int
-    latency_sum: int
-    max_latency: int
-    cycles_run: int
-    peak_buffer_occupancy: int
-    inter_chip_hops: int = 0
-    bridge_crossings: int = 0
-    inter_chip_latency_sum: int = 0
-    inter_chip_delivered: int = 0
-
-    @property
-    def undelivered(self) -> int:
-        return self.n_expected - self.delivered
-
-    @property
-    def mean_latency(self) -> float:
-        if self.delivered == 0:
-            return 0.0
-        return self.latency_sum / self.delivered
-
-    @property
-    def intra_chip_hops(self) -> int:
-        return self.total_hops - self.inter_chip_hops
-
-    @property
-    def mean_inter_chip_latency(self) -> float:
-        if self.inter_chip_delivered == 0:
-            return 0.0
-        return self.inter_chip_latency_sum / self.inter_chip_delivered
-
-
-def summarize(
-    stats: NocStats, topology: Optional[Topology] = None
-) -> ScheduleSummary:
-    """Collapse a :class:`NocStats` into its :class:`ScheduleSummary`.
-
-    Works on both backends; on :class:`~repro.noc.fastsim.FastNocStats`
-    it reads the lazy columns directly and never materializes
-    per-delivery records.  Pass the simulated topology to fill the
-    multi-chip breakdown fields (inter-chip hops, bridge crossings and
-    the inter-chip latency split); they stay zero for flat topologies,
-    so the summary of a single-chip run is unchanged by the argument.
-    """
-    from repro.noc.multichip import MultiChipTopology
-
-    lat = stats.latencies()
-    inter_hops = crossings = inter_lat = inter_n = 0
-    if isinstance(topology, MultiChipTopology) and topology.n_chips > 1:
-        inter_hops = topology.inter_chip_hops(stats.link_loads)
-        crossings = topology.bridge_crossings(stats.link_loads)
-        chip_of = topology.chip_of_router
-        for src, dst, latency in stats.delivery_endpoints():
-            if chip_of[src] != chip_of[dst]:
-                inter_n += 1
-                inter_lat += latency
-    return ScheduleSummary(
-        n_injected=stats.n_injected,
-        n_expected=stats.n_expected_deliveries,
-        delivered=stats.delivered_count,
-        total_hops=stats.total_hops(),
-        latency_sum=int(lat.sum()) if lat.size else 0,
-        max_latency=int(lat.max()) if lat.size else 0,
-        cycles_run=stats.cycles_run,
-        peak_buffer_occupancy=stats.peak_buffer_occupancy,
-        inter_chip_hops=inter_hops,
-        bridge_crossings=crossings,
-        inter_chip_latency_sum=inter_lat,
-        inter_chip_delivered=inter_n,
-    )
 
 
 def resolve_workers(workers: WorkersSpec) -> int:

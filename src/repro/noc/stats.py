@@ -3,16 +3,22 @@
 The simulator produces one :class:`DeliveryRecord` per (packet, destination
 router) delivery.  Everything the paper reports about the interconnect —
 latency (cycles), throughput (AER/ms), energy (via the hardware energy
-model), spike disorder and ISI distortion — is derived from these records,
-so the metrics layer never needs to re-run the network.
+model), spike disorder and ISI distortion — is derived from these
+deliveries, so the metrics layer never needs to re-run the network.  It
+reads them as :class:`DeliveryColumns` (:meth:`NocStats.delivery_columns`),
+never record by record; :func:`summarize` collapses one simulation into
+the integer :class:`ScheduleSummary` that swarm scoring compares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.noc.topology import Topology
 
 
 @dataclass(frozen=True)
@@ -26,6 +32,23 @@ class DeliveryRecord:
     injected_cycle: int
     delivered_cycle: int
     hops: int
+
+
+class DeliveryColumns(NamedTuple):
+    """Every delivery of one simulation as parallel int64 columns.
+
+    Row ``i`` of each column describes the same delivery, in the order
+    the simulator recorded them.  This is the one form the metrics layer
+    reads deliveries in (:meth:`NocStats.delivery_columns`): whole-array
+    numpy over these columns replaces per-record Python loops.
+    """
+
+    uid: np.ndarray
+    src_neuron: np.ndarray
+    src_node: np.ndarray
+    dst_node: np.ndarray
+    injected_cycle: np.ndarray
+    delivered_cycle: np.ndarray
 
 
 @dataclass
@@ -80,21 +103,28 @@ class NocStats:
             dtype=np.int64,
         )
 
-    def delivery_endpoints(self):
-        """Yield ``(src_node, dst_node, latency)`` per delivery.
+    def delivery_columns(self) -> DeliveryColumns:
+        """The deliveries as :class:`DeliveryColumns`, in record order.
 
-        The chip-breakdown path classifies deliveries by their
-        endpoints' owning chips; this accessor exists so the fast
-        backend can answer from its lazy columns without materializing
-        :class:`DeliveryRecord` objects.  Iteration order is
-        unspecified (consumers aggregate).
+        Built here in one pass over the record list; the fast backend
+        overrides this to gather the columns straight from the kernel's
+        output without constructing a :class:`DeliveryRecord`.
         """
-        for r in self.deliveries:
-            yield (
-                r.src_node,
-                r.dst_node,
-                r.delivered_cycle - r.injected_cycle,
-            )
+        rows = np.array(
+            [
+                (
+                    r.uid,
+                    r.src_neuron,
+                    r.src_node,
+                    r.dst_node,
+                    r.injected_cycle,
+                    r.delivered_cycle,
+                )
+                for r in self.deliveries
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 6)
+        return DeliveryColumns(*rows.T)
 
     def max_latency(self) -> int:
         """Worst-case spike latency on the interconnect (paper Table II row)."""
@@ -151,3 +181,89 @@ class NocStats:
             f"mean latency {self.mean_latency():.1f} cy, "
             f"{self.total_hops()} link hops"
         )
+
+
+class ScheduleSummary(NamedTuple):
+    """Columnar aggregate of one simulated schedule.
+
+    Everything swarm scoring reads off a simulation, as plain integers:
+    tiny to pickle, exact to compare (worker-vs-serial equivalence tests
+    use ``==`` on whole summaries, no float tolerance needed).
+
+    The four trailing fields carry the multi-chip breakdown and stay
+    zero on single-chip fabrics (or when :func:`summarize` is called
+    without a topology).
+    """
+
+    n_injected: int
+    n_expected: int
+    delivered: int
+    total_hops: int
+    latency_sum: int
+    max_latency: int
+    cycles_run: int
+    peak_buffer_occupancy: int
+    inter_chip_hops: int = 0
+    bridge_crossings: int = 0
+    inter_chip_latency_sum: int = 0
+    inter_chip_delivered: int = 0
+
+    @property
+    def undelivered(self) -> int:
+        return self.n_expected - self.delivered
+
+    @property
+    def mean_latency(self) -> float:
+        if self.delivered == 0:
+            return 0.0
+        return self.latency_sum / self.delivered
+
+    @property
+    def intra_chip_hops(self) -> int:
+        return self.total_hops - self.inter_chip_hops
+
+    @property
+    def mean_inter_chip_latency(self) -> float:
+        if self.inter_chip_delivered == 0:
+            return 0.0
+        return self.inter_chip_latency_sum / self.inter_chip_delivered
+
+
+def summarize(
+    stats: NocStats, topology: Optional[Topology] = None
+) -> ScheduleSummary:
+    """Collapse a :class:`NocStats` into its :class:`ScheduleSummary`.
+
+    Works on both backends; on :class:`~repro.noc.fastsim.FastNocStats`
+    it reads the lazy columns directly and never materializes
+    per-delivery records.  Pass the simulated topology to fill the
+    multi-chip breakdown fields (inter-chip hops, bridge crossings and
+    the inter-chip latency split); they stay zero for flat topologies,
+    so the summary of a single-chip run is unchanged by the argument.
+    """
+    from repro.noc.multichip import MultiChipTopology
+
+    lat = stats.latencies()
+    inter_hops = crossings = inter_lat = inter_n = 0
+    if isinstance(topology, MultiChipTopology) and topology.n_chips > 1:
+        inter_hops = topology.inter_chip_hops(stats.link_loads)
+        crossings = topology.bridge_crossings(stats.link_loads)
+        # latencies() and delivery_columns() share the record order.
+        columns = stats.delivery_columns()
+        inter = topology.crosses_chips(columns.src_node, columns.dst_node)
+        inter_n = int(inter.sum())
+        inter_lat = int(lat[inter].sum())
+    return ScheduleSummary(
+        n_injected=stats.n_injected,
+        n_expected=stats.n_expected_deliveries,
+        delivered=stats.delivered_count,
+        total_hops=stats.total_hops(),
+        latency_sum=int(lat.sum()) if lat.size else 0,
+        max_latency=int(lat.max()) if lat.size else 0,
+        cycles_run=stats.cycles_run,
+        peak_buffer_occupancy=stats.peak_buffer_occupancy,
+        inter_chip_hops=inter_hops,
+        bridge_crossings=crossings,
+        inter_chip_latency_sum=inter_lat,
+        inter_chip_delivered=inter_n,
+    )

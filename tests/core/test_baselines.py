@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.baselines import (
     AnnealingConfig,
@@ -134,3 +136,95 @@ class TestRandom:
         a = random_partition(tiny_graph, 2, 4, seed=9).assignment
         b = random_partition(tiny_graph, 2, 4, seed=9).assignment
         assert np.array_equal(a, b)
+
+
+def _greedy_oracle(graph, n_clusters, capacity):
+    """``greedy_partition`` as it stood before its union-find moved from
+    numpy scalars to Python lists; returns ``(assignment, split)`` where
+    ``split`` says the split-a-group branch ran."""
+    from repro.core.traffic_matrix import TrafficMatrix
+
+    n = graph.n_neurons
+    matrix = TrafficMatrix(graph)
+    parent = np.arange(n)
+    group_size = np.ones(n, dtype=np.int64)
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for e in np.argsort(-matrix.traffic, kind="stable"):
+        a, b = find(int(matrix.src[e])), find(int(matrix.dst[e]))
+        if a == b or group_size[a] + group_size[b] > capacity:
+            continue
+        parent[b] = a
+        group_size[a] += group_size[b]
+
+    roots = {}
+    for i in range(n):
+        roots.setdefault(find(i), []).append(i)
+    loads = np.zeros(n_clusters, dtype=np.int64)
+    assignment = np.empty(n, dtype=np.int64)
+    split = False
+    for group in sorted(roots.values(), key=len, reverse=True):
+        for k in np.argsort(loads, kind="stable"):
+            if loads[k] + len(group) <= capacity:
+                assignment[group] = k
+                loads[k] += len(group)
+                break
+        else:
+            split = True
+            for neuron in group:
+                k = int(np.argmin(loads))
+                assignment[neuron] = k
+                loads[k] += 1
+    return assignment, split
+
+
+@st.composite
+def _greedy_cases(draw):
+    # Mostly exactly-full platforms, often under dense traffic: merged
+    # groups then grow past half a crossbar and sometimes fail to tile
+    # the crossbars, which reaches the split-a-group branch in a few of
+    # every 150 cases (test_split_branch_pinned reaches it every time).
+    n_clusters = draw(st.integers(1, 6))
+    capacity = draw(st.integers(2, 7))
+    spare = draw(st.sampled_from([0, 0, 0, 1, capacity]))
+    n = max(2, n_clusters * capacity - spare)
+    n_clusters = -(-n // capacity)
+    n_edges = n * draw(st.sampled_from([0, 1, 2, 4, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    graph = SpikeGraph.from_edges(
+        n,
+        rng.integers(0, n, n_edges),
+        rng.integers(0, n, n_edges),
+        # Few distinct traffic values: ties exercise the stable argsort.
+        rng.integers(1, 4, n_edges).astype(float),
+    )
+    return graph, n_clusters, capacity
+
+
+class TestGreedyPinned:
+    @given(_greedy_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_assignment_equals_previous_implementation(self, case):
+        graph, n_clusters, capacity = case
+        want, _ = _greedy_oracle(graph, n_clusters, capacity)
+        got = greedy_partition(graph, n_clusters, capacity)
+        assert got.assignment.dtype == np.int64
+        assert got.assignment.tolist() == want.tolist()
+
+    def test_split_branch_pinned(self):
+        """Three merged pairs on two crossbars of three: the last pair
+        fits nowhere whole and is split."""
+        graph = SpikeGraph.from_edges(
+            6, [0, 2, 4], [1, 3, 5], [3.0, 2.0, 1.0]
+        )
+        want, split = _greedy_oracle(graph, 2, 3)
+        assert split
+        got = greedy_partition(graph, 2, 3).assignment
+        assert got.tolist() == want.tolist() == [0, 0, 1, 1, 0, 1]

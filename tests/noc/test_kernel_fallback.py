@@ -105,7 +105,7 @@ def _fields(stats):
         dict(stats.link_loads),
         stats.peak_buffer_occupancy,
         stats.latencies().tolist(),
-        sorted(stats.delivery_endpoints()),
+        [column.tolist() for column in stats.delivery_columns()],
     )
 
 
