@@ -26,7 +26,7 @@ target of an optimizing move or swap afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -85,7 +85,16 @@ class RemapEpoch:
 
 
 class RuntimeRemapper:
-    """Incremental mapping maintenance under a migration budget."""
+    """Incremental mapping maintenance under a migration budget.
+
+    Scans read one gain matrix ``G[n, c] = W[n, c] - W[n, a[n]]``, with
+    ``W[n, c]`` the traffic between neuron ``n`` and cluster ``c``; a
+    swap gains ``G[i, a[j]] + G[j, a[i]] - 2 s_ij``.  Ties go to the
+    lowest neuron, then cluster.  Integer-valued traffic (spike counts,
+    what every simulated graph carries) sums exactly, so moves and gains
+    equal an edge-by-edge evaluation bit for bit; arbitrary floats agree
+    to summation-order rounding.
+    """
 
     def __init__(
         self,
@@ -100,6 +109,11 @@ class RuntimeRemapper:
         # A zero budget is legal: the epoch observes and audits but may
         # not move anything (useful for dry-run monitoring).
         check_nonnegative("migration_budget", migration_budget)
+        if np.shape(assignment) != (graph.n_neurons,):
+            raise ValueError(
+                f"assignment has shape {np.shape(assignment)}, graph has "
+                f"{graph.n_neurons} neurons"
+            )
         if not is_feasible(np.asarray(assignment), n_clusters, capacity):
             raise ValueError("initial assignment is not feasible")
         # Private copy of the spike graph: observe_traffic rewrites the
@@ -118,12 +132,16 @@ class RuntimeRemapper:
 
     def _load_matrix(self, matrix: TrafficMatrix) -> None:
         self._matrix = matrix
-        n = self.graph.n_neurons
-        self._incident_out: List[List[int]] = [[] for _ in range(n)]
-        self._incident_in: List[List[int]] = [[] for _ in range(n)]
-        for e in range(matrix.n_pairs):
-            self._incident_out[int(matrix.src[e])].append(e)
-            self._incident_in[int(matrix.dst[e])].append(e)
+        # Each aggregated pair seen from both of its endpoints.
+        self._end = np.concatenate((matrix.src, matrix.dst))
+        self._other = np.concatenate((matrix.dst, matrix.src))
+        self._end_traffic = np.concatenate((matrix.traffic, matrix.traffic))
+        self._pair_traffic: Dict[Tuple[int, int], float] = {}
+        for i, j, t in zip(
+            matrix.src.tolist(), matrix.dst.tolist(), matrix.traffic.tolist()
+        ):
+            key = (min(i, j), max(i, j))
+            self._pair_traffic[key] = self._pair_traffic.get(key, 0.0) + t
 
     # -- observation -------------------------------------------------------------
 
@@ -131,7 +149,8 @@ class RuntimeRemapper:
         """Replace the per-synapse traffic with fresh observations.
 
         ``traffic`` must align with ``graph.src/dst`` (one value per
-        synapse of the original graph).  Negative values are rejected.
+        synapse of the original graph).  Negative and non-finite values
+        are rejected.
         """
         traffic = np.asarray(traffic, dtype=np.float64)
         if traffic.shape != self.graph.traffic.shape:
@@ -139,8 +158,8 @@ class RuntimeRemapper:
                 f"traffic has shape {traffic.shape}, expected "
                 f"{self.graph.traffic.shape}"
             )
-        if (traffic < 0).any():
-            raise ValueError("observed traffic must be non-negative")
+        if not (np.isfinite(traffic) & (traffic >= 0)).all():
+            raise ValueError("observed traffic must be finite and non-negative")
         self.graph.traffic = traffic
         self._load_matrix(TrafficMatrix(self.graph))
 
@@ -264,39 +283,42 @@ class RuntimeRemapper:
             capacity=self.capacity,
         )
 
-    def _move_gain(self, neuron: int, new_cluster: int) -> float:
-        """Traffic reduction if ``neuron`` moves to ``new_cluster``."""
-        matrix = self._matrix
+    def _gains(self) -> np.ndarray:
+        """``G[n, c]``: traffic reduction if neuron ``n`` moves to ``c``."""
         a = self.assignment
-        old = int(a[neuron])
-        gain = 0.0
-        for e in self._incident_out[neuron]:
-            other = int(a[matrix.dst[e]])
-            gain += matrix.traffic[e] * (
-                int(other != old) - int(other != new_cluster)
-            )
-        for e in self._incident_in[neuron]:
-            other = int(a[matrix.src[e]])
-            gain += matrix.traffic[e] * (
-                int(other != old) - int(other != new_cluster)
-            )
-        return float(gain)
+        n, c = self.graph.n_neurons, self.n_clusters
+        toward = np.bincount(
+            self._end * c + a[self._other],
+            weights=self._end_traffic,
+            minlength=n * c,
+        ).reshape(n, c)
+        return toward - toward[np.arange(n), a][:, None]
 
-    def _best_move(self, sizes: np.ndarray) -> Optional[Tuple[int, int, float]]:
-        best: Optional[Tuple[int, int, float]] = None
-        for neuron in range(self.graph.n_neurons):
-            if not self._incident_out[neuron] and not self._incident_in[neuron]:
-                continue  # isolated neuron: no move can help
-            old = int(self.assignment[neuron])
-            for cluster in range(self.n_clusters):
-                if cluster == old or sizes[cluster] >= self.capacity:
-                    continue
-                if cluster in self.faulty_clusters:
-                    continue
-                gain = self._move_gain(neuron, cluster)
-                if gain > 1e-12 and (best is None or gain > best[2]):
-                    best = (neuron, cluster, gain)
-        return best
+    def _admitting(self, sizes: Optional[np.ndarray] = None) -> np.ndarray:
+        """Mask of healthy clusters (with a free slot, given ``sizes``)."""
+        admitting = np.ones(self.n_clusters, dtype=bool)
+        admitting[list(self.faulty_clusters)] = False
+        if sizes is not None:
+            admitting &= sizes < self.capacity
+        return admitting
+
+    @staticmethod
+    def _argmax(gains: np.ndarray, rows: np.ndarray, columns: np.ndarray):
+        """First largest ``gains[rows][:, columns]`` entry, row-major."""
+        if not columns.any():
+            return None
+        masked = np.where(columns, gains[rows], -np.inf)
+        flat = int(masked.argmax())
+        row, cluster = divmod(flat, masked.shape[1])
+        return int(rows[row]), cluster, float(masked[row, cluster])
+
+    def _best_move(
+        self, gains: np.ndarray, sizes: np.ndarray
+    ) -> Optional[Tuple[int, int, float]]:
+        best = self._argmax(
+            gains, np.arange(self.graph.n_neurons), self._admitting(sizes)
+        )
+        return best if best is not None and best[2] > 1e-12 else None
 
     def _evacuation_move(
         self, sizes: np.ndarray
@@ -305,35 +327,22 @@ class RuntimeRemapper:
 
         Among every stranded neuron and healthy cluster with a free
         slot, pick the pair losing the least traffic (or gaining the
-        most).  ``None`` when nothing is stranded or no healthy slot
-        remains — the caller reports the stranded neurons honestly
-        rather than violating capacity.
+        most), scanning faulty clusters in ascending order.  ``None``
+        when nothing is stranded or no healthy slot remains — the caller
+        reports the stranded neurons honestly rather than violating
+        capacity.
         """
-        best: Optional[Tuple[int, int, float]] = None
-        for cluster in sorted(self.faulty_clusters):
-            for neuron in self.neurons_on(cluster):
-                for target in range(self.n_clusters):
-                    if (
-                        target in self.faulty_clusters
-                        or sizes[target] >= self.capacity
-                    ):
-                        continue
-                    gain = self._move_gain(neuron, target)
-                    if best is None or gain > best[2]:
-                        best = (neuron, target, gain)
-        return best
+        stranded = np.flatnonzero(~self._admitting()[self.assignment])
+        if not stranded.size:
+            return None
+        by_cluster = np.argsort(self.assignment[stranded], kind="stable")
+        return self._argmax(
+            self._gains(), stranded[by_cluster], self._admitting(sizes)
+        )
 
-    def _swap_gain(self, i: int, j: int) -> float:
-        """Exact traffic reduction of swapping the clusters of i and j."""
-        a = self.assignment
-        ci, cj = int(a[i]), int(a[j])
-        gain = self._move_gain(i, cj)
-        a[i] = cj  # tentative so j's gain sees i already moved
-        gain += self._move_gain(j, ci)
-        a[i] = ci
-        return gain
-
-    def _best_swap(self, top_k: int = 8) -> Optional[Tuple[int, int, float]]:
+    def _best_swap(
+        self, gains: np.ndarray, top_k: int = 8
+    ) -> Optional[Tuple[int, int, float]]:
         """Best pairwise exchange, found via per-neuron desired moves.
 
         Capacity-blocked improvements manifest as *desires*: neuron i
@@ -341,28 +350,27 @@ class RuntimeRemapper:
         strongest opposite desires and scoring the exact swap gain finds
         the improving exchange without an O(N^2) scan.
         """
-        desires: dict = {}
         a = self.assignment
-        for neuron in range(self.graph.n_neurons):
-            if not self._incident_out[neuron] and not self._incident_in[neuron]:
-                continue
-            own = int(a[neuron])
-            for cluster in range(self.n_clusters):
-                if cluster == own or cluster in self.faulty_clusters:
-                    continue
-                gain = self._move_gain(neuron, cluster)
-                if gain > 1e-12:
-                    desires.setdefault((own, cluster), []).append(
-                        (gain, neuron)
-                    )
+        neurons, clusters = np.nonzero((gains > 1e-12) & self._admitting())
+        desires: dict = {}
+        for neuron, own, cluster, gain in zip(
+            neurons.tolist(),
+            a[neurons].tolist(),
+            clusters.tolist(),
+            gains[neurons, clusters].tolist(),
+        ):
+            desires.setdefault((own, cluster), []).append((gain, neuron))
         best: Optional[Tuple[int, int, float]] = None
         for (ca, cb), forward in desires.items():
             reverse = desires.get((cb, ca))
             if not reverse or ca > cb:
                 continue  # unordered pairs once
-            for _, i in sorted(forward, reverse=True)[:top_k]:
-                for _, j in sorted(reverse, reverse=True)[:top_k]:
-                    gain = self._swap_gain(i, j)
+            for gain_i, i in sorted(forward, reverse=True)[:top_k]:
+                for gain_j, j in sorted(reverse, reverse=True)[:top_k]:
+                    # j's gain once i has moved: their shared traffic
+                    # changes sides twice.
+                    shared = self._pair_traffic.get((min(i, j), max(i, j)), 0.0)
+                    gain = gain_i + (gain_j - 2.0 * shared)
                     if gain > 1e-12 and (best is None or gain > best[2]):
                         best = (i, j, gain)
         return best
@@ -402,30 +410,30 @@ class RuntimeRemapper:
                            fitness_after=0.0)
         sizes = np.bincount(self.assignment, minlength=self.n_clusters)
         budget = self.migration_budget
-        while budget > 0 and any(
-            not self.evacuated(c) for c in self.faulty_clusters
-        ):
-            forced = self._evacuation_move(sizes)
-            if forced is None:
-                break  # stranded: no healthy slot left for them
-            neuron, cluster, gain = forced
+
+        def migrate(neuron: int, cluster: int, gain: float, forced=False):
             old = int(self.assignment[neuron])
             self.assignment[neuron] = cluster
             sizes[old] -= 1
             sizes[cluster] += 1
             epoch.moves.append(
                 Move(neuron=neuron, from_cluster=old,
-                     to_cluster=cluster, gain=gain, forced=True)
+                     to_cluster=cluster, gain=gain, forced=forced)
             )
+
+        while budget > 0:
+            forced = self._evacuation_move(sizes)
+            if forced is None:
+                break  # evacuated, or stranded with no healthy slot left
+            migrate(*forced, forced=True)
             budget -= 1
         while budget > 0:
-            move = self._best_move(sizes)
-            swap = self._best_swap() if budget >= 2 else None
-            move_gain = move[2] if move else 0.0
-            swap_gain = swap[2] if swap else 0.0
+            gains = self._gains()
+            move = self._best_move(gains, sizes)
+            swap = self._best_swap(gains) if budget >= 2 else None
             if move is None and swap is None:
                 break
-            if swap is not None and swap_gain > move_gain:
+            if swap is not None and swap[2] > (move[2] if move else 0.0):
                 i, j, gain = swap
                 ci, cj = int(self.assignment[i]), int(self.assignment[j])
                 # Attribute the exact sequential gains: i's move scored
@@ -433,23 +441,12 @@ class RuntimeRemapper:
                 # (= its gain once i has moved).  The two always sum to
                 # the swap's total, so per-move gains add up to the
                 # epoch improvement.
-                gain_i = self._move_gain(i, cj)
-                self.assignment[i], self.assignment[j] = cj, ci
-                epoch.moves.append(Move(neuron=i, from_cluster=ci,
-                                        to_cluster=cj, gain=gain_i))
-                epoch.moves.append(Move(neuron=j, from_cluster=cj,
-                                        to_cluster=ci, gain=gain - gain_i))
+                gain_i = float(gains[i, cj])
+                migrate(i, cj, gain_i)
+                migrate(j, ci, gain - gain_i)
                 budget -= 2
             else:
-                neuron, cluster, gain = move
-                old = int(self.assignment[neuron])
-                self.assignment[neuron] = cluster
-                sizes[old] -= 1
-                sizes[cluster] += 1
-                epoch.moves.append(
-                    Move(neuron=neuron, from_cluster=old,
-                         to_cluster=cluster, gain=gain)
-                )
+                migrate(*move)
                 budget -= 1
         epoch.fitness_after = self.fitness()
         self.history.append(epoch)

@@ -490,8 +490,12 @@ class ArtifactCache:
         return value
 
     def schedule(self, graph, assignment, topology, cycles_per_ms: float):
-        """Memoized columnar injection schedule for one mapped graph."""
-        from repro.noc.traffic import build_injections
+        """Memoized columnar injection schedule for one mapped graph.
+
+        Keyed on the fabric's addressing, not its links: every fault
+        draw that keeps the routers shares the healthy fabric's entry.
+        """
+        from repro.noc.traffic import build_injections, schedule_addressing
 
         assignment = np.asarray(assignment, dtype=np.int64)
         return self.get_or_build(
@@ -499,7 +503,7 @@ class ArtifactCache:
             (
                 graph_token(graph),
                 assignment,
-                topology_token(topology),
+                schedule_addressing(topology),
                 cycles_per_ms,
             ),
             lambda: build_injections(

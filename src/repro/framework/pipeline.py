@@ -24,7 +24,7 @@ from repro.noc.faults import inject_random_faults
 from repro.noc.interconnect import NocConfig
 from repro.noc.stats import NocStats
 from repro.noc.topology import Topology
-from repro.noc.traffic import ColumnarSchedule, build_injections
+from repro.noc.traffic import ColumnarSchedule, build_injections, schedule_addressing
 from repro.obs import get_observer
 from repro.snn.graph import SpikeGraph
 from repro.utils.rng import SeedLike
@@ -179,29 +179,13 @@ def run_pipeline(
                 topology = cache.topology(architecture)
             else:
                 topology = architecture.build_topology()
-            failed_links: List[Tuple[int, int]] = []
-            if faults:
-                if cache is not None:
-                    topology, failed_links = cache.degraded_topology(
-                        topology, faults, fault_seed
-                    )
-                else:
-                    topology, failed_links = inject_random_faults(
-                        topology, faults, seed=fault_seed
-                    )
+            topology, failed_links = _draw_faults(
+                topology, faults, fault_seed, cache
+            )
         with obs.span("pipeline.build_schedule"):
-            if cache is not None:
-                schedule = cache.schedule(
-                    graph, mapping.assignment, topology,
-                    architecture.cycles_per_ms,
-                )
-            else:
-                schedule = build_injections(
-                    graph,
-                    mapping.assignment,
-                    topology,
-                    cycles_per_ms=architecture.cycles_per_ms,
-                )
+            schedule = _Schedules(graph, architecture, cache).on(
+                topology, mapping.assignment
+            )
         if simulate_noc:
             with obs.span("pipeline.simulate_noc"):
                 stats = _simulate_schedule(topology, schedule, noc_config, cache)
@@ -224,6 +208,33 @@ def run_pipeline(
     if memo_key is not None:
         cache.put(memo_key, _copy_pipeline_result(result), persist=False)
     return result
+
+
+def _draw_faults(healthy, n_faults, seed, cache):
+    """``(topology, failed links)`` of one random draw; none = ``healthy``."""
+    if not n_faults:
+        return healthy, []
+    # An unseeded draw is nondeterministic: memoizing it under a stable
+    # key would replay one arbitrary draw forever.
+    if cache is not None and seed is not None:
+        return cache.degraded_topology(healthy, n_faults, seed)
+    return inject_random_faults(healthy, n_faults, seed=seed)
+
+
+class _Schedules:
+    """One run's schedules: one per (mapping label, fabric addressing)."""
+
+    def __init__(self, graph, architecture, cache) -> None:
+        self._args = (graph, architecture.cycles_per_ms, cache)
+        self.built: dict = {}
+
+    def on(self, topology, assignment, label=None) -> ColumnarSchedule:
+        graph, cycles_per_ms, cache = self._args
+        key = (label, schedule_addressing(topology))
+        if key not in self.built:
+            build = build_injections if cache is None else cache.schedule
+            self.built[key] = build(graph, assignment, topology, cycles_per_ms)
+        return self.built[key]
 
 
 def _simulate_schedule(topology, schedule, noc_config, cache) -> NocStats:
@@ -314,34 +325,11 @@ def run_fault_sweep(
     curve = DegradationCurve(
         app=graph.name, method=mapping.method, topology_kind=healthy.kind
     )
+    schedules = _Schedules(graph, architecture, cache)
 
     def fault_point(index: int, n_faults: int):
-        if n_faults:
-            # An unseeded draw is nondeterministic: memoizing it under a
-            # stable key would replay one arbitrary draw forever (the
-            # same guard run_pipeline applies via deterministic_faults).
-            if cache is not None and fault_seed is not None:
-                topology, failed = cache.degraded_topology(
-                    healthy, n_faults, fault_seed
-                )
-            else:
-                topology, failed = inject_random_faults(
-                    healthy, n_faults, seed=fault_seed
-                )
-        else:
-            topology, failed = healthy, []
-        if cache is not None:
-            schedule = cache.schedule(
-                graph, mapping.assignment, topology,
-                architecture.cycles_per_ms,
-            )
-        else:
-            schedule = build_injections(
-                graph,
-                mapping.assignment,
-                topology,
-                cycles_per_ms=architecture.cycles_per_ms,
-            )
+        topology, failed = _draw_faults(healthy, n_faults, fault_seed, cache)
+        schedule = schedules.on(topology, mapping.assignment)
         stats = _simulate_schedule(topology, schedule, noc_config, cache)
         return degradation_point(
             n_faults, failed, stats, architecture, topology, healthy_links
@@ -400,6 +388,15 @@ def run_fault_campaign(
     ``campaign_seed`` always regenerates the same fault sets,
     regardless of execution order.
 
+    Each piece of work is done once: a mapping's schedule is reused on
+    every draw that keeps the healthy fabric's addressing
+    (:func:`~repro.noc.traffic.schedule_addressing`: link faults do; a
+    dead bridge deletes relay routers, and those draws build their own),
+    and level-0 draws take the healthy result instead of simulating it
+    again.  The span's ``schedules_built`` / ``fabrics_simulated`` and
+    the ``campaign.schedules_built`` / ``campaign.healthy_reuses``
+    counters report what was shared.
+
     Parameters
     ----------
     mappings:
@@ -442,28 +439,23 @@ def run_fault_campaign(
     else:
         healthy = architecture.build_topology()
 
-    def schedule_for(label: str, topology: Topology) -> ColumnarSchedule:
-        if cache is not None:
-            return cache.schedule(
-                graph, mappings[label].assignment, topology,
-                architecture.cycles_per_ms,
-            )
-        return build_injections(
-            graph,
-            mappings[label].assignment,
-            topology,
-            cycles_per_ms=architecture.cycles_per_ms,
-        )
+    schedules = _Schedules(graph, architecture, cache)
+    fabrics_simulated = 0
 
     def simulate_all(topology: Topology) -> List[NocStats]:
         """One engine per fabric; all labels' schedules in one batch."""
-        schedules = [schedule_for(label, topology) for label in labels]
+        nonlocal fabrics_simulated
+        fabrics_simulated += 1
+        batch = [
+            schedules.on(topology, mappings[label].assignment, label)
+            for label in labels
+        ]
         engine = build_interconnect(topology, config=noc_config)
         if hasattr(engine, "simulate_many"):
-            return list(engine.simulate_many(schedules, threads=threads))
+            return list(engine.simulate_many(batch, threads=threads))
         # backend="reference": one engine reused across the mappings,
         # which relies on Interconnect starting every run empty.
-        return [engine.simulate(s) for s in schedules]
+        return [engine.simulate(s) for s in batch]
 
     def make_draw(
         label: str, level: int, draw: int, fault_seed, failed,
@@ -503,7 +495,8 @@ def run_fault_campaign(
             draws_per_level=draws,
             labels=labels,
         )
-        for label, stats in zip(labels, simulate_all(healthy)):
+        healthy_stats = simulate_all(healthy)
+        for label, stats in zip(labels, healthy_stats):
             summary.healthy[label] = make_draw(
                 label, 0, -1, None, (), stats, healthy
             )
@@ -518,24 +511,19 @@ def run_fault_campaign(
             level, draw = item
             child = derive_seed(campaign_seed, level, draw)
             with obs.span("campaign.draw", level=level, draw=draw):
-                if level:
-                    if cache is not None:
-                        topology, failed = cache.degraded_topology(
-                            healthy, level, child
-                        )
-                    else:
-                        topology, failed = inject_random_faults(
-                            healthy, level, seed=child
-                        )
-                else:
-                    topology, failed = healthy, ()
+                topology, failed = _draw_faults(healthy, level, child, cache)
+                # No fault drawn: this is the healthy fabric, whose
+                # result the campaign already has.
+                all_stats = simulate_all(topology) if level else healthy_stats
                 results = tuple(
                     make_draw(label, level, draw, child, failed, stats,
                               topology)
-                    for label, stats in zip(labels, simulate_all(topology))
+                    for label, stats in zip(labels, all_stats)
                 )
             if obs.enabled:
                 obs.inc("campaign.draws")
+                if not level:
+                    obs.inc("campaign.healthy_reuses")
                 obs.inc(
                     "campaign.survivals",
                     sum(1 for r in results if r.survived),
@@ -573,5 +561,10 @@ def run_fault_campaign(
         for results in per_item:
             summary.draws.extend(results)
         if obs.enabled:
-            campaign_span.set(total_draws=len(items))
+            obs.inc("campaign.schedules_built", len(schedules.built))
+            campaign_span.set(
+                total_draws=len(items),
+                schedules_built=len(schedules.built),
+                fabrics_simulated=fabrics_simulated,
+            )
     return summary

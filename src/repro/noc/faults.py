@@ -32,16 +32,17 @@ Degraded topologies keep their routers' original ids and carry a
 tables (:func:`~repro.noc.routing.routing_for`) — the detours are what
 the simulators then price.
 
-The legacy helpers (:func:`degrade_topology`, :func:`survivable_links`,
-:func:`inject_random_faults`) are retained on top of the fault model;
-``degrade_topology`` now preserves the topology subclass instead of
-collapsing every fabric to a plain :class:`Topology`.
+The link-only helpers (:func:`degrade_topology`, :func:`survivable_links`,
+:func:`inject_random_faults`) sit on top of the fault model;
+``degrade_topology`` preserves the topology subclass.  A random draw
+works on one copy of the router graph — cut edges from
+:func:`cut_edges`, a low-link search — and applies its fault set once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
 import networkx as nx
 
@@ -144,10 +145,13 @@ def bridge_chains(topology) -> List[List[int]]:
     Each chain runs gateway-to-gateway through the bridge's relay
     routers, oriented from its lower-numbered gateway, and chains are
     sorted by their gateway pair — a stable indexing scheme that
-    :class:`FaultSet.degraded_bridges` keys into.
+    :class:`FaultSet.degraded_bridges` keys into.  A single-chip fabric
+    has none.
     """
-    from repro.noc.multichip import RELAY_CHIP
+    from repro.noc.multichip import RELAY_CHIP, MultiChipTopology
 
+    if not isinstance(topology, MultiChipTopology):
+        return []
     segments = topology.bridge_links
     chains: Dict[Tuple[int, ...], List[int]] = {}
     for gateway, nxt in sorted(topology.bridge_entry_links):
@@ -251,22 +255,15 @@ def _apply_multichip(topology, faults: FaultSet) -> Topology:
     )
 
     # Whole-bridge semantics: any hit segment or relay kills its chain.
-    dead_bridges = set()
-    for index, chain in enumerate(chains):
-        nodes = set(chain)
-        segs = {(min(u, v), max(u, v)) for u, v in zip(chain, chain[1:])}
-        if any(hit in segs for hit in link_hits) or any(
-            r in nodes for r in router_hits
-        ):
-            dead_bridges.add(index)
+    dead_bridges = {
+        index
+        for index, chain in enumerate(chains)
+        if _chain_segments(chain) & set(link_hits) or set(chain) & set(router_hits)
+    }
     for index in sorted(dead_bridges & set(faults.degraded_bridges)):
         raise ValueError(f"bridge {index} is dead and cannot be degraded")
     for index in dead_bridges:
-        chain = chains[index]
-        for u, v in zip(chain, chain[1:]):
-            if g.has_edge(u, v):
-                g.remove_edge(u, v)
-        g.remove_nodes_from(n for n in chain[1:-1] if n in g)
+        _remove_chain(g, chains[index])
 
     positions = {n: xy for n, xy in topology.positions.items() if n in g}
     chip_of_router = {
@@ -344,6 +341,10 @@ def apply_faults(topology: Topology, faults: FaultSet) -> Topology:
     Raises ``ValueError`` for nonexistent elements, for dead routers
     that host crossbars (declare the crossbar faulty instead), and for
     fault sets that disconnect the fabric.
+
+    Each call ticks the ``faults.apply_calls`` counter once;
+    :func:`inject_random_faults` makes one call per draw, however many
+    links it drew (``faults.random_injections`` counts those).
     """
     from repro.noc.multichip import MultiChipTopology
 
@@ -386,6 +387,71 @@ def degrade_topology(
     )
 
 
+def cut_edges(adj) -> Set[Tuple[int, int]]:
+    """Bridges of the simple graph ``adj`` (``graph.adj``), both orientations.
+
+    Iterative low-link depth-first search: tree edge ``(p, n)`` is a cut
+    edge exactly when no back edge from ``n``'s subtree reaches ``p`` or
+    above.  Disconnected graphs and single nodes are fine.
+    """
+    disc: Dict[int, int] = {}
+    low: Dict[int, int] = {}
+    cut: Set[Tuple[int, int]] = set()
+    for root in adj:
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        stack = [(root, root, iter(adj[root]))]
+        while stack:
+            node, parent, neighbours = stack[-1]
+            for nxt in neighbours:
+                if nxt == parent:
+                    continue
+                if nxt in disc:
+                    low[node] = min(low[node], disc[nxt])
+                else:
+                    disc[nxt] = low[nxt] = len(disc)
+                    stack.append((nxt, node, iter(adj[nxt])))
+                    break
+            else:
+                stack.pop()
+                if node != root:
+                    low[parent] = min(low[parent], low[node])
+                    if low[node] > disc[parent]:
+                        cut.update(((parent, node), (node, parent)))
+    return cut
+
+
+def _chain_segments(chain: List[int]) -> Set[Tuple[int, int]]:
+    return {(min(u, v), max(u, v)) for u, v in zip(chain, chain[1:])}
+
+
+def _remove_chain(g: nx.Graph, chain: List[int]) -> None:
+    """Take a whole bridge out of ``g``: every segment and relay router."""
+    g.remove_edges_from(zip(chain, chain[1:]))
+    g.remove_nodes_from(chain[1:-1])
+
+
+def _survivable(g: nx.Graph, chains: List[List[int]]) -> List[Tuple[int, int]]:
+    """Survivable links of router graph ``g`` whose bridges are ``chains``."""
+    cut = cut_edges(g.adj)
+    segments = set().union(*map(_chain_segments, chains))
+    survivable = [
+        (u, v)
+        for u, v in g.edges
+        if (u, v) not in cut and (min(u, v), max(u, v)) not in segments
+    ]
+    for chain in chains:
+        without = g.copy()
+        _remove_chain(without, chain)
+        if nx.is_connected(without):
+            chain_segs = _chain_segments(chain)
+            survivable.extend(
+                (u, v) for u, v in g.edges if (min(u, v), max(u, v)) in chain_segs
+            )
+    return survivable
+
+
 def survivable_links(topology: Topology) -> List[Tuple[int, int]]:
     """Links whose individual failure leaves the fabric connected.
 
@@ -395,32 +461,7 @@ def survivable_links(topology: Topology) -> List[Tuple[int, int]]:
     tolerates losing any one of its four bridges; a 2-chip board's only
     bridge is never offered).
     """
-    from repro.noc.multichip import MultiChipTopology
-
-    cut_edges = set()
-    for u, v in nx.bridges(topology.graph):
-        cut_edges.add((u, v))
-        cut_edges.add((v, u))
-    if not isinstance(topology, MultiChipTopology):
-        return [(u, v) for u, v in topology.graph.edges if (u, v) not in cut_edges]
-    survivable = [
-        (u, v)
-        for u, v in topology.graph.edges
-        if (u, v) not in cut_edges and (u, v) not in topology.bridge_links
-    ]
-    for chain in bridge_chains(topology):
-        chain_segs = {(min(a, b), max(a, b)) for a, b in zip(chain, chain[1:])}
-        g = topology.graph.copy()
-        for u, v in zip(chain, chain[1:]):
-            g.remove_edge(u, v)
-        g.remove_nodes_from(chain[1:-1])
-        if nx.is_connected(g):
-            survivable.extend(
-                (u, v)
-                for u, v in topology.graph.edges
-                if (min(u, v), max(u, v)) in chain_segs
-            )
-    return survivable
+    return _survivable(topology.graph, bridge_chains(topology))
 
 
 def inject_random_faults(
@@ -430,25 +471,36 @@ def inject_random_faults(
 ) -> Tuple[Topology, List[Tuple[int, int]]]:
     """Remove ``n_faults`` random links, keeping the fabric connected.
 
-    Faults are drawn one at a time, recomputing survivable links after
-    each removal.  Raises ``ValueError`` when the topology cannot absorb
-    that many faults (e.g. trees have no redundant links at all).
+    Faults are drawn one at a time on one working copy of the router
+    graph, recomputing the survivable links after each removal, and the
+    drawn set is applied with one :func:`apply_faults` call — the same
+    faults and the same topology, in iteration order, as degrading a
+    fresh topology per fault.  ``n_faults=0`` returns ``topology``
+    itself.  Raises ``ValueError`` when the topology cannot absorb that
+    many faults (e.g. trees have no redundant links at all).
     """
     if n_faults < 0:
         raise ValueError(f"n_faults must be non-negative, got {n_faults}")
     rng = default_rng(seed)
-    current = topology
+    g = topology.graph.copy()
+    chains = bridge_chains(topology)
     chosen: List[Tuple[int, int]] = []
     for _ in range(n_faults):
-        candidates = survivable_links(current)
+        candidates = _survivable(g, chains)
         if not candidates:
             raise ValueError(
                 f"topology {topology.kind!r} cannot survive "
                 f"{n_faults} link faults (only {len(chosen)} possible)"
             )
         u, v = candidates[int(rng.integers(0, len(candidates)))]
-        current = degrade_topology(current, [(u, v)])
         chosen.append((u, v))
+        g.remove_edge(u, v)
+        for chain in chains:
+            if (min(u, v), max(u, v)) in _chain_segments(chain):
+                _remove_chain(g, chain)  # a dead segment kills its bridge
+                chains.remove(chain)
+                break
+    current = degrade_topology(topology, chosen) if chosen else topology
     obs = get_observer()
     if obs.enabled:
         obs.inc("faults.random_injections", len(chosen))

@@ -29,7 +29,7 @@ destination sets are re-derived (one ``np.unique`` over encoded
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -231,6 +231,19 @@ def dense_node_ids(topology: Topology) -> np.ndarray:
         cached.flags.writeable = False
         topology._dense_node_ids = cached
     return cached
+
+
+def schedule_addressing(topology: Topology) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """All a schedule reads of a fabric: ``(router ids, attach points)``.
+
+    The builders read :func:`dense_node_ids` (what each mask bit means)
+    and ``attach_points`` (source routers, destination bits), never the
+    links: fabrics with equal addressing get identical schedules for the
+    same mapping whatever links either has lost, while a fault that
+    removes or adds routers (a bridge's relays) changes the addressing.
+    Sweeps, campaigns and the artifact cache share schedules by this rule.
+    """
+    return tuple(dense_node_ids(topology).tolist()), tuple(topology.attach_points)
 
 
 def global_destinations(
