@@ -24,7 +24,6 @@ import sys
 #: leg (the file names are fixed by the workflow's *_REPORT_PATH envs).
 EXPECTED_LEGS = (
     "fastsim_speedup",
-    "parallel_speedup",
     "multichip_smoke",
     "large_mesh",
     "frontend_speedup",

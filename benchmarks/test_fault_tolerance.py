@@ -33,7 +33,7 @@ from repro.hardware.presets import custom
 from repro.noc.fastsim import FastInterconnect
 from repro.noc.faults import inject_random_faults
 from repro.noc.interconnect import Interconnect, NocConfig
-from repro.noc.parallel import summarize
+from repro.noc.stats import summarize
 from repro.noc.traffic import build_injections
 
 FAULT_COUNTS = (0, 1, 2, 4)

@@ -31,7 +31,7 @@ from repro.core.traffic_matrix import cluster_traffic
 from repro.hardware.presets import custom
 from repro.noc.fastsim import FastInterconnect
 from repro.noc.interconnect import Interconnect, NocConfig
-from repro.noc.parallel import summarize
+from repro.noc.stats import summarize
 from repro.noc.traffic import build_injections
 
 N_CHIPS = 2

@@ -31,7 +31,7 @@ from repro.hardware.presets import architecture_for
 from repro.noc._ckernel import has_batch, load_kernel, openmp_enabled
 from repro.noc.fastsim import FastInterconnect
 from repro.noc.interconnect import NocConfig
-from repro.noc.parallel import summarize
+from repro.noc.stats import summarize
 from repro.noc.traffic import build_injections
 
 N_SCHEDULES = 48

@@ -7,8 +7,8 @@ tours the three surfaces:
 
 1. a traced end-to-end ``run_pipeline`` — nested wall-clock spans down
    to PSO iterations and the NoC engine (including the threaded batch
-   kernel's ``noc.simulate_batch`` span with its thread count, here
-   requested via ``threads=2`` — the CLI knob is ``--threads``),
+   kernel's ``noc.simulate_batch`` span with its thread count, which
+   the host caps with ``REPRO_NOC_THREADS``),
    summarized as a tree and exported as a JSONL trace;
 2. the Prometheus-style metrics snapshot the same run accumulated
    (simulation counts per backend, packets, cache traffic, ...);
@@ -43,13 +43,13 @@ def main() -> None:
     ncfg = NocConfig(backend="fast")
 
     # -- 1. a traced pipeline run -----------------------------------------
-    # threads=2 caps the batch kernel's thread team at two (swarm
-    # scoring is one GIL-free C call per generation either way);
-    # its noc.simulate_batch spans appear in the trace below.
+    # Swarm scoring is one GIL-free C call per generation; its
+    # noc.simulate_batch spans (with the thread count the host allowed)
+    # appear in the trace below.
     with observe() as obs:
         result = run_pipeline(graph, arch, method="pso", seed=1,
                               pso_config=pso, objective="noc",
-                              noc_config=ncfg, threads=2)
+                              noc_config=ncfg)
     print(result.mapping.describe())
     print()
     print("Span tree (wall-clock breakdown):")

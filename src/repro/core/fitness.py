@@ -20,11 +20,10 @@ as options (all default off, matching the paper):
   the resulting :class:`~repro.noc.stats.NocStats`.  This is the most
   faithful objective the system has: it sees buffering, arbitration and
   multicast forking, not just traffic counts.  Swarm batches run through
-  :meth:`~repro.noc.fastsim.FastInterconnect.simulate_many`, which
-  amortizes the routing tables across the whole swarm, and with
-  ``workers > 1`` the batch is sharded across worker processes
-  (:class:`~repro.noc.parallel.ParallelNocSimulator`) with bit-identical
-  results.
+  :meth:`~repro.noc.fastsim.FastInterconnect.simulate_many`: one
+  GIL-free C call per swarm, spread over an OpenMP thread team where the
+  kernel was built with one (``REPRO_NOC_THREADS`` caps it),
+  bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -66,21 +65,6 @@ class InterconnectFitness:
         forced to "fast".
     cycles_per_ms:
         Spike-time to NoC-cycle conversion for ``noc_in_loop`` mode.
-    workers:
-        Worker processes for ``noc_in_loop`` batch scoring: ``1``
-        (default) keeps the serial in-process path, ``0`` or ``"auto"``
-        uses one worker per CPU.  Results are bit-identical either way;
-        if the pool cannot start (sandboxed CI), scoring falls back to
-        serial with a warning.  Call :meth:`close` (or use the instance
-        as a context manager) to release the pool.
-    threads:
-        Thread cap for the compiled batch kernel in ``noc_in_loop``
-        mode (``None`` defers to ``REPRO_NOC_THREADS``; ``0`` = no
-        in-process thread team, which leaves ``workers > 1`` to its
-        process pool).  A swarm batch is always one GIL-free C call;
-        when the kernel was built with OpenMP it spreads across cores —
-        preferred over the process pool when both are available,
-        bit-identical either way.
     cache:
         An :class:`~repro.framework.artifacts.ArtifactCache` for derived
         artifacts (the crossbar hop matrix, the default routing table of
@@ -108,8 +92,6 @@ class InterconnectFitness:
         noc_metric: str = "hops",
         noc_config=None,
         cycles_per_ms: float = 10.0,
-        workers=1,
-        threads=None,
         cache=None,
         balance_watermark: Optional[int] = None,
         balance_weight: float = 0.0,
@@ -148,13 +130,11 @@ class InterconnectFitness:
         self.cycles_per_ms = cycles_per_ms
         self._cache = cache
         self._noc = None
-        self._parallel = None
         if noc_in_loop:
             import dataclasses
 
             from repro.noc.fastsim import FastInterconnect
             from repro.noc.interconnect import NocConfig
-            from repro.noc.parallel import resolve_workers
 
             base = noc_config if noc_config is not None else NocConfig()
             cfg = dataclasses.replace(base, backend="fast")
@@ -165,22 +145,6 @@ class InterconnectFitness:
             if routing is None and cache is not None:
                 routing = cache.routing(topology)
             self._noc = FastInterconnect(topology, routing, cfg)
-            self.workers = resolve_workers(workers)
-        else:
-            self.workers = 1
-        self.threads = threads
-
-    def close(self) -> None:
-        """Release the worker pool, if batch scoring ever started one."""
-        if self._parallel is not None:
-            self._parallel.close()
-            self._parallel = None
-
-    def __enter__(self) -> "InterconnectFitness":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- single assignment ------------------------------------------------------
 
@@ -304,8 +268,7 @@ class InterconnectFitness:
         """Objective from a :class:`~repro.noc.stats.ScheduleSummary`.
 
         Integer-exact inputs (hop totals, latency sums, delivery counts)
-        make this bit-identical whether the summary came from the serial
-        path or from a worker process.
+        make this bit-identical whichever engine simulated the schedule.
         """
         if self.noc_metric == "latency":
             value = summary.mean_latency
@@ -327,32 +290,22 @@ class InterconnectFitness:
         )
 
     def _simulate_batch(self, assignments: np.ndarray) -> np.ndarray:
-        from repro.noc.parallel import ParallelNocSimulator
         from repro.noc.stats import summarize
         from repro.noc.traffic import build_injections_batch
 
         self._check_clusters(assignments)
         # One columnar batch: spike events are computed once and each
         # particle only re-derives its destination sets; the schedules
-        # flow to the simulator (and across worker processes) as array
-        # shards, never as per-packet Injection objects.
+        # flow to the simulator as arrays, never as per-packet Injection
+        # objects.
         schedules = build_injections_batch(
             self.graph, assignments, self.topology,
             cycles_per_ms=self.cycles_per_ms,
         )
-        if self.workers > 1:
-            if self._parallel is None:
-                self._parallel = ParallelNocSimulator(
-                    self._noc, workers=self.workers, threads=self.threads
-                )
-            summaries = self._parallel.summarize_many(schedules)
-        else:
-            summaries = [
-                summarize(s, self.topology)
-                for s in self._noc.simulate_many(
-                    schedules, threads=self.threads
-                )
-            ]
         return np.asarray(
-            [self._score(s) for s in summaries], dtype=np.float64
+            [
+                self._score(summarize(stats, self.topology))
+                for stats in self._noc.simulate_many(schedules)
+            ],
+            dtype=np.float64,
         )

@@ -84,8 +84,6 @@ def map_snn(
     warm_start: bool = True,
     placement: bool = True,
     objective: str = "packets",
-    workers=1,
-    threads=None,
     noc_config=None,
     cache=None,
     warm_seeds=None,
@@ -117,18 +115,7 @@ def map_snn(
         one remote target crossbar; the fitness-ablation bench compares
         them.  ``"noc"`` scores every particle by cycle-accurate NoC
         simulation (fast backend, hop metric) — the most faithful and
-        most expensive objective; pair it with ``workers`` to shard the
-        swarm across processes.
-    workers:
-        Worker processes for the ``"noc"`` objective's swarm scoring
-        (``1`` = serial, ``0``/``"auto"`` = one per CPU; ignored by the
-        closed-form objectives, which are already vectorized).
-    threads:
-        Thread cap for the ``"noc"`` objective's compiled batch kernel
-        (``None`` defers to ``REPRO_NOC_THREADS``; ``0`` = no in-process
-        thread team, so ``workers > 1`` uses its process pool).
-        Like ``workers``, excluded from the memo token — thread counts
-        never change results.
+        most expensive objective.
     noc_config:
         Interconnect parameters the ``"noc"`` objective simulates under
         (backend forced to "fast").  Pass the same config the final
@@ -155,10 +142,17 @@ def map_snn(
         spare slots (cheap evacuation targets).  ``0`` (default) is the
         paper's behavior, bit-identical to before.
     kwargs:
-        Forwarded to the underlying baseline (e.g. annealing config).
+        Forwarded to the ``"annealing"`` / ``"genetic"`` baseline (e.g.
+        annealing config); a ``TypeError`` for every other method.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; options: {METHODS}")
+    if kwargs and method not in ("annealing", "genetic"):
+        # Nothing would read them: say so instead of dropping them.
+        raise TypeError(
+            f"map_snn(method={method!r}) got unexpected keyword arguments "
+            f"{sorted(kwargs)}"
+        )
     architecture.require_fits(graph.n_neurons)
     c, nc = architecture.n_crossbars, architecture.neurons_per_crossbar
 
@@ -191,8 +185,7 @@ def map_snn(
     # Full-result memoization: only for calls that are deterministic
     # functions of the token (seeded, or a seed-free deterministic
     # method) with no free-form kwargs, so a cache hit is bit-identical
-    # to recomputing.  Worker and thread counts are excluded from the
-    # token — every execution path is bit-identical by contract.
+    # to recomputing.  Every other parameter is part of the token.
     memo_key = None
     if cache is not None and not kwargs:
         deterministic = seed is not None or method in ("pacman", "greedy")
@@ -267,8 +260,6 @@ def map_snn(
                     topology=topology,
                     cycles_per_ms=architecture.cycles_per_ms,
                     noc_config=noc_config,
-                    workers=workers,
-                    threads=threads,
                     cache=cache,
                     **balance_kwargs,
                 )
@@ -305,13 +296,8 @@ def map_snn(
             # Always-timed like the parent: the throughput extras below
             # must report real durations whether or not tracing is on.
             swarm_span = obs.timed_span("map.pso_optimize")
-            try:
-                # Span closes before close(): worker-pool teardown must
-                # not deflate the reported swarm throughput.
-                with swarm_span:
-                    result = pso.optimize(initial_assignments=initial)
-            finally:
-                fitness.close()
+            with swarm_span:
+                result = pso.optimize(initial_assignments=initial)
             swarm_wall = swarm_span.duration_s
             swarm_span.set(
                 n_evaluations=result.n_evaluations,
@@ -447,8 +433,6 @@ def compare_methods(
     seed: SeedLike = None,
     pso_config: Optional[PSOConfig] = None,
     objective: str = "packets",
-    workers=1,
-    threads=None,
     noc_config=None,
     cache=None,
     spare_capacity: float = 0.0,
@@ -469,8 +453,8 @@ def compare_methods(
     return {
         m: map_snn(
             graph, architecture, method=m, seed=seed, pso_config=pso_config,
-            objective=objective, workers=workers, threads=threads,
-            noc_config=noc_config, cache=cache, spare_capacity=spare_capacity,
+            objective=objective, noc_config=noc_config, cache=cache,
+            spare_capacity=spare_capacity,
         )
         for m in methods
     }

@@ -112,10 +112,7 @@ class BinaryPSO:
     fitness:
         An :class:`InterconnectFitness` (or any object exposing
         ``evaluate_batch``) or a bare callable mapping a (P, N) batch of
-        assignments to (P,) objective values (lower = better).  A
-        noc-in-the-loop fitness constructed with ``workers > 1``
-        transparently shards every generation's batch across worker
-        processes; the swarm sees identical fitness vectors either way.
+        assignments to (P,) objective values (lower = better).
     n_neurons, n_clusters, capacity:
         Problem dimensions (Eqs. 4-5 constraints).
     move_cost:

@@ -32,7 +32,6 @@ from repro.framework.exploration import (
 from repro.framework.pipeline import run_pipeline
 from repro.hardware.config import load_architecture
 from repro.noc.interconnect import NocConfig
-from repro.noc.parallel import resolve_workers
 from repro.hardware.presets import architecture_for, custom
 from repro.utils.tables import format_table
 
@@ -114,14 +113,6 @@ def _add_spare_capacity_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _parse_threads(value: str) -> int:
-    """--threads value: an int, or 'auto' meaning one thread per core."""
-    v = value.strip().lower()
-    if v == "auto":
-        return -1
-    return int(v)
-
-
 def _add_pso_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--particles", type=int, default=100)
     parser.add_argument("--iterations", type=int, default=50)
@@ -129,18 +120,6 @@ def _add_pso_arguments(parser: argparse.ArgumentParser) -> None:
         "--objective", default="packets", choices=["packets", "spikes", "noc"],
         help="PSO objective: closed-form packet/spike counts, or 'noc' = "
              "cycle-accurate NoC-in-the-loop swarm scoring",
-    )
-    parser.add_argument(
-        "--workers", default=1, type=resolve_workers,
-        help="worker processes, used by --objective noc swarm scoring "
-             "only (1 = serial, 0 or 'auto' = one per CPU)",
-    )
-    parser.add_argument(
-        "--threads", default=None, type=_parse_threads,
-        help="thread cap for the compiled batch NoC kernel in "
-             "--objective noc swarm scoring ('auto' = one per core, "
-             "0 = no in-process thread team, so --workers > 1 uses "
-             "its process pool; default defers to REPRO_NOC_THREADS)",
     )
 
 
@@ -235,13 +214,21 @@ def _noc_execution_plan() -> List[str]:
     else:
         kernel = "present"
         small, large = kernel_engine(63), kernel_engine(64)
+    # The environment variable is the one spelling of the thread cap,
+    # so print what was set beside what it came to (a typo also warns).
+    raw = os.environ.get("REPRO_NOC_THREADS")
     threads = _ckernel.resolve_threads(None)
-    team = f"{threads}" if threads else "0 (no in-process thread team)"
+    if raw is None:
+        setting = "REPRO_NOC_THREADS unset -> one per core"
+    else:
+        setting = f"REPRO_NOC_THREADS={raw!r}"
+    if threads == 0:
+        setting += " -> calling thread alone, no team"
     return [
         "NoC execution plan:",
         f"  compiled kernel: {kernel}",
         f"  OpenMP: {'yes' if _ckernel.openmp_enabled(lib) else 'no'}",
-        f"  effective threads: {team}",
+        f"  effective threads: {threads} ({setting})",
         f"  --noc-backend fast, <=63 routers: engine {small}",
         f"  --noc-backend fast, >63 routers: engine {large}",
     ]
@@ -258,6 +245,21 @@ def _cmd_info(_args) -> int:
     return 0
 
 
+def _point_kwargs(args) -> dict:
+    """The what-to-compute flags ``map`` / ``explore`` / ``faults``
+    share, as ``map_snn`` / ``run_pipeline`` keywords — all of them
+    components of ``pipeline_token``, so the dict that runs an
+    ``explore`` point also fingerprints its resumable campaign."""
+    return dict(
+        method=args.method,
+        seed=args.seed,
+        pso_config=PSOConfig(n_particles=args.particles,
+                             n_iterations=args.iterations),
+        noc_config=NocConfig(backend=args.noc_backend),
+        objective=args.objective,
+    )
+
+
 def _cmd_map(args) -> int:
     if _reject_non_pso_noc(args.objective, [args.method]):
         return 2
@@ -266,13 +268,7 @@ def _cmd_map(args) -> int:
     print(graph.describe())
     print(arch.describe())
     result = run_pipeline(
-        graph, arch, method=args.method, seed=args.seed,
-        pso_config=PSOConfig(n_particles=args.particles,
-                             n_iterations=args.iterations),
-        noc_config=NocConfig(backend=args.noc_backend),
-        objective=args.objective,
-        workers=args.workers,
-        threads=args.threads,
+        graph, arch, **_point_kwargs(args),
         faults=args.faults,
         fault_seed=args.fault_seed,
         cache=_build_cache(args),
@@ -311,8 +307,6 @@ def _cmd_compare(args) -> int:
         pso_config=PSOConfig(n_particles=args.particles,
                              n_iterations=args.iterations),
         objective=args.objective,
-        workers=args.workers,
-        threads=args.threads,
         cache=_build_cache(args),
     )
     rows = [
@@ -328,14 +322,34 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _resumable_sweep(args, items, point_fn, campaign: str, fingerprint):
-    """Run a sweep through the checkpointed runner (--resume path)."""
+def _run_sweep(args, graph, base, items, point_fn, sweep_fn, campaign: str):
+    """One ``explore`` sweep: ``sweep_fn`` over all ``items``, or under
+    --resume ``point_fn`` per item through the checkpointed runner,
+    fingerprinted by everything that shapes a point.  ``None`` (after
+    an ``error:`` line) when the checkpoints on disk belong to different
+    flags."""
+    kwargs = _point_kwargs(args)
+    cache = _build_cache(args)
+    if not args.resume:
+        return sweep_fn(graph, base, items, cache=cache, **kwargs)
+    from repro.framework.artifacts import pipeline_token
     from repro.framework.service import run_sweep_resumable
 
-    state_dir = os.path.join(args.cache_dir, "sweeps")
-    run = run_sweep_resumable(
-        items, point_fn, state_dir, campaign=campaign, fingerprint=fingerprint
-    )
+    try:
+        run = run_sweep_resumable(
+            list(items),
+            lambda i, item: point_fn(
+                graph, base, item, i, cache=cache, **kwargs
+            ),
+            os.path.join(args.cache_dir, "sweeps"),
+            campaign=campaign,
+            fingerprint=(pipeline_token(graph, base, **kwargs), tuple(items)),
+        )
+    except ValueError as exc:
+        # Checkpoints written under other flags (the message names the
+        # state directory), or a point the flags make impossible.
+        print(f"error: {exc}", file=sys.stderr)
+        return None
     if run.skipped:
         print(
             f"resumed campaign {campaign!r}: {len(run.skipped)} points "
@@ -358,35 +372,12 @@ def _cmd_explore(args) -> int:
                   cycles_per_ms=args.cycles_per_ms, name="explore",
                   energy=energy, n_chips=args.chips,
                   bridge_latency=args.bridge_latency)
-    cache = _build_cache(args)
-    pso_config = PSOConfig(n_particles=args.particles,
-                           n_iterations=args.iterations)
-    noc_config = NocConfig(backend=args.noc_backend)
-    if args.resume:
-        points = _resumable_sweep(
-            args,
-            list(args.sizes),
-            lambda i, size: architecture_point(
-                graph, base, size, i, method=args.method, seed=args.seed,
-                pso_config=pso_config, noc_config=noc_config,
-                objective=args.objective, workers=args.workers,
-                threads=args.threads, cache=cache,
-            ),
-            campaign=f"explore-{args.app}",
-            fingerprint=(args.app, args.seed, tuple(args.sizes),
-                         args.method, args.objective),
-        )
-    else:
-        points = explore_architecture(
-            graph, base, crossbar_sizes=args.sizes, method=args.method,
-            seed=args.seed,
-            pso_config=pso_config,
-            noc_config=noc_config,
-            objective=args.objective,
-            workers=args.workers,
-            threads=args.threads,
-            cache=cache,
-        )
+    points = _run_sweep(
+        args, graph, base, args.sizes, architecture_point,
+        explore_architecture, campaign=f"explore-{args.app}",
+    )
+    if points is None:
+        return 2
     rows = [
         (p.neurons_per_crossbar, p.n_crossbars, f"{p.local_energy_uj:.3f}",
          f"{p.global_energy_uj:.3f}", f"{p.total_energy_uj:.3f}",
@@ -403,36 +394,12 @@ def _cmd_explore(args) -> int:
 
 def _explore_chip_counts(args, graph) -> int:
     """Chip-count sweep: same platform, 1..N chips (Fig. 6 style)."""
-    base = _build_architecture(args, graph)
-    cache = _build_cache(args)
-    pso_config = PSOConfig(n_particles=args.particles,
-                           n_iterations=args.iterations)
-    noc_config = NocConfig(backend=args.noc_backend)
-    if args.resume:
-        points = _resumable_sweep(
-            args,
-            list(args.chip_counts),
-            lambda i, chips: chip_point(
-                graph, base, chips, i, method=args.method, seed=args.seed,
-                pso_config=pso_config, noc_config=noc_config,
-                objective=args.objective, workers=args.workers,
-                threads=args.threads, cache=cache,
-            ),
-            campaign=f"explore-chips-{args.app}",
-            fingerprint=(args.app, args.seed, tuple(args.chip_counts),
-                         args.method, args.objective),
-        )
-    else:
-        points = explore_chips(
-            graph, base, chip_counts=args.chip_counts, method=args.method,
-            seed=args.seed,
-            pso_config=pso_config,
-            noc_config=noc_config,
-            objective=args.objective,
-            workers=args.workers,
-            threads=args.threads,
-            cache=cache,
-        )
+    points = _run_sweep(
+        args, graph, _build_architecture(args, graph), args.chip_counts,
+        chip_point, explore_chips, campaign=f"explore-chips-{args.app}",
+    )
+    if points is None:
+        return 2
     rows = [
         (p.n_chips, p.n_bridges, f"{p.global_energy_uj:.3f}",
          f"{p.total_energy_uj:.3f}", p.inter_chip_hops,
@@ -462,16 +429,11 @@ def _cmd_faults(args) -> int:
     print(graph.describe())
     print(arch.describe())
     cache = _build_cache(args)
-    pso_config = PSOConfig(n_particles=args.particles,
-                           n_iterations=args.iterations)
-    noc_config = NocConfig(backend=args.noc_backend)
+    kwargs = _point_kwargs(args)
 
     def build_mapping(spare: float):
         return map_snn(
-            graph, arch, method=args.method, seed=args.seed,
-            pso_config=pso_config, objective=args.objective,
-            workers=args.workers, threads=args.threads,
-            noc_config=noc_config, cache=cache, spare_capacity=spare,
+            graph, arch, cache=cache, spare_capacity=spare, **kwargs
         )
 
     if args.spare_capacity > 0:
@@ -486,20 +448,26 @@ def _cmd_faults(args) -> int:
     for label, mapping in mappings.items():
         print(f"{label}: {mapping.describe()}")
 
-    summary = run_fault_campaign(
-        graph, arch,
-        mappings=mappings,
-        fault_levels=args.levels,
-        draws=args.draws,
-        campaign_seed=args.campaign_seed,
-        noc_config=noc_config,
-        threads=args.threads,
-        cache=cache,
-        state_dir=(
-            os.path.join(args.cache_dir, "sweeps") if args.resume else None
-        ),
-        campaign=f"faults-{args.app}",
-    )
+    try:
+        summary = run_fault_campaign(
+            graph, arch,
+            mappings=mappings,
+            fault_levels=args.levels,
+            draws=args.draws,
+            campaign_seed=args.campaign_seed,
+            noc_config=kwargs["noc_config"],
+            cache=cache,
+            state_dir=(
+                os.path.join(args.cache_dir, "sweeps") if args.resume else None
+            ),
+            campaign=f"faults-{args.app}",
+        )
+    except ValueError as exc:
+        # Checkpoints written under other flags (--resume; the message
+        # names the state directory), or more faults than the fabric
+        # survives.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(summary.table())
     return 0
 
@@ -530,8 +498,6 @@ _SERVE_DEFAULTS = {
     "fault_seed": None,
     "spare_capacity": 0.0,
     "warm": False,
-    "workers": 1,
-    "threads": None,
 }
 
 
@@ -582,8 +548,6 @@ def _cmd_serve(args) -> int:
                 ),
                 noc_config=NocConfig(backend=ns.noc_backend),
                 objective=ns.objective,
-                workers=ns.workers,
-                threads=ns.threads,
                 faults=ns.faults,
                 fault_seed=ns.fault_seed,
                 spare_capacity=float(ns.spare_capacity),

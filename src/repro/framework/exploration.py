@@ -90,8 +90,6 @@ def architecture_point(
     pso_config: Optional[PSOConfig] = None,
     noc_config: Optional[NocConfig] = None,
     objective: str = "packets",
-    workers=1,
-    threads=None,
     cache=None,
 ) -> ArchitecturePoint:
     """One Fig. 6 sweep point: crossbar size ``size`` at sweep ``index``.
@@ -109,8 +107,6 @@ def architecture_point(
         pso_config=pso_config,
         noc_config=noc_config,
         objective=objective,
-        workers=workers,
-        threads=threads,
         cache=cache,
     )
     report = result.report
@@ -134,8 +130,6 @@ def explore_architecture(
     pso_config: Optional[PSOConfig] = None,
     noc_config: Optional[NocConfig] = None,
     objective: str = "packets",
-    workers=1,
-    threads=None,
     cache=None,
 ) -> List[ArchitecturePoint]:
     """Fig. 6: vary crossbar size, keep the application fixed.
@@ -143,9 +137,8 @@ def explore_architecture(
     For each size the platform is re-derived so the whole network fits
     (fewer, larger crossbars or more, smaller ones), then the full
     pipeline runs: mapping, NoC simulation, energy accounting.
-    ``objective="noc"`` with ``workers > 1`` shards each sweep point's
-    swarm scoring across processes; ``cache`` shares derived artifacts
-    (topologies, routing, hop matrices) across points.
+    ``cache`` shares derived artifacts (topologies, routing, hop
+    matrices) across points.
     """
     return [
         architecture_point(
@@ -158,8 +151,6 @@ def explore_architecture(
             pso_config=pso_config,
             noc_config=noc_config,
             objective=objective,
-            workers=workers,
-            threads=threads,
             cache=cache,
         )
         for i, size in enumerate(crossbar_sizes)
@@ -177,8 +168,6 @@ def chip_point(
     pso_config: Optional[PSOConfig] = None,
     noc_config: Optional[NocConfig] = None,
     objective: str = "packets",
-    workers=1,
-    threads=None,
     cache=None,
 ) -> ChipPoint:
     """One chip-count sweep point (see :func:`explore_chips`)."""
@@ -191,8 +180,6 @@ def chip_point(
         pso_config=pso_config,
         noc_config=noc_config,
         objective=objective,
-        workers=workers,
-        threads=threads,
         cache=cache,
     )
     report = result.report
@@ -222,8 +209,6 @@ def explore_chips(
     pso_config: Optional[PSOConfig] = None,
     noc_config: Optional[NocConfig] = None,
     objective: str = "packets",
-    workers=1,
-    threads=None,
     cache=None,
 ) -> List[ChipPoint]:
     """Sweep how many chips the platform's crossbars are spread across.
@@ -246,8 +231,6 @@ def explore_chips(
             pso_config=pso_config,
             noc_config=noc_config,
             objective=objective,
-            workers=workers,
-            threads=threads,
             cache=cache,
         )
         for i, chips in enumerate(chip_counts)

@@ -64,8 +64,6 @@ def run_pipeline(
     noc_config: Optional[NocConfig] = None,
     simulate_noc: bool = True,
     objective: str = "packets",
-    workers=1,
-    threads=None,
     faults: int = 0,
     fault_seed: SeedLike = None,
     cache=None,
@@ -92,14 +90,6 @@ def run_pipeline(
     objective:
         PSO objective — "packets", "spikes", or "noc" for
         NoC-in-the-loop swarm scoring (see :func:`~repro.core.mapper.map_snn`).
-    workers:
-        Worker processes for "noc"-objective swarm scoring (``1`` =
-        serial, ``0``/``"auto"`` = one per CPU).
-    threads:
-        Thread cap for the compiled batch kernel in "noc"-objective
-        swarm scoring (``None`` defers to ``REPRO_NOC_THREADS``; ``0``
-        = no in-process thread team, so ``workers > 1`` uses its
-        process pool).
     faults:
         Random survivable link faults to inject into the built
         topology (:func:`~repro.noc.faults.inject_random_faults`)
@@ -169,9 +159,8 @@ def run_pipeline(
             obs.inc("pipeline.runs", method=method)
         mapping = map_snn(
             graph, architecture, method=method, seed=seed,
-            pso_config=pso_config, objective=objective, workers=workers,
-            threads=threads, noc_config=noc_config, cache=cache,
-            warm_seeds=warm_seeds,
+            pso_config=pso_config, objective=objective,
+            noc_config=noc_config, cache=cache, warm_seeds=warm_seeds,
             spare_capacity=spare_capacity,
         )
         with obs.span("pipeline.build_topology"):
@@ -336,7 +325,11 @@ def run_fault_sweep(
         )
 
     if state_dir is not None:
-        from repro.framework.artifacts import config_token
+        from repro.framework.artifacts import (
+            architecture_token,
+            config_token,
+            graph_token,
+        )
         from repro.framework.service import run_sweep_resumable
 
         run = run_sweep_resumable(
@@ -349,8 +342,9 @@ def run_fault_sweep(
             # invalidate stale checkpoints — a killed sweep restarted
             # with a different NoC backend or PSO config must recompute.
             fingerprint=(
-                graph.name, architecture.name, mapping.method,
-                tuple(fault_counts), fault_seed,
+                graph_token(graph),
+                architecture_token(architecture, include_name=True),
+                mapping.method, tuple(fault_counts), fault_seed,
                 config_token(noc_config), config_token(pso_config),
             ),
         )
@@ -373,7 +367,6 @@ def run_fault_campaign(
     pso_config: Optional[PSOConfig] = None,
     noc_config: Optional[NocConfig] = None,
     spare_capacity: float = 0.0,
-    threads=None,
     cache=None,
     state_dir: Optional[str] = None,
     campaign: str = "fault-campaign",
@@ -406,16 +399,13 @@ def run_fault_campaign(
         ``spare_capacity`` and labels it ``method``.
     fault_levels / draws:
         Link-fault counts to sweep, and seeded draws per level.
-    threads:
-        Thread cap for the compiled batch kernel: each draw's schedules
-        (one per mapping) go through one ``simulate_many`` call.  Draws
-        themselves run one after another.
     state_dir:
         Checkpoint directory: every completed draw is persisted through
         :func:`~repro.framework.service.run_sweep_resumable`, so a
         killed campaign recomputes only missing draws.
-        The manifest fingerprint covers the mappings' assignments, the
-        levels/draws grid, the campaign seed and the NoC config.
+        The manifest fingerprint covers the graph and architecture
+        content, the mappings' assignments, the levels/draws grid, the
+        campaign seed and the NoC config.
     """
     from repro.metrics.report import CampaignDraw, CampaignSummary
     from repro.utils.rng import derive_seed
@@ -452,7 +442,7 @@ def run_fault_campaign(
         ]
         engine = build_interconnect(topology, config=noc_config)
         if hasattr(engine, "simulate_many"):
-            return list(engine.simulate_many(batch, threads=threads))
+            return list(engine.simulate_many(batch))
         # backend="reference": one engine reused across the mappings,
         # which relies on Interconnect starting every run empty.
         return [engine.simulate(s) for s in batch]
@@ -531,7 +521,12 @@ def run_fault_campaign(
             return results
 
         if state_dir is not None:
-            from repro.framework.artifacts import config_token, stable_hash
+            from repro.framework.artifacts import (
+                architecture_token,
+                config_token,
+                graph_token,
+                stable_hash,
+            )
             from repro.framework.service import run_sweep_resumable
 
             run = run_sweep_resumable(
@@ -540,8 +535,8 @@ def run_fault_campaign(
                 state_dir,
                 campaign=campaign,
                 fingerprint=(
-                    graph.name,
-                    architecture.name,
+                    graph_token(graph),
+                    architecture_token(architecture, include_name=True),
                     tuple(
                         (label, stable_hash(
                             ("assignment", mappings[label].assignment)

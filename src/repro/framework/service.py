@@ -55,7 +55,8 @@ __all__ = [
 class MapRequest:
     """One unit of service traffic: map ``graph`` onto ``architecture``.
 
-    Mirrors :func:`~repro.framework.pipeline.run_pipeline`'s surface.
+    Mirrors :func:`~repro.framework.pipeline.run_pipeline`'s surface:
+    every field but ``label`` decides the answer, none how it is run.
     ``warm=True`` additionally seeds a PSO swarm from the cache's best
     recorded assignment for this (graph, architecture, objective) —
     an opt-in, because it changes results (never for the worse: warm
@@ -71,8 +72,6 @@ class MapRequest:
     noc_config: Optional[NocConfig] = None
     objective: str = "packets"
     simulate_noc: bool = True
-    workers: Any = 1
-    threads: Any = None
     faults: int = 0
     fault_seed: SeedLike = None
     spare_capacity: float = 0.0
@@ -101,7 +100,7 @@ class MappingService:
     requests are answered from the cache.  Requests share the cache
     (topologies, routing tables, schedules, memoized results), never
     threads — one thread per same-fabric request measured slower than
-    this loop (ROADMAP, "Collapse the execution-backend matrix").
+    this loop (CHANGES.md, PR 15).
     """
 
     def __init__(
@@ -235,8 +234,6 @@ class MappingService:
             noc_config=request.noc_config,
             simulate_noc=request.simulate_noc,
             objective=request.objective,
-            workers=request.workers,
-            threads=request.threads,
             faults=request.faults,
             fault_seed=request.fault_seed,
             spare_capacity=request.spare_capacity,

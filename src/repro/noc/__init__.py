@@ -18,10 +18,8 @@ surface:
 - :mod:`repro.noc.fastsim` — the compiled-kernel backend
   (``NocConfig(backend="fast")``), bit-identical to the reference loop
   (which it falls back to when no kernel can run) and batched via
-  ``simulate_many``;
-- :mod:`repro.noc.parallel` — shards ``simulate_many`` batches across a
-  process pool (``ParallelNocSimulator``), returning compact columnar
-  ``ScheduleSummary`` results that are bit-identical to serial runs;
+  ``simulate_many`` (one C call per batch, an OpenMP thread team where
+  the build has one);
 - :mod:`repro.noc.traffic` — converts a mapped spike graph into AER packet
   injection schedules, built columnar (``ColumnarSchedule`` arrays the
   fast backend consumes directly, with a lazy legacy ``Injection`` view)
@@ -49,11 +47,6 @@ from repro.noc.routing import (
 )
 from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.fastsim import FastInterconnect, build_interconnect, simulate_many
-from repro.noc.parallel import (
-    ParallelNocSimulator,
-    parallel_simulate_many,
-    resolve_workers,
-)
 from repro.noc.stats import (
     DeliveryRecord,
     NocStats,
@@ -106,10 +99,7 @@ __all__ = [
     "FastInterconnect",
     "build_interconnect",
     "simulate_many",
-    "ParallelNocSimulator",
     "ScheduleSummary",
-    "parallel_simulate_many",
-    "resolve_workers",
     "summarize",
     "NocConfig",
     "NocStats",

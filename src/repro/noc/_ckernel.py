@@ -168,7 +168,7 @@ def _stale() -> bool:
 def _build() -> None:
     flags = _desired_flags()
     # Per-process temp name: concurrent builders (pytest-xdist workers,
-    # future swarm shards) must not write into one shared path, or a
+    # two CLI runs) must not write into one shared path, or a
     # half-written .so could be published and then cached forever.
     tmp = f"{_SO}.{os.getpid()}.tmp"
     try:
@@ -200,10 +200,11 @@ def resolve_threads(requested: Optional[int] = None) -> int:
     """Effective thread count for the batch kernel.
 
     ``requested`` wins when given; otherwise ``REPRO_NOC_THREADS`` is
-    consulted.  Unset / ``auto`` / negative means one thread per core;
-    ``N >= 1`` caps the team at N; ``0`` means no in-process thread
-    team — the batch still runs in one kernel call, on the calling
-    thread, and callers holding a process pool use that instead.
+    read, on every call.  Unset / ``auto`` / negative means one thread
+    per core; ``N >= 1`` caps the team at N; ``0`` means no in-process
+    thread team — the batch still runs in one kernel call, on the
+    calling thread alone.  A value that is none of these warns (it is
+    most likely a typo) and counts as unset.
     """
     if requested is None:
         raw = os.environ.get("REPRO_NOC_THREADS", "").strip().lower()
@@ -213,6 +214,12 @@ def resolve_threads(requested: Optional[int] = None) -> int:
             try:
                 requested = int(raw)
             except ValueError:
+                warnings.warn(
+                    f"REPRO_NOC_THREADS={raw!r} is not an integer or "
+                    "'auto'; using one thread per core",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
                 requested = -1
     requested = int(requested)
     if requested == 0:

@@ -71,12 +71,11 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import itertools
-import os
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.noc._ckernel import load_kernel, openmp_enabled, resolve_threads
+from repro.noc._ckernel import load_kernel, resolve_threads
 from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.packet import Injection
 from repro.noc.routing import RoutingTable, routing_for
@@ -230,9 +229,10 @@ class FastInterconnect:
 
         The derived tables — and especially the ctypes kernel handle,
         which cannot cross process boundaries — are rebuilt on
-        unpickling.  This is what lets :mod:`repro.noc.parallel` seed
-        each worker process with one compact payload.  ``type(self)``
-        (not the base class) so subclasses survive the round trip.
+        unpickling.  Only :mod:`repro.noc.parallel` (the benchmark's
+        one-shot pool) ships an engine to another process; this goes
+        when it does.  ``type(self)`` (not the base class) so
+        subclasses survive the round trip.
         """
         return (type(self), (self.topology, self.routing, self.config))
 
@@ -355,7 +355,7 @@ class FastInterconnect:
         ``threads`` caps the team (``None`` defers to
         ``REPRO_NOC_THREADS``, then one per core).  ``0`` means "no
         in-process thread team": the same call on the calling thread
-        alone, which is what process-pool workers ask for.
+        alone.
         """
         schedules = list(schedules)
         # The kernel reads n_threads <= 0 as "runtime default", so "no
@@ -374,24 +374,6 @@ class FastInterconnect:
             results = self._run_batch(schedules, n_threads)
         self._count(obs, results)
         return results
-
-    def batch_threads(self, requested: Optional[int] = None) -> int:
-        """Effective parallelism of the threaded batch kernel.
-
-        ``0`` when there is no kernel or no thread team was asked for
-        (``threads=0`` / ``REPRO_NOC_THREADS=0``); ``1`` when it runs
-        but cannot parallelize (no OpenMP); otherwise the thread count
-        capped by the core count.  Callers use this to decide between
-        the in-process threaded kernel and the process pool.
-        """
-        if self._ck is None:
-            return 0
-        n_threads = resolve_threads(requested)
-        if n_threads == 0:
-            return 0
-        if not openmp_enabled(self._ck):
-            return 1
-        return max(1, min(n_threads, os.cpu_count() or 1))
 
     @staticmethod
     def _count(obs, results: Sequence[NocStats]) -> None:

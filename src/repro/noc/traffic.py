@@ -159,10 +159,10 @@ class ColumnarSchedule:
         )
 
     def __getstate__(self):
-        # Never ship the materialized legacy view (or the duration
-        # cache) across process boundaries: workers consume the arrays,
-        # and the whole point of columnar shards is not pickling
-        # per-packet Injection objects.
+        # Never pickle the materialized legacy view (or the duration
+        # cache): whoever unpickles reads the arrays, and the whole
+        # point of the columnar form is not pickling per-packet
+        # Injection objects.
         state = self.__dict__.copy()
         state["_injections"] = None
         state["_duration"] = None

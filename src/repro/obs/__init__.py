@@ -26,11 +26,9 @@ results with obs on vs off).  Enable observability for a region with
     print(obs.metrics.counters())
 
 The observer is intentionally a plain module global, *not* thread-local:
-a ``MappingService`` fans requests across member threads and all of them
-must feed the same registry/tracer (the tracer keeps per-thread span
-stacks internally, so trees never interleave).  Pool workers never
-inherit the parent's observer usefully — ``ParallelNocSimulator`` ships
-per-chunk counter deltas back with its results instead.
+``MappingService.submit`` answers requests on its drain thread, and that
+thread must feed the same registry/tracer as the caller's (the tracer
+keeps per-thread span stacks internally, so trees never interleave).
 """
 
 from __future__ import annotations

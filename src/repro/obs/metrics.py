@@ -2,12 +2,9 @@
 
 A :class:`MetricsRegistry` is a plain in-memory store keyed by
 ``(name, sorted label items)``.  It is deliberately *always functional*
-(no global gating inside): a NoC pool worker scores its chunk under a
-private registry and ships the counter deltas back to be added to the
-parent's (:meth:`MetricsRegistry.merge_counters`), while hot-path
-instrumentation reaches the registry only through the active observer
-(``repro.obs.get_observer()``), which is a no-op singleton when
-observability is off.
+(no global gating inside): hot-path instrumentation reaches the registry
+only through the active observer (``repro.obs.get_observer()``), which
+is a no-op singleton when observability is off.
 
 Histograms keep count/sum/min/max plus fixed log-spaced bucket counts —
 enough for a Prometheus-style export without storing samples.
@@ -18,7 +15,7 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Tuple
 
 LabelKey = Tuple[str, Tuple[Tuple[str, str], ...]]
 
@@ -87,8 +84,6 @@ class MetricsRegistry:
 
     Counter/gauge values are plain numbers; labels are optional keyword
     arguments on every mutator (``inc("noc.simulations", backend="fast")``).
-    ``merge_counters`` adds another registry's ``counter_deltas`` in, which
-    is how per-worker counts aggregate upward.
     """
 
     enabled = True
@@ -151,22 +146,6 @@ class MetricsRegistry:
         with self._lock:
             return bool(self._counters or self._gauges or self._histograms)
 
-    # -- aggregation ---------------------------------------------------------
-
-    def merge_counters(
-        self, deltas: Iterable[Tuple[str, Tuple[Tuple[str, str], ...], float]]
-    ) -> None:
-        """Add raw counter deltas (the cross-process wire format)."""
-        with self._lock:
-            for name, labels, value in deltas:
-                key = (name, tuple(tuple(kv) for kv in labels))
-                self._counters[key] = self._counters.get(key, 0) + value
-
-    def counter_deltas(self) -> List[Tuple[str, Tuple[Tuple[str, str], ...], float]]:
-        """Counters as plain picklable tuples (ships from pool workers)."""
-        with self._lock:
-            return [(name, labels, v) for (name, labels), v in self._counters.items()]
-
 
 class NullMetricsRegistry:
     """Disabled registry: mutators are no-ops, readers come back empty."""
@@ -199,12 +178,6 @@ class NullMetricsRegistry:
 
     def __bool__(self) -> bool:
         return False
-
-    def merge_counters(self, deltas) -> None:
-        pass
-
-    def counter_deltas(self) -> List[Tuple[str, Tuple[Tuple[str, str], ...], float]]:
-        return []
 
 
 #: Shared disabled registry (stateless, safe to reuse everywhere).

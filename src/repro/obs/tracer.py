@@ -1,9 +1,9 @@
 """Nested wall-clock spans with attributes — the tracing half of obs.
 
 A :class:`Tracer` records a forest of :class:`Span` trees.  Spans nest
-per *thread* (each thread keeps its own span stack, so concurrent
-``MappingService`` member threads produce independent root spans instead
-of interleaving into one another's trees), carry arbitrary key/value
+per *thread* (each thread keeps its own span stack, so the
+``MappingService.submit`` drain thread produces its own root spans
+instead of interleaving into the caller's trees), carry arbitrary key/value
 attributes, and may hold zero-duration child *events* (fault injections,
 cache decisions, evacuation moves).
 

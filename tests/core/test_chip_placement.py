@@ -21,7 +21,7 @@ from repro.core.traffic_matrix import cluster_traffic
 from repro.noc.fastsim import FastInterconnect
 from repro.noc.interconnect import NocConfig
 from repro.noc.multichip import multichip
-from repro.noc.parallel import summarize
+from repro.noc.stats import summarize
 from repro.noc.traffic import build_injections
 from repro.snn.graph import SpikeGraph
 

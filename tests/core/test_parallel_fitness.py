@@ -1,10 +1,12 @@
-"""Sharded NoC-in-the-loop fitness through the swarm stack.
+"""NoC-in-the-loop fitness through the swarm stack, any thread count.
 
-``InterconnectFitness(noc_in_loop=True, workers=N)`` must hand
-``BinaryPSO`` the same fitness vectors as the serial path — which makes
-whole swarm runs (same seed) land on the same optimum, iteration by
-iteration — and ``map_snn(objective="noc")`` must carry the option end
-to end.
+``InterconnectFitness(noc_in_loop=True)`` must hand ``BinaryPSO`` the
+same fitness vectors whatever ``REPRO_NOC_THREADS`` says (``0`` = the
+calling thread alone, ``N`` = an OpenMP team where the build has one) —
+which makes whole swarm runs (same seed) land on the same optimum,
+iteration by iteration — and ``map_snn(objective="noc")`` must carry
+that end to end.  The environment variable is the only spelling: the
+request chain takes neither ``threads=`` nor ``workers=``.
 """
 
 from __future__ import annotations
@@ -22,45 +24,60 @@ def _noc_fitness(graph, **kwargs):
     return InterconnectFitness(graph, noc_in_loop=True, topology=tree(2), **kwargs)
 
 
+def _under_threads(monkeypatch, threads, fn):
+    monkeypatch.setenv("REPRO_NOC_THREADS", str(threads))
+    return fn()
+
+
 class TestBatchDeterminism:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_fitness_vectors_identical(self, tiny_graph, workers):
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_fitness_vectors_identical(self, tiny_graph, monkeypatch, threads):
         batch = np.random.default_rng(7).integers(0, 2, size=(12, 8))
-        with _noc_fitness(tiny_graph) as serial:
-            expected = serial.evaluate_batch(batch)
-        with _noc_fitness(tiny_graph, workers=workers) as sharded:
-            np.testing.assert_array_equal(sharded.evaluate_batch(batch), expected)
+        fitness = _noc_fitness(tiny_graph)
+        expected = _under_threads(monkeypatch, 0, lambda: fitness.evaluate_batch(batch))
+        got = _under_threads(monkeypatch, threads, lambda: fitness.evaluate_batch(batch))
+        np.testing.assert_array_equal(got, expected)
 
-    def test_latency_metric_identical(self, tiny_graph):
+    def test_latency_metric_identical(self, tiny_graph, monkeypatch):
         batch = np.random.default_rng(8).integers(0, 2, size=(8, 8))
-        with _noc_fitness(tiny_graph, noc_metric="latency") as serial:
-            expected = serial.evaluate_batch(batch)
-        with _noc_fitness(tiny_graph, noc_metric="latency", workers=2) as sharded:
-            np.testing.assert_array_equal(sharded.evaluate_batch(batch), expected)
+        fitness = _noc_fitness(tiny_graph, noc_metric="latency")
+        results = [
+            _under_threads(monkeypatch, t, lambda: fitness.evaluate_batch(batch))
+            for t in (0, 1, 2)
+        ]
+        np.testing.assert_array_equal(results[1], results[0])
+        np.testing.assert_array_equal(results[2], results[0])
 
-    def test_single_evaluate_agrees_with_batch(self, tiny_graph):
+    def test_single_evaluate_agrees_with_batch(self, tiny_graph, monkeypatch):
+        monkeypatch.setenv("REPRO_NOC_THREADS", "2")
         batch = np.random.default_rng(9).integers(0, 2, size=(4, 8))
-        with _noc_fitness(tiny_graph, workers=2) as fit:
-            values = fit.evaluate_batch(batch)
-            for row, value in zip(batch, values):
-                assert fit.evaluate(row) == value
+        fit = _noc_fitness(tiny_graph)
+        values = fit.evaluate_batch(batch)
+        for row, value in zip(batch, values):
+            assert fit.evaluate(row) == value
+
+    def test_execution_kwargs_are_gone(self, tiny_graph):
+        for kwargs in ({"workers": 2}, {"threads": 2}):
+            with pytest.raises(TypeError):
+                _noc_fitness(tiny_graph, **kwargs)
+        assert not hasattr(InterconnectFitness, "close")
 
 
 class TestSwarmDeterminism:
-    def _run(self, graph, workers):
+    def _run(self, graph):
         config = PSOConfig(n_particles=6, n_iterations=4)
-        with _noc_fitness(graph, workers=workers) as fitness:
-            pso = BinaryPSO(
-                fitness, n_neurons=8, n_clusters=2, capacity=8, config=config, seed=123
-            )
-            return pso.optimize()
+        pso = BinaryPSO(
+            _noc_fitness(graph), n_neurons=8, n_clusters=2, capacity=8,
+            config=config, seed=123,
+        )
+        return pso.optimize()
 
-    def test_whole_swarm_run_identical(self, tiny_graph):
-        serial = self._run(tiny_graph, workers=1)
-        sharded = self._run(tiny_graph, workers=2)
-        assert serial.best_fitness == sharded.best_fitness
-        np.testing.assert_array_equal(serial.history, sharded.history)
-        np.testing.assert_array_equal(serial.best_assignment, sharded.best_assignment)
+    def test_whole_swarm_run_identical(self, tiny_graph, monkeypatch):
+        alone = _under_threads(monkeypatch, 0, lambda: self._run(tiny_graph))
+        team = _under_threads(monkeypatch, 2, lambda: self._run(tiny_graph))
+        assert alone.best_fitness == team.best_fitness
+        np.testing.assert_array_equal(alone.history, team.history)
+        np.testing.assert_array_equal(alone.best_assignment, team.best_assignment)
 
 
 class TestMapSnnNocObjective:
@@ -69,15 +86,20 @@ class TestMapSnnNocObjective:
 
         return custom(2, 8, interconnect="tree", name="noc-objective")
 
-    def test_noc_objective_runs_and_matches_serial(self, tiny_graph):
+    def test_noc_objective_runs_and_matches_serial(self, tiny_graph, monkeypatch):
         config = PSOConfig(n_particles=4, n_iterations=2)
         kwargs = dict(method="pso", seed=5, pso_config=config, objective="noc")
-        serial = map_snn(tiny_graph, self._arch(), workers=1, **kwargs)
-        sharded = map_snn(tiny_graph, self._arch(), workers=2, **kwargs)
-        np.testing.assert_array_equal(serial.assignment, sharded.assignment)
-        np.testing.assert_array_equal(
-            serial.extras["history"], sharded.extras["history"]
-        )
+        runs = [
+            _under_threads(
+                monkeypatch, t, lambda: map_snn(tiny_graph, self._arch(), **kwargs)
+            )
+            for t in (0, 1, 2)
+        ]
+        for other in runs[1:]:
+            np.testing.assert_array_equal(runs[0].assignment, other.assignment)
+            np.testing.assert_array_equal(
+                runs[0].extras["history"], other.extras["history"]
+            )
 
     def test_unknown_objective_still_rejected(self, tiny_graph):
         with pytest.raises(ValueError, match="objective"):
@@ -122,14 +144,17 @@ class TestMapSnnNocObjective:
         )
         assert captured["noc_config"] is cfg
 
-    def test_closed_form_objectives_ignore_workers(self, tiny_graph):
-        result = map_snn(
-            tiny_graph,
-            self._arch(),
-            method="pso",
-            seed=5,
-            pso_config=PSOConfig(n_particles=4, n_iterations=2),
-            objective="packets",
-            workers=4,
-        )
-        assert result.partition.assignment.shape == (8,)
+    @pytest.mark.parametrize("kwarg", ["workers", "threads"])
+    def test_execution_kwargs_rejected(self, tiny_graph, kwarg):
+        """How a batch runs is the host's business (``REPRO_NOC_THREADS``),
+        never a request's: neither spelling reaches ``map_snn`` — not even
+        through its ``**kwargs``, which belong to the chosen baseline."""
+        with pytest.raises(TypeError):
+            map_snn(
+                tiny_graph,
+                self._arch(),
+                method="pso",
+                seed=5,
+                pso_config=PSOConfig(n_particles=4, n_iterations=2),
+                **{kwarg: 2},
+            )

@@ -68,16 +68,21 @@ class TestRunFaultCampaign:
                 summary.baseline("pacman").mean_latency_cycles
             )
 
-    def test_parallel_bit_identical(self, graph, arch, mapping):
-        """The kernel thread team is the campaign's only parallel knob."""
+    def test_parallel_bit_identical(self, graph, arch, mapping, monkeypatch):
+        """The kernel thread team is the campaign's only parallelism, and
+        the host steers it (``REPRO_NOC_THREADS``), not the request."""
         fast = NocConfig(backend="fast")
-        serial = _run(graph, arch, mapping, noc_config=fast, threads=0)
-        threaded = _run(graph, arch, mapping, noc_config=fast, threads=4)
-        assert serial.draws == threaded.draws
-        assert serial.healthy == threaded.healthy
-        assert serial.table() == threaded.table()
-        with pytest.raises(TypeError):
-            _run(graph, arch, mapping, workers=4)
+        runs = []
+        for threads in ("0", "1", "2"):
+            monkeypatch.setenv("REPRO_NOC_THREADS", threads)
+            runs.append(_run(graph, arch, mapping, noc_config=fast))
+        for other in runs[1:]:
+            assert runs[0].draws == other.draws
+            assert runs[0].healthy == other.healthy
+            assert runs[0].table() == other.table()
+        for kwarg in ("workers", "threads"):
+            with pytest.raises(TypeError):
+                _run(graph, arch, mapping, **{kwarg: 4})
 
     def test_fast_backend_campaign(self, graph, arch, mapping):
         ref = _run(graph, arch, mapping)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.framework.cli import build_parser, main
@@ -14,6 +16,13 @@ class TestParser:
         args = build_parser().parse_args(["map", "--app", "hello_world"])
         assert args.method == "pso"
         assert args.particles == 100
+
+    @pytest.mark.parametrize("flag", ["--workers", "--threads"])
+    def test_execution_flags_are_gone(self, flag):
+        """How a batch runs is set on the host (REPRO_NOC_THREADS)."""
+        for command in ("map", "compare", "explore", "faults"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--app", "x", flag, "2"])
 
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit):
@@ -43,6 +52,26 @@ class TestCommands:
             "  --noc-backend fast, >63 routers: engine ",
         ):
             assert sum(line.startswith(prefix) for line in plan) == 1, prefix
+
+    def test_info_prints_the_raw_thread_setting(self, capsys, monkeypatch):
+        """The environment variable is the one spelling of the thread
+        cap, so a typo must be visible, not silently "one per core"."""
+
+        def threads_line():
+            assert main(["info"]) == 0
+            out = capsys.readouterr().out
+            (line,) = [ln for ln in out.splitlines() if "effective threads" in ln]
+            return line
+
+        monkeypatch.delenv("REPRO_NOC_THREADS", raising=False)
+        assert "(REPRO_NOC_THREADS unset -> one per core)" in threads_line()
+        monkeypatch.setenv("REPRO_NOC_THREADS", "0")
+        assert "threads: 0 (REPRO_NOC_THREADS='0' -> calling thread" in threads_line()
+        monkeypatch.setenv("REPRO_NOC_THREADS", "3")
+        assert threads_line().endswith("threads: 3 (REPRO_NOC_THREADS='3')")
+        monkeypatch.setenv("REPRO_NOC_THREADS", "fuor")
+        with pytest.warns(RuntimeWarning, match="REPRO_NOC_THREADS='fuor'"):
+            assert "(REPRO_NOC_THREADS='fuor')" in threads_line()
 
     def test_map_small(self, capsys):
         code = main([
@@ -185,11 +214,12 @@ class TestServe:
         assert "coalescer:" not in out
 
     def test_serve_rejects_unknown_keys(self, tmp_path, capsys):
-        requests = self._write_requests(
-            tmp_path, [{"app": "synth_1x20", "bogus": 1}]
-        )
-        assert main(["serve", "--requests", requests]) == 2
-        assert "unknown keys" in capsys.readouterr().err
+        for key in ("bogus", "workers", "threads"):
+            requests = self._write_requests(
+                tmp_path, [{"app": "synth_1x20", key: 1}]
+            )
+            assert main(["serve", "--requests", requests]) == 2
+            assert f"unknown keys ['{key}']" in capsys.readouterr().err
 
     def test_explore_resume_requires_cache_dir(self, capsys):
         code = main([
@@ -197,3 +227,88 @@ class TestServe:
         ])
         assert code == 2
         assert "--cache-dir" in capsys.readouterr().err
+
+
+class TestResumeFingerprint:
+    """--resume restores checkpoints only for the flags that wrote them:
+    a rerun with any result-shaping flag changed stops with ``error:``
+    and exit 2 instead of printing the old points."""
+
+    EXPLORE = [
+        "explore", "--app", "synth_1x20", "--seed", "3", "--duration", "100",
+        "--sizes", "10", "20", "--particles", "4", "--iterations", "1",
+        "--resume",
+    ]
+    FAULTS = [
+        "faults", "--app", "synth_1x20", "--seed", "3", "--duration", "100",
+        "--crossbars", "6", "--capacity", "5", "--interconnect", "mesh",
+        "--method", "pacman", "--levels", "1", "2", "--draws", "2",
+        "--noc-backend", "fast", "--resume",
+    ]
+
+    @staticmethod
+    def _checkpoints(cache_dir):
+        sweeps = os.path.join(cache_dir, "sweeps")
+        return {
+            name: os.stat(os.path.join(sweeps, name)).st_mtime_ns
+            for name in os.listdir(sweeps)
+        }
+
+    @pytest.mark.parametrize("changed", [
+        ["--particles", "8", "--iterations", "2"],
+        ["--interconnect", "mesh"],
+        ["--noc-backend", "fast"],
+        ["--cycles-per-ms", "2"],
+    ])
+    def test_explore_changed_flag_is_an_error(self, tmp_path, capsys, changed):
+        cache = ["--cache-dir", str(tmp_path)]
+        assert main(self.EXPLORE + cache) == 0
+        first = capsys.readouterr().out
+        written = self._checkpoints(str(tmp_path))
+
+        assert main(self.EXPLORE + cache + changed) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(tmp_path / "sweeps") in captured.err
+        assert "restored" not in captured.out
+        assert "neurons/xbar" not in captured.out
+        assert self._checkpoints(str(tmp_path)) == written
+
+        assert main(self.EXPLORE + cache) == 0
+        again = capsys.readouterr().out
+        assert "2 points restored, 0 computed" in again
+        assert again.endswith(first)
+
+    def test_explore_chip_counts_changed_flag_is_an_error(self, tmp_path, capsys):
+        args = [
+            "explore", "--app", "synth_1x20", "--seed", "3", "--duration", "100",
+            "--crossbars", "4", "--capacity", "10", "--interconnect", "mesh",
+            "--chip-counts", "1", "2", "--method", "pacman", "--resume",
+            "--cache-dir", str(tmp_path),
+        ]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args + ["--bridge-latency", "9"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert main(args) == 0
+        assert "2 points restored, 0 computed" in capsys.readouterr().out
+
+    def test_faults_changed_flag_is_an_error(self, tmp_path, capsys):
+        cache = ["--cache-dir", str(tmp_path)]
+        assert main(self.FAULTS + cache) == 0
+        first = capsys.readouterr().out
+        written = self._checkpoints(str(tmp_path))
+        assert len(written) == 5  # 2 levels x 2 draws + the manifest
+
+        # Same architecture *name* ("cli") and graph name, other content.
+        for changed in (["--cycles-per-ms", "2"], ["--seed", "4"]):
+            assert main(self.FAULTS + cache + changed) == 2
+            captured = capsys.readouterr()
+            assert "error: " in captured.err
+            assert str(tmp_path / "sweeps") in captured.err
+            assert "survival" not in captured.out  # no campaign table
+            assert self._checkpoints(str(tmp_path)) == written
+
+        assert main(self.FAULTS + cache) == 0
+        assert capsys.readouterr().out == first
+        assert self._checkpoints(str(tmp_path)) == written  # all restored

@@ -125,6 +125,51 @@ class TestKeyStability:
             pipeline_token(graph, arch, **base, objective="spikes")
         )
 
+    def test_every_request_parameter_reaches_its_memo_token(self, graph, arch):
+        """A request says *what* to compute: every parameter of
+        ``map_snn`` / ``run_pipeline`` except the ``cache`` handle (and
+        ``map_snn``'s memo-disabling ``**kwargs``) is a component of the
+        memo token, and so is every ``MapRequest`` field but ``label`` —
+        read off the signatures, so a parameter added to one side only
+        fails here instead of serving stale results."""
+        import dataclasses
+        import inspect
+
+        from repro.framework.artifacts import mapping_token
+
+        def names(fn):
+            return set(inspect.signature(fn).parameters)
+
+        assert names(map_snn) - {"cache", "kwargs"} == names(mapping_token)
+        assert names(run_pipeline) - {"cache"} == names(pipeline_token)
+        fields = {f.name for f in dataclasses.fields(MapRequest)}
+        # ``warm`` is how a request asks the service for ``warm_seeds``.
+        assert (fields - {"label", "warm"}) | {"warm_seeds"} == names(
+            pipeline_token
+        )
+
+        # ... and each one moves the token.
+        other = dict(
+            method="pacman", seed=4, pso_config=SMALL_PSO,
+            noc_config=NocConfig(backend="fast"), simulate_noc=False,
+            objective="spikes", faults=2, fault_seed=1, spare_capacity=0.25,
+            warm_seeds=np.zeros((1, graph.n_neurons), dtype=np.int64),
+            warm_start=False, placement=False,
+        )
+        base = dict(method="pso", seed=3)
+        for token in (mapping_token, pipeline_token):
+            t0 = stable_hash(token(graph, arch, **base))
+            for name in names(token) - {"graph", "architecture"}:
+                changed = token(graph, arch, **{**base, name: other[name]})
+                assert stable_hash(changed) != t0, (token.__name__, name)
+
+    @pytest.mark.parametrize("kwarg", ["workers", "threads"])
+    def test_execution_kwargs_are_not_request_parameters(self, graph, arch, kwarg):
+        with pytest.raises(TypeError):
+            run_pipeline(graph, arch, method="greedy", **{kwarg: 2})
+        with pytest.raises(TypeError):
+            MapRequest(graph, arch, **{kwarg: 2})
+
     def test_graph_token_tracks_content(self, graph):
         other = build_application("hello_world", seed=2)
         assert stable_hash(graph_token(graph)) == stable_hash(graph_token(graph))
@@ -604,5 +649,5 @@ class TestAggregate:
         assert summary["legs"]["service_bench"]["runs"][0]["data"] == {
             "cache_hit_speedup": 5.0
         }
-        assert "parallel_speedup" in summary["missing"]
+        assert "multichip_smoke" in summary["missing"]
         assert summary["n_legs_found"] == 3

@@ -22,7 +22,8 @@ import pytest
 from repro.noc._ckernel import load_kernel
 from repro.noc.fastsim import FastInterconnect
 from repro.noc.interconnect import Interconnect, NocConfig
-from repro.noc.parallel import ParallelNocSimulator, summarize
+from repro.noc.parallel import parallel_simulate_many
+from repro.noc.stats import summarize
 from repro.noc.topology import build_topology, mesh_for
 from repro.noc.traffic import (
     ColumnarSchedule,
@@ -251,8 +252,8 @@ class TestBatchBuilder:
         cfg = NocConfig(backend="fast")
         serial_sim = FastInterconnect(topo, config=cfg)
         serial = [summarize(s, topo) for s in serial_sim.simulate_many(batch)]
-        with ParallelNocSimulator(topo, config=cfg, workers=2) as sim:
-            parallel = sim.summarize_many(batch)
+        # Columnar schedules cross the process boundary as arrays.
+        parallel = parallel_simulate_many(topo, batch, config=cfg, workers=2)
         assert parallel == serial
 
 

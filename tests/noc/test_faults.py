@@ -22,8 +22,8 @@ from repro.noc.multichip import (
     multichip,
 )
 from repro.noc.packet import Injection
-from repro.noc.parallel import summarize
 from repro.noc.routing import routing_for
+from repro.noc.stats import summarize
 from repro.noc.topology import mesh, mesh_for, torus, tree
 from repro.noc.traffic import synthetic_injections
 

@@ -22,8 +22,9 @@ from repro.noc.multichip import (
     chip_distance_matrix,
     multichip,
 )
-from repro.noc.parallel import ParallelNocSimulator, summarize
+from repro.noc.parallel import parallel_simulate_many
 from repro.noc.routing import routing_for
+from repro.noc.stats import summarize
 from repro.noc.topology import build_topology
 from repro.noc.traffic import synthetic_injections
 
@@ -292,8 +293,7 @@ class TestSummaries:
             # A sandbox without working process pools falls back to the
             # serial path, which must produce the same summaries anyway.
             warnings.simplefilter("ignore", RuntimeWarning)
-            with ParallelNocSimulator(sim, workers=2) as parallel:
-                sharded = parallel.summarize_many(schedules)
+            sharded = parallel_simulate_many(topo, schedules, workers=2)
         assert sharded == serial
         assert sharded[0].inter_chip_hops > 0
 

@@ -1,9 +1,9 @@
-"""Process-parallel sharded ``simulate_many`` (repro.noc.parallel).
+"""The benchmark's one-shot pool (repro.noc.parallel) and ``summarize``.
 
-The contract under test: sharding a batch of injection schedules across
-worker processes returns *exactly* the summaries the serial path
-produces — same values, same order — for every worker count and chunk
-size, and any failure to use a pool degrades to serial with one warning.
+The contract under test: splitting a batch of injection schedules over
+worker processes returns *exactly* the summaries the in-process call
+produces — same values, same order — for every worker count and batch
+size, and any failure to use a pool reruns in-process with one warning.
 """
 
 from __future__ import annotations
@@ -16,13 +16,8 @@ import pytest
 
 from repro.noc.fastsim import FastInterconnect
 from repro.noc.interconnect import Interconnect, NocConfig
-from repro.noc.parallel import (
-    ParallelNocSimulator,
-    ScheduleSummary,
-    parallel_simulate_many,
-    resolve_workers,
-    summarize,
-)
+from repro.noc.parallel import parallel_simulate_many
+from repro.noc.stats import ScheduleSummary, summarize
 from repro.noc.topology import mesh, tree
 from repro.noc.traffic import synthetic_injections
 
@@ -80,30 +75,6 @@ def serial_summaries(mesh_topology, mesh_schedules):
     return [summarize(s) for s in sim.simulate_many(mesh_schedules)]
 
 
-class TestResolveWorkers:
-    def test_auto_and_zero_mean_cpu_count(self):
-        import os
-
-        expected = max(1, os.cpu_count() or 1)
-        assert resolve_workers("auto") == expected
-        assert resolve_workers("AUTO") == expected
-        assert resolve_workers(0) == expected
-        assert resolve_workers(None) == expected
-
-    def test_explicit_counts_pass_through(self):
-        assert resolve_workers(1) == 1
-        assert resolve_workers(4) == 4
-        assert resolve_workers("3") == 3
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            resolve_workers(-2)
-
-    def test_garbage_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_workers("many")
-
-
 class TestSummarize:
     def test_matches_stats_queries(self, mesh_topology, mesh_schedules):
         sim = FastInterconnect(mesh_topology)
@@ -131,20 +102,20 @@ class TestSummarize:
 
 
 class TestDeterminismMatrix:
-    """Same swarm, any workers x chunk_size -> identical summaries."""
+    """Any batch size over any worker count -> the in-process summaries
+    (fewer schedules than workers, uneven chunks, the whole swarm)."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("chunk_size", [None, 1, 3, 7])
+    @pytest.mark.parametrize("n_schedules", [None, 1, 3, 7])
     def test_bit_identical_to_serial(
-        self, mesh_topology, mesh_schedules, serial_summaries, workers, chunk_size
+        self, mesh_topology, mesh_schedules, serial_summaries, workers, n_schedules
     ):
         result = parallel_simulate_many(
             mesh_topology,
-            mesh_schedules,
+            mesh_schedules[:n_schedules],
             workers=workers,
-            chunk_size=chunk_size,
         )
-        assert result == serial_summaries
+        assert result == serial_summaries[:n_schedules]
 
     def test_tree_topology_and_unicast(self):
         topo = tree(4)
@@ -155,26 +126,13 @@ class TestDeterminismMatrix:
         sharded = parallel_simulate_many(topo, schedules, config=cfg, workers=3)
         assert sharded == serial
 
-    def test_pool_reuse_across_batches(
-        self, mesh_topology, mesh_schedules, serial_summaries
-    ):
-        with ParallelNocSimulator(mesh_topology, workers=2) as sim:
-            assert sim.summarize_many(mesh_schedules) == serial_summaries
-            assert sim.summarize_many(mesh_schedules) == serial_summaries
-
-    def test_single_schedule_short_circuits(
-        self, mesh_topology, mesh_schedules, serial_summaries
-    ):
-        with ParallelNocSimulator(mesh_topology, workers=4) as sim:
-            assert sim.summarize_many(mesh_schedules[:1]) == serial_summaries[:1]
-            assert sim._pool is None  # batch of one never starts a pool
+    def test_empty_batch_and_bad_worker_count(self, mesh_topology):
+        assert parallel_simulate_many(mesh_topology, [], workers=2) == []
+        with pytest.raises(ValueError, match="workers"):
+            parallel_simulate_many(mesh_topology, [], workers=0)
 
 
 class TestSerialFallback:
-    """``threads=0`` pins the pool path these tests break: on an OpenMP
-    host with 2+ cores the default would answer from the threaded
-    kernel and never start a pool."""
-
     def test_pool_failure_warns_once_and_matches_serial(
         self, monkeypatch, mesh_topology, mesh_schedules, serial_summaries
     ):
@@ -184,29 +142,34 @@ class TestSerialFallback:
             raise PermissionError("sem_open blocked by sandbox")
 
         monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", boom)
-        sim = ParallelNocSimulator(mesh_topology, workers=2, threads=0)
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            assert sim.summarize_many(mesh_schedules) == serial_summaries
-        # Once broken, stays serial — and silent — for later batches.
-        assert sim.summarize_many(mesh_schedules) == serial_summaries
+        with pytest.warns(RuntimeWarning, match="falling back to serial") as caught:
+            got = parallel_simulate_many(mesh_topology, mesh_schedules, workers=2)
+        assert got == serial_summaries
+        assert len(caught) == 1
+        assert isinstance(caught[0].message.__cause__, PermissionError)
 
     def test_worker_crash_falls_back(
-        self, mesh_topology, mesh_schedules, serial_summaries
+        self, monkeypatch, mesh_topology, mesh_schedules, serial_summaries
     ):
+        import repro.noc.parallel as parallel_mod
+
         class Exploding:
             def __init__(self, *args, **kwargs):
                 pass
 
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
             def submit(self, *args, **kwargs):
                 raise OSError("fork failed")
 
-            def shutdown(self, **kwargs):
-                pass
-
-        sim = ParallelNocSimulator(mesh_topology, workers=2, threads=0)
-        sim._pool = Exploding()
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", Exploding)
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            assert sim.summarize_many(mesh_schedules) == serial_summaries
+            got = parallel_simulate_many(mesh_topology, mesh_schedules, workers=2)
+        assert got == serial_summaries
 
 
 class TestPickling:
@@ -221,28 +184,3 @@ class TestPickling:
         cfg = NocConfig(backend="fast", buffer_capacity=2, multicast=False)
         clone = pickle.loads(pickle.dumps(FastInterconnect(mesh_topology, config=cfg)))
         assert clone.config == cfg
-
-
-class TestThreadsZeroKeepsThePool:
-    """``REPRO_NOC_THREADS=0`` means "no in-process thread team", so a
-    multi-worker simulator answers from its pool on any host."""
-
-    def test_env_zero_routes_to_the_pool(
-        self, monkeypatch, mesh_topology, mesh_schedules, serial_summaries
-    ):
-        monkeypatch.setenv("REPRO_NOC_THREADS", "0")
-        with ParallelNocSimulator(mesh_topology, workers=2) as sim:
-            assert sim._sim.batch_threads() == 0
-            assert sim.summarize_many(mesh_schedules) == serial_summaries
-            assert sim._pool is not None or sim._pool_broken
-
-
-class TestValidation:
-    def test_spec_and_instance_are_exclusive(self, mesh_topology):
-        sim = FastInterconnect(mesh_topology)
-        with pytest.raises(ValueError, match="not both"):
-            ParallelNocSimulator(sim, config=NocConfig())
-
-    def test_bad_chunk_size(self, mesh_topology):
-        with pytest.raises(ValueError, match="chunk_size"):
-            ParallelNocSimulator(mesh_topology, workers=2, chunk_size=0)

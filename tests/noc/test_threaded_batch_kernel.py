@@ -4,8 +4,8 @@ The contract: ``simulate_many`` (one kernel call for the batch) returns
 results *bit-identical* to per-schedule ``simulate`` calls (batches of
 one) — same delivery records, link loads and buffer high-water marks —
 for every thread count, on single- and multi-word fabrics, healthy or
-degraded, and no steering (``REPRO_NOC_THREADS=0``, no-OpenMP builds,
-process-pool interaction) changes a single bit or the code path.
+degraded, and no steering (``REPRO_NOC_THREADS=0``, no-OpenMP builds)
+changes a single bit or the code path.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from repro.noc._ckernel import (
 from repro.noc.fastsim import FastInterconnect
 from repro.noc.faults import inject_random_faults
 from repro.noc.interconnect import NocConfig
-from repro.noc.parallel import ParallelNocSimulator, summarize
+from repro.noc.parallel import parallel_simulate_many
+from repro.noc.stats import summarize
 from repro.noc.topology import mesh, tree
 from repro.noc.traffic import synthetic_injections
 
@@ -127,10 +128,8 @@ class TestBitIdentity:
         calls = _spy_on_dispatch(monkeypatch, sim)
         if via_env:
             monkeypatch.setenv("REPRO_NOC_THREADS", "0")
-            assert sim.batch_threads() == 0
             got = sim.simulate_many(schedules)
         else:
-            assert sim.batch_threads(0) == 0
             got = sim.simulate_many(schedules, threads=0)
         assert [_fingerprint(s) for s in got] == want
         assert calls == [(4, 1)]
@@ -166,42 +165,29 @@ class TestResolveThreads:
     def test_zero_and_garbage(self, monkeypatch):
         assert resolve_threads(0) == 0
         monkeypatch.setenv("REPRO_NOC_THREADS", "bogus")
-        assert resolve_threads() == (os.cpu_count() or 1)
+        with pytest.warns(RuntimeWarning, match="REPRO_NOC_THREADS='bogus'"):
+            assert resolve_threads() == (os.cpu_count() or 1)
 
-    def test_batch_threads_caps_by_cores(self):
-        sim = FastInterconnect(mesh(3), config=CONFIG)
-        cores = os.cpu_count() or 1
-        expected = max(1, min(4, cores)) if openmp_enabled(KERNEL) else 1
-        assert sim.batch_threads(4) == expected
-        assert sim.batch_threads(0) == 0
+    def test_readable_settings_do_not_warn(self, monkeypatch, recwarn):
+        """Only a value that is neither a number nor 'auto' is a typo."""
+        for value in ("", "auto", "AUTO", " 2 ", "0", "-1"):
+            monkeypatch.setenv("REPRO_NOC_THREADS", value)
+            resolve_threads()
+        assert not recwarn.list
 
 
 class TestPoolInteraction:
-    def test_threaded_batch_preferred_over_pool(self, monkeypatch):
-        """Explicit threads>1 answers from the batch kernel, no pool."""
-        if not openmp_enabled(KERNEL):
-            pytest.skip("kernel built without OpenMP")
-        # batch_threads caps at the core count; pretend to have cores so
-        # the preference logic is exercised even on 1-core CI runners
-        # (extra OpenMP threads on one core are still bit-identical).
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        topo = mesh(3)
-        schedules = _schedules(topo, 6)
-        sim = FastInterconnect(topo, config=CONFIG)
-        want = [summarize(sim.simulate(s), topo) for s in schedules]
-        with ParallelNocSimulator(sim, workers=2, threads=2) as par:
-            got = par.summarize_many(schedules)
-            assert par._pool is None  # never paid for a process pool
-        assert got == want
-
     def test_pool_workers_still_bit_identical(self):
-        """workers>1 with the batch kernel available stays identical."""
+        """The benchmark's two-process pool leg (``workers=2, threads=0``,
+        after a threaded batch in the parent) stays identical."""
         topo = mesh(3)
         schedules = _schedules(topo, 6)
         sim = FastInterconnect(topo, config=CONFIG)
         want = [summarize(sim.simulate(s), topo) for s in schedules]
-        with ParallelNocSimulator(sim, workers=2, threads=0) as par:
-            got = par.summarize_many(schedules)
+        assert [summarize(s, topo) for s in sim.simulate_many(schedules)] == want
+        got = parallel_simulate_many(
+            topo, schedules, config=CONFIG, workers=2, threads=0
+        )
         assert got == want
 
 

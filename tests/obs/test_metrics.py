@@ -88,21 +88,6 @@ class TestGaugesAndHistograms:
 
 
 class TestMergeAndDeltas:
-    def test_counter_deltas_round_trip(self):
-        src = MetricsRegistry()
-        src.inc("packets", 42, backend="fast")
-        src.inc("runs")
-        deltas = src.counter_deltas()
-        # Wire format is plain picklable tuples.
-        import pickle
-
-        deltas = pickle.loads(pickle.dumps(deltas))
-        dst = MetricsRegistry()
-        dst.inc("runs", 5)
-        dst.merge_counters(deltas)
-        assert dst.counter_value("packets", backend="fast") == 42
-        assert dst.counter_value("runs") == 6
-
     def test_bool_reflects_content(self):
         reg = MetricsRegistry()
         assert not reg
@@ -115,10 +100,8 @@ class TestNullRegistry:
         NULL_METRICS.inc("x", 5, a="b")
         NULL_METRICS.set_gauge("g", 1)
         NULL_METRICS.observe("h", 0.5)
-        NULL_METRICS.merge_counters([("x", (), 1)])
         assert NULL_METRICS.counter_value("x") == 0
         assert NULL_METRICS.counters() == {}
-        assert NULL_METRICS.counter_deltas() == []
         assert not NULL_METRICS
         assert not NULL_METRICS.enabled
 

@@ -18,9 +18,6 @@ from repro.framework.pipeline import run_pipeline
 from repro.framework.service import MapRequest, MappingService
 from repro.hardware.presets import architecture_for
 from repro.noc.interconnect import NocConfig
-from repro.noc.parallel import ParallelNocSimulator
-from repro.noc.topology import mesh
-from repro.noc.traffic import synthetic_injections
 from repro.obs import (
     get_observer,
     load_trace_tree,
@@ -102,28 +99,6 @@ class TestPipelineNeutrality:
         _assert_pipeline_results_equal(bare, traced)
         # Counts injected faults, not calls.
         assert obs.metrics.counter_value("faults.random_injections") == 2
-
-
-class TestParallelNeutrality:
-    def test_workers_gt_1_bit_identical(self):
-        topology = mesh(3)
-        rates = [0.3] * topology.n_attach_points
-        schedules = [
-            synthetic_injections(rates, topology, 60, fanout=2, seed=i).injections
-            for i in range(6)
-        ]
-        # threads=0 pins the process pool: the default would prefer the
-        # threaded kernel wherever OpenMP and a second core exist.
-        with ParallelNocSimulator(topology, workers=2, threads=0) as sim:
-            bare = sim.summarize_many(schedules)
-            with observe() as obs:
-                traced = sim.summarize_many(schedules)
-        assert traced == bare
-        if not sim._pool_broken:
-            # Worker counter deltas made it back to the parent registry.
-            assert obs.metrics.counter_value("noc.parallel.batches") == 1
-            injected = obs.metrics.counter_value("noc.packets_injected")
-            assert injected == sum(s.n_injected for s in traced)
 
 
 class TestServiceNeutrality:
