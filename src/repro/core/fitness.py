@@ -9,7 +9,12 @@ as options (all default off, matching the paper):
   instead of per-synapse spikes.  With in-network multicast a neuron
   reaching many neurons on one remote crossbar sends one AER packet, so
   this variant matches the hardware cost more closely; the ablation bench
-  compares both.
+  compares both.  A swarm costs one
+  :meth:`~repro.core.traffic_matrix.TrafficMatrix.reach_masks` pass (a
+  gather and a grouped OR over the synapse pairs) plus a popcount, and
+  is exact for integer spike counts; the per-synapse ``spikes`` form is
+  the only objective that multiplies by a ``scipy.sparse`` matrix
+  (imported on its first batch).
 - ``hop_weighted`` — weight each crossing by the routed hop distance
   between the two crossbars, approximating energy rather than congestion.
   Evaluated through a precomputed crossbar-to-crossbar hop matrix, so
@@ -19,7 +24,10 @@ as options (all default off, matching the paper):
   (:mod:`repro.noc.fastsim`) and reading a congestion-aware metric off
   the resulting :class:`~repro.noc.stats.NocStats`.  This is the most
   faithful objective the system has: it sees buffering, arbitration and
-  multicast forking, not just traffic counts.  Swarm batches run through
+  multicast forking, not just traffic counts.  The instance sorts the
+  graph's spike events once (:class:`~repro.noc.traffic.SpikeEvents`)
+  and every schedule it scores is a filtered view of that list with the
+  same reach masks as destination words.  Swarm batches run through
   :meth:`~repro.noc.fastsim.FastInterconnect.simulate_many`: one
   GIL-free C call per swarm, spread over an OpenMP thread team where the
   kernel was built with one (``REPRO_NOC_THREADS`` caps it),
@@ -135,6 +143,7 @@ class InterconnectFitness:
 
             from repro.noc.fastsim import FastInterconnect
             from repro.noc.interconnect import NocConfig
+            from repro.noc.traffic import SpikeEvents
 
             base = noc_config if noc_config is not None else NocConfig()
             cfg = dataclasses.replace(base, backend="fast")
@@ -145,6 +154,10 @@ class InterconnectFitness:
             if routing is None and cache is not None:
                 routing = cache.routing(topology)
             self._noc = FastInterconnect(topology, routing, cfg)
+            # Everything the schedules share: this instance's synapse
+            # pairs (deduplicated once, above) and the graph's spike
+            # events, sorted once for every swarm it will ever score.
+            self._events = SpikeEvents(graph, cycles_per_ms, matrix=self.matrix)
 
     # -- single assignment ------------------------------------------------------
 
@@ -280,10 +293,9 @@ class InterconnectFitness:
         from repro.noc.stats import summarize
         from repro.noc.traffic import build_injections
 
-        self._check_clusters(assignment)
         schedule = build_injections(
             self.graph, assignment, self.topology,
-            cycles_per_ms=self.cycles_per_ms,
+            cycles_per_ms=self.cycles_per_ms, events=self._events,
         )
         return self._score(
             summarize(self._noc.simulate(schedule), self.topology)
@@ -293,14 +305,13 @@ class InterconnectFitness:
         from repro.noc.stats import summarize
         from repro.noc.traffic import build_injections_batch
 
-        self._check_clusters(assignments)
-        # One columnar batch: spike events are computed once and each
-        # particle only re-derives its destination sets; the schedules
-        # flow to the simulator as arrays, never as per-packet Injection
-        # objects.
+        # One columnar batch: every schedule is a filtered view of the
+        # shared event list with the swarm's reach masks as destination
+        # words; the schedules flow to the simulator as arrays, never as
+        # per-packet Injection objects.
         schedules = build_injections_batch(
             self.graph, assignments, self.topology,
-            cycles_per_ms=self.cycles_per_ms,
+            cycles_per_ms=self.cycles_per_ms, events=self._events,
         )
         return np.asarray(
             [

@@ -28,6 +28,7 @@ from repro.core.partition import Partition
 from repro.core.placement import apply_placement, place_clusters
 from repro.core.pso import BinaryPSO, PSOConfig
 from repro.core.traffic_matrix import (
+    TrafficMatrix,
     cluster_traffic,
     local_global_split,
     synapse_split_counts,
@@ -376,10 +377,10 @@ def map_snn(
 
     local_spikes, global_spikes = local_global_split(graph, partition.assignment)
     local_syn, global_syn = synapse_split_counts(graph, partition.assignment)
-    from repro.core.traffic_matrix import TrafficMatrix
-    extras["packets"] = TrafficMatrix(graph).packet_traffic(
-        partition.assignment
-    )
+    # The PSO's fitness already aggregated this graph; the structural
+    # methods never did.
+    matrix = fitness.matrix if method == "pso" else TrafficMatrix(graph)
+    extras["packets"] = matrix.packet_traffic(partition.assignment)
     extras["objective"] = objective
     if spare_capacity > 0:
         extras["spare_capacity"] = spare_capacity

@@ -9,8 +9,18 @@ carries).  For a candidate partition we need two aggregates:
   :mod:`repro.core.fitness` evaluates for whole swarms at once.
 
 :class:`TrafficMatrix` pre-aggregates the graph's edges into unique
-(src, dst) neuron pairs with summed traffic and caches the sparse
-neuron-level matrix used by the vectorized swarm evaluation.
+(src, dst) neuron pairs with summed traffic, sorted by source.  On top
+of them sits the one *remote-reach* primitive of the repo,
+:meth:`TrafficMatrix.reach_masks`: per (particle, neuron) the set of
+remote crossbars (or routers) the neuron's synapses reach, as bitmasks.
+A spike costs the interconnect one AER packet per member of that set, so
+both the closed-form ``packets`` objective (a popcount of the masks) and
+the NoC schedules of :mod:`repro.noc.traffic` (the masks *are* the
+destination words) read it.
+
+``scipy.sparse`` is imported by :meth:`TrafficMatrix.global_traffic_batch`
+alone (the ``spikes`` objective), on first use: the default ``packets``
+and the ``noc`` objective never load it.
 """
 
 from __future__ import annotations
@@ -21,10 +31,13 @@ import numpy as np
 
 from repro.snn.graph import SpikeGraph
 
-try:  # scipy speeds up swarm-batched fitness; the fallback is pure numpy.
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - scipy is installed in CI
-    _sparse = None
+#: Bits per reach-mask word.
+WORD_BITS = 64
+
+#: Transient bytes :meth:`TrafficMatrix.reach_masks` may hold per row
+#: block (the ``(rows, n_pairs)`` gather), so peak memory does not grow
+#: with the swarm size.
+_BLOCK_BYTES = 1 << 22
 
 
 class TrafficMatrix:
@@ -59,16 +72,13 @@ class TrafficMatrix:
         self.dst = self.dst[off_diag]
         self.traffic = self.traffic[off_diag]
         self.total = float(self.traffic.sum())
-        self._csr = self._build_sparse(self.traffic)
-        self._adj_csr = self._build_sparse(np.ones_like(self.traffic))
-
-    def _build_sparse(self, values: np.ndarray):
-        if _sparse is None:
-            return None
-        return _sparse.csr_matrix(
-            (values, (self.src, self.dst)),
-            shape=(self.n_neurons, self.n_neurons),
-        )
+        # The pairs are sorted by source: each source neuron owns one run,
+        # which is what lets reach_masks fold a run with one reduceat.
+        new_run = np.ones(self.src.shape[0], dtype=bool)
+        np.not_equal(self.src[1:], self.src[:-1], out=new_run[1:])
+        self._run_starts = np.flatnonzero(new_run)
+        self._run_sources = self.src[self._run_starts]
+        self._csr = None
 
     @property
     def n_pairs(self) -> int:
@@ -91,9 +101,12 @@ class TrafficMatrix:
     def global_traffic_batch(self, assignments: np.ndarray) -> np.ndarray:
         """Eq. 8 for a batch of assignments, shape (P, N) -> (P,).
 
-        Uses one sparse-matrix x dense-block product per call when scipy is
-        available: intra-cluster traffic of particle p is
-        ``sum_c x_pc^T W x_pc`` with one-hot columns ``x_pc``.
+        One sparse-matrix x dense-block product per call: intra-cluster
+        traffic of particle p is ``sum_c x_pc^T W x_pc`` with one-hot
+        columns ``x_pc``.  The one place scipy is used (its csr x dense
+        product measured 1.1-6x faster than the numpy forms); imported
+        here, and the matrix built on the first call, so the other
+        objectives never load it.
         """
         a = np.asarray(assignments)
         if a.ndim == 1:
@@ -103,8 +116,14 @@ class TrafficMatrix:
             raise ValueError(
                 f"assignments cover {n} neurons, expected {self.n_neurons}"
             )
-        if self._csr is None or n_particles == 1:
+        if n_particles == 1:
             return np.asarray([self.global_traffic(row) for row in a])
+        if self._csr is None:
+            from scipy import sparse
+
+            self._csr = sparse.csr_matrix(
+                (self.traffic, (self.src, self.dst)), shape=(n, n)
+            )
         n_clusters = int(a.max()) + 1
         # One-hot block: columns are (particle, cluster) pairs.
         cols = (np.arange(n_particles)[:, None] * n_clusters + a).astype(np.int64)
@@ -114,7 +133,59 @@ class TrafficMatrix:
         intra = (x * y).sum(axis=0).reshape(n_particles, n_clusters).sum(axis=1)
         return self.total - intra
 
-    # -- AER packet counting ----------------------------------------------------
+    # -- remote reach and AER packet counting ---------------------------------
+
+    def reach_masks(
+        self,
+        assignments: np.ndarray,
+        index: Optional[np.ndarray] = None,
+        n_bits: Optional[int] = None,
+    ) -> np.ndarray:
+        """Remote-reach bitmasks, ``(P, N, n_words)`` uint64.
+
+        Bit ``index[c]`` of row ``[p, n]`` (word ``index[c] // 64``) is
+        set when, under ``assignments[p]``, neuron ``n`` has a target on
+        cluster ``c`` other than its own cluster.  ``index`` maps
+        cluster ids to bit positions and must be injective; the default
+        is the identity (bit ``c`` = cluster ``c``), schedules pass the
+        dense router index of each cluster's attach point.  ``n_bits``
+        sizes the masks (default: just past the highest position used).
+        Cluster ids must be valid indices of ``index`` (non-negative
+        without one); callers check.
+
+        One ``1 << position`` per neuron, one gather over the
+        source-sorted pairs and one ``bitwise_or.reduceat`` over each
+        source's run, per mask word — any number of clusters, no
+        per-particle work.  Rows go through in blocks of at most
+        ``_BLOCK_BYTES`` of gathered words.
+        """
+        a = np.asarray(assignments, dtype=np.int64)
+        if a.ndim == 1:
+            a = a[None, :]
+        if a.shape[1] != self.n_neurons:
+            raise ValueError(
+                f"assignments cover {a.shape[1]} neurons, expected "
+                f"{self.n_neurons}"
+            )
+        position = a if index is None else np.asarray(index, dtype=np.int64)[a]
+        if n_bits is None:
+            n_bits = int(position.max()) + 1 if position.size else 1
+        n_words = max(1, -(-n_bits // WORD_BITS))
+        masks = np.zeros(a.shape + (n_words,), dtype=np.uint64)
+        if not self.n_pairs:
+            return masks
+        sources = self._run_sources
+        block = max(1, _BLOCK_BYTES // (8 * self.n_pairs))
+        for lo in range(0, a.shape[0], block):
+            word, shift = np.divmod(position[lo : lo + block], WORD_BITS)
+            bit = np.left_shift(np.uint64(1), shift.astype(np.uint64))
+            for w in range(n_words):
+                own = bit * (word == w)
+                reach = np.bitwise_or.reduceat(
+                    np.take(own, self.dst, axis=1), self._run_starts, axis=1
+                )
+                masks[lo : lo + block, sources, w] = reach & ~own[:, sources]
+        return masks
 
     def packet_traffic(self, assignment: np.ndarray) -> float:
         """AER packets on the interconnect under multicast delivery.
@@ -124,48 +195,20 @@ class TrafficMatrix:
         flow — regardless of how many synapses land on each crossbar.
         This is what a multicast AER interconnect actually carries.
         """
-        a = np.asarray(assignment, dtype=np.int64)
-        src_c = a[self.src]
-        dst_c = a[self.dst]
-        cross = src_c != dst_c
-        if not cross.any():
-            return 0.0
-        n_clusters = int(a.max()) + 1
-        pair = self.src[cross] * n_clusters + dst_c[cross]
-        unique_pairs = np.unique(pair)
-        neurons = unique_pairs // n_clusters
-        return float(self.neuron_spikes[neurons].sum())
+        return float(self.packet_traffic_batch(assignment)[0])
 
     def packet_traffic_batch(self, assignments: np.ndarray) -> np.ndarray:
-        """AER packet counts for a (P, N) batch of assignments.
+        """AER packet counts for a (P, N) batch of assignments (or one).
 
-        One sparse adjacency product per call: ``reach[n, c]`` flags
-        whether neuron n has any target on crossbar c; packets are
-        ``sum_n spikes_n * |reach(n) - {own crossbar}|``.
+        ``sum_n spikes_n * |reach(p, n)|``: a popcount of
+        :meth:`reach_masks` weighted by the per-neuron spike counts.
+        Exact (order-independent) whenever the spike counts are
+        integer-valued, as every simulated graph's are; for arbitrary
+        float traffic the dot product may differ from a neuron-by-neuron
+        sum in the last bits.
         """
-        a = np.asarray(assignments, dtype=np.int64)
-        if a.ndim == 1:
-            return np.asarray([self.packet_traffic(a)])
-        n_particles, n = a.shape
-        if n != self.n_neurons:
-            raise ValueError(
-                f"assignments cover {n} neurons, expected {self.n_neurons}"
-            )
-        if self._adj_csr is None:
-            return np.asarray([self.packet_traffic(row) for row in a])
-        n_clusters = int(a.max()) + 1
-        cols = (np.arange(n_particles)[:, None] * n_clusters + a).astype(np.int64)
-        x = np.zeros((n, n_particles * n_clusters), dtype=np.float64)
-        x[np.arange(n)[None, :].repeat(n_particles, axis=0).ravel(),
-          cols.ravel()] = 1.0
-        reach = (self._adj_csr.dot(x) > 0).astype(np.float64)
-        reach3 = reach.reshape(n, n_particles, n_clusters)
-        total_reach = reach3.sum(axis=2)                      # (n, P)
-        own = np.take_along_axis(
-            reach3, a.T[:, :, None], axis=2
-        )[:, :, 0]                                            # (n, P)
-        remote_clusters = total_reach - own
-        return self.neuron_spikes @ remote_clusters
+        reach = np.bitwise_count(self.reach_masks(assignments)).sum(axis=2)
+        return reach @ self.neuron_spikes
 
 
 def cluster_traffic(

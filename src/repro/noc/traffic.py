@@ -19,11 +19,20 @@ list stays available as a lazily materialized view
 (:attr:`ColumnarSchedule.injections`) for the reference backend and for
 any consumer that wants objects.
 
-:func:`build_injections_batch` builds a whole swarm's schedules in one
-pass: the spike-event columns (times → cycles) and the deduplicated
-synapse endpoint pairs are computed once, and only the per-particle
-destination sets are re-derived (one ``np.unique`` over encoded
-``(src, dst_cluster)`` pairs per particle).
+Schedules are *views of one event list*.  Everything a schedule needs
+that does not depend on the mapping lives in a :class:`SpikeEvents`,
+built once per ``(graph, cycles_per_ms)``: the graph's spike events,
+converted to cycles and sorted by cycle **once** (stable, so ties keep
+neuron-major order, each neuron's spikes in stored order).  A mapping
+only decides *which* neurons emit — those whose remote-reach mask
+(:meth:`repro.core.traffic_matrix.TrafficMatrix.reach_masks`, indexed by
+the dense router index of each crossbar's attach point) is non-empty —
+and a stable sort of a subsequence *is* the subsequence of the stable
+sort.  So a particle's schedule is the event list filtered to its
+emitting neurons, its destination words are the reach masks gathered per
+event, and no schedule is ever sorted: :func:`build_injections_batch`
+filters and gathers a whole swarm in a few array operations, and
+:func:`build_injections` is a batch of one.
 """
 
 from __future__ import annotations
@@ -39,8 +48,10 @@ from repro.obs import get_observer
 from repro.snn.graph import SpikeGraph
 from repro.utils.validation import check_positive
 
-#: Bits per destination-mask word.
-WORD_BITS = 64
+#: Transient bytes :func:`build_injections_batch` may hold per block of
+#: assignment rows (on top of the schedules it returns), so peak memory
+#: does not grow with the swarm size.
+_BLOCK_BYTES = 1 << 22
 
 
 def unpack_destination_bits(words: np.ndarray):
@@ -285,68 +296,60 @@ def global_destinations(
     }
 
 
-def _empty_columnar(
-    node_ids: np.ndarray, n_words: int, cycles_per_ms: float
-) -> ColumnarSchedule:
-    return ColumnarSchedule(
-        cycle=np.empty(0, dtype=np.int64),
-        src_node=np.empty(0, dtype=np.int64),
-        src_neuron=np.empty(0, dtype=np.int64),
-        uid=np.empty(0, dtype=np.int64),
-        dst_words=np.empty((0, n_words), dtype=np.uint64),
-        node_ids=node_ids,
-        cycles_per_ms=cycles_per_ms,
-        n_source_neurons=0,
-        n_spike_events=0,
-    )
+class SpikeEvents:
+    """All a schedule reads of a graph that no mapping changes.
 
+    Built once per ``(graph, cycles_per_ms)`` — by whoever scores many
+    mappings of one graph (:class:`~repro.core.fitness.InterconnectFitness`
+    keeps one for its lifetime and hands it to the builders), or on the
+    spot by a bare :func:`build_injections` / :func:`build_injections_batch`
+    call.  The graph must not change while the object is in use.
 
-class _SpikeColumns:
-    """Per-graph spike events flattened once for a whole batch.
+    The graph's spike events are converted to cycles
+    (``int(round(t * cycles_per_ms))``, IEEE round-half-even) and stably
+    sorted by cycle, which leaves ties in neuron-major order with each
+    neuron's spikes in stored order — the order of the reference
+    builder.  Every schedule of the graph is a subsequence of these
+    columns.
 
-    ``counts[n]`` / ``offsets[n]`` index neuron ``n``'s run inside the
-    concatenated ``cycles`` column (spike times already converted to
-    interconnect cycles, so particles share the conversion too).
+    Attributes
+    ----------
+    matrix:
+        The graph's :class:`~repro.core.traffic_matrix.TrafficMatrix`:
+        the deduplicated synapse pairs behind ``reach_masks``.
+    counts:
+        int64 ``(n_neurons,)`` spikes per neuron.
+    cycle, neuron, within:
+        int64 ``(n_events,)`` columns, sorted by ``cycle``: the event's
+        injection cycle, its neuron, and the spike's index within that
+        neuron's train.
     """
 
-    def __init__(self, graph: SpikeGraph, cycles_per_ms: float) -> None:
+    def __init__(self, graph: SpikeGraph, cycles_per_ms: float, matrix=None) -> None:
+        check_positive("cycles_per_ms", cycles_per_ms)
+        if matrix is None:
+            from repro.core.traffic_matrix import TrafficMatrix
+
+            matrix = TrafficMatrix(graph)
+        self.graph = graph
+        self.cycles_per_ms = cycles_per_ms
+        self.matrix = matrix
         self.counts = graph.spike_counts()
-        self.offsets = np.cumsum(self.counts) - self.counts
-        if int(self.counts.sum()):
+        n_events = int(self.counts.sum())
+        if n_events:
             times = np.concatenate(graph.spike_times)
         else:
             times = np.empty(0, dtype=np.float64)
-        # int(round(t * cpm)) of the legacy builder: IEEE round-half-even.
-        self.cycles = np.rint(times * cycles_per_ms).astype(np.int64)
-
-    def gather(self, neurons: np.ndarray):
-        """Spike cycles of ``neurons`` (sorted), run-expanded.
-
-        Returns ``(per_neuron_counts, packet_cycles)`` where the cycles
-        come out grouped by neuron in the given order, each neuron's
-        spikes in stored (time) order — the legacy packet order before
-        the stable cycle sort.
-        """
-        cnts = self.counts[neurons]
-        total = int(cnts.sum())
-        if total == 0:
-            return cnts, np.empty(0, dtype=np.int64)
-        run_starts = np.cumsum(cnts) - cnts
-        idx = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(run_starts, cnts)
-            + np.repeat(self.offsets[neurons], cnts)
-        )
-        cycles = self.cycles[idx]
-        if int(cycles.min()) < 0:
-            # The legacy builder raised through Injection.__post_init__;
-            # keep failing at build time (and only for neurons that
-            # actually emit packets, matching its laziness).
-            raise ValueError(
-                f"negative injection cycle {int(cycles.min())} (negative "
-                "spike time in graph)"
-            )
-        return cnts, cycles
+        # Neuron-major columns first; the stable sort is the one sort
+        # every schedule shares.
+        cycle = np.rint(times * cycles_per_ms).astype(np.int64)
+        order = np.argsort(cycle, kind="stable")
+        self.cycle = cycle[order]
+        self.neuron = np.repeat(np.arange(graph.n_neurons), self.counts)[order]
+        self.within = (
+            np.arange(n_events)
+            - np.repeat(np.cumsum(self.counts) - self.counts, self.counts)
+        )[order]
 
 
 def build_injections_batch(
@@ -354,26 +357,38 @@ def build_injections_batch(
     assignments: np.ndarray,
     topology: Topology,
     cycles_per_ms: float = 10.0,
+    *,
+    events: Optional[SpikeEvents] = None,
 ) -> List[ColumnarSchedule]:
     """Build one :class:`ColumnarSchedule` per assignment row.
 
-    The swarm-scoring hot path: spike events (times → cycles) and the
-    deduplicated synapse endpoint pairs are computed once for the whole
-    batch; each particle only re-derives its destination sets — one
-    ``np.unique`` over encoded ``(src, dst_cluster)`` pairs — and
-    gathers the shared spike columns.
+    The swarm-scoring hot path.  Per call: one
+    :meth:`~repro.core.traffic_matrix.TrafficMatrix.reach_masks` over
+    the whole batch (bit = dense router index of the cluster's attach
+    point), then every row's schedule is cut out of ``events`` — the
+    events whose neuron has a non-empty mask, in list order.  Because
+    the list is stably sorted by cycle and filtering keeps relative
+    order, each result is already in the reference order (cycle, then
+    neuron, then spike) with no per-schedule sort; ``uid`` is the
+    packet's rank in neuron-major order among the row's emitting
+    neurons, ``dst_words`` the neuron's mask.  A negative spike time
+    raises only when its neuron emits in some row.
+
+    ``events`` is a handle to the graph's precomputed
+    :class:`SpikeEvents` (it must be of this ``graph`` and
+    ``cycles_per_ms``); without one the columns are built for this call.
+    The schedules of one call are slices of shared arrays.
     """
-    check_positive("cycles_per_ms", cycles_per_ms)
     obs = get_observer()
     if not obs.enabled:
         return _build_injections_batch_impl(
-            graph, assignments, topology, cycles_per_ms
+            graph, assignments, topology, cycles_per_ms, events
         )
     with obs.span(
         "traffic.build_injections_batch", graph=graph.name
     ) as span:
         out = _build_injections_batch_impl(
-            graph, assignments, topology, cycles_per_ms
+            graph, assignments, topology, cycles_per_ms, events
         )
         span.set(
             n_schedules=len(out),
@@ -390,6 +405,7 @@ def _build_injections_batch_impl(
     assignments: np.ndarray,
     topology: Topology,
     cycles_per_ms: float,
+    events: Optional[SpikeEvents],
 ) -> List[ColumnarSchedule]:
     a = np.asarray(assignments, dtype=np.int64)
     if a.ndim == 1:
@@ -403,66 +419,72 @@ def _build_injections_batch_impl(
         # Fancy indexing would silently wrap negatives to the last
         # crossbars; the row-oriented builder raised on them.
         raise ValueError(f"assignments contain negative cluster id {int(a.min())}")
+    if a.size and int(a.max()) >= topology.n_attach_points:
+        raise ValueError(
+            f"assignment uses cluster {int(a.max())} but the topology "
+            f"has only {topology.n_attach_points} crossbar attach points"
+        )
+    if events is None:
+        events = SpikeEvents(graph, cycles_per_ms)
+    elif events.graph is not graph or events.cycles_per_ms != cycles_per_ms:
+        raise ValueError(
+            "events were built for another graph or cycles_per_ms "
+            f"({events.graph.name!r}, {events.cycles_per_ms})"
+        )
     node_ids = dense_node_ids(topology)
-    n_words = max(1, -(-int(node_ids.shape[0]) // WORD_BITS))
     attach = np.asarray(topology.attach_points, dtype=np.int64)
-    attach_didx = np.searchsorted(node_ids, attach)
-
-    if graph.n_synapses:
-        pair_keys = np.unique(graph.src * graph.n_neurons + graph.dst)
-        u_src = pair_keys // graph.n_neurons
-        u_dst = pair_keys % graph.n_neurons
-    else:
-        u_src = u_dst = np.empty(0, dtype=np.int64)
-    spikes = _SpikeColumns(graph, cycles_per_ms)
+    attach_bit = np.searchsorted(node_ids, attach)
 
     out: List[ColumnarSchedule] = []
-    for row in a:
-        src_c = row[u_src]
-        dst_c = row[u_dst]
-        remote = src_c != dst_c
-        if not remote.any():
-            out.append(_empty_columnar(node_ids, n_words, cycles_per_ms))
-            continue
-        # ``u_src`` is sorted (major key of the synapse-pair dedup), so
-        # its remote subset is grouped by neuron already: boundary flags
-        # replace a per-particle ``np.unique``, and duplicate
-        # destinations collapse through the idempotent OR below.
-        rsrc = u_src[remote]
-        didx = attach_didx[dst_c[remote]]
-        new_group = np.empty(rsrc.shape[0], dtype=bool)
-        new_group[0] = True
-        np.not_equal(rsrc[1:], rsrc[:-1], out=new_group[1:])
-        neurons = rsrc[new_group]
-
-        words = np.zeros((neurons.shape[0], n_words), dtype=np.uint64)
-        np.bitwise_or.at(
-            words,
-            (np.cumsum(new_group) - 1, didx >> 6),
-            np.left_shift(np.uint64(1), (didx & 63).astype(np.uint64)),
+    # About eight int64 temporaries per (row, event) besides the output.
+    block = max(1, _BLOCK_BYTES // (64 * max(1, events.cycle.shape[0])))
+    for lo in range(0, a.shape[0], block):
+        rows = a[lo : lo + block]
+        words = events.matrix.reach_masks(
+            rows, index=attach_bit, n_bits=node_ids.shape[0]
         )
-
-        cnts, pk_cycle = spikes.gather(neurons)
-        n_packets = int(pk_cycle.shape[0])
-        if n_packets == 0:
-            schedule = _empty_columnar(node_ids, n_words, cycles_per_ms)
-            schedule.n_source_neurons = int(neurons.shape[0])
-            out.append(schedule)
-            continue
-        order = np.argsort(pk_cycle, kind="stable")
-        out.append(
-            ColumnarSchedule(
-                cycle=pk_cycle[order],
-                src_node=np.repeat(attach[row[neurons]], cnts)[order],
-                src_neuron=np.repeat(neurons, cnts)[order],
-                uid=order.astype(np.int64),
-                dst_words=np.repeat(words, cnts, axis=0)[order],
-                node_ids=node_ids,
-                cycles_per_ms=cycles_per_ms,
-                n_source_neurons=int(neurons.shape[0]),
-                n_spike_events=n_packets,
+        emits = words.any(axis=2)
+        packets = events.counts * emits  # per (row, neuron)
+        n_packets = packets.sum(axis=1)
+        ends = np.cumsum(n_packets)
+        starts = ends - n_packets
+        first_uid = np.cumsum(packets, axis=1) - packets
+        # Row-major: each row's kept events stay in event-list order.
+        kept = np.flatnonzero(emits[:, events.neuron])
+        row_of = np.repeat(np.arange(rows.shape[0]), n_packets)
+        event = kept - row_of * events.cycle.shape[0]
+        cycle = events.cycle[event]
+        src_neuron = events.neuron[event]
+        at = row_of * graph.n_neurons + src_neuron
+        src_node = attach[rows].ravel()[at]
+        uid = first_uid.ravel()[at] + events.within[event]
+        dst_words = np.take(words.reshape(-1, words.shape[2]), at, axis=0)
+        if cycle.size and int(events.cycle[0]) < 0:
+            # Sorted columns: a row's first packet carries its lowest
+            # cycle.  (Only neurons that emit can trip this, matching
+            # the reference builder's laziness.)
+            first = cycle[starts[starts < ends]]
+            if int(first.min()) < 0:
+                raise ValueError(
+                    f"negative injection cycle {int(first[first < 0][0])} "
+                    "(negative spike time in graph)"
+                )
+        for s, e, n_emitting in zip(
+            starts.tolist(), ends.tolist(), emits.sum(axis=1).tolist()
+        ):
+            out.append(
+                ColumnarSchedule(
+                    cycle=cycle[s:e],
+                    src_node=src_node[s:e],
+                    src_neuron=src_neuron[s:e],
+                    uid=uid[s:e],
+                    dst_words=dst_words[s:e],
+                    node_ids=node_ids,
+                    cycles_per_ms=cycles_per_ms,
+                    n_source_neurons=n_emitting,
+                    n_spike_events=e - s,
+                )
             )
-        )
     return out
 
 
@@ -471,6 +493,8 @@ def build_injections(
     assignment: np.ndarray,
     topology: Topology,
     cycles_per_ms: float = 10.0,
+    *,
+    events: Optional[SpikeEvents] = None,
 ) -> ColumnarSchedule:
     """Build the AER injection schedule for a mapped spike graph.
 
@@ -478,11 +502,16 @@ def build_injections(
     injection (the interconnect config decides whether it travels as one
     forked packet or per-destination unicast copies).  Returns the
     columnar representation; ``.injections`` materializes the legacy
-    :class:`Injection` list on demand.
+    :class:`Injection` list on demand.  A batch of one:
+    see :func:`build_injections_batch` for ``events``.
     """
     assignment = np.asarray(assignment, dtype=np.int64)
     return build_injections_batch(
-        graph, assignment[None, :], topology, cycles_per_ms=cycles_per_ms
+        graph,
+        assignment[None, :],
+        topology,
+        cycles_per_ms=cycles_per_ms,
+        events=events,
     )[0]
 
 

@@ -1,7 +1,13 @@
 """Tests for traffic aggregation (Eqs. 6-7)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.core.traffic_matrix import (
     TrafficMatrix,
@@ -99,3 +105,205 @@ class TestSplits:
         local, global_ = synapse_split_counts(tiny_graph, a)
         assert global_ == 1
         assert local == tiny_graph.n_synapses - 1
+
+
+# -- remote reach: one primitive behind the packets objective ------------------
+
+
+def oracle_packet_traffic(m, assignment):
+    """The replaced scalar form: one ``np.unique`` per assignment."""
+    a = np.asarray(assignment, dtype=np.int64)
+    src_c = a[m.src]
+    dst_c = a[m.dst]
+    cross = src_c != dst_c
+    if not cross.any():
+        return 0.0
+    n_clusters = int(a.max()) + 1
+    pair = m.src[cross] * n_clusters + dst_c[cross]
+    neurons = np.unique(pair) // n_clusters
+    return float(m.neuron_spikes[neurons].sum())
+
+
+def oracle_packet_traffic_batch(m, assignments):
+    """The replaced batch form: a scipy adjacency x one-hot product."""
+    from scipy import sparse
+
+    a = np.asarray(assignments, dtype=np.int64)
+    n_particles, n = a.shape
+    adj = sparse.csr_matrix(
+        (np.ones_like(m.traffic), (m.src, m.dst)), shape=(n, n)
+    )
+    n_clusters = int(a.max()) + 1
+    cols = (np.arange(n_particles)[:, None] * n_clusters + a).astype(np.int64)
+    x = np.zeros((n, n_particles * n_clusters), dtype=np.float64)
+    x[np.arange(n)[None, :].repeat(n_particles, axis=0).ravel(), cols.ravel()] = 1.0
+    reach = (adj.dot(x) > 0).astype(np.float64)
+    reach3 = reach.reshape(n, n_particles, n_clusters)
+    own = np.take_along_axis(reach3, a.T[:, :, None], axis=2)[:, :, 0]
+    return m.neuron_spikes @ (reach3.sum(axis=2) - own)
+
+
+def _random_graph(n, n_edges, seed, integer_traffic=True):
+    """Parallel synapses, self-loops and neurons without out-synapses
+    included; a synapse's traffic is its source neuron's spike count."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, n, n_edges)
+    dst = rng.integers(0, n, n_edges)
+    spikes = rng.integers(0, 40, n).astype(np.float64)
+    if not integer_traffic:
+        spikes = spikes * rng.uniform(0.1, 3.0, n)
+    return SpikeGraph.from_edges(n, src, dst, spikes[src])
+
+
+def brute_force_reach(graph, assignment):
+    """neuron -> set of remote clusters, one synapse at a time."""
+    reach = [set() for _ in range(graph.n_neurons)]
+    for s, d in zip(graph.src.tolist(), graph.dst.tolist()):
+        if assignment[s] != assignment[d]:
+            reach[s].add(int(assignment[d]))
+    return reach
+
+
+def mask_members(words):
+    """Set bit positions of one ``(n_words,)`` mask."""
+    return {
+        64 * w + b
+        for w, word in enumerate(words.tolist())
+        for b in range(64)
+        if word >> b & 1
+    }
+
+
+class TestReachMasks:
+    @pytest.mark.parametrize("n_clusters", [3, 64, 65, 200])
+    def test_masks_are_the_remote_cluster_sets(self, n_clusters):
+        g = _random_graph(30, 150, seed=n_clusters)
+        m = TrafficMatrix(g)
+        a = np.random.default_rng(1).integers(0, n_clusters, (3, 30))
+        masks = m.reach_masks(a, n_bits=n_clusters)
+        assert masks.dtype == np.uint64
+        assert masks.shape == (3, 30, -(-n_clusters // 64))
+        for row, row_masks in zip(a, masks):
+            want = brute_force_reach(g, row)
+            assert [mask_members(w) for w in row_masks] == want
+
+    def test_index_renumbers_the_bits(self):
+        g = _random_graph(20, 80, seed=3)
+        m = TrafficMatrix(g)
+        a = np.random.default_rng(2).integers(0, 5, (2, 20))
+        index = np.array([70, 3, 64, 0, 129])  # spread over three words
+        masks = m.reach_masks(a, index=index, n_bits=130)
+        assert masks.shape == (2, 20, 3)
+        for row, row_masks in zip(a, masks):
+            want = [{int(index[c]) for c in s} for s in brute_force_reach(g, row)]
+            assert [mask_members(w) for w in row_masks] == want
+
+    def test_no_synapses_no_reach(self):
+        g = SpikeGraph.from_edges(4, [], [], [])
+        m = TrafficMatrix(g)
+        assert not m.reach_masks(np.arange(4)[None, :]).any()
+        assert m.packet_traffic(np.arange(4)) == 0.0
+
+    def test_wrong_width_rejected(self, tiny_graph):
+        m = TrafficMatrix(tiny_graph)
+        with pytest.raises(ValueError, match="neurons"):
+            m.reach_masks(np.zeros((4, 5), dtype=int))
+        with pytest.raises(ValueError, match="neurons"):
+            m.packet_traffic_batch(np.zeros((4, 5), dtype=int))
+
+
+class TestPacketTraffic:
+    @pytest.mark.parametrize("n_particles", [1, 2, 9])
+    @pytest.mark.parametrize("n_clusters", [4, 70])
+    def test_integer_traffic_is_exact(self, n_particles, n_clusters):
+        g = _random_graph(40, 300, seed=7)
+        m = TrafficMatrix(g)
+        a = np.random.default_rng(n_particles).integers(
+            0, n_clusters, (n_particles, 40)
+        )
+        batched = m.packet_traffic_batch(a)
+        assert batched.dtype == np.float64 and batched.shape == (n_particles,)
+        assert np.array_equal(batched, oracle_packet_traffic_batch(m, a))
+        assert batched.tolist() == [oracle_packet_traffic(m, row) for row in a]
+        assert batched.tolist() == [m.packet_traffic(row) for row in a]
+
+    def test_float_traffic_within_rounding(self):
+        g = _random_graph(40, 300, seed=11, integer_traffic=False)
+        m = TrafficMatrix(g)
+        a = np.random.default_rng(4).integers(0, 6, (8, 40))
+        batched = m.packet_traffic_batch(a)
+        np.testing.assert_allclose(
+            batched, oracle_packet_traffic_batch(m, a), rtol=1e-9
+        )
+        np.testing.assert_allclose(
+            batched, [oracle_packet_traffic(m, row) for row in a], rtol=1e-9
+        )
+
+    def test_batch_larger_than_one_row_block(self, monkeypatch):
+        from repro.core import traffic_matrix
+
+        g = _random_graph(40, 300, seed=13)
+        m = TrafficMatrix(g)
+        a = np.random.default_rng(6).integers(0, 70, (7, 40))
+        whole = m.packet_traffic_batch(a)
+        # Room for two rows of gathered words a block: 2 + 2 + 2 + 1.
+        monkeypatch.setattr(traffic_matrix, "_BLOCK_BYTES", 8 * m.n_pairs * 2)
+        assert np.array_equal(m.packet_traffic_batch(a), whole)
+        assert np.array_equal(whole, oracle_packet_traffic_batch(m, a))
+
+    def test_1d_input_is_a_batch_of_one(self, tiny_graph):
+        m = TrafficMatrix(tiny_graph)
+        a = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+        assert m.packet_traffic_batch(a).tolist() == [m.packet_traffic(a)]
+        assert m.packet_traffic(a) == oracle_packet_traffic(m, a)
+
+    def test_all_local_is_zero(self, tiny_graph):
+        m = TrafficMatrix(tiny_graph)
+        assert m.packet_traffic(np.zeros(8, dtype=int)) == 0.0
+        assert not m.packet_traffic_batch(np.zeros((3, 8), dtype=int)).any()
+
+
+class TestScipyStaysCold:
+    """The default paths never import scipy; the spikes objective does."""
+
+    RUN_MAP = (
+        "from repro.framework.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['map', '--app', 'hello_world'{extra}])"
+    )
+
+    @staticmethod
+    def _scipy_modules_after(body: str) -> str:
+        code = (
+            "import contextlib, io, sys\n"
+            "import repro\n"
+            f"{body}\n"
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src_dir, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip().splitlines()[-1]
+
+    def test_import_repro_loads_no_scipy(self):
+        assert self._scipy_modules_after("") == "[]"
+
+    def test_default_map_loads_no_scipy(self):
+        assert self._scipy_modules_after(self.RUN_MAP.format(extra="")) == "[]"
+
+    def test_spikes_objective_loads_it_on_demand(self):
+        loaded = self._scipy_modules_after(
+            self.RUN_MAP.format(extra=", '--objective', 'spikes'")
+        )
+        assert "'scipy.sparse'" in loaded

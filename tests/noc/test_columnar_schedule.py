@@ -180,6 +180,19 @@ class TestColumnarVsLegacyBuilder:
         with pytest.raises(ValueError, match="negative cluster"):
             build_injections(graph, assignment, topo)
 
+    def test_cluster_past_attach_points_rejected(self):
+        """Used to die inside numpy with a bare ``IndexError``."""
+        topo = build_topology("mesh", 6)
+        graph = random_graph(10, 30, seed=4)
+        assignment = np.arange(10) % 6
+        assignment[0] = 9
+        with pytest.raises(
+            ValueError, match="cluster 9 but the topology has only 6 crossbar"
+        ):
+            build_injections(graph, assignment, topo)
+        with pytest.raises(ValueError, match="cluster 9 .* only 6 crossbar"):
+            build_injections_batch(graph, np.stack([assignment % 6, assignment]), topo)
+
     def test_hand_built_schedule_sanitized_like_reference(self):
         """Self-destination bits are stripped, empty rows dropped."""
         topo = build_topology("mesh", 4)
