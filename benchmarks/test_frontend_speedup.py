@@ -5,11 +5,12 @@ NoC kernel, columnar schedules, process-parallel sharding); this bench
 pins the two front-end contracts that make the rest of a paper-scale
 ``map_snn`` run equally fast:
 
-- ``repair_batch`` + the ``put_along_axis`` one-hot decode handle a
-  paper-scale generation (1000 particles x 320 neurons) >= 5x faster
-  than the per-particle ``repair_assignment_reference`` loop + the
-  repeat/tile one-hot build they replaced, with bit-identical repaired
-  assignments (deterministic ``move_cost`` path) and attractor matrices;
+- ``repair_batch`` + ``BinaryPSO._one_hot`` (the incremental flat-index
+  one-hot decode) handle a paper-scale generation (1000 particles x 320
+  neurons) >= 5x faster than the per-particle
+  ``repair_assignment_reference`` loop + the repeat/tile one-hot build
+  they replaced, with bit-identical repaired assignments (deterministic
+  ``move_cost`` path) and attractor matrices;
 - the columnar SNN engine simulates a heartbeat-scale liquid-state
   stack (ECG level-crossing input, four 32-neuron liquid columns with
   recurrent + cross-column wiring, per-column readouts) >= 5x faster
@@ -34,6 +35,7 @@ from repro.core.partition import (
     repair_assignment_reference,
     repair_batch,
 )
+from repro.core.pso import BinaryPSO, PSOConfig
 from repro.snn.generators import ScheduledSource
 from repro.snn.network import Network
 from repro.snn.neuron import LIFModel
@@ -87,20 +89,21 @@ def test_batched_swarm_repair_and_decode_speedup(benchmark):
         onehot[idx_p, idx_n, out.ravel()] = 1.0
         return out, (onehot * 2.0 - 1.0) * half
 
-    buf = np.empty((SWARM_P, SWARM_N, SWARM_C))
-    buf.fill(-half)
-    prev = [None]
+    # The swarm whose one-hot decode is measured; it scores nothing here.
+    pso = BinaryPSO(
+        lambda batch: np.zeros(batch.shape[0]),
+        n_neurons=SWARM_N,
+        n_clusters=SWARM_C,
+        capacity=SWARM_CAP,
+        config=PSOConfig(n_particles=SWARM_P, x_max=2 * half),
+    )
 
     def batched_generation():
-        """The new per-iteration path: vectorized batch repair plus the
-        incremental put_along_axis one-hot (erase previous positions, put
-        the new ones — BinaryPSO._one_hot's strategy)."""
+        """The new per-iteration path: vectorized batch repair plus
+        BinaryPSO's incremental one-hot (erase the previous generation's
+        entries, write the new ones)."""
         out = repair_batch(swarm, SWARM_C, SWARM_CAP, move_cost=move_cost)
-        if prev[0] is not None:
-            np.put_along_axis(buf, prev[0][:, :, None], -half, axis=2)
-        np.put_along_axis(buf, out[:, :, None], half, axis=2)
-        prev[0] = out
-        return out, buf
+        return out, pso._one_hot(out)
 
     legacy_out, legacy_onehot = legacy_generation()
     batched_out, batched_onehot = batched_generation()
@@ -108,7 +111,7 @@ def test_batched_swarm_repair_and_decode_speedup(benchmark):
         "repair_batch diverged from the per-particle repair loop"
     )
     assert np.array_equal(batched_onehot, legacy_onehot), (
-        "put_along_axis one-hot diverged from the repeat/tile build"
+        "BinaryPSO._one_hot diverged from the repeat/tile build"
     )
 
     t_legacy = min(timeit.repeat(legacy_generation, number=1, repeat=3))

@@ -17,12 +17,21 @@ from repro.snn.graph import SpikeGraph
 from repro.utils.validation import check_positive
 
 
+#: Pairs the union-find loop takes between two prunings of the pair list.
+_BLOCK = 512
+
+
 def greedy_partition(
     graph: SpikeGraph,
     n_clusters: int,
     capacity: int,
 ) -> Partition:
-    """Union-find merge of neuron groups along hottest synapses first."""
+    """Union-find merge of neuron groups along hottest synapses first.
+
+    The pairs go through the scalar union-find a block at a time; after
+    each block the pairs that can no longer merge are dropped from the
+    rest, so the Python loop mostly sees pairs that still can.
+    """
     check_positive("n_clusters", n_clusters)
     check_positive("capacity", capacity)
     n = graph.n_neurons
@@ -46,14 +55,32 @@ def greedy_partition(
         return root
 
     order = np.argsort(-matrix.traffic, kind="stable")
-    for src, dst in zip(matrix.src[order].tolist(), matrix.dst[order].tolist()):
-        a, b = find(src), find(dst)
-        if a == b:
-            continue
-        if group_size[a] + group_size[b] > capacity:
-            continue
-        parent[b] = a
-        group_size[a] += group_size[b]
+    src, dst = matrix.src[order], matrix.dst[order]
+    while src.size:
+        for s, d in zip(src[:_BLOCK].tolist(), dst[:_BLOCK].tolist()):
+            a, b = find(s), find(d)
+            if a == b:
+                continue
+            if group_size[a] + group_size[b] > capacity:
+                continue
+            parent[b] = a
+            group_size[a] += group_size[b]
+        # Both ways to skip a pair are for good: groups only grow, so two
+        # that share a root, or no longer fit one crossbar together, will
+        # never merge.  Drop those pairs from what is left in one pass.
+        src, dst = src[_BLOCK:], dst[_BLOCK:]
+        root = np.asarray(parent)
+        while True:  # pointer jumping
+            above = root[root]
+            if np.array_equal(above, root):
+                break
+            root = above
+        src_root, dst_root = root[src], root[dst]
+        size = np.asarray(group_size)
+        live = (src_root != dst_root) & (
+            size[src_root] + size[dst_root] <= capacity
+        )
+        src, dst = src[live], dst[live]
 
     # Bin-pack the resulting groups (largest first) onto crossbars.
     roots: dict = {}

@@ -19,6 +19,14 @@ dimensions ``x_{i,k}`` of the paper.  Every iteration:
 
 The one-hot decode makes constraint Eq. 4 structural: no particle can ever
 assign a neuron to two crossbars, so no penalty terms are needed.
+
+How the loop is laid out for speed — six ``(P, N, C)`` buffers allocated
+once, a cluster-major stochastic decode, no move after the last
+generation — is described on :meth:`BinaryPSO.optimize` and
+:meth:`BinaryPSO._binarize`.  Each form is the same float sequence, and
+the same draws at the same stream positions, as the textbook one:
+``tests/core/test_pso_oracle.py`` keeps the replaced loop as the oracle
+and ``tests/core/test_pso.py`` pins trajectories that predate all of it.
 """
 
 from __future__ import annotations
@@ -48,9 +56,10 @@ class PSOConfig:
 
     ``dtype`` selects the floating-point type of the swarm's position,
     velocity and best-position buffers.  ``np.float32`` halves the resident
-    memory of a paper-scale swarm (seven (P, N, C) buffers) at the cost of
-    a slightly different stochastic trajectory; ``np.float64`` (default)
-    reproduces the historical bit-exact results.
+    memory of a paper-scale swarm (six (P, N, C) buffers: position,
+    velocity, personal best, scratch, uniform draws, one-hot) at the cost
+    of a slightly different stochastic trajectory; ``np.float64``
+    (default) reproduces the historical bit-exact results.
     """
 
     n_particles: int = 100
@@ -154,7 +163,8 @@ class BinaryPSO:
         self._dtype = np.dtype(self.config.dtype)
         self._half_x = self._dtype.type(self.config.x_max / 2.0)
         self._onehot_buf: Optional[np.ndarray] = None
-        self._onehot_prev: Optional[np.ndarray] = None
+        self._onehot_base: Optional[np.ndarray] = None
+        self._onehot_set: Optional[np.ndarray] = None
 
     # -- public API --------------------------------------------------------------
 
@@ -164,11 +174,29 @@ class BinaryPSO:
         """Run the swarm and return the best feasible assignment found.
 
         The iteration loop is allocation-free in its hot path: the
-        position, velocity, one-hot and scratch ``(P, N, C)`` buffers are
-        allocated once and updated in place (every in-place formulation
-        below is bit-identical to the original out-of-place expression),
-        so a paper-scale swarm's per-generation cost is the fitness call
-        plus the batched decode/repair, not allocator churn.
+        position, velocity, one-hot, scratch and uniform-draw
+        ``(P, N, C)`` buffers are allocated once and updated in place
+        (every in-place formulation below is bit-identical to the
+        original out-of-place expression), so a paper-scale swarm's
+        per-generation cost is the fitness call plus the batched
+        decode/repair, not allocator churn.
+
+        Eq. 1 builds each pull in the buffer its uniform factor was
+        drawn into — ``r *= phi; r *= (best - x); v += r`` is
+        ``v += (phi * r) * (best - x)`` operand for operand — and ``r1``,
+        ``r2`` are two consecutive fills of that one buffer: the
+        generator hands out the same values in the same order whatever
+        arithmetic runs between two draws.  Between a move and the next
+        draw the buffer is dead, so the decode keeps its cumulative
+        planes there.
+
+        The generation that exhausts ``n_iterations`` is not followed by
+        a move (as one that trips ``early_stop_patience`` never was):
+        nothing would decode the moved swarm, and no result field can
+        tell.  The one visible difference is the stream position the
+        instance is left at — ``2 * P * N * C`` draws earlier — which
+        only a second ``optimize()`` on the same instance would see; it
+        would start a different (equally valid) swarm than it used to.
         """
         cfg = self.config
         p, n, c = cfg.n_particles, self.n_neurons, self.n_clusters
@@ -181,9 +209,11 @@ class BinaryPSO:
             positions = positions.astype(self._dtype)
             velocities = velocities.astype(self._dtype)
         scratch = np.empty_like(positions)
-        scratch2 = np.empty_like(positions)
-        r1 = np.empty_like(positions)
-        r2 = np.empty_like(positions)
+        r = np.empty_like(positions)
+        # The decode's cumulative planes live in r's memory: the uniform
+        # draws are dead from the end of one move to the next.
+        planes = r.reshape(c, p, n)
+        above = np.empty((c, p, n), dtype=bool)
 
         pbest_positions = positions.copy()
         pbest_fitness = np.full(p, np.inf)
@@ -219,7 +249,7 @@ class BinaryPSO:
             iterations_run += 1
             with obs.span("pso.iteration", iteration=iterations_run) as it_span:
                 with obs.span("pso.decode_repair"):
-                    assignments = self._binarize(positions, scratch, scratch2)
+                    assignments = self._binarize(positions, scratch, planes, above)
                     assignments = self._repair_batch(assignments)
                 with obs.span("pso.evaluate", particles=p):
                     fitness = np.asarray(
@@ -245,26 +275,27 @@ class BinaryPSO:
             # writable, so record where the swarm stood afterwards.
             it_span.set(best_fitness=gbest_fitness)
 
-            if (
+            # Nothing decodes the swarm after the last evaluation: no
+            # draws, no move.
+            if iterations_run == cfg.n_iterations or (
                 cfg.early_stop_patience is not None
                 and stale >= cfg.early_stop_patience
             ):
                 break
 
-            self._rand(out=r1)
-            self._rand(out=r2)
-            # In-place Eq. 1, same operation order as the original
-            # expression `inertia*v + cognitive*r1*(pbest-x) +
-            # social*r2*(gbest-x)` so float64 trajectories are unchanged.
+            # In-place Eq. 1: the operands and operation order of
+            # `inertia*v + cognitive*r1*(pbest-x) + social*r2*(gbest-x)`,
+            # r1 then r2 drawn into the one buffer (see the docstring).
             velocities *= cfg.inertia
-            np.subtract(pbest_positions, positions, out=scratch)
-            np.multiply(r1, cfg.cognitive, out=scratch2)
-            scratch2 *= scratch
-            velocities += scratch2
-            np.subtract(gbest_position[None, :, :], positions, out=scratch)
-            np.multiply(r2, cfg.social, out=scratch2)
-            scratch2 *= scratch
-            velocities += scratch2
+            for attractor, phi in (
+                (pbest_positions, cfg.cognitive),
+                (gbest_position[None, :, :], cfg.social),
+            ):
+                np.subtract(attractor, positions, out=scratch)
+                self._rand(out=r)
+                r *= phi
+                r *= scratch
+                velocities += r
             np.clip(velocities, -cfg.v_max, cfg.v_max, out=velocities)
             positions += velocities
             np.clip(positions, -cfg.x_max, cfg.x_max, out=positions)
@@ -298,29 +329,50 @@ class BinaryPSO:
         self,
         positions: np.ndarray,
         scratch: Optional[np.ndarray] = None,
-        scratch2: Optional[np.ndarray] = None,
+        planes: Optional[np.ndarray] = None,
+        above: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Decode real positions into one cluster per neuron (Eqs. 2-3)."""
+        """Decode real positions into one cluster per neuron (Eqs. 2-3).
+
+        Stochastic rule: sample cluster ``k`` with probability
+        proportional to ``sigmoid(x_{i,k})`` — the paper's
+        rand()-vs-sigmoid test with the one-hot constraint enforced by
+        drawing exactly one ``k`` per neuron: with ``cum[k]`` the running
+        sum of the sigmoids over clusters ``0..k`` and ``u`` uniform, the
+        neuron goes to the number of ``k`` with ``u * cum[C-1] > cum[k]``.
+
+        The work is laid out cluster-major so that nothing reduces along
+        the short cluster axis (numpy runs a reduction over 6 elements
+        several times slower per element than a whole-array pass).
+        ``planes[k]``, ``(C, P, N)``, is built by ``C - 1`` whole-plane
+        adds ``planes[k-1] + s[:, :, k]``: the left-to-right order in
+        which ``np.add.accumulate`` sums along an axis, so each plane is
+        bit-equal to the column of the running sum over ``axis=2`` it
+        replaces.  ``u`` is one ``(P, N)`` draw — as many values, at the
+        same stream position, as a ``(P, N, 1)`` one — and the count
+        runs over the leading axis of the ``(C, P, N)`` bool ``above``.
+        ``scratch`` (shaped like ``positions``), ``planes`` and ``above``
+        are workspaces, allocated here when not given.
+        """
         if self.config.binarization == "argmax":
             return positions.argmax(axis=2).astype(np.int64)
-        # Stochastic decode: sample cluster k with probability proportional
-        # to sigmoid(x_{i,k}) — the paper's rand()-vs-sigmoid rule with the
-        # one-hot constraint enforced by sampling exactly one k per neuron.
-        # Computed into reusable scratch buffers; the op sequence matches
-        # `1/(1+exp(-x))`, `cumsum`, `u*totals` exactly.
+        p, n, c = positions.shape
         if scratch is None:
             scratch = np.empty_like(positions)
-        if scratch2 is None:
-            scratch2 = np.empty_like(positions)
+            planes = np.empty((c, p, n), dtype=positions.dtype)
+            above = np.empty((c, p, n), dtype=bool)
+        # The op sequence of `1 / (1 + exp(-x))`.
         np.negative(positions, out=scratch)
         np.exp(scratch, out=scratch)
         scratch += 1.0
         np.divide(1.0, scratch, out=scratch)
-        np.cumsum(scratch, axis=2, out=scratch2)
-        totals = scratch2[:, :, -1:]
-        u = self._rand(size=positions.shape[:2] + (1,))
-        u *= totals
-        return (u > scratch2).sum(axis=2).astype(np.int64)
+        planes[0] = scratch[:, :, 0]
+        for k in range(1, c):
+            np.add(planes[k - 1], scratch[:, :, k], out=planes[k])
+        u = self._rand(size=(p, n))
+        u *= planes[-1]
+        np.greater(u, planes, out=above)
+        return above.sum(axis=0)
 
     def _repair_batch(self, assignments: np.ndarray) -> np.ndarray:
         # One vectorized call repairs the whole generation.  With a
@@ -338,28 +390,34 @@ class BinaryPSO:
         )
 
     def _one_hot(self, assignments: np.ndarray) -> np.ndarray:
-        # Map each row onto {-x_max/2, +x_max/2} attractors so the pull
-        # toward a best position saturates the sigmoid decisively.  The
-        # buffer is reused across iterations (callers copy what they keep):
-        # after the initial fill only the scattered +half entries change,
-        # so each call erases the previous generation's positions and puts
-        # the new ones — two O(P*N) scatters instead of an O(P*N*C) fill.
-        # put_along_axis replaces the old O(P*N) repeat/tile index build.
-        # Holding `assignments` as the erase list is safe because callers
-        # always pass freshly built arrays they do not mutate afterwards.
+        """Attractor form of a ``(P, N)`` batch: ``+x_max/2`` at each
+        neuron's cluster, ``-x_max/2`` elsewhere, so the pull toward a
+        best position saturates the sigmoid decisively.
+
+        The ``(P, N, C)`` buffer is reused across calls (callers copy
+        what they keep): after the initial fill only the ``+half``
+        entries change, so a call erases the previous batch's entries
+        and writes the new ones — two O(P*N) scatters through the flat
+        view at ``(p * N + n) * C + cluster``, the ``(p * N + n) * C``
+        part cached, instead of an O(P*N*C) fill.  Ids must lie in
+        ``[0, C)``; ``repair_batch`` checks every batch ``optimize``
+        passes.
+        """
         p, n = assignments.shape
         buf = self._onehot_buf
         if buf is None or buf.shape[0] != p:
             buf = np.empty((p, n, self.n_clusters), dtype=self._dtype)
             buf.fill(-self._half_x)
             self._onehot_buf = buf
-            self._onehot_prev = None
-        if self._onehot_prev is not None:
-            np.put_along_axis(
-                buf, self._onehot_prev[:, :, None], -self._half_x, axis=2
-            )
-        np.put_along_axis(buf, assignments[:, :, None], self._half_x, axis=2)
-        self._onehot_prev = assignments
+            self._onehot_base = np.arange(
+                0, buf.size, self.n_clusters
+            ).reshape(p, n)
+            self._onehot_set = None
+        flat = buf.reshape(-1)
+        if self._onehot_set is not None:
+            flat[self._onehot_set] = -self._half_x
+        self._onehot_set = self._onehot_base + assignments
+        flat[self._onehot_set] = self._half_x
         return buf
 
     def _seed_positions(

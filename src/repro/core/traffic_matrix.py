@@ -16,7 +16,13 @@ remote crossbars (or routers) the neuron's synapses reach, as bitmasks.
 A spike costs the interconnect one AER packet per member of that set, so
 both the closed-form ``packets`` objective (a popcount of the masks) and
 the NoC schedules of :mod:`repro.noc.traffic` (the masks *are* the
-destination words) read it.
+destination words) read it.  The one loop under both takes the word
+type as a parameter: schedules get ``uint64`` words, the kernel's
+format; the objective, which only counts bits, gets the narrowest
+unsigned type that holds the cluster count (one byte per gathered word
+at up to 8 crossbars instead of eight) — chosen from the assignments,
+not by an option, and the same bits either way, so the objective's
+exactness contract does not depend on it.
 
 ``scipy.sparse`` is imported by :meth:`TrafficMatrix.global_traffic_batch`
 alone (the ``spikes`` objective), on first use: the default ``packets``
@@ -31,12 +37,9 @@ import numpy as np
 
 from repro.snn.graph import SpikeGraph
 
-#: Bits per reach-mask word.
-WORD_BITS = 64
-
-#: Transient bytes :meth:`TrafficMatrix.reach_masks` may hold per row
-#: block (the ``(rows, n_pairs)`` gather), so peak memory does not grow
-#: with the swarm size.
+#: Transient bytes the reach loop may hold per row block (the
+#: ``(rows, n_pairs)`` gather), so peak memory does not grow with the
+#: swarm size.
 _BLOCK_BYTES = 1 << 22
 
 
@@ -78,6 +81,7 @@ class TrafficMatrix:
         np.not_equal(self.src[1:], self.src[:-1], out=new_run[1:])
         self._run_starts = np.flatnonzero(new_run)
         self._run_sources = self.src[self._run_starts]
+        self._run_spikes = self.neuron_spikes[self._run_sources]
         self._csr = None
 
     @property
@@ -135,6 +139,59 @@ class TrafficMatrix:
 
     # -- remote reach and AER packet counting ---------------------------------
 
+    def _reach_blocks(self, assignments, index=None, n_bits=None, width=None):
+        """The reach loop behind :meth:`reach_masks` and
+        :meth:`packet_traffic_batch`.
+
+        Returns ``(n_rows, n_words, blocks)``.  ``blocks`` yields
+        ``(lo, w, reach)``: for the rows from ``lo`` on, mask word ``w``
+        of every neuron that has out-synapses, ``(rows,
+        len(_run_sources))`` unsigned integers of ``width`` bits — by
+        default the narrowest of 8/16/32/64 that holds ``n_bits``.  Bit
+        position ``b`` is bit ``b % width`` of word ``b // width``.
+        """
+        a = np.asarray(assignments, dtype=np.int64)
+        if a.ndim == 1:
+            a = a[None, :]
+        if a.shape[1] != self.n_neurons:
+            raise ValueError(
+                f"assignments cover {a.shape[1]} neurons, expected "
+                f"{self.n_neurons}"
+            )
+        if a.size and int(a.min()) < 0:
+            # Indexing would wrap a negative id to the last clusters,
+            # and a shift by it scores as "reaches nothing".
+            raise ValueError(
+                f"assignments contain negative cluster id {int(a.min())}"
+            )
+        position = a if index is None else np.asarray(index, dtype=np.int64)[a]
+        if n_bits is None:
+            n_bits = int(position.max()) + 1 if position.size else 1
+        if width is None:
+            width = next((w for w in (8, 16, 32) if n_bits <= w), 64)
+        word = np.dtype(f"u{width // 8}").type
+        n_words = max(1, -(-n_bits // width))
+
+        def blocks():
+            if not self.n_pairs:
+                return
+            sources = self._run_sources
+            block = max(1, _BLOCK_BYTES // (width // 8 * self.n_pairs))
+            for lo in range(0, a.shape[0], block):
+                rows = position[lo : lo + block]
+                # width is a power of two: divmod by shift and mask.
+                in_word = rows >> (width.bit_length() - 1)
+                bit = np.left_shift(word(1), (rows & (width - 1)).astype(word))
+                for w in range(n_words):
+                    own = bit * (in_word == w)
+                    reach = np.bitwise_or.reduceat(
+                        np.take(own, self.dst, axis=1), self._run_starts, axis=1
+                    )
+                    reach &= ~own[:, sources]
+                    yield lo, w, reach
+
+        return a.shape[0], n_words, blocks()
+
     def reach_masks(
         self,
         assignments: np.ndarray,
@@ -150,8 +207,8 @@ class TrafficMatrix:
         is the identity (bit ``c`` = cluster ``c``), schedules pass the
         dense router index of each cluster's attach point.  ``n_bits``
         sizes the masks (default: just past the highest position used).
-        Cluster ids must be valid indices of ``index`` (non-negative
-        without one); callers check.
+        A negative cluster id raises ``ValueError``; ids past the end of
+        ``index`` are the caller's to check.
 
         One ``1 << position`` per neuron, one gather over the
         source-sorted pairs and one ``bitwise_or.reduceat`` over each
@@ -159,32 +216,12 @@ class TrafficMatrix:
         per-particle work.  Rows go through in blocks of at most
         ``_BLOCK_BYTES`` of gathered words.
         """
-        a = np.asarray(assignments, dtype=np.int64)
-        if a.ndim == 1:
-            a = a[None, :]
-        if a.shape[1] != self.n_neurons:
-            raise ValueError(
-                f"assignments cover {a.shape[1]} neurons, expected "
-                f"{self.n_neurons}"
-            )
-        position = a if index is None else np.asarray(index, dtype=np.int64)[a]
-        if n_bits is None:
-            n_bits = int(position.max()) + 1 if position.size else 1
-        n_words = max(1, -(-n_bits // WORD_BITS))
-        masks = np.zeros(a.shape + (n_words,), dtype=np.uint64)
-        if not self.n_pairs:
-            return masks
-        sources = self._run_sources
-        block = max(1, _BLOCK_BYTES // (8 * self.n_pairs))
-        for lo in range(0, a.shape[0], block):
-            word, shift = np.divmod(position[lo : lo + block], WORD_BITS)
-            bit = np.left_shift(np.uint64(1), shift.astype(np.uint64))
-            for w in range(n_words):
-                own = bit * (word == w)
-                reach = np.bitwise_or.reduceat(
-                    np.take(own, self.dst, axis=1), self._run_starts, axis=1
-                )
-                masks[lo : lo + block, sources, w] = reach & ~own[:, sources]
+        n_rows, n_words, blocks = self._reach_blocks(
+            assignments, index, n_bits, width=64
+        )
+        masks = np.zeros((n_rows, self.n_neurons, n_words), dtype=np.uint64)
+        for lo, w, reach in blocks:
+            masks[lo : lo + reach.shape[0], self._run_sources, w] = reach
         return masks
 
     def packet_traffic(self, assignment: np.ndarray) -> float:
@@ -200,15 +237,24 @@ class TrafficMatrix:
     def packet_traffic_batch(self, assignments: np.ndarray) -> np.ndarray:
         """AER packet counts for a (P, N) batch of assignments (or one).
 
-        ``sum_n spikes_n * |reach(p, n)|``: a popcount of
-        :meth:`reach_masks` weighted by the per-neuron spike counts.
-        Exact (order-independent) whenever the spike counts are
-        integer-valued, as every simulated graph's are; for arbitrary
-        float traffic the dot product may differ from a neuron-by-neuron
-        sum in the last bits.
+        ``sum_n spikes_n * |reach(p, n)|``: a popcount of the reach
+        words weighted by the per-neuron spike counts.  Only the count
+        is read, so the words are as narrow as the cluster count allows
+        (uint8 up to 8 clusters ... uint64 up to 64, several uint64 words
+        past that — a function of the input, the same loop as
+        :meth:`reach_masks`) and stay on the neurons that have
+        out-synapses.  Exact (order-independent) whenever the spike
+        counts are integer-valued, as every simulated graph's are; for
+        arbitrary float traffic the dot product may differ from a
+        neuron-by-neuron sum in the last bits.
         """
-        reach = np.bitwise_count(self.reach_masks(assignments)).sum(axis=2)
-        return reach @ self.neuron_spikes
+        n_rows, _, blocks = self._reach_blocks(assignments)
+        packets = np.zeros(n_rows, dtype=np.float64)
+        for lo, _, reach in blocks:
+            packets[lo : lo + reach.shape[0]] += (
+                np.bitwise_count(reach) @ self._run_spikes
+            )
+        return packets
 
 
 def cluster_traffic(

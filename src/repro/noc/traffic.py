@@ -415,10 +415,6 @@ def _build_injections_batch_impl(
             f"assignments cover {a.shape[1]} neurons, graph has "
             f"{graph.n_neurons}"
         )
-    if a.size and int(a.min()) < 0:
-        # Fancy indexing would silently wrap negatives to the last
-        # crossbars; the row-oriented builder raised on them.
-        raise ValueError(f"assignments contain negative cluster id {int(a.min())}")
     if a.size and int(a.max()) >= topology.n_attach_points:
         raise ValueError(
             f"assignment uses cluster {int(a.max())} but the topology "

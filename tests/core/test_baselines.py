@@ -140,8 +140,10 @@ class TestRandom:
 
 def _greedy_oracle(graph, n_clusters, capacity):
     """``greedy_partition`` as it stood before its union-find moved from
-    numpy scalars to Python lists; returns ``(assignment, split)`` where
-    ``split`` says the split-a-group branch ran."""
+    numpy scalars to Python lists and before dead pairs were pruned
+    between blocks: every pair goes through the union-find, in traffic
+    order.  Returns ``(assignment, split)`` where ``split`` says the
+    split-a-group branch ran."""
     from repro.core.traffic_matrix import TrafficMatrix
 
     n = graph.n_neurons
@@ -216,6 +218,30 @@ class TestGreedyPinned:
         want, _ = _greedy_oracle(graph, n_clusters, capacity)
         got = greedy_partition(graph, n_clusters, capacity)
         assert got.assignment.dtype == np.int64
+        assert got.assignment.tolist() == want.tolist()
+
+    @given(
+        _greedy_cases(),
+        st.sampled_from([1, 2, 7]),
+        st.sampled_from(["as drawn", "one", "all"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pruning_between_blocks_changes_nothing(self, case, block, capacity):
+        """``greedy_partition`` drops the pairs that can no longer merge
+        after every block of pairs; the oracle walks every pair.  Small
+        blocks prune after every pair or two; capacity 1 kills every
+        pair at the first pruning, capacity N none but the merged."""
+        from repro.core.baselines import greedy
+
+        graph, n_clusters, cap = case
+        if capacity == "one":
+            n_clusters, cap = graph.n_neurons, 1
+        elif capacity == "all":
+            cap = graph.n_neurons + 3
+        want, _ = _greedy_oracle(graph, n_clusters, cap)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(greedy, "_BLOCK", block)
+            got = greedy_partition(graph, n_clusters, cap)
         assert got.assignment.tolist() == want.tolist()
 
     def test_split_branch_pinned(self):

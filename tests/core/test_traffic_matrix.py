@@ -9,6 +9,7 @@ import pytest
 
 import repro
 
+from repro.core.fitness import InterconnectFitness
 from repro.core.traffic_matrix import (
     TrafficMatrix,
     cluster_traffic,
@@ -211,6 +212,29 @@ class TestReachMasks:
         with pytest.raises(ValueError, match="neurons"):
             m.packet_traffic_batch(np.zeros((4, 5), dtype=int))
 
+    def test_negative_cluster_id_rejected(self):
+        """A shift by a negative id sets no bit: ``[0, 0, -1, 1]`` used
+        to score 3.0 packets (8.0 with -1 read as a cluster) and all -1
+        scored 0.0, the optimum.  Every reader of the reach loop raises
+        what the schedule builder raises."""
+        g = SpikeGraph.from_edges(4, [0, 0, 1, 2], [1, 2, 3, 3], [5, 5, 2, 1])
+        m = TrafficMatrix(g)
+        fitness = InterconnectFitness(g, count_packets=True)
+        for bad in ([0, 0, -1, 1], [[0, 0, 1, 1], [-1, -1, -1, -1]]):
+            for reader in (
+                m.reach_masks,
+                m.packet_traffic_batch,
+                fitness.evaluate_batch,
+                lambda a: m.reach_masks(a, index=np.arange(3), n_bits=3),
+            ):
+                with pytest.raises(ValueError, match="negative cluster id -1"):
+                    reader(np.array(bad))
+        with pytest.raises(ValueError, match="negative cluster id -2"):
+            m.packet_traffic(np.array([0, -2, -1, 1]))
+        with pytest.raises(ValueError, match="negative cluster id -1"):
+            fitness.evaluate(np.array([0, 0, -1, 1]))
+        assert m.packet_traffic(np.array([0, 0, 2, 1])) == 8.0
+
 
 class TestPacketTraffic:
     @pytest.mark.parametrize("n_particles", [1, 2, 9])
@@ -250,6 +274,59 @@ class TestPacketTraffic:
         monkeypatch.setattr(traffic_matrix, "_BLOCK_BYTES", 8 * m.n_pairs * 2)
         assert np.array_equal(m.packet_traffic_batch(a), whole)
         assert np.array_equal(whole, oracle_packet_traffic_batch(m, a))
+
+    # One either side of every reach-word width: uint8 holds 8 clusters,
+    # uint16 16, uint32 32, one uint64 64, then several uint64 words.
+    @pytest.mark.parametrize(
+        "n_clusters, word, n_words",
+        [
+            (7, np.uint8, 1), (8, np.uint8, 1),
+            (9, np.uint16, 1), (16, np.uint16, 1),
+            (17, np.uint32, 1), (32, np.uint32, 1),
+            (33, np.uint64, 1), (64, np.uint64, 1),
+            (65, np.uint64, 2), (200, np.uint64, 4),
+        ],
+    )
+    def test_is_the_popcount_of_reach_masks_at_every_word_width(
+        self, n_clusters, word, n_words, monkeypatch
+    ):
+        from repro.core import traffic_matrix
+
+        g = _random_graph(50, 600, seed=n_clusters)
+        m = TrafficMatrix(g)
+        a = np.random.default_rng(n_clusters).integers(0, n_clusters, (7, 50))
+        a[3, 10] = n_clusters - 1  # the width follows the highest id used
+        want = np.bitwise_count(m.reach_masks(a)).sum(axis=2) @ m.neuron_spikes
+        got = m.packet_traffic_batch(a)
+        assert np.array_equal(got, want)
+        assert got.tolist() == [oracle_packet_traffic(m, row) for row in a]
+        assert m.packet_traffic_batch(a[3]).tolist() == [want[3]]
+        # The words the objective popcounts: as narrow as the ids allow.
+        n_rows, counted_words, blocks = m._reach_blocks(a)
+        blocks = list(blocks)
+        assert (n_rows, counted_words) == (7, n_words)
+        assert [w for _, w, _ in blocks] == list(range(n_words))
+        assert {reach.dtype for _, _, reach in blocks} == {np.dtype(word)}
+        # The same batch, two rows of gathered words at a time.
+        monkeypatch.setattr(
+            traffic_matrix, "_BLOCK_BYTES", np.dtype(word).itemsize * m.n_pairs * 2
+        )
+        assert [lo for lo, _, _ in m._reach_blocks(a)[2]] == [
+            lo for lo in (0, 2, 4, 6) for _ in range(n_words)
+        ]
+        assert np.array_equal(m.packet_traffic_batch(a), want)
+        assert np.array_equal(m.reach_masks(a), m.reach_masks(a[::-1])[::-1])
+
+    @pytest.mark.parametrize("n_clusters", [12, 24, 50, 70])
+    def test_float_traffic_within_rounding_at_wider_words(self, n_clusters):
+        g = _random_graph(40, 300, seed=11, integer_traffic=False)
+        m = TrafficMatrix(g)
+        a = np.random.default_rng(4).integers(0, n_clusters, (8, 40))
+        np.testing.assert_allclose(
+            m.packet_traffic_batch(a),
+            [oracle_packet_traffic(m, row) for row in a],
+            rtol=1e-9,
+        )
 
     def test_1d_input_is_a_batch_of_one(self, tiny_graph):
         m = TrafficMatrix(tiny_graph)

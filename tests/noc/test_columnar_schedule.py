@@ -179,6 +179,11 @@ class TestColumnarVsLegacyBuilder:
         assignment[3] = -1  # would silently wrap via negative indexing
         with pytest.raises(ValueError, match="negative cluster"):
             build_injections(graph, assignment, topo)
+        # Raised by the reach loop under the builder (the packets
+        # objective reads the same loop), in whichever row it sits.
+        batch = np.stack([np.zeros(10, dtype=int), assignment])
+        with pytest.raises(ValueError, match="negative cluster id -1"):
+            build_injections_batch(graph, batch, topo)
 
     def test_cluster_past_attach_points_rejected(self):
         """Used to die inside numpy with a bare ``IndexError``."""
