@@ -73,12 +73,6 @@ class InterconnectFitness:
         forced to "fast".
     cycles_per_ms:
         Spike-time to NoC-cycle conversion for ``noc_in_loop`` mode.
-    cache:
-        An :class:`~repro.framework.artifacts.ArtifactCache` for derived
-        artifacts (the crossbar hop matrix, the default routing table of
-        the ``noc_in_loop`` engine).  ``None`` uses the process-wide
-        default cache, so content-identical (topology, routing) pairs
-        share one hop matrix across fitness instances and sweep points.
     balance_watermark / balance_weight:
         Fault-aware spreading term: each cluster packing more than
         ``balance_watermark`` neurons adds
@@ -100,7 +94,6 @@ class InterconnectFitness:
         noc_metric: str = "hops",
         noc_config=None,
         cycles_per_ms: float = 10.0,
-        cache=None,
         balance_watermark: Optional[int] = None,
         balance_weight: float = 0.0,
     ) -> None:
@@ -136,7 +129,6 @@ class InterconnectFitness:
         self.noc_in_loop = noc_in_loop
         self.noc_metric = noc_metric
         self.cycles_per_ms = cycles_per_ms
-        self._cache = cache
         self._noc = None
         if noc_in_loop:
             import dataclasses
@@ -147,12 +139,6 @@ class InterconnectFitness:
 
             base = noc_config if noc_config is not None else NocConfig()
             cfg = dataclasses.replace(base, backend="fast")
-            # With an explicit artifact cache the routing table is shared
-            # across content-identical fabrics instead of re-derived per
-            # engine; the table is read-only after construction, so the
-            # engine is identical either way.
-            if routing is None and cache is not None:
-                routing = cache.routing(topology)
             self._noc = FastInterconnect(topology, routing, cfg)
             # Everything the schedules share: this instance's synapse
             # pairs (deduplicated once, above) and the graph's spike
@@ -229,18 +215,9 @@ class InterconnectFitness:
         Sized from the topology's attach-point count — never from an
         assignment's maximum cluster id — so assignments that leave
         trailing crossbars empty index the same matrix as full ones.
-
-        Routed through the content-addressed artifact cache (the given
-        one, or the process default): sweeps that rebuild an identical
-        (topology, routing) pair per point share one matrix instead of
-        re-deriving it per fitness instance.
+        The topology instance caches it per routing name.
         """
-        cache = self._cache
-        if cache is None:
-            from repro.framework.artifacts import default_cache
-
-            cache = self._cache = default_cache()
-        return cache.hop_matrix(self.topology, self.routing)
+        return self.topology.crossbar_hop_matrix(self.routing)
 
     def _check_clusters(self, a: np.ndarray) -> None:
         c = self.topology.n_attach_points

@@ -36,7 +36,7 @@ from repro.core.traffic_matrix import (
 from repro.hardware.architecture import Architecture
 from repro.obs import get_observer
 from repro.snn.graph import SpikeGraph
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, replayable
 
 METHODS = (
     "pso", "pacman", "neutrams", "random", "greedy", "annealing", "genetic",
@@ -123,12 +123,13 @@ def map_snn(
         mapping will be measured with, so the swarm optimizes the fabric
         it is judged on; ``run_pipeline`` forwards its own.
     cache:
-        An :class:`~repro.framework.artifacts.ArtifactCache`.  Shares
-        the topology / routing / hop-matrix artifacts across calls, and
-        memoizes the full :class:`MappingResult` for deterministic
-        requests (seeded, or a deterministic method, and no extra
-        ``kwargs``) — a repeat request returns the cached result, which
-        is bit-identical to recomputing it.
+        An :class:`~repro.framework.artifacts.ArtifactCache`.  Memoizes
+        the full :class:`MappingResult` (memory and disk) for
+        deterministic requests (int-seeded, or a seed-free method, and
+        no extra ``kwargs``) — a repeat request returns the cached
+        result, which is bit-identical to recomputing it — and records
+        each PSO optimum as a warm-start seed.  A miss runs exactly what
+        ``cache=None`` runs.
     warm_seeds:
         Extra (K, N) assignments stacked into the PSO warm-start pool
         (e.g. the cache's best recorded swarm state for this problem);
@@ -184,13 +185,12 @@ def map_snn(
         )
 
     # Full-result memoization: only for calls that are deterministic
-    # functions of the token (seeded, or a seed-free deterministic
+    # functions of the token (int-seeded, or a seed-free deterministic
     # method) with no free-form kwargs, so a cache hit is bit-identical
     # to recomputing.  Every other parameter is part of the token.
     memo_key = None
     if cache is not None and not kwargs:
-        deterministic = seed is not None or method in ("pacman", "greedy")
-        if deterministic:
+        if replayable(seed, unused=method in ("pacman", "greedy")):
             from repro.framework.artifacts import mapping_token
 
             memo_key = cache.key(
@@ -250,23 +250,17 @@ def map_snn(
     with map_span:
         if method == "pso":
             if objective == "noc":
-                topology = (
-                    cache.topology(architecture)
-                    if cache is not None
-                    else architecture.build_topology()
-                )
                 fitness = InterconnectFitness(
                     graph,
                     noc_in_loop=True,
-                    topology=topology,
+                    topology=architecture.build_topology(),
                     cycles_per_ms=architecture.cycles_per_ms,
                     noc_config=noc_config,
-                    cache=cache,
                     **balance_kwargs,
                 )
             else:
                 fitness = InterconnectFitness(
-                    graph, count_packets=(objective == "packets"), cache=cache,
+                    graph, count_packets=(objective == "packets"),
                     **balance_kwargs,
                 )
             move_cost = graph.neuron_out_traffic()
@@ -338,11 +332,7 @@ def map_snn(
         if placement and c > 1 and not (method == "pso" and objective == "noc"):
             with obs.span("map.placement"):
                 matrix = cluster_traffic(graph, partition.assignment, c)
-                topology = (
-                    cache.topology(architecture)
-                    if cache is not None
-                    else architecture.build_topology()
-                )
+                topology = architecture.build_topology()
                 spare_kwargs: Dict[str, object] = {}
                 if spare_capacity > 0:
                     # Keep loaded clusters near free slots: evacuation

@@ -1,32 +1,36 @@
-"""Content-addressed artifact cache for the mapping service layer.
+"""Content-addressed result cache for the mapping service layer.
 
-Every entry point of the framework (``map_snn``, ``run_pipeline``, the
-``explore_*`` sweeps) derives the same expensive artifacts over and over:
-the topology instance, its routing table, the crossbar hop matrix,
-columnar injection schedules, simulated NoC statistics.  This module
-gives them one shared, *content-addressed* home:
+The cache memoizes *results*, not parts.  It holds three kinds of entry:
+
+- ``mapping-result`` (memory + disk) — a deterministic ``map_snn``
+  answer; a hit skips the optimizer, the one thing the disk layer is for.
+- ``pipeline-result`` (memory only) — a deterministic ``run_pipeline``
+  answer; a hit skips everything.  A new process on the same directory
+  reads the mapping from disk and measures it again.
+- ``warm-state`` (memory + disk) — the best converged swarm assignment
+  per (graph, architecture, objective): ``MapRequest(warm=True)``.
+
+Topologies, routing tables, hop matrices, schedules, fault draws and
+NoC statistics are *not* cached.  Measured per kind (CHANGES.md, PR 21)
+they cost what they saved — a 6-crossbar topology builds in 0.09 ms, its
+key hashes in 0.036 ms and stores in 0.18 ms; schedules were 92 % of the
+bytes on disk — and the sharing they stood for exists without a key:
+per instance (``Topology`` keeps its hop matrices), per run (one
+schedule per fabric addressing), per campaign (``state_dir``).  So
+``cache=None`` and a cache miss run the same builders in the same order.
 
 - **stable keys** — :func:`stable_hash` folds a token tree of primitives
-  and numpy arrays into a sha256 digest.  No ``hash()`` anywhere, so the
-  same architecture hashes identically across processes and Python
-  releases regardless of ``PYTHONHASHSEED``.
-- **token helpers** — :func:`architecture_token`,
-  :func:`topology_token`, :func:`graph_token`, :func:`mapping_token` and
-  :func:`pipeline_token` build the canonical token trees; the companion
-  ``*_key`` helpers hash them.  Tokens cover everything that changes the
-  derived artifact (topology kind and parameters, routing algorithm,
-  fault set, seeds, optimizer configuration) and nothing that does not
-  (worker counts — the parallel paths are bit-identical by contract).
+  and numpy arrays into a sha256 digest.  No ``hash()`` anywhere, so a
+  request hashes identically across processes and Python releases
+  regardless of ``PYTHONHASHSEED``.
+- **token helpers** — :func:`architecture_token`, :func:`graph_token`,
+  :func:`mapping_token` and :func:`pipeline_token` cover everything that
+  changes the result (platform, fault spec, seeds, optimizer
+  configuration) and nothing that does not.
 - **:class:`ArtifactCache`** — a thread-safe memo store with an
   optional on-disk layer (``cache_dir``).  Disk entries are atomic
   pickles named by their key; corrupted or truncated entries are
-  discarded and rebuilt, never crashed on.  Cached and freshly built
-  artifacts are interchangeable by construction: a cache hit returns
-  exactly what the builder would have produced for the same content.
-
-The cache is deliberately import-light (no ``repro.core`` /
-``repro.framework.pipeline`` imports at module scope) so the fitness
-layer can reach it lazily without cycles.
+  discarded and rebuilt, never crashed on.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import fields, is_dataclass
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -120,23 +124,13 @@ def config_token(config: Any) -> Any:
 # -- token builders ----------------------------------------------------------
 
 
-def topology_token(topology) -> Any:
-    """Canonical structure token of a topology (instance-cached).
-
-    Delegates to :meth:`~repro.noc.topology.Topology.content_signature`,
-    which covers the router graph, attach points, kind, grid positions
-    and (for multi-chip fabrics) the chip/bridge bookkeeping.
-    """
-    return topology.content_signature()
-
-
 def architecture_token(architecture, include_name: bool = False) -> Any:
     """Canonical token of an architecture's *structural* identity.
 
     The report label (``name``) is excluded by default so platforms that
-    differ only in how they are labelled share topology, routing and
-    hop-matrix artifacts; result-level memo keys pass
-    ``include_name=True``.
+    differ only in how they are labelled share one warm-start pool;
+    result-level memo keys pass ``include_name=True`` (the label is
+    printed in the report).
     """
     token = (
         architecture.n_crossbars,
@@ -245,26 +239,6 @@ def pipeline_token(
     )
 
 
-def architecture_key(architecture) -> str:
-    """Stable content key of an architecture (structural identity)."""
-    return stable_hash(("architecture", architecture_token(architecture)))
-
-
-def hop_matrix_key(topology, routing=None) -> str:
-    """Stable content key of a crossbar hop matrix artifact."""
-    name = routing.name if routing is not None else _default_routing_name(topology)
-    return stable_hash(("hop-matrix", topology_token(topology), name))
-
-
-def _default_routing_name(topology) -> str:
-    """Routing algorithm name :func:`routing_for` would pick (no build)."""
-    if topology.kind.endswith("-degraded"):
-        return f"shortest-path/{topology.kind}"
-    if topology.kind == "mesh" and topology.positions:
-        return "xy/mesh"
-    return f"shortest-path/{topology.kind}"
-
-
 # -- the cache ---------------------------------------------------------------
 
 
@@ -275,10 +249,10 @@ class ArtifactCache:
     ----------
     cache_dir:
         Directory for persistent entries (created on demand).  ``None``
-        keeps the cache purely in-memory.  Only artifacts whose builders
-        opt in (``persist=True``) are written to disk — cheap-to-pickle,
-        expensive-to-derive things like routing tables, hop matrices and
-        mapping results; simulation statistics stay in-memory.
+        keeps the cache purely in-memory.  Only entries stored with
+        ``persist=True`` are written to disk: mapping results (small,
+        and a hit skips the optimizer) and warm-start states.  Pipeline
+        results stay in memory.
     max_entries:
         Bound on the in-memory layer.  ``None`` (default) keeps every
         entry, preserving the historical unbounded behaviour; ``N >= 1``
@@ -291,8 +265,10 @@ class ArtifactCache:
     Notes
     -----
     Entries are keyed by :func:`stable_hash` over canonical token trees,
-    so two content-identical architectures built in different processes
-    address the same entry.  Corrupted disk entries (truncated writes,
+    so two content-identical requests made in different processes
+    address the same entry.  The store itself is generic (``key`` /
+    ``get`` / ``put``); the three kinds it holds are listed in the
+    module docstring.  Corrupted disk entries (truncated writes,
     foreign junk) are discarded and rebuilt — the cache must never turn
     a cache *problem* into a serving failure.
     """
@@ -425,106 +401,6 @@ class ArtifactCache:
         if persist and self.cache_dir is not None:
             self._store_disk(key, value)
 
-    def get_or_build(
-        self,
-        kind: str,
-        token: Any,
-        build: Callable[[], Any],
-        persist: bool = False,
-    ) -> Any:
-        """Memoized ``build()`` keyed by ``(kind, token)`` content.
-
-        The builder runs outside the cache lock (builders can be slow
-        and may themselves consult the cache); a racing duplicate build
-        produces an identical value, so last-write-wins is harmless.
-        """
-        key = self.key(kind, token)
-        found, value = self.get(key)
-        if found:
-            return value
-        value = build()
-        self.put(key, value, persist=persist)
-        return value
-
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (disk entries survive)."""
-        with self._lock:
-            self._mem.clear()
-
-    # -- typed artifact helpers ---------------------------------------------
-
-    def topology(self, architecture):
-        """Shared topology instance for an architecture's structure."""
-        return self.get_or_build(
-            "topology",
-            architecture_token(architecture),
-            architecture.build_topology,
-            persist=True,
-        )
-
-    def routing(self, topology):
-        """Shared default routing table for a topology's content."""
-        from repro.noc.routing import routing_for
-
-        return self.get_or_build(
-            "routing",
-            topology_token(topology),
-            lambda: routing_for(topology),
-            persist=True,
-        )
-
-    def hop_matrix(self, topology, routing=None):
-        """Crossbar hop matrix shared across content-identical fabrics.
-
-        Unlike :meth:`~repro.noc.topology.Topology.crossbar_hop_matrix`
-        (which caches per *instance*), this keys on topology content +
-        routing algorithm, so every sweep point that rebuilds the same
-        fabric reuses one matrix.
-        """
-        key = hop_matrix_key(topology, routing)
-        found, value = self.get(key)
-        if found:
-            return value
-        value = topology.crossbar_hop_matrix(routing)
-        self.put(key, value, persist=True)
-        return value
-
-    def schedule(self, graph, assignment, topology, cycles_per_ms: float):
-        """Memoized columnar injection schedule for one mapped graph.
-
-        Keyed on the fabric's addressing, not its links: every fault
-        draw that keeps the routers shares the healthy fabric's entry.
-        """
-        from repro.noc.traffic import build_injections, schedule_addressing
-
-        assignment = np.asarray(assignment, dtype=np.int64)
-        return self.get_or_build(
-            "schedule",
-            (
-                graph_token(graph),
-                assignment,
-                schedule_addressing(topology),
-                cycles_per_ms,
-            ),
-            lambda: build_injections(
-                graph, assignment, topology, cycles_per_ms=cycles_per_ms
-            ),
-            persist=True,
-        )
-
-    def degraded_topology(self, topology, faults: int, fault_seed):
-        """Memoized random-fault draw (seeded draws only are cacheable)."""
-        from repro.noc.faults import inject_random_faults
-
-        if fault_seed is None:
-            return inject_random_faults(topology, faults, seed=fault_seed)
-        return self.get_or_build(
-            "degraded-topology",
-            (topology_token(topology), fault_token(faults, fault_seed)),
-            lambda: inject_random_faults(topology, faults, seed=fault_seed),
-            persist=True,
-        )
-
     # -- warm swarm states ---------------------------------------------------
 
     def warm_token(self, graph, architecture, objective: str) -> Any:
@@ -560,24 +436,3 @@ class ArtifactCache:
             self.key("warm-state", self.warm_token(graph, architecture, objective))
         )
         return value[0] if found else None
-
-
-# -- process-default cache ---------------------------------------------------
-
-_DEFAULT_CACHE: Optional[ArtifactCache] = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def default_cache() -> ArtifactCache:
-    """The process-wide in-memory cache (created on first use).
-
-    Used by :class:`~repro.core.fitness.InterconnectFitness` when no
-    explicit cache is given, so hop matrices are derived once per
-    (topology content, routing) pair per process instead of once per
-    fitness instance.
-    """
-    global _DEFAULT_CACHE
-    with _DEFAULT_LOCK:
-        if _DEFAULT_CACHE is None:
-            _DEFAULT_CACHE = ArtifactCache()
-        return _DEFAULT_CACHE

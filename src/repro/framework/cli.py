@@ -139,9 +139,9 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_cache_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", default=None,
-        help="content-addressed artifact cache directory: repeat runs "
-             "reuse routing tables, hop matrices, schedules and whole "
-             "deterministic results (bit-identical to recomputing)",
+        help="content-addressed result cache directory: repeat runs "
+             "reuse deterministic mappings (skipping the optimizer) and "
+             "recorded warm-start states, bit-identical to recomputing",
     )
 
 
@@ -541,7 +541,7 @@ def _cmd_serve(args) -> int:
                 method=ns.method,
                 # `seed` seeds both the workload and the mapper; `map_seed`
                 # decouples them so same-workload requests with different
-                # mapper seeds share cached artifacts (identical graph content).
+                # mapper seeds map one graph (and share its warm-start pool).
                 seed=ns.seed if ns.map_seed is None else ns.map_seed,
                 pso_config=PSOConfig(
                     n_particles=ns.particles, n_iterations=ns.iterations

@@ -137,8 +137,8 @@ def explore_architecture(
     For each size the platform is re-derived so the whole network fits
     (fewer, larger crossbars or more, smaller ones), then the full
     pipeline runs: mapping, NoC simulation, energy accounting.
-    ``cache`` shares derived artifacts (topologies, routing, hop
-    matrices) across points.
+    ``cache`` memoizes each point's deterministic mapping and result,
+    so a repeated sweep (or a repeated point) is answered from it.
     """
     return [
         architecture_point(

@@ -27,7 +27,7 @@ from repro.noc.topology import Topology
 from repro.noc.traffic import ColumnarSchedule, build_injections, schedule_addressing
 from repro.obs import get_observer
 from repro.snn.graph import SpikeGraph
-from repro.utils.rng import SeedLike
+from repro.utils.rng import SeedLike, replayable
 
 
 @dataclass
@@ -99,12 +99,12 @@ def run_pipeline(
     fault_seed:
         RNG seed of the fault draw (``faults > 0`` only).
     cache:
-        An :class:`~repro.framework.artifacts.ArtifactCache`.  Shares
-        the topology, routing tables, hop matrices, injection schedules
-        and fault draws across calls, and memoizes the full
-        :class:`PipelineResult` for deterministic runs (seeded mapping,
-        seeded or absent faults) — a repeat request is answered from the
-        cache, bit-identical to recomputing it.
+        An :class:`~repro.framework.artifacts.ArtifactCache`.  Memoizes
+        the full :class:`PipelineResult` (in memory) and the mapping (in
+        memory and on disk) of deterministic runs — int-seeded mapping,
+        int-seeded or absent faults — so a repeat request is answered
+        from the cache, bit-identical to recomputing it.  Nothing else
+        differs: a miss runs exactly what ``cache=None`` runs.
     warm_seeds:
         Serving-layer hook, forwarded to
         :func:`~repro.core.mapper.map_snn` (see
@@ -117,8 +117,10 @@ def run_pipeline(
     """
     memo_key = None
     if cache is not None:
-        deterministic_mapping = seed is not None or method in ("pacman", "greedy")
-        deterministic_faults = faults == 0 or fault_seed is not None
+        deterministic_mapping = replayable(
+            seed, unused=method in ("pacman", "greedy")
+        )
+        deterministic_faults = replayable(fault_seed, unused=faults == 0)
         if deterministic_mapping and deterministic_faults:
             from repro.framework.artifacts import pipeline_token
 
@@ -164,20 +166,19 @@ def run_pipeline(
             spare_capacity=spare_capacity,
         )
         with obs.span("pipeline.build_topology"):
-            if cache is not None:
-                topology = cache.topology(architecture)
-            else:
-                topology = architecture.build_topology()
             topology, failed_links = _draw_faults(
-                topology, faults, fault_seed, cache
+                architecture.build_topology(), faults, fault_seed
             )
         with obs.span("pipeline.build_schedule"):
-            schedule = _Schedules(graph, architecture, cache).on(
-                topology, mapping.assignment
+            schedule = build_injections(
+                graph, mapping.assignment, topology,
+                cycles_per_ms=architecture.cycles_per_ms,
             )
         if simulate_noc:
             with obs.span("pipeline.simulate_noc"):
-                stats = _simulate_schedule(topology, schedule, noc_config, cache)
+                stats = build_interconnect(
+                    topology, config=noc_config
+                ).simulate(schedule)
         else:
             stats = NocStats()
         with obs.span("pipeline.report"):
@@ -199,63 +200,28 @@ def run_pipeline(
     return result
 
 
-def _draw_faults(healthy, n_faults, seed, cache):
+def _draw_faults(healthy, n_faults, seed):
     """``(topology, failed links)`` of one random draw; none = ``healthy``."""
     if not n_faults:
         return healthy, []
-    # An unseeded draw is nondeterministic: memoizing it under a stable
-    # key would replay one arbitrary draw forever.
-    if cache is not None and seed is not None:
-        return cache.degraded_topology(healthy, n_faults, seed)
     return inject_random_faults(healthy, n_faults, seed=seed)
 
 
 class _Schedules:
     """One run's schedules: one per (mapping label, fabric addressing)."""
 
-    def __init__(self, graph, architecture, cache) -> None:
-        self._args = (graph, architecture.cycles_per_ms, cache)
+    def __init__(self, graph, architecture) -> None:
+        self._args = (graph, architecture.cycles_per_ms)
         self.built: dict = {}
 
     def on(self, topology, assignment, label=None) -> ColumnarSchedule:
-        graph, cycles_per_ms, cache = self._args
+        graph, cycles_per_ms = self._args
         key = (label, schedule_addressing(topology))
         if key not in self.built:
-            build = build_injections if cache is None else cache.schedule
-            self.built[key] = build(graph, assignment, topology, cycles_per_ms)
+            self.built[key] = build_injections(
+                graph, assignment, topology, cycles_per_ms=cycles_per_ms
+            )
         return self.built[key]
-
-
-def _simulate_schedule(topology, schedule, noc_config, cache) -> NocStats:
-    """Simulate one schedule, memoizing the stats when a cache is given.
-
-    Stats are keyed by (schedule content, topology content, config) —
-    memory-only, since a ``NocStats`` is cheap to hold but the columnar
-    schedule it came from already identifies it completely.  Both
-    backends accept the schedule object: the fast backend adopts the
-    columnar arrays directly, the reference loop reads the lazily
-    materialized legacy injection list.
-    """
-
-    def build() -> NocStats:
-        return build_interconnect(topology, config=noc_config).simulate(schedule)
-
-    if cache is None:
-        return build()
-    from repro.framework.artifacts import config_token, topology_token
-
-    token = (
-        schedule.cycle,
-        schedule.src_node,
-        schedule.src_neuron,
-        schedule.uid,
-        schedule.dst_words,
-        schedule.node_ids,
-        schedule.cycles_per_ms,
-        topology_token(topology),
-        config_token(noc_config),
-    )
-    return cache.get_or_build("noc-stats", token, build)
 
 
 def _copy_pipeline_result(result: PipelineResult) -> PipelineResult:
@@ -294,8 +260,9 @@ def run_fault_sweep(
     returned :class:`~repro.metrics.report.DegradationCurve` records
     latency, energy and spike disorder per fault level.
 
-    ``cache`` shares topology/schedule artifacts across fault levels and
-    sweeps.  ``state_dir`` makes the sweep resumable: each fault level's
+    ``cache`` memoizes the mapping (deterministic requests only); the
+    fault draws never consult it.  ``state_dir`` makes the sweep
+    resumable: each fault level's
     point is checkpointed through
     :func:`~repro.framework.service.run_sweep_resumable`, so a killed
     campaign restarted with the same arguments recomputes only the
@@ -306,20 +273,17 @@ def run_fault_sweep(
             graph, architecture, method=method, seed=seed,
             pso_config=pso_config, noc_config=noc_config, cache=cache,
         )
-    if cache is not None:
-        healthy = cache.topology(architecture)
-    else:
-        healthy = architecture.build_topology()
+    healthy = architecture.build_topology()
     healthy_links = healthy.graph.number_of_edges()
     curve = DegradationCurve(
         app=graph.name, method=mapping.method, topology_kind=healthy.kind
     )
-    schedules = _Schedules(graph, architecture, cache)
+    schedules = _Schedules(graph, architecture)
 
     def fault_point(index: int, n_faults: int):
-        topology, failed = _draw_faults(healthy, n_faults, fault_seed, cache)
+        topology, failed = _draw_faults(healthy, n_faults, fault_seed)
         schedule = schedules.on(topology, mapping.assignment)
-        stats = _simulate_schedule(topology, schedule, noc_config, cache)
+        stats = build_interconnect(topology, config=noc_config).simulate(schedule)
         return degradation_point(
             n_faults, failed, stats, architecture, topology, healthy_links
         )
@@ -424,12 +388,8 @@ def run_fault_campaign(
         raise ValueError("campaign needs at least one mapping to measure")
     labels = tuple(mappings)
 
-    if cache is not None:
-        healthy = cache.topology(architecture)
-    else:
-        healthy = architecture.build_topology()
-
-    schedules = _Schedules(graph, architecture, cache)
+    healthy = architecture.build_topology()
+    schedules = _Schedules(graph, architecture)
     fabrics_simulated = 0
 
     def simulate_all(topology: Topology) -> List[NocStats]:
@@ -501,7 +461,7 @@ def run_fault_campaign(
             level, draw = item
             child = derive_seed(campaign_seed, level, draw)
             with obs.span("campaign.draw", level=level, draw=draw):
-                topology, failed = _draw_faults(healthy, level, child, cache)
+                topology, failed = _draw_faults(healthy, level, child)
                 # No fault drawn: this is the healthy fabric, whose
                 # result the campaign already has.
                 all_stats = simulate_all(topology) if level else healthy_stats

@@ -1,9 +1,8 @@
 """Mapping-as-a-service: cache-backed request serving, resumable sweeps.
 
-Every entry point of the framework used to be one-shot: each
-``map_snn`` / ``run_pipeline`` call re-derived the topology, routing
-tables, hop matrices and columnar schedules it needed, then threw them
-away.  This module is the long-lived serving layer on top:
+Every entry point of the framework is one-shot: a repeated
+``map_snn`` / ``run_pipeline`` call runs the optimizer and the NoC
+simulation again.  This module is the long-lived serving layer on top:
 
 - :class:`MappingService` — answers map requests one after another on
   the calling thread (:meth:`~MappingService.serve_batch`), or queues
@@ -98,9 +97,9 @@ class MappingService:
     Either way the answers are bit-identical to one-shot
     :func:`~repro.framework.pipeline.run_pipeline` calls, and repeat
     requests are answered from the cache.  Requests share the cache
-    (topologies, routing tables, schedules, memoized results), never
-    threads — one thread per same-fabric request measured slower than
-    this loop (CHANGES.md, PR 15).
+    (memoized mappings and results, warm-start states), never threads —
+    one thread per same-fabric request measured slower than this loop
+    (CHANGES.md, PR 15).
     """
 
     def __init__(

@@ -27,6 +27,19 @@ def default_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def replayable(seed: SeedLike, unused: bool = False) -> bool:
+    """Whether a run that draws from ``seed`` can be memoized by content.
+
+    An int names a whole stream.  ``None`` is fresh entropy: replayable
+    only when nothing draws from it (``unused``).  A generator is a
+    position in a stream, not content, so it never enters a memo token
+    — not even unused, since the token would have to fold it.
+    """
+    if isinstance(seed, np.random.Generator):
+        return False
+    return seed is not None or unused
+
+
 def spawn_rngs(seed: SeedLike, n: int) -> Sequence[np.random.Generator]:
     """Create ``n`` independent generators derived from one seed.
 

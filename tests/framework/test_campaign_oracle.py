@@ -11,13 +11,11 @@ bridge fault deletes relay routers — the draws that must *not* reuse
 the healthy schedule.
 """
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.core.mapper import map_snn
-from repro.framework.artifacts import ArtifactCache, graph_token
+from repro.framework.artifacts import ArtifactCache
 from repro.framework.pipeline import run_fault_campaign, run_fault_sweep
 from repro.hardware.presets import custom, multichip_board
 from repro.metrics.report import (
@@ -202,30 +200,6 @@ def test_span_and_counters_say_what_was_reused(cases):
         _campaign(cases["board2x2"])
     span = _campaign_span(obs)
     assert n_labels < span["schedules_built"] <= n_labels * (1 + faulted)
-
-
-def test_cached_mesh_campaign_stores_one_schedule_per_mapping(cases, tmp_path):
-    cache = ArtifactCache(cache_dir=str(tmp_path))
-    graph, arch, mappings = cases["mesh"]
-    healthy = cache.topology(arch)
-    _campaign(cases["mesh"], cache=cache)
-
-    def stored(label, topology):
-        key = cache.key("schedule", (
-            graph_token(graph),
-            mappings[label].assignment,
-            schedule_addressing(topology),
-            arch.cycles_per_ms,
-        ))
-        return os.path.exists(os.path.join(str(tmp_path), f"{key}.pkl"))
-
-    assert all(stored(label, healthy) for label in mappings)
-    degraded, _ = inject_random_faults(healthy, 3, seed=derive_seed(SEED, 3, 0))
-    assert all(stored(label, degraded) for label in mappings)  # same entries
-    # Persisted entries: topology, degraded topologies per faulted draw,
-    # and exactly one schedule per mapping.
-    faulted = (len(LEVELS) - 1) * DRAWS
-    assert len(os.listdir(str(tmp_path))) == 1 + faulted + len(mappings)
 
 
 @pytest.mark.parametrize("platform", sorted(PLATFORMS))

@@ -157,7 +157,7 @@ class TestRunFaultCampaign:
 
 
 class TestFaultSweepSatellites:
-    """Regressions for the resume fingerprint and unseeded-draw caching."""
+    """Regressions for the resume fingerprint and fault-draw caching."""
 
     def test_fingerprint_covers_noc_config(
         self, graph, arch, mapping, tmp_path
@@ -186,38 +186,26 @@ class TestFaultSweepSatellites:
                 **kwargs
             )
 
-    def test_unseeded_draws_never_hit_the_cache(
-        self, graph, arch, monkeypatch
+    def test_fault_draws_never_touch_the_cache(
+        self, graph, arch, mapping, monkeypatch
     ):
+        """The cache memoizes mappings and results; given a mapping, a
+        sweep or campaign computes every draw, seeded or not."""
         cache = ArtifactCache()
 
         def poisoned(*args, **kwargs):
-            raise AssertionError(
-                "unseeded fault draw must not consult the cache"
+            raise AssertionError("a fault draw must not consult the cache")
+
+        monkeypatch.setattr(cache, "get", poisoned)
+        monkeypatch.setattr(cache, "put", poisoned)
+        for fault_seed in (None, 3):
+            curve = run_fault_sweep(
+                graph, arch, fault_counts=(0, 1), mapping=mapping,
+                fault_seed=fault_seed, cache=cache,
             )
-
-        monkeypatch.setattr(cache, "degraded_topology", poisoned)
-        curve = run_fault_sweep(
-            graph, arch, fault_counts=(0, 1), method="pacman",
-            fault_seed=None, cache=cache,
-        )
-        assert len(curve.points) == 2
-
-    def test_seeded_draws_do_hit_the_cache(self, graph, arch, monkeypatch):
-        cache = ArtifactCache()
-        calls = []
-        original = cache.degraded_topology
-
-        def spying(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cache, "degraded_topology", spying)
-        run_fault_sweep(
-            graph, arch, fault_counts=(0, 1), method="pacman",
-            fault_seed=3, cache=cache,
-        )
-        assert len(calls) == 1  # only the non-zero level draws faults
+            assert len(curve.points) == 2
+        summary = _run(graph, arch, mapping, cache=cache)
+        assert len(summary.draws) == 3 * 3
 
 
 class TestDegradationCurveHealthy:

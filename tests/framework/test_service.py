@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +18,9 @@ from repro.core.mapper import map_snn
 from repro.core.pso import PSOConfig
 from repro.framework.artifacts import (
     ArtifactCache,
-    architecture_key,
+    architecture_token,
     graph_token,
-    hop_matrix_key,
+    mapping_token,
     pipeline_token,
     stable_hash,
 )
@@ -34,6 +36,10 @@ from repro.noc.topology import build_topology, mesh_for
 
 
 SMALL_PSO = PSOConfig(n_particles=6, n_iterations=4)
+
+#: The checkout under test, wherever it lives: subprocess tests run in it
+#: and import its ``src``, not whatever tree sits at a hard-coded path.
+ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture
@@ -53,40 +59,50 @@ def arch(graph):
 
 
 class TestKeyStability:
-    def test_architecture_key_stable_across_processes(self, arch):
-        """The content key must not depend on PYTHONHASHSEED."""
+    def test_memo_key_stable_across_processes(self, graph, arch):
+        """A persisted entry's key must not depend on PYTHONHASHSEED."""
         script = (
+            "from repro.apps import build_application\n"
             "from repro.hardware.presets import architecture_for\n"
-            "from repro.framework.artifacts import architecture_key\n"
-            f"a = architecture_for({arch.n_crossbars * arch.neurons_per_crossbar}, "
+            "from repro.framework.artifacts import ArtifactCache, mapping_token\n"
+            "g = build_application('hello_world', seed=1)\n"
+            "a = architecture_for(g.n_neurons, "
             f"neurons_per_crossbar={arch.neurons_per_crossbar}, "
             "interconnect='mesh', name='svc-test')\n"
-            "print(architecture_key(a))\n"
+            "token = mapping_token(g, a, method='pso', seed=3)\n"
+            "print(ArtifactCache().key('mapping-result', token))\n"
         )
-        env = dict(os.environ, PYTHONPATH="src")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         keys = set()
         for hash_seed in ("0", "12345"):
             env["PYTHONHASHSEED"] = hash_seed
             out = subprocess.run(
                 [sys.executable, "-c", script],
-                capture_output=True, text=True, env=env, cwd="/root/repo",
+                capture_output=True, text=True, env=env, cwd=ROOT,
                 check=True,
             )
             keys.add(out.stdout.strip())
-        keys.add(architecture_key(arch))
+        token = mapping_token(graph, arch, method="pso", seed=3)
+        keys.add(ArtifactCache().key("mapping-result", token))
         assert len(keys) == 1, f"keys diverged: {keys}"
 
     def test_key_ignores_name_but_not_structure(self, arch):
+        """Warm-start pools (``include_name=False``) ignore the report
+        label; memoized results, which print it, do not."""
         import dataclasses
 
+        def key(architecture, **kwargs):
+            return stable_hash(architecture_token(architecture, **kwargs))
+
         renamed = dataclasses.replace(arch, name="other-label")
-        assert architecture_key(renamed) == architecture_key(arch)
+        assert key(renamed) == key(arch)
+        assert key(renamed, include_name=True) != key(arch, include_name=True)
         resized = dataclasses.replace(
             arch, neurons_per_crossbar=arch.neurons_per_crossbar * 2
         )
-        assert architecture_key(resized) != architecture_key(arch)
+        assert key(resized) != key(arch)
         rewired = dataclasses.replace(arch, interconnect="tree")
-        assert architecture_key(rewired) != architecture_key(arch)
+        assert key(rewired) != key(arch)
 
     def test_topology_signature_distinguishes_kind_and_params(self):
         keys = {
@@ -96,16 +112,6 @@ class TestKeyStability:
         assert len(keys) == 5
         assert stable_hash(mesh_for(8).content_signature()) != stable_hash(
             mesh_for(9).content_signature()
-        )
-
-    def test_hop_matrix_key_tracks_routing_algorithm(self):
-        from repro.noc.routing import routing_for, shortest_path_routing
-
-        topo = mesh_for(9)
-        # Explicit default routing and implied default must unify.
-        assert hop_matrix_key(topo) == hop_matrix_key(topo, routing_for(topo))
-        assert hop_matrix_key(topo) != hop_matrix_key(
-            topo, shortest_path_routing(topo)
         )
 
     def test_pipeline_token_tracks_faults_seed_and_method(self, graph, arch):
@@ -176,28 +182,59 @@ class TestKeyStability:
         assert stable_hash(graph_token(graph)) != stable_hash(graph_token(other))
 
 
-# -- artifact sharing --------------------------------------------------------
+# -- the disk layer ----------------------------------------------------------
 
 
 class TestArtifactSharing:
-    def test_hop_matrix_shared_across_fitness_instances(self, graph):
-        from repro.core.fitness import InterconnectFitness
-        from repro.noc.routing import routing_for
-
-        cache = ArtifactCache()
-        results = []
-        for _ in range(3):
-            topo = mesh_for(8)  # fresh instance each time, same content
-            fit = InterconnectFitness(
-                graph, hop_weighted=True, topology=topo,
-                routing=routing_for(topo), cache=cache,
+    def test_disk_holds_one_entry_per_mapping_and_warm_problem(self, tmp_path):
+        """What a served batch persists, on perfbench ``serve_mixed``'s
+        request mix: deterministic mappings and warm-start states, and
+        no part (topology, schedule, fault draw) of either."""
+        noc = dict(
+            pso_config=PSOConfig(n_particles=4, n_iterations=2),
+            objective="noc",
+            noc_config=NocConfig(backend="fast"),
+        )
+        requests = []
+        for app in ("hello_world", "heartbeat"):
+            g = build_application(app, seed=1)
+            mesh, tree = (
+                custom(6, math.ceil(g.n_neurons / 6), interconnect=kind)
+                for kind in ("mesh", "tree")
             )
-            results.append(fit._hop_distances())
-        assert results[0] is results[1] is results[2]
-        assert cache.stats["misses"] == 1
-        assert cache.stats["hits"] == 2
+            requests += [
+                MapRequest(g, mesh, seed=1, pso_config=SMALL_PSO),
+                MapRequest(g, mesh, seed=2, pso_config=SMALL_PSO),
+                MapRequest(g, mesh, seed=3, **noc),
+                MapRequest(g, tree, seed=4, **noc),
+            ]
+        with MappingService(cache_dir=str(tmp_path)) as service:
+            service.serve_batch(requests)
+            key = service.cache.key
+            mappings = {
+                key(
+                    "mapping-result",
+                    mapping_token(
+                        r.graph, r.architecture, method=r.method, seed=r.seed,
+                        pso_config=r.pso_config, objective=r.objective,
+                        noc_config=r.noc_config,
+                    ),
+                )
+                for r in requests
+            }
+            warm_states = {
+                key(
+                    "warm-state",
+                    service.cache.warm_token(r.graph, r.architecture, r.objective),
+                )
+                for r in requests
+            }
+        assert len(mappings) == 8 and len(warm_states) == 6
+        assert {p.stem for p in tmp_path.iterdir()} == mappings | warm_states
 
-    def test_disk_roundtrip_and_corrupt_entry_discarded(self, tmp_path):
+    def test_disk_roundtrip_and_corrupt_entry_discarded(
+        self, graph, arch, tmp_path
+    ):
         cache = ArtifactCache(str(tmp_path))
         key = cache.key("thing", ("token", 1))
         cache.put(key, np.arange(5), persist=True)
@@ -227,6 +264,19 @@ class TestArtifactSharing:
         assert not found
         assert cold2.stats["corrupt_discarded"] == 1
 
+        # A real mapping entry cut short mid-write: the next process
+        # discards it, maps again and leaves a whole entry behind.
+        real = tmp_path / "real"
+        want = map_snn(graph, arch, method="greedy", cache=ArtifactCache(str(real)))
+        (entry,) = real.iterdir()
+        entry.write_bytes(entry.read_bytes()[:40])
+        cold3 = ArtifactCache(str(real))
+        got = map_snn(graph, arch, method="greedy", cache=cold3)
+        assert cold3.stats["corrupt_discarded"] == 1
+        assert cold3.stats["disk_hits"] == 0
+        assert np.array_equal(got.assignment, want.assignment)
+        found, rebuilt = ArtifactCache(str(real)).get(entry.stem)
+        assert found and np.array_equal(rebuilt.assignment, want.assignment)
 
 
 # -- bounded in-memory layer -------------------------------------------------
@@ -317,6 +367,52 @@ class TestResultMemo:
         a = run_pipeline(graph, arch, seed=None, method="random", cache=cache)
         b = run_pipeline(graph, arch, seed=None, method="random", cache=cache)
         assert a.mapping.wall_time_s != b.mapping.wall_time_s
+
+    def test_generator_seeds_run_and_are_never_memoized(self, graph, arch):
+        """A ``Generator`` is a position in a stream, not content: the
+        call runs exactly as without a cache and leaves no memo entry
+        (it used to raise ``unhashable token node of type Generator``)."""
+        rng = np.random.default_rng
+
+        def outcome(result):
+            mapping = getattr(result, "mapping", result)
+            return (
+                mapping.assignment.tobytes(),
+                getattr(result, "failed_links", None),
+            )
+
+        pso = dict(pso_config=SMALL_PSO)
+        # (call taking a generator, the memo kinds it must not store)
+        cases = [
+            (
+                lambda g, **kw: run_pipeline(graph, arch, seed=g, **pso, **kw),
+                {"mapping-result", "pipeline-result"},
+            ),
+            (
+                lambda g, **kw: map_snn(graph, arch, seed=g, **pso, **kw),
+                {"mapping-result", "pipeline-result"},
+            ),
+            (
+                lambda g, **kw: run_pipeline(
+                    graph, arch, seed=1, faults=1, fault_seed=g, **pso, **kw
+                ),
+                {"pipeline-result"},  # the int-seeded mapping does memoize
+            ),
+        ]
+        for call, forbidden in cases:
+            cache = ArtifactCache()
+            kinds = []
+            key = cache.key
+            cache.key = lambda kind, token: kinds.append(kind) or key(kind, token)
+            stream = rng(7)
+            first = call(stream, cache=cache)
+            assert outcome(first) == outcome(call(rng(7)))
+            assert not forbidden & set(kinds)
+            # The same generator object again is the next draw, not a replay.
+            state = stream.bit_generator.state
+            call(stream, cache=cache)
+            assert stream.bit_generator.state != state
+            assert not forbidden & set(kinds)
 
     def test_map_snn_memo_respects_kwargs(self, graph, arch):
         cache = ArtifactCache()
@@ -639,7 +735,7 @@ class TestAggregate:
                 "--input-dir", str(tmp_path),
                 "--output", str(out),
             ],
-            check=True, cwd="/root/repo",
+            check=True, cwd=ROOT,
         )
         with open(out) as fh:
             summary = json.load(fh)
