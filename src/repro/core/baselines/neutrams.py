@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import List
 
-import networkx as nx
 import numpy as np
 
 from repro.core.partition import Partition, repair_assignment
@@ -37,6 +36,8 @@ def neutrams_partition(
     *unweighted* undirected synapse graph, until enough parts exist.  A
     final repair pass enforces crossbar capacity.
     """
+    import networkx as nx  # Kernighan-Lin lives there; loaded by this method only
+
     check_positive("n_clusters", n_clusters)
     check_positive("capacity", capacity)
     n = graph.n_neurons

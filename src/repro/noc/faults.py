@@ -44,9 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Set, Tuple
 
-import networkx as nx
-
-from repro.noc.topology import Topology
+from repro.noc.topology import RouterGraph, Topology
 from repro.obs import get_observer
 from repro.utils.rng import SeedLike, default_rng
 
@@ -172,7 +170,7 @@ def bridge_chains(topology) -> List[List[int]]:
 
 
 def _remove_plain_faults(
-    g: nx.Graph,
+    g: RouterGraph,
     faults: FaultSet,
     attach_points: List[int],
     bridge_segments: FrozenSet[Tuple[int, int]],
@@ -212,8 +210,8 @@ def _degraded_kind(kind: str) -> str:
     return kind if kind.endswith("-degraded") else f"{kind}-degraded"
 
 
-def _check_connected(g: nx.Graph) -> None:
-    if not nx.is_connected(g):
+def _check_connected(g: RouterGraph) -> None:
+    if not g.is_connected():
         raise ValueError("fault set disconnects the interconnect")
 
 
@@ -426,13 +424,13 @@ def _chain_segments(chain: List[int]) -> Set[Tuple[int, int]]:
     return {(min(u, v), max(u, v)) for u, v in zip(chain, chain[1:])}
 
 
-def _remove_chain(g: nx.Graph, chain: List[int]) -> None:
+def _remove_chain(g: RouterGraph, chain: List[int]) -> None:
     """Take a whole bridge out of ``g``: every segment and relay router."""
     g.remove_edges_from(zip(chain, chain[1:]))
     g.remove_nodes_from(chain[1:-1])
 
 
-def _survivable(g: nx.Graph, chains: List[List[int]]) -> List[Tuple[int, int]]:
+def _survivable(g: RouterGraph, chains: List[List[int]]) -> List[Tuple[int, int]]:
     """Survivable links of router graph ``g`` whose bridges are ``chains``."""
     cut = cut_edges(g.adj)
     segments = set().union(*map(_chain_segments, chains))
@@ -444,7 +442,7 @@ def _survivable(g: nx.Graph, chains: List[List[int]]) -> List[Tuple[int, int]]:
     for chain in chains:
         without = g.copy()
         _remove_chain(without, chain)
-        if nx.is_connected(without):
+        if without.is_connected():
             chain_segs = _chain_segments(chain)
             survivable.extend(
                 (u, v) for u, v in g.edges if (min(u, v), max(u, v)) in chain_segs

@@ -50,7 +50,7 @@ import numpy as np
 
 from repro.utils.validation import check_positive
 
-from repro.noc.topology import Topology
+from repro.noc.topology import RouterGraph, Topology
 
 #: Chip id reported for bridge relay routers, which belong to no chip.
 RELAY_CHIP = -1
@@ -376,9 +376,7 @@ def multichip(
     grid_w, _ = _chip_grid(n_chips)
 
     # Build every chip, renumbered into the global id space.
-    import networkx as nx
-
-    graph = nx.Graph()
+    graph = RouterGraph()
     positions: Dict[int, Tuple[int, int]] = {}
     attach_points: List[int] = []
     chip_of_router: Dict[int, int] = {}

@@ -10,11 +10,152 @@ per router.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.utils.validation import check_positive
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+
+class RouterGraph:
+    """Undirected router graph: an insertion-ordered dict-of-dicts adjacency.
+
+    Carries the :class:`networkx.Graph` method names the NoC layer calls,
+    with networkx's iteration orders, so fabrics (and the fault draws
+    that index into ``edges``) are the same as when the graph *was* an
+    ``nx.Graph`` - without importing networkx on the run path.
+    :meth:`to_networkx` exports for anything else.
+    """
+
+    def __init__(
+        self, nodes: Iterable[int] = (), edges: Iterable[Tuple[int, int]] = ()
+    ) -> None:
+        self._adj: Dict[int, Dict[int, None]] = {}
+        self.add_nodes_from(nodes)
+        self.add_edges_from(edges)
+
+    def add_node(self, n: int) -> None:
+        self._adj.setdefault(n, {})
+
+    def add_nodes_from(self, nodes: Iterable[int]) -> None:
+        for n in nodes:
+            self.add_node(n)
+
+    def add_edge(self, u: int, v: int) -> None:
+        if u == v:
+            raise ValueError(f"router {u} cannot link to itself")
+        self._adj.setdefault(u, {})[v] = None
+        self._adj.setdefault(v, {})[u] = None
+
+    def add_edges_from(self, edges: Iterable[Tuple[int, int]]) -> None:
+        for u, v in edges:
+            self.add_edge(u, v)
+
+    def remove_edge(self, u: int, v: int) -> None:
+        if not self.has_edge(u, v):
+            raise KeyError(f"the edge {u}-{v} is not in the graph")
+        del self._adj[u][v]
+        del self._adj[v][u]
+
+    def remove_edges_from(self, edges: Iterable[Tuple[int, int]]) -> None:
+        """Remove every listed edge that exists; missing ones are ignored."""
+        for u, v in edges:
+            if self.has_edge(u, v):
+                self.remove_edge(u, v)
+
+    def remove_node(self, n: int) -> None:
+        """Remove router ``n`` and every link incident to it."""
+        if n not in self._adj:
+            raise KeyError(f"the node {n} is not in the graph")
+        for v in self._adj.pop(n):
+            del self._adj[v][n]
+
+    def remove_nodes_from(self, nodes: Iterable[int]) -> None:
+        """Remove every listed router that exists; missing ones are ignored."""
+        for n in nodes:
+            if n in self._adj:
+                self.remove_node(n)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self._adj.get(u, ())
+
+    def __contains__(self, n: object) -> bool:
+        return n in self._adj
+
+    @property
+    def nodes(self):
+        """Routers in insertion order (a live view)."""
+        return self._adj.keys()
+
+    @property
+    def adj(self) -> Dict[int, Dict[int, None]]:
+        """``adj[n]`` iterates ``n``'s neighbours in link-insertion order."""
+        return self._adj
+
+    @property
+    def edges(self) -> List[Tuple[int, int]]:
+        """Each link once: per router in node order, its not-yet-visited
+        neighbours in adjacency order (the order fault draws index into)."""
+        seen: set = set()
+        out: List[Tuple[int, int]] = []
+        for u, nbrs in self._adj.items():
+            out.extend((u, v) for v in nbrs if v not in seen)
+            seen.add(u)
+        return out
+
+    def neighbors(self, n: int) -> Iterator[int]:
+        return iter(self._adj[n])
+
+    def degree(self, n: int) -> int:
+        return len(self._adj[n])
+
+    def number_of_nodes(self) -> int:
+        return len(self._adj)
+
+    def number_of_edges(self) -> int:
+        return sum(map(len, self._adj.values())) // 2
+
+    def copy(self) -> "RouterGraph":
+        """Independent copy; like networkx's, it re-inserts the links in
+        ``edges`` order, so ``neighbors`` may iterate differently after."""
+        return RouterGraph(self._adj, self.edges)
+
+    def _eccentricity(self, source: int) -> Tuple[int, int]:
+        """BFS from ``source``: (routers reached, hops to the farthest)."""
+        seen = {source}
+        frontier = [source]
+        depth = -1
+        while frontier:
+            depth += 1
+            nxt = []
+            for u in frontier:
+                for v in self._adj[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+            frontier = nxt
+        return len(seen), depth
+
+    def is_connected(self) -> bool:
+        if not self._adj:
+            raise ValueError("connectivity is undefined for a graph with no routers")
+        return self._eccentricity(next(iter(self._adj)))[0] == len(self._adj)
+
+    def diameter(self) -> int:
+        """Longest shortest path, in hops, of a connected graph."""
+        if not self.is_connected():
+            raise ValueError("diameter is infinite: the graph is not connected")
+        return max(self._eccentricity(n)[1] for n in self._adj)
+
+    def to_networkx(self) -> nx.Graph:
+        """Export as a :class:`networkx.Graph`, nodes and edges in order."""
+        import networkx as nx
+
+        g = nx.Graph()
+        g.add_nodes_from(self._adj)
+        g.add_edges_from(self.edges)
+        return g
 
 
 @dataclass
@@ -24,7 +165,9 @@ class Topology:
     Attributes
     ----------
     graph:
-        Undirected :class:`networkx.Graph` of routers; nodes are ints.
+        Undirected :class:`RouterGraph` of routers; nodes are ints.  A
+        :class:`networkx.Graph` (anything with ``nodes`` and ``edges``)
+        is converted on construction.
     attach_points:
         ``attach_points[k]`` is the router hosting crossbar ``k``.
     kind:
@@ -34,18 +177,22 @@ class Topology:
         Optional (x, y) grid coordinates per router; required by XY routing.
     """
 
-    graph: nx.Graph
+    graph: RouterGraph
     attach_points: List[int]
     kind: str
     positions: Dict[int, Tuple[int, int]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.graph, RouterGraph):
+            self.graph = RouterGraph(self.graph.nodes, self.graph.edges)
+        if not self.graph.number_of_nodes():
+            raise ValueError("topology graph must have at least one router")
         missing = [n for n in self.attach_points if n not in self.graph]
         if missing:
             raise ValueError(f"attach points {missing} are not routers in the graph")
         if len(set(self.attach_points)) != len(self.attach_points):
             raise ValueError("attach points must be distinct routers")
-        if not nx.is_connected(self.graph):
+        if not self.graph.is_connected():
             raise ValueError("topology graph must be connected")
         # Lazily filled caches (plain attributes, not dataclass fields):
         # fitness and placement both need the same derived quantities on
@@ -105,7 +252,7 @@ class Topology:
     def diameter(self) -> int:
         """Longest shortest-path (hops) between any two routers (cached)."""
         if self._diameter is None:
-            self._diameter = nx.diameter(self.graph)
+            self._diameter = self.graph.diameter()
         return self._diameter
 
     def crossbar_hop_matrix(self, routing=None):
@@ -159,7 +306,7 @@ def mesh(width: int, height: Optional[int] = None) -> Topology:
     if height is None:
         height = width
     check_positive("height", height)
-    g = nx.Graph()
+    g = RouterGraph()
     positions: Dict[int, Tuple[int, int]] = {}
     for y in range(height):
         for x in range(width):
@@ -189,7 +336,7 @@ def tree(n_leaves: int, arity: int = 2) -> Topology:
     check_positive("n_leaves", n_leaves)
     if arity < 2:
         raise ValueError(f"tree arity must be >= 2, got {arity}")
-    g = nx.Graph()
+    g = RouterGraph()
     leaves = list(range(n_leaves))
     g.add_nodes_from(leaves)
     next_id = n_leaves
@@ -216,15 +363,11 @@ def tree(n_leaves: int, arity: int = 2) -> Topology:
 def star(n_crossbars: int) -> Topology:
     """All crossbars attached around a single hub router."""
     check_positive("n_crossbars", n_crossbars)
-    g = nx.Graph()
+    g = RouterGraph()
     hub = n_crossbars
     g.add_node(hub)
     for k in range(n_crossbars):
         g.add_edge(hub, k)
-    if n_crossbars == 1:
-        # A lone crossbar still needs a connected two-node graph so routing
-        # tables are well formed; hub-leaf link is never used.
-        pass
     return Topology(graph=g, attach_points=list(range(n_crossbars)), kind="star")
 
 

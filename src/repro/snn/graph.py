@@ -15,14 +15,16 @@ traffic generator consume, whether it came from a simulation
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.snn.network import Network
 from repro.snn.simulator import SimulationResult
 from repro.utils.validation import check_index_range
+
+if TYPE_CHECKING:  # exporters import networkx on call; a default run never loads it
+    import networkx as nx
 
 
 @dataclass
@@ -202,6 +204,8 @@ class SpikeGraph:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export as a networkx DiGraph with traffic/weight edge attributes."""
+        import networkx as nx
+
         g = nx.DiGraph(name=self.name)
         g.add_nodes_from(range(self.n_neurons))
         for s, d, w, t in zip(self.src, self.dst, self.weight, self.traffic):
@@ -212,7 +216,10 @@ class SpikeGraph:
         return g
 
     def undirected_traffic(self) -> nx.Graph:
-        """Symmetrized traffic graph, used by min-cut style baselines."""
+        """Symmetrized traffic as a networkx Graph: parallel and opposite
+        synapses merge into one ``traffic``-weighted edge, self-loops drop."""
+        import networkx as nx
+
         g = nx.Graph(name=self.name)
         g.add_nodes_from(range(self.n_neurons))
         for s, d, t in zip(self.src, self.dst, self.traffic):

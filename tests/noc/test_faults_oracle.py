@@ -27,7 +27,7 @@ from repro.utils.rng import default_rng
 
 def oracle_survivable_links(topology):
     cut = set()
-    for u, v in nx.bridges(topology.graph):
+    for u, v in nx.bridges(topology.graph.to_networkx()):
         cut.add((u, v))
         cut.add((v, u))
     if not isinstance(topology, MultiChipTopology):
@@ -39,7 +39,7 @@ def oracle_survivable_links(topology):
     ]
     for chain in bridge_chains(topology):
         chain_segs = {(min(a, b), max(a, b)) for a, b in zip(chain, chain[1:])}
-        g = topology.graph.copy()
+        g = topology.graph.to_networkx()
         for u, v in zip(chain, chain[1:]):
             g.remove_edge(u, v)
         g.remove_nodes_from(chain[1:-1])

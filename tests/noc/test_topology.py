@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 from repro.noc.topology import (
+    RouterGraph,
     Topology,
     build_topology,
     mesh,
@@ -41,7 +42,7 @@ class TestTree:
     def test_leaves_are_attach_points(self, n_leaves):
         topo = tree(n_leaves)
         assert topo.n_attach_points == n_leaves
-        assert nx.is_connected(topo.graph)
+        assert nx.is_connected(topo.graph.to_networkx())
 
     def test_binary_tree_structure(self):
         topo = tree(4, arity=2)
@@ -104,7 +105,7 @@ class TestTorus:
         topo = _torus_for(n)
         assert topo.n_attach_points == n
         assert topo.kind == "torus"
-        assert nx.is_connected(topo.graph)
+        assert nx.is_connected(topo.graph.to_networkx())
         # Attach points are the first n routers, each carrying a position.
         for k in range(n):
             assert topo.node_of_crossbar(k) in topo.positions
@@ -152,7 +153,7 @@ class TestCaching:
         def boom(_):
             raise AssertionError("diameter recomputed despite cache")
 
-        monkeypatch.setattr(topo_mod.nx, "diameter", boom)
+        monkeypatch.setattr(topo_mod.RouterGraph, "diameter", boom)
         assert topo.diameter() == first
 
     def test_hop_matrix_cached_per_routing(self):
@@ -228,6 +229,17 @@ class TestTopologyValidation:
         g = nx.path_graph(3)
         with pytest.raises(ValueError, match="distinct"):
             Topology(graph=g, attach_points=[0, 0], kind="test")
+
+    def test_empty_graph_rejected(self):
+        """Used to leak networkx's NetworkXPointlessConcept."""
+        with pytest.raises(ValueError, match="at least one router"):
+            Topology(graph=nx.Graph(), attach_points=[], kind="test")
+
+    def test_networkx_graph_is_converted(self):
+        topo = Topology(graph=nx.path_graph(3), attach_points=[0, 2], kind="test")
+        assert isinstance(topo.graph, RouterGraph)
+        assert list(topo.graph.nodes) == [0, 1, 2]
+        assert topo.graph.edges == [(0, 1), (1, 2)]
 
     def test_disconnected_rejected(self):
         g = nx.Graph()
