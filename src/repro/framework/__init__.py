@@ -8,8 +8,9 @@ partitioner → NoC simulation → metric report.
   (Fig. 6 crossbar-size sweep, Fig. 7 swarm-size sweep);
 - :mod:`repro.framework.service` — the serving layer: a
   :class:`MappingService` that answers requests in order over a
-  content-addressed :class:`ArtifactCache`, plus resumable sweep
-  campaigns;
+  content-addressed :class:`ArtifactCache`, which also holds the
+  finished points of long sweeps so a killed one restarts where it
+  stopped;
 - :mod:`repro.framework.experiment` — result records for EXPERIMENTS.md.
 """
 
@@ -33,12 +34,7 @@ from repro.framework.exploration import (
     explore_chips,
     explore_swarm_size,
 )
-from repro.framework.service import (
-    MapRequest,
-    MappingService,
-    SweepRun,
-    run_sweep_resumable,
-)
+from repro.framework.service import MapRequest, MappingService
 from repro.framework.replay import (
     delivered_spike_trains,
     perceived_spike_trains,
@@ -55,8 +51,6 @@ __all__ = [
     "ArtifactCache",
     "MapRequest",
     "MappingService",
-    "SweepRun",
-    "run_sweep_resumable",
     "architecture_point",
     "chip_point",
     "explore_architecture",

@@ -1,6 +1,6 @@
 """Content-addressed result cache for the mapping service layer.
 
-The cache memoizes *results*, not parts.  It holds three kinds of entry:
+The cache memoizes *results*, not parts.  It holds four kinds of entry:
 
 - ``mapping-result`` (memory + disk) — a deterministic ``map_snn``
   answer; a hit skips the optimizer, the one thing the disk layer is for.
@@ -9,6 +9,11 @@ The cache memoizes *results*, not parts.  It holds three kinds of entry:
   reads the mapping from disk and measures it again.
 - ``warm-state`` (memory + disk) — the best converged swarm assignment
   per (graph, architecture, objective): ``MapRequest(warm=True)``.
+- ``sweep-point`` (memory + disk) — one finished point of a long sweep:
+  a fault campaign's (level, draw) rows, an ``explore`` point.  Small
+  tuples of plain numbers keyed by the point's content, so a killed
+  sweep run again on the same directory computes only what is missing,
+  and a changed flag, seed or mapping addresses other entries.
 
 Topologies, routing tables, hop matrices, schedules, fault draws and
 NoC statistics are *not* cached.  Measured per kind (CHANGES.md, PR 21)
@@ -16,8 +21,8 @@ they cost what they saved — a 6-crossbar topology builds in 0.09 ms, its
 key hashes in 0.036 ms and stores in 0.18 ms; schedules were 92 % of the
 bytes on disk — and the sharing they stood for exists without a key:
 per instance (``Topology`` keeps its hop matrices), per run (one
-schedule per fabric addressing), per campaign (``state_dir``).  So
-``cache=None`` and a cache miss run the same builders in the same order.
+schedule per fabric addressing).  So ``cache=None`` and a cache miss run
+the same builders in the same order.
 
 - **stable keys** — :func:`stable_hash` folds a token tree of primitives
   and numpy arrays into a sha256 digest.  No ``hash()`` anywhere, so a
@@ -30,7 +35,8 @@ schedule per fabric addressing), per campaign (``state_dir``).  So
 - **:class:`ArtifactCache`** — a thread-safe memo store with an
   optional on-disk layer (``cache_dir``).  Disk entries are atomic
   pickles named by their key; corrupted or truncated entries are
-  discarded and rebuilt, never crashed on.
+  discarded and rebuilt, never crashed on, and a write that fails is
+  counted (``stats["persist_failures"]``), never raised.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import fields, is_dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 import numpy as np
 
@@ -251,8 +257,8 @@ class ArtifactCache:
         Directory for persistent entries (created on demand).  ``None``
         keeps the cache purely in-memory.  Only entries stored with
         ``persist=True`` are written to disk: mapping results (small,
-        and a hit skips the optimizer) and warm-start states.  Pipeline
-        results stay in memory.
+        and a hit skips the optimizer), warm-start states and sweep
+        points.  Pipeline results stay in memory.
     max_entries:
         Bound on the in-memory layer.  ``None`` (default) keeps every
         entry, preserving the historical unbounded behaviour; ``N >= 1``
@@ -267,9 +273,10 @@ class ArtifactCache:
     Entries are keyed by :func:`stable_hash` over canonical token trees,
     so two content-identical requests made in different processes
     address the same entry.  The store itself is generic (``key`` /
-    ``get`` / ``put``); the three kinds it holds are listed in the
+    ``get`` / ``put``); the four kinds it holds are listed in the
     module docstring.  Corrupted disk entries (truncated writes,
-    foreign junk) are discarded and rebuilt — the cache must never turn
+    foreign junk) are discarded and rebuilt, and a failed disk write is
+    counted in ``stats["persist_failures"]`` — the cache must never turn
     a cache *problem* into a serving failure.
     """
 
@@ -289,6 +296,7 @@ class ArtifactCache:
             "misses": 0,
             "disk_hits": 0,
             "corrupt_discarded": 0,
+            "persist_failures": 0,
             "stores": 0,
             "evictions": 0,
         }
@@ -326,7 +334,7 @@ class ArtifactCache:
             return False, None
 
     def _store_disk(self, key: str, value: Any) -> None:
-        """Atomic pickle write (tmp file + rename); failures are silent."""
+        """Atomic pickle write (tmp file + rename); failures are counted."""
         try:
             os.makedirs(self.cache_dir, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
@@ -343,7 +351,11 @@ class ArtifactCache:
                     pass
                 raise
         except Exception:
-            pass  # a cache that cannot persist still serves from memory
+            # A cache that cannot persist still serves from memory, but
+            # says so: sweep checkpoints ride on this layer.
+            with self._lock:
+                self.stats["persist_failures"] += 1
+            get_observer().inc("cache.persist_failures")
 
     def _remember(self, key: str, value: Any) -> int:
         """Insert into the memory layer (LRU position: newest).
@@ -436,3 +448,29 @@ class ArtifactCache:
             self.key("warm-state", self.warm_token(graph, architecture, objective))
         )
         return value[0] if found else None
+
+
+# -- sweep points ------------------------------------------------------------
+
+
+def _sweep_point(
+    cache: Optional[ArtifactCache],
+    replays: bool,
+    token: Callable[[], Any],
+    compute: Callable[[], Any],
+) -> Any:
+    """One sweep point, memoized whole (kind ``sweep-point``, on disk).
+
+    The checkpoint of a long sweep: a point stored by a killed run is
+    read back by the next one on the same ``cache_dir``.  ``token()`` is
+    the point's content and is built only when there is a cache and the
+    point's seeds replay; otherwise this is ``compute()``.
+    """
+    if cache is None or not replays:
+        return compute()
+    key = cache.key("sweep-point", token())
+    found, value = cache.get(key)
+    if not found:
+        value = compute()
+        cache.put(key, value, persist=True)
+    return value

@@ -23,12 +23,7 @@ from repro.apps import APPLICATIONS, build_application
 from repro.apps.registry import ABBREVIATIONS
 from repro.core import PSOConfig
 from repro.core.mapper import METHODS, compare_methods
-from repro.framework.exploration import (
-    architecture_point,
-    chip_point,
-    explore_architecture,
-    explore_chips,
-)
+from repro.framework.exploration import explore_architecture, explore_chips
 from repro.framework.pipeline import run_pipeline
 from repro.hardware.config import load_architecture
 from repro.noc.interconnect import NocConfig
@@ -140,8 +135,10 @@ def _add_cache_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cache-dir", default=None,
         help="content-addressed result cache directory: repeat runs "
-             "reuse deterministic mappings (skipping the optimizer) and "
-             "recorded warm-start states, bit-identical to recomputing",
+             "reuse deterministic mappings (skipping the optimizer), "
+             "recorded warm-start states and finished explore/faults "
+             "sweep points (a killed sweep run again resumes where it "
+             "stopped), bit-identical to recomputing",
     )
 
 
@@ -152,6 +149,14 @@ def _build_cache(args):
     from repro.framework.artifacts import ArtifactCache
 
     return ArtifactCache(args.cache_dir)
+
+
+def _print_cache_stats(cache) -> None:
+    """The ``cache:`` line (nothing without a cache): what was answered
+    from memory or disk, what was computed and stored, what went wrong."""
+    if cache is not None:
+        line = ", ".join(f"{k}={v}" for k, v in sorted(cache.stats.items()))
+        print(f"cache: {line}")
 
 
 def _build_graph(args):
@@ -248,8 +253,8 @@ def _cmd_info(_args) -> int:
 def _point_kwargs(args) -> dict:
     """The what-to-compute flags ``map`` / ``explore`` / ``faults``
     share, as ``map_snn`` / ``run_pipeline`` keywords — all of them
-    components of ``pipeline_token``, so the dict that runs an
-    ``explore`` point also fingerprints its resumable campaign."""
+    components of ``pipeline_token``, so a changed flag addresses
+    different cache entries."""
     return dict(
         method=args.method,
         seed=args.seed,
@@ -267,11 +272,12 @@ def _cmd_map(args) -> int:
     arch = _build_architecture(args, graph)
     print(graph.describe())
     print(arch.describe())
+    cache = _build_cache(args)
     result = run_pipeline(
         graph, arch, **_point_kwargs(args),
         faults=args.faults,
         fault_seed=args.fault_seed,
-        cache=_build_cache(args),
+        cache=cache,
         spare_capacity=args.spare_capacity,
     )
     print(result.mapping.describe())
@@ -280,6 +286,7 @@ def _cmd_map(args) -> int:
         print(f"injected {len(result.failed_links)} link faults: {links}")
     print(result.noc_stats.describe())
     print(result.report.table())
+    _print_cache_stats(cache)
     return 0
 
 
@@ -302,12 +309,13 @@ def _cmd_compare(args) -> int:
     arch = _build_architecture(args, graph)
     print(graph.describe())
     print(arch.describe())
+    cache = _build_cache(args)
     results = compare_methods(
         graph, arch, methods=tuple(args.methods), seed=args.seed,
         pso_config=PSOConfig(n_particles=args.particles,
                              n_iterations=args.iterations),
         objective=args.objective,
-        cache=_build_cache(args),
+        cache=cache,
     )
     rows = [
         (m, f"{r.fitness:.0f}", f"{r.extras.get('packets', 0):.0f}",
@@ -319,50 +327,12 @@ def _cmd_compare(args) -> int:
          "time (s)"],
         rows,
     ))
+    _print_cache_stats(cache)
     return 0
-
-
-def _run_sweep(args, graph, base, items, point_fn, sweep_fn, campaign: str):
-    """One ``explore`` sweep: ``sweep_fn`` over all ``items``, or under
-    --resume ``point_fn`` per item through the checkpointed runner,
-    fingerprinted by everything that shapes a point.  ``None`` (after
-    an ``error:`` line) when the checkpoints on disk belong to different
-    flags."""
-    kwargs = _point_kwargs(args)
-    cache = _build_cache(args)
-    if not args.resume:
-        return sweep_fn(graph, base, items, cache=cache, **kwargs)
-    from repro.framework.artifacts import pipeline_token
-    from repro.framework.service import run_sweep_resumable
-
-    try:
-        run = run_sweep_resumable(
-            list(items),
-            lambda i, item: point_fn(
-                graph, base, item, i, cache=cache, **kwargs
-            ),
-            os.path.join(args.cache_dir, "sweeps"),
-            campaign=campaign,
-            fingerprint=(pipeline_token(graph, base, **kwargs), tuple(items)),
-        )
-    except ValueError as exc:
-        # Checkpoints written under other flags (the message names the
-        # state directory), or a point the flags make impossible.
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-    if run.skipped:
-        print(
-            f"resumed campaign {campaign!r}: {len(run.skipped)} points "
-            f"restored, {len(run.computed)} computed"
-        )
-    return run.results
 
 
 def _cmd_explore(args) -> int:
     if _reject_non_pso_noc(args.objective, [args.method]):
-        return 2
-    if args.resume and args.cache_dir is None:
-        print("error: --resume requires --cache-dir", file=sys.stderr)
         return 2
     graph = _build_graph(args)
     if args.chip_counts:
@@ -372,12 +342,10 @@ def _cmd_explore(args) -> int:
                   cycles_per_ms=args.cycles_per_ms, name="explore",
                   energy=energy, n_chips=args.chips,
                   bridge_latency=args.bridge_latency)
-    points = _run_sweep(
-        args, graph, base, args.sizes, architecture_point,
-        explore_architecture, campaign=f"explore-{args.app}",
+    cache = _build_cache(args)
+    points = explore_architecture(
+        graph, base, args.sizes, cache=cache, **_point_kwargs(args)
     )
-    if points is None:
-        return 2
     rows = [
         (p.neurons_per_crossbar, p.n_crossbars, f"{p.local_energy_uj:.3f}",
          f"{p.global_energy_uj:.3f}", f"{p.total_energy_uj:.3f}",
@@ -389,17 +357,17 @@ def _cmd_explore(args) -> int:
          "latency (cy)"],
         rows,
     ))
+    _print_cache_stats(cache)
     return 0
 
 
 def _explore_chip_counts(args, graph) -> int:
     """Chip-count sweep: same platform, 1..N chips (Fig. 6 style)."""
-    points = _run_sweep(
-        args, graph, _build_architecture(args, graph), args.chip_counts,
-        chip_point, explore_chips, campaign=f"explore-chips-{args.app}",
+    cache = _build_cache(args)
+    points = explore_chips(
+        graph, _build_architecture(args, graph), args.chip_counts,
+        cache=cache, **_point_kwargs(args),
     )
-    if points is None:
-        return 2
     rows = [
         (p.n_chips, p.n_bridges, f"{p.global_energy_uj:.3f}",
          f"{p.total_energy_uj:.3f}", p.inter_chip_hops,
@@ -411,6 +379,7 @@ def _explore_chip_counts(args, graph) -> int:
          "crossings", "latency (cy)"],
         rows,
     ))
+    _print_cache_stats(cache)
     return 0
 
 
@@ -420,9 +389,6 @@ def _cmd_faults(args) -> int:
     from repro.framework.pipeline import run_fault_campaign
 
     if _reject_non_pso_noc(args.objective, [args.method]):
-        return 2
-    if args.resume and args.cache_dir is None:
-        print("error: --resume requires --cache-dir", file=sys.stderr)
         return 2
     graph = _build_graph(args)
     arch = _build_architecture(args, graph)
@@ -457,18 +423,13 @@ def _cmd_faults(args) -> int:
             campaign_seed=args.campaign_seed,
             noc_config=kwargs["noc_config"],
             cache=cache,
-            state_dir=(
-                os.path.join(args.cache_dir, "sweeps") if args.resume else None
-            ),
-            campaign=f"faults-{args.app}",
         )
     except ValueError as exc:
-        # Checkpoints written under other flags (--resume; the message
-        # names the state directory), or more faults than the fabric
-        # survives.
+        # More faults than the fabric survives.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(summary.table())
+    _print_cache_stats(cache)
     return 0
 
 
@@ -573,9 +534,7 @@ def _cmd_serve(args) -> int:
              "latency (cy)"],
             rows,
         ))
-        stats = dict(service.cache.stats)
-        line = ", ".join(f"{k}={v}" for k, v in sorted(stats.items()))
-        print(f"cache: {line}")
+        _print_cache_stats(service.cache)
         print(f"service: requests_served={service.requests_served}")
     return 0
 
@@ -629,12 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep chip counts instead of crossbar sizes (platform "
              "taken from the architecture flags)",
     )
-    p_exp.add_argument(
-        "--resume", action="store_true",
-        help="checkpoint each sweep point under --cache-dir/sweeps and "
-             "resume a killed campaign where it stopped (requires "
-             "--cache-dir)",
-    )
 
     p_flt = sub.add_parser(
         "faults", help="Monte-Carlo fault campaign over a mapping"
@@ -659,11 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--campaign-seed", type=int, default=2018,
         help="root seed; each (level, draw) gets an independent child "
              "stream so results never depend on execution order",
-    )
-    p_flt.add_argument(
-        "--resume", action="store_true",
-        help="checkpoint each draw under --cache-dir/sweeps and resume "
-             "a killed campaign where it stopped (requires --cache-dir)",
     )
 
     p_srv = sub.add_parser(

@@ -24,12 +24,13 @@ import numpy as np
 
 from repro.core.mapper import map_snn
 from repro.core.pso import PSOConfig
+from repro.framework.artifacts import _sweep_point, pipeline_token
 from repro.framework.pipeline import run_pipeline
 from repro.hardware.architecture import Architecture
 from repro.noc.interconnect import NocConfig
 from repro.noc.routing import routing_for
 from repro.snn.graph import SpikeGraph
-from repro.utils.rng import SeedLike, derive_seed
+from repro.utils.rng import SeedLike, derive_seed, replayable
 
 
 @dataclass(frozen=True)
@@ -94,30 +95,37 @@ def architecture_point(
 ) -> ArchitecturePoint:
     """One Fig. 6 sweep point: crossbar size ``size`` at sweep ``index``.
 
-    Extracted from :func:`explore_architecture` so resumable campaigns
-    (:func:`~repro.framework.service.run_sweep_resumable`) can run the
-    exact same per-point computation one checkpointed index at a time.
+    With a ``cache`` and a seed that replays, the finished point is
+    memoized whole under the content of its ``run_pipeline`` call (kind
+    ``sweep-point``, on disk when the cache has a directory), so a
+    killed sweep run again computes only the points it had not reached.
     """
     arch = base.scaled_to(graph.n_neurons, size)
-    result = run_pipeline(
-        graph,
-        arch,
+    run = dict(
         method=method,
         seed=derive_seed(seed, index),
         pso_config=pso_config,
         noc_config=noc_config,
         objective=objective,
-        cache=cache,
     )
-    report = result.report
-    return ArchitecturePoint(
-        neurons_per_crossbar=size,
-        n_crossbars=arch.n_crossbars,
-        local_energy_uj=report.local_energy_pj * 1e-6,
-        global_energy_uj=report.global_energy_pj * 1e-6,
-        total_energy_uj=report.total_energy_pj * 1e-6,
-        max_latency_cycles=report.max_latency_cycles,
-        global_spikes=report.global_spikes,
+
+    def compute() -> ArchitecturePoint:
+        report = run_pipeline(graph, arch, cache=cache, **run).report
+        return ArchitecturePoint(
+            neurons_per_crossbar=size,
+            n_crossbars=arch.n_crossbars,
+            local_energy_uj=report.local_energy_pj * 1e-6,
+            global_energy_uj=report.global_energy_pj * 1e-6,
+            total_energy_uj=report.total_energy_pj * 1e-6,
+            max_latency_cycles=report.max_latency_cycles,
+            global_spikes=report.global_spikes,
+        )
+
+    return _sweep_point(
+        cache,
+        replayable(run["seed"], unused=method in ("pacman", "greedy")),
+        lambda: ("architecture", pipeline_token(graph, arch, **run), size),
+        compute,
     )
 
 
@@ -170,33 +178,43 @@ def chip_point(
     objective: str = "packets",
     cache=None,
 ) -> ChipPoint:
-    """One chip-count sweep point (see :func:`explore_chips`)."""
+    """One chip-count sweep point (see :func:`explore_chips`).
+
+    Memoized like :func:`architecture_point`.
+    """
     arch = replace(base, n_chips=chips, name=f"{base.name}@{chips}chips")
-    result = run_pipeline(
-        graph,
-        arch,
+    run = dict(
         method=method,
         seed=derive_seed(seed, index),
         pso_config=pso_config,
         noc_config=noc_config,
         objective=objective,
-        cache=cache,
     )
-    report = result.report
-    return ChipPoint(
-        n_chips=chips,
-        n_bridges=getattr(result.topology, "n_bridges", 0),
-        local_energy_uj=report.local_energy_pj * 1e-6,
-        global_energy_uj=report.global_energy_pj * 1e-6,
-        total_energy_uj=report.total_energy_pj * 1e-6,
-        max_latency_cycles=report.max_latency_cycles,
-        mean_latency_cycles=report.mean_latency_cycles,
-        inter_chip_hops=report.inter_chip_hops,
-        bridge_crossings=report.bridge_crossings,
-        mean_inter_chip_latency_cycles=(
-            report.mean_inter_chip_latency_cycles
-        ),
-        global_spikes=report.global_spikes,
+
+    def compute() -> ChipPoint:
+        result = run_pipeline(graph, arch, cache=cache, **run)
+        report = result.report
+        return ChipPoint(
+            n_chips=chips,
+            n_bridges=getattr(result.topology, "n_bridges", 0),
+            local_energy_uj=report.local_energy_pj * 1e-6,
+            global_energy_uj=report.global_energy_pj * 1e-6,
+            total_energy_uj=report.total_energy_pj * 1e-6,
+            max_latency_cycles=report.max_latency_cycles,
+            mean_latency_cycles=report.mean_latency_cycles,
+            inter_chip_hops=report.inter_chip_hops,
+            bridge_crossings=report.bridge_crossings,
+            mean_inter_chip_latency_cycles=(
+                report.mean_inter_chip_latency_cycles
+            ),
+            global_spikes=report.global_spikes,
+        )
+
+    return _sweep_point(
+        cache,
+        replayable(run["seed"], unused=method in ("pacman", "greedy")),
+        lambda: ("chips", pipeline_token(graph, arch, **run), chips),
+        compute,
     )
 
 

@@ -248,8 +248,6 @@ def run_fault_sweep(
     noc_config: Optional[NocConfig] = None,
     mapping: Optional[MappingResult] = None,
     cache=None,
-    state_dir: Optional[str] = None,
-    campaign: str = "fault-sweep",
 ) -> DegradationCurve:
     """Measure one mapping across rising link-fault counts.
 
@@ -261,12 +259,8 @@ def run_fault_sweep(
     latency, energy and spike disorder per fault level.
 
     ``cache`` memoizes the mapping (deterministic requests only); the
-    fault draws never consult it.  ``state_dir`` makes the sweep
-    resumable: each fault level's
-    point is checkpointed through
-    :func:`~repro.framework.service.run_sweep_resumable`, so a killed
-    campaign restarted with the same arguments recomputes only the
-    missing levels.
+    fault draws never consult it — a handful of levels, one draw each.
+    The restartable form of this study is :func:`run_fault_campaign`.
     """
     if mapping is None:
         mapping = map_snn(
@@ -279,43 +273,15 @@ def run_fault_sweep(
         app=graph.name, method=mapping.method, topology_kind=healthy.kind
     )
     schedules = _Schedules(graph, architecture)
-
-    def fault_point(index: int, n_faults: int):
+    for n_faults in fault_counts:
         topology, failed = _draw_faults(healthy, n_faults, fault_seed)
         schedule = schedules.on(topology, mapping.assignment)
         stats = build_interconnect(topology, config=noc_config).simulate(schedule)
-        return degradation_point(
-            n_faults, failed, stats, architecture, topology, healthy_links
+        curve.points.append(
+            degradation_point(
+                n_faults, failed, stats, architecture, topology, healthy_links
+            )
         )
-
-    if state_dir is not None:
-        from repro.framework.artifacts import (
-            architecture_token,
-            config_token,
-            graph_token,
-        )
-        from repro.framework.service import run_sweep_resumable
-
-        run = run_sweep_resumable(
-            list(fault_counts),
-            fault_point,
-            state_dir,
-            campaign=campaign,
-            # The configs shape every checkpointed point (backend
-            # parameters, swarm hyper-parameters), so their content must
-            # invalidate stale checkpoints — a killed sweep restarted
-            # with a different NoC backend or PSO config must recompute.
-            fingerprint=(
-                graph_token(graph),
-                architecture_token(architecture, include_name=True),
-                mapping.method, tuple(fault_counts), fault_seed,
-                config_token(noc_config), config_token(pso_config),
-            ),
-        )
-        curve.points.extend(run.results)
-    else:
-        for i, n_faults in enumerate(fault_counts):
-            curve.points.append(fault_point(i, n_faults))
     return curve
 
 
@@ -332,8 +298,6 @@ def run_fault_campaign(
     noc_config: Optional[NocConfig] = None,
     spare_capacity: float = 0.0,
     cache=None,
-    state_dir: Optional[str] = None,
-    campaign: str = "fault-campaign",
 ) -> "CampaignSummary":
     """Monte-Carlo fault campaign: N seeded draws per fault level.
 
@@ -363,14 +327,24 @@ def run_fault_campaign(
         ``spare_capacity`` and labels it ``method``.
     fault_levels / draws:
         Link-fault counts to sweep, and seeded draws per level.
-    state_dir:
-        Checkpoint directory: every completed draw is persisted through
-        :func:`~repro.framework.service.run_sweep_resumable`, so a
-        killed campaign recomputes only missing draws.
-        The manifest fingerprint covers the graph and architecture
-        content, the mappings' assignments, the levels/draws grid, the
-        campaign seed and the NoC config.
+    cache:
+        An :class:`~repro.framework.artifacts.ArtifactCache`.  Memoizes
+        the ``mappings=None`` mapping, and every finished ``(level,
+        draw)`` whole (kind ``sweep-point``, on disk when the cache has
+        a directory), keyed by what shapes it: graph and architecture
+        content, every mapping's label and assignment, the NoC config,
+        the level, the draw and its child seed.  A killed campaign run
+        again on the same directory therefore computes only the missing
+        draws, a grown grid only the new ones, and a changed seed,
+        mapping or config hits nothing.
     """
+    from repro.framework.artifacts import (
+        _sweep_point,
+        architecture_token,
+        config_token,
+        graph_token,
+        stable_hash,
+    )
     from repro.metrics.report import CampaignDraw, CampaignSummary
     from repro.utils.rng import derive_seed
 
@@ -451,15 +425,20 @@ def run_fault_campaign(
                 label, 0, -1, None, (), stats, healthy
             )
 
-        items = [
-            (int(level), draw)
-            for level in fault_levels
-            for draw in range(draws)
-        ]
+        # What every draw of this campaign shares, hashed once.
+        replays = cache is not None and replayable(campaign_seed)
+        problem = None
+        if replays:
+            problem = stable_hash((
+                graph_token(graph),
+                architecture_token(architecture, include_name=True),
+                tuple((label, mappings[label].assignment) for label in labels),
+                config_token(noc_config),
+            ))
 
-        def draw_point(index: int, item) -> Tuple["CampaignDraw", ...]:
-            level, draw = item
-            child = derive_seed(campaign_seed, level, draw)
+        def draw_point(
+            level: int, draw: int, child
+        ) -> Tuple["CampaignDraw", ...]:
             with obs.span("campaign.draw", level=level, draw=draw):
                 topology, failed = _draw_faults(healthy, level, child)
                 # No fault drawn: this is the healthy fabric, whose
@@ -480,45 +459,19 @@ def run_fault_campaign(
                 )
             return results
 
-        if state_dir is not None:
-            from repro.framework.artifacts import (
-                architecture_token,
-                config_token,
-                graph_token,
-                stable_hash,
-            )
-            from repro.framework.service import run_sweep_resumable
-
-            run = run_sweep_resumable(
-                items,
-                draw_point,
-                state_dir,
-                campaign=campaign,
-                fingerprint=(
-                    graph_token(graph),
-                    architecture_token(architecture, include_name=True),
-                    tuple(
-                        (label, stable_hash(
-                            ("assignment", mappings[label].assignment)
-                        ))
-                        for label in labels
-                    ),
-                    tuple(int(v) for v in fault_levels),
-                    draws,
-                    campaign_seed,
-                    config_token(noc_config),
-                ),
-            )
-            per_item = run.results
-        else:
-            per_item = [draw_point(i, item) for i, item in enumerate(items)]
-
-        for results in per_item:
-            summary.draws.extend(results)
+        for level in summary.levels:
+            for draw in range(draws):
+                child = derive_seed(campaign_seed, level, draw)
+                summary.draws.extend(_sweep_point(
+                    cache,
+                    replays,
+                    lambda: (problem, level, draw, child),
+                    lambda: draw_point(level, draw, child),
+                ))
         if obs.enabled:
             obs.inc("campaign.schedules_built", len(schedules.built))
             campaign_span.set(
-                total_draws=len(items),
+                total_draws=len(summary.levels) * draws,
                 schedules_built=len(schedules.built),
                 fabrics_simulated=fabrics_simulated,
             )

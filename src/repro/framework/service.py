@@ -1,4 +1,4 @@
-"""Mapping-as-a-service: cache-backed request serving, resumable sweeps.
+"""Mapping-as-a-service: cache-backed request serving.
 
 Every entry point of the framework is one-shot: a repeated
 ``map_snn`` / ``run_pipeline`` call runs the optimizer and the NoC
@@ -11,26 +11,24 @@ simulation again.  This module is the long-lived serving layer on top:
   content-addressed :class:`~repro.framework.artifacts.ArtifactCache`.
   Every answer is bit-identical to a one-shot ``run_pipeline`` call;
   what requests share is the cache, not threads.
-- :func:`run_sweep_resumable` — a processed-index manifest runner: a
-  killed ``explore_architecture`` / ``run_fault_sweep`` campaign
-  restarted mid-way recomputes only the unfinished points.
 
-The CLI surfaces both (``repro serve``, ``--cache-dir``, ``--resume``).
+Long sweeps (``explore_architecture``, ``run_fault_campaign``) are
+restartable through the same cache: each finished point is an entry
+(kind ``sweep-point``), so a killed sweep run again on the same
+``cache_dir`` computes only the unfinished points.
+
+The CLI surfaces this as ``repro serve`` and ``--cache-dir``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import pickle
-import tempfile
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pso import PSOConfig
-from repro.framework.artifacts import ArtifactCache, stable_hash
+from repro.framework.artifacts import ArtifactCache
 from repro.framework.pipeline import PipelineResult, run_pipeline
 from repro.hardware.architecture import Architecture
 from repro.noc.interconnect import NocConfig
@@ -42,8 +40,6 @@ __all__ = [
     "ArtifactCache",
     "MapRequest",
     "MappingService",
-    "SweepRun",
-    "run_sweep_resumable",
 ]
 
 
@@ -239,155 +235,3 @@ class MappingService:
             cache=self.cache,
             warm_seeds=warm_seeds,
         )
-
-
-# -- resumable sweep runner --------------------------------------------------
-
-
-@dataclass
-class SweepRun:
-    """Outcome of one :func:`run_sweep_resumable` pass.
-
-    ``results[i]`` is the point value (``None`` if it failed),
-    ``skipped`` the indices answered from the manifest, ``computed``
-    the indices computed this pass, ``failures`` the per-index error
-    report (``on_error="continue"`` only).
-    """
-
-    campaign: str
-    results: List[Optional[Any]]
-    computed: List[int] = field(default_factory=list)
-    skipped: List[int] = field(default_factory=list)
-    failures: Dict[int, str] = field(default_factory=dict)
-
-    @property
-    def complete(self) -> bool:
-        return not self.failures and all(
-            i in self.computed or i in self.skipped
-            for i in range(len(self.results))
-        )
-
-
-def _atomic_write(path: str, payload: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path), prefix=os.path.basename(path), suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def run_sweep_resumable(
-    items: Sequence[Any],
-    point_fn: Callable[[int, Any], Any],
-    state_dir: str,
-    campaign: str = "sweep",
-    fingerprint: Any = None,
-    resume: bool = True,
-    on_error: str = "raise",
-) -> SweepRun:
-    """Run ``point_fn(i, item)`` per item with a processed-index manifest.
-
-    Each completed point is pickled to ``state_dir`` and recorded in
-    ``<campaign>.manifest.json`` *before* the next point starts, so a
-    killed campaign restarted with the same arguments recomputes only
-    the unfinished indices.  The manifest carries a fingerprint of
-    (campaign, item count, caller-provided token): resuming with a
-    different fingerprint raises instead of silently mixing campaigns.
-
-    Parameters
-    ----------
-    resume:
-        ``False`` discards any existing state for this campaign first.
-    on_error:
-        ``"raise"`` (default) propagates a point failure after the
-        completed points are persisted — the crash-equivalent path;
-        ``"continue"`` records the failure per index and keeps going.
-    """
-    if on_error not in ("raise", "continue"):
-        raise ValueError(f"unknown on_error {on_error!r}; use 'raise' or 'continue'")
-    os.makedirs(state_dir, exist_ok=True)
-    manifest_path = os.path.join(state_dir, f"{campaign}.manifest.json")
-    fp = stable_hash(("sweep-fingerprint", campaign, len(items), fingerprint))
-
-    processed: Dict[int, str] = {}
-    if os.path.exists(manifest_path) and not resume:
-        _discard_campaign(state_dir, campaign, manifest_path)
-    elif os.path.exists(manifest_path):
-        try:
-            with open(manifest_path) as fh:
-                manifest = json.load(fh)
-            stored_fp = manifest["fingerprint"]
-            entries = {int(k): str(v) for k, v in manifest["processed"].items()}
-        except Exception:
-            # A corrupt manifest is discarded, never crashed on.
-            _discard_campaign(state_dir, campaign, manifest_path)
-        else:
-            if stored_fp != fp:
-                raise ValueError(
-                    f"campaign {campaign!r} in {state_dir} was started with "
-                    "different items/fingerprint; pass resume=False to "
-                    "discard it"
-                )
-            processed = entries
-
-    run = SweepRun(campaign=campaign, results=[None] * len(items))
-
-    def save_manifest() -> None:
-        payload = json.dumps(
-            {
-                "campaign": campaign,
-                "fingerprint": fp,
-                "n_items": len(items),
-                "processed": {str(i): name for i, name in processed.items()},
-            },
-            indent=2,
-        ).encode()
-        _atomic_write(manifest_path, payload)
-
-    for i, item in enumerate(items):
-        name = processed.get(i)
-        if name is not None:
-            try:
-                with open(os.path.join(state_dir, name), "rb") as fh:
-                    run.results[i] = pickle.load(fh)
-            except Exception:
-                # Corrupt point artifact: recompute it below.
-                del processed[i]
-            else:
-                run.skipped.append(i)
-                continue
-        try:
-            value = point_fn(i, item)
-        except Exception as exc:
-            if on_error == "raise":
-                raise
-            run.failures[i] = f"{type(exc).__name__}: {exc}"
-            continue
-        run.results[i] = value
-        run.computed.append(i)
-        name = f"{campaign}.point{i:04d}.pkl"
-        _atomic_write(os.path.join(state_dir, name), pickle.dumps(value))
-        processed[i] = name
-        save_manifest()
-    return run
-
-
-def _discard_campaign(state_dir: str, campaign: str, manifest_path: str) -> None:
-    try:
-        os.unlink(manifest_path)
-    except OSError:
-        pass
-    for entry in os.listdir(state_dir):
-        if entry.startswith(f"{campaign}.point") and entry.endswith(".pkl"):
-            try:
-                os.unlink(os.path.join(state_dir, entry))
-            except OSError:
-                pass

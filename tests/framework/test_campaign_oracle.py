@@ -146,11 +146,7 @@ def test_campaign_equals_rebuild_every_draw(cases, platform, backend, tmp_path):
         "plain": {},
         "cache": {"cache": ArtifactCache()},
         "disk-cache": {"cache": ArtifactCache(cache_dir=str(tmp_path / "c"))},
-        "state_dir": {"state_dir": str(tmp_path / "s")},
-        "resumed": {"state_dir": str(tmp_path / "s")},
-        "both": {
-            "cache": ArtifactCache(), "state_dir": str(tmp_path / "b"),
-        },
+        "restored": {"cache": ArtifactCache(cache_dir=str(tmp_path / "c"))},
     }
     for name, kwargs in variants.items():
         got = _campaign(case, noc_config=config, **kwargs)
@@ -203,7 +199,7 @@ def test_span_and_counters_say_what_was_reused(cases):
 
 
 @pytest.mark.parametrize("platform", sorted(PLATFORMS))
-def test_sweep_equals_rebuild_every_level(cases, platform, tmp_path):
+def test_sweep_equals_rebuild_every_level(cases, platform):
     graph, arch, mappings = cases[platform]
     mapping = mappings["pacman"]
     counts, fault_seed = (0, 1, 2), 5
@@ -224,7 +220,7 @@ def test_sweep_equals_rebuild_every_level(cases, platform, tmp_path):
             n_faults, failed, stats, arch, topology,
             healthy.graph.number_of_edges(),
         ))
-    for kwargs in ({}, {"cache": ArtifactCache()}, {"state_dir": str(tmp_path)}):
+    for kwargs in ({}, {"cache": ArtifactCache()}):
         got = run_fault_sweep(
             graph, arch, fault_counts=counts, fault_seed=fault_seed,
             mapping=mapping, **kwargs,

@@ -97,19 +97,17 @@ class TestRunFaultCampaign:
     def test_resumable_matches_and_resumes(
         self, graph, arch, mapping, tmp_path
     ):
+        """A campaign's checkpoint is the cache directory: a second
+        process on it restores every (level, draw) and computes none."""
         baseline = _run(graph, arch, mapping)
-        first = _run(graph, arch, mapping, state_dir=str(tmp_path))
-        resumed = _run(graph, arch, mapping, state_dir=str(tmp_path))
+        first = _run(graph, arch, mapping, cache=ArtifactCache(str(tmp_path)))
+        again = ArtifactCache(str(tmp_path))
+        resumed = _run(graph, arch, mapping, cache=again)
         assert first.draws == baseline.draws
         assert resumed.draws == baseline.draws
-
-    def test_resume_fingerprint_guards_grid(
-        self, graph, arch, mapping, tmp_path
-    ):
-        _run(graph, arch, mapping, state_dir=str(tmp_path))
-        with pytest.raises(ValueError, match="fingerprint"):
-            _run(graph, arch, mapping, state_dir=str(tmp_path),
-                 campaign_seed=99)
+        assert resumed.healthy == baseline.healthy
+        assert again.stats["disk_hits"] == 3 * 3
+        assert again.stats["misses"] == again.stats["stores"] == 0
 
     def test_nonpositive_draws_rejected(self, graph, arch, mapping):
         with pytest.raises(ValueError, match="positive"):
@@ -157,55 +155,38 @@ class TestRunFaultCampaign:
 
 
 class TestFaultSweepSatellites:
-    """Regressions for the resume fingerprint and fault-draw caching."""
-
-    def test_fingerprint_covers_noc_config(
-        self, graph, arch, mapping, tmp_path
-    ):
-        kwargs = dict(fault_counts=(0, 1), method="pacman", fault_seed=3)
-        run_fault_sweep(graph, arch, state_dir=str(tmp_path), **kwargs)
-        with pytest.raises(ValueError, match="fingerprint"):
-            run_fault_sweep(
-                graph, arch, state_dir=str(tmp_path),
-                noc_config=NocConfig(backend="fast"), **kwargs
-            )
-
-    def test_fingerprint_covers_pso_config(self, graph, arch, tmp_path):
-        from repro.core.pso import PSOConfig
-
-        kwargs = dict(fault_counts=(0, 1), method="pso", fault_seed=3,
-                      seed=1)
-        run_fault_sweep(
-            graph, arch, state_dir=str(tmp_path),
-            pso_config=PSOConfig(n_particles=6, n_iterations=2), **kwargs
-        )
-        with pytest.raises(ValueError, match="fingerprint"):
-            run_fault_sweep(
-                graph, arch, state_dir=str(tmp_path),
-                pso_config=PSOConfig(n_particles=6, n_iterations=3),
-                **kwargs
-            )
+    """What a sweep and a campaign may ask of the cache."""
 
     def test_fault_draws_never_touch_the_cache(
         self, graph, arch, mapping, monkeypatch
     ):
-        """The cache memoizes mappings and results; given a mapping, a
-        sweep or campaign computes every draw, seeded or not."""
+        """Given a mapping, a sweep computes every draw, seeded or not,
+        and a campaign consults the cache once per (level, draw) for the
+        whole point — never for a part (topology, schedule, fault set)."""
         cache = ArtifactCache()
 
         def poisoned(*args, **kwargs):
             raise AssertionError("a fault draw must not consult the cache")
 
-        monkeypatch.setattr(cache, "get", poisoned)
-        monkeypatch.setattr(cache, "put", poisoned)
-        for fault_seed in (None, 3):
-            curve = run_fault_sweep(
-                graph, arch, fault_counts=(0, 1), mapping=mapping,
-                fault_seed=fault_seed, cache=cache,
-            )
-            assert len(curve.points) == 2
+        with monkeypatch.context() as patched:
+            patched.setattr(cache, "get", poisoned)
+            patched.setattr(cache, "put", poisoned)
+            for fault_seed in (None, 3):
+                curve = run_fault_sweep(
+                    graph, arch, fault_counts=(0, 1), mapping=mapping,
+                    fault_seed=fault_seed, cache=cache,
+                )
+                assert len(curve.points) == 2
+
+        kinds = []
+        key = cache.key
+        monkeypatch.setattr(
+            cache, "key", lambda kind, token: kinds.append(kind) or key(kind, token)
+        )
         summary = _run(graph, arch, mapping, cache=cache)
         assert len(summary.draws) == 3 * 3
+        assert kinds == ["sweep-point"] * (3 * 3)
+        assert cache.stats["misses"] == cache.stats["stores"] == 3 * 3
 
 
 class TestDegradationCurveHealthy:

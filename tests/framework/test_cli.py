@@ -24,6 +24,12 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--app", "x", flag, "2"])
 
+    def test_resume_flag_is_gone(self):
+        """``--cache-dir`` alone makes a sweep restartable."""
+        for command in ("explore", "faults"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--app", "x", "--resume"])
+
     def test_unknown_method_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
@@ -221,38 +227,57 @@ class TestServe:
             assert main(["serve", "--requests", requests]) == 2
             assert f"unknown keys ['{key}']" in capsys.readouterr().err
 
-    def test_explore_resume_requires_cache_dir(self, capsys):
-        code = main([
-            "explore", "--app", "synth_1x20", "--sizes", "10", "--resume",
-        ])
-        assert code == 2
-        assert "--cache-dir" in capsys.readouterr().err
-
 
 class TestResumeFingerprint:
-    """--resume restores checkpoints only for the flags that wrote them:
-    a rerun with any result-shaping flag changed stops with ``error:``
-    and exit 2 instead of printing the old points."""
+    """``--cache-dir`` restores sweep points only for the flags that
+    wrote them: a rerun with any result-shaping flag changed addresses
+    other entries, so every point is computed — it prints what those
+    flags print without a cache, never the old points, never an error —
+    and the original flags still find theirs on disk."""
 
     EXPLORE = [
         "explore", "--app", "synth_1x20", "--seed", "3", "--duration", "100",
         "--sizes", "10", "20", "--particles", "4", "--iterations", "1",
-        "--resume",
     ]
     FAULTS = [
         "faults", "--app", "synth_1x20", "--seed", "3", "--duration", "100",
         "--crossbars", "6", "--capacity", "5", "--interconnect", "mesh",
         "--method", "pacman", "--levels", "1", "2", "--draws", "2",
-        "--noc-backend", "fast", "--resume",
+        "--noc-backend", "fast",
     ]
 
     @staticmethod
-    def _checkpoints(cache_dir):
-        sweeps = os.path.join(cache_dir, "sweeps")
-        return {
-            name: os.stat(os.path.join(sweeps, name)).st_mtime_ns
-            for name in os.listdir(sweeps)
-        }
+    def _run(capsys, args):
+        """``(result table, cache stats)`` of one successful run."""
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        table = [ln for ln in lines if " | " in ln or "-+-" in ln]
+        assert len(table) >= 3
+        if "--cache-dir" not in args:
+            assert lines[-1] == table[-1]  # no cache, no cache line
+            return table, None
+        assert lines[-2] == table[-1] and lines[-1].startswith("cache: ")
+        stats = dict(item.split("=") for item in lines[-1][7:].split(", "))
+        return table, {name: int(value) for name, value in stats.items()}
+
+    def _check(self, capsys, command, changed, n_points):
+        """Original flags, changed flags, original flags on one directory."""
+        first, stats = self._run(capsys, command)
+        assert first == self._run(capsys, command[:-2])[0]
+        assert stats["disk_hits"] == 0 and stats["persist_failures"] == 0
+
+        other, stats = self._run(capsys, command + changed)
+        assert other == self._run(capsys, command[:-2] + changed)[0]
+        # Every point missed and was stored (a flag the mapping does not
+        # depend on may still find the mapping).
+        assert stats["misses"] >= n_points and stats["stores"] >= n_points
+
+        again, stats = self._run(capsys, command)
+        assert again == first
+        assert stats["misses"] == stats["stores"] == 0
+        return first, other, stats
 
     @pytest.mark.parametrize("changed", [
         ["--particles", "8", "--iterations", "2"],
@@ -260,55 +285,33 @@ class TestResumeFingerprint:
         ["--noc-backend", "fast"],
         ["--cycles-per-ms", "2"],
     ])
-    def test_explore_changed_flag_is_an_error(self, tmp_path, capsys, changed):
-        cache = ["--cache-dir", str(tmp_path)]
-        assert main(self.EXPLORE + cache) == 0
-        first = capsys.readouterr().out
-        written = self._checkpoints(str(tmp_path))
+    def test_explore_changed_flag_is_recomputed(self, tmp_path, capsys, changed):
+        command = self.EXPLORE + ["--cache-dir", str(tmp_path)]
+        first, other, stats = self._check(capsys, command, changed, 2)
+        assert (other != first) == (changed[0] == "--interconnect")
+        assert stats["disk_hits"] == 2  # the points; nothing else is asked
 
-        assert main(self.EXPLORE + cache + changed) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
-        assert str(tmp_path / "sweeps") in captured.err
-        assert "restored" not in captured.out
-        assert "neurons/xbar" not in captured.out
-        assert self._checkpoints(str(tmp_path)) == written
-
-        assert main(self.EXPLORE + cache) == 0
-        again = capsys.readouterr().out
-        assert "2 points restored, 0 computed" in again
-        assert again.endswith(first)
-
-    def test_explore_chip_counts_changed_flag_is_an_error(self, tmp_path, capsys):
-        args = [
+    def test_explore_chip_counts_changed_flag_is_recomputed(self, tmp_path, capsys):
+        command = [
             "explore", "--app", "synth_1x20", "--seed", "3", "--duration", "100",
             "--crossbars", "4", "--capacity", "10", "--interconnect", "mesh",
-            "--chip-counts", "1", "2", "--method", "pacman", "--resume",
+            "--chip-counts", "1", "2", "--method", "pacman",
             "--cache-dir", str(tmp_path),
         ]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main(args + ["--bridge-latency", "9"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert main(args) == 0
-        assert "2 points restored, 0 computed" in capsys.readouterr().out
+        first, other, stats = self._check(
+            capsys, command, ["--bridge-latency", "9"], 2
+        )
+        assert other != first
+        assert stats["disk_hits"] == 2
 
-    def test_faults_changed_flag_is_an_error(self, tmp_path, capsys):
-        cache = ["--cache-dir", str(tmp_path)]
-        assert main(self.FAULTS + cache) == 0
-        first = capsys.readouterr().out
-        written = self._checkpoints(str(tmp_path))
-        assert len(written) == 5  # 2 levels x 2 draws + the manifest
-
+    def test_faults_changed_flag_is_recomputed(self, tmp_path, capsys):
         # Same architecture *name* ("cli") and graph name, other content.
         for changed in (["--cycles-per-ms", "2"], ["--seed", "4"]):
-            assert main(self.FAULTS + cache + changed) == 2
-            captured = capsys.readouterr()
-            assert "error: " in captured.err
-            assert str(tmp_path / "sweeps") in captured.err
-            assert "survival" not in captured.out  # no campaign table
-            assert self._checkpoints(str(tmp_path)) == written
-
-        assert main(self.FAULTS + cache) == 0
-        assert capsys.readouterr().out == first
-        assert self._checkpoints(str(tmp_path)) == written  # all restored
+            cache_dir = tmp_path / changed[0]
+            command = self.FAULTS + ["--cache-dir", str(cache_dir)]
+            first, other, stats = self._check(capsys, command, changed, 4)
+            assert other != first
+            assert stats["disk_hits"] == 1 + 4  # the mapping + 2 levels x 2 draws
+            # Two mappings and two campaigns, whole entries only.
+            assert len(list(cache_dir.glob("*.pkl"))) == 2 * (1 + 4)
+            assert len(list(cache_dir.iterdir())) == 2 * (1 + 4)

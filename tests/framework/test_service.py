@@ -1,4 +1,4 @@
-"""Serving layer: cache keys, in-order serving, futures, resumable sweeps."""
+"""Serving layer: cache keys, in-order serving, futures, the disk layer."""
 
 from __future__ import annotations
 
@@ -25,11 +25,7 @@ from repro.framework.artifacts import (
     stable_hash,
 )
 from repro.framework.pipeline import run_pipeline
-from repro.framework.service import (
-    MapRequest,
-    MappingService,
-    run_sweep_resumable,
-)
+from repro.framework.service import MapRequest, MappingService
 from repro.hardware.presets import architecture_for, custom
 from repro.noc.interconnect import NocConfig
 from repro.noc.topology import build_topology, mesh_for
@@ -277,6 +273,66 @@ class TestArtifactSharing:
         assert np.array_equal(got.assignment, want.assignment)
         found, rebuilt = ArtifactCache(str(real)).get(entry.stem)
         assert found and np.array_equal(rebuilt.assignment, want.assignment)
+
+    def test_failed_disk_write_is_counted_not_raised(self, tmp_path):
+        """Sweep checkpoints ride on the disk layer, so a write that
+        fails must show (it used to leave ``stores=1`` and say nothing):
+        the value is still served from memory, ``persist_failures`` and
+        the obs counter say it never reached the disk."""
+        from repro.obs import observe
+
+        blocker = tmp_path / "a-regular-file"
+        blocker.write_text("not a directory")
+        causes = {
+            "unwritable directory": (str(blocker / "sub"), np.arange(3)),
+            "unpicklable value": (str(tmp_path / "ok"), lambda: None),
+        }
+        for cause, (cache_dir, value) in causes.items():
+            cache = ArtifactCache(cache_dir)
+            key = cache.key("thing", cause)
+            with observe() as obs:
+                cache.put(key, value, persist=True)
+            assert cache.stats["persist_failures"] == 1, cause
+            assert cache.stats["stores"] == 1, cause
+            assert obs.metrics.counter_value("cache.persist_failures") == 1, cause
+            assert cache.get(key) == (True, value), cause
+            assert ArtifactCache(cache_dir).get(key) == (False, None), cause
+        assert not list((tmp_path / "ok").glob("*"))  # no stray *.tmp either
+
+        fine = ArtifactCache(str(tmp_path / "ok"))
+        fine.put(fine.key("thing", 1), np.arange(3), persist=True)
+        assert fine.stats["persist_failures"] == 0
+
+    def test_the_cache_holds_exactly_four_kinds(self, graph, arch, tmp_path):
+        """A served batch, an ``explore`` sweep and a fault campaign on
+        one cache: results and whole sweep points, never a part."""
+        from repro.framework.exploration import explore_architecture
+        from repro.framework.pipeline import run_fault_campaign
+
+        cache = ArtifactCache(str(tmp_path))
+        kinds = []
+        key = cache.key
+        cache.key = lambda kind, token: kinds.append(kind) or key(kind, token)
+        fast = NocConfig(backend="fast")
+        with MappingService(cache=cache) as service:
+            service.serve_batch([
+                MapRequest(graph, arch, seed=1, pso_config=SMALL_PSO,
+                           noc_config=fast, faults=1, fault_seed=2),
+                MapRequest(graph, arch, seed=2, pso_config=SMALL_PSO,
+                           noc_config=fast, warm=True),
+            ])
+        explore_architecture(
+            graph, arch, [16, 32], seed=1, pso_config=SMALL_PSO,
+            noc_config=fast, cache=cache,
+        )
+        run_fault_campaign(
+            graph, arch, method="greedy", fault_levels=(0, 1), draws=2,
+            noc_config=fast, cache=cache,
+        )
+        assert set(kinds) == {
+            "mapping-result", "pipeline-result", "warm-state", "sweep-point",
+        }
+        assert kinds.count("sweep-point") == 2 + 2 * 2
 
 
 # -- bounded in-memory layer -------------------------------------------------
@@ -597,118 +653,6 @@ class TestMappingService:
         # Warm seeds are evaluated exactly, so the warmed swarm can never
         # end worse than the recorded optimum it started from.
         assert warm.mapping.extras["packets"] <= cold.mapping.extras["packets"]
-
-
-# -- resumable sweeps --------------------------------------------------------
-
-
-class TestResumableSweep:
-    def test_resume_skips_exactly_processed_indices(self, tmp_path):
-        state = str(tmp_path)
-        calls = []
-
-        def flaky(i, item):
-            calls.append(i)
-            if i == 2:
-                raise RuntimeError("killed mid-campaign")
-            return item * 10
-
-        with pytest.raises(RuntimeError):
-            run_sweep_resumable(
-                [1, 2, 3, 4], flaky, state, campaign="c", fingerprint="f"
-            )
-        assert calls == [0, 1, 2]
-
-        resumed_calls = []
-
-        def healthy(i, item):
-            resumed_calls.append(i)
-            return item * 10
-
-        run = run_sweep_resumable(
-            [1, 2, 3, 4], healthy, state, campaign="c", fingerprint="f"
-        )
-        assert resumed_calls == [2, 3]
-        assert run.skipped == [0, 1]
-        assert run.computed == [2, 3]
-        assert run.results == [10, 20, 30, 40]
-        assert run.complete
-
-    def test_fingerprint_mismatch_raises(self, tmp_path):
-        state = str(tmp_path)
-        run_sweep_resumable(
-            [1, 2], lambda i, x: x, state, campaign="c", fingerprint="a"
-        )
-        with pytest.raises(ValueError, match="fingerprint"):
-            run_sweep_resumable(
-                [1, 2], lambda i, x: x, state, campaign="c", fingerprint="b"
-            )
-
-    def test_resume_false_discards_state(self, tmp_path):
-        state = str(tmp_path)
-        run_sweep_resumable(
-            [1, 2], lambda i, x: x + 1, state, campaign="c", fingerprint="a"
-        )
-        run = run_sweep_resumable(
-            [1, 2], lambda i, x: x + 100, state, campaign="c",
-            fingerprint="a", resume=False,
-        )
-        assert run.results == [101, 102]
-        assert run.skipped == []
-
-    def test_corrupt_point_artifact_is_recomputed(self, tmp_path):
-        state = str(tmp_path)
-        run_sweep_resumable(
-            [5, 6], lambda i, x: x, state, campaign="c", fingerprint="a"
-        )
-        with open(os.path.join(state, "c.point0000.pkl"), "wb") as fh:
-            fh.write(b"garbage")
-        recomputed = []
-        run = run_sweep_resumable(
-            [5, 6],
-            lambda i, x: recomputed.append(i) or x,
-            state, campaign="c", fingerprint="a",
-        )
-        assert recomputed == [0]
-        assert run.results == [5, 6]
-
-    def test_on_error_continue_records_failures(self, tmp_path):
-        def fn(i, item):
-            if i == 1:
-                raise ValueError("bad point")
-            return item
-
-        run = run_sweep_resumable(
-            [1, 2, 3], fn, str(tmp_path), campaign="c",
-            fingerprint="a", on_error="continue",
-        )
-        assert list(run.failures) == [1]
-        assert "bad point" in run.failures[1]
-        assert run.computed == [0, 2]
-        assert not run.complete
-
-    def test_fault_sweep_resumes(self, graph, arch, tmp_path):
-        from repro.framework.pipeline import run_fault_sweep
-
-        cache = ArtifactCache()
-        baseline = run_fault_sweep(
-            graph, arch, fault_counts=(0, 1), method="pacman",
-            fault_seed=3, cache=cache,
-        )
-        resumable = run_fault_sweep(
-            graph, arch, fault_counts=(0, 1), method="pacman",
-            fault_seed=3, cache=cache, state_dir=str(tmp_path),
-        )
-        resumed = run_fault_sweep(
-            graph, arch, fault_counts=(0, 1), method="pacman",
-            fault_seed=3, cache=cache, state_dir=str(tmp_path),
-        )
-        for curve in (resumable, resumed):
-            assert len(curve.points) == len(baseline.points)
-            for a, b in zip(baseline.points, curve.points):
-                assert a.n_faults == b.n_faults
-                assert a.global_energy_pj == b.global_energy_pj
-                assert a.mean_latency_cycles == b.mean_latency_cycles
 
 
 # -- benchmark aggregation ---------------------------------------------------
