@@ -385,14 +385,17 @@ def run_fault_campaign(
         label: str, level: int, draw: int, fault_seed, failed,
         stats: NocStats, topology: Topology,
     ) -> CampaignDraw:
+        # One read of the latency column for both figures, computed as
+        # NocStats.mean_latency() / max_latency() compute them.
+        latency = stats.latencies()
         return CampaignDraw(
             mapping=label,
             level=level,
             draw=draw,
             fault_seed=fault_seed,
             failed_links=tuple(tuple(link) for link in failed),
-            mean_latency_cycles=stats.mean_latency(),
-            max_latency_cycles=stats.max_latency(),
+            mean_latency_cycles=float(latency.mean()) if latency.size else 0.0,
+            max_latency_cycles=int(latency.max()) if latency.size else 0,
             global_energy_pj=architecture.energy.global_energy_pj(
                 stats, topology
             ),

@@ -12,7 +12,7 @@ surface:
   joined by bridge links with configurable latency/energy, plus the
   per-chip / inter-chip statistics breakdown;
 - :mod:`repro.noc.routing` — deterministic XY and shortest-path next-hop
-  tables;
+  tables, held as dense arrays over sorted router ids;
 - :mod:`repro.noc.interconnect` — the cycle-accurate, input-buffered,
   round-robin-arbitrated simulation loop with multicast forking;
 - :mod:`repro.noc.fastsim` — the compiled-kernel backend

@@ -32,13 +32,22 @@ is a flat array:
   an option;
 - **columnar schedules in, columns out** — a
   :class:`~repro.noc.traffic.ColumnarSchedule` is adopted directly as
-  the packet plan (mask words, source ports and bucket offsets are
-  array slices, not per-packet conversions), and deliveries come back
-  as flat columns;
-- **precomputed next-hop port masks** — the whole routing table
-  collapses into per-router ``(dst_mask, neighbor, downstream_port,
-  edge)`` entries: grouping a head packet's destinations by output port
-  (the router crossbar fork) is one AND per port;
+  the packet plan, and deliveries come back as flat columns.  What the
+  plan needs of the schedule alone (the order and sanitization checks,
+  popcounts, the unicast split, injection buckets, per-packet metadata,
+  dense source routers) is derived once per schedule and multicast
+  mode by :meth:`~repro.noc.traffic.ColumnarSchedule.packet_plan` and
+  shared by every engine the schedule meets — a fault campaign
+  simulates one schedule on dozens of fabrics; an engine adds only the
+  node-id check and its source-port gather;
+- **precomputed next-hop port masks** — the routing table's dense
+  ``next_hops`` array (:mod:`repro.noc.routing`) collapses into
+  per-router ``(dst_mask, neighbor, downstream_port, edge)`` entries:
+  :func:`~repro.noc.routing.route_links` checks that every next hop is
+  a live link of this fabric and compares each link's router row of
+  the table with the link's far end, and those bits are packed into
+  mask words whole; grouping a head packet's destinations by output
+  port (the router crossbar fork) is one AND per port;
 - **columnar, lazily materialized statistics** — the kernel path
   returns a :class:`FastNocStats` whose per-delivery
   :class:`~repro.noc.stats.DeliveryRecord` objects are only built when
@@ -78,10 +87,10 @@ import numpy as np
 from repro.noc._ckernel import load_kernel, resolve_threads
 from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.packet import Injection
-from repro.noc.routing import RoutingTable, routing_for
+from repro.noc.routing import RoutingTable, route_links, routing_for
 from repro.noc.stats import DeliveryColumns, DeliveryRecord, NocStats
-from repro.noc.topology import Topology
-from repro.noc.traffic import ColumnarSchedule, unpack_destination_bits
+from repro.noc.topology import Topology, dense_node_ids
+from repro.noc.traffic import ColumnarSchedule, PacketMeta
 from repro.obs import get_observer
 
 #: Anything ``simulate`` accepts: a row-oriented injection sequence (or
@@ -118,16 +127,6 @@ def kernel_engine(n_routers: int) -> str:
     return "c" if n_routers <= 63 else "c-mw"
 
 
-class _MetaColumns(NamedTuple):
-    """Per-packet injection metadata as int64 columns indexed by packet
-    id — what the kernel's delivery columns are gathered through."""
-
-    uid: np.ndarray
-    src_neuron: np.ndarray
-    src_node: np.ndarray
-    cycle: np.ndarray
-
-
 class _Plan(NamedTuple):
     """Kernel-ready packet plan of one schedule.  The five arrays are
     C-contiguous in the dtypes the kernel reads, in its argument order
@@ -139,7 +138,7 @@ class _Plan(NamedTuple):
     bucket_cycle: np.ndarray  # int64 (n_buckets,) ascending
     bucket_off: np.ndarray    # int64 (n_buckets + 1,)
     bucket_pid: np.ndarray    # int32 (n_packets,) packets in bucket order
-    meta: _MetaColumns
+    meta: PacketMeta
 
 
 class FastNocStats(NocStats):
@@ -154,7 +153,7 @@ class FastNocStats(NocStats):
     construction.
     """
 
-    def _attach(self, delivered, p_meta: _MetaColumns, node_ids) -> None:
+    def _attach(self, delivered, p_meta: PacketMeta, node_ids) -> None:
         self._delivered = delivered
         self._p_meta = p_meta
         self._node_ids = node_ids  # int64 array: dense index -> node id
@@ -239,12 +238,12 @@ class FastInterconnect:
     # -- precomputed tables --------------------------------------------------
 
     def _build_tables(self) -> None:
-        nodes = sorted(self.topology.graph.nodes)
-        self._idx: Dict[int, int] = {node: i for i, node in enumerate(nodes)}
-        idx = self._idx
-        n = len(nodes)
+        nodes = dense_node_ids(self.topology)  # dense index -> id
+        ids = nodes.tolist()
+        n = len(ids)
         self._n = n
-        self._node_arr = np.asarray(nodes, dtype=np.int64)  # dense index -> id
+        self._node_arr = nodes
+        self._idx: Dict[int, int] = {node: i for i, node in enumerate(ids)}
         # Destination masks span this many uint64 words: one for the
         # single-word kernel body, as many as it takes beyond.
         self._engine = kernel_engine(n)
@@ -253,13 +252,12 @@ class FastInterconnect:
         # Port layout: slot 0 is the local injection queue, slots 1..k
         # are the bounded channel buffers from sorted neighbors — the
         # same canonical order the reference router arbitrates over.
-        nbrs: List[List[int]] = []
+        nbrs, routed = route_links(self.routing, self.topology)
         port_base: List[int] = []
         base = 0
-        for node in nodes:
-            nbrs.append([idx[v] for v in sorted(self.topology.graph.neighbors(node))])
+        for row in nbrs:
             port_base.append(base)
-            base += 1 + len(nbrs[-1])
+            base += 1 + len(row)
         self._n_flat_ports = base
         self._port_base_arr = np.asarray(port_base, dtype=np.int32)
 
@@ -267,35 +265,30 @@ class FastInterconnect:
         # counter array indexed by these ids.
         pairs = [(i, nb) for i in range(n) for nb in nbrs[i]]
         self._edges: List[Tuple[int, int]] = [  # edge id -> (u_id, v_id)
-            (nodes[i], nodes[nb]) for i, nb in pairs
+            (ids[i], ids[nb]) for i, nb in pairs
         ]
 
         # The compiled kernel, or None: then every schedule runs on the
         # reference engine and none of the tables below are needed.
+        # ``selection="first"`` always takes the first candidate, which
+        # makes even an adaptive table deterministic; a table that
+        # really offers a choice is the reference engine's job.
         self._ck = load_kernel()
-        if self._ck is None:
+        if self._ck is None or (
+            self.routing.adaptive and self.config.selection != "first"
+        ):
+            self._ck = None
             return
 
-        # Next-hop masks per (router, neighbor): bit d set iff
-        # destination d leaves through that neighbor.  ``selection=
-        # "first"`` always takes the first candidate, which makes even
-        # an adaptive table deterministic; a table that really offers a
-        # choice is the reference engine's job.
-        first = self.config.selection == "first"
-        masks: List[Dict[int, int]] = [{nb: 0 for nb in row} for row in nbrs]
-        for i, here in enumerate(nodes):
-            for d, dst in enumerate(nodes):
-                if d == i:
-                    continue
-                options = self.routing.candidates(here, dst)
-                if len(options) > 1 and not first:
-                    self._ck = None
-                    return
-                masks[i][idx[options[0]]] |= 1 << d
+        # Next-hop masks per link: bit d set iff traffic for destination
+        # d leaves over that link — the routed bits, packed into words.
+        bits = np.zeros((len(pairs), self._n_words * 64), dtype=bool)
+        bits[:, :n] = routed
+        masks = np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
-        # Output stage per (router, neighbor), flattened in edge order:
-        # neighbor, next-hop mask words, downstream global port (the
-        # neighbor's input slot for this router), edge id.
+        # Output stage per link, in link order: neighbor, next-hop mask
+        # words, downstream global port (the neighbor's input slot for
+        # this router), edge id.
         in_slot = [{u: s + 1 for s, u in enumerate(row)} for row in nbrs]
         # The arrays stay referenced here for as long as the kernel may
         # read them through the pointers made (once) from them.
@@ -304,7 +297,7 @@ class FastInterconnect:
             np.asarray([1 + len(row) for row in nbrs], dtype=np.int32),
             _offsets(len(row) for row in nbrs).astype(np.int32),
             np.asarray([nb for _, nb in pairs], dtype=np.int32),
-            self._pack_mask_words([masks[i][nb] for i, nb in pairs]),
+            masks.astype(np.uint64, copy=False),
             np.asarray(
                 [port_base[nb] + in_slot[nb][i] for i, nb in pairs],
                 dtype=np.int32,
@@ -390,88 +383,27 @@ class FastInterconnect:
 
         The schedule's mask words already use this network's dense
         router numbering (both sides derive it from sorted node ids), so
-        plan building reduces to bucket-boundary discovery — except
-        under unicast, where multicast rows are expanded into one
-        single-bit row per destination (ascending bit order, matching
-        the reference's sorted split).  Builders guarantee no
-        self-destinations and explicit uids.
+        everything but the source ports is the schedule's own
+        :meth:`~repro.noc.traffic.ColumnarSchedule.packet_plan`, derived
+        once however many fabrics the schedule is simulated on.
         """
         if not np.array_equal(schedule.node_ids, self._node_arr):
             raise ValueError(
                 "columnar schedule was built for a different topology "
                 "(router id mismatch)"
             )
-        words = schedule.dst_words
-        n_pk = words.shape[0]
-        if n_pk == 0:
-            stats.n_injected = 0
-            stats.n_expected_deliveries = 0
+        packets = schedule.packet_plan(self.config.multicast)
+        stats.n_injected = packets.n_injected
+        stats.n_expected_deliveries = packets.n_expected
+        if not packets.n_injected:
             return None
-        # Bucket discovery below assumes the sorted-ascending,
-        # non-negative cycle column every builder produces; a hand-built
-        # schedule violating that must fail loudly (the reference view
-        # would raise or reorder, breaking bit-identity silently here).
-        if int(schedule.cycle[0]) < 0:
-            raise ValueError(
-                f"negative injection cycle {int(schedule.cycle[0])}"
-            )
-        if n_pk > 1 and np.any(np.diff(schedule.cycle) < 0):
-            raise ValueError(
-                "columnar schedule cycle column must be sorted ascending"
-            )
-        src_idx = np.searchsorted(self._node_arr, schedule.src_node)
-        cycle = schedule.cycle
-        uid = schedule.uid
-        src_neuron = schedule.src_neuron
-        src_node = schedule.src_node
-        # The traffic builders never emit self-destinations or empty
-        # masks, but hand-built schedules might; apply the reference's
-        # sanitization (strip the source bit, drop empty rows) so both
-        # backends stay bit-identical on any input.
-        rows = np.arange(n_pk)
-        src_word = src_idx >> 6
-        src_bit = np.left_shift(np.uint64(1), (src_idx & 63).astype(np.uint64))
-        has_self = (words[rows, src_word] & src_bit) != 0
-        if has_self.any():
-            words = words.copy()
-            words[rows[has_self], src_word[has_self]] &= ~src_bit[has_self]
-        per_packet = np.bitwise_count(words).sum(axis=1)
-        keep = per_packet != 0
-        if not keep.all():
-            words = words[keep]
-            cycle = cycle[keep]
-            uid = uid[keep]
-            src_neuron = src_neuron[keep]
-            src_node = src_node[keep]
-            src_idx = src_idx[keep]
-            per_packet = per_packet[keep]
-        stats.n_injected = int(words.shape[0])
-        stats.n_expected_deliveries = int(per_packet.sum())
-        if words.shape[0] == 0:
-            return None
-        if not self.config.multicast:
-            rows, cols = unpack_destination_bits(words)
-            n_new = rows.shape[0]
-            split = np.zeros((n_new, words.shape[1]), dtype=np.uint64)
-            split[np.arange(n_new), cols >> 6] = np.left_shift(
-                np.uint64(1), (cols & 63).astype(np.uint64)
-            )
-            words = split
-            cycle = cycle[rows]
-            uid = uid[rows]
-            src_neuron = src_neuron[rows]
-            src_node = src_node[rows]
-            src_idx = src_idx[rows]
-        bounds = np.flatnonzero(np.diff(cycle)) + 1
-        starts = np.concatenate(([0], bounds))
-        n_packets = cycle.shape[0]
         return _Plan(
-            mask_words=np.ascontiguousarray(words, dtype=np.uint64),
-            src_gp=self._port_base_arr[src_idx],
-            bucket_cycle=np.ascontiguousarray(cycle[starts], dtype=np.int64),
-            bucket_off=np.concatenate((starts, [n_packets])).astype(np.int64),
-            bucket_pid=np.arange(n_packets, dtype=np.int32),
-            meta=_MetaColumns(uid, src_neuron, src_node, cycle),
+            mask_words=packets.mask_words,
+            src_gp=self._port_base_arr[packets.src_index],
+            bucket_cycle=packets.bucket_cycle,
+            bucket_off=packets.bucket_off,
+            bucket_pid=packets.bucket_pid,
+            meta=packets.meta,
         )
 
     def _pool_plan(self, injections, stats) -> Optional[_Plan]:
@@ -540,7 +472,7 @@ class FastInterconnect:
                 dtype=np.int32,
                 count=len(p_mask),
             ),
-            meta=_MetaColumns(
+            meta=PacketMeta(
                 *np.asarray(p_meta, dtype=np.int64).reshape(-1, 4).T
             ),
         )

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.noc.packet import Injection, SpikePacket
 from repro.noc.router import LOCAL_PORT, Router
-from repro.noc.routing import RoutingTable, routing_for
+from repro.noc.routing import RoutingTable, route_links, routing_for
 from repro.noc.stats import DeliveryRecord, NocStats
 from repro.noc.topology import Topology
 from repro.obs import get_observer
@@ -133,6 +133,9 @@ class Interconnect:
         self.topology = topology
         self.routing = routing if routing is not None else routing_for(topology)
         self.config = config if config is not None else NocConfig()
+        # A table that does not fit this fabric fails here, naming the
+        # route, rather than mid-run.
+        route_links(self.routing, topology)
         self.routers: Dict[int, Router] = {
             node: Router(node, topology.graph.neighbors(node), self.config.buffer_capacity)
             for node in topology.graph.nodes

@@ -1,25 +1,49 @@
-"""Deterministic routing tables.
+"""Deterministic routing tables, held as the arrays the NoC engines read.
 
-Routing is represented as a next-hop table: ``next_hop[(here, dst)] ->
-neighbor``.  Two algorithms are provided:
+A :class:`RoutingTable` numbers routers densely — ``node_ids``, the
+sorted router ids of :func:`~repro.noc.topology.dense_node_ids`, the
+numbering schedules' destination masks and the compiled kernel already
+share — and holds two read-only ``(n, n)`` int64 tables over it:
+``next_hops[i, d]``, the dense index of the neighbour router ``i``
+forwards to toward router ``d`` (``-1`` on the diagonal), and
+``distances[i, d]``, the routed hop count.  Who reads what:
+
+- :func:`route_links` checks a table against the fabric an engine runs
+  (both engines call it at construction: every next hop must be a live
+  link) and compares each link's router row of ``next_hops`` with the
+  link's far end, which gives the fast backend its per-link destination
+  masks in one array operation;
+- :meth:`~repro.noc.topology.Topology.crossbar_hop_matrix` (fitness,
+  placement) is one gather of ``distances`` at the attach points;
+- the scalar queries :meth:`RoutingTable.next_hop`,
+  :meth:`~RoutingTable.distance` and :meth:`~RoutingTable.candidates` —
+  asked once per hop by the reference engine, per pair by multi-chip
+  bridge accounting and design-space exploration — read Python lists
+  made from the tables on first use, so they cost a list lookup and
+  return plain ints, never numpy scalars.
+
+Two algorithms fill the tables:
 
 - :func:`xy_routing` — dimension-ordered XY routing for meshes/tori with
-  grid positions (deadlock-free on meshes, the Noxim default);
-- :func:`shortest_path_routing` — BFS next-hop tables for arbitrary
-  connected graphs (trees, stars).  On trees the shortest path is unique,
-  which makes this exactly the deterministic up-down tree routing CxQuad
-  uses.
+  grid positions (deadlock-free on meshes, the Noxim default), by
+  coordinate arithmetic over all pairs at once;
+- :func:`shortest_path_routing` — one BFS per destination for arbitrary
+  connected graphs (trees, stars, multi-chip boards, degraded fabrics).
+  On trees the shortest path is unique, which makes this exactly the
+  deterministic up-down tree routing CxQuad uses.
 
-Tables are dense dicts; the largest architecture explored in the paper's
-Fig. 6 has a few dozen routers, so table size is negligible.
+:class:`WestFirstRouting` is adaptive: it offers several candidates per
+hop, and its tables hold the first one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import itertools
+from typing import List, Tuple
 
+import numpy as np
 
-from repro.noc.topology import Topology
+from repro.noc.topology import Topology, dense_node_ids
 
 
 class RoutingTable:
@@ -28,23 +52,58 @@ class RoutingTable:
     Deterministic routing exposes exactly one next hop per (here, dst);
     adaptive algorithms override :meth:`candidates` to offer several, and
     the router's selection strategy picks among them at run time.
+
+    Attributes
+    ----------
+    node_ids:
+        int64 ``(n,)`` sorted router ids; dense index ``i`` is router
+        ``node_ids[i]``.
+    next_hops:
+        int64 ``(n, n)``: ``next_hops[i, d]`` is the dense index of the
+        (first admissible) next hop from ``i`` toward ``d``, ``-1`` when
+        ``i == d``.
+    distances:
+        int64 ``(n, n)`` routed hop counts, ``0`` on the diagonal.
     """
+
+    #: Whether some (here, dst) pair offers several next hops, which
+    #: only run-time selection resolves; deterministic tables never do.
+    adaptive = False
 
     def __init__(
         self,
-        next_hop: Dict[Tuple[int, int], int],
-        distance: Dict[Tuple[int, int], int],
+        node_ids: np.ndarray,
+        next_hops: np.ndarray,
+        distances: np.ndarray,
         name: str,
     ) -> None:
-        self._next_hop = next_hop
-        self._distance = distance
+        next_hops.flags.writeable = False
+        distances.flags.writeable = False
+        self.node_ids = node_ids
+        self.next_hops = next_hops
+        self.distances = distances
         self.name = name
+        self._lists = None
+
+    def _scalar_lookup(self):
+        """``(dense index by id, next-hop id rows, distance rows)`` as
+        Python containers — what the scalar queries read."""
+        if self._lists is None:
+            self._lists = (
+                {node: i for i, node in enumerate(self.node_ids.tolist())},
+                # The diagonal's -1 gathers a meaningless id; next_hop
+                # rejects here == dst before reading it.
+                self.node_ids[self.next_hops].tolist(),
+                self.distances.tolist(),
+            )
+        return self._lists
 
     def next_hop(self, here: int, dst: int) -> int:
         """Neighbor to forward to from ``here`` toward ``dst``."""
         if here == dst:
             raise ValueError(f"packet already at destination {dst}")
-        return self._next_hop[(here, dst)]
+        index, hops, _ = self._lists or self._scalar_lookup()
+        return hops[index[here]][index[dst]]
 
     def candidates(self, here: int, dst: int) -> List[int]:
         """Admissible next hops (deterministic tables offer exactly one)."""
@@ -54,7 +113,15 @@ class RoutingTable:
         """Hop count of the routed path."""
         if src == dst:
             return 0
-        return self._distance[(src, dst)]
+        index, _, dist = self._lists or self._scalar_lookup()
+        return dist[index[src]][index[dst]]
+
+
+def _dense_neighbours(topology: Topology, ids: List[int]) -> List[List[int]]:
+    """Every router's neighbours as dense indices, ascending."""
+    index = {node: i for i, node in enumerate(ids)}
+    # Dense indices ascend with router ids: sorting either sorts both.
+    return [[index[v] for v in sorted(topology.graph.adj[u])] for u in ids]
 
 
 def shortest_path_routing(topology: Topology) -> RoutingTable:
@@ -62,70 +129,146 @@ def shortest_path_routing(topology: Topology) -> RoutingTable:
 
     Ties between equal-length paths break toward the lowest-numbered
     neighbor, keeping the route deterministic (required for meaningful
-    in-order analysis of spike streams).
+    in-order analysis of spike streams): one BFS per destination, over
+    neighbours in ascending order, and each router's next hop is the
+    router that reached it first.
     """
-    g = topology.graph
-    next_hop: Dict[Tuple[int, int], int] = {}
-    distance: Dict[Tuple[int, int], int] = {}
-    nodes = sorted(g.nodes)
-    for dst in nodes:
-        # BFS from dst over sorted neighbors; parent pointers give the
-        # deterministic next hop toward dst from every router.
-        dist = {dst: 0}
-        toward: Dict[int, int] = {}
+    node_ids = dense_node_ids(topology)
+    ids = node_ids.tolist()
+    adj = _dense_neighbours(topology, ids)
+    n = len(ids)
+    toward: List[List[int]] = []  # toward[d][i]: next hop from i to d
+    hops: List[List[int]] = []
+    for dst in range(n):
+        step = [-1] * n
+        dist = [-1] * n
+        dist[dst] = 0
         frontier = [dst]
         while frontier:
-            nxt = []
+            reached = []
             for u in frontier:
-                for v in sorted(g.neighbors(u)):
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        toward[v] = u
-                        nxt.append(v)
-            frontier = nxt
-        for node, d in dist.items():
-            if node == dst:
-                continue
-            next_hop[(node, dst)] = toward[node]
-            distance[(node, dst)] = d
-    return RoutingTable(next_hop, distance, name=f"shortest-path/{topology.kind}")
+                d = dist[u] + 1
+                for v in adj[u]:
+                    if dist[v] < 0:
+                        dist[v] = d
+                        step[v] = u
+                        reached.append(v)
+            frontier = reached
+        toward.append(step)
+        hops.append(dist)
+    return RoutingTable(
+        node_ids,
+        np.array(toward, dtype=np.int64).T.copy(),
+        np.array(hops, dtype=np.int64).T.copy(),
+        name=f"shortest-path/{topology.kind}",
+    )
+
+
+#: XY's one-hop moves, in the order of its direction codes: east, west,
+#: north (+y), south; and what it records for a move that cannot be made.
+_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+_OFF_GRID, _NO_LINK = -1, -2
 
 
 def xy_routing(topology: Topology) -> RoutingTable:
     """Dimension-ordered XY routing on a mesh with grid positions.
 
     Packets move along X until the destination column, then along Y.
+    A route that steps onto a grid point with no router, or over a link
+    the fabric lacks, raises ``ValueError`` naming the first such pair
+    (routers ascending, then destinations).
     """
     if not topology.positions:
         raise ValueError("XY routing requires grid positions on the topology")
+    node_ids = dense_node_ids(topology)
+    ids = node_ids.tolist()
+    n = len(ids)
     pos = topology.positions
-    coord_to_node = {xy: n for n, xy in pos.items()}
-    next_hop: Dict[Tuple[int, int], int] = {}
-    distance: Dict[Tuple[int, int], int] = {}
-    nodes = sorted(topology.graph.nodes)
-    for here in nodes:
-        hx, hy = pos[here]
-        for dst in nodes:
-            if here == dst:
-                continue
-            dx, dy = pos[dst]
-            if hx != dx:
-                step = (hx + (1 if dx > hx else -1), hy)
+    adj = topology.graph.adj
+    index = {node: i for i, node in enumerate(ids)}
+    coord_to_node = {xy: node for node, xy in pos.items()}
+    # Every router's one step in each _STEPS direction, as a dense
+    # index: _OFF_GRID where no router sits, _NO_LINK where one does but
+    # the link is missing.
+    steps = []
+    for node in ids:
+        x, y = pos[node]
+        row = []
+        for sx, sy in _STEPS:
+            nxt = coord_to_node.get((x + sx, y + sy))
+            if nxt is None:
+                row.append(_OFF_GRID)
             else:
-                step = (hx, hy + (1 if dy > hy else -1))
-            if step not in coord_to_node:
-                raise ValueError(
-                    f"XY route from {here} to {dst} leaves the grid at {step}"
-                )
-            nxt = coord_to_node[step]
-            if not topology.graph.has_edge(here, nxt):
-                raise ValueError(
-                    f"XY route from {here} to {dst} uses missing link "
-                    f"{here}->{nxt}"
-                )
-            next_hop[(here, dst)] = nxt
-            distance[(here, dst)] = abs(dx - hx) + abs(dy - hy)
-    return RoutingTable(next_hop, distance, name="xy/mesh")
+                row.append(index[nxt] if nxt in adj[node] else _NO_LINK)
+        steps.append(row)
+    xs, ys = np.array([pos[node] for node in ids], dtype=np.int64).reshape(n, 2).T
+    dx, dy = xs - xs[:, None], ys - ys[:, None]  # [here, dst]: dst minus here
+    # Along X while the columns differ (east / west), then along Y.
+    direction = np.where(dx, dx < 0, 2 + (dy < 0))
+    next_hops = np.array(steps, dtype=np.int64)[np.arange(n)[:, None], direction]
+    next_hops.flat[:: n + 1] = 0  # the diagonal routes nowhere
+    if (next_hops < 0).any():
+        i, d = (int(k) for k in np.argwhere(next_hops < 0)[0])
+        x, y = pos[ids[i]]
+        sx, sy = _STEPS[direction[i, d]]
+        step = (x + sx, y + sy)
+        if next_hops[i, d] == _OFF_GRID:
+            raise ValueError(
+                f"XY route from {ids[i]} to {ids[d]} leaves the grid at {step}"
+            )
+        raise ValueError(
+            f"XY route from {ids[i]} to {ids[d]} uses missing link "
+            f"{ids[i]}->{coord_to_node[step]}"
+        )
+    next_hops.flat[:: n + 1] = -1
+    return RoutingTable(node_ids, next_hops, np.abs(dx) + np.abs(dy), name="xy/mesh")
+
+
+def route_links(
+    routing: RoutingTable, topology: Topology
+) -> Tuple[List[List[int]], np.ndarray]:
+    """``topology``'s links, and which destinations each one carries.
+
+    Returns ``(neighbours, routed)``: every router's neighbours as dense
+    indices, ascending — link ids run through these lists router by
+    router, the port order both engines arbitrate in — and bool
+    ``(n_links, n)`` ``routed[e, d]``: traffic for router ``d`` leaves
+    link ``e``'s router over it.
+
+    Raises ``ValueError`` when the table does not fit the fabric: other
+    routers than the fabric's, or a next hop that is not a live
+    neighbour (a table built for another fabric, e.g. the healthy one
+    before links failed).
+    """
+    node_ids = dense_node_ids(topology)
+    if routing.node_ids is not node_ids and not np.array_equal(
+        routing.node_ids, node_ids
+    ):
+        raise ValueError(
+            f"routing table {routing.name!r} was built for other routers "
+            "than this fabric's"
+        )
+    ids = node_ids.tolist()
+    n = len(ids)
+    neighbours = _dense_neighbours(topology, ids)
+    degree = [len(row) for row in neighbours]
+    dst = np.fromiter(
+        itertools.chain.from_iterable(neighbours), dtype=np.int64, count=sum(degree)
+    )
+    routed = np.repeat(routing.next_hops, degree, axis=0) == dst[:, None]
+    # Each router's traffic for each other router leaves over exactly one
+    # of its links — unless its next hop is no neighbour (the diagonal's
+    # -1 matches none).
+    if np.count_nonzero(routed) != n * (n - 1):
+        for i, row in enumerate(routing.next_hops.tolist()):
+            for d, nxt in enumerate(row):
+                if d != i and nxt not in neighbours[i]:
+                    raise ValueError(
+                        f"routing table {routing.name!r} does not fit this "
+                        f"fabric: its route from {ids[i]} to {ids[d]} takes "
+                        f"missing link {ids[i]}->{ids[nxt]}"
+                    )
+    return neighbours, routed
 
 
 class WestFirstRouting(RoutingTable):
@@ -137,15 +280,29 @@ class WestFirstRouting(RoutingTable):
     minimal directions (east / north / south) each hop.  Every candidate
     strictly reduces Manhattan distance, so delivery is guaranteed, and
     the turn model makes the network deadlock-free with bounded buffers.
+
+    The first candidate is always the XY route's hop (west or east while
+    the columns differ, then along Y), so the tables — what
+    :meth:`next_hop`, :meth:`distance` and the fast backend read — are
+    the XY tables.
     """
 
     def __init__(self, topology: Topology) -> None:
         if not topology.positions:
             raise ValueError("west-first routing requires grid positions")
+        xy = xy_routing(topology)
+        super().__init__(
+            xy.node_ids, xy.next_hops, xy.distances, name="west-first/mesh"
+        )
         self._pos = topology.positions
-        self._coord_to_node = {xy: n for n, xy in self._pos.items()}
+        self._coord_to_node = {xy_: n for n, xy_ in self._pos.items()}
         self._graph = topology.graph
-        self.name = "west-first/mesh"
+        # A pair differing in both coordinates is offered two hops (east
+        # plus north or south); one exists iff neither coordinate is
+        # the same for every router.
+        self.adaptive = all(
+            len({p[axis] for p in self._pos.values()}) > 1 for axis in (0, 1)
+        )
 
     def _neighbor(self, here: int, dx: int, dy: int) -> int:
         x, y = self._pos[here]
@@ -173,17 +330,6 @@ class WestFirstRouting(RoutingTable):
         elif dy < hy:
             options.append(self._neighbor(here, 0, -1))
         return options
-
-    def next_hop(self, here: int, dst: int) -> int:
-        """Deterministic fallback: the first admissible candidate."""
-        return self.candidates(here, dst)[0]
-
-    def distance(self, src: int, dst: int) -> int:
-        if src == dst:
-            return 0
-        sx, sy = self._pos[src]
-        dx, dy = self._pos[dst]
-        return abs(dx - sx) + abs(dy - sy)
 
 
 def west_first_routing(topology: Topology) -> WestFirstRouting:

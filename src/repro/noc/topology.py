@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:
@@ -259,31 +261,30 @@ class Topology:
         """All-pairs routed hop distances between attach points, cached.
 
         ``matrix[k1, k2]`` is the routed hop count from crossbar ``k1``'s
-        router to crossbar ``k2``'s.  Fitness evaluation and placement
-        both consume this matrix, often many times per run on the same
-        topology, so it is computed once per (topology instance, routing
-        algorithm) and returned read-only.  Pass a routing table to
-        price a non-default algorithm; distinct table instances of the
-        same algorithm share one cache entry (keyed by ``routing.name``)
-        because they produce identical distances.
+        router to crossbar ``k2``'s: one gather of the routing table's
+        distance table at the attach points.  Fitness evaluation and
+        placement both consume this matrix, often many times per run on
+        the same topology, so it is computed once per (topology
+        instance, routing algorithm) and returned read-only.  Pass a
+        routing table to price a non-default algorithm; distinct table
+        instances of the same algorithm share one cache entry (keyed by
+        ``routing.name``) because they produce identical distances.
         """
-        import numpy as np
-
         if routing is None:
             from repro.noc.routing import routing_for
 
             routing = routing_for(self)
         cached = self._hop_matrices.get(routing.name)
         if cached is None:
-            c = self.n_attach_points
-            matrix = np.zeros((c, c), dtype=np.float64)
-            nodes = self.attach_points
-            for k1 in range(c):
-                for k2 in range(c):
-                    if k1 != k2:
-                        matrix[k1, k2] = routing.distance(
-                            nodes[k1], nodes[k2]
-                        )
+            ids = routing.node_ids
+            attach = np.asarray(self.attach_points, dtype=np.int64)
+            at = np.minimum(np.searchsorted(ids, attach), ids.shape[0] - 1)
+            if not np.array_equal(ids[at], attach):
+                raise ValueError(
+                    f"routing table {routing.name!r} does not cover every "
+                    "attach point of this topology"
+                )
+            matrix = routing.distances[np.ix_(at, at)].astype(np.float64)
             matrix.flags.writeable = False
             self._hop_matrices[routing.name] = matrix
             cached = matrix
@@ -295,6 +296,18 @@ class Topology:
             f"{self.graph.number_of_edges()} links, "
             f"{self.n_attach_points} crossbar attach points"
         )
+
+
+def dense_node_ids(topology: Topology) -> np.ndarray:
+    """Sorted router ids of ``topology`` (cached, read-only): dense router
+    index ``i`` is router ``dense_node_ids(topology)[i]`` in schedule
+    masks, routing tables and the compiled kernel alike."""
+    cached = getattr(topology, "_dense_node_ids", None)
+    if cached is None:
+        cached = np.asarray(sorted(topology.graph.nodes), dtype=np.int64)
+        cached.flags.writeable = False
+        topology._dense_node_ids = cached
+    return cached
 
 
 def mesh(width: int, height: Optional[int] = None) -> Topology:

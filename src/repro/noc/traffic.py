@@ -14,10 +14,13 @@ source neuron, uid) plus a ``(n_packets, n_words)`` uint64 matrix of
 destination-router bitmasks over the topology's dense router indices
 (``sorted(graph.nodes)`` order — the same renumbering the fast backend
 uses, so :class:`~repro.noc.fastsim.FastInterconnect` consumes the
-arrays without any per-packet conversion).  The legacy ``Injection``
-list stays available as a lazily materialized view
+arrays without any per-packet conversion).  The columns are read-only,
+so what is derived from them is derived once per schedule, lazily, and
+never goes stale: the legacy ``Injection`` list
 (:attr:`ColumnarSchedule.injections`) for the reference backend and for
-any consumer that wants objects.
+any consumer that wants objects, and the fast backend's packet plan
+(:meth:`ColumnarSchedule.packet_plan`), which every fabric a schedule is
+simulated on shares.
 
 Schedules are *views of one event list*.  Everything a schedule needs
 that does not depend on the mapping lives in a :class:`SpikeEvents`,
@@ -38,12 +41,12 @@ filters and gathers a whole swarm in a few array operations, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.noc.packet import Injection
-from repro.noc.topology import Topology
+from repro.noc.topology import Topology, dense_node_ids
 from repro.obs import get_observer
 from repro.snn.graph import SpikeGraph
 from repro.utils.validation import check_positive
@@ -62,7 +65,7 @@ def unpack_destination_bits(words: np.ndarray):
     view is a no-op on little-endian hosts and a byte-swapped copy on
     big-endian ones, keeping unpacked bit ``k`` equal to dense index
     ``k`` on any platform.  Shared by the legacy-view materializer and
-    the fast backend's unicast split so the mapping lives in one place.
+    the packet plan's unicast split so the mapping lives in one place.
     """
     bits = np.unpackbits(
         words.astype("<u8", copy=False).view(np.uint8),
@@ -109,14 +112,62 @@ class InjectionSchedule:
         return self._duration
 
 
+class PacketMeta(NamedTuple):
+    """Per-packet injection metadata as int64 columns indexed by packet
+    id — what the fast backend's delivery columns are gathered through."""
+
+    uid: np.ndarray
+    src_neuron: np.ndarray
+    src_node: np.ndarray
+    cycle: np.ndarray
+
+
+class PacketPlan(NamedTuple):
+    """A schedule as the packets the fast backend injects, for one
+    multicast mode — everything of the kernel's packet plan that no
+    fabric changes (see :meth:`ColumnarSchedule.packet_plan`)."""
+
+    n_injected: int  # injections with at least one destination
+    n_expected: int  # deliveries they owe
+    mask_words: np.ndarray  # uint64 (n_packets, n_words)
+    src_index: np.ndarray  # int64 (n_packets,) dense source router
+    bucket_cycle: np.ndarray  # int64 (n_buckets,) ascending
+    bucket_off: np.ndarray  # int64 (n_buckets + 1,)
+    bucket_pid: np.ndarray  # int32 (n_packets,) packets in bucket order
+    meta: PacketMeta
+
+
+#: The array fields of :class:`ColumnarSchedule`, all held read-only.
+_COLUMNS = ("cycle", "src_node", "src_neuron", "uid", "dst_words", "node_ids")
+
+
+def _read_only(column) -> np.ndarray:
+    """``column`` as a read-only array: adopted when it already is one,
+    copied once when the caller could still write to it."""
+    if not isinstance(column, np.ndarray) or column.flags.writeable:
+        column = np.array(column)
+        column.flags.writeable = False
+    return column
+
+
 @dataclass(eq=False)
 class ColumnarSchedule:
     """Columnar AER injection schedule (struct-of-arrays).
 
+    The columns are read-only: the builders freeze what they return, a
+    writable array handed in is copied once, and unpickling freezes
+    again — so what is derived from them (:attr:`injections`,
+    :meth:`packet_plan`, :meth:`duration_cycles`) is derived once and
+    cannot go stale.  Construction enforces the invariant every consumer
+    relies on, the cycle column sorted ascending and non-negative: a
+    schedule that breaks it raises ``ValueError`` before either backend
+    sees it.
+
     Attributes
     ----------
     cycle:
-        int64 ``(n_packets,)`` injection cycles, sorted ascending.
+        int64 ``(n_packets,)`` injection cycles, sorted ascending,
+        non-negative.
     src_node:
         int64 ``(n_packets,)`` source router node ids.
     src_neuron:
@@ -148,8 +199,22 @@ class ColumnarSchedule:
     n_spike_events: int
 
     def __post_init__(self) -> None:
+        for name in _COLUMNS:
+            setattr(self, name, _read_only(getattr(self, name)))
+        cycle = self.cycle
+        if cycle.size:
+            if cycle[0] < 0:
+                raise ValueError(f"negative injection cycle {int(cycle[0])}")
+            if (cycle[1:] < cycle[:-1]).any():
+                raise ValueError(
+                    "columnar schedule cycle column must be sorted ascending"
+                )
+        self._forget_derived()
+
+    def _forget_derived(self) -> None:
         self._injections: Optional[List[Injection]] = None
         self._duration: Optional[int] = None
+        self._plans: Dict[bool, PacketPlan] = {}
 
     def __eq__(self, other) -> bool:
         # The dataclass-generated __eq__ would compare ndarrays with
@@ -170,14 +235,22 @@ class ColumnarSchedule:
         )
 
     def __getstate__(self):
-        # Never pickle the materialized legacy view (or the duration
-        # cache): whoever unpickles reads the arrays, and the whole
-        # point of the columnar form is not pickling per-packet
-        # Injection objects.
-        state = self.__dict__.copy()
-        state["_injections"] = None
-        state["_duration"] = None
-        return state
+        # Never pickle what is derived from the columns (the legacy
+        # view, the packet plans, the duration): whoever unpickles reads
+        # the arrays, and the whole point of the columnar form is not
+        # pickling per-packet Injection objects.
+        return {
+            name: value
+            for name, value in self.__dict__.items()
+            if name not in ("_injections", "_duration", "_plans")
+        }
+
+    def __setstate__(self, state) -> None:
+        # Unpickled (and deep-copied) arrays come back writable.
+        self.__dict__.update(state)
+        for name in _COLUMNS:
+            getattr(self, name).flags.writeable = False
+        self._forget_derived()
 
     @property
     def n_packets(self) -> int:
@@ -233,15 +306,80 @@ class ColumnarSchedule:
             for i in range(n)
         ]
 
+    def packet_plan(self, multicast: bool) -> PacketPlan:
+        """The packets the fast backend injects for this schedule (lazy).
 
-def dense_node_ids(topology: Topology) -> np.ndarray:
-    """Sorted router ids of ``topology`` — the mask-bit order (cached)."""
-    cached = getattr(topology, "_dense_node_ids", None)
-    if cached is None:
-        cached = np.asarray(sorted(topology.graph.nodes), dtype=np.int64)
-        cached.flags.writeable = False
-        topology._dense_node_ids = cached
-    return cached
+        Derived once per multicast mode and shared by every engine the
+        schedule is simulated on — a fabric adds only its port layout.
+        Each derivation ticks the ``noc.plans_built`` counter under
+        ``observe()``, so a trace shows whether a schedule was planned
+        again.
+        """
+        plan = self._plans.get(multicast)
+        if plan is None:
+            plan = self._plans[multicast] = self._derive_plan(multicast)
+            obs = get_observer()
+            if obs.enabled:
+                obs.inc("noc.plans_built")
+        return plan
+
+    def _derive_plan(self, multicast: bool) -> PacketPlan:
+        words = self.dst_words
+        src_idx = np.searchsorted(self.node_ids, self.src_node)
+        cycle = self.cycle
+        uid = self.uid
+        src_neuron = self.src_neuron
+        src_node = self.src_node
+        # The builders never emit self-destinations or empty masks, but
+        # hand-built schedules might; apply the reference's
+        # sanitization (strip the source bit, drop empty rows) so both
+        # backends stay bit-identical on any input.
+        rows = np.arange(words.shape[0])
+        src_word = src_idx >> 6
+        src_bit = np.left_shift(np.uint64(1), (src_idx & 63).astype(np.uint64))
+        has_self = (words[rows, src_word] & src_bit) != 0
+        if has_self.any():
+            words = words.copy()
+            words[rows[has_self], src_word[has_self]] &= ~src_bit[has_self]
+        per_packet = np.bitwise_count(words).sum(axis=1)
+        keep = per_packet != 0
+        if not keep.all():
+            words = words[keep]
+            cycle = cycle[keep]
+            uid = uid[keep]
+            src_neuron = src_neuron[keep]
+            src_node = src_node[keep]
+            src_idx = src_idx[keep]
+            per_packet = per_packet[keep]
+        n_injected = int(words.shape[0])
+        n_expected = int(per_packet.sum())
+        if not multicast:
+            # One single-bit row per destination, in ascending bit order
+            # (the reference's sorted split).
+            rows, cols = unpack_destination_bits(words)
+            split = np.zeros((rows.shape[0], words.shape[1]), dtype=np.uint64)
+            split[np.arange(rows.shape[0]), cols >> 6] = np.left_shift(
+                np.uint64(1), (cols & 63).astype(np.uint64)
+            )
+            words = split
+            cycle = cycle[rows]
+            uid = uid[rows]
+            src_neuron = src_neuron[rows]
+            src_node = src_node[rows]
+            src_idx = src_idx[rows]
+        # A bucket starts wherever the (sorted, non-negative) cycle moves.
+        starts = np.flatnonzero(np.diff(cycle, prepend=-1))
+        n_packets = cycle.shape[0]
+        return PacketPlan(
+            n_injected=n_injected,
+            n_expected=n_expected,
+            mask_words=np.ascontiguousarray(words, dtype=np.uint64),
+            src_index=src_idx,
+            bucket_cycle=np.ascontiguousarray(cycle[starts], dtype=np.int64),
+            bucket_off=np.append(starts, n_packets).astype(np.int64),
+            bucket_pid=np.arange(n_packets, dtype=np.int32),
+            meta=PacketMeta(uid, src_neuron, src_node, cycle),
+        )
 
 
 def schedule_addressing(topology: Topology) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -377,7 +515,7 @@ def build_injections_batch(
     ``events`` is a handle to the graph's precomputed
     :class:`SpikeEvents` (it must be of this ``graph`` and
     ``cycles_per_ms``); without one the columns are built for this call.
-    The schedules of one call are slices of shared arrays.
+    The schedules of one call are read-only slices of shared arrays.
     """
     obs = get_observer()
     if not obs.enabled:
@@ -465,6 +603,9 @@ def _build_injections_batch_impl(
                     f"negative injection cycle {int(first[first < 0][0])} "
                     "(negative spike time in graph)"
                 )
+        # Frozen at birth: the schedules below are read-only views.
+        for column in (cycle, src_node, src_neuron, uid, dst_words):
+            column.flags.writeable = False
         for s, e, n_emitting in zip(
             starts.tolist(), ends.tolist(), emits.sum(axis=1).tolist()
         ):

@@ -16,11 +16,19 @@ Three equivalence contracts are pinned here:
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core.mapper import map_snn
+from repro.framework.pipeline import run_fault_campaign
+from repro.hardware.presets import custom, multichip_board
 from repro.noc._ckernel import load_kernel
 from repro.noc.fastsim import FastInterconnect
+from repro.noc.faults import inject_random_faults
 from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.parallel import parallel_simulate_many
 from repro.noc.stats import summarize
@@ -33,6 +41,7 @@ from repro.noc.traffic import (
     dense_node_ids,
     synthetic_injections,
 )
+from repro.obs import observe
 from repro.snn.graph import SpikeGraph
 
 
@@ -150,27 +159,49 @@ class TestColumnarVsLegacyBuilder:
         with pytest.raises(ValueError, match="negative injection cycle"):
             build_injections(graph, assignment, topo)
 
-    def test_unsorted_hand_built_schedule_rejected(self):
+    def _assert_both_backends_reject(self, edit_cycle, message):
+        """The schedule invariant is the schedule's: a hand-built one
+        that breaks it raises the same error whichever backend it was
+        meant for (the reference engine used to reorder an unsorted one
+        silently and deliver it)."""
         topo = build_topology("mesh", 4)
         graph = random_graph(12, 40, seed=6)
         assignment = np.random.default_rng(8).integers(0, 4, 12)
         schedule = build_injections(graph, assignment, topo)
         if schedule.n_packets < 2 or schedule.cycle[0] == schedule.cycle[-1]:
             pytest.skip("workload produced too few distinct cycles")
-        dirty = ColumnarSchedule(
-            cycle=schedule.cycle[::-1].copy(),
-            src_node=schedule.src_node,
-            src_neuron=schedule.src_neuron,
-            uid=schedule.uid,
-            dst_words=schedule.dst_words,
-            node_ids=schedule.node_ids,
-            cycles_per_ms=schedule.cycles_per_ms,
-            n_source_neurons=schedule.n_source_neurons,
-            n_spike_events=schedule.n_spike_events,
+
+        def dirty():
+            return ColumnarSchedule(
+                cycle=edit_cycle(schedule.cycle.copy()),
+                src_node=schedule.src_node,
+                src_neuron=schedule.src_neuron,
+                uid=schedule.uid,
+                dst_words=schedule.dst_words,
+                node_ids=schedule.node_ids,
+                cycles_per_ms=schedule.cycles_per_ms,
+                n_source_neurons=schedule.n_source_neurons,
+                n_spike_events=schedule.n_spike_events,
+            )
+
+        for engine in (
+            Interconnect(topo),
+            FastInterconnect(topo, config=NocConfig(backend="fast")),
+        ):
+            with pytest.raises(ValueError, match=message):
+                engine.simulate(dirty())
+
+    def test_unsorted_hand_built_schedule_rejected(self):
+        self._assert_both_backends_reject(lambda c: c[::-1], "sorted ascending")
+
+    def test_negative_cycle_hand_built_schedule_rejected(self):
+        def negative_first(cycle):
+            cycle[0] = -3
+            return cycle
+
+        self._assert_both_backends_reject(
+            negative_first, "negative injection cycle -3"
         )
-        fast = FastInterconnect(topo, config=NocConfig(backend="fast"))
-        with pytest.raises(ValueError, match="sorted ascending"):
-            fast.simulate(dirty)
 
     def test_negative_cluster_rejected(self):
         topo = build_topology("star", 4)
@@ -336,3 +367,128 @@ class TestScheduleSurface:
         assignment = np.random.default_rng(61).integers(0, 9, 30)
         schedule = build_injections(graph, assignment, topo)
         assert schedule.injections is schedule.injections
+
+
+COLUMNS = ("cycle", "src_node", "src_neuron", "uid", "dst_words", "node_ids")
+
+
+def _mesh_schedule():
+    topo = build_topology("mesh", 9)
+    graph = random_graph(30, 120, seed=67)
+    assignment = np.random.default_rng(71).integers(0, 9, 30)
+    schedule = build_injections(graph, assignment, topo)
+    assert schedule.n_packets > 1
+    return topo, schedule
+
+
+def _assert_read_only(schedule):
+    for name in COLUMNS:
+        column = getattr(schedule, name)
+        assert not column.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            column[...] = 0
+
+
+class TestPlannedOnce:
+    """A schedule's packet plan is derived once, however many fabrics
+    it meets; read-only columns keep it from going stale."""
+
+    @pytest.mark.parametrize("multicast", [True, False])
+    def test_one_plan_across_fabrics(self, multicast):
+        healthy, schedule = _mesh_schedule()
+        fabrics = [healthy] + [
+            inject_random_faults(healthy, k, seed=k)[0] for k in (1, 2, 3)
+        ]
+        cfg = NocConfig(backend="fast", multicast=multicast)
+        with observe(tracer=False) as obs:
+            results = [
+                FastInterconnect(fabric, config=cfg).simulate(schedule)
+                for fabric in fabrics
+            ]
+        assert obs.metrics.counter_value("noc.plans_built") == 1
+        for fabric, stats in zip(fabrics, results):
+            fresh = dataclasses.replace(schedule)  # same columns, no plan
+            assert_identical(
+                FastInterconnect(fabric, config=cfg).simulate(fresh), stats
+            )
+            oracle = Interconnect(fabric, config=NocConfig(multicast=multicast))
+            assert_identical(oracle.simulate(schedule.injections), stats)
+
+    def test_builder_columns_refuse_writes(self):
+        _, schedule = _mesh_schedule()
+        _assert_read_only(schedule)
+        (second,) = build_injections_batch(
+            random_graph(30, 120, seed=67),
+            np.random.default_rng(71).integers(0, 9, (1, 30)),
+            build_topology("mesh", 9),
+        )
+        _assert_read_only(second)
+
+    def test_hand_built_columns_are_copied_once(self):
+        _, schedule = _mesh_schedule()
+        mine = {name: getattr(schedule, name).copy() for name in COLUMNS}
+        hand_built = ColumnarSchedule(
+            **mine,
+            cycles_per_ms=schedule.cycles_per_ms,
+            n_source_neurons=schedule.n_source_neurons,
+            n_spike_events=schedule.n_spike_events,
+        )
+        _assert_read_only(hand_built)
+        for name, column in mine.items():
+            assert column.flags.writeable
+            assert not np.shares_memory(column, getattr(hand_built, name))
+        mine["dst_words"][...] = 0  # the caller's arrays stay the caller's
+        assert hand_built == schedule
+        # Read-only columns are adopted as they are.
+        again = dataclasses.replace(hand_built)
+        assert all(
+            getattr(again, name) is getattr(hand_built, name) for name in COLUMNS
+        )
+
+    def test_pickle_round_trips_frozen(self):
+        topo, schedule = _mesh_schedule()
+        fast = FastInterconnect(topo, config=NocConfig(backend="fast"))
+        want = fast.simulate(schedule)  # derives (and caches) a plan
+        for restored in (
+            pickle.loads(pickle.dumps(schedule)),
+            copy.deepcopy(schedule),
+        ):
+            assert restored == schedule
+            assert restored._plans == {} and restored._injections is None
+            _assert_read_only(restored)
+            assert_identical(want, fast.simulate(restored))
+
+    @pytest.mark.parametrize("board", [False, True], ids=["mesh", "board2x2"])
+    def test_campaign_plans_each_schedule_once(self, board):
+        """Under ``observe()``: ``noc.plans_built`` equals the campaign
+        span's ``schedules_built`` — on the board, draws that lose relay
+        routers build (and plan) schedules of their own."""
+        graph = random_graph(32, 120, seed=73)
+        arch = (
+            multichip_board(
+                n_chips=4,
+                crossbars_per_chip=4,
+                neurons_per_crossbar=4,
+                bridge_latency=3,
+            )
+            if board
+            else custom(9, 4, interconnect="mesh", name="mesh-9x4")
+        )
+        mappings = {
+            method: map_snn(graph, arch, method=method)
+            for method in ("pacman", "greedy")
+        }
+        with observe() as obs:
+            run_fault_campaign(
+                graph,
+                arch,
+                mappings=mappings,
+                fault_levels=(0, 1, 2),
+                draws=4,
+                campaign_seed=11,
+                noc_config=NocConfig(backend="fast"),
+            )
+        (span,) = [s for s in obs.tracer.iter_spans() if s.name == "run_fault_campaign"]
+        built = span.attributes["schedules_built"]
+        assert obs.metrics.counter_value("noc.plans_built") == built
+        assert built >= len(mappings)

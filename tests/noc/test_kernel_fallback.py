@@ -162,6 +162,7 @@ def test_healthy_kernel_counts_its_own_engine():
             'noc.simulations{backend="fast"}': 2,
             "noc.packets_injected": 2 * stats[0].n_injected,
             "noc.deliveries": 2 * stats[0].delivered_count,
+            "noc.plans_built": 1,  # the columnar schedule, planned once
         }
 
 
