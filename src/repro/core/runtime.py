@@ -116,10 +116,7 @@ class RuntimeRemapper:
             )
         if not is_feasible(np.asarray(assignment), n_clusters, capacity):
             raise ValueError("initial assignment is not feasible")
-        # Private copy of the spike graph: observe_traffic rewrites the
-        # traffic column, and that must never leak into the caller's
-        # (shared) graph object.
-        self.graph = replace(graph, traffic=graph.traffic.copy())
+        self.graph = graph
         self.n_clusters = n_clusters
         self.capacity = capacity
         self.migration_budget = migration_budget
@@ -150,7 +147,8 @@ class RuntimeRemapper:
 
         ``traffic`` must align with ``graph.src/dst`` (one value per
         synapse of the original graph).  Negative and non-finite values
-        are rejected.
+        are rejected.  ``self.graph`` becomes an edited copy
+        (``dataclasses.replace``); the graph passed in is never touched.
         """
         traffic = np.asarray(traffic, dtype=np.float64)
         if traffic.shape != self.graph.traffic.shape:
@@ -160,7 +158,7 @@ class RuntimeRemapper:
             )
         if not (np.isfinite(traffic) & (traffic >= 0)).all():
             raise ValueError("observed traffic must be finite and non-negative")
-        self.graph.traffic = traffic
+        self.graph = replace(self.graph, traffic=traffic)
         self._load_matrix(TrafficMatrix(self.graph))
 
     # -- fault feed --------------------------------------------------------------

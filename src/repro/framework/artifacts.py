@@ -31,7 +31,9 @@ the same builders in the same order.
 - **token helpers** — :func:`architecture_token`, :func:`graph_token`,
   :func:`mapping_token` and :func:`pipeline_token` cover everything that
   changes the result (platform, fault spec, seeds, optimizer
-  configuration) and nothing that does not.
+  configuration) and nothing that does not.  Each frozen input — spike
+  graph, architecture, config dataclass — is folded into a digest once
+  per instance, so a repeated request hashes digests, not arrays.
 - **:class:`ArtifactCache`** — a thread-safe memo store with an
   optional on-disk layer (``cache_dir``).  Disk entries are atomic
   pickles named by their key; corrupted or truncated entries are
@@ -46,6 +48,7 @@ import os
 import pickle
 import tempfile
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Dict, Mapping, Optional
@@ -56,7 +59,9 @@ from repro.obs import get_observer
 
 #: Bump when token layouts change incompatibly: old on-disk entries then
 #: miss instead of deserializing into the wrong shape.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
+
+_DIGESTS: Dict[int, Any] = {}  # id(instance) -> (weakref, digest); see _digest
 
 
 # -- stable hashing ----------------------------------------------------------
@@ -111,34 +116,46 @@ def stable_hash(token: Any) -> str:
     return h.hexdigest()
 
 
-def config_token(config: Any) -> Any:
-    """Canonical token of a config dataclass (``None`` passes through).
+def _digest(kind: str, instance: Any, token: Callable[[Any], Any]) -> str:
+    """``stable_hash`` of a frozen key input's ``token``, derived once per
+    instance (counted as ``cache.digests_built{kind}``) and memoized by
+    identity beside it, never on it: no pickle or copy carries a digest
+    (it embeds ``CACHE_SCHEMA``), and the entry dies with the instance.
+    Unlocked: threads racing on one instance store the same digest."""
+    key = id(instance)
+    entry = _DIGESTS.get(key)
+    if entry is None or entry[0]() is not instance:
+        alive = weakref.ref(instance, lambda _: _DIGESTS.pop(key, None))
+        entry = _DIGESTS[key] = (alive, stable_hash((kind, token(instance))))
+        get_observer().inc("cache.digests_built", kind=kind)
+    return entry[1]
 
-    Field values are folded by ``repr``, which round-trips floats
-    exactly and renders dtype-like fields stably.
-    """
-    if config is None:
-        return None
-    if not is_dataclass(config):
-        raise TypeError(f"expected a config dataclass, got {config!r}")
+
+def _config_fields(config: Any) -> Any:
     return (
         type(config).__name__,
         tuple((f.name, repr(getattr(config, f.name))) for f in fields(config)),
     )
 
 
+def config_token(config: Any) -> Any:
+    """Canonical token of a frozen config dataclass (``None`` passes through).
+
+    One digest per instance of its field values folded by ``repr``, which
+    round-trips floats exactly and renders dtype-like fields stably.
+    """
+    if config is None:
+        return None
+    if not (is_dataclass(config) and type(config).__dataclass_params__.frozen):
+        raise TypeError(f"expected a frozen config dataclass, got {config!r}")
+    return _digest("config", config, _config_fields)
+
+
 # -- token builders ----------------------------------------------------------
 
 
-def architecture_token(architecture, include_name: bool = False) -> Any:
-    """Canonical token of an architecture's *structural* identity.
-
-    The report label (``name``) is excluded by default so platforms that
-    differ only in how they are labelled share one warm-start pool;
-    result-level memo keys pass ``include_name=True`` (the label is
-    printed in the report).
-    """
-    token = (
+def _architecture_structure(architecture) -> Any:
+    return (
         architecture.n_crossbars,
         architecture.neurons_per_crossbar,
         architecture.interconnect,
@@ -147,34 +164,38 @@ def architecture_token(architecture, include_name: bool = False) -> Any:
         architecture.bridge_latency,
         config_token(architecture.energy),
     )
-    if include_name:
-        token = token + (architecture.name,)
-    return token
+
+
+def architecture_token(architecture, include_name: bool = False) -> Any:
+    """Canonical token of an architecture's *structural* identity.
+
+    One digest per instance.  The report label (``name``) is excluded by
+    default so platforms that differ only in how they are labelled share
+    one warm-start pool; result-level memo keys pass ``include_name=True``
+    (the label is printed in the report) and get it beside the digest.
+    """
+    digest = _digest("architecture", architecture, _architecture_structure)
+    return (digest, architecture.name) if include_name else digest
+
+
+def _graph_content(graph) -> Any:
+    return (
+        graph.name,
+        graph.n_neurons,
+        graph.src,
+        graph.dst,
+        graph.traffic,
+        graph.layers,
+        graph.spike_counts(),
+        np.concatenate((np.empty(0), *graph.spike_times)),
+    )
 
 
 def graph_token(graph) -> Any:
-    """Canonical content token of a spike graph (instance-cached)."""
-    cached = getattr(graph, "_content_token", None)
-    if cached is None:
-        counts = np.asarray([len(t) for t in graph.spike_times], dtype=np.int64)
-        if int(counts.sum()):
-            times = np.concatenate(
-                [np.asarray(t, dtype=np.float64) for t in graph.spike_times]
-            )
-        else:
-            times = np.empty(0, dtype=np.float64)
-        cached = (
-            graph.name,
-            graph.n_neurons,
-            graph.src,
-            graph.dst,
-            graph.traffic,
-            graph.layers,
-            counts,
-            times,
-        )
-        graph._content_token = cached
-    return cached
+    """Canonical content token of a spike graph: one digest per frozen
+    :class:`~repro.snn.graph.SpikeGraph` (``CACHE_SCHEMA`` 2), folded on
+    first use from its name, size, arrays and spike counts and times."""
+    return _digest("graph", graph, _graph_content)
 
 
 def fault_token(faults: int, fault_seed) -> Any:

@@ -11,7 +11,7 @@ needed to confirm a mapping survives it:
   never create or destroy connectivity);
 - quantization error reporting;
 - a helper to quantize a whole :class:`~repro.snn.graph.SpikeGraph`
-  in place for post-quantization mapping studies.
+  into a copy for post-quantization mapping studies.
 
 Partition quality is invariant to quantization — the optimizer consumes
 spike *traffic*, not weights — which :mod:`tests.hardware.test_quantization`
@@ -20,7 +20,7 @@ asserts; what quantization affects is application accuracy upstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,12 +89,15 @@ def quantization_report(
     )
 
 
-def quantize_graph(graph: SpikeGraph, n_bits: int = 4) -> QuantizationReport:
-    """Quantize a spike graph's synaptic weights in place.
+def quantize_graph(
+    graph: SpikeGraph, n_bits: int = 4
+) -> tuple[SpikeGraph, QuantizationReport]:
+    """Quantize a spike graph's synaptic weights into a copy.
 
+    Returns ``(quantized_graph, report)``; ``graph`` is unchanged.
     Traffic (spike counts) is untouched: quantization happens at
     deployment, after the profiling run that produced the traffic.
     """
     report = quantization_report(graph.weight, n_bits=n_bits)
-    graph.weight = quantize_weights(graph.weight, n_bits=n_bits)
-    return report
+    quantized = replace(graph, weight=quantize_weights(graph.weight, n_bits=n_bits))
+    return quantized, report

@@ -9,13 +9,13 @@ interconnect if it were global — is ``len(T_ij)``.
 :class:`SpikeGraph` is the single artifact every partitioner and the NoC
 traffic generator consume, whether it came from a simulation
 (:meth:`SpikeGraph.from_simulation`) or was constructed synthetically
-(:meth:`SpikeGraph.from_edges`).
+(:meth:`SpikeGraph.from_edges`), and cannot change once built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,9 +27,31 @@ if TYPE_CHECKING:  # exporters import networkx on call; a default run never load
     import networkx as nx
 
 
-@dataclass
+#: The array fields of :class:`SpikeGraph` and their dtypes.
+_ARRAYS = dict(
+    src=np.int64, dst=np.int64, weight=np.float64, traffic=np.float64, layers=np.int64
+)
+
+
+def _read_only(values, dtype) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array: adopted when it already
+    is one, copied once when the caller could still write to it."""
+    adopt = isinstance(values, np.ndarray) and values.dtype == dtype
+    if not adopt or values.flags.writeable:
+        values = np.array(values, dtype=dtype)
+        values.flags.writeable = False
+    return values
+
+
+@dataclass(frozen=True, eq=False)
 class SpikeGraph:
     """Trained-SNN specification consumed by partitioners.
+
+    Immutable from birth: every array, each ``spike_times`` entry too, is
+    read-only (a writable input is copied once, a read-only one adopted),
+    ``spike_times`` is a tuple, reassigning a field raises, and unpickled
+    or deep-copied graphs are frozen again.  ``dataclasses.replace``
+    edits a graph by building a new one.  Equality is identity.
 
     Attributes
     ----------
@@ -43,8 +65,8 @@ class SpikeGraph:
         Spikes carried per synapse over the profiled window
         (``len(T_ij)``); the quantity the PSO fitness sums (Eq. 7-8).
     spike_times:
-        Per-neuron sorted spike time arrays (ms).  Required by the NoC
-        traffic generator; synthetic graphs may approximate them.
+        Tuple of per-neuron sorted float64 spike time arrays (ms).  Required
+        by the NoC traffic generator; synthetic graphs may approximate them.
     layers:
         Per-neuron layer index (feedforward depth); used by the PACMAN
         baseline.  ``0`` everywhere when unknown.
@@ -57,19 +79,23 @@ class SpikeGraph:
     dst: np.ndarray
     weight: np.ndarray
     traffic: np.ndarray
-    spike_times: List[np.ndarray]
+    spike_times: Tuple[np.ndarray, ...]
     layers: np.ndarray
     name: str = "spike_graph"
     coding: str = "rate"
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.src = np.asarray(self.src, dtype=np.int64)
-        self.dst = np.asarray(self.dst, dtype=np.int64)
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.traffic = np.asarray(self.traffic, dtype=np.float64)
-        self.layers = np.asarray(self.layers, dtype=np.int64)
+        for name, dtype in _ARRAYS.items():
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
+        spike_times = tuple(_read_only(t, np.float64) for t in self.spike_times)
+        object.__setattr__(self, "spike_times", spike_times)
         self.validate()
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)  # unpickled / deep-copied arrays: writable
+        for array in (*(state[name] for name in _ARRAYS), *self.spike_times):
+            array.flags.writeable = False
 
     # -- constructors --------------------------------------------------------
 
@@ -97,13 +123,15 @@ class SpikeGraph:
         src, dst, weight = network.edges()
         counts = result.spike_counts()
         traffic = counts[src].astype(np.float64)
+        for built_here in (src, dst, weight, traffic):
+            built_here.flags.writeable = False  # adopted, not copied again
         return cls(
             n_neurons=network.n_neurons,
             src=src,
             dst=dst,
             weight=weight,
             traffic=traffic,
-            spike_times=[t.copy() for t in result.spike_times],
+            spike_times=result.spike_times,
             layers=network.neuron_layers(),
             name=name or network.name,
             coding=coding,
@@ -118,29 +146,20 @@ class SpikeGraph:
         dst: Sequence[int],
         traffic: Sequence[float],
         weight: Optional[Sequence[float]] = None,
-        spike_times: Optional[List[np.ndarray]] = None,
+        spike_times: Optional[Sequence[np.ndarray]] = None,
         layers: Optional[Sequence[int]] = None,
         name: str = "synthetic",
         coding: str = "rate",
     ) -> "SpikeGraph":
         """Build a graph directly from edge arrays (synthetic workloads)."""
-        src = np.asarray(src, dtype=np.int64)
         if weight is None:
-            weight = np.ones(src.shape[0], dtype=np.float64)
+            weight = np.ones(len(src))
         if spike_times is None:
-            spike_times = [np.empty(0, dtype=np.float64) for _ in range(n_neurons)]
+            spike_times = (_read_only((), np.float64),) * n_neurons
         if layers is None:
             layers = np.zeros(n_neurons, dtype=np.int64)
         return cls(
-            n_neurons=n_neurons,
-            src=src,
-            dst=np.asarray(dst, dtype=np.int64),
-            weight=np.asarray(weight, dtype=np.float64),
-            traffic=np.asarray(traffic, dtype=np.float64),
-            spike_times=spike_times,
-            layers=np.asarray(layers, dtype=np.int64),
-            name=name,
-            coding=coding,
+            n_neurons, src, dst, weight, traffic, spike_times, layers, name, coding
         )
 
     # -- validation ----------------------------------------------------------
@@ -165,8 +184,7 @@ class SpikeGraph:
             )
         if self.layers.shape[0] != self.n_neurons:
             raise ValueError(
-                f"layers has {self.layers.shape[0]} entries, expected "
-                f"{self.n_neurons}"
+                f"layers has {self.layers.shape[0]} entries, expected {self.n_neurons}"
             )
 
     # -- queries ---------------------------------------------------------------
@@ -198,9 +216,7 @@ class SpikeGraph:
 
     def neuron_out_traffic(self) -> np.ndarray:
         """Total synapse traffic originating from each neuron."""
-        return np.bincount(
-            self.src, weights=self.traffic, minlength=self.n_neurons
-        )
+        return np.bincount(self.src, weights=self.traffic, minlength=self.n_neurons)
 
     def to_networkx(self) -> nx.DiGraph:
         """Export as a networkx DiGraph with traffic/weight edge attributes."""

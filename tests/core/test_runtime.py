@@ -205,10 +205,13 @@ class TestTrafficDrift:
         )
 
     def test_construction_does_not_alias_traffic(self, tiny_graph):
-        """The remapper's private copy is taken at construction time."""
+        """The remapper keeps the caller's graph, which nobody can write:
+        the caller's write raises and the remapper scores as before."""
         rm = _remapper(tiny_graph, [0, 0, 0, 0, 1, 1, 1, 1])
         before = rm.fitness()
-        tiny_graph.traffic[:] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            tiny_graph.traffic[:] = 0.0
+        assert rm.graph is tiny_graph
         assert rm.fitness() == before
 
     def test_drift_with_slack_capacity_recovers_optimum(self):

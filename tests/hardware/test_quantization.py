@@ -89,14 +89,18 @@ class TestQuantizeGraph:
         """Quantization changes weights, never mapping inputs."""
         from repro.core.fitness import InterconnectFitness
 
-        traffic_before = tiny_graph.traffic.copy()
+        weight_before = tiny_graph.weight.copy()
         fit_before = InterconnectFitness(tiny_graph).evaluate(
             np.array([0, 0, 0, 0, 1, 1, 1, 1])
         )
-        report = quantize_graph(tiny_graph, n_bits=3)
-        assert np.array_equal(tiny_graph.traffic, traffic_before)
-        fit_after = InterconnectFitness(tiny_graph).evaluate(
+        quantized, report = quantize_graph(tiny_graph, n_bits=3)
+        assert np.array_equal(quantized.traffic, tiny_graph.traffic)
+        assert np.array_equal(
+            quantized.weight, quantize_weights(weight_before, n_bits=3)
+        )
+        assert np.array_equal(tiny_graph.weight, weight_before)
+        fit_after = InterconnectFitness(quantized).evaluate(
             np.array([0, 0, 0, 0, 1, 1, 1, 1])
         )
         assert fit_after == fit_before
-        assert report.n_weights == tiny_graph.n_synapses
+        assert report.n_weights == quantized.n_synapses

@@ -154,7 +154,9 @@ class TestColumnarVsLegacyBuilder:
     def test_negative_spike_time_rejected_at_build(self):
         topo = build_topology("star", 4)
         graph = random_graph(10, 30, seed=4)
-        graph.spike_times[0] = np.array([-1.0, 2.0])
+        spike_times = list(graph.spike_times)
+        spike_times[0] = np.array([-1.0, 2.0])
+        graph = dataclasses.replace(graph, spike_times=spike_times)
         assignment = np.arange(10) % 4  # neuron 0 has remote targets
         with pytest.raises(ValueError, match="negative injection cycle"):
             build_injections(graph, assignment, topo)

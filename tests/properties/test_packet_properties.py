@@ -1,5 +1,7 @@
 """Property-based tests for the AER packet-counting objective."""
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,10 +102,10 @@ def test_schedule_agrees_with_packet_count(data):
     graph, assignment, c = data
     # Give each neuron exactly spike-count many spike times.
     matrix = TrafficMatrix(graph)
-    graph.spike_times = [
+    graph = dataclasses.replace(graph, spike_times=[
         np.arange(int(matrix.neuron_spikes[i]), dtype=float)
         for i in range(graph.n_neurons)
-    ]
+    ])
     topo = star(max(int(assignment.max()) + 1, 2))
     schedule = build_injections(graph, assignment, topo, cycles_per_ms=1.0)
     pairs = sum(len(inj.dst_nodes) for inj in schedule.injections)
