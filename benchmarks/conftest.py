@@ -1,53 +1,51 @@
-"""Shared benchmark fixtures: application spike graphs, built once.
+"""Shared benchmark fixtures.
 
-Durations are bench-tuned (shorter than the examples) so the whole
-harness finishes in minutes while keeping enough spikes for stable
-statistics.  Every graph is session-scoped: the SNN simulation (the
-CARLsim stage) runs once per app regardless of how many benches use it.
+The application spike graphs come from the paper reproduction's one
+table (:data:`repro.framework.reproduce.BENCH_GRAPHS`) and are
+session-scoped: the SNN simulation (the CARLsim stage) runs once per app
+regardless of how many benches use it.
 """
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from repro.apps import build_application
-
-BENCH_SEED = 2018  # the paper's year; fixed for reproducibility
+from repro.framework.reproduce import FIG5_SYNTHETIC, bench_graph
 
 
 @pytest.fixture(scope="session")
 def hello_world_graph():
-    return build_application("hello_world", seed=BENCH_SEED,
-                             duration_ms=500.0)
-
-
-@pytest.fixture(scope="session")
-def image_smoothing_graph():
-    return build_application("image_smoothing", seed=BENCH_SEED,
-                             duration_ms=150.0)
-
-
-@pytest.fixture(scope="session")
-def digit_recognition_graph():
-    return build_application(
-        "digit_recognition", seed=BENCH_SEED, duration_ms=150.0,
-        n_training_samples=2, train_ms_per_sample=80.0,
-    )
+    return bench_graph("hello_world")
 
 
 @pytest.fixture(scope="session")
 def heartbeat_graph():
-    return build_application("heartbeat", seed=BENCH_SEED,
-                             duration_ms=3000.0)
+    return bench_graph("heartbeat")
 
 
 @pytest.fixture(scope="session")
 def synthetic_graphs():
     """The paper's plotted synthetic topologies: 1x200, 1x600, 3x200, 4x200."""
-    shapes = [(1, 200), (1, 600), (3, 200), (4, 200)]
-    return {
-        f"synth_{m}x{n}": build_application(
-            f"synth_{m}x{n}", seed=BENCH_SEED, duration_ms=400.0
+    return {app: bench_graph(app) for app in FIG5_SYNTHETIC}
+
+
+@pytest.fixture
+def assert_pinned(capsys):
+    """Check the table a ``reproduce_*`` call printed against its pinned
+    digest (sha256 of the text, 16 hex digits).
+
+    Hashing the printed precision moves the digest exactly when a digit
+    of the paper's table moves.  Re-pin only in a change that means to
+    move the science.
+    """
+
+    def check(pinned: str) -> None:
+        table = capsys.readouterr().out
+        digest = hashlib.sha256(table.encode()).hexdigest()[:16]
+        assert digest == pinned, (
+            f"printed table moved: digest {digest}, pinned {pinned}\n{table}"
         )
-        for m, n in shapes
-    }
+
+    return check

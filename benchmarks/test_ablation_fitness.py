@@ -22,7 +22,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import BinaryPSO, InterconnectFitness, PSOConfig
-from repro.hardware.presets import architecture_for
+from repro.framework.reproduce import bench_architecture
 from repro.noc.traffic import build_injections
 from repro.utils.tables import format_table
 
@@ -50,9 +50,7 @@ def _optimize(graph, arch, count_packets: bool, binarization: str):
 
 
 def _run(graph):
-    per_xbar = max(16, -(-graph.n_neurons // 6))
-    arch = architecture_for(graph.n_neurons, neurons_per_crossbar=per_xbar,
-                            interconnect="tree", name=graph.name)
+    arch = bench_architecture(graph)
     results = {}
     for objective in ("synapse", "packet"):
         res = _optimize(graph, arch, objective == "packet", "stochastic")

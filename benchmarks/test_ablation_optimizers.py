@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import PSOConfig, map_snn
 from repro.core.baselines import AnnealingConfig
-from repro.hardware.presets import architecture_for
+from repro.framework.reproduce import bench_architecture
 from repro.utils.tables import format_table
 
 # Matched budgets: PSO 60 particles x 40 iterations = 2400 evaluations;
@@ -28,9 +28,7 @@ SA_CFG = AnnealingConfig(n_steps=2400)
 def _compare(graph):
     from repro.core.baselines import GAConfig
 
-    per_xbar = max(16, -(-graph.n_neurons // 6))
-    arch = architecture_for(graph.n_neurons, neurons_per_crossbar=per_xbar,
-                            interconnect="tree", name=graph.name)
+    arch = bench_architecture(graph)
     out = {}
     out["greedy"] = map_snn(graph, arch, method="greedy")
     out["annealing"] = map_snn(graph, arch, method="annealing", seed=7,

@@ -18,72 +18,14 @@ ablation bench.
 
 from __future__ import annotations
 
-from typing import Dict
+from repro.framework.reproduce import reproduce_fig5
 
-import pytest
-
-from repro.core import PSOConfig, map_snn
-from repro.framework.exploration import estimate_synapse_energy_pj
-from repro.hardware.presets import architecture_for
-from repro.utils.tables import format_table
-
-PSO_BENCH = PSOConfig(n_particles=80, n_iterations=40)
-METHODS = ("neutrams", "pacman", "pso")
+PINNED = "280720aeba6f80ca"
 
 
-def _arch_for(graph):
-    """Platform sized so every workload needs 4-8 crossbars (as on CxQuad)."""
-    per_xbar = max(16, -(-graph.n_neurons // 6))
-    return architecture_for(graph.n_neurons, neurons_per_crossbar=per_xbar,
-                            interconnect="tree", name=graph.name)
-
-
-def _energies(graph) -> Dict[str, float]:
-    arch = _arch_for(graph)
-    out = {}
-    for method in METHODS:
-        result = map_snn(graph, arch, method=method, seed=7,
-                         pso_config=PSO_BENCH, objective="spikes")
-        out[method] = estimate_synapse_energy_pj(
-            graph, result.assignment, arch
-        )
-    return out
-
-
-def _run_all(workloads) -> Dict[str, Dict[str, float]]:
-    return {name: _energies(graph) for name, graph in workloads.items()}
-
-
-@pytest.fixture(scope="module")
-def fig5_workloads(synthetic_graphs, hello_world_graph, image_smoothing_graph,
-                   digit_recognition_graph, heartbeat_graph):
-    workloads = dict(synthetic_graphs)
-    workloads["HW"] = hello_world_graph
-    workloads["IS"] = image_smoothing_graph
-    workloads["HD"] = digit_recognition_graph
-    workloads["HE"] = heartbeat_graph
-    return workloads
-
-
-def test_fig5_energy_comparison(benchmark, fig5_workloads):
-    results = benchmark.pedantic(
-        _run_all, args=(fig5_workloads,), rounds=1, iterations=1
-    )
-
-    rows = []
-    for name, energies in results.items():
-        ref = energies["neutrams"] or 1.0
-        rows.append((
-            name,
-            f"{energies['neutrams'] / ref:.3f}",
-            f"{energies['pacman'] / ref:.3f}",
-            f"{energies['pso'] / ref:.3f}",
-        ))
-    print()
-    print("Fig. 5 — normalized energy on the global synapse interconnect")
-    print(format_table(
-        ["workload", "NEUTRAMS", "PACMAN", "Proposed PSO"], rows
-    ))
+def test_fig5_energy_comparison(benchmark, assert_pinned):
+    results = benchmark.pedantic(reproduce_fig5, rounds=1, iterations=1)
+    assert_pinned(PINNED)
 
     # Shape assertions (paper Section V-A).  The 5% slack mirrors the
     # paper's own finding that the three approaches become "comparable"
@@ -101,9 +43,8 @@ def test_fig5_energy_comparison(benchmark, fig5_workloads):
     # Aggregate dominance: over all workloads PSO is the best of the
     # three on average (the paper reports 17-33% average gains).
     mean_norm = {
-        m: sum(e[m] / (e["neutrams"] or 1.0) for e in results.values())
-        / len(results)
-        for m in METHODS
+        m: sum(e[m] / (e["neutrams"] or 1.0) for e in results.values()) / len(results)
+        for m in ("neutrams", "pacman", "pso")
     }
     assert mean_norm["pso"] <= mean_norm["pacman"]
     assert mean_norm["pso"] <= mean_norm["neutrams"]

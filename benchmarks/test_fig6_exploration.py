@@ -14,42 +14,14 @@ mapping with PSO at each point and measuring on the NoC.  Expected shape
 
 from __future__ import annotations
 
-from repro.core import PSOConfig
-from repro.framework.exploration import explore_architecture
-from repro.hardware.presets import custom
-from repro.utils.tables import format_table
+from repro.framework.reproduce import reproduce_fig6
 
-CROSSBAR_SIZES = [90, 180, 360, 720, 1080, 1440]
-PSO_BENCH = PSOConfig(n_particles=50, n_iterations=30)
+PINNED = "ee291fd488759856"
 
 
-def _run_sweep(graph):
-    base = custom(n_crossbars=4, neurons_per_crossbar=256,
-                  interconnect="tree", name="fig6")
-    return explore_architecture(
-        graph, base, crossbar_sizes=CROSSBAR_SIZES, method="pso", seed=7,
-        pso_config=PSO_BENCH,
-    )
-
-
-def test_fig6_architecture_exploration(benchmark, digit_recognition_graph):
-    points = benchmark.pedantic(
-        _run_sweep, args=(digit_recognition_graph,), rounds=1, iterations=1
-    )
-
-    rows = [
-        (p.neurons_per_crossbar, p.n_crossbars, f"{p.local_energy_uj:.3f}",
-         f"{p.global_energy_uj:.3f}", f"{p.total_energy_uj:.3f}",
-         p.max_latency_cycles)
-        for p in points
-    ]
-    print()
-    print("Fig. 6 — architecture exploration (digit recognition)")
-    print(format_table(
-        ["neurons/xbar", "crossbars", "local uJ", "global uJ", "total uJ",
-         "latency (cy)"],
-        rows,
-    ))
+def test_fig6_architecture_exploration(benchmark, assert_pinned):
+    points = benchmark.pedantic(reproduce_fig6, rounds=1, iterations=1)
+    assert_pinned(PINNED)
 
     first, last = points[0], points[-1]
 

@@ -12,64 +12,14 @@ scales wall time) and the paper's swarm-size endpoints.
 
 from __future__ import annotations
 
-import pytest
+from repro.framework.reproduce import reproduce_fig7
 
-from repro.apps import build_application
-from repro.framework.exploration import explore_swarm_size, normalized_energies
-from repro.hardware.presets import architecture_for
-from repro.utils.tables import format_table
-
-SWARM_SIZES = [10, 50, 200, 1000]
-N_ITERATIONS = 30
+PINNED = "758ca1c81be4a16f"
 
 
-@pytest.fixture(scope="module")
-def fig7_workloads(hello_world_graph, heartbeat_graph):
-    return {
-        "hello_world": hello_world_graph,
-        "heartbeat": heartbeat_graph,
-        "synth_1x800": build_application("synth_1x800", seed=2018,
-                                         duration_ms=300.0),
-        "synth_2x200": build_application("synth_2x200", seed=2018,
-                                         duration_ms=300.0),
-    }
-
-
-def _run_sweeps(workloads):
-    sweeps = {}
-    for name, graph in workloads.items():
-        per_xbar = max(16, -(-graph.n_neurons // 6))
-        arch = architecture_for(graph.n_neurons,
-                                neurons_per_crossbar=per_xbar,
-                                interconnect="tree", name=name)
-        sweeps[name] = explore_swarm_size(
-            graph, arch, swarm_sizes=SWARM_SIZES,
-            n_iterations=N_ITERATIONS, seed=7,
-        )
-    return sweeps
-
-
-def test_fig7_swarm_size_exploration(benchmark, fig7_workloads):
-    sweeps = benchmark.pedantic(
-        _run_sweeps, args=(fig7_workloads,), rounds=1, iterations=1
-    )
-
-    rows = []
-    for name, points in sweeps.items():
-        norm = normalized_energies(points)
-        for p, e in zip(points, norm):
-            rows.append((name, p.swarm_size, f"{e:.3f}",
-                         f"{p.wall_time_s:.2f}",
-                         f"{p.particle_iterations_per_s:,.0f}"))
-        rows.append(("", "", "", "", ""))
-    print()
-    print(f"Fig. 7 — normalized energy vs swarm size "
-          f"({N_ITERATIONS} iterations)")
-    print(format_table(
-        ["application", "swarm size", "normalized energy", "wall time (s)",
-         "particle-iters/s"],
-        rows,
-    ))
+def test_fig7_swarm_size_exploration(benchmark, assert_pinned):
+    sweeps = benchmark.pedantic(reproduce_fig7, rounds=1, iterations=1)
+    assert_pinned(PINNED)
 
     # Swarm throughput must be reported for every sweep point: a front-end
     # regression (repair, decode, buffer churn) shows up here directly.

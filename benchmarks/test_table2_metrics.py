@@ -15,105 +15,45 @@ Expected shape (paper Section V-B):
 
 from __future__ import annotations
 
-from typing import Dict
+from repro.framework.reproduce import reproduce_table2
 
-import pytest
-
-from repro.core import PSOConfig
-from repro.framework import run_pipeline
-from repro.hardware.presets import architecture_for
-from repro.utils.tables import format_table
-
-PSO_BENCH = PSOConfig(n_particles=80, n_iterations=40)
+PINNED = "e13f865514ca3b95"
 
 
-def _arch_for(graph, cycles_per_ms=10.0):
-    per_xbar = max(16, -(-graph.n_neurons // 6))
-    return architecture_for(graph.n_neurons, neurons_per_crossbar=per_xbar,
-                            interconnect="tree", cycles_per_ms=cycles_per_ms,
-                            name=graph.name)
-
-
-def _measure(graph) -> Dict[str, Dict[str, float]]:
-    arch = _arch_for(graph)
-    out = {}
-    for method in ("pacman", "pso"):
-        result = run_pipeline(graph, arch, method=method, seed=7,
-                              pso_config=PSO_BENCH)
-        report = result.report
-        assert report.undelivered_packets == 0
-        out[method] = {
-            "isi": report.isi_distortion_cycles,
-            "disorder_pct": report.disorder_percent,
-            "throughput": report.throughput_aer_per_ms,
-            "latency": report.max_latency_cycles,
-            "energy_pj": report.global_energy_pj,
-        }
-    return out
-
-
-def _run_all(workloads):
-    return {name: _measure(graph) for name, graph in workloads.items()}
-
-
-@pytest.fixture(scope="module")
-def table2_workloads(hello_world_graph, image_smoothing_graph,
-                     digit_recognition_graph, heartbeat_graph):
-    return {
-        "hello_world": hello_world_graph,
-        "image_smoothing": image_smoothing_graph,
-        "digit_recog.": digit_recognition_graph,
-        "heartbeat_est.": heartbeat_graph,
-    }
-
-
-def test_table2_metric_evaluation(benchmark, table2_workloads):
-    results = benchmark.pedantic(
-        _run_all, args=(table2_workloads,), rounds=1, iterations=1
-    )
-
-    rows = []
-    for name, r in results.items():
-        for metric, fmt in [("isi", "{:.2f}"), ("disorder_pct", "{:.3f}"),
-                            ("throughput", "{:.2f}"), ("latency", "{:.0f}")]:
-            rows.append((
-                name,
-                {"isi": "ISI Distortion (cycles)",
-                 "disorder_pct": "Disorder count (%)",
-                 "throughput": "Throughput (AER/ms)",
-                 "latency": "Latency (cycles)"}[metric],
-                fmt.format(r["pacman"][metric]),
-                fmt.format(r["pso"][metric]),
-            ))
-        rows.append(("", "", "", ""))
-    print()
-    print("Table II — metric evaluation for realistic applications")
-    print(format_table(["application", "metric", "PACMAN", "Proposed"], rows))
+def test_table2_metric_evaluation(benchmark, assert_pinned):
+    results = benchmark.pedantic(reproduce_table2, rounds=1, iterations=1)
+    assert_pinned(PINNED)
 
     # Shape assertions per application.
     for name, r in results.items():
-        assert r["pso"]["isi"] <= r["pacman"]["isi"] * 1.05, (
+        pacman, pso = r["pacman"], r["pso"]
+        assert pacman.undelivered_packets == 0
+        assert pso.undelivered_packets == 0
+        assert pso.isi_distortion_cycles <= pacman.isi_distortion_cycles * 1.05, (
             f"{name}: PSO should reduce ISI distortion"
         )
-        assert r["pso"]["disorder_pct"] <= r["pacman"]["disorder_pct"] + 0.5, (
+        assert pso.disorder_percent <= pacman.disorder_percent + 0.5, (
             f"{name}: PSO should not increase disorder"
         )
-        assert r["pso"]["latency"] <= r["pacman"]["latency"] * 1.05, (
+        assert pso.max_latency_cycles <= pacman.max_latency_cycles * 1.05, (
             f"{name}: PSO should not increase worst-case latency"
         )
-        assert r["pso"]["energy_pj"] <= r["pacman"]["energy_pj"] * 1.001, (
+        assert pso.global_energy_pj <= pacman.global_energy_pj * 1.001, (
             f"{name}: PSO should not increase interconnect energy"
         )
 
     # Aggregate direction (paper's headline averages).
-    mean_isi_gain = sum(
-        1.0 - r["pso"]["isi"] / r["pacman"]["isi"]
-        for r in results.values() if r["pacman"]["isi"] > 0
-    ) / len(results)
-    assert mean_isi_gain >= 0.0, "average ISI distortion must not regress"
+    isi_gains = [
+        1.0 - r["pso"].isi_distortion_cycles / r["pacman"].isi_distortion_cycles
+        for r in results.values()
+        if r["pacman"].isi_distortion_cycles > 0
+    ]
+    assert sum(isi_gains) / len(results) >= 0.0, (
+        "average ISI distortion must not regress"
+    )
 
     # Throughput: PACMAN pushes at least as many AER packets per ms on
     # average (it maps more synapses globally).
-    pacman_thr = sum(r["pacman"]["throughput"] for r in results.values())
-    pso_thr = sum(r["pso"]["throughput"] for r in results.values())
+    pacman_thr = sum(r["pacman"].throughput_aer_per_ms for r in results.values())
+    pso_thr = sum(r["pso"].throughput_aer_per_ms for r in results.values())
     assert pacman_thr >= pso_thr * 0.95

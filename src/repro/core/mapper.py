@@ -42,6 +42,9 @@ METHODS = (
     "pso", "pacman", "neutrams", "random", "greedy", "annealing", "genetic",
 )
 
+#: Methods that draw no randomness: their result is the same for any seed.
+SEED_FREE_METHODS = frozenset({"pacman", "greedy"})
+
 
 @dataclass
 class MappingResult:
@@ -190,7 +193,7 @@ def map_snn(
     # to recomputing.  Every other parameter is part of the token.
     memo_key = None
     if cache is not None and not kwargs:
-        if replayable(seed, unused=method in ("pacman", "greedy")):
+        if replayable(seed, unused=method in SEED_FREE_METHODS):
             from repro.framework.artifacts import mapping_token
 
             memo_key = cache.key(

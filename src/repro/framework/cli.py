@@ -639,7 +639,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_reproduce(args) -> int:
     from repro.framework.reproduce import reproduce
 
-    reproduce(args.artifact, effort=args.effort)
+    try:
+        reproduce(args.artifact, effort=args.effort)
+    except ValueError as exc:
+        # E.g. an --effort that is not positive and finite.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

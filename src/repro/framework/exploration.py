@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.mapper import map_snn
+from repro.core.mapper import SEED_FREE_METHODS, map_snn
 from repro.core.pso import PSOConfig
 from repro.framework.artifacts import _sweep_point, pipeline_token
 from repro.framework.pipeline import run_pipeline
@@ -123,7 +123,7 @@ def architecture_point(
 
     return _sweep_point(
         cache,
-        replayable(run["seed"], unused=method in ("pacman", "greedy")),
+        replayable(run["seed"], unused=method in SEED_FREE_METHODS),
         lambda: ("architecture", pipeline_token(graph, arch, **run), size),
         compute,
     )
@@ -212,7 +212,7 @@ def chip_point(
 
     return _sweep_point(
         cache,
-        replayable(run["seed"], unused=method in ("pacman", "greedy")),
+        replayable(run["seed"], unused=method in SEED_FREE_METHODS),
         lambda: ("chips", pipeline_token(graph, arch, **run), chips),
         compute,
     )
@@ -399,4 +399,4 @@ def normalized_energies(points: Sequence[SwarmPoint]) -> List[float]:
     """Fig. 7's y-axis: energy normalized to the sweep's minimum."""
     energies = [p.interconnect_energy_pj for p in points]
     floor = min(e for e in energies if e > 0) if any(e > 0 for e in energies) else 1.0
-    return [e / floor if floor else 1.0 for e in energies]
+    return [e / floor for e in energies]

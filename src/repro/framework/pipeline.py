@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.mapper import MappingResult, map_snn
+from repro.core.mapper import SEED_FREE_METHODS, MappingResult, map_snn
 from repro.core.pso import PSOConfig
 from repro.hardware.architecture import Architecture
 from repro.metrics.report import (
@@ -117,9 +117,7 @@ def run_pipeline(
     """
     memo_key = None
     if cache is not None:
-        deterministic_mapping = replayable(
-            seed, unused=method in ("pacman", "greedy")
-        )
+        deterministic_mapping = replayable(seed, unused=method in SEED_FREE_METHODS)
         deterministic_faults = replayable(fault_seed, unused=faults == 0)
         if deterministic_mapping and deterministic_faults:
             from repro.framework.artifacts import pipeline_token

@@ -1,7 +1,5 @@
 """Tests for the command-line interface."""
 
-import os
-
 import pytest
 
 from repro.framework.cli import build_parser, main
@@ -123,6 +121,19 @@ class TestCommands:
         ])
         assert code == 0
         assert "test-chip" in capsys.readouterr().out
+
+    def test_reproduce_fig6(self, capsys):
+        assert main(["reproduce", "fig6", "--effort", "0.1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Fig. 6 — architecture exploration (digit recognition)"
+        sizes = [line.split()[0] for line in lines[3:]]
+        assert sizes == ["90", "180", "360", "720", "1080", "1440"]
+
+    def test_reproduce_rejects_nonfinite_effort(self, capsys):
+        assert main(["reproduce", "fig5", "--effort", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: effort")
+        assert captured.out == ""
 
 
 class TestMultiChipCli:
