@@ -32,16 +32,16 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     package_data={"repro.noc": ["_fastsim_kernel.c"]},
-    install_requires=[
+    install_requires=[  # CI's runtime-deps job runs on these alone
         "numpy>=2.0",  # np.bitwise_count (columnar mask popcounts)
-        "scipy>=1.13",  # first scipy ABI-compatible with numpy 2
-        "networkx>=3.0",
     ],
     extras_require={
         "test": [
             "pytest>=8",
             "pytest-benchmark>=4",
             "hypothesis>=6",
+            "networkx>=3.0",  # test oracles and the to_networkx() exporters
+            "scipy>=1.13",  # first scipy ABI-compatible with numpy 2
         ],
     },
 )

@@ -12,9 +12,8 @@ as options (all default off, matching the paper):
   compares both.  A swarm costs one
   :meth:`~repro.core.traffic_matrix.TrafficMatrix.reach_masks` pass (a
   gather and a grouped OR over the synapse pairs) plus a popcount, and
-  is exact for integer spike counts; the per-synapse ``spikes`` form is
-  the only objective that multiplies by a ``scipy.sparse`` matrix
-  (imported on its first batch).
+  is exact for integer spike counts, as is the per-synapse ``spikes``
+  form (a blocked sum over the same pairs).
 - ``hop_weighted`` — weight each crossing by the routed hop distance
   between the two crossbars, approximating energy rather than congestion.
   Evaluated through a precomputed crossbar-to-crossbar hop matrix, so

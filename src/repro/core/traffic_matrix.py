@@ -24,9 +24,8 @@ at up to 8 crossbars instead of eight) — chosen from the assignments,
 not by an option, and the same bits either way, so the objective's
 exactness contract does not depend on it.
 
-``scipy.sparse`` is imported by :meth:`TrafficMatrix.global_traffic_batch`
-alone (the ``spikes`` objective), on first use: the default ``packets``
-and the ``noc`` objective never load it.
+The per-synapse ``spikes`` objective (:meth:`TrafficMatrix.global_traffic_batch`)
+sums the traffic of same-crossbar pairs a block of pairs at a time.
 """
 
 from __future__ import annotations
@@ -41,6 +40,10 @@ from repro.snn.graph import SpikeGraph
 #: ``(rows, n_pairs)`` gather), so peak memory does not grow with the
 #: swarm size.
 _BLOCK_BYTES = 1 << 22
+
+#: Bytes of the float64 ``(pairs, rows)`` buffer the ``spikes`` sum reuses
+#: per block of pairs: small enough to stay in cache.
+_SUM_BLOCK_BYTES = 1 << 20
 
 
 class TrafficMatrix:
@@ -82,7 +85,6 @@ class TrafficMatrix:
         self._run_starts = np.flatnonzero(new_run)
         self._run_sources = self.src[self._run_starts]
         self._run_spikes = self.neuron_spikes[self._run_sources]
-        self._csr = None
 
     @property
     def n_pairs(self) -> int:
@@ -103,53 +105,31 @@ class TrafficMatrix:
     # -- batched evaluation (one swarm at a time) --------------------------------
 
     def global_traffic_batch(self, assignments: np.ndarray) -> np.ndarray:
-        """Eq. 8 for a batch of assignments, shape (P, N) -> (P,).
+        """Eq. 8 for a (P, N) batch of assignments (or one), shape (P,).
 
-        One sparse-matrix x dense-block product per call: intra-cluster
-        traffic of particle p is ``sum_c x_pc^T W x_pc`` with one-hot
-        columns ``x_pc``.  The one place scipy is used (its csr x dense
-        product measured 1.1-6x faster than the numpy forms); imported
-        here, and the matrix built on the first call, so the other
-        objectives never load it.
+        ``total`` minus, per row, the traffic of the pairs whose neurons
+        share a cluster: ``at[src] == at[dst]`` on the rows transposed, in
+        the narrowest unsigned word that holds the highest id, a block of
+        pairs at a time into one reused float64 buffer, weighted by the
+        block's traffic.  Exact for integer traffic, as every simulated
+        graph's is.  A negative cluster id raises ``ValueError``.
         """
-        a = np.asarray(assignments)
-        if a.ndim == 1:
-            return np.asarray([self.global_traffic(a)])
-        n_particles, n = a.shape
-        if n != self.n_neurons:
-            raise ValueError(
-                f"assignments cover {n} neurons, expected {self.n_neurons}"
-            )
-        if n_particles == 1:
-            return np.asarray([self.global_traffic(row) for row in a])
-        if self._csr is None:
-            from scipy import sparse
-
-            self._csr = sparse.csr_matrix(
-                (self.traffic, (self.src, self.dst)), shape=(n, n)
-            )
-        n_clusters = int(a.max()) + 1
-        # One-hot block: columns are (particle, cluster) pairs.
-        cols = (np.arange(n_particles)[:, None] * n_clusters + a).astype(np.int64)
-        x = np.zeros((n, n_particles * n_clusters), dtype=np.float64)
-        x[np.arange(n)[None, :].repeat(n_particles, axis=0).ravel(), cols.ravel()] = 1.0
-        y = self._csr.dot(x)
-        intra = (x * y).sum(axis=0).reshape(n_particles, n_clusters).sum(axis=1)
+        a = self._rows(assignments)
+        n_rows = a.shape[0]
+        word = np.min_scalar_type(int(a.max(initial=0)))
+        at = np.ascontiguousarray(a.T, dtype=word)
+        block = max(1, _SUM_BLOCK_BYTES // (8 * max(n_rows, 1)))
+        same = np.empty((min(block, self.n_pairs), n_rows))
+        intra = np.zeros(n_rows)
+        for lo in range(0, self.n_pairs, block):
+            src, dst = self.src[lo : lo + block], self.dst[lo : lo + block]
+            eq = same[: src.shape[0]]
+            np.equal(at[src], at[dst], out=eq)
+            intra += self.traffic[lo : lo + block] @ eq
         return self.total - intra
 
-    # -- remote reach and AER packet counting ---------------------------------
-
-    def _reach_blocks(self, assignments, index=None, n_bits=None, width=None):
-        """The reach loop behind :meth:`reach_masks` and
-        :meth:`packet_traffic_batch`.
-
-        Returns ``(n_rows, n_words, blocks)``.  ``blocks`` yields
-        ``(lo, w, reach)``: for the rows from ``lo`` on, mask word ``w``
-        of every neuron that has out-synapses, ``(rows,
-        len(_run_sources))`` unsigned integers of ``width`` bits — by
-        default the narrowest of 8/16/32/64 that holds ``n_bits``.  Bit
-        position ``b`` is bit ``b % width`` of word ``b // width``.
-        """
+    def _rows(self, assignments: np.ndarray) -> np.ndarray:
+        """``assignments`` as checked ``(rows, N)`` int64 cluster ids."""
         a = np.asarray(assignments, dtype=np.int64)
         if a.ndim == 1:
             a = a[None, :]
@@ -164,6 +144,22 @@ class TrafficMatrix:
             raise ValueError(
                 f"assignments contain negative cluster id {int(a.min())}"
             )
+        return a
+
+    # -- remote reach and AER packet counting ---------------------------------
+
+    def _reach_blocks(self, assignments, index=None, n_bits=None, width=None):
+        """The reach loop behind :meth:`reach_masks` and
+        :meth:`packet_traffic_batch`.
+
+        Returns ``(n_rows, n_words, blocks)``.  ``blocks`` yields
+        ``(lo, w, reach)``: for the rows from ``lo`` on, mask word ``w``
+        of every neuron that has out-synapses, ``(rows,
+        len(_run_sources))`` unsigned integers of ``width`` bits — by
+        default the narrowest of 8/16/32/64 that holds ``n_bits``.  Bit
+        position ``b`` is bit ``b % width`` of word ``b // width``.
+        """
+        a = self._rows(assignments)
         position = a if index is None else np.asarray(index, dtype=np.int64)[a]
         if n_bits is None:
             n_bits = int(position.max()) + 1 if position.size else 1

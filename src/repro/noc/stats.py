@@ -155,24 +155,6 @@ class NocStats:
         """The ``top`` most-loaded directed links, for congestion reports."""
         return sorted(self.link_loads.items(), key=lambda kv: -kv[1])[:top]
 
-    def records_by_destination(self) -> Dict[int, List[DeliveryRecord]]:
-        """Deliveries grouped by destination router, each in delivery order."""
-        grouped: Dict[int, List[DeliveryRecord]] = {}
-        for rec in self.deliveries:
-            grouped.setdefault(rec.dst_node, []).append(rec)
-        for recs in grouped.values():
-            recs.sort(key=lambda r: (r.delivered_cycle, r.uid))
-        return grouped
-
-    def records_by_flow(self) -> Dict[Tuple[int, int], List[DeliveryRecord]]:
-        """Deliveries grouped by (source neuron, destination router) flow."""
-        grouped: Dict[Tuple[int, int], List[DeliveryRecord]] = {}
-        for rec in self.deliveries:
-            grouped.setdefault((rec.src_neuron, rec.dst_node), []).append(rec)
-        for recs in grouped.values():
-            recs.sort(key=lambda r: (r.delivered_cycle, r.uid))
-        return grouped
-
     def describe(self) -> str:
         return (
             f"NocStats: {self.delivered_count}/{self.n_expected_deliveries} "

@@ -151,7 +151,8 @@ class RouterGraph:
         return max(self._eccentricity(n)[1] for n in self._adj)
 
     def to_networkx(self) -> nx.Graph:
-        """Export as a :class:`networkx.Graph`, nodes and edges in order."""
+        """Export as a :class:`networkx.Graph`, nodes and edges in order
+        (networkx comes with the ``test`` extra, not at run time)."""
         import networkx as nx
 
         g = nx.Graph()

@@ -219,7 +219,8 @@ class SpikeGraph:
         return np.bincount(self.src, weights=self.traffic, minlength=self.n_neurons)
 
     def to_networkx(self) -> nx.DiGraph:
-        """Export as a networkx DiGraph with traffic/weight edge attributes."""
+        """Export as a networkx DiGraph with traffic/weight edge attributes
+        (networkx comes with the ``test`` extra, not at run time)."""
         import networkx as nx
 
         g = nx.DiGraph(name=self.name)
@@ -232,8 +233,9 @@ class SpikeGraph:
         return g
 
     def undirected_traffic(self) -> nx.Graph:
-        """Symmetrized traffic as a networkx Graph: parallel and opposite
-        synapses merge into one ``traffic``-weighted edge, self-loops drop."""
+        """Symmetrized traffic as a networkx Graph (needs the ``test`` extra):
+        parallel and opposite synapses merge into one ``traffic``-weighted
+        edge, self-loops drop."""
         import networkx as nx
 
         g = nx.Graph(name=self.name)

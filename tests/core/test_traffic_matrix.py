@@ -1,13 +1,7 @@
 """Tests for traffic aggregation (Eqs. 6-7)."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
-
-import repro
 
 from repro.core.fitness import InterconnectFitness
 from repro.core.traffic_matrix import (
@@ -106,6 +100,76 @@ class TestSplits:
         local, global_ = synapse_split_counts(tiny_graph, a)
         assert global_ == 1
         assert local == tiny_graph.n_synapses - 1
+
+
+# -- the spikes objective: a blocked sum over the synapse pairs ----------------
+
+
+def oracle_global_traffic_batch(m, assignments):
+    """The replaced batch form: a scipy csr x one-hot product."""
+    from scipy import sparse
+
+    a = np.asarray(assignments, dtype=np.int64)
+    n_particles, n = a.shape
+    csr = sparse.csr_matrix((m.traffic, (m.src, m.dst)), shape=(n, n))
+    n_clusters = int(a.max()) + 1
+    cols = (np.arange(n_particles)[:, None] * n_clusters + a).astype(np.int64)
+    x = np.zeros((n, n_particles * n_clusters), dtype=np.float64)
+    x[np.arange(n)[None, :].repeat(n_particles, axis=0).ravel(), cols.ravel()] = 1.0
+    y = csr.dot(x)
+    intra = (x * y).sum(axis=0).reshape(n_particles, n_clusters).sum(axis=1)
+    return m.total - intra
+
+
+class TestGlobalTrafficBatch:
+    # The assignments are held in the narrowest word that holds the
+    # highest id: one byte up to id 255, two bytes past it.
+    @pytest.mark.parametrize("n_particles", [1, 2, 9])
+    @pytest.mark.parametrize(
+        "n_clusters, word",
+        [(4, np.uint8), (256, np.uint8), (257, np.uint16), (600, np.uint16)],
+    )
+    def test_integer_traffic_is_exact(self, n_particles, n_clusters, word):
+        g = _random_graph(40, 300, seed=n_clusters)
+        m = TrafficMatrix(g)
+        a = np.random.default_rng(n_particles).integers(
+            0, n_clusters, (n_particles, 40)
+        )
+        a[-1, 5] = n_clusters - 1
+        assert np.min_scalar_type(int(a.max())) == word
+        a[:, 6] = a[:, 7]  # at least one local pair per row
+        got = m.global_traffic_batch(a)
+        assert got.dtype == np.float64 and got.shape == (n_particles,)
+        assert np.array_equal(got, oracle_global_traffic_batch(m, a))
+        assert got.tolist() == [m.global_traffic(row) for row in a]
+
+    def test_float_traffic_within_rounding(self):
+        g = _random_graph(40, 300, seed=11, integer_traffic=False)
+        m = TrafficMatrix(g)
+        a = np.random.default_rng(4).integers(0, 6, (8, 40))
+        got = m.global_traffic_batch(a)
+        np.testing.assert_allclose(got, oracle_global_traffic_batch(m, a), rtol=1e-9)
+        np.testing.assert_allclose(
+            got, [m.global_traffic(row) for row in a], rtol=1e-9
+        )
+
+    def test_pairs_in_many_blocks(self, monkeypatch):
+        from repro.core import traffic_matrix
+
+        g = _random_graph(40, 300, seed=13)
+        m = TrafficMatrix(g)
+        a = np.random.default_rng(6).integers(0, 5, (7, 40))
+        whole = m.global_traffic_batch(a)
+        # Room for 11 pairs of 7 rows a block: the last block is short.
+        assert m.n_pairs % 11
+        monkeypatch.setattr(traffic_matrix, "_SUM_BLOCK_BYTES", 8 * 7 * 11)
+        assert np.array_equal(m.global_traffic_batch(a), whole)
+        assert np.array_equal(whole, oracle_global_traffic_batch(m, a))
+
+    def test_no_pairs_no_traffic(self):
+        m = TrafficMatrix(SpikeGraph.from_edges(3, [1], [1], [4.0]))
+        assert m.n_pairs == 0
+        assert m.global_traffic_batch(np.zeros((2, 3), dtype=int)).tolist() == [0, 0]
 
 
 # -- remote reach: one primitive behind the packets objective ------------------
@@ -235,6 +299,25 @@ class TestReachMasks:
             fitness.evaluate(np.array([0, 0, -1, 1]))
         assert m.packet_traffic(np.array([0, 0, 2, 1])) == 8.0
 
+    def test_negative_cluster_id_rejected_by_the_spikes_objective(self):
+        """Row ``p``'s cluster -1 used to land in one-hot column ``p * C -
+        1``, which is row ``p - 1``'s: the first batch scored ``[17, 4]``
+        instead of ``[17, 11]``, the second ``[9, 4]``."""
+        g = SpikeGraph.from_edges(4, [0, 1, 2, 3, 0], [1, 2, 3, 0, 2], [5, 3, 2, 7, 1])
+        m = TrafficMatrix(g)
+        fitness = InterconnectFitness(g)
+        for bad in (
+            [[0, -1, 0, -1], [1, 1, 0, 0]],
+            [[0, 0, 0, -1], [1, 1, 0, 0]],
+            [0, 0, -1, 1],
+        ):
+            for reader in (m.global_traffic_batch, fitness.evaluate_batch):
+                with pytest.raises(ValueError, match="negative cluster id -1"):
+                    reader(np.array(bad))
+        relabelled = np.array([[0, 2, 0, 2], [1, 1, 0, 0]])
+        assert m.global_traffic_batch(relabelled).tolist() == [17.0, 11.0]
+        assert [m.global_traffic(row) for row in relabelled] == [17.0, 11.0]
+
 
 class TestPacketTraffic:
     @pytest.mark.parametrize("n_particles", [1, 2, 9])
@@ -338,49 +421,3 @@ class TestPacketTraffic:
         m = TrafficMatrix(tiny_graph)
         assert m.packet_traffic(np.zeros(8, dtype=int)) == 0.0
         assert not m.packet_traffic_batch(np.zeros((3, 8), dtype=int)).any()
-
-
-class TestScipyStaysCold:
-    """The default paths never import scipy; the spikes objective does."""
-
-    RUN_MAP = (
-        "from repro.framework.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    main(['map', '--app', 'hello_world'{extra}])"
-    )
-
-    @staticmethod
-    def _scipy_modules_after(body: str) -> str:
-        code = (
-            "import contextlib, io, sys\n"
-            "import repro\n"
-            f"{body}\n"
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))\n"
-        )
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src_dir, env.get("PYTHONPATH")) if p
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        return done.stdout.strip().splitlines()[-1]
-
-    def test_import_repro_loads_no_scipy(self):
-        assert self._scipy_modules_after("") == "[]"
-
-    def test_default_map_loads_no_scipy(self):
-        assert self._scipy_modules_after(self.RUN_MAP.format(extra="")) == "[]"
-
-    def test_spikes_objective_loads_it_on_demand(self):
-        loaded = self._scipy_modules_after(
-            self.RUN_MAP.format(extra=", '--objective', 'spikes'")
-        )
-        assert "'scipy.sparse'" in loaded

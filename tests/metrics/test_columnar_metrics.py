@@ -39,9 +39,21 @@ from repro.snn.graph import SpikeGraph
 # -- the record loops (the parent commit's implementations) -------------------
 
 
+def grouped_deliveries(stats, key):
+    """Deliveries grouped by ``key(record)``, each group in delivery
+    order: by ``(delivered_cycle, uid)``."""
+    grouped = {}
+    for rec in stats.deliveries:
+        grouped.setdefault(key(rec), []).append(rec)
+    for recs in grouped.values():
+        recs.sort(key=lambda r: (r.delivered_cycle, r.uid))
+    return grouped
+
+
 def oracle_isi_per_flow(stats):
     out = {}
-    for flow, recs in stats.records_by_flow().items():
+    flows = grouped_deliveries(stats, lambda r: (r.src_neuron, r.dst_node))
+    for flow, recs in flows.items():
         if len(recs) < 2:
             continue
         injected = np.sort(np.asarray([r.injected_cycle for r in recs]))
@@ -62,7 +74,7 @@ def oracle_isi_worst(stats):
 
 def oracle_disorder_by_destination(stats):
     bad, fraction = 0, {}
-    for dst, recs in stats.records_by_destination().items():
+    for dst, recs in grouped_deliveries(stats, lambda r: r.dst_node).items():
         latest = -1
         overtaken = 0
         for rec in recs:

@@ -1,13 +1,13 @@
-"""``RouterGraph`` against networkx, and networkx off the run path.
+"""``RouterGraph`` against networkx, and networkx and scipy off the run path.
 
 ``Topology.graph`` used to be an ``nx.Graph``; fault draws index into its
 ``edges`` order and the reference simulator walks ``neighbors`` in
 adjacency order, so :class:`RouterGraph` must reproduce networkx's
 iteration orders exactly.  networkx stays on as the test-side twin: a
 generated op sequence runs on both and every read must agree.  The
-subprocess tests then check that the run path works with networkx
-*blocked*, and that the three places that genuinely need the library
-still load it on demand.
+subprocess tests then check that the run path - NEUTRAMS and the
+``spikes`` objective included - works with networkx and scipy *blocked*,
+and that the three exporters still load networkx on demand.
 """
 
 import os
@@ -109,24 +109,27 @@ def test_empty_and_disconnected_have_no_diameter():
         g.diameter()
 
 
+BLOCK = "sys.modules['networkx'] = sys.modules['scipy'] = None\n"
+
+
 def _run(body: str, block: bool) -> str:
     """Run ``body`` in a fresh interpreter; last stdout line comes back.
 
-    ``block`` plants ``sys.modules["networkx"] = None`` before ``import
-    repro``, so an import hidden anywhere on the path raises instead of
-    passing silently.
+    ``block`` plants ``sys.modules["networkx"] = sys.modules["scipy"] =
+    None`` before ``import repro``, so an import of either hidden anywhere
+    on the path raises instead of passing silently.
     """
     code = (
         "import contextlib, io, sys\n"
-        + ("sys.modules['networkx'] = None\n" if block else "")
+        + (BLOCK if block else "")
         + "import repro\n"
         "from repro.framework.cli import main\n"
         "def cli(*argv):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(list(argv)) in (0, None)\n"
         f"{body}\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'"
-        " and sys.modules[m] is not None))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in"
+        " ('networkx', 'scipy') and sys.modules[m] is not None))\n"
     )
     src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ)
@@ -150,7 +153,7 @@ GRAPH = (
 
 
 class TestNetworkxStaysCold:
-    """The run path works with networkx unimportable."""
+    """The run path works with networkx and scipy unimportable."""
 
     @pytest.mark.parametrize(
         "body",
@@ -178,11 +181,12 @@ class TestNetworkxStaysCold:
     def test_runs_with_networkx_blocked(self, body):
         assert _run(body, block=True) == "[]"
 
-    def test_neutrams_loads_it_on_demand(self):
-        loaded = _run(
-            "cli('map', '--app', 'hello_world', '--method', 'neutrams')", block=False
-        )
-        assert "'networkx'" in loaded
+    def test_neutrams_and_spikes_objective_run_with_both_blocked(self):
+        """``compare`` maps with NEUTRAMS, PACMAN and PSO, all scored on
+        the per-synapse ``spikes`` objective."""
+        spikes = "'--objective', 'spikes'"
+        body = f"cli('compare', '--app', 'hello_world', {spikes}, {SMALL})"
+        assert _run(body, block=True) == "[]"
 
     def test_exporters_load_it_on_demand(self):
         body = GRAPH + (

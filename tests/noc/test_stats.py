@@ -48,24 +48,6 @@ class TestNocStats:
         stats.record(_rec())
         assert stats.undelivered_count == 4
 
-    def test_records_by_destination_sorted(self):
-        stats = NocStats()
-        stats.record(_rec(uid=0, dst=1, delivered=9))
-        stats.record(_rec(uid=1, dst=1, delivered=3))
-        stats.record(_rec(uid=2, dst=2, delivered=1))
-        by_dst = stats.records_by_destination()
-        assert [r.uid for r in by_dst[1]] == [1, 0]
-        assert len(by_dst[2]) == 1
-
-    def test_records_by_flow(self):
-        stats = NocStats()
-        stats.record(_rec(uid=0, neuron=7, dst=1))
-        stats.record(_rec(uid=1, neuron=7, dst=1, delivered=8))
-        stats.record(_rec(uid=2, neuron=8, dst=1))
-        flows = stats.records_by_flow()
-        assert len(flows[(7, 1)]) == 2
-        assert len(flows[(8, 1)]) == 1
-
     def test_describe_contains_counts(self):
         stats = NocStats()
         stats.n_expected_deliveries = 1
