@@ -35,7 +35,7 @@ from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.traffic import (
     build_injections,
     build_injections_batch,
-    build_injections_reference,
+    reference_injection_rows,
 )
 
 BENCH_SEED = 2018
@@ -148,14 +148,14 @@ def test_batched_schedule_building_speedup(benchmark, large_mesh_case):
     t_batch = time.perf_counter() - t0
     t0 = time.perf_counter()
     legacy = [
-        build_injections_reference(graph, row, topology, cycles_per_ms=cpm)
+        reference_injection_rows(graph, row, topology, cycles_per_ms=cpm)[0]
         for row in swarm
     ]
     t_legacy = time.perf_counter() - t0
 
     # The batch is a drop-in replacement: identical injection streams.
-    assert batch[0].injections == legacy[0].injections
-    assert [s.n_packets for s in batch] == [s.n_packets for s in legacy]
+    assert batch[0].injections == legacy[0]
+    assert [s.n_packets for s in batch] == [len(rows) for rows in legacy]
     speedup = t_legacy / t_batch
 
     report_path = os.environ.get("LARGE_MESH_REPORT_PATH")

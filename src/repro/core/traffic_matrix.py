@@ -34,6 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.noc.traffic import n_mask_words
 from repro.snn.graph import SpikeGraph
 
 #: Transient bytes the reach loop may hold per row block (the
@@ -166,7 +167,7 @@ class TrafficMatrix:
         if width is None:
             width = next((w for w in (8, 16, 32) if n_bits <= w), 64)
         word = np.dtype(f"u{width // 8}").type
-        n_words = max(1, -(-n_bits // width))
+        n_words = n_mask_words(n_bits, width)
 
         def blocks():
             if not self.n_pairs:

@@ -25,7 +25,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.framework.pipeline import PipelineResult
-from repro.noc.traffic import global_destinations
 
 
 def delivered_spike_trains(
@@ -104,20 +103,15 @@ def timing_error_summary(result: PipelineResult) -> Dict[str, float]:
     For each delivered global flow, compares the sorted delivery times
     against the source's injected spike times (first N spikes, N =
     deliveries) and reports mean/max absolute shift — a time-domain
-    companion to the cycle-domain ISI distortion metric.
+    companion to the cycle-domain ISI distortion metric.  Every
+    delivered flow is a global one: the NoC only carries the mapping's
+    remote spikes.
     """
-    cycles_per_ms = result.architecture.cycles_per_ms
     graph = result.graph
-    assignment = result.mapping.assignment
-    topology = result.architecture.build_topology()
-    dests = global_destinations(graph, assignment)
+    trains = delivered_spike_trains(result)
 
     shifts: List[float] = []
-    for (neuron, crossbar), delivered in delivered_spike_trains(
-        result
-    ).items():
-        if neuron not in dests:
-            continue
+    for (neuron, _), delivered in trains.items():
         source_times = np.asarray(graph.spike_times[neuron])[: delivered.size]
         if source_times.size != delivered.size:
             continue
@@ -128,5 +122,5 @@ def timing_error_summary(result: PipelineResult) -> Dict[str, float]:
     return {
         "mean_shift_ms": float(arr.mean()),
         "max_shift_ms": float(arr.max()),
-        "n_flows": len(delivered_spike_trains(result)),
+        "n_flows": len(trains),
     }

@@ -18,12 +18,14 @@ surface:
 - :mod:`repro.noc.fastsim` — the compiled-kernel backend
   (``NocConfig(backend="fast")``), bit-identical to the reference loop
   (which it falls back to when no kernel can run) and batched via
-  ``simulate_many`` (one C call per batch, an OpenMP thread team where
-  the build has one);
+  ``FastInterconnect.simulate_many`` (one C call per batch, an OpenMP
+  thread team where the build has one);
 - :mod:`repro.noc.traffic` — converts a mapped spike graph into AER packet
   injection schedules, built columnar (``ColumnarSchedule`` arrays the
   fast backend consumes directly, with a lazy legacy ``Injection`` view)
-  and batched across whole swarms via ``build_injections_batch``;
+  and batched across whole swarms via ``build_injections_batch``; rows
+  of ``Injection`` objects become a schedule through
+  ``ColumnarSchedule.from_injections``, the one row-to-column conversion;
 - :mod:`repro.noc.stats` — per-packet delivery records (read by the
   metrics as ``delivery_columns()`` arrays) and link utilization from
   which latency / throughput / energy / disorder / ISI metrics derive,
@@ -46,7 +48,7 @@ from repro.noc.routing import (
     xy_routing,
 )
 from repro.noc.interconnect import Interconnect, NocConfig
-from repro.noc.fastsim import FastInterconnect, build_interconnect, simulate_many
+from repro.noc.fastsim import FastInterconnect, build_interconnect
 from repro.noc.stats import (
     DeliveryRecord,
     NocStats,
@@ -55,7 +57,6 @@ from repro.noc.stats import (
 )
 from repro.noc.traffic import (
     ColumnarSchedule,
-    InjectionSchedule,
     build_injections,
     build_injections_batch,
 )
@@ -98,14 +99,12 @@ __all__ = [
     "Interconnect",
     "FastInterconnect",
     "build_interconnect",
-    "simulate_many",
     "ScheduleSummary",
     "summarize",
     "NocConfig",
     "NocStats",
     "DeliveryRecord",
     "ColumnarSchedule",
-    "InjectionSchedule",
     "build_injections",
     "build_injections_batch",
 ]

@@ -32,12 +32,15 @@ is a flat array:
   an option;
 - **columnar schedules in, columns out** — a
   :class:`~repro.noc.traffic.ColumnarSchedule` is adopted directly as
-  the packet plan, and deliveries come back as flat columns.  What the
-  plan needs of the schedule alone (the order and sanitization checks,
-  popcounts, the unicast split, injection buckets, per-packet metadata,
-  dense source routers) is derived once per schedule and multicast
-  mode by :meth:`~repro.noc.traffic.ColumnarSchedule.packet_plan` and
-  shared by every engine the schedule meets — a fault campaign
+  the packet plan (row-oriented input is converted to one first, by
+  :meth:`~repro.noc.traffic.ColumnarSchedule.from_injections`, so every
+  schedule is planned the same way), and deliveries come back as flat
+  columns.  What the plan needs of the schedule alone (the order, range
+  and sanitization checks, popcounts, the unicast split, injection
+  buckets, per-packet metadata, dense source routers) is derived once
+  per schedule and multicast mode by
+  :meth:`~repro.noc.traffic.ColumnarSchedule.packet_plan` and shared
+  by every engine the schedule meets — a fault campaign
   simulates one schedule on dozens of fabrics; an engine adds only the
   node-id check and its source-port gather;
 - **precomputed next-hop port masks** — the routing table's dense
@@ -78,9 +81,8 @@ schedules.
 from __future__ import annotations
 
 import ctypes
-import dataclasses
 import itertools
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -90,12 +92,11 @@ from repro.noc.packet import Injection
 from repro.noc.routing import RoutingTable, route_links, routing_for
 from repro.noc.stats import DeliveryColumns, DeliveryRecord, NocStats
 from repro.noc.topology import Topology, dense_node_ids
-from repro.noc.traffic import ColumnarSchedule, PacketMeta
+from repro.noc.traffic import ColumnarSchedule, PacketMeta, n_mask_words
 from repro.obs import get_observer
 
-#: Anything ``simulate`` accepts: a row-oriented injection sequence (or
-#: an ``InjectionSchedule`` exposing ``.injections``) or the columnar
-#: schedule the traffic builders produce.
+#: Anything ``simulate`` accepts: a row-oriented injection sequence or
+#: the columnar schedule the traffic builders produce.
 ScheduleLike = Union[Sequence[Injection], ColumnarSchedule]
 
 
@@ -243,11 +244,10 @@ class FastInterconnect:
         n = len(ids)
         self._n = n
         self._node_arr = nodes
-        self._idx: Dict[int, int] = {node: i for i, node in enumerate(ids)}
         # Destination masks span this many uint64 words: one for the
         # single-word kernel body, as many as it takes beyond.
         self._engine = kernel_engine(n)
-        self._n_words = 1 if self._engine == "c" else -(-n // 64)
+        self._n_words = n_mask_words(n)
 
         # Port layout: slot 0 is the local injection queue, slots 1..k
         # are the bounded channel buffers from sorted neighbors — the
@@ -311,12 +311,14 @@ class FastInterconnect:
     def simulate(self, injections: ScheduleLike) -> NocStats:
         """Run the network until all traffic drains; return statistics.
 
-        Accepts a sequence of :class:`Injection` objects, an
-        ``InjectionSchedule`` (its ``.injections`` list is used), or a
-        :class:`~repro.noc.traffic.ColumnarSchedule` — for the latter
-        the packet plan is adopted straight from the schedule's arrays
-        (no per-packet Python conversion).  A batch of one: the same
-        kernel call :meth:`simulate_many` makes.
+        Accepts a :class:`~repro.noc.traffic.ColumnarSchedule`, whose
+        packet plan is adopted straight from its arrays, or a sequence
+        of :class:`Injection` objects, converted to one first by
+        :meth:`~repro.noc.traffic.ColumnarSchedule.from_injections`.  A
+        schedule the kernel would misread (a router outside this
+        fabric, a negative cycle, the wrong mask width) raises
+        ``ValueError`` whether or not a kernel runs.  A batch of one:
+        the same kernel call :meth:`simulate_many` makes.
         """
         obs = get_observer()
         if not obs.enabled:
@@ -406,109 +408,25 @@ class FastInterconnect:
             meta=packets.meta,
         )
 
-    def _pool_plan(self, injections, stats) -> Optional[_Plan]:
-        """Expand row-oriented injections straight into a packet plan.
-
-        Mirrors :func:`~repro.noc.interconnect.build_packet_schedule`
-        (same uid numbering, self-destination dropping and multicast/
-        unicast splitting) without materializing ``SpikePacket``
-        objects.  Unicast split order is ascending node id, which is
-        ascending bit order because indices follow sorted node ids.
-        """
-        if hasattr(injections, "injections"):
-            injections = injections.injections
-        idx = self._idx
-        port_base = self._port_base_arr.tolist()
-        multicast = self.config.multicast
-        buckets: Dict[int, List[int]] = {}
-        p_meta: List[Tuple[int, int, int, int]] = []
-        p_srcgp: List[int] = []
-        p_mask: List[int] = []
-        next_uid = 0
-        n_injected = 0
-        n_expected = 0
-        for inj in injections:
-            src = inj.src_node
-            mask = 0
-            for d in inj.dst_nodes:
-                if d != src:
-                    mask |= 1 << idx[d]
-            if not mask:
-                continue
-            uid = inj.uid if inj.uid >= 0 else next_uid
-            next_uid = max(next_uid, uid) + 1
-            n_injected += 1
-            n_expected += mask.bit_count()
-            meta = (uid, inj.src_neuron, src, inj.cycle)
-            srcgp = port_base[idx[src]]
-            bucket = buckets.setdefault(inj.cycle, [])
-            if multicast:
-                bucket.append(len(p_mask))
-                p_meta.append(meta)
-                p_srcgp.append(srcgp)
-                p_mask.append(mask)
-            else:
-                m = mask
-                while m:
-                    low = m & -m
-                    m ^= low
-                    bucket.append(len(p_mask))
-                    p_meta.append(meta)
-                    p_srcgp.append(srcgp)
-                    p_mask.append(low)
-        stats.n_injected = n_injected
-        stats.n_expected_deliveries = n_expected
-        if not buckets:
-            return None
-        inject_cycles = sorted(buckets)
-        ordered = [buckets[c] for c in inject_cycles]
-        return _Plan(
-            mask_words=self._pack_mask_words(p_mask),
-            src_gp=np.asarray(p_srcgp, dtype=np.int32),
-            bucket_cycle=np.asarray(inject_cycles, dtype=np.int64),
-            bucket_off=_offsets(map(len, ordered)),
-            bucket_pid=np.fromiter(
-                itertools.chain.from_iterable(ordered),
-                dtype=np.int32,
-                count=len(p_mask),
-            ),
-            meta=PacketMeta(
-                *np.asarray(p_meta, dtype=np.int64).reshape(-1, 4).T
-            ),
-        )
-
-    def _pack_mask_words(self, p_mask) -> np.ndarray:
-        """Arbitrary-precision int masks -> (n_packets, n_words) words."""
-        nw = self._n_words
-        n_packets = len(p_mask)
-        if nw == 1:
-            return np.array(p_mask, dtype=np.uint64).reshape(n_packets, 1)
-        words = np.zeros((n_packets, nw), dtype=np.uint64)
-        for i, m in enumerate(p_mask):
-            w = 0
-            while m:
-                words[i, w] = m & 0xFFFFFFFFFFFFFFFF
-                m >>= 64
-                w += 1
-        return words
-
     # -- the engine and its fallback -----------------------------------------
 
     def _run_batch(
         self, schedules: Sequence[ScheduleLike], n_threads: int
     ) -> List[NocStats]:
-        """Plan every schedule, run the non-empty ones in one kernel
-        call, and rerun on the reference engine what the kernel cannot
-        (there is none, its routing needs run-time selection, or the
-        call reported a failure)."""
+        """Plan every schedule (rows converted to columns first), run
+        the non-empty ones in one kernel call, and rerun on the
+        reference engine what the kernel cannot (there is none, its
+        routing needs run-time selection, or the call reported a
+        failure)."""
         results: List[NocStats] = []
         live: List[Tuple[int, FastNocStats, _Plan]] = []
-        for injections in schedules:
+        for schedule in schedules:
+            if not isinstance(schedule, ColumnarSchedule):
+                schedule = ColumnarSchedule.from_injections(
+                    schedule, self._node_arr, n_source_neurons=0
+                )
             stats = FastNocStats()
-            if isinstance(injections, ColumnarSchedule):
-                plan = self._columnar_plan(injections, stats)
-            else:
-                plan = self._pool_plan(injections, stats)
+            plan = self._columnar_plan(schedule, stats)
             if plan is not None:
                 live.append((len(results), stats, plan))
             results.append(stats)
@@ -638,24 +556,3 @@ def build_interconnect(
         return FastInterconnect(topology, routing, cfg)
     return Interconnect(topology, routing, cfg)
 
-
-def simulate_many(
-    topology: Topology,
-    schedules: Sequence[ScheduleLike],
-    routing: Optional[RoutingTable] = None,
-    config: Optional[NocConfig] = None,
-    threads: Optional[int] = None,
-) -> List[NocStats]:
-    """Score many injection schedules over one network in a single call.
-
-    Convenience wrapper that always uses the fast backend (that is the
-    point of batching); the routing tables are built once and shared
-    across all schedules.  ``threads`` caps the kernel's thread team
-    (``None`` defers to ``REPRO_NOC_THREADS``).
-    """
-    cfg = config if config is not None else NocConfig()
-    if cfg.backend != "fast":
-        cfg = dataclasses.replace(cfg, backend="fast")
-    return FastInterconnect(topology, routing, cfg).simulate_many(
-        schedules, threads=threads
-    )

@@ -146,9 +146,9 @@ class Interconnect:
     def simulate(self, injections) -> NocStats:
         """Run the network until all traffic drains; return statistics.
 
-        Accepts a sequence of :class:`Injection` objects or any schedule
-        object exposing an ``.injections`` list (``InjectionSchedule``,
-        or the columnar schedule's lazily materialized legacy view).
+        Accepts a sequence of :class:`Injection` objects or a
+        :class:`~repro.noc.traffic.ColumnarSchedule`, whose lazily
+        materialized ``.injections`` view is simulated.
         """
         obs = get_observer()
         if not obs.enabled:

@@ -20,7 +20,9 @@ never goes stale: the legacy ``Injection`` list
 (:attr:`ColumnarSchedule.injections`) for the reference backend and for
 any consumer that wants objects, and the fast backend's packet plan
 (:meth:`ColumnarSchedule.packet_plan`), which every fabric a schedule is
-simulated on shares.
+simulated on shares.  It is the only schedule type: rows (hand-written
+tests, :func:`synthetic_injections`, the reference builder) become one
+through :meth:`ColumnarSchedule.from_injections`.
 
 Schedules are *views of one event list*.  Everything a schedule needs
 that does not depend on the mapping lives in a :class:`SpikeEvents`,
@@ -40,7 +42,7 @@ filters and gathers a whole swarm in a few array operations, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -55,6 +57,14 @@ from repro.utils.validation import check_positive
 #: assignment rows (on top of the schedules it returns), so peak memory
 #: does not grow with the swarm size.
 _BLOCK_BYTES = 1 << 22
+
+def n_mask_words(n_bits: int, width: int = 64) -> int:
+    """Words of ``width`` bits a mask over ``n_bits`` positions takes:
+    bit ``b`` is bit ``b % width`` of word ``b // width``, and a mask
+    has at least one word.  The one rule behind every destination and
+    reach mask — a schedule's ``dst_words``, the reach masks it is
+    built from, the kernel's mask tables."""
+    return max(1, -(-n_bits // width))
 
 
 def unpack_destination_bits(words: np.ndarray):
@@ -73,43 +83,6 @@ def unpack_destination_bits(words: np.ndarray):
         bitorder="little",
     )
     return np.nonzero(bits)
-
-
-@dataclass
-class InjectionSchedule:
-    """A ready-to-simulate packet schedule plus its provenance.
-
-    The legacy row-oriented container (one :class:`Injection` object per
-    packet); synthetic traffic generators still produce it directly.
-    Graph-derived schedules are built columnar — see
-    :class:`ColumnarSchedule`, which exposes the same surface.
-    """
-
-    injections: List[Injection]
-    cycles_per_ms: float
-    n_source_neurons: int
-    n_spike_events: int
-    _duration: Optional[int] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    @property
-    def n_packets(self) -> int:
-        return len(self.injections)
-
-    def duration_cycles(self) -> int:
-        """One past the last injection cycle (cached after first call)."""
-        if self._duration is None:
-            if not self.injections:
-                self._duration = 0
-            else:
-                cycles = np.fromiter(
-                    (i.cycle for i in self.injections),
-                    dtype=np.int64,
-                    count=len(self.injections),
-                )
-                self._duration = int(cycles.max()) + 1
-        return self._duration
 
 
 class PacketMeta(NamedTuple):
@@ -158,10 +131,11 @@ class ColumnarSchedule:
     writable array handed in is copied once, and unpickling freezes
     again — so what is derived from them (:attr:`injections`,
     :meth:`packet_plan`, :meth:`duration_cycles`) is derived once and
-    cannot go stale.  Construction enforces the invariant every consumer
-    relies on, the cycle column sorted ascending and non-negative: a
-    schedule that breaks it raises ``ValueError`` before either backend
-    sees it.
+    cannot go stale.  Construction enforces the invariants every
+    consumer relies on, the cycle column sorted ascending and
+    non-negative and ``max(1, ceil(n_routers / 64))`` mask words a row:
+    a schedule that breaks one raises ``ValueError`` before either
+    backend sees it.
 
     Attributes
     ----------
@@ -185,7 +159,11 @@ class ColumnarSchedule:
         int64 ``(n_routers,)`` sorted router ids giving each mask bit
         its meaning.
     cycles_per_ms, n_source_neurons, n_spike_events:
-        Provenance, as on :class:`InjectionSchedule`.
+        Provenance: the NoC clock ratio the cycles were converted with,
+        the neurons that emit, and the spike events behind the packets.
+
+    Rows (a sequence of :class:`Injection`) become a schedule through
+    :meth:`from_injections`, the one row-to-column conversion.
     """
 
     cycle: np.ndarray
@@ -201,6 +179,12 @@ class ColumnarSchedule:
     def __post_init__(self) -> None:
         for name in _COLUMNS:
             setattr(self, name, _read_only(getattr(self, name)))
+        n_words = n_mask_words(self.node_ids.shape[0])
+        if self.dst_words.ndim != 2 or self.dst_words.shape[1] != n_words:
+            raise ValueError(
+                f"dst_words of shape {self.dst_words.shape} for "
+                f"{self.node_ids.shape[0]} routers: need {n_words} word(s) a row"
+            )
         cycle = self.cycle
         if cycle.size:
             if cycle[0] < 0:
@@ -210,6 +194,69 @@ class ColumnarSchedule:
                     "columnar schedule cycle column must be sorted ascending"
                 )
         self._forget_derived()
+
+    @classmethod
+    def from_injections(
+        cls,
+        rows: Sequence[Injection],
+        node_ids: np.ndarray,
+        n_source_neurons: int,
+        cycles_per_ms: float = 1.0,
+    ) -> "ColumnarSchedule":
+        """The schedule of row-oriented injections over the routers
+        ``node_ids`` (sorted), by the rules of the reference
+        :func:`~repro.noc.interconnect.build_packet_schedule`.
+
+        A row's own router is dropped from its destinations, and a row
+        left with none is dropped; uid ``-1`` takes the next id after
+        the largest uid seen so far, in input order; the rows are then
+        stably sorted by cycle, so rows of one cycle keep their input
+        order.  A destination router outside ``node_ids`` raises
+        ``ValueError`` here, a source router outside it when the
+        schedule is planned, a negative cycle in the constructor.
+        Every row counts as one spike event.
+        """
+        node_ids = np.asarray(node_ids, dtype=np.int64)
+        index = {node: i for i, node in enumerate(node_ids.tolist())}
+        kept: List[Tuple[int, int, int, int]] = []  # cycle, src, neuron, uid
+        masks: List[int] = []
+        next_uid = 0
+        for row in rows:
+            src = row.src_node
+            mask = 0
+            for d in row.dst_nodes:
+                if d != src:
+                    try:
+                        mask |= 1 << index[d]
+                    except KeyError:
+                        raise ValueError(
+                            f"router {d} is not in the schedule's fabric"
+                        ) from None
+            if not mask:
+                continue
+            uid = row.uid if row.uid >= 0 else next_uid
+            next_uid = max(next_uid, uid) + 1
+            kept.append((row.cycle, src, row.src_neuron, uid))
+            masks.append(mask)
+        n_words = n_mask_words(node_ids.shape[0])
+        columns = np.array(kept, dtype=np.int64).reshape(-1, 4)
+        words = np.frombuffer(
+            b"".join([m.to_bytes(8 * n_words, "little") for m in masks]),
+            dtype="<u8",
+        ).reshape(-1, n_words)
+        order = np.argsort(columns[:, 0], kind="stable")
+        cycle, src_node, src_neuron, uid = columns[order].T
+        return cls(
+            cycle=cycle,
+            src_node=src_node,
+            src_neuron=src_neuron,
+            uid=uid,
+            dst_words=words[order].astype(np.uint64, copy=False),
+            node_ids=node_ids,
+            cycles_per_ms=cycles_per_ms,
+            n_source_neurons=n_source_neurons,
+            n_spike_events=len(rows),
+        )
 
     def _forget_derived(self) -> None:
         self._injections: Optional[List[Injection]] = None
@@ -325,7 +372,18 @@ class ColumnarSchedule:
 
     def _derive_plan(self, multicast: bool) -> PacketPlan:
         words = self.dst_words
-        src_idx = np.searchsorted(self.node_ids, self.src_node)
+        node_ids = self.node_ids
+        n_routers = node_ids.shape[0]
+        src_idx = np.searchsorted(node_ids, self.src_node)
+        # What the kernel would read out of bounds: a source router
+        # outside the fabric, a destination bit past its last router.
+        if not (node_ids.take(src_idx, mode="clip") == self.src_node).all():
+            raise ValueError("schedule has a source router outside its fabric")
+        tail = n_routers - 64 * (words.shape[1] - 1)
+        if tail < 64 and np.bitwise_or.reduce(words[:, -1]) >> np.uint64(tail):
+            raise ValueError(
+                f"schedule has a destination bit past its {n_routers} routers"
+            )
         cycle = self.cycle
         uid = self.uid
         src_neuron = self.src_neuron
@@ -652,17 +710,19 @@ def build_injections(
     )[0]
 
 
-def build_injections_reference(
+def reference_injection_rows(
     graph: SpikeGraph,
     assignment: np.ndarray,
     topology: Topology,
     cycles_per_ms: float = 10.0,
-) -> InjectionSchedule:
+) -> Tuple[List[Injection], int]:
     """Row-oriented reference builder (one ``Injection`` object at a time).
 
-    The original pure-Python implementation, kept as the oracle for the
-    columnar-vs-legacy equivalence tests and as the baseline the batched
-    builder is benchmarked against.
+    The original pure-Python implementation, kept as the oracle the
+    columnar builders' injection streams are compared with and as the
+    baseline the batched builder is benchmarked against.  Returns the
+    rows, sorted by ``(cycle, uid)``, and the number of source neurons
+    (those with a remote destination).
     """
     check_positive("cycles_per_ms", cycles_per_ms)
     assignment = np.asarray(assignment, dtype=np.int64)
@@ -670,7 +730,6 @@ def build_injections_reference(
 
     injections: List[Injection] = []
     uid = 0
-    n_events = 0
     for neuron in sorted(dests):
         crossbars = dests[neuron]
         src_node = topology.node_of_crossbar(int(assignment[neuron]))
@@ -686,13 +745,23 @@ def build_injections_reference(
                 )
             )
             uid += 1
-            n_events += 1
     injections.sort(key=lambda i: (i.cycle, i.uid))
-    return InjectionSchedule(
-        injections=injections,
-        cycles_per_ms=cycles_per_ms,
-        n_source_neurons=len(dests),
-        n_spike_events=n_events,
+    return injections, len(dests)
+
+
+def build_injections_reference(
+    graph: SpikeGraph,
+    assignment: np.ndarray,
+    topology: Topology,
+    cycles_per_ms: float = 10.0,
+) -> ColumnarSchedule:
+    """The rows of :func:`reference_injection_rows` as a schedule,
+    through :meth:`ColumnarSchedule.from_injections`."""
+    rows, n_source_neurons = reference_injection_rows(
+        graph, assignment, topology, cycles_per_ms
+    )
+    return ColumnarSchedule.from_injections(
+        rows, dense_node_ids(topology), n_source_neurons, cycles_per_ms
     )
 
 
@@ -702,7 +771,7 @@ def synthetic_injections(
     duration_cycles: int,
     fanout: int = 1,
     seed=None,
-) -> InjectionSchedule:
+) -> ColumnarSchedule:
     """Uniform-random synthetic traffic for stress-testing the NoC itself.
 
     Each attach point injects Bernoulli(rate) packets per cycle toward
@@ -741,9 +810,6 @@ def synthetic_injections(
                 )
             )
             uid += 1
-    return InjectionSchedule(
-        injections=injections,
-        cycles_per_ms=1.0,
-        n_source_neurons=len(nodes),
-        n_spike_events=len(injections),
+    return ColumnarSchedule.from_injections(
+        injections, dense_node_ids(topology), n_source_neurons=len(nodes)
     )

@@ -72,6 +72,25 @@ class TestTimingErrorSummary:
         assert summary["max_shift_ms"] >= summary["mean_shift_ms"] >= 0
         assert summary["n_flows"] >= 1
 
+    def test_pinned_summary(self, pipeline_result):
+        assert timing_error_summary(pipeline_result) == {
+            "mean_shift_ms": 0.2000000000000015,
+            "max_shift_ms": 0.20000000000000284,
+            "n_flows": 1,
+        }
+
+    def test_pinned_summary_on_a_table1_app(self):
+        from repro.apps.registry import build_application
+        from repro.hardware.presets import custom
+        graph = build_application("hello_world", seed=1)
+        arch = custom(8, 16, interconnect="mesh")
+        result = run_pipeline(graph, arch, method="greedy", seed=1)
+        assert timing_error_summary(result) == {
+            "mean_shift_ms": 0.2607393244104535,
+            "max_shift_ms": 1.0,
+            "n_flows": 110,
+        }
+
     def test_no_global_traffic_zero(self, tiny_graph):
         from repro.hardware.presets import custom
         arch = custom(n_crossbars=1, neurons_per_crossbar=8)

@@ -39,6 +39,7 @@ from repro.noc.traffic import (
     build_injections_batch,
     build_injections_reference,
     dense_node_ids,
+    reference_injection_rows,
     synthetic_injections,
 )
 from repro.obs import observe
@@ -95,8 +96,9 @@ class TestColumnarVsLegacyBuilder:
         graph = random_graph(40, 150, seed=3)
         assignment = np.random.default_rng(7).integers(0, n_crossbars, 40)
         columnar = build_injections(graph, assignment, topo)
+        rows, _ = reference_injection_rows(graph, assignment, topo)
         legacy = build_injections_reference(graph, assignment, topo)
-        assert columnar.injections == legacy.injections
+        assert columnar.injections == rows == legacy.injections
         assert columnar.n_packets == legacy.n_packets
         assert columnar.n_source_neurons == legacy.n_source_neurons
         assert columnar.n_spike_events == legacy.n_spike_events
@@ -109,15 +111,15 @@ class TestColumnarVsLegacyBuilder:
         graph = random_graph(40, 150, seed=11)
         assignment = np.random.default_rng(5).integers(0, n_crossbars, 40)
         columnar = build_injections(graph, assignment, topo)
-        legacy = build_injections_reference(graph, assignment, topo)
+        rows, _ = reference_injection_rows(graph, assignment, topo)
         fast = FastInterconnect(
             topo, config=NocConfig(backend="fast", multicast=multicast)
         )
         from_columnar = fast.simulate(columnar)
-        from_rows = fast.simulate(legacy.injections)
+        from_rows = fast.simulate(rows)
         oracle = Interconnect(
             topo, config=NocConfig(multicast=multicast)
-        ).simulate(legacy.injections)
+        ).simulate(rows)
         assert_identical(oracle, from_columnar)
         assert_identical(oracle, from_rows)
 
@@ -283,9 +285,9 @@ class TestBatchBuilder:
             assert np.array_equal(schedule.src_neuron, single.src_neuron)
             assert np.array_equal(schedule.uid, single.uid)
             assert np.array_equal(schedule.dst_words, single.dst_words)
-            legacy = build_injections_reference(graph, row, topo)
-            assert schedule.injections == legacy.injections
-            assert schedule.n_source_neurons == legacy.n_source_neurons
+            rows, n_source_neurons = reference_injection_rows(graph, row, topo)
+            assert schedule.injections == rows
+            assert schedule.n_source_neurons == n_source_neurons
 
     def test_single_row_promotes(self):
         topo = build_topology("tree", 4)

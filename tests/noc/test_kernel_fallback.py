@@ -26,8 +26,9 @@ from repro.noc.fastsim import FastInterconnect, FastNocStats
 from repro.noc.faults import inject_random_faults
 from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.multichip import multichip
+from repro.noc.packet import Injection
 from repro.noc.topology import mesh, mesh_for
-from repro.noc.traffic import build_injections
+from repro.noc.traffic import ColumnarSchedule, build_injections
 from repro.obs import observe
 from repro.snn.graph import SpikeGraph
 
@@ -162,8 +163,69 @@ def test_healthy_kernel_counts_its_own_engine():
             'noc.simulations{backend="fast"}': 2,
             "noc.packets_injected": 2 * stats[0].n_injected,
             "noc.deliveries": 2 * stats[0].delivered_count,
-            "noc.plans_built": 1,  # the columnar schedule, planned once
+            "noc.plans_built": 2,  # each schedule, the rows converted first
         }
+
+
+def _one_packet(**edits):
+    """A schedule for ``mesh(2, 2)``: one packet, router 0 to router 3."""
+    columns = dict(
+        cycle=[0],
+        src_node=[0],
+        src_neuron=[0],
+        uid=[0],
+        dst_words=np.array([[1 << 3]], dtype=np.uint64),
+        node_ids=[0, 1, 2, 3],
+        cycles_per_ms=1.0,
+        n_source_neurons=1,
+        n_spike_events=1,
+    )
+    return ColumnarSchedule(**{**columns, **edits})
+
+
+#: Schedules the kernel would misread, each with the error it raises.
+#: Built inside the test: a schedule may already fail to construct.
+MALFORMED = {
+    "negative-cycle-row": (
+        lambda: [Injection(cycle=-3, src_node=0, dst_nodes=(3,), src_neuron=0)],
+        "negative injection cycle -3",
+    ),
+    "unknown-source-router": (
+        lambda: _one_packet(src_node=[-1]),
+        "source router outside",
+    ),
+    "bit-past-last-router": (
+        lambda: _one_packet(dst_words=np.array([[1 << 5]], dtype=np.uint64)),
+        "destination bit past its 4 routers",
+    ),
+    "two-words-on-one-word-fabric": (
+        lambda: _one_packet(
+            cycle=[0, 0],
+            src_node=[0, 0],
+            src_neuron=[0, 1],
+            uid=[0, 1],
+            dst_words=np.array([[8, 0], [8, 0]], dtype=np.uint64),
+        ),
+        "need 1 word",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["kernel", "missing"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_schedule_raises_with_or_without_kernel(monkeypatch, case, mode):
+    """Planning is the one gate: what the kernel would read out of
+    bounds or at the wrong stride raises there, before either engine."""
+    if mode == "kernel" and REAL_KERNEL is None:
+        pytest.skip("compiled kernel unavailable (no C compiler)")
+    if mode == "missing":
+        _break_kernel(monkeypatch, mode)
+    make, message = MALFORMED[case]
+    fast = FastInterconnect(
+        mesh(2, 2), config=NocConfig(backend="fast", selection="first")
+    )
+    with pytest.raises(ValueError, match=message):
+        fast.simulate(make())
 
 
 def test_map_snn_noc_objective_without_a_kernel(monkeypatch, tiny_graph):
