@@ -16,6 +16,11 @@ pins the two front-end contracts that make the rest of a paper-scale
   recurrent + cross-column wiring, per-column readouts) >= 5x faster
   than the reference per-tick loop, with bit-identical spike trains.
 
+Both baselines are the oracles of the test tree
+(``tests/core/test_partition.py``, ``tests/snn/test_columnar_engine.py``),
+imported as ``tests.*`` modules: run the bench with ``python -m pytest``
+from the repository root, which puts the root on ``sys.path``.
+
 Set ``FRONTEND_REPORT_PATH`` to also write the measurements as JSON
 (uploaded as a CI artifact next to the other speedup reports).
 """
@@ -31,16 +36,15 @@ import numpy as np
 import pytest
 
 from repro.apps.heartbeat import level_crossing_encode, synthetic_ecg
-from repro.core.partition import (
-    repair_assignment_reference,
-    repair_batch,
-)
+from repro.core.partition import repair_batch
 from repro.core.pso import BinaryPSO, PSOConfig
 from repro.snn.generators import ScheduledSource
 from repro.snn.network import Network
 from repro.snn.neuron import LIFModel
 from repro.snn.simulator import Simulation
 from repro.snn.synapse import distance_dependent
+from tests.core.test_partition import repair_assignment_reference
+from tests.snn.test_columnar_engine import run_reference
 
 BENCH_SEED = 2018
 
@@ -199,16 +203,16 @@ def heartbeat_scale_network():
 def test_columnar_snn_engine_speedup(benchmark, heartbeat_scale_network):
     net = heartbeat_scale_network
 
-    def run(engine, repeats):
+    def run(simulate, repeats):
         best, result = float("inf"), None
         for _ in range(repeats):
             t0 = time.perf_counter()
-            result = Simulation(net, seed=7, engine=engine).run(LSM_DURATION_MS)
+            result = simulate(Simulation(net, seed=7))
             best = min(best, time.perf_counter() - t0)
         return best, result
 
-    t_ref, ref = run("reference", 2)
-    t_col, col = run("columnar", 3)
+    t_ref, ref = run(lambda sim: run_reference(sim, LSM_DURATION_MS, True), 2)
+    t_col, col = run(lambda sim: sim.run(LSM_DURATION_MS), 3)
     for gid, (a, b) in enumerate(zip(ref.spike_times, col.spike_times)):
         assert np.array_equal(a, b), (
             f"columnar engine diverged from the reference at neuron {gid}"

@@ -11,7 +11,10 @@ columnar injection pipeline on a fig-5-style workload (the paper's
   a host with no C compiler ``backend="fast"`` *is* the reference
   engine, so only the bit-identity half is asserted there);
 - ``build_injections_batch`` builds a 32-particle swarm's schedules
-  >= 3x faster than the per-particle row-oriented loop it replaced.
+  >= 3x faster than the per-particle row-oriented loop it replaced
+  (the oracle in ``tests/noc/test_columnar_schedule.py``, imported as a
+  ``tests.*`` module: run the bench with ``python -m pytest`` from the
+  repository root, which puts the root on ``sys.path``).
 
 Set ``LARGE_MESH_REPORT_PATH`` to also write the measurements as JSON
 (uploaded as a CI artifact).
@@ -32,11 +35,8 @@ from repro.hardware.presets import truenorth_like
 from repro.noc._ckernel import load_kernel
 from repro.noc.fastsim import FastInterconnect
 from repro.noc.interconnect import Interconnect, NocConfig
-from repro.noc.traffic import (
-    build_injections,
-    build_injections_batch,
-    reference_injection_rows,
-)
+from repro.noc.traffic import build_injections, build_injections_batch
+from tests.noc.test_columnar_schedule import reference_injection_rows
 
 BENCH_SEED = 2018
 SWARM_SIZE = 32

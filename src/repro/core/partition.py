@@ -116,17 +116,24 @@ def repair_assignment(
 
     Eviction targets come from a heap of under-full crossbars keyed by
     ``(size, index)``, so one repair is O((N + C) log C) instead of the
-    O(C)-per-eviction argmin scan; outputs are identical to the reference
-    scan (:func:`repair_assignment_reference`) because the running argmin
-    is always an under-full crossbar and ties break toward lower indices
-    in both.
+    O(C)-per-eviction argmin scan; outputs are identical to that scan
+    (the oracle in ``tests/core/test_partition.py``) because the running
+    argmin is always an under-full crossbar and ties break toward lower
+    indices in both.
 
-    Returns a new array; the input is never modified.
+    Cluster ids outside ``[0, n_clusters)`` raise ``ValueError``, as in
+    :func:`repair_batch`.  Returns a new array; the input is never
+    modified.
     """
     a = np.asarray(assignment, dtype=np.int64).copy()
     if a.size > n_clusters * capacity:
         raise ValueError(
             f"{a.size} neurons cannot fit in {n_clusters} x {capacity} slots"
+        )
+    if a.size and (a.min() < 0 or a.max() >= n_clusters):
+        raise ValueError(
+            f"assignments use clusters outside [0, {n_clusters}): "
+            f"min={a.min()}, max={a.max()}"
         )
     rng = default_rng(rng)
     sizes = np.bincount(a, minlength=n_clusters)
@@ -151,38 +158,6 @@ def repair_assignment(
             a[neuron] = target
             if size + 1 < capacity:
                 heapq.heappush(heap, (size + 1, target))
-    return a
-
-
-def repair_assignment_reference(
-    assignment: np.ndarray,
-    n_clusters: int,
-    capacity: int,
-    rng: SeedLike = None,
-    move_cost: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The original O(C)-per-eviction repair loop, kept as the equivalence
-    oracle for :func:`repair_assignment` and :func:`repair_batch`."""
-    a = np.asarray(assignment, dtype=np.int64).copy()
-    if a.size > n_clusters * capacity:
-        raise ValueError(
-            f"{a.size} neurons cannot fit in {n_clusters} x {capacity} slots"
-        )
-    rng = default_rng(rng)
-    sizes = np.bincount(a, minlength=n_clusters)
-    overfull = [int(k) for k in np.nonzero(sizes > capacity)[0]]
-    for k in overfull:
-        members = np.nonzero(a == k)[0]
-        excess = int(sizes[k] - capacity)
-        if move_cost is not None:
-            order = members[np.argsort(move_cost[members], kind="stable")]
-        else:
-            order = rng.permutation(members)
-        for neuron in order[:excess]:
-            target = int(np.argmin(sizes))
-            a[neuron] = target
-            sizes[k] -= 1
-            sizes[target] += 1
     return a
 
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.noc.traffic import n_mask_words
 from repro.snn.graph import SpikeGraph
+from repro.utils.validation import check_index_range
 
 #: Transient bytes the reach loop may hold per row block (the
 #: ``(rows, n_pairs)`` gather), so peak memory does not grow with the
@@ -259,13 +260,18 @@ def cluster_traffic(
     assignment: np.ndarray,
     n_clusters: Optional[int] = None,
 ) -> np.ndarray:
-    """Eq. 7: the C x C matrix of spikes between crossbars (zero diagonal)."""
+    """Eq. 7: the C x C matrix of spikes between crossbars (zero diagonal).
+
+    Cluster ids outside ``[0, n_clusters)`` raise ``ValueError`` (a
+    negative one would otherwise wrap onto the last clusters).
+    """
     a = np.asarray(assignment, dtype=np.int64)
     if a.shape[0] != graph.n_neurons:
         raise ValueError(
             f"assignment covers {a.shape[0]} neurons, graph has {graph.n_neurons}"
         )
     c = n_clusters if n_clusters is not None else int(a.max()) + 1
+    check_index_range("assignment", a, c)
     src_c = a[graph.src]
     dst_c = a[graph.dst]
     cross = src_c != dst_c

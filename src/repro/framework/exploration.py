@@ -24,13 +24,17 @@ import numpy as np
 
 from repro.core.mapper import SEED_FREE_METHODS, map_snn
 from repro.core.pso import PSOConfig
+from repro.core.traffic_matrix import TrafficMatrix, cluster_traffic
 from repro.framework.artifacts import _sweep_point, pipeline_token
 from repro.framework.pipeline import run_pipeline
 from repro.hardware.architecture import Architecture
 from repro.noc.interconnect import NocConfig
+from repro.noc.multichip import MultiChipTopology
 from repro.noc.routing import routing_for
+from repro.noc.traffic import unpack_destination_bits
 from repro.snn.graph import SpikeGraph
 from repro.utils.rng import SeedLike, derive_seed, replayable
+from repro.utils.validation import check_index_range
 
 
 @dataclass(frozen=True)
@@ -255,6 +259,30 @@ def explore_chips(
     ]
 
 
+def _flow_energy_pj(
+    architecture: Architecture, flows: np.ndarray, encodes: float
+) -> float:
+    """Energy of ``flows[k1, k2]`` deliveries from crossbar ``k1`` to
+    ``k2`` plus ``encodes`` encoder runs: per delivery, hop energy over
+    the routed distance, one decode and, on multi-chip fabrics, the
+    bridges its route crosses (one route walk per crossbar pair).
+    Exact, in any summation order, for integer-valued flows."""
+    topology = architecture.build_topology()
+    routing = routing_for(topology)
+    hops = topology.crossbar_hop_matrix(routing)
+    crossings = 0.0
+    if isinstance(topology, MultiChipTopology) and topology.n_chips > 1:
+        nodes = topology.attach_points
+        bridges = [
+            [topology.bridge_crossings_on_route(routing, u, v) for v in nodes]
+            for u in nodes
+        ]
+        crossings = float((flows * np.asarray(bridges, dtype=np.float64)).sum())
+    return architecture.energy.estimate_global_energy_pj(
+        float((flows * hops).sum()), encodes, float(flows.sum()), crossings
+    )
+
+
 def estimate_interconnect_energy_pj(
     graph: SpikeGraph,
     assignment: np.ndarray,
@@ -271,36 +299,25 @@ def estimate_interconnect_energy_pj(
     (multicast trunk sharing makes the simulated energy at most a few
     percent lower); congestion does not change energy, only latency, so
     the ordering of mapping candidates always matches the simulator's.
+
+    The flows are the remote-reach masks
+    (:meth:`~repro.core.traffic_matrix.TrafficMatrix.reach_masks`)
+    weighted by spike count.  Ids outside ``[0, n_crossbars)`` raise
+    ``ValueError``.
     """
-    from repro.core.traffic_matrix import TrafficMatrix
-    from repro.noc.multichip import MultiChipTopology
-    from repro.noc.traffic import global_destinations
-
-    topology = architecture.build_topology()
-    routing = routing_for(topology)
-    bridged = isinstance(topology, MultiChipTopology) and topology.n_chips > 1
-    assignment = np.asarray(assignment, dtype=np.int64)
-    neuron_spikes = TrafficMatrix(graph).neuron_spikes
-    dests = global_destinations(graph, assignment)
-
-    spike_hops = encodes = decodes = crossings = 0.0
-    for neuron, clusters in dests.items():
-        spikes = float(neuron_spikes[neuron])
-        if spikes == 0.0:
-            continue
-        own_node = topology.node_of_crossbar(int(assignment[neuron]))
-        encodes += spikes  # one encode per spike event
-        for c in clusters:
-            dst_node = topology.node_of_crossbar(c)
-            spike_hops += spikes * routing.distance(own_node, dst_node)
-            decodes += spikes
-            if bridged:
-                crossings += spikes * topology.bridge_crossings_on_route(
-                    routing, own_node, dst_node
-                )
-    return architecture.energy.estimate_global_energy_pj(
-        spike_hops, encodes, decodes, bridge_crossings=crossings
-    )
+    c = architecture.n_crossbars
+    a = np.asarray(assignment, dtype=np.int64)
+    check_index_range("assignment", a, c)
+    matrix = TrafficMatrix(graph)
+    masks = matrix.reach_masks(a[None], n_bits=c)[0]
+    neurons, remote = unpack_destination_bits(masks)
+    flows = np.bincount(
+        a[neurons] * c + remote,
+        weights=matrix.neuron_spikes[neurons],
+        minlength=c * c,
+    ).reshape(c, c)
+    encodes = float(matrix.neuron_spikes[masks.any(axis=1)].sum())
+    return _flow_energy_pj(architecture, flows, encodes)
 
 
 def estimate_synapse_energy_pj(
@@ -316,32 +333,12 @@ def estimate_synapse_energy_pj(
     on multi-chip fabrics) plus encoder/decoder work per spike.  This
     is the cost model under which the paper's Fig. 5 numbers were
     produced; :func:`estimate_interconnect_energy_pj` is the
-    multicast-aware packet variant.
+    multicast-aware packet variant.  The flows are
+    :func:`~repro.core.traffic_matrix.cluster_traffic`, which rejects
+    cluster ids outside ``[0, n_crossbars)``.
     """
-    from repro.core.traffic_matrix import cluster_traffic
-    from repro.noc.multichip import MultiChipTopology
-
-    topology = architecture.build_topology()
-    routing = routing_for(topology)
-    bridged = isinstance(topology, MultiChipTopology) and topology.n_chips > 1
-    matrix = cluster_traffic(graph, assignment, architecture.n_crossbars)
-    spike_hops = crossing = bridge_crossings = 0.0
-    for k1 in range(architecture.n_crossbars):
-        for k2 in range(architecture.n_crossbars):
-            spikes = matrix[k1, k2]
-            if k1 == k2 or spikes == 0.0:
-                continue
-            n1 = topology.node_of_crossbar(k1)
-            n2 = topology.node_of_crossbar(k2)
-            spike_hops += spikes * routing.distance(n1, n2)
-            crossing += spikes
-            if bridged:
-                bridge_crossings += spikes * topology.bridge_crossings_on_route(
-                    routing, n1, n2
-                )
-    return architecture.energy.estimate_global_energy_pj(
-        spike_hops, crossing, crossing, bridge_crossings=bridge_crossings
-    )
+    flows = cluster_traffic(graph, assignment, architecture.n_crossbars)
+    return _flow_energy_pj(architecture, flows, float(flows.sum()))
 
 
 def explore_swarm_size(

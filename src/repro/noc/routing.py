@@ -14,13 +14,16 @@ forwards to toward router ``d`` (``-1`` on the diagonal), and
   link's far end, which gives the fast backend its per-link destination
   masks in one array operation;
 - :meth:`~repro.noc.topology.Topology.crossbar_hop_matrix` (fitness,
-  placement) is one gather of ``distances`` at the attach points;
+  placement, the analytic energy estimates of design-space
+  exploration) is one gather of ``distances`` at the attach points;
 - the scalar queries :meth:`RoutingTable.next_hop`,
   :meth:`~RoutingTable.distance` and :meth:`~RoutingTable.candidates` —
-  asked once per hop by the reference engine, per pair by multi-chip
-  bridge accounting and design-space exploration — read Python lists
+  asked once per hop by the reference engine and by multi-chip bridge
+  accounting (one route walk per crossbar pair) — read Python lists
   made from the tables on first use, so they cost a list lookup and
-  return plain ints, never numpy scalars.
+  return plain ints, never numpy scalars.  The per-pair ``distance()``
+  loops in ``tests/framework/test_exploration.py`` are the oracles of
+  exploration's energy estimates.
 
 Two algorithms fill the tables:
 

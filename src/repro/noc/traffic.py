@@ -21,8 +21,9 @@ never goes stale: the legacy ``Injection`` list
 any consumer that wants objects, and the fast backend's packet plan
 (:meth:`ColumnarSchedule.packet_plan`), which every fabric a schedule is
 simulated on shares.  It is the only schedule type: rows (hand-written
-tests, :func:`synthetic_injections`, the reference builder) become one
-through :meth:`ColumnarSchedule.from_injections`.
+tests, :func:`synthetic_injections`, the row-oriented reference builder
+that is the oracle in ``tests/noc/test_columnar_schedule.py``) become
+one through :meth:`ColumnarSchedule.from_injections`.
 
 Schedules are *views of one event list*.  Everything a schedule needs
 that does not depend on the mapping lives in a :class:`SpikeEvents`,
@@ -43,7 +44,7 @@ filters and gathers a whole swarm in a few array operations, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -453,45 +454,6 @@ def schedule_addressing(topology: Topology) -> Tuple[Tuple[int, ...], Tuple[int,
     return tuple(dense_node_ids(topology).tolist()), tuple(topology.attach_points)
 
 
-def global_destinations(
-    graph: SpikeGraph, assignment: np.ndarray
-) -> Dict[int, Set[int]]:
-    """Remote crossbars each neuron must reach: ``neuron -> {crossbar}``.
-
-    Only neurons with at least one inter-crossbar synapse appear.
-    Self-loops and local synapses contribute nothing.  Computed with one
-    ``np.unique`` over encoded ``(src, dst_cluster)`` pairs rather than
-    a per-synapse Python loop.
-    """
-    if assignment.shape[0] != graph.n_neurons:
-        raise ValueError(
-            f"assignment covers {assignment.shape[0]} neurons, graph has "
-            f"{graph.n_neurons}"
-        )
-    src_cluster = assignment[graph.src]
-    dst_cluster = assignment[graph.dst]
-    remote = src_cluster != dst_cluster
-    if not remote.any():
-        return {}
-    if int(dst_cluster[remote].min()) < 0:
-        # Negative ids would corrupt the (neuron, cluster) key encoding
-        # below; every downstream consumer rejects them anyway.
-        raise ValueError(
-            "assignment contains negative cluster id "
-            f"{int(dst_cluster[remote].min())}"
-        )
-    stride = int(dst_cluster[remote].max()) + 1
-    keys = np.unique(graph.src[remote] * stride + dst_cluster[remote])
-    neurons = keys // stride
-    clusters = keys % stride
-    bounds = np.flatnonzero(np.diff(neurons)) + 1
-    starts = np.concatenate(([0], bounds))
-    return {
-        int(neurons[s]): set(group.tolist())
-        for s, group in zip(starts, np.split(clusters, bounds))
-    }
-
-
 class SpikeEvents:
     """All a schedule reads of a graph that no mapping changes.
 
@@ -504,9 +466,9 @@ class SpikeEvents:
     The graph's spike events are converted to cycles
     (``int(round(t * cycles_per_ms))``, IEEE round-half-even) and stably
     sorted by cycle, which leaves ties in neuron-major order with each
-    neuron's spikes in stored order — the order of the reference
-    builder.  Every schedule of the graph is a subsequence of these
-    columns.
+    neuron's spikes in stored order — the order of the row-oriented
+    reference builder (the oracle in ``tests/noc/test_columnar_schedule.py``).
+    Every schedule of the graph is a subsequence of these columns.
 
     Attributes
     ----------
@@ -708,61 +670,6 @@ def build_injections(
         cycles_per_ms=cycles_per_ms,
         events=events,
     )[0]
-
-
-def reference_injection_rows(
-    graph: SpikeGraph,
-    assignment: np.ndarray,
-    topology: Topology,
-    cycles_per_ms: float = 10.0,
-) -> Tuple[List[Injection], int]:
-    """Row-oriented reference builder (one ``Injection`` object at a time).
-
-    The original pure-Python implementation, kept as the oracle the
-    columnar builders' injection streams are compared with and as the
-    baseline the batched builder is benchmarked against.  Returns the
-    rows, sorted by ``(cycle, uid)``, and the number of source neurons
-    (those with a remote destination).
-    """
-    check_positive("cycles_per_ms", cycles_per_ms)
-    assignment = np.asarray(assignment, dtype=np.int64)
-    dests = global_destinations(graph, assignment)
-
-    injections: List[Injection] = []
-    uid = 0
-    for neuron in sorted(dests):
-        crossbars = dests[neuron]
-        src_node = topology.node_of_crossbar(int(assignment[neuron]))
-        dst_nodes = tuple(sorted(topology.node_of_crossbar(c) for c in crossbars))
-        for t_ms in graph.spike_times[neuron]:
-            injections.append(
-                Injection(
-                    cycle=int(round(t_ms * cycles_per_ms)),
-                    src_node=src_node,
-                    dst_nodes=dst_nodes,
-                    src_neuron=neuron,
-                    uid=uid,
-                )
-            )
-            uid += 1
-    injections.sort(key=lambda i: (i.cycle, i.uid))
-    return injections, len(dests)
-
-
-def build_injections_reference(
-    graph: SpikeGraph,
-    assignment: np.ndarray,
-    topology: Topology,
-    cycles_per_ms: float = 10.0,
-) -> ColumnarSchedule:
-    """The rows of :func:`reference_injection_rows` as a schedule,
-    through :meth:`ColumnarSchedule.from_injections`."""
-    rows, n_source_neurons = reference_injection_rows(
-        graph, assignment, topology, cycles_per_ms
-    )
-    return ColumnarSchedule.from_injections(
-        rows, dense_node_ids(topology), n_source_neurons, cycles_per_ms
-    )
 
 
 def synthetic_injections(

@@ -10,23 +10,19 @@ CARLsim's resolution).  Each tick:
 4. emitted spikes are recorded and enqueued on outgoing projections;
 5. plastic projections apply their STDP rule.
 
-Two engines implement that contract:
-
-- ``engine="columnar"`` (default): spikes are recorded into growable
-  (neuron id, tick) column buffers and materialized by one sort/split at
-  the end; source spikes are precomputed for the whole run (one batched
-  RNG draw for all Poisson sources, closed-form grids for regular and
-  scheduled trains); every ``LIFModel`` population steps through one
-  fused, allocation-free update with per-neuron parameter columns; and
-  projection currents flow through precomputed CSR or dense dispatch with
-  ring-buffer delay lines.  Each of those transformations preserves the
-  reference engine's float operations exactly, so spike trains (and
-  learned STDP weights) are bit-identical under a fixed seed.
-- ``engine="reference"``: the original per-tick/per-spike loop, kept as
-  the equivalence oracle and for custom NeuronModel/SpikeSource
-  subclasses that want maximally transparent execution (the columnar
-  engine falls back to per-population stepping and per-tick sampling for
-  unknown subclasses anyway).
+Spikes are recorded into growable (neuron id, tick) column buffers and
+materialized by one sort/split at the end; source spikes are
+precomputed for the whole run (one batched RNG draw for all Poisson
+sources, closed-form grids for regular and scheduled trains); every
+``LIFModel`` population steps through one fused, allocation-free update
+with per-neuron parameter columns; and projection currents flow through
+precomputed CSR or dense dispatch with ring-buffer delay lines.  Unknown
+:class:`NeuronModel` / :class:`SpikeSource` subclasses step per
+population and sample per tick.  Each of those transformations keeps
+the float operations of the original per-tick/per-spike loop, so spike
+trains (and learned STDP weights) are bit-identical to it under a fixed
+seed; that loop is the equivalence oracle in
+``tests/snn/test_columnar_engine.py``.
 
 The result object exposes per-neuron spike time arrays — the raw material
 for :class:`repro.snn.graph.SpikeGraph`.
@@ -34,7 +30,6 @@ for :class:`repro.snn.graph.SpikeGraph`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -46,12 +41,10 @@ from repro.snn.generators import (
     ScheduledSource,
 )
 from repro.snn.network import Network
-from repro.snn.neuron import LIFModel, NeuronState
+from repro.snn.neuron import LIFModel
 from repro.snn.stdp import STDPRule, STDPState
 from repro.utils.rng import SeedLike, default_rng
 from repro.utils.validation import check_positive
-
-ENGINES = ("columnar", "reference")
 
 # Projections at or below this non-zero density deliver through a CSR
 # scatter instead of a dense row gather, once the dense gather is big
@@ -69,8 +62,9 @@ class SimulationResult:
 
     ``spike_times[g]`` is a sorted float array of spike times (ms) for the
     neuron with global id ``g``; sources and dynamical neurons alike.
-    ``counts`` optionally caches per-neuron spike counts (the columnar
-    engine computes them as a byproduct of its final sort/split).
+    ``counts`` optionally caches per-neuron spike counts
+    (:meth:`Simulation.run` computes them as a byproduct of its final
+    sort/split).
     """
 
     network_name: str
@@ -229,7 +223,7 @@ class _FusedLIF:
             if self._refr_left <= 0 and t1.any():
                 # Sequential max(r - dt, 0) countdowns can leave an
                 # eps-scale positive residue past ceil(t_ref / dt) ticks
-                # (e.g. t_ref=1.0 at dt=0.1) — and the reference engine
+                # (e.g. t_ref=1.0 at dt=0.1) — and the reference loop
                 # masks on refractory > 0, residue included.  Stay on the
                 # full path until the columns are exactly zero.
                 self._refr_left = 1
@@ -251,10 +245,6 @@ class Simulation:
         Seed or generator for all stochastic sources.
     stdp:
         Optional STDP rule applied to every projection marked ``plastic``.
-    engine:
-        ``"columnar"`` (default, fast) or ``"reference"`` (the original
-        loop).  Both produce bit-identical spike trains under a fixed
-        seed; see the module docstring.
     """
 
     def __init__(
@@ -263,16 +253,12 @@ class Simulation:
         dt: float = 1.0,
         seed: SeedLike = None,
         stdp: Optional[STDPRule] = None,
-        engine: str = "columnar",
     ) -> None:
         check_positive("dt", dt)
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; options: {ENGINES}")
         self.network = network
         self.dt = float(dt)
         self.rng = default_rng(seed)
         self.stdp = stdp
-        self.engine = engine
         self._validate_delays()
 
     def _validate_delays(self) -> None:
@@ -284,22 +270,13 @@ class Simulation:
                     f"a whole number of ticks at dt={self.dt} ms"
                 )
 
-    def run(self, duration_ms: float, learning: bool = True) -> SimulationResult:
-        """Simulate for ``duration_ms`` and return recorded spikes."""
-        check_positive("duration_ms", duration_ms)
-        if self.engine == "reference":
-            return self._run_reference(duration_ms, learning)
-        return self._run_columnar(duration_ms, learning)
-
-    # -- columnar engine ---------------------------------------------------
-
     def _precompute_source_spikes(
         self, n_steps: int
     ) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
         """Per source population: (indptr, local ids) spike plan.
 
         ``locals[indptr[t]:indptr[t + 1]]`` are the neurons firing on tick
-        ``t``.  RNG consumption matches the reference engine's per-tick
+        ``t``.  RNG consumption matches the reference loop's per-tick
         sampling exactly: regular/scheduled sources draw nothing, and all
         Poisson sources' per-tick draws are contiguous in population
         order, so one (ticks, total) matrix consumes the same stream.
@@ -371,7 +348,9 @@ class Simulation:
             columns[pi] = (indptr, ids.astype(np.int64, copy=False))
         return columns
 
-    def _run_columnar(self, duration_ms: float, learning: bool) -> SimulationResult:
+    def run(self, duration_ms: float, learning: bool = True) -> SimulationResult:
+        """Simulate for ``duration_ms`` and return recorded spikes."""
+        check_positive("duration_ms", duration_ms)
         n_steps = int(round(duration_ms / self.dt))
         net, dt = self.network, self.dt
         n_pops = len(net.populations)
@@ -477,7 +456,7 @@ class Simulation:
 
         for step in range(n_steps):
             # 1. Deliver delayed spikes into input currents (projection
-            #    order — the reference engine's accumulation order).
+            #    order — the reference loop's accumulation order).
             np.copyto(currents, bias)
             for plan in plans:
                 arriving = plan[0][plan[1]]
@@ -560,98 +539,6 @@ class Simulation:
             counts=counts,
         )
 
-    # -- reference engine --------------------------------------------------
-
-    def _run_reference(self, duration_ms: float, learning: bool) -> SimulationResult:
-        n_steps = int(round(duration_ms / self.dt))
-        net = self.network
-
-        states: Dict[str, NeuronState] = {}
-        for pop in net.populations:
-            if not pop.is_source:
-                states[pop.name] = pop.model.allocate_state(pop.size)
-            elif pop.source is not None:
-                pop.source.reset()
-
-        # Per-projection delay lines: deque of spike-index arrays, one slot
-        # per tick of delay.  Slot 0 is delivered on the *next* tick.
-        delay_lines: Dict[int, deque] = {}
-        for pi, proj in enumerate(net.projections):
-            ticks = max(1, int(round(proj.delay_ms / self.dt)))
-            delay_lines[pi] = deque(
-                [np.empty(0, dtype=np.int64) for _ in range(ticks)], maxlen=ticks
-            )
-
-        stdp_states: Dict[int, STDPState] = {}
-        if self.stdp is not None:
-            for pi, proj in enumerate(net.projections):
-                if proj.plastic:
-                    stdp_states[pi] = self.stdp.allocate_state(
-                        proj.pre.size, proj.post.size
-                    )
-
-        recorded: List[List[float]] = [[] for _ in range(net.n_neurons)]
-        out_projections: Dict[str, List[int]] = {pop.name: [] for pop in net.populations}
-        for pi, proj in enumerate(net.projections):
-            out_projections[proj.pre.name].append(pi)
-
-        for step in range(n_steps):
-            t_now = step * self.dt
-
-            # 1. Deliver delayed spikes into input currents.
-            currents: Dict[str, np.ndarray] = {
-                pop.name: np.full(pop.size, pop.bias_current, dtype=np.float64)
-                for pop in net.populations
-                if not pop.is_source
-            }
-            arrivals: Dict[int, np.ndarray] = {}
-            for pi, proj in enumerate(net.projections):
-                arriving = delay_lines[pi][0]
-                arrivals[pi] = arriving
-                if arriving.size and not proj.post.is_source:
-                    currents[proj.post.name] += proj.weights[arriving, :].sum(axis=0)
-
-            # 2. Advance dynamics / sample sources; collect this tick's spikes.
-            spikes_by_pop: Dict[str, np.ndarray] = {}
-            for pop in net.populations:
-                if pop.is_source:
-                    fired = pop.source.sample(step, self.dt, self.rng)
-                else:
-                    mask = pop.model.step(
-                        states[pop.name], currents[pop.name], self.dt
-                    )
-                    fired = np.nonzero(mask)[0]
-                spikes_by_pop[pop.name] = fired
-                base = pop.id_offset
-                for local in fired:
-                    recorded[base + int(local)].append(t_now)
-
-            # 3. STDP on plastic projections (pre arrivals vs post spikes).
-            if self.stdp is not None and learning:
-                for pi, state in stdp_states.items():
-                    proj = net.projections[pi]
-                    self.stdp.step(
-                        state,
-                        proj.weights,
-                        pre_spikes=spikes_by_pop[proj.pre.name],
-                        post_spikes=spikes_by_pop[proj.post.name],
-                        dt=self.dt,
-                    )
-
-            # 4. Enqueue emitted spikes on outgoing delay lines.
-            for pop in net.populations:
-                fired = spikes_by_pop[pop.name]
-                for pi in out_projections[pop.name]:
-                    delay_lines[pi].append(fired)
-
-        spike_arrays = [np.asarray(times, dtype=np.float64) for times in recorded]
-        return SimulationResult(
-            network_name=net.name,
-            duration_ms=n_steps * self.dt,
-            dt=self.dt,
-            spike_times=spike_arrays,
-        )
-
 
 def run_network(
     network: Network,
@@ -660,9 +547,8 @@ def run_network(
     seed: SeedLike = None,
     stdp: Optional[STDPRule] = None,
     learning: bool = True,
-    engine: str = "columnar",
 ) -> SimulationResult:
     """One-call convenience wrapper: build a Simulation and run it."""
-    return Simulation(network, dt=dt, seed=seed, stdp=stdp, engine=engine).run(
+    return Simulation(network, dt=dt, seed=seed, stdp=stdp).run(
         duration_ms, learning=learning
     )

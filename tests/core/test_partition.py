@@ -1,4 +1,12 @@
-"""Tests for partition representation and constraint handling."""
+"""Tests for partition representation and constraint handling.
+
+:func:`repair_assignment_reference` is the O(C)-per-eviction argmin
+scan the heap repair and :func:`repair_batch` replaced, kept here as
+their oracle; ``benchmarks/test_frontend_speedup.py`` times the batch
+repair against it.
+"""
+
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -10,9 +18,41 @@ from repro.core.partition import (
     is_feasible,
     random_assignment,
     repair_assignment,
-    repair_assignment_reference,
     repair_batch,
 )
+from repro.utils.rng import SeedLike, default_rng
+
+
+def repair_assignment_reference(
+    assignment: np.ndarray,
+    n_clusters: int,
+    capacity: int,
+    rng: SeedLike = None,
+    move_cost: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The original O(C)-per-eviction repair loop, kept as the equivalence
+    oracle for :func:`repair_assignment` and :func:`repair_batch`."""
+    a = np.asarray(assignment, dtype=np.int64).copy()
+    if a.size > n_clusters * capacity:
+        raise ValueError(
+            f"{a.size} neurons cannot fit in {n_clusters} x {capacity} slots"
+        )
+    rng = default_rng(rng)
+    sizes = np.bincount(a, minlength=n_clusters)
+    overfull = [int(k) for k in np.nonzero(sizes > capacity)[0]]
+    for k in overfull:
+        members = np.nonzero(a == k)[0]
+        excess = int(sizes[k] - capacity)
+        if move_cost is not None:
+            order = members[np.argsort(move_cost[members], kind="stable")]
+        else:
+            order = rng.permutation(members)
+        for neuron in order[:excess]:
+            target = int(np.argmin(sizes))
+            a[neuron] = target
+            sizes[k] -= 1
+            sizes[target] += 1
+    return a
 
 
 class TestPartition:
@@ -89,6 +129,18 @@ class TestRepairAssignment:
     def test_impossible_raises(self):
         with pytest.raises(ValueError, match="cannot fit"):
             repair_assignment(np.zeros(5, dtype=int), 2, 2)
+
+    @pytest.mark.parametrize(
+        "assignment", [[0, 5], [0, 0, 0, 5], [-1, 0], [0, 0, 1, -1]]
+    )
+    def test_out_of_range_rejected_like_batch(self, assignment):
+        """The single-row and batch paths reject ids outside
+        ``[0, n_clusters)`` with the same error."""
+        with pytest.raises(ValueError, match="outside") as row:
+            repair_assignment(np.array(assignment), 2, 2)
+        with pytest.raises(ValueError, match="outside") as batch:
+            repair_batch(np.array([assignment]), 2, 2)
+        assert str(row.value) == str(batch.value)
 
     def test_move_cost_keeps_expensive_neurons(self):
         # Cluster 0 over capacity by 2; costs make neurons 0,1 cheapest.

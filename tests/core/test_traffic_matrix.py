@@ -87,6 +87,37 @@ class TestClusterTraffic:
         with pytest.raises(ValueError):
             cluster_traffic(tiny_graph, np.zeros(3, dtype=int))
 
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            [0, 0, 1, -1],  # used to land on the diagonal and be dropped
+            [0, 0, -1, -1],  # used to be priced as 0 -> 1
+            [-1, 0, 0, 0],  # a negative id whose neuron only sends
+            [0, 0, 1, 2],  # one past the last crossbar
+            [0, 5, 1, 1],
+            [0, 1],  # wrong length
+        ],
+    )
+    def test_both_estimators_reject_malformed_assignments(self, assignment):
+        """Ids outside ``[0, n_crossbars)`` (or a wrong length) raise
+        ``ValueError`` from ``cluster_traffic`` and both energy
+        estimators instead of wrapping onto other crossbars."""
+        from repro.framework import exploration
+        from repro.hardware.presets import custom
+
+        graph = SpikeGraph.from_edges(
+            4, [0, 1, 2, 3, 2], [1, 2, 3, 0, 0], [3.0, 3.0, 2.0, 4.0, 2.0]
+        )
+        arch = custom(n_crossbars=2, neurons_per_crossbar=2)
+        with pytest.raises(ValueError):
+            cluster_traffic(graph, np.array(assignment), 2)
+        for estimate in (
+            exploration.estimate_synapse_energy_pj,
+            exploration.estimate_interconnect_energy_pj,
+        ):
+            with pytest.raises(ValueError):
+                estimate(graph, np.array(assignment), arch)
+
 
 class TestSplits:
     def test_local_global_split(self, tiny_graph):

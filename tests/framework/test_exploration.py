@@ -1,15 +1,134 @@
-"""Tests for architecture / swarm exploration sweeps."""
+"""Tests for architecture / swarm exploration sweeps.
+
+The loops the two analytic energy estimators replaced are their
+oracles here, with :func:`global_destinations` (the dict form of the
+remote-reach masks, which also feeds the schedule oracle in
+``tests/noc/test_columnar_schedule.py``).
+"""
+
+from typing import Dict, Set
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.traffic_matrix import TrafficMatrix, cluster_traffic
 from repro.framework.exploration import (
     estimate_interconnect_energy_pj,
+    estimate_synapse_energy_pj,
     explore_architecture,
     explore_swarm_size,
     normalized_energies,
 )
+from repro.hardware.architecture import Architecture
 from repro.hardware.presets import custom
+from repro.noc.multichip import MultiChipTopology
+from repro.noc.routing import routing_for
+from repro.snn.graph import SpikeGraph
+
+
+def global_destinations(
+    graph: SpikeGraph, assignment: np.ndarray
+) -> Dict[int, Set[int]]:
+    """Remote crossbars each neuron must reach: ``neuron -> {crossbar}``.
+
+    Only neurons with at least one inter-crossbar synapse appear.
+    Self-loops and local synapses contribute nothing.  Computed with one
+    ``np.unique`` over encoded ``(src, dst_cluster)`` pairs rather than
+    a per-synapse Python loop.
+    """
+    if assignment.shape[0] != graph.n_neurons:
+        raise ValueError(
+            f"assignment covers {assignment.shape[0]} neurons, graph has "
+            f"{graph.n_neurons}"
+        )
+    src_cluster = assignment[graph.src]
+    dst_cluster = assignment[graph.dst]
+    remote = src_cluster != dst_cluster
+    if not remote.any():
+        return {}
+    if int(dst_cluster[remote].min()) < 0:
+        # Negative ids would corrupt the (neuron, cluster) key encoding
+        # below; every downstream consumer rejects them anyway.
+        raise ValueError(
+            "assignment contains negative cluster id "
+            f"{int(dst_cluster[remote].min())}"
+        )
+    stride = int(dst_cluster[remote].max()) + 1
+    keys = np.unique(graph.src[remote] * stride + dst_cluster[remote])
+    neurons = keys // stride
+    clusters = keys % stride
+    bounds = np.flatnonzero(np.diff(neurons)) + 1
+    starts = np.concatenate(([0], bounds))
+    return {
+        int(neurons[s]): set(group.tolist())
+        for s, group in zip(starts, np.split(clusters, bounds))
+    }
+
+
+def estimate_interconnect_energy_pj_reference(
+    graph: SpikeGraph,
+    assignment: np.ndarray,
+    architecture: Architecture,
+) -> float:
+    """The per-neuron loop over :func:`global_destinations` that
+    :func:`estimate_interconnect_energy_pj` replaced."""
+    topology = architecture.build_topology()
+    routing = routing_for(topology)
+    bridged = isinstance(topology, MultiChipTopology) and topology.n_chips > 1
+    assignment = np.asarray(assignment, dtype=np.int64)
+    neuron_spikes = TrafficMatrix(graph).neuron_spikes
+    dests = global_destinations(graph, assignment)
+
+    spike_hops = encodes = decodes = crossings = 0.0
+    for neuron, clusters in dests.items():
+        spikes = float(neuron_spikes[neuron])
+        if spikes == 0.0:
+            continue
+        own_node = topology.node_of_crossbar(int(assignment[neuron]))
+        encodes += spikes  # one encode per spike event
+        for c in clusters:
+            dst_node = topology.node_of_crossbar(c)
+            spike_hops += spikes * routing.distance(own_node, dst_node)
+            decodes += spikes
+            if bridged:
+                crossings += spikes * topology.bridge_crossings_on_route(
+                    routing, own_node, dst_node
+                )
+    return architecture.energy.estimate_global_energy_pj(
+        spike_hops, encodes, decodes, bridge_crossings=crossings
+    )
+
+
+def estimate_synapse_energy_pj_reference(
+    graph: SpikeGraph,
+    assignment: np.ndarray,
+    architecture: Architecture,
+) -> float:
+    """The crossbar-pair loop :func:`estimate_synapse_energy_pj`
+    replaced."""
+    topology = architecture.build_topology()
+    routing = routing_for(topology)
+    bridged = isinstance(topology, MultiChipTopology) and topology.n_chips > 1
+    matrix = cluster_traffic(graph, assignment, architecture.n_crossbars)
+    spike_hops = crossing = bridge_crossings = 0.0
+    for k1 in range(architecture.n_crossbars):
+        for k2 in range(architecture.n_crossbars):
+            spikes = matrix[k1, k2]
+            if k1 == k2 or spikes == 0.0:
+                continue
+            n1 = topology.node_of_crossbar(k1)
+            n2 = topology.node_of_crossbar(k2)
+            spike_hops += spikes * routing.distance(n1, n2)
+            crossing += spikes
+            if bridged:
+                bridge_crossings += spikes * topology.bridge_crossings_on_route(
+                    routing, n1, n2
+                )
+    return architecture.energy.estimate_global_energy_pj(
+        spike_hops, crossing, crossing, bridge_crossings=bridge_crossings
+    )
 
 
 class TestExploreArchitecture:
@@ -93,6 +212,53 @@ class TestEstimateEnergy:
         assert e_star == e_tree  # both are 2 hops for 2 crossbars
 
 
+@st.composite
+def estimate_cases(draw):
+    """A graph, an assignment and a platform: tree / mesh / torus, or a
+    multi-chip board of one with its own bridge latency; at most 12
+    crossbars, or past 64 (reach masks of several words).  Graph and
+    assignment come from a drawn seed, so a failure shrinks fast."""
+    n = draw(st.integers(1, 40), label="neurons")
+    n_edges = draw(st.integers(0, 120), label="synapses")
+    c = draw(st.one_of(st.integers(2, 12), st.integers(65, 72)), label="crossbars")
+    arch = custom(
+        n_crossbars=c,
+        neurons_per_crossbar=n,
+        interconnect=draw(st.sampled_from(["tree", "mesh", "torus"])),
+        n_chips=draw(st.sampled_from([1, 1, 2, 3]), label="chips"),
+        bridge_latency=draw(st.integers(1, 4), label="bridge_latency"),
+    )
+    integer = draw(st.booleans(), label="integer_traffic")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    traffic = (
+        rng.integers(0, 1000, n_edges).astype(np.float64)
+        if integer
+        else rng.uniform(0.0, 1e3, n_edges)
+    )
+    graph = SpikeGraph.from_edges(
+        n, rng.integers(0, n, n_edges), rng.integers(0, n, n_edges), traffic
+    )
+    return graph, rng.integers(0, c, n), arch, integer
+
+
+class TestEstimatorOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(case=estimate_cases())
+    def test_estimators_match_the_replaced_loops(self, case):
+        """Integer-valued traffic, as simulated spike counts are, sums
+        exactly in any order, so it must give ``==``.  The contraction
+        sums arbitrary float traffic in another order than the loops,
+        which can move the last bits: ``rel=1e-12``."""
+        graph, a, arch, integer = case
+        for estimate, oracle in (
+            (estimate_interconnect_energy_pj, estimate_interconnect_energy_pj_reference),
+            (estimate_synapse_energy_pj, estimate_synapse_energy_pj_reference),
+        ):
+            want = oracle(graph, a, arch)
+            got = estimate(graph, a, arch)
+            assert got == (want if integer else pytest.approx(want, rel=1e-12))
+
+
 class TestExploreSwarmSize:
     def test_points_and_normalization(self, tiny_graph, two_cluster_arch):
         points = explore_swarm_size(
@@ -165,9 +331,6 @@ class TestMultiChipEstimates:
         # 2 chips of 1 crossbar each: every remote flow crosses exactly
         # one bridge, so the difference is the crossing spikes * 500 pJ
         # (bridge_latency=1 keeps routed distances identical to flat).
-        from repro.core.traffic_matrix import TrafficMatrix
-        from repro.noc.traffic import global_destinations
-
         spikes = TrafficMatrix(tiny_graph).neuron_spikes
         crossing = sum(
             float(spikes[n]) * len(cs)

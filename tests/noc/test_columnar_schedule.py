@@ -12,6 +12,11 @@ Three equivalence contracts are pinned here:
 3. **Multi-word masks** — fabrics past 63 routers (where destination
    masks span several uint64 words) must run through the compiled
    kernel bit-identically to the reference backend.
+
+:func:`reference_injection_rows` (and :func:`build_injections_reference`,
+its rows as a schedule) is the row-oriented builder the columnar ones
+replaced, kept here as their oracle; ``benchmarks/test_large_mesh.py``
+times the batch builder against it.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import pickle
+from typing import List, Tuple
 
 import numpy as np
 import pytest
@@ -30,20 +36,76 @@ from repro.noc._ckernel import load_kernel
 from repro.noc.fastsim import FastInterconnect
 from repro.noc.faults import inject_random_faults
 from repro.noc.interconnect import Interconnect, NocConfig
+from repro.noc.packet import Injection
 from repro.noc.parallel import parallel_simulate_many
 from repro.noc.stats import summarize
-from repro.noc.topology import build_topology, mesh_for
+from repro.noc.topology import Topology, build_topology, mesh_for
 from repro.noc.traffic import (
     ColumnarSchedule,
     build_injections,
     build_injections_batch,
-    build_injections_reference,
     dense_node_ids,
-    reference_injection_rows,
     synthetic_injections,
 )
 from repro.obs import observe
 from repro.snn.graph import SpikeGraph
+from repro.utils.validation import check_positive
+from tests.framework.test_exploration import global_destinations
+
+
+def reference_injection_rows(
+    graph: SpikeGraph,
+    assignment: np.ndarray,
+    topology: Topology,
+    cycles_per_ms: float = 10.0,
+) -> Tuple[List[Injection], int]:
+    """Row-oriented reference builder (one ``Injection`` object at a time).
+
+    The original pure-Python implementation, kept as the oracle the
+    columnar builders' injection streams are compared with and as the
+    baseline the batched builder is benchmarked against.  Returns the
+    rows, sorted by ``(cycle, uid)``, and the number of source neurons
+    (those with a remote destination).
+    """
+    check_positive("cycles_per_ms", cycles_per_ms)
+    assignment = np.asarray(assignment, dtype=np.int64)
+    dests = global_destinations(graph, assignment)
+
+    injections: List[Injection] = []
+    uid = 0
+    for neuron in sorted(dests):
+        crossbars = dests[neuron]
+        src_node = topology.node_of_crossbar(int(assignment[neuron]))
+        dst_nodes = tuple(sorted(topology.node_of_crossbar(c) for c in crossbars))
+        for t_ms in graph.spike_times[neuron]:
+            injections.append(
+                Injection(
+                    cycle=int(round(t_ms * cycles_per_ms)),
+                    src_node=src_node,
+                    dst_nodes=dst_nodes,
+                    src_neuron=neuron,
+                    uid=uid,
+                )
+            )
+            uid += 1
+    injections.sort(key=lambda i: (i.cycle, i.uid))
+    return injections, len(dests)
+
+
+def build_injections_reference(
+    graph: SpikeGraph,
+    assignment: np.ndarray,
+    topology: Topology,
+    cycles_per_ms: float = 10.0,
+) -> ColumnarSchedule:
+    """The rows of :func:`reference_injection_rows` as a schedule,
+    through :meth:`ColumnarSchedule.from_injections`."""
+    rows, n_source_neurons = reference_injection_rows(
+        graph, assignment, topology, cycles_per_ms
+    )
+    return ColumnarSchedule.from_injections(
+        rows, dense_node_ids(topology), n_source_neurons, cycles_per_ms
+    )
 
 
 def record_tuples(stats):

@@ -5,11 +5,11 @@ import pytest
 
 from repro.noc.traffic import (
     build_injections,
-    global_destinations,
     synthetic_injections,
 )
 from repro.noc.topology import star, tree
 from repro.snn.graph import SpikeGraph
+from tests.framework.test_exploration import global_destinations
 
 
 def _graph_with_spikes():

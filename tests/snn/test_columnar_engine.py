@@ -1,11 +1,18 @@
-"""Columnar vs reference SNN engine: bit-identical spike trains.
+"""Columnar SNN engine vs the reference loop: bit-identical spike trains.
 
 The columnar engine (precomputed source spikes, fused LIF stepping,
 CSR/dense delivery, one sort/split at the end) must reproduce the
 reference per-tick loop exactly — spike times AND learned STDP weights —
 across dt, delays, source types, neuron models, sparsity regimes and
 learning configurations.
+
+:func:`run_reference` is that loop (``self`` is the ``Simulation`` it
+reads ``network``, ``dt``, ``rng`` and ``stdp`` from);
+``benchmarks/test_frontend_speedup.py`` times the engine against it.
 """
+
+from collections import deque
+from typing import Dict, List
 
 import numpy as np
 import pytest
@@ -18,22 +25,113 @@ from repro.snn.generators import (
     SpikeSource,
 )
 from repro.snn.network import Network
-from repro.snn.neuron import AdaptiveLIFModel, IzhikevichModel, LIFModel
-from repro.snn.simulator import Simulation, run_network
-from repro.snn.stdp import STDPRule
+from repro.snn.neuron import AdaptiveLIFModel, IzhikevichModel, LIFModel, NeuronState
+from repro.snn.simulator import Simulation, SimulationResult, run_network
+from repro.snn.stdp import STDPRule, STDPState
+
+
+def run_reference(self, duration_ms: float, learning: bool) -> SimulationResult:
+    n_steps = int(round(duration_ms / self.dt))
+    net = self.network
+
+    states: Dict[str, NeuronState] = {}
+    for pop in net.populations:
+        if not pop.is_source:
+            states[pop.name] = pop.model.allocate_state(pop.size)
+        elif pop.source is not None:
+            pop.source.reset()
+
+    # Per-projection delay lines: deque of spike-index arrays, one slot
+    # per tick of delay.  Slot 0 is delivered on the *next* tick.
+    delay_lines: Dict[int, deque] = {}
+    for pi, proj in enumerate(net.projections):
+        ticks = max(1, int(round(proj.delay_ms / self.dt)))
+        delay_lines[pi] = deque(
+            [np.empty(0, dtype=np.int64) for _ in range(ticks)], maxlen=ticks
+        )
+
+    stdp_states: Dict[int, STDPState] = {}
+    if self.stdp is not None:
+        for pi, proj in enumerate(net.projections):
+            if proj.plastic:
+                stdp_states[pi] = self.stdp.allocate_state(
+                    proj.pre.size, proj.post.size
+                )
+
+    recorded: List[List[float]] = [[] for _ in range(net.n_neurons)]
+    out_projections: Dict[str, List[int]] = {pop.name: [] for pop in net.populations}
+    for pi, proj in enumerate(net.projections):
+        out_projections[proj.pre.name].append(pi)
+
+    for step in range(n_steps):
+        t_now = step * self.dt
+
+        # 1. Deliver delayed spikes into input currents.
+        currents: Dict[str, np.ndarray] = {
+            pop.name: np.full(pop.size, pop.bias_current, dtype=np.float64)
+            for pop in net.populations
+            if not pop.is_source
+        }
+        arrivals: Dict[int, np.ndarray] = {}
+        for pi, proj in enumerate(net.projections):
+            arriving = delay_lines[pi][0]
+            arrivals[pi] = arriving
+            if arriving.size and not proj.post.is_source:
+                currents[proj.post.name] += proj.weights[arriving, :].sum(axis=0)
+
+        # 2. Advance dynamics / sample sources; collect this tick's spikes.
+        spikes_by_pop: Dict[str, np.ndarray] = {}
+        for pop in net.populations:
+            if pop.is_source:
+                fired = pop.source.sample(step, self.dt, self.rng)
+            else:
+                mask = pop.model.step(
+                    states[pop.name], currents[pop.name], self.dt
+                )
+                fired = np.nonzero(mask)[0]
+            spikes_by_pop[pop.name] = fired
+            base = pop.id_offset
+            for local in fired:
+                recorded[base + int(local)].append(t_now)
+
+        # 3. STDP on plastic projections (pre arrivals vs post spikes).
+        if self.stdp is not None and learning:
+            for pi, state in stdp_states.items():
+                proj = net.projections[pi]
+                self.stdp.step(
+                    state,
+                    proj.weights,
+                    pre_spikes=spikes_by_pop[proj.pre.name],
+                    post_spikes=spikes_by_pop[proj.post.name],
+                    dt=self.dt,
+                )
+
+        # 4. Enqueue emitted spikes on outgoing delay lines.
+        for pop in net.populations:
+            fired = spikes_by_pop[pop.name]
+            for pi in out_projections[pop.name]:
+                delay_lines[pi].append(fired)
+
+    spike_arrays = [np.asarray(times, dtype=np.float64) for times in recorded]
+    return SimulationResult(
+        network_name=net.name,
+        duration_ms=n_steps * self.dt,
+        dt=self.dt,
+        spike_times=spike_arrays,
+    )
 
 
 def assert_engines_identical(net, duration, dt=1.0, seed=7, stdp=None,
                              learning=True):
     """Run both engines from identical initial state; compare everything."""
     saved_weights = [proj.weights.copy() for proj in net.projections]
-    ref = Simulation(net, dt=dt, seed=seed, stdp=stdp,
-                     engine="reference").run(duration, learning=learning)
+    ref = run_reference(Simulation(net, dt=dt, seed=seed, stdp=stdp),
+                         duration, learning)
     ref_weights = [proj.weights.copy() for proj in net.projections]
     for proj, w in zip(net.projections, saved_weights):
         proj.weights[...] = w
-    col = Simulation(net, dt=dt, seed=seed, stdp=stdp,
-                     engine="columnar").run(duration, learning=learning)
+    col = Simulation(net, dt=dt, seed=seed, stdp=stdp).run(
+        duration, learning=learning)
     assert ref.duration_ms == col.duration_ms
     assert ref.dt == col.dt
     for gid, (a, b) in enumerate(zip(ref.spike_times, col.spike_times)):
@@ -162,10 +260,10 @@ class TestEquivalenceMatrix:
 
         monkeypatch.setattr(simulator_module, "CSR_MIN_DENSE_SIZE", 0)
         monkeypatch.setattr(simulator_module, "CSR_DENSITY_THRESHOLD", 1.0)
-        all_csr = Simulation(net, seed=7, engine="columnar").run(150.0)
+        all_csr = Simulation(net, seed=7).run(150.0)
 
         monkeypatch.setattr(simulator_module, "CSR_MIN_DENSE_SIZE", 10**12)
-        all_dense = Simulation(net, seed=7, engine="columnar").run(150.0)
+        all_dense = Simulation(net, seed=7).run(150.0)
 
         for a, b in zip(all_csr.spike_times, all_dense.spike_times):
             assert np.array_equal(a, b)
@@ -210,7 +308,7 @@ class TestEquivalenceMatrix:
 class TestColumnarResult:
     def test_counts_cached_and_consistent(self):
         net = _lif_recurrent_net()
-        result = Simulation(net, seed=1, engine="columnar").run(100.0)
+        result = Simulation(net, seed=1).run(100.0)
         assert result.counts is not None
         assert np.array_equal(
             result.counts,
@@ -219,20 +317,16 @@ class TestColumnarResult:
 
     def test_spike_times_sorted_per_neuron(self):
         net = _lif_recurrent_net()
-        result = Simulation(net, seed=1, engine="columnar").run(100.0)
+        result = Simulation(net, seed=1).run(100.0)
         for t in result.spike_times:
             assert np.all(np.diff(t) > 0)
 
-    def test_unknown_engine_rejected(self):
-        net = Network("n")
-        net.add_population("a", 1, LIFModel())
-        with pytest.raises(ValueError, match="engine"):
-            Simulation(net, engine="warp")
-
     def test_run_network_engine_kwarg(self):
+        """``run_network`` runs the engine: its trains equal the oracle's."""
         net = _lif_recurrent_net()
-        a = run_network(net, 80.0, seed=2, engine="columnar")
-        b = run_network(net, 80.0, seed=2, engine="reference")
+        a = run_network(net, 80.0, seed=2)
+        b = run_reference(Simulation(net, seed=2), 80.0, True)
+        assert len(a.spike_times) == len(b.spike_times)
         for x, y in zip(a.spike_times, b.spike_times):
             assert np.array_equal(x, y)
 
