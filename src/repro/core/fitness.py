@@ -11,9 +11,9 @@ as options (all default off, matching the paper):
   this variant matches the hardware cost more closely; the ablation bench
   compares both.  A swarm costs one
   :meth:`~repro.core.traffic_matrix.TrafficMatrix.reach_masks` pass (a
-  gather and a grouped OR over the synapse pairs) plus a popcount, and
-  is exact for integer spike counts, as is the per-synapse ``spikes``
-  form (a blocked sum over the same pairs).
+  grouped OR per distinct target set, gathered to the sources) plus a
+  popcount, and is exact for integer spike counts, as is the
+  per-synapse ``spikes`` form (a blocked sum over the synapse pairs).
 - ``hop_weighted`` — weight each crossing by the routed hop distance
   between the two crossbars, approximating energy rather than congestion.
   Evaluated through a precomputed crossbar-to-crossbar hop matrix, so
@@ -43,6 +43,7 @@ from repro.core.traffic_matrix import TrafficMatrix
 from repro.noc.routing import RoutingTable
 from repro.noc.topology import Topology
 from repro.snn.graph import SpikeGraph
+from repro.utils.validation import check_index_range
 
 #: Penalty per undelivered (packet, destination) pair in noc_in_loop
 #: mode: a mapping that deadlocks or cannot drain must always lose to
@@ -219,12 +220,14 @@ class InterconnectFitness:
         return self.topology.crossbar_hop_matrix(self.routing)
 
     def _check_clusters(self, a: np.ndarray) -> None:
-        c = self.topology.n_attach_points
-        if a.size and int(a.max()) >= c:
+        if a.shape[-1] != self.graph.n_neurons:
             raise ValueError(
-                f"assignment uses cluster {int(a.max())} but the topology "
-                f"has only {c} crossbar attach points"
+                f"assignments cover {a.shape[-1]} neurons, expected "
+                f"{self.graph.n_neurons}"
             )
+        # A negative id would index the hop matrix from its far end.
+        c = self.topology.n_attach_points
+        check_index_range(f"assignment over {c} crossbar attach points", a, c)
 
     def _hop_weighted(self, assignment: np.ndarray) -> float:
         """Eq. 8 weighted by routed hop distance, one assignment.

@@ -16,8 +16,21 @@ remote crossbars (or routers) the neuron's synapses reach, as bitmasks.
 A spike costs the interconnect one AER packet per member of that set, so
 both the closed-form ``packets`` objective (a popcount of the masks) and
 the NoC schedules of :mod:`repro.noc.traffic` (the masks *are* the
-destination words) read it.  The one loop under both takes the word
-type as a parameter: schedules get ``uint64`` words, the kernel's
+destination words) read it, and so do the analytic energy estimates
+of :mod:`repro.framework.exploration`.
+
+A neuron's reach depends only on its *target set* and its own cluster,
+and on feed-forward graphs most sources share their whole target set
+with others: of the bench graphs, synth_2x200's 42 000 pairs hold 2
+distinct sets (400 pairs), hello_world's 1 053 one set (9 pairs) and
+digit_recognition's 258 500 pairs 501 sets (62 750 pairs); heartbeat
+and image_smoothing share none.  So the loop ORs ``1 << position`` over
+each distinct set once, gathers each set's words to its sources and
+clears each source's own bit — the same words as one OR per source,
+since OR ignores order and the own bit stays per source.  The sets are
+found once per matrix (:meth:`TrafficMatrix._group_target_sets`); with
+none shared the set-to-source gather is the identity.  The loop takes
+the word type as a parameter: schedules get ``uint64`` words, the kernel's
 format; the objective, which only counts bits, gets the narrowest
 unsigned type that holds the cluster count (one byte per gathered word
 at up to 8 crossbars instead of eight) — chosen from the assignments,
@@ -38,14 +51,30 @@ from repro.noc.traffic import n_mask_words
 from repro.snn.graph import SpikeGraph
 from repro.utils.validation import check_index_range
 
-#: Transient bytes the reach loop may hold per row block (the
-#: ``(rows, n_pairs)`` gather), so peak memory does not grow with the
-#: swarm size.
+#: Transient bytes the reach loop may hold per row block (the wider of
+#: the ``(rows, set pairs)`` gather and the ``(rows, sources)`` words),
+#: so peak memory does not grow with the swarm size.
 _BLOCK_BYTES = 1 << 22
 
 #: Bytes of the float64 ``(pairs, rows)`` buffer the ``spikes`` sum reuses
 #: per block of pairs: small enough to stay in cache.
 _SUM_BLOCK_BYTES = 1 << 20
+
+
+def _slice_digests(dst: np.ndarray, starts: np.ndarray, n_neurons: int) -> np.ndarray:
+    """An order-free uint64 hash of each slice ``dst[starts[i]:starts[i+1]]``.
+
+    splitmix64's finalizer of each neuron id, summed (mod 2**64) per
+    slice: equal slices hash equal, unequal ones almost never do.
+    """
+    z = np.arange(n_neurons, dtype=np.uint64)
+    z += np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.add.reduceat(z[dst], starts)
 
 
 class TrafficMatrix:
@@ -66,9 +95,11 @@ class TrafficMatrix:
         pair_key = graph.src * graph.n_neurons + graph.dst
         order = np.argsort(pair_key, kind="stable")
         key_sorted = pair_key[order]
-        traffic_sorted = graph.traffic[order]
-        unique_keys, starts = np.unique(key_sorted, return_index=True)
-        sums = np.add.reduceat(traffic_sorted, starts) if unique_keys.size else (
+        first = np.ones(key_sorted.shape[0], dtype=bool)
+        np.not_equal(key_sorted[1:], key_sorted[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        unique_keys = key_sorted[starts]
+        sums = np.add.reduceat(graph.traffic[order], starts) if starts.size else (
             np.empty(0, dtype=np.float64)
         )
         self.src = (unique_keys // graph.n_neurons).astype(np.int64)
@@ -80,13 +111,49 @@ class TrafficMatrix:
         self.dst = self.dst[off_diag]
         self.traffic = self.traffic[off_diag]
         self.total = float(self.traffic.sum())
-        # The pairs are sorted by source: each source neuron owns one run,
-        # which is what lets reach_masks fold a run with one reduceat.
+        # The pairs are sorted by (src, dst): each source neuron owns one
+        # run, and the run's dst slice *is* the neuron's target set.
         new_run = np.ones(self.src.shape[0], dtype=bool)
         np.not_equal(self.src[1:], self.src[:-1], out=new_run[1:])
-        self._run_starts = np.flatnonzero(new_run)
-        self._run_sources = self.src[self._run_starts]
+        run_starts = np.flatnonzero(new_run)
+        self._run_sources = self.src[run_starts]
         self._run_spikes = self.neuron_spikes[self._run_sources]
+        self._group_target_sets(run_starts)
+
+    def _group_target_sets(self, run_starts: np.ndarray) -> None:
+        """Give the source runs that hold the same targets one set.
+
+        Sets ``_set_dst`` / ``_set_starts`` (the distinct dst slices,
+        concatenated, and where each begins) and ``_run_set`` (each
+        source run's set).  Candidates share an order-free hash of their
+        slice; a run joins the first run of its hash only if the two
+        slices are equal element for element, so a collision costs
+        sharing, never correctness.
+        """
+        n_runs = run_starts.shape[0]
+        self._set_dst, self._set_starts = self.dst, run_starts
+        self._run_set = np.arange(n_runs)
+        digest = _slice_digests(self.dst, run_starts, self.n_neurons)
+        by_digest = np.argsort(digest, kind="stable")
+        ordered = digest[by_digest]
+        head = np.ones(n_runs, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+        if head.all():
+            return  # no two sources can share a set
+        rep = np.empty(n_runs, dtype=np.int64)
+        rep[by_digest] = by_digest[head][np.cumsum(head) - 1]
+        lengths = np.diff(run_starts, append=self.n_pairs)
+        cand = (rep != self._run_set) & (lengths == lengths[rep])
+        # partner[p]: the pair at p's offset in its representative's run
+        # (p itself outside candidates, whose lengths match by now).
+        partner = np.repeat(np.where(cand, run_starts[rep] - run_starts, 0), lengths)
+        partner += np.arange(self.n_pairs)
+        same = np.logical_and.reduceat(self.dst[partner] == self.dst, run_starts)
+        heads = ~(cand & same)
+        rep[heads] = self._run_set[heads]
+        self._run_set = (np.cumsum(heads) - 1)[rep]
+        self._set_dst = self.dst[np.repeat(heads, lengths)]
+        self._set_starts = np.cumsum(lengths[heads]) - lengths[heads]
 
     @property
     def n_pairs(self) -> int:
@@ -95,8 +162,11 @@ class TrafficMatrix:
     # -- scalar evaluation ----------------------------------------------------
 
     def global_traffic(self, assignment: np.ndarray) -> float:
-        """Eq. 8: spikes crossing crossbar boundaries under ``assignment``."""
-        a = np.asarray(assignment)
+        """Eq. 8: spikes crossing crossbar boundaries under ``assignment``.
+
+        A negative cluster id raises ``ValueError``, as in the batch form.
+        """
+        a = self._rows(assignment)[0]
         cross = a[self.src] != a[self.dst]
         return float(self.traffic[cross].sum())
 
@@ -160,6 +230,9 @@ class TrafficMatrix:
         len(_run_sources))`` unsigned integers of ``width`` bits — by
         default the narrowest of 8/16/32/64 that holds ``n_bits``.  Bit
         position ``b`` is bit ``b % width`` of word ``b // width``.
+        Per block and word: one gather over the distinct target sets'
+        pairs, one ``bitwise_or.reduceat`` per set, one gather of the
+        sets' words to their sources, minus each source's own bit.
         """
         a = self._rows(assignments)
         position = a if index is None else np.asarray(index, dtype=np.int64)[a]
@@ -174,7 +247,8 @@ class TrafficMatrix:
             if not self.n_pairs:
                 return
             sources = self._run_sources
-            block = max(1, _BLOCK_BYTES // (width // 8 * self.n_pairs))
+            widest = max(self._set_dst.shape[0], sources.shape[0])
+            block = max(1, _BLOCK_BYTES // (width // 8 * widest))
             for lo in range(0, a.shape[0], block):
                 rows = position[lo : lo + block]
                 # width is a power of two: divmod by shift and mask.
@@ -182,9 +256,10 @@ class TrafficMatrix:
                 bit = np.left_shift(word(1), (rows & (width - 1)).astype(word))
                 for w in range(n_words):
                     own = bit * (in_word == w)
-                    reach = np.bitwise_or.reduceat(
-                        np.take(own, self.dst, axis=1), self._run_starts, axis=1
+                    sets = np.bitwise_or.reduceat(
+                        np.take(own, self._set_dst, axis=1), self._set_starts, axis=1
                     )
+                    reach = np.take(sets, self._run_set, axis=1)
                     reach &= ~own[:, sources]
                     yield lo, w, reach
 
@@ -208,10 +283,12 @@ class TrafficMatrix:
         A negative cluster id raises ``ValueError``; ids past the end of
         ``index`` are the caller's to check.
 
-        One ``1 << position`` per neuron, one gather over the
-        source-sorted pairs and one ``bitwise_or.reduceat`` over each
-        source's run, per mask word — any number of clusters, no
-        per-particle work.  Rows go through in blocks of at most
+        One ``1 << position`` per neuron, one gather over the pairs of
+        the distinct target sets, one ``bitwise_or.reduceat`` per set and
+        one gather of the sets' words to their source neurons, per mask
+        word — any number of clusters, no per-particle work, and a cost
+        that follows the graph's distinct fan-out rather than its
+        synapse count.  Rows go through in blocks of at most
         ``_BLOCK_BYTES`` of gathered words.
         """
         n_rows, n_words, blocks = self._reach_blocks(
@@ -236,7 +313,10 @@ class TrafficMatrix:
         """AER packet counts for a (P, N) batch of assignments (or one).
 
         ``sum_n spikes_n * |reach(p, n)|``: a popcount of the reach
-        words weighted by the per-neuron spike counts.  Only the count
+        words weighted by the per-neuron spike counts.  The words come
+        from one OR per distinct target set, gathered to the sources, so
+        a swarm pays for the graph's distinct fan-out (2 sets on
+        synth_2x200's 42 000 pairs), not for its synapses.  Only the count
         is read, so the words are as narrow as the cluster count allows
         (uint8 up to 8 clusters ... uint64 up to 64, several uint64 words
         past that — a function of the input, the same loop as

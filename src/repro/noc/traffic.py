@@ -461,7 +461,7 @@ class SpikeEvents:
     mappings of one graph (:class:`~repro.core.fitness.InterconnectFitness`
     keeps one for its lifetime and hands it to the builders), or on the
     spot by a bare :func:`build_injections` / :func:`build_injections_batch`
-    call.  The graph must not change while the object is in use.
+    call.
 
     The graph's spike events are converted to cycles
     (``int(round(t * cycles_per_ms))``, IEEE round-half-even) and stably

@@ -146,6 +146,25 @@ class TestHopWeightedVariant:
         with pytest.raises(ValueError, match="attach points"):
             fit.evaluate(np.array([0, 0, 0, 0, 9, 9, 9, 9]))
 
+    def _hop_fit(self, graph):
+        topo = tree(4)
+        return InterconnectFitness(
+            graph, hop_weighted=True, topology=topo, routing=routing_for(topo)
+        )
+
+    def test_negative_cluster_rejected_by_evaluate(self, tiny_graph):
+        """-1 used to index the hop matrix from its far end: the mapping
+        scored as if those neurons sat on crossbar 3."""
+        fit = self._hop_fit(tiny_graph)
+        with pytest.raises(ValueError, match="attach points"):
+            fit.evaluate(np.array([0, 0, 0, 0, -1, -1, 1, 1]))
+
+    def test_negative_cluster_rejected_by_evaluate_batch(self, tiny_graph):
+        fit = self._hop_fit(tiny_graph)
+        batch = np.array([[0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 0, 0, -1, -1, 1, 1]])
+        with pytest.raises(ValueError, match="attach points"):
+            fit.evaluate_batch(batch)
+
     def test_batch_is_vectorized_not_row_by_row(self, tiny_graph):
         """The batch path must not fall back to per-row evaluate."""
         topo = tree(4)
@@ -164,6 +183,33 @@ class TestHopWeightedVariant:
         batch = np.random.default_rng(0).integers(0, 4, size=(16, 8))
         fit.evaluate_batch(batch)
         assert calls == []
+
+
+@pytest.mark.parametrize("objective", ["spikes", "packets", "hop_weighted"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [0, 0, 0, 0, -1, -1, 1, 1],  # negative cluster id
+        [0, 0, 0, 0, 1, 1, 1],  # one neuron short
+        [0, 0, 0, 0, 1, 1, 1, 1, 1],  # one neuron too many
+    ],
+)
+def test_evaluate_and_evaluate_batch_reject_alike(tiny_graph, objective, bad):
+    """The single and the swarm path of one objective refuse the same
+    malformed assignments with the same exception type."""
+    topo = tree(4)
+    fit = InterconnectFitness(
+        tiny_graph,
+        count_packets=objective == "packets",
+        hop_weighted=objective == "hop_weighted",
+        topology=topo,
+        routing=routing_for(topo),
+    )
+    bad = np.array(bad)
+    with pytest.raises(ValueError):
+        fit.evaluate(bad)
+    with pytest.raises(ValueError):
+        fit.evaluate_batch(bad[None, :])
 
 
 class TestNocInLoopVariant:
