@@ -51,7 +51,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import fields, is_dataclass
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -480,18 +480,38 @@ def _sweep_point(
     token: Callable[[], Any],
     compute: Callable[[], Any],
 ) -> Any:
-    """One sweep point, memoized whole (kind ``sweep-point``, on disk).
+    """One sweep point, memoized whole: :func:`_sweep_points` of one."""
+    return _sweep_points(cache, replays, [token], lambda missing: [compute()])[0]
+
+
+def _sweep_points(
+    cache: Optional[ArtifactCache],
+    replays: bool,
+    tokens: Sequence[Callable[[], Any]],
+    compute: Callable[[List[int]], List[Any]],
+) -> List[Any]:
+    """Sweep points, each memoized whole (kind ``sweep-point``, on disk).
 
     The checkpoint of a long sweep: a point stored by a killed run is
-    read back by the next one on the same ``cache_dir``.  ``token()`` is
-    the point's content and is built only when there is a cache and the
-    point's seeds replay; otherwise this is ``compute()``.
+    read back by the next one on the same ``cache_dir``.  ``tokens[i]()``
+    is point ``i``'s content and is built only when there is a cache and
+    the points' seeds replay; ``compute(missing)`` returns the values of
+    the listed points, in that order, and runs once for all points the
+    cache does not hold (not at all when it holds every one).  Each
+    computed point is stored as its own entry.
     """
     if cache is None or not replays:
-        return compute()
-    key = cache.key("sweep-point", token())
-    found, value = cache.get(key)
-    if not found:
-        value = compute()
-        cache.put(key, value, persist=True)
-    return value
+        return compute(list(range(len(tokens))))
+    keys = [cache.key("sweep-point", token()) for token in tokens]
+    values: List[Any] = []
+    missing: List[int] = []
+    for i, key in enumerate(keys):
+        found, value = cache.get(key)
+        values.append(value)
+        if not found:
+            missing.append(i)
+    if missing:
+        for i, value in zip(missing, compute(missing)):
+            cache.put(keys[i], value, persist=True)
+            values[i] = value
+    return values

@@ -386,9 +386,16 @@ def _explore_chip_counts(args, graph) -> int:
 def _cmd_faults(args) -> int:
     """Monte-Carlo fault campaign, optionally fault-aware vs. baseline."""
     from repro.core.mapper import map_snn
-    from repro.framework.pipeline import run_fault_campaign
+    from repro.framework.pipeline import _fault_levels, run_fault_campaign
 
     if _reject_non_pso_noc(args.objective, [args.method]):
+        return 2
+    try:
+        _fault_levels(args.levels)
+    except ValueError as exc:
+        # A repeated level would count its draws twice; say so before
+        # anything is mapped.
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     graph = _build_graph(args)
     arch = _build_architecture(args, graph)

@@ -7,7 +7,7 @@ graph through mapping, interconnect simulation and metric aggregation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.mapper import SEED_FREE_METHODS, MappingResult, map_snn
@@ -19,7 +19,7 @@ from repro.metrics.report import (
     build_report,
     degradation_point,
 )
-from repro.noc.fastsim import build_interconnect
+from repro.noc.fastsim import FastInterconnect, build_interconnect, simulate_fabrics
 from repro.noc.faults import inject_random_faults
 from repro.noc.interconnect import NocConfig
 from repro.noc.stats import NocStats
@@ -224,11 +224,9 @@ class _Schedules:
 
 def _copy_pipeline_result(result: PipelineResult) -> PipelineResult:
     """Shallow-copy a cached result so callers cannot mutate the cache."""
-    import dataclasses
-
     from repro.core.mapper import _copy_mapping_result
 
-    return dataclasses.replace(
+    return replace(
         result,
         mapping=_copy_mapping_result(result.mapping),
         failed_links=list(result.failed_links),
@@ -283,6 +281,18 @@ def run_fault_sweep(
     return curve
 
 
+def _fault_levels(levels: Sequence[int]) -> Tuple[int, ...]:
+    """``levels`` as ints; a campaign sweeps each non-negative level once."""
+    levels = tuple(int(v) for v in levels)
+    negative = [v for v in levels if v < 0]
+    if negative:
+        raise ValueError(f"fault levels must be non-negative, got {negative[0]}")
+    repeated = sorted({v for v in levels if levels.count(v) > 1})
+    if repeated:
+        raise ValueError(f"fault levels must be distinct, got {repeated} twice")
+    return levels
+
+
 def run_fault_campaign(
     graph: SpikeGraph,
     architecture: Architecture,
@@ -307,14 +317,23 @@ def run_fault_campaign(
     ``campaign_seed`` always regenerates the same fault sets,
     regardless of execution order.
 
-    Each piece of work is done once: a mapping's schedule is reused on
+    A level is drawn first and simulated after: every cell of the level
+    draws its faults (one :func:`~repro.noc.faults.inject_random_faults`
+    call each), cells whose failed-link sets are equal share one
+    fabric, and every distinct fabric × mapping of the level is one
+    :func:`~repro.noc.fastsim.simulate_fabrics` dispatch — one kernel
+    call on the fast backend; the reference backend runs one engine per
+    distinct fabric.  Each cell then gets its own rows (its draw, seed
+    and failed links) in ``(level, draw, mapping)`` order.  Each other
+    piece of work is done once too: a mapping's schedule is reused on
     every draw that keeps the healthy fabric's addressing
     (:func:`~repro.noc.traffic.schedule_addressing`: link faults do; a
     dead bridge deletes relay routers, and those draws build their own),
     and level-0 draws take the healthy result instead of simulating it
-    again.  The span's ``schedules_built`` / ``fabrics_simulated`` and
-    the ``campaign.schedules_built`` / ``campaign.healthy_reuses``
-    counters report what was shared.
+    again.  The span's ``schedules_built`` / ``fabrics_simulated``
+    (the healthy fabric plus each distinct fault set) and the
+    ``campaign.schedules_built`` / ``campaign.healthy_reuses`` /
+    ``campaign.fabric_reuses`` counters report what was shared.
 
     Parameters
     ----------
@@ -324,20 +343,24 @@ def run_fault_campaign(
         ``None`` maps the graph once with ``method``/``seed``/
         ``spare_capacity`` and labels it ``method``.
     fault_levels / draws:
-        Link-fault counts to sweep, and seeded draws per level.
+        Link-fault counts to sweep, and seeded draws per level.  A
+        negative or repeated level raises ``ValueError`` before
+        anything is mapped or simulated.
     cache:
         An :class:`~repro.framework.artifacts.ArtifactCache`.  Memoizes
         the ``mappings=None`` mapping, and every finished ``(level,
         draw)`` whole (kind ``sweep-point``, on disk when the cache has
         a directory), keyed by what shapes it: graph and architecture
         content, every mapping's label and assignment, the NoC config,
-        the level, the draw and its child seed.  A killed campaign run
-        again on the same directory therefore computes only the missing
-        draws, a grown grid only the new ones, and a changed seed,
-        mapping or config hits nothing.
+        the level, the draw and its child seed.  A level's missing draws
+        are computed together and stored one entry each as the level
+        finishes, so a killed run loses at most the level in flight; run
+        again on the same directory it computes only the missing draws
+        (a grown grid only the new ones), and a changed seed, mapping or
+        config hits nothing.
     """
     from repro.framework.artifacts import (
-        _sweep_point,
+        _sweep_points,
         architecture_token,
         config_token,
         graph_token,
@@ -348,6 +371,7 @@ def run_fault_campaign(
 
     if draws <= 0:
         raise ValueError(f"draws must be positive, got {draws}")
+    levels = _fault_levels(fault_levels)
     if mappings is None:
         mappings = {
             method: map_snn(
@@ -364,34 +388,47 @@ def run_fault_campaign(
     schedules = _Schedules(graph, architecture)
     fabrics_simulated = 0
 
-    def simulate_all(topology: Topology) -> List[NocStats]:
-        """One engine per fabric; all labels' schedules in one batch."""
+    def measure(topologies: List[Topology]) -> List[Tuple[CampaignDraw, ...]]:
+        """One row per mapping on each fabric, as a healthy-form
+        ``CampaignDraw`` (its cells fill in their own identity): one
+        engine per fabric, every fabric's schedules in one dispatch."""
         nonlocal fabrics_simulated
-        fabrics_simulated += 1
-        batch = [
-            schedules.on(topology, mappings[label].assignment, label)
-            for label in labels
+        fabrics_simulated += len(topologies)
+        jobs = [
+            (
+                build_interconnect(topology, config=noc_config),
+                [
+                    schedules.on(topology, mappings[label].assignment, label)
+                    for label in labels
+                ],
+            )
+            for topology in topologies
         ]
-        engine = build_interconnect(topology, config=noc_config)
-        if hasattr(engine, "simulate_many"):
-            return list(engine.simulate_many(batch))
-        # backend="reference": one engine reused across the mappings,
-        # which relies on Interconnect starting every run empty.
-        return [engine.simulate(s) for s in batch]
+        if isinstance(jobs[0][0], FastInterconnect):
+            all_stats = simulate_fabrics(jobs)
+        else:
+            # backend="reference": one engine per fabric reused across
+            # the mappings, which relies on Interconnect starting every
+            # run empty.
+            all_stats = [[engine.simulate(s) for s in batch] for engine, batch in jobs]
+        return [
+            tuple(
+                row(label, stats, topology)
+                for label, stats in zip(labels, fabric_stats)
+            )
+            for topology, fabric_stats in zip(topologies, all_stats)
+        ]
 
-    def make_draw(
-        label: str, level: int, draw: int, fault_seed, failed,
-        stats: NocStats, topology: Topology,
-    ) -> CampaignDraw:
+    def row(label: str, stats: NocStats, topology: Topology) -> CampaignDraw:
         # One read of the latency column for both figures, computed as
         # NocStats.mean_latency() / max_latency() compute them.
         latency = stats.latencies()
         return CampaignDraw(
             mapping=label,
-            level=level,
-            draw=draw,
-            fault_seed=fault_seed,
-            failed_links=tuple(tuple(link) for link in failed),
+            level=0,
+            draw=-1,
+            fault_seed=None,
+            failed_links=(),
             mean_latency_cycles=float(latency.mean()) if latency.size else 0.0,
             max_latency_cycles=int(latency.max()) if latency.size else 0,
             global_energy_pj=architecture.energy.global_energy_pj(
@@ -405,7 +442,7 @@ def run_fault_campaign(
     campaign_span = obs.span(
         "run_fault_campaign",
         graph=graph.name,
-        levels=len(tuple(fault_levels)),
+        levels=len(levels),
         draws=draws,
         mappings=len(labels),
     )
@@ -416,15 +453,13 @@ def run_fault_campaign(
         summary = CampaignSummary(
             app=graph.name,
             topology_kind=healthy.kind,
-            levels=tuple(int(v) for v in fault_levels),
+            levels=levels,
             draws_per_level=draws,
             labels=labels,
         )
-        healthy_stats = simulate_all(healthy)
-        for label, stats in zip(labels, healthy_stats):
-            summary.healthy[label] = make_draw(
-                label, 0, -1, None, (), stats, healthy
-            )
+        (healthy_rows,) = measure([healthy])
+        for point in healthy_rows:
+            summary.healthy[point.mapping] = point
 
         # What every draw of this campaign shares, hashed once.
         replays = cache is not None and replayable(campaign_seed)
@@ -437,42 +472,65 @@ def run_fault_campaign(
                 config_token(noc_config),
             ))
 
-        def draw_point(
-            level: int, draw: int, child
-        ) -> Tuple["CampaignDraw", ...]:
-            with obs.span("campaign.draw", level=level, draw=draw):
-                topology, failed = _draw_faults(healthy, level, child)
-                # No fault drawn: this is the healthy fabric, whose
-                # result the campaign already has.
-                all_stats = simulate_all(topology) if level else healthy_stats
-                results = tuple(
-                    make_draw(label, level, draw, child, failed, stats,
-                              topology)
-                    for label, stats in zip(labels, all_stats)
-                )
+        def measure_level(
+            level: int, cells: List[Tuple[int, int]]
+        ) -> List[Tuple[CampaignDraw, ...]]:
+            """Draw every cell, simulate each distinct fault set once,
+            and give each cell its own rows."""
+            with obs.span("campaign.level", level=level, draws=len(cells)) as span:
+                drawn = []
+                fabric_of: dict = {}  # normalized failed-link set -> index
+                topologies: List[Topology] = []
+                for draw, child in cells:
+                    topology, failed = _draw_faults(healthy, level, child)
+                    fault_set = frozenset((min(u, v), max(u, v)) for u, v in failed)
+                    if fault_set and fault_set not in fabric_of:
+                        fabric_of[fault_set] = len(topologies)
+                        topologies.append(topology)
+                    drawn.append((draw, child, failed, fault_set))
+                # No fault drawn: that is the healthy fabric, whose rows
+                # the campaign already has.
+                rows = measure(topologies) if topologies else []
+                points = [
+                    tuple(
+                        replace(
+                            base, level=level, draw=draw, fault_seed=child,
+                            failed_links=tuple(tuple(link) for link in failed),
+                        )
+                        for base in (
+                            rows[fabric_of[fault_set]] if fault_set else healthy_rows
+                        )
+                    )
+                    for draw, child, failed, fault_set in drawn
+                ]
+                span.set(fabrics=len(topologies))
             if obs.enabled:
-                obs.inc("campaign.draws")
-                if not level:
-                    obs.inc("campaign.healthy_reuses")
+                faulted = sum(1 for *_, fault_set in drawn if fault_set)
+                obs.inc("campaign.draws", len(cells))
+                obs.inc("campaign.healthy_reuses", len(cells) - faulted)
+                obs.inc("campaign.fabric_reuses", faulted - len(topologies))
                 obs.inc(
                     "campaign.survivals",
-                    sum(1 for r in results if r.survived),
+                    sum(1 for point in points for r in point if r.survived),
                 )
-            return results
+            return points
 
-        for level in summary.levels:
-            for draw in range(draws):
-                child = derive_seed(campaign_seed, level, draw)
-                summary.draws.extend(_sweep_point(
-                    cache,
-                    replays,
-                    lambda: (problem, level, draw, child),
-                    lambda: draw_point(level, draw, child),
-                ))
+        for level in levels:
+            cells = [
+                (draw, derive_seed(campaign_seed, level, draw))
+                for draw in range(draws)
+            ]
+            for point in _sweep_points(
+                cache,
+                replays,
+                [lambda cell=cell: (problem, level, *cell) for cell in cells],
+                lambda missing: measure_level(level, [cells[i] for i in missing]),
+            ):
+                summary.draws.extend(point)
         if obs.enabled:
             obs.inc("campaign.schedules_built", len(schedules.built))
             campaign_span.set(
-                total_draws=len(summary.levels) * draws,
+                total_draws=len(levels) * draws,
                 schedules_built=len(schedules.built),
                 fabrics_simulated=fabrics_simulated,
             )

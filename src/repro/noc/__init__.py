@@ -18,8 +18,9 @@ surface:
 - :mod:`repro.noc.fastsim` — the compiled-kernel backend
   (``NocConfig(backend="fast")``), bit-identical to the reference loop
   (which it falls back to when no kernel can run) and batched via
-  ``FastInterconnect.simulate_many`` (one C call per batch, an OpenMP
-  thread team where the build has one);
+  ``simulate_fabrics`` / ``FastInterconnect.simulate_many`` (one C call
+  per batch, each schedule on its own fabric's tables, an OpenMP thread
+  team where the build has one);
 - :mod:`repro.noc.traffic` — converts a mapped spike graph into AER packet
   injection schedules, built columnar (``ColumnarSchedule`` arrays the
   fast backend consumes directly, with a lazy legacy ``Injection`` view)

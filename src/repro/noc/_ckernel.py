@@ -57,22 +57,30 @@ class KernelResult(ctypes.Structure):
     ]
 
 
-# The entry points: shared tables once, then CSR-concatenated
+class KernelFabric(ctypes.Structure):
+    """Mirror of the C ``Fabric`` struct: one network's tables."""
+
+    _fields_ = [
+        ("n_routers", ctypes.c_int32),
+        ("n_flat_ports", ctypes.c_int32),
+        ("port_base", _i32p),
+        ("nports", _i32p),
+        ("deg_off", _i32p),
+        ("nbr", _i32p),
+        ("out_mask", _u64p),
+        ("out_gp", _i32p),
+        ("out_eidx", _i32p),
+    ]
+
+
+# The entry points: fabric records once, then CSR-concatenated
 # per-schedule arrays (see the comment above nocsim_run_batch in the
 # C source for the exact layout).
 _ARGTYPES_BATCH = [
-    ctypes.c_int32,  # n_routers
-    ctypes.c_int32,  # n_flat_ports
-    _i32p,           # port_base
-    _i32p,           # nports
-    _i32p,           # deg_off
-    _i32p,           # nbr
-    _u64p,           # out_mask
-    _i32p,           # out_gp
-    _i32p,           # out_eidx
+    ctypes.POINTER(KernelFabric),  # fabrics [F]
+    _i32p,           # fabric_of [S]
     ctypes.c_int32,  # capacity
     ctypes.c_int32,  # ej_max
-    ctypes.c_int32,  # n_edges
     ctypes.c_int64,  # n_schedules
     _i64p,           # pk_off [S+1]
     _u64p,           # pk_mask (concatenated)
@@ -83,13 +91,16 @@ _ARGTYPES_BATCH = [
     _i32p,           # bucket_pid (concatenated, schedule-local pids)
     _i64p,           # deadline [S]
     ctypes.c_int32,  # n_threads
-    _i64p,           # link_counts [S * n_edges]
-    _i32p,           # peaks [S * n_flat_ports]
+    _i64p,           # link_off [S]
+    _i64p,           # link_counts (per-schedule slices)
+    _i64p,           # peak_off [S]
+    _i32p,           # peaks (per-schedule slices)
 ]
 
-# The multi-word entry point takes n_words right after n_routers; the
-# mask-carrying pointers then address n_words uint64 per entry.
-_ARGTYPES_BATCH_MW = _ARGTYPES_BATCH[:1] + [ctypes.c_int32] + _ARGTYPES_BATCH[1:]
+# The multi-word entry point takes the call's n_words right after
+# fabric_of; the mask-carrying pointers then address n_words uint64 per
+# entry.
+_ARGTYPES_BATCH_MW = _ARGTYPES_BATCH[:2] + [ctypes.c_int32] + _ARGTYPES_BATCH[2:]
 
 _cached: Optional[ctypes.CDLL] = None
 _load_attempted = False

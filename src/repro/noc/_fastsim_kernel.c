@@ -30,15 +30,19 @@
  *
  * The only entry points are the batch ones (nocsim_run_batch /
  * nocsim_run_batch_mw); a single simulation is a batch of one.  They
- * take the shared network tables (port layout, next-hop masks, edge
- * ids) once plus concatenated per-schedule packet and bucket arrays
- * (CSR-style offsets) and run every schedule in one call — parallel
- * over independent schedules with OpenMP when compiled with -fopenmp, a
- * plain serial loop otherwise.  Each schedule writes its delivery log
- * (meta index, destination router, cycle, hop count) and cycle count
- * into its own Result slab and its link loads / per-port peak
- * occupancies into its own link_counts/peaks slices, so the output is
- * the same bit for bit regardless of thread count.
+ * take an array of Fabric records (router count, port layout, next-hop
+ * masks, edge ids of one network), a per-schedule index into it, and
+ * concatenated per-schedule packet and bucket arrays (CSR-style
+ * offsets), and run every schedule in one call on its own fabric — so
+ * one call can simulate the schedules of many degraded fabrics (a fault
+ * campaign level) as well as a swarm on one.  Schedules run in parallel
+ * with OpenMP when compiled with -fopenmp, in a plain serial loop
+ * otherwise.  Each schedule writes its delivery log (meta index,
+ * destination router, cycle, hop count) and cycle count into its own
+ * Result slab and its link loads / per-port peak occupancies into its
+ * own slices of the link_counts/peaks slabs (per-schedule offsets, as
+ * the fabrics' sizes differ), so the output is the same bit for bit
+ * regardless of thread count or of which schedules share the call.
  */
 
 #include <stdint.h>
@@ -163,21 +167,25 @@ typedef struct {
     int32_t pid;
 } Staged;
 
+/* One network's read-only tables, built once per engine by the host. */
+typedef struct {
+    int32_t n_routers;
+    int32_t n_flat_ports;
+    const int32_t *port_base;   /* [n_routers] */
+    const int32_t *nports;      /* [n_routers] 1 + degree */
+    const int32_t *deg_off;     /* [n_routers+1] offsets into per-neighbor tables */
+    const int32_t *nbr;         /* [deg_total] neighbor router index */
+    const uint64_t *out_mask;   /* [deg_total * n_words] dst mask routed via this neighbor */
+    const int32_t *out_gp;      /* [deg_total] downstream global port */
+    const int32_t *out_eidx;    /* [deg_total] directed edge id */
+} Fabric;
+
 /* One schedule, single-word masks.  Fills a caller-provided zeroed
- * Result; shared tables are read-only so concurrent calls on disjoint
+ * Result; fabric tables are read-only so concurrent calls on disjoint
  * Results/outputs are safe. */
 static void run_single(
     Result *res,
-    /* topology tables */
-    int32_t n_routers,
-    int32_t n_flat_ports,
-    const int32_t *port_base,   /* [n_routers] */
-    const int32_t *nports,      /* [n_routers] 1 + degree */
-    const int32_t *deg_off,     /* [n_routers+1] offsets into per-neighbor tables */
-    const int32_t *nbr,         /* [deg_total] neighbor router index */
-    const uint64_t *out_mask,   /* [deg_total] dst mask routed via this neighbor */
-    const int32_t *out_gp,      /* [deg_total] downstream global port */
-    const int32_t *out_eidx,    /* [deg_total] directed edge id */
+    const Fabric *fab,
     /* config */
     int32_t capacity,
     int32_t ej_max,
@@ -195,6 +203,16 @@ static void run_single(
     int64_t *link_counts,       /* [n_edges], zeroed by host */
     int32_t *peaks              /* [n_flat_ports], zeroed by host */
 ) {
+    const int32_t n_routers = fab->n_routers;
+    const int32_t n_flat_ports = fab->n_flat_ports;
+    const int32_t *port_base = fab->port_base;
+    const int32_t *nports = fab->nports;
+    const int32_t *deg_off = fab->deg_off;
+    const int32_t *nbr = fab->nbr;
+    const uint64_t *out_mask = fab->out_mask;
+    const int32_t *out_gp = fab->out_gp;
+    const int32_t *out_eidx = fab->out_eidx;
+
     Fifo *bufs = (Fifo *)calloc((size_t)n_flat_ports, sizeof(Fifo));
     int32_t *qcount = (int32_t *)calloc((size_t)n_routers, sizeof(int32_t));
     int32_t *gp_owner = (int32_t *)malloc((size_t)n_flat_ports * sizeof(int32_t));
@@ -413,17 +431,8 @@ static int pool_mw_push(PoolMW *p, int32_t nw, const uint64_t *mask,
 /* One schedule, multi-word masks.  Same contract as run_single. */
 static void run_single_mw(
     Result *res,
-    /* topology tables */
-    int32_t n_routers,
+    const Fabric *fab,
     int32_t n_words,
-    int32_t n_flat_ports,
-    const int32_t *port_base,   /* [n_routers] */
-    const int32_t *nports,      /* [n_routers] 1 + degree */
-    const int32_t *deg_off,     /* [n_routers+1] offsets into per-neighbor tables */
-    const int32_t *nbr,         /* [deg_total] neighbor router index */
-    const uint64_t *out_mask,   /* [deg_total * n_words] dst mask via this neighbor */
-    const int32_t *out_gp,      /* [deg_total] downstream global port */
-    const int32_t *out_eidx,    /* [deg_total] directed edge id */
     /* config */
     int32_t capacity,
     int32_t ej_max,
@@ -442,7 +451,15 @@ static void run_single_mw(
     int32_t *peaks              /* [n_flat_ports], zeroed by host */
 ) {
     const int32_t nw = n_words;
-    (void)nbr; /* output-port claims go through out_stamp, not neighbor ids */
+    const int32_t n_routers = fab->n_routers;
+    const int32_t n_flat_ports = fab->n_flat_ports;
+    const int32_t *port_base = fab->port_base;
+    const int32_t *nports = fab->nports;
+    const int32_t *deg_off = fab->deg_off;
+    /* output-port claims go through out_stamp, not neighbor ids (nbr) */
+    const uint64_t *out_mask = fab->out_mask;
+    const int32_t *out_gp = fab->out_gp;
+    const int32_t *out_eidx = fab->out_eidx;
 
     int32_t deg_total = deg_off[n_routers];
     int32_t nbw = (n_routers + 63) >> 6; /* busy-mask words over routers */
@@ -696,8 +713,9 @@ void nocsim_free_batch(Result *arr, int64_t n_schedules) {
     free(arr);
 }
 
-/* Shared tables are passed once; per-schedule arrays are concatenated
- * with CSR-style offsets:
+/* Fabric records are passed once; schedule s runs on
+ * fabrics[fabric_of[s]], and its arrays are concatenated with CSR-style
+ * offsets:
  *
  *   pk_off[S+1]   — schedule s's packets occupy [pk_off[s], pk_off[s+1])
  *                   of pk_mask (x n_words for the mw variant), pk_srcgp
@@ -707,25 +725,23 @@ void nocsim_free_batch(Result *arr, int64_t n_schedules) {
  *                   n_buckets_s + 1, values schedule-local) starts at
  *                   bucket_off + bk_off[s] + s;
  *   deadline[S]   — per-schedule stop cycle;
- *   link_counts   — [S * n_edges] slab, zeroed by the host;
- *   peaks         — [S * n_flat_ports] slab, zeroed by the host.
+ *   link_off[S]   — schedule s's link loads start at link_counts +
+ *                   link_off[s] (its fabric's edge count of them); the
+ *                   slab is zeroed by the host;
+ *   peak_off[S]   — schedule s's per-port peaks start at peaks +
+ *                   peak_off[s] (its fabric's n_flat_ports of them);
+ *                   zeroed by the host.
  *
- * n_threads > 0 caps the OpenMP team size; <= 0 uses the runtime
- * default.  Returns an array of S Result structs (free with
+ * One call reads one buffer capacity, one ejection limit and (mw) one
+ * mask width; the host puts fabrics that differ in those into separate
+ * calls.  n_threads > 0 caps the OpenMP team size; <= 0 uses the
+ * runtime default.  Returns an array of S Result structs (free with
  * nocsim_free_batch), or NULL on allocation failure. */
 Result *nocsim_run_batch(
-    int32_t n_routers,
-    int32_t n_flat_ports,
-    const int32_t *port_base,
-    const int32_t *nports,
-    const int32_t *deg_off,
-    const int32_t *nbr,
-    const uint64_t *out_mask,
-    const int32_t *out_gp,
-    const int32_t *out_eidx,
+    const Fabric *fabrics,
+    const int32_t *fabric_of,
     int32_t capacity,
     int32_t ej_max,
-    int32_t n_edges,
     int64_t n_schedules,
     const int64_t *pk_off,
     const uint64_t *pk_mask,
@@ -736,7 +752,9 @@ Result *nocsim_run_batch(
     const int32_t *bucket_pid,
     const int64_t *deadline,
     int32_t n_threads,
+    const int64_t *link_off,
     int64_t *link_counts,
+    const int64_t *peak_off,
     int32_t *peaks
 ) {
     Result *arr = (Result *)calloc((size_t)n_schedules, sizeof(Result));
@@ -750,31 +768,23 @@ Result *nocsim_run_batch(
     for (int64_t s = 0; s < n_schedules; s++) {
         int64_t p0 = pk_off[s];
         int64_t b0 = bk_off[s];
-        run_single(&arr[s], n_routers, n_flat_ports, port_base, nports,
-                   deg_off, nbr, out_mask, out_gp, out_eidx, capacity,
-                   ej_max, deadline[s], pk_off[s + 1] - p0, pk_mask + p0,
+        run_single(&arr[s], &fabrics[fabric_of[s]], capacity, ej_max,
+                   deadline[s], pk_off[s + 1] - p0, pk_mask + p0,
                    pk_srcgp + p0, bk_off[s + 1] - b0, bucket_cycle + b0,
                    bucket_off + b0 + s, bucket_pid + p0,
-                   link_counts + s * n_edges,
-                   peaks + s * n_flat_ports);
+                   link_counts + link_off[s], peaks + peak_off[s]);
     }
     return arr;
 }
 
+/* Same layout; n_words (one mask width for the whole call) follows
+ * fabric_of. */
 Result *nocsim_run_batch_mw(
-    int32_t n_routers,
+    const Fabric *fabrics,
+    const int32_t *fabric_of,
     int32_t n_words,
-    int32_t n_flat_ports,
-    const int32_t *port_base,
-    const int32_t *nports,
-    const int32_t *deg_off,
-    const int32_t *nbr,
-    const uint64_t *out_mask,
-    const int32_t *out_gp,
-    const int32_t *out_eidx,
     int32_t capacity,
     int32_t ej_max,
-    int32_t n_edges,
     int64_t n_schedules,
     const int64_t *pk_off,
     const uint64_t *pk_mask,    /* [pk_off[S] * n_words] */
@@ -785,7 +795,9 @@ Result *nocsim_run_batch_mw(
     const int32_t *bucket_pid,
     const int64_t *deadline,
     int32_t n_threads,
+    const int64_t *link_off,
     int64_t *link_counts,
+    const int64_t *peak_off,
     int32_t *peaks
 ) {
     Result *arr = (Result *)calloc((size_t)n_schedules, sizeof(Result));
@@ -799,14 +811,12 @@ Result *nocsim_run_batch_mw(
     for (int64_t s = 0; s < n_schedules; s++) {
         int64_t p0 = pk_off[s];
         int64_t b0 = bk_off[s];
-        run_single_mw(&arr[s], n_routers, n_words, n_flat_ports, port_base,
-                      nports, deg_off, nbr, out_mask, out_gp, out_eidx,
-                      capacity, ej_max, deadline[s], pk_off[s + 1] - p0,
+        run_single_mw(&arr[s], &fabrics[fabric_of[s]], n_words, capacity,
+                      ej_max, deadline[s], pk_off[s + 1] - p0,
                       pk_mask + p0 * n_words, pk_srcgp + p0,
                       bk_off[s + 1] - b0, bucket_cycle + b0,
                       bucket_off + b0 + s, bucket_pid + p0,
-                      link_counts + s * n_edges,
-                      peaks + s * n_flat_ports);
+                      link_counts + link_off[s], peaks + peak_off[s]);
     }
     return arr;
 }

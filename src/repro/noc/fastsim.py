@@ -4,17 +4,23 @@
 factory) selects :class:`FastInterconnect`, which means exactly one
 thing: the C transcription of the cycle-accurate loop of
 :mod:`repro.noc.interconnect` in ``_fastsim_kernel.c``, reached through
-one entry point.  :meth:`FastInterconnect.simulate` is a batch of one
-and :meth:`FastInterconnect.simulate_many` — the swarm-scale
-NoC-in-the-loop fitness path — is one kernel call for the whole batch.
-Whatever the kernel cannot run falls through to the reference
+one entry point per kernel body.  :func:`simulate_fabrics` is the one
+dispatch: it takes ``[(engine, schedules), ...]`` and runs every
+schedule of every fabric in one kernel call, each schedule naming its
+own fabric's tables — a fault campaign level (one engine per distinct
+degraded fabric) is one call.  :meth:`FastInterconnect.simulate_many` —
+the swarm-scale NoC-in-the-loop fitness path — is its one-fabric case,
+and :meth:`FastInterconnect.simulate` a batch of one.  Whatever the
+kernel cannot run falls through to the reference
 :class:`~repro.noc.interconnect.Interconnect`, which takes the same
 inputs and is the bit-identity oracle:
 
 - no kernel (no C compiler on the host: :func:`load_kernel` warns once
   and ``backend="fast"`` then runs at reference speed, 30-70x slower
   than the kernel — no pure-Python middle tier exists any more);
-- a kernel call that reports a failure (``noc.kernel.fallbacks``);
+- a kernel call that reports a failure (``noc.kernel.fallbacks``, once
+  per failed call; every schedule of the call reruns, each on its own
+  fabric);
 - non-deterministic routing (adaptive candidates resolved by
   ``selection="bufferlevel"``), which only the oracle implements.
 
@@ -43,6 +49,11 @@ is a flat array:
   by every engine the schedule meets — a fault campaign
   simulates one schedule on dozens of fabrics; an engine adds only the
   node-id check and its source-port gather;
+- **one fabric record per engine** — the tables below are built once,
+  and a ``KernelFabric`` record (router and port counts plus pointers
+  to them) is what a kernel call's schedules point at; engines share a
+  call when they agree on what it reads once (``_call_key``: kernel
+  body and mask width, ``buffer_capacity``, ``ejections_per_cycle``);
 - **precomputed next-hop port masks** — the routing table's dense
   ``next_hops`` array (:mod:`repro.noc.routing`) collapses into
   per-router ``(dst_mask, neighbor, downstream_port, edge)`` entries:
@@ -86,7 +97,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.noc._ckernel import load_kernel, resolve_threads
+from repro.noc._ckernel import KernelFabric, load_kernel, resolve_threads
 from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.packet import Injection
 from repro.noc.routing import RoutingTable, route_links, routing_for
@@ -304,7 +315,9 @@ class FastInterconnect:
             ),
             np.arange(len(pairs), dtype=np.int32),
         )
-        self._ck_table_args = tuple(_ptr(table) for table in self._ck_tables)
+        self._ck_fabric = KernelFabric(
+            n, self._n_flat_ports, *(_ptr(table) for table in self._ck_tables)
+        )
 
     # -- public API ----------------------------------------------------------
 
@@ -322,15 +335,15 @@ class FastInterconnect:
         """
         obs = get_observer()
         if not obs.enabled:
-            return self._run_batch([injections], 1)[0]
+            return _run_jobs([(self, [injections])], 1)[0][0]
         with obs.span("noc.simulate", backend="fast", routers=self._n) as span:
-            stats = self._run_batch([injections], 1)[0]
+            stats = _run_jobs([(self, [injections])], 1)[0][0]
             span.set(
                 n_packets=stats.n_injected,
                 delivered=stats.delivered_count,
                 cycles=stats.cycles_run,
             )
-        self._count(obs, [stats])
+        _count(obs, [stats])
         return stats
 
     def simulate_many(
@@ -340,41 +353,32 @@ class FastInterconnect:
     ) -> List[NocStats]:
         """Simulate a batch of injection schedules on this network.
 
-        The routing/port tables are built once per instance and the
-        whole batch runs in **one** C call (the ctypes call releases
-        the GIL), with OpenMP parallelism across independent schedules
-        when the kernel was built with it — bit-identical for any
-        thread count, because each schedule runs the same
-        single-schedule algorithm into its own result slab.
+        The one-fabric case of :func:`simulate_fabrics`: the
+        routing/port tables are built once per instance and the whole
+        batch runs in **one** C call (the ctypes call releases the GIL),
+        with OpenMP parallelism across independent schedules when the
+        kernel was built with it — bit-identical for any thread count,
+        because each schedule runs the same single-schedule algorithm
+        into its own result slab.
 
         ``threads`` caps the team (``None`` defers to
         ``REPRO_NOC_THREADS``, then one per core).  ``0`` means "no
         in-process thread team": the same call on the calling thread
         alone.
         """
-        schedules = list(schedules)
-        # The kernel reads n_threads <= 0 as "runtime default", so "no
-        # team" has to reach it as 1.
-        n_threads = resolve_threads(threads) or 1
-        obs = get_observer()
-        if not obs.enabled:
-            return self._run_batch(schedules, n_threads)
-        with obs.span(
-            "noc.simulate_batch",
-            backend="fast",
-            routers=self._n,
-            n_schedules=len(schedules),
-            threads=n_threads,
-        ):
-            results = self._run_batch(schedules, n_threads)
-        self._count(obs, results)
-        return results
+        return simulate_fabrics([(self, schedules)], threads)[0]
 
-    @staticmethod
-    def _count(obs, results: Sequence[NocStats]) -> None:
-        obs.inc("noc.simulations", len(results), backend="fast")
-        obs.inc("noc.packets_injected", sum(s.n_injected for s in results))
-        obs.inc("noc.deliveries", sum(s.delivered_count for s in results))
+    @property
+    def _call_key(self) -> Tuple[str, int, int, int]:
+        """What one kernel call reads once for all its schedules: the
+        body, the mask width, the buffer capacity and the ejection
+        limit.  Engines that agree on it can share a call."""
+        return (
+            self._engine,
+            self._n_words,
+            self.config.buffer_capacity,
+            self.config.ejections_per_cycle,
+        )
 
     # -- schedule expansion --------------------------------------------------
 
@@ -408,135 +412,217 @@ class FastInterconnect:
             meta=packets.meta,
         )
 
-    # -- the engine and its fallback -----------------------------------------
 
-    def _run_batch(
-        self, schedules: Sequence[ScheduleLike], n_threads: int
-    ) -> List[NocStats]:
-        """Plan every schedule (rows converted to columns first), run
-        the non-empty ones in one kernel call, and rerun on the
-        reference engine what the kernel cannot (there is none, its
-        routing needs run-time selection, or the call reported a
-        failure)."""
-        results: List[NocStats] = []
-        live: List[Tuple[int, FastNocStats, _Plan]] = []
+#: One job of :func:`simulate_fabrics`: an engine and the schedules to
+#: run on its fabric.
+FabricJob = Tuple[FastInterconnect, Sequence[ScheduleLike]]
+
+
+def simulate_fabrics(
+    jobs: Sequence[FabricJob], threads: Optional[int] = None
+) -> List[List[NocStats]]:
+    """Simulate every job's schedules on its own engine's fabric.
+
+    The one dispatch behind :meth:`FastInterconnect.simulate_many` (a
+    single job) and a fault campaign's levels (one job per distinct
+    degraded fabric): every schedule of every job runs in **one**
+    kernel call, each schedule naming its own fabric's tables.  Engines
+    that disagree on what a call reads once (``_call_key``: kernel body
+    and mask width, ``buffer_capacity``, ``ejections_per_cycle``) go
+    into separate calls, in first-seen order.  A call that fails reruns
+    all of its schedules, each on its own fabric's reference engine
+    (``noc.kernel.fallbacks`` ticks once per failed call), and an
+    engine without a kernel runs its schedules on the reference engine.
+    Returns one stats list per job, in job and schedule order;
+    ``threads`` as in :meth:`FastInterconnect.simulate_many`.
+    """
+    jobs = [(engine, list(schedules)) for engine, schedules in jobs]
+    # The kernel reads n_threads <= 0 as "runtime default", so "no
+    # team" has to reach it as 1.
+    n_threads = resolve_threads(threads) or 1
+    obs = get_observer()
+    if not obs.enabled:
+        return _run_jobs(jobs, n_threads)
+    with obs.span(
+        "noc.simulate_batch",
+        backend="fast",
+        fabrics=len(jobs),
+        n_schedules=sum(len(schedules) for _, schedules in jobs),
+        threads=n_threads,
+    ):
+        results = _run_jobs(jobs, n_threads)
+    _count(obs, [stats for job in results for stats in job])
+    return results
+
+
+def _count(obs, results: Sequence[NocStats]) -> None:
+    obs.inc("noc.simulations", len(results), backend="fast")
+    obs.inc("noc.packets_injected", sum(s.n_injected for s in results))
+    obs.inc("noc.deliveries", sum(s.delivered_count for s in results))
+
+
+class _Live(NamedTuple):
+    """A planned, non-empty schedule waiting for an engine."""
+
+    engine: FastInterconnect
+    schedule: ScheduleLike  # as given: the reference rerun reads it
+    stats: FastNocStats
+    plan: _Plan
+    slot: Tuple[int, int]  # (job, schedule) position in the results
+
+
+def _run_jobs(jobs: Sequence[FabricJob], n_threads: int) -> List[List[NocStats]]:
+    """Plan every schedule on its engine (rows converted to columns
+    first), run the non-empty ones in one kernel call per call key, and
+    rerun on the reference engine what the kernel cannot (there is none,
+    its routing needs run-time selection, or the call reported a
+    failure)."""
+    results: List[List[NocStats]] = []
+    groups: dict = {}  # call key -> [_Live]; None: the reference engine
+    for j, (engine, schedules) in enumerate(jobs):
+        out: List[NocStats] = []
         for schedule in schedules:
-            if not isinstance(schedule, ColumnarSchedule):
-                schedule = ColumnarSchedule.from_injections(
-                    schedule, self._node_arr, n_source_neurons=0
+            columns = schedule
+            if not isinstance(columns, ColumnarSchedule):
+                columns = ColumnarSchedule.from_injections(
+                    schedule, engine._node_arr, n_source_neurons=0
                 )
             stats = FastNocStats()
-            plan = self._columnar_plan(schedule, stats)
+            plan = engine._columnar_plan(columns, stats)
             if plan is not None:
-                live.append((len(results), stats, plan))
-            results.append(stats)
-        if not live:
-            return results
-        obs = get_observer()
-        engine = self._engine
-        if self._ck is None or not self._dispatch_batch(live, n_threads):
-            if self._ck is not None:
+                key = None if engine._ck is None else engine._call_key
+                groups.setdefault(key, []).append(
+                    _Live(engine, schedule, stats, plan, (j, len(out)))
+                )
+            out.append(stats)
+        results.append(out)
+    obs = get_observer()
+    for key, live in groups.items():
+        if key is not None and _dispatch(live, n_threads):
+            engine_label = key[0]
+        else:
+            if key is not None:
                 obs.inc("noc.kernel.fallbacks")
-            engine = "reference"
-            oracle = Interconnect(self.topology, self.routing, self.config)
-            for k, _, _ in live:
-                results[k] = oracle._simulate_impl(schedules[k])
+            engine_label = "reference"
+            oracles: dict = {}  # one reference engine per fabric
+            for item in live:
+                engine = item.engine
+                if id(engine) not in oracles:
+                    oracles[id(engine)] = Interconnect(
+                        engine.topology, engine.routing, engine.config
+                    )
+                j, k = item.slot
+                results[j][k] = oracles[id(engine)]._simulate_impl(item.schedule)
         if obs.enabled:
-            obs.inc("noc.engine_runs", len(live), engine=engine)
-        return results
+            obs.inc("noc.engine_runs", len(live), engine=engine_label)
+    return results
 
-    def _dispatch_batch(
-        self, live: List[Tuple[int, FastNocStats, _Plan]], n_threads: int
-    ) -> bool:
-        """Concatenate the plans CSR-style, run the batch entry point
-        once, and attach each schedule's result slab.  ``False`` on any
-        kernel failure (caller falls back)."""
-        n_live = len(live)
-        plans = [plan for _, _, plan in live]
-        if n_live == 1:
-            # A batch of one is already laid out; skip the copies.
-            pk_mask, pk_srcgp, bucket_cycle, bucket_off, bucket_pid = plans[0][:5]
-        else:
-            # Schedule s's bucket_off slice (length n_buckets_s + 1,
-            # local offsets) lives at bk_off[s] + s in the concatenation
-            # — the layout the C batch entry expects.
-            pk_mask, pk_srcgp, bucket_cycle, bucket_off, bucket_pid = (
-                np.concatenate(column) for column in zip(*(p[:5] for p in plans))
-            )
-        pk_off = _offsets(len(p.src_gp) for p in plans)
-        bk_off = _offsets(len(p.bucket_cycle) for p in plans)
-        max_extra = self.config.max_extra_cycles
-        deadlines = np.array(
-            [int(p.bucket_cycle[-1]) + max_extra for p in plans], dtype=np.int64
-        )
-        n_edges = len(self._edges)
-        n_ports = self._n_flat_ports
-        link_counts = np.zeros(n_live * n_edges, dtype=np.int64)
-        peaks = np.zeros(n_live * n_ports, dtype=np.int32)
-        common_args = (
-            *self._ck_table_args,
-            self.config.buffer_capacity,
-            self.config.ejections_per_cycle,
-            n_edges,
-            n_live,
-            _ptr(pk_off),
-            _ptr(pk_mask),
-            _ptr(pk_srcgp),
-            _ptr(bk_off),
-            _ptr(bucket_cycle),
-            _ptr(bucket_off),
-            _ptr(bucket_pid),
-            _ptr(deadlines),
-            n_threads,
-            _ptr(link_counts),
-            _ptr(peaks),
-        )
-        # One ctypes call for the whole batch; ctypes releases the GIL
-        # for the duration, so the OpenMP team runs truly in parallel.
-        if self._engine == "c":
-            res_p = self._ck.nocsim_run_batch(self._n, n_ports, *common_args)
-        else:
-            res_p = self._ck.nocsim_run_batch_mw(
-                self._n, self._n_words, n_ports, *common_args
-            )
-        if not res_p:
-            return False
-        try:
-            extracted = []
-            for s in range(n_live):
-                res = res_p[s]
-                if res.status != 0:
-                    return False
-                d_len = res.d_len
-                if d_len:
-                    cols = tuple(
-                        np.ctypeslib.as_array(column, shape=(d_len,)).copy()
-                        for column in (res.d_meta, res.d_dst, res.d_cycle, res.d_hops)
-                    )
-                else:
-                    cols = (
-                        np.empty(0, dtype=np.int32),
-                        np.empty(0, dtype=np.int32),
-                        np.empty(0, dtype=np.int64),
-                        np.empty(0, dtype=np.int32),
-                    )
-                extracted.append((cols, res.cycles_run))
-        finally:
-            self._ck.nocsim_free_batch(res_p, n_live)
 
-        for s, (_, stats, plan) in enumerate(live):
-            cols, cycles_run = extracted[s]
-            stats.cycles_run = int(cycles_run)
-            counts = link_counts[s * n_edges:(s + 1) * n_edges].tolist()
-            stats.link_loads = {
-                edge: count
-                for edge, count in zip(self._edges, counts)
-                if count
-            }
-            pk = peaks[s * n_ports:(s + 1) * n_ports]
-            stats.peak_buffer_occupancy = int(pk.max()) if pk.size else 0
-            stats._attach(cols, plan.meta, self._node_arr)
-        return True
+def _dispatch(live: List[_Live], n_threads: int) -> bool:
+    """Concatenate the plans CSR-style, run one batch entry point once
+    with every schedule on its own fabric, and attach each schedule's
+    result slab.  ``False`` on any kernel failure (the caller falls
+    back)."""
+    n_live = len(live)
+    plans = [item.plan for item in live]
+    if n_live == 1:
+        # A batch of one is already laid out; skip the copies.
+        pk_mask, pk_srcgp, bucket_cycle, bucket_off, bucket_pid = plans[0][:5]
+    else:
+        # Schedule s's bucket_off slice (length n_buckets_s + 1, local
+        # offsets) lives at bk_off[s] + s in the concatenation — the
+        # layout the C batch entry expects.
+        pk_mask, pk_srcgp, bucket_cycle, bucket_off, bucket_pid = (
+            np.concatenate(column) for column in zip(*(p[:5] for p in plans))
+        )
+    pk_off = _offsets(len(p.src_gp) for p in plans)
+    bk_off = _offsets(len(p.bucket_cycle) for p in plans)
+    deadlines = np.array(
+        [
+            int(item.plan.bucket_cycle[-1]) + item.engine.config.max_extra_cycles
+            for item in live
+        ],
+        dtype=np.int64,
+    )
+    # Every fabric once in the call's record array, first seen first.
+    fabric_index: dict = {}
+    for item in live:
+        fabric_index.setdefault(id(item.engine), (len(fabric_index), item.engine))
+    fabrics = (KernelFabric * len(fabric_index))(
+        *(engine._ck_fabric for _, engine in fabric_index.values())
+    )
+    fabric_of = np.array(
+        [fabric_index[id(item.engine)][0] for item in live], dtype=np.int32
+    )
+    # Each schedule's link loads and port peaks are its fabric's size.
+    link_off = _offsets(len(item.engine._edges) for item in live)
+    peak_off = _offsets(item.engine._n_flat_ports for item in live)
+    link_counts = np.zeros(int(link_off[-1]), dtype=np.int64)
+    peaks = np.zeros(int(peak_off[-1]), dtype=np.int32)
+    ck = live[0].engine._ck
+    kind, n_words, capacity, ej_max = live[0].engine._call_key
+    if kind == "c":
+        entry, per_call = ck.nocsim_run_batch, (capacity, ej_max)
+    else:
+        entry, per_call = ck.nocsim_run_batch_mw, (n_words, capacity, ej_max)
+    # One ctypes call for the whole batch; ctypes releases the GIL for
+    # the duration, so the OpenMP team runs truly in parallel.
+    res_p = entry(
+        fabrics,
+        _ptr(fabric_of),
+        *per_call,
+        n_live,
+        _ptr(pk_off),
+        _ptr(pk_mask),
+        _ptr(pk_srcgp),
+        _ptr(bk_off),
+        _ptr(bucket_cycle),
+        _ptr(bucket_off),
+        _ptr(bucket_pid),
+        _ptr(deadlines),
+        n_threads,
+        _ptr(link_off),
+        _ptr(link_counts),
+        _ptr(peak_off),
+        _ptr(peaks),
+    )
+    if not res_p:
+        return False
+    try:
+        extracted = []
+        for s in range(n_live):
+            res = res_p[s]
+            if res.status != 0:
+                return False
+            d_len = res.d_len
+            if d_len:
+                cols = tuple(
+                    np.ctypeslib.as_array(column, shape=(d_len,)).copy()
+                    for column in (res.d_meta, res.d_dst, res.d_cycle, res.d_hops)
+                )
+            else:
+                cols = (
+                    np.empty(0, dtype=np.int32),
+                    np.empty(0, dtype=np.int32),
+                    np.empty(0, dtype=np.int64),
+                    np.empty(0, dtype=np.int32),
+                )
+            extracted.append((cols, res.cycles_run))
+    finally:
+        ck.nocsim_free_batch(res_p, n_live)
+
+    for s, item in enumerate(live):
+        cols, cycles_run = extracted[s]
+        engine, stats = item.engine, item.stats
+        stats.cycles_run = int(cycles_run)
+        counts = link_counts[link_off[s]:link_off[s + 1]].tolist()
+        stats.link_loads = {
+            edge: count for edge, count in zip(engine._edges, counts) if count
+        }
+        pk = peaks[peak_off[s]:peak_off[s + 1]]
+        stats.peak_buffer_occupancy = int(pk.max()) if pk.size else 0
+        stats._attach(cols, item.plan.meta, engine._node_arr)
+    return True
 
 
 def build_interconnect(

@@ -6,9 +6,11 @@ from repro.apps import build_application
 from repro.core.mapper import map_snn
 from repro.core.pso import PSOConfig
 from repro.framework.artifacts import ArtifactCache
+from repro.framework.cli import main
 from repro.framework.pipeline import run_fault_campaign, run_fault_sweep
 from repro.hardware.presets import architecture_for
 from repro.noc.interconnect import NocConfig
+from repro.obs import observe
 
 
 @pytest.fixture
@@ -112,6 +114,21 @@ class TestRunFaultCampaign:
     def test_nonpositive_draws_rejected(self, graph, arch, mapping):
         with pytest.raises(ValueError, match="positive"):
             _run(graph, arch, mapping, draws=0)
+
+    @pytest.mark.parametrize("levels", [(2, 2), (0, 1, 0), (1, -1)])
+    def test_repeated_or_negative_levels_rejected(self, graph, arch, mapping, levels):
+        """A repeated level would count its draws twice in ``stats()``."""
+        with observe(tracer=False) as obs:
+            with pytest.raises(ValueError, match="fault levels must be"):
+                _run(graph, arch, mapping, fault_levels=levels, draws=2)
+        assert obs.metrics.counters() == {}  # nothing simulated, nothing drawn
+
+    def test_cli_rejects_repeated_levels(self, capsys):
+        args = ["faults", "--app", "synth_1x20", "--method", "pacman"]
+        assert main([*args, "--levels", "2", "2", "--draws", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the app is even built
+        assert "error: fault levels must be distinct" in captured.err
 
     def test_empty_mappings_rejected(self, graph, arch):
         with pytest.raises(ValueError, match="at least one"):

@@ -147,6 +147,36 @@ def test_fallback_matches_reference(monkeypatch, fabric, columnar, mode):
         assert counters["noc.kernel.fallbacks"] == 2
 
 
+@pytest.mark.parametrize("mode", ["null", "status"])
+def test_failed_multi_fabric_call_reruns_every_schedule(monkeypatch, mode):
+    """One failed call of a multi-fabric dispatch reruns all of its
+    schedules, each on its own fabric's reference engine; single- and
+    multi-word fabrics are two calls, so two fallbacks."""
+    topologies = [_fabric(name) for name in FABRICS]
+    schedules = [_schedule(topology) for topology in topologies]
+    want = [
+        _fields(Interconnect(topology).simulate(schedule.injections))
+        for topology, schedule in zip(topologies, schedules)
+    ]
+    stub = _break_kernel(monkeypatch, mode)
+    config = NocConfig(backend="fast")
+    jobs = [
+        (FastInterconnect(topology, config=config), [schedule, [], schedule])
+        for topology, schedule in zip(topologies, schedules)
+    ]
+    with observe(tracer=False) as obs:
+        got = fastsim.simulate_fabrics(jobs, threads=2)
+    pairs = [[_fields(job[0]), _fields(job[2])] for job in got]
+    assert pairs == [[fields, fields] for fields in want]
+    assert all(job[1].n_injected == 0 for job in got)
+    assert not any(isinstance(job[0], FastNocStats) for job in got)
+    counters = obs.metrics.counters()
+    assert stub.calls == 2
+    assert counters["noc.kernel.fallbacks"] == 2
+    assert counters['noc.engine_runs{engine="reference"}'] == 2 * len(FABRICS)
+    assert not any('engine="c' in key for key in counters)
+
+
 def test_healthy_kernel_counts_its_own_engine():
     """The control: with a working kernel nothing above triggers."""
     if REAL_KERNEL is None:

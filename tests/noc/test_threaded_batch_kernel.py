@@ -15,6 +15,7 @@ import os
 import pytest
 
 import repro.noc._ckernel as ckernel
+import repro.noc.fastsim as fastsim
 from repro.noc._ckernel import (
     has_batch,
     load_kernel,
@@ -63,16 +64,16 @@ def _fingerprint(stats):
     )
 
 
-def _spy_on_dispatch(monkeypatch, sim):
+def _spy_on_dispatch(monkeypatch):
     """Record ``(n_schedules, n_threads)`` of every kernel dispatch."""
     calls = []
-    dispatch = sim._dispatch_batch
+    dispatch = fastsim._dispatch
 
     def spy(live, n_threads):
         calls.append((len(live), n_threads))
         return dispatch(live, n_threads)
 
-    monkeypatch.setattr(sim, "_dispatch_batch", spy)
+    monkeypatch.setattr(fastsim, "_dispatch", spy)
     return calls
 
 
@@ -125,7 +126,7 @@ class TestBitIdentity:
         schedules = _schedules(topo, 4)
         sim = FastInterconnect(topo, config=CONFIG)
         want = _serial_fingerprints(sim, schedules)
-        calls = _spy_on_dispatch(monkeypatch, sim)
+        calls = _spy_on_dispatch(monkeypatch)
         if via_env:
             monkeypatch.setenv("REPRO_NOC_THREADS", "0")
             got = sim.simulate_many(schedules)
@@ -140,7 +141,7 @@ class TestBitIdentity:
         topo = mesh(3)
         schedules = _schedules(topo, 3)
         sim = FastInterconnect(topo, config=CONFIG)
-        calls = _spy_on_dispatch(monkeypatch, sim)
+        calls = _spy_on_dispatch(monkeypatch)
         monkeypatch.delenv("REPRO_NOC_THREADS", raising=False)
         sim.simulate_many(schedules)
         sim.simulate_many(schedules, threads=3)

@@ -166,7 +166,12 @@ def test_killed_campaign_restarts_where_it_stopped(
     faulted = [cell for cell in grid if cell[0]]
     # The k-th fault draw dies; k == len(faulted) is a run nothing kills.
     kill = data.draw(st.integers(0, len(faulted)), label="kill")
-    finished = grid[:grid.index(faulted[kill])] if kill < len(faulted) else grid
+    # A level's draws are simulated together and stored as the level
+    # finishes: a kill loses the level in flight, never an earlier one.
+    finished = grid
+    if kill < len(faulted):
+        in_flight = levels.index(faulted[kill][0])
+        finished = [cell for cell in grid if levels.index(cell[0]) < in_flight]
     kwargs = dict(
         platform=platform, fault_levels=levels, draws=draws,
         noc_config=NocConfig(backend=backend),
