@@ -2,8 +2,8 @@
 
 The paper's objective (Eq. 8) is the total spike count on the global
 synapse interconnect.  :class:`InterconnectFitness` evaluates it for
-single assignments and swarm batches, with three refinements available
-as options (all default off, matching the paper):
+single assignments and swarm batches, with two refinements available
+as options (both default off, matching the paper):
 
 - ``count_packets`` — count unique (neuron, destination-crossbar) packets
   instead of per-synapse spikes.  With in-network multicast a neuron
@@ -14,13 +14,9 @@ as options (all default off, matching the paper):
   grouped OR per distinct target set, gathered to the sources) plus a
   popcount, and is exact for integer spike counts, as is the
   per-synapse ``spikes`` form (a blocked sum over the synapse pairs).
-- ``hop_weighted`` — weight each crossing by the routed hop distance
-  between the two crossbars, approximating energy rather than congestion.
-  Evaluated through a precomputed crossbar-to-crossbar hop matrix, so
-  swarm batches reduce to one fancy-indexing pass over the synapse pairs.
 - ``noc_in_loop`` — score an assignment by actually simulating its AER
   traffic on the interconnect with the fast vectorized backend
-  (:mod:`repro.noc.fastsim`) and reading a congestion-aware metric off
+  (:mod:`repro.noc.fastsim`) and reading its total link traversals off
   the resulting :class:`~repro.noc.stats.NocStats`.  This is the most
   faithful objective the system has: it sees buffering, arbitration and
   multicast forking, not just traffic counts.  The instance sorts the
@@ -43,7 +39,6 @@ from repro.core.traffic_matrix import TrafficMatrix
 from repro.noc.routing import RoutingTable
 from repro.noc.topology import Topology
 from repro.snn.graph import SpikeGraph
-from repro.utils.validation import check_index_range
 
 #: Penalty per undelivered (packet, destination) pair in noc_in_loop
 #: mode: a mapping that deadlocks or cannot drain must always lose to
@@ -62,12 +57,9 @@ class InterconnectFitness:
     noc_in_loop:
         Score assignments by cycle-accurate NoC simulation (fast
         backend) instead of closed-form traffic counts.  Requires
-        ``topology``.
-    noc_metric:
-        What to read off the simulation in ``noc_in_loop`` mode:
-        ``"hops"`` (total link traversals — the energy-proportional
-        event count) or ``"latency"`` (mean spike latency in cycles).
-        Undelivered packets add :data:`UNDELIVERED_PENALTY` each.
+        ``topology``.  The score is the total link traversals (the
+        energy-proportional event count); undelivered packets add
+        :data:`UNDELIVERED_PENALTY` each.
     noc_config:
         Interconnect parameters for ``noc_in_loop`` mode; the backend is
         forced to "fast".
@@ -87,11 +79,9 @@ class InterconnectFitness:
         self,
         graph: SpikeGraph,
         count_packets: bool = False,
-        hop_weighted: bool = False,
         topology: Optional[Topology] = None,
         routing: Optional[RoutingTable] = None,
         noc_in_loop: bool = False,
-        noc_metric: str = "hops",
         noc_config=None,
         cycles_per_ms: float = 10.0,
         balance_watermark: Optional[int] = None,
@@ -100,7 +90,6 @@ class InterconnectFitness:
         self.graph = graph
         self.matrix = TrafficMatrix(graph)
         self.count_packets = count_packets
-        self.hop_weighted = hop_weighted
         if balance_weight < 0:
             raise ValueError(
                 f"balance_weight must be non-negative, got {balance_weight}"
@@ -114,20 +103,11 @@ class InterconnectFitness:
             )
         self.balance_watermark = balance_watermark
         self.balance_weight = float(balance_weight)
-        if hop_weighted and (topology is None or routing is None):
-            raise ValueError(
-                "hop_weighted fitness needs a topology and routing table"
-            )
         if noc_in_loop and topology is None:
             raise ValueError("noc_in_loop fitness needs a topology")
-        if noc_metric not in ("hops", "latency"):
-            raise ValueError(
-                f"unknown noc_metric {noc_metric!r}; use 'hops' or 'latency'"
-            )
         self.topology = topology
         self.routing = routing
         self.noc_in_loop = noc_in_loop
-        self.noc_metric = noc_metric
         self.cycles_per_ms = cycles_per_ms
         self._noc = None
         if noc_in_loop:
@@ -152,8 +132,6 @@ class InterconnectFitness:
         a = np.asarray(assignment, dtype=np.int64)
         if self.noc_in_loop:
             base = self._simulate_one(a)
-        elif self.hop_weighted:
-            base = self._hop_weighted(a)
         elif self.count_packets:
             base = self.matrix.packet_traffic(a)
         else:
@@ -169,8 +147,6 @@ class InterconnectFitness:
             a = a[None, :]
         if self.noc_in_loop:
             base = self._simulate_batch(a)
-        elif self.hop_weighted:
-            base = self._hop_weighted_batch(a)
         elif self.count_packets:
             base = self.matrix.packet_traffic_batch(a)
         else:
@@ -207,66 +183,15 @@ class InterconnectFitness:
         """Fitness when every synapse is global (all traffic crosses)."""
         return self.matrix.total
 
-    # -- hop-weighted variant ---------------------------------------------------
-
-    def _hop_distances(self) -> np.ndarray:
-        """Crossbar-to-crossbar routed hop matrix, shape (C, C).
-
-        Sized from the topology's attach-point count — never from an
-        assignment's maximum cluster id — so assignments that leave
-        trailing crossbars empty index the same matrix as full ones.
-        The topology instance caches it per routing name.
-        """
-        return self.topology.crossbar_hop_matrix(self.routing)
-
-    def _check_clusters(self, a: np.ndarray) -> None:
-        if a.shape[-1] != self.graph.n_neurons:
-            raise ValueError(
-                f"assignments cover {a.shape[-1]} neurons, expected "
-                f"{self.graph.n_neurons}"
-            )
-        # A negative id would index the hop matrix from its far end.
-        c = self.topology.n_attach_points
-        check_index_range(f"assignment over {c} crossbar attach points", a, c)
-
-    def _hop_weighted(self, assignment: np.ndarray) -> float:
-        """Eq. 8 weighted by routed hop distance, one assignment.
-
-        One gather over the pre-merged synapse pairs: traffic on pair
-        (i, j) costs ``D[a[i], a[j]]`` hops (zero when co-located).
-        """
-        self._check_clusters(assignment)
-        d = self._hop_distances()
-        m = self.matrix
-        return float(
-            (m.traffic * d[assignment[m.src], assignment[m.dst]]).sum()
-        )
-
-    def _hop_weighted_batch(self, assignments: np.ndarray) -> np.ndarray:
-        """Hop-weighted fitness for a (P, N) swarm in one gather."""
-        self._check_clusters(assignments)
-        d = self._hop_distances()
-        m = self.matrix
-        if m.n_pairs == 0:
-            return np.zeros(assignments.shape[0], dtype=np.float64)
-        # (P, E) hop distances via one fancy-indexing pass, then a
-        # traffic-weighted row sum.
-        hop = d[assignments[:, m.src], assignments[:, m.dst]]
-        return hop @ m.traffic
-
     # -- NoC-in-the-loop variant ------------------------------------------------
 
     def _score(self, summary) -> float:
         """Objective from a :class:`~repro.noc.stats.ScheduleSummary`.
 
-        Integer-exact inputs (hop totals, latency sums, delivery counts)
-        make this bit-identical whichever engine simulated the schedule.
+        Integer-exact inputs (hop totals, delivery counts) make this
+        bit-identical whichever engine simulated the schedule.
         """
-        if self.noc_metric == "latency":
-            value = summary.mean_latency
-        else:
-            value = float(summary.total_hops)
-        return value + UNDELIVERED_PENALTY * summary.undelivered
+        return float(summary.total_hops) + UNDELIVERED_PENALTY * summary.undelivered
 
     def _simulate_one(self, assignment: np.ndarray) -> float:
         from repro.noc.stats import summarize

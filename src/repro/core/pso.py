@@ -31,6 +31,8 @@ and ``tests/core/test_pso.py`` pins trajectories that predate all of it.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
@@ -40,7 +42,7 @@ from repro.core.fitness import InterconnectFitness
 from repro.core.partition import Partition, repair_batch
 from repro.obs import get_observer
 from repro.utils.rng import SeedLike, default_rng
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_nonnegative, check_positive
 
 BatchFitness = Callable[[np.ndarray], np.ndarray]
 
@@ -54,12 +56,17 @@ class PSOConfig:
     its Fig. 7 shows.  Defaults here are mid-range so unit tests stay fast;
     benches pass the paper's values explicitly.
 
+    The two counts must be integers (``operator.index`` accepts them),
+    the five coefficients finite, ``inertia``, ``cognitive`` and
+    ``social`` non-negative and ``v_max``, ``x_max`` positive: anything
+    else would fail deep inside numpy or run the swarm on NaN.
+
     ``dtype`` selects the floating-point type of the swarm's position,
-    velocity and best-position buffers.  ``np.float32`` halves the resident
-    memory of a paper-scale swarm (six (P, N, C) buffers: position,
-    velocity, personal best, scratch, uniform draws, one-hot) at the cost
-    of a slightly different stochastic trajectory; ``np.float64``
-    (default) reproduces the historical bit-exact results.
+    velocity and best-position buffers (six (P, N, C) buffers: position,
+    velocity, personal best, scratch, uniform draws, one-hot).
+    ``np.float32`` shrinks them at the cost of a slightly different
+    stochastic trajectory; ``np.float64`` (default) reproduces the
+    historical bit-exact results.
     """
 
     n_particles: int = 100
@@ -70,23 +77,31 @@ class PSOConfig:
     v_max: float = 6.0
     x_max: float = 10.0
     binarization: str = "stochastic"  # or "argmax"
-    early_stop_patience: Optional[int] = None
     dtype: object = np.float64
 
     def __post_init__(self) -> None:
-        check_positive("n_particles", self.n_particles)
-        check_positive("n_iterations", self.n_iterations)
+        for name in ("n_particles", "n_iterations"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {value!r}"
+                ) from None
+            check_positive(name, value)
+        for name in ("inertia", "cognitive", "social", "v_max", "x_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         check_positive("v_max", self.v_max)
         check_positive("x_max", self.x_max)
-        if self.inertia < 0:
-            raise ValueError("inertia must be non-negative")
+        for name in ("inertia", "cognitive", "social"):
+            check_nonnegative(name, getattr(self, name))
         if self.binarization not in ("stochastic", "argmax"):
             raise ValueError(
                 f"unknown binarization {self.binarization!r}; "
                 "use 'stochastic' or 'argmax'"
             )
-        if self.early_stop_patience is not None and self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1 when set")
         dtype = np.dtype(self.dtype)
         if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError(
@@ -102,7 +117,6 @@ class PSOResult:
     best_assignment: np.ndarray
     best_fitness: float
     history: np.ndarray  # global-best fitness after each iteration
-    n_iterations_run: int
     n_evaluations: int
 
     def partition(self, n_clusters: int, capacity: int) -> Partition:
@@ -190,13 +204,12 @@ class BinaryPSO:
         draw the buffer is dead, so the decode keeps its cumulative
         planes there.
 
-        The generation that exhausts ``n_iterations`` is not followed by
-        a move (as one that trips ``early_stop_patience`` never was):
-        nothing would decode the moved swarm, and no result field can
-        tell.  The one visible difference is the stream position the
-        instance is left at — ``2 * P * N * C`` draws earlier — which
-        only a second ``optimize()`` on the same instance would see; it
-        would start a different (equally valid) swarm than it used to.
+        The last generation is not followed by a move: nothing would
+        decode the moved swarm, and no result field can tell.  The one
+        visible difference is the stream position the instance is left
+        at — ``2 * P * N * C`` draws earlier — which only a second
+        ``optimize()`` on the same instance would see; it would start a
+        different (equally valid) swarm than it used to.
         """
         cfg = self.config
         p, n, c = cfg.n_particles, self.n_neurons, self.n_clusters
@@ -241,13 +254,10 @@ class BinaryPSO:
 
         history: List[float] = []
         n_evaluations = 0
-        stale = 0
-        iterations_run = 0
 
         obs = get_observer()
-        for _ in range(cfg.n_iterations):
-            iterations_run += 1
-            with obs.span("pso.iteration", iteration=iterations_run) as it_span:
+        for iteration in range(1, cfg.n_iterations + 1):
+            with obs.span("pso.iteration", iteration=iteration) as it_span:
                 with obs.span("pso.decode_repair"):
                     assignments = self._binarize(positions, scratch, planes, above)
                     assignments = self._repair_batch(assignments)
@@ -267,9 +277,6 @@ class BinaryPSO:
                 gbest_fitness = float(fitness[best_idx])
                 gbest_position = onehot[best_idx].copy()
                 gbest_assignment = assignments[best_idx].copy()
-                stale = 0
-            else:
-                stale += 1
             history.append(gbest_fitness)
             # The span closed with the evaluation; attributes stay
             # writable, so record where the swarm stood afterwards.
@@ -277,10 +284,7 @@ class BinaryPSO:
 
             # Nothing decodes the swarm after the last evaluation: no
             # draws, no move.
-            if iterations_run == cfg.n_iterations or (
-                cfg.early_stop_patience is not None
-                and stale >= cfg.early_stop_patience
-            ):
+            if iteration == cfg.n_iterations:
                 break
 
             # In-place Eq. 1: the operands and operation order of
@@ -304,7 +308,6 @@ class BinaryPSO:
             best_assignment=gbest_assignment,
             best_fitness=gbest_fitness,
             history=np.asarray(history),
-            n_iterations_run=iterations_run,
             n_evaluations=n_evaluations,
         )
 

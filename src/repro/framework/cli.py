@@ -108,9 +108,18 @@ def _add_spare_capacity_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    """``type=`` of the swarm sizes: argparse reports anything below 1."""
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return int(text)
+
+
 def _add_pso_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--particles", type=int, default=100)
-    parser.add_argument("--iterations", type=int, default=50)
+    parser.add_argument("--particles", type=_positive_int, default=100)
+    parser.add_argument("--iterations", type=_positive_int, default=50)
     parser.add_argument(
         "--objective", default="packets", choices=["packets", "spikes", "noc"],
         help="PSO objective: closed-form packet/spike counts, or 'noc' = "
@@ -126,8 +135,8 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
-        help="collect counters/gauges/histograms for the whole command "
-             "and write a Prometheus-style text snapshot to PATH",
+        help="collect counters for the whole command and write them "
+             "as Prometheus-style text to PATH",
     )
 
 
@@ -500,6 +509,13 @@ def _cmd_serve(args) -> int:
         ns = argparse.Namespace(**merged)
         if _reject_non_pso_noc(ns.objective, [ns.method]):
             return 2
+        try:
+            pso_config = PSOConfig(
+                n_particles=ns.particles, n_iterations=ns.iterations
+            )
+        except ValueError as exc:
+            print(f"error: request #{i}: {exc}", file=sys.stderr)
+            return 2
         graph = _build_graph(ns)
         arch = _build_architecture(ns, graph)
         requests.append(
@@ -511,9 +527,7 @@ def _cmd_serve(args) -> int:
                 # decouples them so same-workload requests with different
                 # mapper seeds map one graph (and share its warm-start pool).
                 seed=ns.seed if ns.map_seed is None else ns.map_seed,
-                pso_config=PSOConfig(
-                    n_particles=ns.particles, n_iterations=ns.iterations
-                ),
+                pso_config=pso_config,
                 noc_config=NocConfig(backend=ns.noc_backend),
                 objective=ns.objective,
                 faults=ns.faults,

@@ -13,8 +13,8 @@ forwards to toward router ``d`` (``-1`` on the diagonal), and
   link) and compares each link's router row of ``next_hops`` with the
   link's far end, which gives the fast backend its per-link destination
   masks in one array operation;
-- :meth:`~repro.noc.topology.Topology.crossbar_hop_matrix` (fitness,
-  placement, the analytic energy estimates of design-space
+- :meth:`~repro.noc.topology.Topology.crossbar_hop_matrix`
+  (placement, the analytic energy estimates of design-space
   exploration) is one gather of ``distances`` at the attach points;
 - the scalar queries :meth:`RoutingTable.next_hop`,
   :meth:`~RoutingTable.distance` and :meth:`~RoutingTable.candidates` —

@@ -263,13 +263,14 @@ class Topology:
 
         ``matrix[k1, k2]`` is the routed hop count from crossbar ``k1``'s
         router to crossbar ``k2``'s: one gather of the routing table's
-        distance table at the attach points.  Fitness evaluation and
-        placement both consume this matrix, often many times per run on
-        the same topology, so it is computed once per (topology
-        instance, routing algorithm) and returned read-only.  Pass a
-        routing table to price a non-default algorithm; distinct table
-        instances of the same algorithm share one cache entry (keyed by
-        ``routing.name``) because they produce identical distances.
+        distance table at the attach points.  Placement, multi-chip
+        placement and the analytic energy estimates consume this matrix,
+        often many times per run on the same topology, so it is computed
+        once per (topology instance, routing algorithm) and returned
+        read-only.  Pass a routing table to price a non-default algorithm;
+        distinct table instances of the same algorithm share one cache
+        entry (keyed by ``routing.name``) because they produce identical
+        distances.
         """
         if routing is None:
             from repro.noc.routing import routing_for

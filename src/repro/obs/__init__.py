@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator, Union
 
 from repro.obs.exporters import (
     load_trace_tree,
@@ -48,7 +48,6 @@ from repro.obs.exporters import (
 )
 from repro.obs.metrics import (
     NULL_METRICS,
-    Histogram,
     MetricsRegistry,
     NullMetricsRegistry,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "DISABLED",
     "get_observer",
     "observe",
-    "set_observer",
     "Tracer",
     "NullTracer",
     "Span",
@@ -68,7 +66,6 @@ __all__ = [
     "MetricsRegistry",
     "NullMetricsRegistry",
     "NULL_METRICS",
-    "Histogram",
     "trace_rows",
     "write_trace_jsonl",
     "read_trace_jsonl",
@@ -123,12 +120,6 @@ class Observer:
     def inc(self, name: str, value: float = 1, **labels: Any) -> None:
         self.metrics.inc(name, value, **labels)
 
-    def set_gauge(self, name: str, value: float, **labels: Any) -> None:
-        self.metrics.set_gauge(name, value, **labels)
-
-    def observe_value(self, name: str, value: float, **labels: Any) -> None:
-        self.metrics.observe(name, value, **labels)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "enabled" if self.enabled else "disabled"
         return f"Observer({state})"
@@ -181,17 +172,3 @@ def observe(
     finally:
         with _swap_lock:
             _active = previous
-
-
-def set_observer(observer: Optional[Observer]) -> Observer:
-    """Install ``observer`` (or :data:`DISABLED` for ``None``) as the
-    active observer and return the one it replaced.
-
-    Prefer :func:`observe` for scoped use; this imperative form exists
-    for long-lived daemons that enable observability at startup and
-    never tear it down.
-    """
-    global _active
-    with _swap_lock:
-        previous, _active = _active, (observer if observer is not None else DISABLED)
-    return previous

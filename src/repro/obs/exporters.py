@@ -7,9 +7,8 @@ Three consumers, three formats:
   pointers, so a trace streams to disk without building an intermediate
   document and round-trips back into the same tree shape;
 - **Prometheus text** (`prometheus_text` / `write_metrics_text`) — the
-  plain exposition format, counters suffixed ``_total``, histograms as
-  ``_bucket``/``_sum``/``_count`` families, names sanitized to the
-  Prometheus charset under a ``repro_`` namespace;
+  plain exposition format, counters suffixed ``_total``, names
+  sanitized to the Prometheus charset under a ``repro_`` namespace;
 - **span-tree summary** (`span_tree_summary`) — a human-readable
   aggregate for terminals: sibling spans grouped by name per level with
   call counts and total/average durations.
@@ -18,7 +17,6 @@ Three consumers, three formats:
 from __future__ import annotations
 
 import json
-import math
 import re
 from typing import Any, Dict, List, Optional
 
@@ -105,11 +103,11 @@ def load_trace_tree(path: str) -> List[Span]:
 # -- Prometheus text ---------------------------------------------------------
 
 
-def _metric_name(name: str, suffix: str = "") -> str:
+def _metric_name(name: str) -> str:
     sanitized = _NAME_RE.sub("_", name)
     if not sanitized.startswith("repro_"):
         sanitized = "repro_" + sanitized
-    return sanitized + suffix
+    return sanitized + "_total"
 
 
 def _label_str(labels: Dict[str, str]) -> str:
@@ -122,48 +120,22 @@ def _label_str(labels: Dict[str, str]) -> str:
 
 
 def _fmt(value: float) -> str:
-    if value == math.inf:
-        return "+Inf"
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return repr(value)
 
 
 def prometheus_text(metrics) -> str:
-    """Render a registry snapshot in the Prometheus exposition format."""
+    """Render a registry's counters in the Prometheus exposition format."""
     lines: List[str] = []
     typed: set = set()
-
-    def header(pname: str, kind: str) -> None:
-        if pname not in typed:
-            typed.add(pname)
-            lines.append(f"# TYPE {pname} {kind}")
-
     for flat, value in metrics.counters().items():
         name, labels = parse_flat_name(flat)
-        pname = _metric_name(name, "_total")
-        header(pname, "counter")
-        lines.append(f"{pname}{_label_str(labels)} {_fmt(value)}")
-
-    for flat, value in metrics.gauges().items():
-        name, labels = parse_flat_name(flat)
         pname = _metric_name(name)
-        header(pname, "gauge")
+        if pname not in typed:
+            typed.add(pname)
+            lines.append(f"# TYPE {pname} counter")
         lines.append(f"{pname}{_label_str(labels)} {_fmt(value)}")
-
-    for flat, hist in metrics.histograms().items():
-        name, labels = parse_flat_name(flat)
-        pname = _metric_name(name)
-        header(pname, "histogram")
-        cumulative = 0
-        for bound, count in hist["buckets"].items():
-            cumulative += count
-            le = dict(labels)
-            le["le"] = "+Inf" if bound == "+Inf" else _fmt(float(bound))
-            lines.append(f"{pname}_bucket{_label_str(le)} {cumulative}")
-        lines.append(f"{pname}_sum{_label_str(labels)} {_fmt(hist['sum'])}")
-        lines.append(f"{pname}_count{_label_str(labels)} {hist['count']}")
-
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.fitness import UNDELIVERED_PENALTY, InterconnectFitness
-from repro.core.traffic_matrix import cluster_traffic
 from repro.noc.interconnect import NocConfig
-from repro.noc.routing import routing_for
 from repro.noc.topology import tree
 from repro.snn.graph import SpikeGraph
 
@@ -69,123 +67,7 @@ class TestPacketCountVariant:
         assert fit.evaluate(np.zeros(8, dtype=int)) == 0.0
 
 
-class TestHopWeightedVariant:
-    def test_requires_topology(self, tiny_graph):
-        with pytest.raises(ValueError, match="topology"):
-            InterconnectFitness(tiny_graph, hop_weighted=True)
-
-    def test_distance_scales_cost(self, tiny_graph):
-        topo = tree(4, arity=2)  # leaves 0,1 near; 0,3 far
-        routing = routing_for(topo)
-        fit = InterconnectFitness(
-            tiny_graph, hop_weighted=True, topology=topo, routing=routing
-        )
-        near = np.array([0, 0, 0, 0, 1, 1, 1, 1])  # bridge spans 2 hops
-        far = np.array([0, 0, 0, 0, 3, 3, 3, 3])   # bridge spans 4 hops
-        assert fit.evaluate(far) > fit.evaluate(near)
-
-    def test_batch_fallback_matches(self, tiny_graph):
-        topo = tree(4)
-        fit = InterconnectFitness(
-            tiny_graph, hop_weighted=True, topology=topo,
-            routing=routing_for(topo),
-        )
-        batch = np.array([[0, 0, 0, 0, 1, 1, 1, 1],
-                          [0, 0, 0, 0, 3, 3, 3, 3]])
-        values = fit.evaluate_batch(batch)
-        assert values[0] == fit.evaluate(batch[0])
-        assert values[1] == fit.evaluate(batch[1])
-
-    def test_matches_cluster_traffic_bruteforce(self, tiny_graph):
-        """The vectorized gather equals the Eq. 7 double sum."""
-        topo = tree(4)
-        routing = routing_for(topo)
-        fit = InterconnectFitness(
-            tiny_graph, hop_weighted=True, topology=topo, routing=routing
-        )
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            a = rng.integers(0, 4, size=8)
-            matrix = cluster_traffic(tiny_graph, a, topo.n_attach_points)
-            brute = sum(
-                matrix[k1, k2] * routing.distance(
-                    topo.node_of_crossbar(k1), topo.node_of_crossbar(k2)
-                )
-                for k1 in range(4)
-                for k2 in range(4)
-                if k1 != k2 and matrix[k1, k2]
-            )
-            assert fit.evaluate(a) == pytest.approx(brute)
-
-    def test_trailing_empty_clusters_consistent(self, tiny_graph):
-        """Assignments leaving trailing crossbars empty score the same
-        whether they appear in a batch with full assignments or alone.
-
-        Regression: n_clusters used to be derived from
-        ``assignment.max() + 1``, desyncing the hop matrix from the
-        topology's crossbar count when trailing clusters were empty.
-        """
-        topo = tree(4)
-        fit = InterconnectFitness(
-            tiny_graph, hop_weighted=True, topology=topo,
-            routing=routing_for(topo),
-        )
-        uses_two = np.array([0, 0, 0, 0, 1, 1, 1, 1])   # crossbars 2,3 empty
-        uses_all = np.array([0, 1, 2, 3, 0, 1, 2, 3])
-        batch = np.vstack([uses_two, uses_all])
-        values = fit.evaluate_batch(batch)
-        assert values[0] == pytest.approx(fit.evaluate(uses_two))
-        assert values[1] == pytest.approx(fit.evaluate(uses_all))
-
-    def test_cluster_beyond_attach_points_rejected(self, tiny_graph):
-        topo = tree(4)
-        fit = InterconnectFitness(
-            tiny_graph, hop_weighted=True, topology=topo,
-            routing=routing_for(topo),
-        )
-        with pytest.raises(ValueError, match="attach points"):
-            fit.evaluate(np.array([0, 0, 0, 0, 9, 9, 9, 9]))
-
-    def _hop_fit(self, graph):
-        topo = tree(4)
-        return InterconnectFitness(
-            graph, hop_weighted=True, topology=topo, routing=routing_for(topo)
-        )
-
-    def test_negative_cluster_rejected_by_evaluate(self, tiny_graph):
-        """-1 used to index the hop matrix from its far end: the mapping
-        scored as if those neurons sat on crossbar 3."""
-        fit = self._hop_fit(tiny_graph)
-        with pytest.raises(ValueError, match="attach points"):
-            fit.evaluate(np.array([0, 0, 0, 0, -1, -1, 1, 1]))
-
-    def test_negative_cluster_rejected_by_evaluate_batch(self, tiny_graph):
-        fit = self._hop_fit(tiny_graph)
-        batch = np.array([[0, 0, 0, 0, 1, 1, 1, 1], [0, 0, 0, 0, -1, -1, 1, 1]])
-        with pytest.raises(ValueError, match="attach points"):
-            fit.evaluate_batch(batch)
-
-    def test_batch_is_vectorized_not_row_by_row(self, tiny_graph):
-        """The batch path must not fall back to per-row evaluate."""
-        topo = tree(4)
-        fit = InterconnectFitness(
-            tiny_graph, hop_weighted=True, topology=topo,
-            routing=routing_for(topo),
-        )
-        calls = []
-        original = fit._hop_weighted
-
-        def traced(a):
-            calls.append(1)
-            return original(a)
-
-        fit._hop_weighted = traced
-        batch = np.random.default_rng(0).integers(0, 4, size=(16, 8))
-        fit.evaluate_batch(batch)
-        assert calls == []
-
-
-@pytest.mark.parametrize("objective", ["spikes", "packets", "hop_weighted"])
+@pytest.mark.parametrize("objective", ["spikes", "packets"])
 @pytest.mark.parametrize(
     "bad",
     [
@@ -197,13 +79,8 @@ class TestHopWeightedVariant:
 def test_evaluate_and_evaluate_batch_reject_alike(tiny_graph, objective, bad):
     """The single and the swarm path of one objective refuse the same
     malformed assignments with the same exception type."""
-    topo = tree(4)
     fit = InterconnectFitness(
-        tiny_graph,
-        count_packets=objective == "packets",
-        hop_weighted=objective == "hop_weighted",
-        topology=topo,
-        routing=routing_for(topo),
+        tiny_graph, count_packets=objective == "packets"
     )
     bad = np.array(bad)
     with pytest.raises(ValueError):
@@ -222,10 +99,6 @@ class TestNocInLoopVariant:
     def test_requires_topology(self, tiny_graph):
         with pytest.raises(ValueError, match="topology"):
             InterconnectFitness(tiny_graph, noc_in_loop=True)
-
-    def test_unknown_metric_rejected(self, tiny_graph):
-        with pytest.raises(ValueError, match="noc_metric"):
-            self._fit(tiny_graph, noc_metric="vibes")
 
     def test_all_local_scores_zero(self, tiny_graph):
         fit = self._fit(tiny_graph)
@@ -246,12 +119,6 @@ class TestNocInLoopVariant:
         values = fit.evaluate_batch(batch)
         for row, v in zip(batch, values):
             assert fit.evaluate(row) == pytest.approx(v)
-
-    def test_latency_metric(self, tiny_graph):
-        fit = self._fit(tiny_graph, noc_metric="latency")
-        good = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-        value = fit.evaluate(good)
-        assert 0.0 < value < UNDELIVERED_PENALTY
 
     def test_undelivered_penalized(self, tiny_graph):
         """A drain budget too small to deliver must dominate the score."""

@@ -38,16 +38,6 @@ class TestBatchDeterminism:
         got = _under_threads(monkeypatch, threads, lambda: fitness.evaluate_batch(batch))
         np.testing.assert_array_equal(got, expected)
 
-    def test_latency_metric_identical(self, tiny_graph, monkeypatch):
-        batch = np.random.default_rng(8).integers(0, 2, size=(8, 8))
-        fitness = _noc_fitness(tiny_graph, noc_metric="latency")
-        results = [
-            _under_threads(monkeypatch, t, lambda: fitness.evaluate_batch(batch))
-            for t in (0, 1, 2)
-        ]
-        np.testing.assert_array_equal(results[1], results[0])
-        np.testing.assert_array_equal(results[2], results[0])
-
     def test_single_evaluate_agrees_with_batch(self, tiny_graph, monkeypatch):
         monkeypatch.setenv("REPRO_NOC_THREADS", "2")
         batch = np.random.default_rng(9).integers(0, 2, size=(4, 8))

@@ -43,7 +43,6 @@ class TestOptimization:
 
     def test_history_length(self, tiny_graph):
         result = _pso(tiny_graph, n_iterations=12).optimize()
-        assert result.n_iterations_run == 12
         assert result.history.shape == (12,)
 
     def test_more_particles_no_worse(self, tiny_graph):
@@ -70,7 +69,6 @@ class TestOptimization:
         assert r1.best_fitness == r2.best_fitness
         assert np.array_equal(r1.best_assignment, r2.best_assignment)
         assert np.array_equal(r1.history, r2.history)
-        assert r1.n_iterations_run == r2.n_iterations_run
         assert r1.n_evaluations == r2.n_evaluations
 
     def test_evaluation_count(self, tiny_graph):
@@ -190,21 +188,6 @@ class TestPinnedDeterminism:
             assert _digest(result.best_assignment) == digest
             assert result.best_fitness == best
 
-    def test_early_stop_matches_pre_refactor_seeds(self):
-        def fitness(batch):
-            return np.full(batch.shape[0], 5.0)
-
-        pso = BinaryPSO(
-            fitness, n_neurons=40, n_clusters=4, capacity=12,
-            config=PSOConfig(
-                n_particles=16, n_iterations=30, early_stop_patience=3
-            ),
-            seed=3,
-        )
-        result = pso.optimize()
-        assert result.n_iterations_run == 4
-        assert _digest(result.best_assignment) == "c86f14ecabd7cede"
-
 
 class TestOneHot:
     def test_put_along_axis_matches_legacy_build(self, tiny_graph):
@@ -262,18 +245,6 @@ class TestBinarizationModes:
             PSOConfig(binarization="quantum")
 
 
-class TestEarlyStop:
-    def test_patience_stops_early(self, tiny_graph):
-        result = _pso(
-            tiny_graph, n_iterations=100, early_stop_patience=3
-        ).optimize()
-        assert result.n_iterations_run < 100
-
-    def test_bad_patience_rejected(self):
-        with pytest.raises(ValueError):
-            PSOConfig(early_stop_patience=0)
-
-
 class TestProblemValidation:
     def test_impossible_capacity_rejected(self, tiny_graph):
         with pytest.raises(ValueError, match="cannot fit"):
@@ -305,3 +276,25 @@ class TestConfigValidation:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             PSOConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "args, kwargs, match",
+        [
+            ((), dict(n_particles=2.5), "n_particles"),
+            ((5.0, 2), {}, "n_particles"),
+            ((), dict(n_iterations=2.0), "n_iterations"),
+            ((), dict(n_particles="8"), "n_particles"),
+            ((), dict(inertia=float("nan")), "inertia"),
+            ((), dict(cognitive=float("inf")), "cognitive"),
+            ((), dict(social=float("nan")), "social"),
+            ((), dict(v_max=float("inf")), "v_max"),
+            ((), dict(x_max=float("inf")), "x_max"),
+            ((), dict(cognitive=-1.0), "cognitive"),
+            ((), dict(social=-0.5), "social"),
+        ],
+    )
+    def test_unrunnable_config_rejected(self, args, kwargs, match):
+        """Counts that numpy cannot size an array with, and coefficients
+        that would move the swarm on NaN, fail at construction."""
+        with pytest.raises(ValueError, match=match):
+            PSOConfig(*args, **kwargs)

@@ -65,8 +65,7 @@ def oracle_optimize(pso, initial_assignments=None):
     """``BinaryPSO.optimize`` before this rewrite, spans left out.
 
     Returns the result fields as a dict, the positions each generation
-    decoded, the number of uniform buffer fills the loop made, and
-    whether ``early_stop_patience`` ended it.
+    decoded and the number of uniform buffer fills the loop made.
     """
     cfg = pso.config
     p, n, c = cfg.n_particles, pso.n_neurons, pso.n_clusters
@@ -104,13 +103,9 @@ def oracle_optimize(pso, initial_assignments=None):
 
     history = []
     n_evaluations = 0
-    stale = 0
-    iterations_run = 0
     fills = 0
-    stopped_early = False
     decoded = []
     for _ in range(cfg.n_iterations):
-        iterations_run += 1
         decoded.append(positions.copy())
         assignments = oracle_binarize(pso, positions)
         assignments = pso._repair_batch(assignments)
@@ -127,17 +122,7 @@ def oracle_optimize(pso, initial_assignments=None):
             gbest_fitness = float(fitness[best_idx])
             gbest_position = onehot[best_idx].copy()
             gbest_assignment = assignments[best_idx].copy()
-            stale = 0
-        else:
-            stale += 1
         history.append(gbest_fitness)
-
-        if (
-            cfg.early_stop_patience is not None
-            and stale >= cfg.early_stop_patience
-        ):
-            stopped_early = True
-            break
 
         pso._rand(out=r1)
         pso._rand(out=r2)
@@ -159,10 +144,9 @@ def oracle_optimize(pso, initial_assignments=None):
         best_assignment=gbest_assignment,
         best_fitness=gbest_fitness,
         history=np.asarray(history),
-        n_iterations_run=iterations_run,
         n_evaluations=n_evaluations,
     )
-    return result, decoded, fills, stopped_early
+    return result, decoded, fills
 
 
 # -- helpers ---------------------------------------------------------------------
@@ -354,7 +338,6 @@ def _loop_cases(draw):
         n_particles=draw(st.integers(1, 9)),
         n_iterations=draw(st.integers(1, 7)),
         binarization=draw(st.sampled_from(["stochastic", "stochastic", "argmax"])),
-        early_stop_patience=draw(st.sampled_from([None, None, 1, 2])),
         dtype=draw(st.sampled_from([np.float64, np.float64, np.float32])),
     )
     seed = draw(st.integers(0, 2**31 - 1))
@@ -380,7 +363,7 @@ class TestOptimizeOracle:
         new = _make(n, c, **kwargs, **cfg)
         fills, decoded = _count_fills(new), _record_decoded(new)
         got = dataclasses.asdict(new.optimize(warm))
-        want, oracle_decoded, oracle_fills, stopped_early = oracle_optimize(
+        want, oracle_decoded, oracle_fills = oracle_optimize(
             _make(n, c, **kwargs, **cfg), warm
         )
         assert len(decoded) == len(oracle_decoded)
@@ -396,8 +379,8 @@ class TestOptimizeOracle:
                 assert type(got[field]) is type(value), field
                 assert got[field] == value, field
         # The one thing that differs: no move follows the generation
-        # that exhausts n_iterations (an early stop never had one).
-        assert oracle_fills - fills[0] == (0 if stopped_early else 2)
+        # that exhausts n_iterations.
+        assert oracle_fills - fills[0] == 2
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_k_generations_make_k_minus_one_moves(self, k):
@@ -406,6 +389,6 @@ class TestOptimizeOracle:
         pso = _make(12, 3, n_particles=5, n_iterations=k)
         fills = _count_fills(pso)
         result = pso.optimize()
-        assert result.n_iterations_run == k
+        assert len(result.history) == k
         assert result.n_evaluations == 5 * k
         assert fills[0] == 2 * (k - 1)

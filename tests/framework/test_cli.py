@@ -238,6 +238,42 @@ class TestServe:
             assert main(["serve", "--requests", requests]) == 2
             assert f"unknown keys ['{key}']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value", [("particles", 2.5), ("iterations", 0)]
+    )
+    def test_serve_rejects_unrunnable_swarm_before_building_graph(
+        self, tmp_path, capsys, monkeypatch, field, value
+    ):
+        import repro.framework.cli as cli
+
+        def no_graph(_args):
+            raise AssertionError("graph built for an invalid request")
+
+        monkeypatch.setattr(cli, "_build_graph", no_graph)
+        requests = self._write_requests(
+            tmp_path, [{"app": "synth_1x20", field: value}]
+        )
+        assert main(["serve", "--requests", requests]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: request #0: ")
+        assert f"n_{field}" in err
+
+    @pytest.mark.parametrize("command", ["map", "compare", "explore", "faults"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--iterations", "0"), ("--particles", "0"), ("--particles", "-3"),
+         ("--particles", "2.5")],
+    )
+    def test_swarm_flags_must_be_positive_integers(
+        self, capsys, command, flag, value
+    ):
+        """argparse reports the value and exits 2; no traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--app", "hello_world", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer" in err
+
 
 class TestResumeFingerprint:
     """``--cache-dir`` restores sweep points only for the flags that

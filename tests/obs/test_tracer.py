@@ -7,12 +7,10 @@ import pytest
 from repro.obs import (
     DISABLED,
     NULL_SPAN,
-    Observer,
     Span,
     Tracer,
     get_observer,
     observe,
-    set_observer,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NullTracer
@@ -182,13 +180,3 @@ class TestObserve:
             with obs.span("kept"):
                 pass
         assert [r.name for r in tracer.roots] == ["kept"]
-
-    def test_set_observer_imperative(self):
-        obs = Observer(Tracer(), MetricsRegistry())
-        previous = set_observer(obs)
-        try:
-            assert previous is DISABLED
-            assert get_observer() is obs
-        finally:
-            set_observer(None)
-        assert get_observer() is DISABLED

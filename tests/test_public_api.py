@@ -38,7 +38,7 @@ PUBLIC_SURFACE = {
     ],
     "repro.obs": [
         "Observer", "Tracer", "Span", "MetricsRegistry", "get_observer",
-        "observe", "set_observer", "write_trace_jsonl", "read_trace_jsonl",
+        "observe", "write_trace_jsonl", "read_trace_jsonl",
         "load_trace_tree", "prometheus_text", "write_metrics_text",
         "span_tree_summary",
     ],
