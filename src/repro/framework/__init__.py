@@ -10,8 +10,7 @@ partitioner → NoC simulation → metric report.
   :class:`MappingService` that answers requests in order over a
   content-addressed :class:`ArtifactCache`, which also holds the
   finished points of long sweeps so a killed one restarts where it
-  stopped;
-- :mod:`repro.framework.experiment` — result records for EXPERIMENTS.md.
+  stopped.
 """
 
 from repro.framework.artifacts import ArtifactCache
@@ -21,7 +20,6 @@ from repro.framework.pipeline import (
     run_fault_sweep,
     run_pipeline,
 )
-from repro.framework.experiment import ExperimentRecord
 from repro.framework.exploration import (
     ArchitecturePoint,
     ChipPoint,
@@ -35,11 +33,6 @@ from repro.framework.exploration import (
     explore_swarm_size,
 )
 from repro.framework.service import MapRequest, MappingService
-from repro.framework.replay import (
-    delivered_spike_trains,
-    perceived_spike_trains,
-    pooled_arrivals_at,
-)
 from repro.framework.reproduce import reproduce
 
 __all__ = [
@@ -47,7 +40,6 @@ __all__ = [
     "run_fault_campaign",
     "run_fault_sweep",
     "PipelineResult",
-    "ExperimentRecord",
     "ArtifactCache",
     "MapRequest",
     "MappingService",
@@ -61,8 +53,5 @@ __all__ = [
     "ArchitecturePoint",
     "ChipPoint",
     "SwarmPoint",
-    "delivered_spike_trains",
-    "perceived_spike_trains",
-    "pooled_arrivals_at",
     "reproduce",
 ]

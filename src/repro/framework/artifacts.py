@@ -59,7 +59,7 @@ from repro.obs import get_observer
 
 #: Bump when token layouts change incompatibly: old on-disk entries then
 #: miss instead of deserializing into the wrong shape.
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 _DIGESTS: Dict[int, Any] = {}  # id(instance) -> (weakref, digest); see _digest
 
@@ -193,7 +193,7 @@ def _graph_content(graph) -> Any:
 
 def graph_token(graph) -> Any:
     """Canonical content token of a spike graph: one digest per frozen
-    :class:`~repro.snn.graph.SpikeGraph` (``CACHE_SCHEMA`` 2), folded on
+    :class:`~repro.snn.graph.SpikeGraph` (since ``CACHE_SCHEMA`` 2), folded on
     first use from its name, size, arrays and spike counts and times."""
     return _digest("graph", graph, _graph_content)
 

@@ -9,16 +9,13 @@ models the platform pieces the mapping flow needs:
 - :class:`Crossbar` — capacity and local-synapse accounting for one tile;
 - :class:`EnergyModel` — configurable local/global energy parameters
   (stand-in for the paper's in-house CxQuad power numbers);
-- :mod:`repro.hardware.aer` — AER encoder/decoder (paper Fig. 2);
 - :mod:`repro.hardware.presets` — cxquad(), truenorth_like(), custom().
 """
 
 from repro.hardware.architecture import Architecture
 from repro.hardware.crossbar import Crossbar
 from repro.hardware.energy_model import EnergyBreakdown, EnergyModel
-from repro.hardware.aer import AEREvent, decode_events, encode_spike_trains
 from repro.hardware.config import load_architecture, save_architecture
-from repro.hardware.quantization import quantize_graph, quantize_weights
 from repro.hardware.presets import (
     cxquad,
     custom,
@@ -31,15 +28,10 @@ __all__ = [
     "Crossbar",
     "EnergyModel",
     "EnergyBreakdown",
-    "AEREvent",
-    "encode_spike_trains",
-    "decode_events",
     "cxquad",
     "truenorth_like",
     "custom",
     "multichip_board",
     "load_architecture",
     "save_architecture",
-    "quantize_weights",
-    "quantize_graph",
 ]

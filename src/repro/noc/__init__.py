@@ -43,9 +43,7 @@ from repro.noc.multichip import (
 )
 from repro.noc.routing import (
     RoutingTable,
-    WestFirstRouting,
     shortest_path_routing,
-    west_first_routing,
     xy_routing,
 )
 from repro.noc.interconnect import Interconnect, NocConfig
@@ -85,9 +83,7 @@ __all__ = [
     "chip_breakdown",
     "multichip",
     "RoutingTable",
-    "WestFirstRouting",
     "xy_routing",
-    "west_first_routing",
     "shortest_path_routing",
     "FaultSet",
     "FaultTimeline",

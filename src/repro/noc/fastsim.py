@@ -20,9 +20,7 @@ inputs and is the bit-identity oracle:
   than the kernel — no pure-Python middle tier exists any more);
 - a kernel call that reports a failure (``noc.kernel.fallbacks``, once
   per failed call; every schedule of the call reruns, each on its own
-  fabric);
-- non-deterministic routing (adaptive candidates resolved by
-  ``selection="bufferlevel"``), which only the oracle implements.
+  fabric).
 
 Design
 ------
@@ -72,15 +70,15 @@ Equivalence contract
 --------------------
 The fast backend reproduces the reference loop **bit for bit**:
 identical delivery records, cycle counts, link loads and peak buffer
-occupancies, for every routing algorithm and selection strategy, any
-thread count, and with or without a compiler.  Under deterministic
-routing (XY, shortest-path, or any table with ``selection="first"``)
-that holds because the kernel replicates the reference cycle order
-exactly — routers arbitrate in ascending order, input ports rotate
-round-robin by cycle, and the groups of one head packet never interact
-with each other (distinct output ports, at most one eject group), so
-the only orderings that matter are across ports and across routers,
-both of which are preserved.  Everything else *is* the reference loop.
+occupancies, for every routing table, any thread count, and with or
+without a compiler.  Routing is deterministic (XY or shortest-path
+tables, one next hop per pair), and the kernel replicates the reference
+cycle order exactly — routers arbitrate in ascending order, input ports
+rotate round-robin by cycle, and the groups of one head packet never
+interact with each other (distinct output ports, at most one eject
+group), so the only orderings that matter are across ports and across
+routers, both of which are preserved.  Everything else *is* the
+reference loop.
 
 ``tests/noc/test_backend_equivalence.py`` enforces the contract over
 mesh/torus topologies, unicast/multicast traffic and tight/roomy
@@ -281,14 +279,8 @@ class FastInterconnect:
 
         # The compiled kernel, or None: then every schedule runs on the
         # reference engine and none of the tables below are needed.
-        # ``selection="first"`` always takes the first candidate, which
-        # makes even an adaptive table deterministic; a table that
-        # really offers a choice is the reference engine's job.
         self._ck = load_kernel()
-        if self._ck is None or (
-            self.routing.adaptive and self.config.selection != "first"
-        ):
-            self._ck = None
+        if self._ck is None:
             return
 
         # Next-hop masks per link: bit d set iff traffic for destination
@@ -475,8 +467,7 @@ def _run_jobs(jobs: Sequence[FabricJob], n_threads: int) -> List[List[NocStats]]
     """Plan every schedule on its engine (rows converted to columns
     first), run the non-empty ones in one kernel call per call key, and
     rerun on the reference engine what the kernel cannot (there is none,
-    its routing needs run-time selection, or the call reported a
-    failure)."""
+    or the call reported a failure)."""
     results: List[List[NocStats]] = []
     groups: dict = {}  # call key -> [_Live]; None: the reference engine
     for j, (engine, schedules) in enumerate(jobs):

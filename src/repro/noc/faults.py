@@ -28,7 +28,7 @@ Fault classes
   off (see :class:`~repro.core.runtime.FaultEvent`).
 
 Degraded topologies keep their routers' original ids and carry a
-``*-degraded`` kind, which routes them to adaptive-free shortest-path
+``*-degraded`` kind, which routes them to deterministic shortest-path
 tables (:func:`~repro.noc.routing.routing_for`) — the detours are what
 the simulators then price.
 

@@ -20,6 +20,7 @@ deadlocked configuration fails loudly in tests rather than spinning.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,37 +39,39 @@ class NocConfig:
     ``buffer_capacity`` is packets per channel buffer; ``ejections_per_cycle``
     models decoder bandwidth at each tile; ``multicast`` toggles Noxim++
     extension #3 (single packet forked in-network) versus plain unicast
-    replication at the source; ``selection`` picks among the next-hop
-    candidates an *adaptive* routing algorithm offers ("bufferlevel" =
-    least-occupied downstream buffer, Noxim's default; "first" =
-    deterministic first candidate) — it is inert under deterministic
-    routing; ``max_extra_cycles`` bounds post-injection drain time before
-    the simulation declares itself stuck; ``backend`` selects the
-    simulation engine — "reference" is the object-per-packet oracle loop
-    in this module, "fast" is the compiled kernel behind
-    :mod:`repro.noc.fastsim` (bit-identical; it hands whatever it cannot
-    run back to this loop).
+    replication at the source; ``max_extra_cycles`` bounds
+    post-injection drain time before the simulation declares itself
+    stuck; ``backend`` selects the simulation engine — "reference" is the
+    object-per-packet oracle loop in this module, "fast" is the compiled
+    kernel behind :mod:`repro.noc.fastsim` (bit-identical; it hands
+    whatever it cannot run back to this loop).
+
+    The three counts must be integers (``operator.index`` accepts them)
+    of at least 1 and ``multicast`` a ``bool``: the compiled kernel
+    takes them as C integers.
     """
 
     buffer_capacity: int = 8
     ejections_per_cycle: int = 1
     multicast: bool = True
-    selection: str = "bufferlevel"
     max_extra_cycles: int = 200_000
     backend: str = "reference"
 
     def __post_init__(self) -> None:
-        if self.buffer_capacity < 1:
-            raise ValueError("buffer_capacity must be >= 1")
-        if self.ejections_per_cycle < 1:
-            raise ValueError("ejections_per_cycle must be >= 1")
-        if self.selection not in ("bufferlevel", "first"):
+        for name in ("buffer_capacity", "ejections_per_cycle", "max_extra_cycles"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"{name} must be an integer, got {value!r}"
+                ) from None
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not isinstance(self.multicast, bool):
             raise ValueError(
-                f"unknown selection strategy {self.selection!r}; "
-                "use 'bufferlevel' or 'first'"
+                f"multicast must be a bool, got {self.multicast!r}"
             )
-        if self.max_extra_cycles < 1:
-            raise ValueError("max_extra_cycles must be >= 1")
         if self.backend not in ("reference", "fast"):
             raise ValueError(
                 f"unknown backend {self.backend!r}; use 'reference' or 'fast'"
@@ -290,33 +293,16 @@ class Interconnect:
         for node in [n for n in active if not self.routers[n].occupied()]:
             active.discard(node)
 
-    def _select_next_hop(self, node: int, dst: int) -> int:
-        """Choose among the routing algorithm's admissible next hops.
-
-        Deterministic tables offer one candidate; adaptive ones several,
-        resolved by the configured selection strategy.  "bufferlevel"
-        prefers the neighbor whose input buffer (for the link from this
-        router) is least occupied, breaking ties toward the lowest id so
-        runs stay reproducible.
-        """
-        candidates = self.routing.candidates(node, dst)
-        if len(candidates) == 1 or self.config.selection == "first":
-            return candidates[0]
-        return min(
-            candidates,
-            key=lambda nxt: (len(self.routers[nxt].buffers[node]), nxt),
-        )
-
     def _route_groups(self, node: int, pkt: SpikePacket) -> Dict[object, List[int]]:
         """Group a packet's destinations by required action at ``node``.
 
         Key "eject" collects destinations equal to ``node``; integer keys
-        are next-hop routers (selection-resolved under adaptive routing).
+        are next-hop routers.
         """
         groups: Dict[object, List[int]] = {}
         for dst in sorted(pkt.dst_nodes):
             key: object = (
-                "eject" if dst == node else self._select_next_hop(node, dst)
+                "eject" if dst == node else self.routing.next_hop(node, dst)
             )
             groups.setdefault(key, []).append(dst)
         return groups

@@ -16,12 +16,12 @@ forwards to toward router ``d`` (``-1`` on the diagonal), and
 - :meth:`~repro.noc.topology.Topology.crossbar_hop_matrix`
   (placement, the analytic energy estimates of design-space
   exploration) is one gather of ``distances`` at the attach points;
-- the scalar queries :meth:`RoutingTable.next_hop`,
-  :meth:`~RoutingTable.distance` and :meth:`~RoutingTable.candidates` —
-  asked once per hop by the reference engine and by multi-chip bridge
-  accounting (one route walk per crossbar pair) — read Python lists
-  made from the tables on first use, so they cost a list lookup and
-  return plain ints, never numpy scalars.  The per-pair ``distance()``
+- the scalar queries :meth:`RoutingTable.next_hop` and
+  :meth:`~RoutingTable.distance` — asked once per hop by the reference
+  engine and by multi-chip bridge accounting (one route walk per
+  crossbar pair) — read Python lists made from the tables on first
+  use, so they cost a list lookup and return plain ints, never numpy
+  scalars.  The per-pair ``distance()``
   loops in ``tests/framework/test_exploration.py`` are the oracles of
   exploration's energy estimates.
 
@@ -34,9 +34,6 @@ Two algorithms fill the tables:
   connected graphs (trees, stars, multi-chip boards, degraded fabrics).
   On trees the shortest path is unique, which makes this exactly the
   deterministic up-down tree routing CxQuad uses.
-
-:class:`WestFirstRouting` is adaptive: it offers several candidates per
-hop, and its tables hold the first one.
 """
 
 from __future__ import annotations
@@ -50,11 +47,8 @@ from repro.noc.topology import Topology, dense_node_ids
 
 
 class RoutingTable:
-    """Next-hop lookup with hop-distance queries.
-
-    Deterministic routing exposes exactly one next hop per (here, dst);
-    adaptive algorithms override :meth:`candidates` to offer several, and
-    the router's selection strategy picks among them at run time.
+    """Next-hop lookup with hop-distance queries: exactly one next hop
+    per (here, dst).
 
     Attributes
     ----------
@@ -63,15 +57,10 @@ class RoutingTable:
         ``node_ids[i]``.
     next_hops:
         int64 ``(n, n)``: ``next_hops[i, d]`` is the dense index of the
-        (first admissible) next hop from ``i`` toward ``d``, ``-1`` when
-        ``i == d``.
+        next hop from ``i`` toward ``d``, ``-1`` when ``i == d``.
     distances:
         int64 ``(n, n)`` routed hop counts, ``0`` on the diagonal.
     """
-
-    #: Whether some (here, dst) pair offers several next hops, which
-    #: only run-time selection resolves; deterministic tables never do.
-    adaptive = False
 
     def __init__(
         self,
@@ -107,10 +96,6 @@ class RoutingTable:
             raise ValueError(f"packet already at destination {dst}")
         index, hops, _ = self._lists or self._scalar_lookup()
         return hops[index[here]][index[dst]]
-
-    def candidates(self, here: int, dst: int) -> List[int]:
-        """Admissible next hops (deterministic tables offer exactly one)."""
-        return [self.next_hop(here, dst)]
 
     def distance(self, src: int, dst: int) -> int:
         """Hop count of the routed path."""
@@ -272,72 +257,6 @@ def route_links(
                         f"missing link {ids[i]}->{ids[nxt]}"
                     )
     return neighbours, routed
-
-
-class WestFirstRouting(RoutingTable):
-    """Minimal adaptive west-first routing for meshes.
-
-    The west-first turn model (Glass & Ni) prohibits turns *into* the
-    west direction: a packet needing to travel west does all west hops
-    first; afterwards it may choose adaptively among the remaining
-    minimal directions (east / north / south) each hop.  Every candidate
-    strictly reduces Manhattan distance, so delivery is guaranteed, and
-    the turn model makes the network deadlock-free with bounded buffers.
-
-    The first candidate is always the XY route's hop (west or east while
-    the columns differ, then along Y), so the tables — what
-    :meth:`next_hop`, :meth:`distance` and the fast backend read — are
-    the XY tables.
-    """
-
-    def __init__(self, topology: Topology) -> None:
-        if not topology.positions:
-            raise ValueError("west-first routing requires grid positions")
-        xy = xy_routing(topology)
-        super().__init__(
-            xy.node_ids, xy.next_hops, xy.distances, name="west-first/mesh"
-        )
-        self._pos = topology.positions
-        self._coord_to_node = {xy_: n for n, xy_ in self._pos.items()}
-        self._graph = topology.graph
-        # A pair differing in both coordinates is offered two hops (east
-        # plus north or south); one exists iff neither coordinate is
-        # the same for every router.
-        self.adaptive = all(
-            len({p[axis] for p in self._pos.values()}) > 1 for axis in (0, 1)
-        )
-
-    def _neighbor(self, here: int, dx: int, dy: int) -> int:
-        x, y = self._pos[here]
-        target = (x + dx, y + dy)
-        if target not in self._coord_to_node:
-            raise ValueError(f"no router at {target} stepping from {here}")
-        nxt = self._coord_to_node[target]
-        if not self._graph.has_edge(here, nxt):
-            raise ValueError(f"missing mesh link {here}->{nxt}")
-        return nxt
-
-    def candidates(self, here: int, dst: int) -> List[int]:
-        if here == dst:
-            raise ValueError(f"packet already at destination {dst}")
-        hx, hy = self._pos[here]
-        dx, dy = self._pos[dst]
-        if dx < hx:
-            # All westward travel happens first (the only admissible hop).
-            return [self._neighbor(here, -1, 0)]
-        options: List[int] = []
-        if dx > hx:
-            options.append(self._neighbor(here, 1, 0))
-        if dy > hy:
-            options.append(self._neighbor(here, 0, 1))
-        elif dy < hy:
-            options.append(self._neighbor(here, 0, -1))
-        return options
-
-
-def west_first_routing(topology: Topology) -> WestFirstRouting:
-    """Adaptive west-first routing for a positioned mesh topology."""
-    return WestFirstRouting(topology)
 
 
 def routing_for(topology: Topology) -> RoutingTable:

@@ -194,22 +194,6 @@ class ScheduleSummary(NamedTuple):
     def undelivered(self) -> int:
         return self.n_expected - self.delivered
 
-    @property
-    def mean_latency(self) -> float:
-        if self.delivered == 0:
-            return 0.0
-        return self.latency_sum / self.delivered
-
-    @property
-    def intra_chip_hops(self) -> int:
-        return self.total_hops - self.inter_chip_hops
-
-    @property
-    def mean_inter_chip_latency(self) -> float:
-        if self.inter_chip_delivered == 0:
-            return 0.0
-        return self.inter_chip_latency_sum / self.inter_chip_delivered
-
 
 def summarize(
     stats: NocStats, topology: Optional[Topology] = None

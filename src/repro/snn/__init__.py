@@ -34,12 +34,6 @@ from repro.snn.generators import (
 from repro.snn.simulator import Simulation, SimulationResult
 from repro.snn.stdp import STDPRule
 from repro.snn.coding import latency_encode, rate_decode, rate_encode
-from repro.snn.analysis import (
-    firing_rate_hz,
-    isi_cv,
-    population_rate,
-    synchrony_index,
-)
 from repro.snn.graph import SpikeGraph
 
 __all__ = [
@@ -60,9 +54,5 @@ __all__ = [
     "rate_encode",
     "latency_encode",
     "rate_decode",
-    "firing_rate_hz",
-    "isi_cv",
-    "population_rate",
-    "synchrony_index",
     "SpikeGraph",
 ]

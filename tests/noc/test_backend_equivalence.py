@@ -3,14 +3,13 @@
 The fast backend (:mod:`repro.noc.fastsim`: the compiled kernel, and
 the reference engine for whatever the kernel cannot run) promises
 *bit-identical* results to the reference loop: the same delivery
-records, cycle counts, link loads and peak buffer occupancies, under
-deterministic and adaptive routing alike.  This suite pins the promise
-over mesh/torus topologies, unicast/multicast traffic and tight/roomy
-buffers, and adds hypothesis property tests over generated row input
-(uid -1, own-router and duplicate destinations, meshes past 63
-routers) that the fast backend always drains feasible schedules and
-agrees with the reference.  ``test_kernel_fallback.py`` covers
-the missing/failing-kernel paths.
+records, cycle counts, link loads and peak buffer occupancies, for
+every routing table.  This suite pins the promise over mesh/torus
+topologies, unicast/multicast traffic and tight/roomy buffers, and adds
+hypothesis property tests over generated row input (uid -1, own-router
+and duplicate destinations, meshes past 63 routers) that the fast
+backend always drains feasible schedules and agrees with the reference.
+``test_kernel_fallback.py`` covers the missing/failing-kernel paths.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ from hypothesis import strategies as st
 from repro.noc.fastsim import FastInterconnect, build_interconnect
 from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.packet import Injection
-from repro.noc.routing import west_first_routing
-from repro.noc.topology import build_topology, mesh
+from repro.noc.topology import build_topology
 from repro.noc.traffic import synthetic_injections
 
 
@@ -115,55 +113,6 @@ class TestDeterministicBitIdentical:
         ]
         ref, fast = run_both(topo, injections)
         assert_identical(ref, fast)
-
-
-class TestAdaptiveStatisticalEquivalence:
-    """Adaptive selection is exact too (the name predates that): run-time
-    next-hop selection is the reference engine's job, so the fast
-    backend hands it over instead of approximating it."""
-
-    def _stats_pair(self, selection):
-        topo = mesh(4)
-        schedule = synthetic_injections([0.4] * 16, topo, 120, fanout=3, seed=11)
-        ref = Interconnect(
-            topo,
-            routing=west_first_routing(topo),
-            config=NocConfig(selection=selection),
-        ).simulate(schedule.injections)
-        fast = FastInterconnect(
-            topo,
-            routing=west_first_routing(topo),
-            config=NocConfig(selection=selection, backend="fast"),
-        ).simulate(schedule.injections)
-        return ref, fast
-
-    def test_bufferlevel_same_delivery_set(self):
-        ref, fast = self._stats_pair("bufferlevel")
-        assert ref.undelivered_count == 0
-        assert_identical(ref, fast)
-
-    def test_bufferlevel_latency_close(self):
-        ref, fast = self._stats_pair("bufferlevel")
-        assert fast.mean_latency() == ref.mean_latency()
-        assert fast.max_latency() == ref.max_latency()
-
-    def test_first_selection_is_bit_identical(self):
-        """selection='first' is deterministic even on adaptive tables."""
-        ref, fast = self._stats_pair("first")
-        assert_identical(ref, fast)
-
-    def test_fast_adaptive_reproducible(self):
-        topo = mesh(3)
-        schedule = synthetic_injections([0.5] * 9, topo, 80, fanout=2, seed=2)
-        runs = [
-            FastInterconnect(
-                topo,
-                routing=west_first_routing(topo),
-                config=NocConfig(selection="bufferlevel", backend="fast"),
-            ).simulate(schedule.injections)
-            for _ in range(2)
-        ]
-        assert record_tuples(runs[0]) == record_tuples(runs[1])
 
 
 class TestBatchApi:

@@ -178,9 +178,14 @@ class TestEngineReuse:
 
 
 class TestConfigValidation:
+    # Non-integer counts and a non-bool multicast flag: the reference
+    # engine ran them, the compiled kernel could not take them.
     @pytest.mark.parametrize(
         "kwargs", [dict(buffer_capacity=0), dict(ejections_per_cycle=0),
-                   dict(max_extra_cycles=0)]
+                   dict(max_extra_cycles=0), dict(buffer_capacity=2.5),
+                   dict(ejections_per_cycle=1.5), dict(max_extra_cycles=1.5),
+                   dict(buffer_capacity="8"), dict(multicast="no"),
+                   dict(multicast=1)]
     )
     def test_bad_config(self, kwargs):
         with pytest.raises(ValueError):

@@ -251,9 +251,7 @@ def test_malformed_schedule_raises_with_or_without_kernel(monkeypatch, case, mod
     if mode == "missing":
         _break_kernel(monkeypatch, mode)
     make, message = MALFORMED[case]
-    fast = FastInterconnect(
-        mesh(2, 2), config=NocConfig(backend="fast", selection="first")
-    )
+    fast = FastInterconnect(mesh(2, 2), config=NocConfig(backend="fast"))
     with pytest.raises(ValueError, match=message):
         fast.simulate(make())
 

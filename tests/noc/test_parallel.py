@@ -86,7 +86,7 @@ class TestSummarize:
         assert s.total_hops == stats.total_hops()
         assert s.undelivered == stats.undelivered_count
         assert s.max_latency == stats.max_latency()
-        assert s.mean_latency == pytest.approx(stats.mean_latency())
+        assert s.latency_sum / s.delivered == pytest.approx(stats.mean_latency())
         assert s.cycles_run == stats.cycles_run
         assert s.peak_buffer_occupancy == stats.peak_buffer_occupancy
 
@@ -98,7 +98,6 @@ class TestSummarize:
     def test_empty_schedule(self, mesh_topology):
         s = summarize(FastInterconnect(mesh_topology).simulate([]))
         assert s == ScheduleSummary(0, 0, 0, 0, 0, 0, 0, 0)
-        assert s.mean_latency == 0.0
 
 
 class TestDeterminismMatrix:

@@ -9,10 +9,9 @@ masks with one scatter.  The implementation this replaced kept
 by asking ``candidates()`` once per ordered router pair.  It lives on
 here as the oracle: on generated fabrics — mesh, torus, tree, star and
 multi-chip boards, healthy or after a random survivable fault draw —
-every ordered router pair must get the same next hop, candidates and
-distance (or the construction the same error), the kernel's routing
-tables must be equal word for word, and ``crossbar_hop_matrix`` equal
-entry for entry.
+every ordered router pair must get the same next hop and distance (or
+the construction the same error), the kernel's routing tables must be
+equal word for word, and ``crossbar_hop_matrix`` equal entry for entry.
 """
 
 from __future__ import annotations
@@ -29,12 +28,7 @@ from repro.noc._ckernel import load_kernel
 from repro.noc.fastsim import FastInterconnect
 from repro.noc.faults import inject_random_faults
 from repro.noc.interconnect import Interconnect, NocConfig
-from repro.noc.routing import (
-    routing_for,
-    shortest_path_routing,
-    west_first_routing,
-    xy_routing,
-)
+from repro.noc.routing import routing_for, shortest_path_routing, xy_routing
 from repro.noc.topology import Topology, build_topology, mesh_for
 
 # -- the replaced implementation, verbatim -----------------------------------
@@ -126,52 +120,6 @@ def oracle_xy_routing(topology: Topology) -> OracleRoutingTable:
     return OracleRoutingTable(next_hop, distance, name="xy/mesh")
 
 
-class OracleWestFirstRouting(OracleRoutingTable):
-    def __init__(self, topology: Topology) -> None:
-        if not topology.positions:
-            raise ValueError("west-first routing requires grid positions")
-        self._pos = topology.positions
-        self._coord_to_node = {xy: n for n, xy in self._pos.items()}
-        self._graph = topology.graph
-        self.name = "west-first/mesh"
-
-    def _neighbor(self, here: int, dx: int, dy: int) -> int:
-        x, y = self._pos[here]
-        target = (x + dx, y + dy)
-        if target not in self._coord_to_node:
-            raise ValueError(f"no router at {target} stepping from {here}")
-        nxt = self._coord_to_node[target]
-        if not self._graph.has_edge(here, nxt):
-            raise ValueError(f"missing mesh link {here}->{nxt}")
-        return nxt
-
-    def candidates(self, here: int, dst: int) -> List[int]:
-        if here == dst:
-            raise ValueError(f"packet already at destination {dst}")
-        hx, hy = self._pos[here]
-        dx, dy = self._pos[dst]
-        if dx < hx:
-            return [self._neighbor(here, -1, 0)]
-        options: List[int] = []
-        if dx > hx:
-            options.append(self._neighbor(here, 1, 0))
-        if dy > hy:
-            options.append(self._neighbor(here, 0, 1))
-        elif dy < hy:
-            options.append(self._neighbor(here, 0, -1))
-        return options
-
-    def next_hop(self, here: int, dst: int) -> int:
-        return self.candidates(here, dst)[0]
-
-    def distance(self, src: int, dst: int) -> int:
-        if src == dst:
-            return 0
-        sx, sy = self._pos[src]
-        dx, dy = self._pos[dst]
-        return abs(dx - sx) + abs(dy - sy)
-
-
 def oracle_routing_for(topology: Topology) -> OracleRoutingTable:
     if topology.kind.endswith("-degraded"):
         return oracle_shortest_path_routing(topology)
@@ -201,10 +149,8 @@ def _pack_mask_words(p_mask, nw) -> np.ndarray:
     return words
 
 
-def oracle_kernel_tables(topology, routing, selection):
-    """``FastInterconnect._build_tables`` as it was: ``(edges, tables)``,
-    tables ``None`` where an adaptive choice leaves it to the reference
-    engine."""
+def oracle_kernel_tables(topology, routing):
+    """``FastInterconnect._build_tables`` as it was: ``(edges, tables)``."""
     nodes = sorted(topology.graph.nodes)
     idx = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)
@@ -218,15 +164,12 @@ def oracle_kernel_tables(topology, routing, selection):
         base += 1 + len(nbrs[-1])
     pairs = [(i, nb) for i in range(n) for nb in nbrs[i]]
     edges = [(nodes[i], nodes[nb]) for i, nb in pairs]
-    first = selection == "first"
     masks: List[Dict[int, int]] = [{nb: 0 for nb in row} for row in nbrs]
     for i, here in enumerate(nodes):
         for d, dst in enumerate(nodes):
             if d == i:
                 continue
             options = routing.candidates(here, dst)
-            if len(options) > 1 and not first:
-                return edges, None
             masks[i][idx[options[0]]] |= 1 << d
     in_slot = [{u: s + 1 for s, u in enumerate(row)} for row in nbrs]
     return edges, (
@@ -279,18 +222,12 @@ def assert_same_routing(got, want, topology):
             hop = got.next_hop(here, dst)
             assert type(hop) is int
             assert hop == want.next_hop(here, dst), (here, dst)
-            assert got.candidates(here, dst) == want.candidates(here, dst)
 
 
-def assert_same_kernel_tables(topology, got_routing, want_routing, selection):
-    engine = FastInterconnect(
-        topology, got_routing, NocConfig(backend="fast", selection=selection)
-    )
-    edges, want = oracle_kernel_tables(topology, want_routing, selection)
+def assert_same_kernel_tables(topology, got_routing, want_routing):
+    engine = FastInterconnect(topology, got_routing, NocConfig(backend="fast"))
+    edges, want = oracle_kernel_tables(topology, want_routing)
     assert engine._edges == edges
-    if want is None:
-        assert engine._ck is None
-        return
     got = engine._ck_tables
     assert np.array_equal(engine._port_base_arr, want[0])
     assert engine._n_flat_ports == int(want[1].sum())
@@ -369,7 +306,7 @@ def test_tables_match_the_dict_builders(topology):
 @settings(max_examples=100, deadline=None)
 def test_kernel_tables_match_per_pair_masks(topology):
     assert_same_kernel_tables(
-        topology, routing_for(topology), oracle_routing_for(topology), "first"
+        topology, routing_for(topology), oracle_routing_for(topology)
     )
 
 
@@ -383,22 +320,6 @@ def test_crossbar_hop_matrix_matches_per_pair_loop(topology):
     other = shortest_path_routing(topology)
     want = oracle_crossbar_hop_matrix(topology, oracle_shortest_path_routing(topology))
     assert topology.crossbar_hop_matrix(other).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize(
-    "kind,n_crossbars",
-    [("mesh", 1), ("mesh", 2), ("mesh", 9), ("mesh", 12), ("torus", 9), ("mesh", 70)],
-)
-@pytest.mark.parametrize("selection", ["first", "bufferlevel"])
-def test_west_first_hands_over_its_first_candidates(kind, n_crossbars, selection):
-    """West-first's first candidate is the XY hop; a table that offers a
-    choice somewhere goes to the reference engine unless
-    ``selection="first"`` (a one-row mesh offers none)."""
-    topology = build_topology(kind, n_crossbars)
-    got, want = west_first_routing(topology), OracleWestFirstRouting(topology)
-    assert_same_routing(got, want, topology)
-    if load_kernel() is not None:
-        assert_same_kernel_tables(topology, got, want, selection)
 
 
 # -- a table that does not fit its fabric ---------------------------------------

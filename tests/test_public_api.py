@@ -11,20 +11,18 @@ PUBLIC_SURFACE = {
         "Network", "Population", "Projection", "LIFModel",
         "AdaptiveLIFModel", "IzhikevichModel", "PoissonSource",
         "RegularSource", "ScheduledSource", "Simulation", "STDPRule",
-        "SpikeGraph", "rate_encode", "latency_encode", "isi_cv",
-        "population_rate", "synchrony_index",
+        "SpikeGraph", "rate_encode", "latency_encode",
     ],
     "repro.noc": [
         "Topology", "mesh", "tree", "star", "torus", "Interconnect",
-        "NocConfig", "NocStats", "RoutingTable", "WestFirstRouting",
-        "xy_routing", "west_first_routing", "shortest_path_routing",
+        "NocConfig", "NocStats", "RoutingTable", "xy_routing",
+        "shortest_path_routing",
         "build_injections", "degrade_topology", "inject_random_faults",
     ],
     "repro.hardware": [
         "Architecture", "Crossbar", "EnergyModel", "cxquad",
-        "truenorth_like", "custom", "encode_spike_trains", "decode_events",
-        "load_architecture", "save_architecture", "quantize_weights",
-        "quantize_graph",
+        "truenorth_like", "custom", "load_architecture",
+        "save_architecture",
     ],
     "repro.core": [
         "Partition", "TrafficMatrix", "InterconnectFitness", "BinaryPSO",
@@ -44,7 +42,7 @@ PUBLIC_SURFACE = {
     ],
     "repro.framework": [
         "run_pipeline", "explore_architecture", "explore_swarm_size",
-        "reproduce", "delivered_spike_trains", "perceived_spike_trains",
+        "reproduce",
     ],
     "repro.apps": [
         "build_application", "build_hello_world", "build_image_smoothing",
