@@ -36,7 +36,6 @@ from typing import Optional
 import numpy as np
 
 from repro.core.traffic_matrix import TrafficMatrix
-from repro.noc.routing import RoutingTable
 from repro.noc.topology import Topology
 from repro.snn.graph import SpikeGraph
 
@@ -80,7 +79,6 @@ class InterconnectFitness:
         graph: SpikeGraph,
         count_packets: bool = False,
         topology: Optional[Topology] = None,
-        routing: Optional[RoutingTable] = None,
         noc_in_loop: bool = False,
         noc_config=None,
         cycles_per_ms: float = 10.0,
@@ -106,7 +104,6 @@ class InterconnectFitness:
         if noc_in_loop and topology is None:
             raise ValueError("noc_in_loop fitness needs a topology")
         self.topology = topology
-        self.routing = routing
         self.noc_in_loop = noc_in_loop
         self.cycles_per_ms = cycles_per_ms
         self._noc = None
@@ -119,7 +116,7 @@ class InterconnectFitness:
 
             base = noc_config if noc_config is not None else NocConfig()
             cfg = dataclasses.replace(base, backend="fast")
-            self._noc = FastInterconnect(topology, routing, cfg)
+            self._noc = FastInterconnect(topology, config=cfg)
             # Everything the schedules share: this instance's synapse
             # pairs (deduplicated once, above) and the graph's spike
             # events, sorted once for every swarm it will ever score.
@@ -131,7 +128,7 @@ class InterconnectFitness:
         """Objective value of one assignment (lower is better)."""
         a = np.asarray(assignment, dtype=np.int64)
         if self.noc_in_loop:
-            base = self._simulate_one(a)
+            base = self._simulate_batch(a[None, :])[0]
         elif self.count_packets:
             base = self.matrix.packet_traffic(a)
         else:
@@ -192,18 +189,6 @@ class InterconnectFitness:
         bit-identical whichever engine simulated the schedule.
         """
         return float(summary.total_hops) + UNDELIVERED_PENALTY * summary.undelivered
-
-    def _simulate_one(self, assignment: np.ndarray) -> float:
-        from repro.noc.stats import summarize
-        from repro.noc.traffic import build_injections
-
-        schedule = build_injections(
-            self.graph, assignment, self.topology,
-            cycles_per_ms=self.cycles_per_ms, events=self._events,
-        )
-        return self._score(
-            summarize(self._noc.simulate(schedule), self.topology)
-        )
 
     def _simulate_batch(self, assignments: np.ndarray) -> np.ndarray:
         from repro.noc.stats import summarize

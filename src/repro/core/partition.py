@@ -284,12 +284,12 @@ def repair_batch(
         (slot_row * np.int64(capacity) + slot_level) * c + slot_j,
         kind="stable",
     )
-    # First E_k slots of every particle's sorted run (E_k = its evictions).
-    per_row_evictions = excess.sum(axis=1)
+    # First E_k slots of every particle's sorted run (E_k = neurons it evicts).
+    per_row_evicted = excess.sum(axis=1)
     run_starts = _exclusive_cumsum(deficits.sum(axis=1))
-    take = np.repeat(run_starts, per_row_evictions) + (
+    take = np.repeat(run_starts, per_row_evicted) + (
         np.arange(n_evict, dtype=np.int64)
-        - np.repeat(_exclusive_cumsum(per_row_evictions), per_row_evictions)
+        - np.repeat(_exclusive_cumsum(per_row_evicted), per_row_evicted)
     )
     targets = slot_j[slot_order][take]
 

@@ -34,8 +34,8 @@ the same builders in the same order.
   configuration) and nothing that does not.  Each frozen input — spike
   graph, architecture, config dataclass — is folded into a digest once
   per instance, so a repeated request hashes digests, not arrays.
-- **:class:`ArtifactCache`** — a thread-safe memo store with an
-  optional on-disk layer (``cache_dir``).  Disk entries are atomic
+- **:class:`ArtifactCache`** — a thread-safe, unbounded memo store with
+  an optional on-disk layer (``cache_dir``).  Disk entries are atomic
   pickles named by their key; corrupted or truncated entries are
   discarded and rebuilt, never crashed on, and a write that fails is
   counted (``stats["persist_failures"]``), never raised.
@@ -49,7 +49,6 @@ import pickle
 import tempfile
 import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import fields, is_dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -242,7 +241,6 @@ def pipeline_token(
     seed,
     pso_config=None,
     noc_config=None,
-    simulate_noc: bool = True,
     objective: str = "packets",
     faults: int = 0,
     fault_seed=None,
@@ -258,7 +256,6 @@ def pipeline_token(
         seed,
         config_token(pso_config),
         config_token(noc_config),
-        simulate_noc,
         objective,
         fault_token(faults, fault_seed),
         None if warm_seeds is None else np.asarray(warm_seeds, dtype=np.int64),
@@ -279,15 +276,8 @@ class ArtifactCache:
         keeps the cache purely in-memory.  Only entries stored with
         ``persist=True`` are written to disk: mapping results (small,
         and a hit skips the optimizer), warm-start states and sweep
-        points.  Pipeline results stay in memory.
-    max_entries:
-        Bound on the in-memory layer.  ``None`` (default) keeps every
-        entry, preserving the historical unbounded behaviour; ``N >= 1``
-        keeps the N most recently used entries and evicts the least
-        recently used beyond that (counted in ``stats["evictions"]``).
-        Eviction only drops the memory copy — persisted entries are
-        still served from disk, and any entry can be rebuilt, so a
-        bounded cache changes memory footprint, never results.
+        points.  Pipeline results stay in memory.  The memory layer
+        keeps every entry for the cache's lifetime.
 
     Notes
     -----
@@ -301,16 +291,9 @@ class ArtifactCache:
     a cache *problem* into a serving failure.
     """
 
-    def __init__(
-        self,
-        cache_dir: Optional[str] = None,
-        max_entries: Optional[int] = None,
-    ) -> None:
+    def __init__(self, cache_dir: Optional[str] = None) -> None:
         self.cache_dir = None if cache_dir is None else str(cache_dir)
-        if max_entries is not None and int(max_entries) < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = None if max_entries is None else int(max_entries)
-        self._mem: "OrderedDict[str, Any]" = OrderedDict()
+        self._mem: Dict[str, Any] = {}
         self._lock = threading.RLock()
         self.stats: Dict[str, int] = {
             "hits": 0,
@@ -319,7 +302,6 @@ class ArtifactCache:
             "corrupt_discarded": 0,
             "persist_failures": 0,
             "stores": 0,
-            "evictions": 0,
         }
 
     # -- generic store -------------------------------------------------------
@@ -378,29 +360,12 @@ class ArtifactCache:
                 self.stats["persist_failures"] += 1
             get_observer().inc("cache.persist_failures")
 
-    def _remember(self, key: str, value: Any) -> int:
-        """Insert into the memory layer (LRU position: newest).
-
-        Returns how many older entries were evicted to stay within
-        ``max_entries``; must be called with the lock held.
-        """
-        self._mem[key] = value
-        self._mem.move_to_end(key)
-        evicted = 0
-        if self.max_entries is not None:
-            while len(self._mem) > self.max_entries:
-                self._mem.popitem(last=False)
-                evicted += 1
-        self.stats["evictions"] += evicted
-        return evicted
-
     def get(self, key: str):
         """``(found, value)`` for a key, consulting memory then disk."""
         obs = get_observer()
         with self._lock:
             if key in self._mem:
                 self.stats["hits"] += 1
-                self._mem.move_to_end(key)  # freshen LRU position
                 if obs.enabled:
                     obs.inc("cache.hits", layer="memory")
                 return True, self._mem[key]
@@ -408,13 +373,11 @@ class ArtifactCache:
             found, value = self._load_disk(key)
             if found:
                 with self._lock:
-                    evicted = self._remember(key, value)
+                    self._mem[key] = value
                     self.stats["hits"] += 1
                     self.stats["disk_hits"] += 1
                 if obs.enabled:
                     obs.inc("cache.hits", layer="disk")
-                    if evicted:
-                        obs.inc("cache.evictions", value=evicted)
                 return True, value
         with self._lock:
             self.stats["misses"] += 1
@@ -424,13 +387,11 @@ class ArtifactCache:
 
     def put(self, key: str, value: Any, persist: bool = False) -> None:
         with self._lock:
-            evicted = self._remember(key, value)
+            self._mem[key] = value
             self.stats["stores"] += 1
         obs = get_observer()
         if obs.enabled:
             obs.inc("cache.stores", persist=bool(persist))
-            if evicted:
-                obs.inc("cache.evictions", value=evicted)
         if persist and self.cache_dir is not None:
             self._store_disk(key, value)
 

@@ -45,15 +45,17 @@ def _add_app_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_arch_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--crossbars", type=int, default=None,
-                        help="number of crossbars")
-    parser.add_argument("--capacity", type=int, default=None,
+    parser.add_argument(
+        "--crossbars", type=_positive_int, default=None,
+        help="number of crossbars (alone: each sized to fit the app)",
+    )
+    parser.add_argument("--capacity", type=_positive_int, default=None,
                         help="neurons per crossbar")
     parser.add_argument("--interconnect", default="tree",
                         choices=["tree", "mesh", "star", "torus"])
     parser.add_argument("--cycles-per-ms", type=float, default=10.0)
     parser.add_argument(
-        "--chips", type=int, default=1,
+        "--chips", type=_positive_int, default=1,
         help="spread the crossbars over this many chips joined by "
              "bridge links (1 = single-chip platform)",
     )
@@ -64,7 +66,7 @@ def _add_arch_arguments(parser: argparse.ArgumentParser) -> None:
              "(default: the --interconnect value)",
     )
     parser.add_argument(
-        "--bridge-latency", type=int, default=4,
+        "--bridge-latency", type=_positive_int, default=4,
         help="cycles per chip-to-chip bridge crossing (--chips > 1)",
     )
     parser.add_argument(
@@ -88,7 +90,7 @@ def _add_noc_backend_argument(parser: argparse.ArgumentParser) -> None:
 def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
     """Fault injection: measure the mapping on a degraded fabric."""
     parser.add_argument(
-        "--faults", type=int, default=0,
+        "--faults", type=_non_negative_int, default=0,
         help="random survivable link faults to inject before simulating "
              "(0 = healthy fabric); traffic reroutes over shortest-path "
              "detours",
@@ -109,10 +111,20 @@ def _add_spare_capacity_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """``type=`` of the swarm sizes: argparse reports anything below 1."""
+    """``type=`` of the swarm sizes and platform counts: argparse
+    reports anything below 1."""
     if not (text.isdecimal() and int(text) > 0):
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text!r}"
+        )
+    return int(text)
+
+
+def _non_negative_int(text: str) -> int:
+    """``type=`` of ``--faults``: argparse reports anything below 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
         )
     return int(text)
 
@@ -196,13 +208,18 @@ def _build_architecture(args, graph):
         return load_architecture(args.arch_config)
     interconnect = _chip_interconnect(args)
     energy = _bridge_energy_model(args)
-    if args.crossbars and args.capacity:
-        return custom(args.crossbars, args.capacity,
+    if args.crossbars is not None:
+        capacity = args.capacity
+        if capacity is None:  # the fewest neurons per crossbar that fit
+            capacity = -(-graph.n_neurons // args.crossbars)
+        return custom(args.crossbars, capacity,
                       interconnect=interconnect,
                       cycles_per_ms=args.cycles_per_ms, name="cli",
                       energy=energy, n_chips=args.chips,
                       bridge_latency=args.bridge_latency)
-    capacity = args.capacity or max(16, -(-graph.n_neurons // 6))
+    capacity = args.capacity
+    if capacity is None:
+        capacity = max(16, -(-graph.n_neurons // 6))
     arch = architecture_for(
         graph.n_neurons, neurons_per_crossbar=capacity,
         interconnect=interconnect, cycles_per_ms=args.cycles_per_ms,
@@ -282,13 +299,18 @@ def _cmd_map(args) -> int:
     print(graph.describe())
     print(arch.describe())
     cache = _build_cache(args)
-    result = run_pipeline(
-        graph, arch, **_point_kwargs(args),
-        faults=args.faults,
-        fault_seed=args.fault_seed,
-        cache=cache,
-        spare_capacity=args.spare_capacity,
-    )
+    try:
+        result = run_pipeline(
+            graph, arch, **_point_kwargs(args),
+            faults=args.faults,
+            fault_seed=args.fault_seed,
+            cache=cache,
+            spare_capacity=args.spare_capacity,
+        )
+    except ValueError as exc:
+        # E.g. more faults than the fabric survives.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(result.mapping.describe())
     if result.failed_links:
         links = ", ".join(f"{u}-{v}" for u, v in result.failed_links)
@@ -477,6 +499,15 @@ _SERVE_DEFAULTS = {
     "warm": False,
 }
 
+#: The request keys holding counts, checked as the matching flags are.
+_SERVE_COUNTS = {
+    "crossbars": _positive_int,
+    "capacity": _positive_int,
+    "chips": _positive_int,
+    "bridge_latency": _positive_int,
+    "faults": _non_negative_int,
+}
+
 
 def _cmd_serve(args) -> int:
     import json
@@ -505,6 +536,13 @@ def _cmd_serve(args) -> int:
         merged = {**_SERVE_DEFAULTS, **spec}
         if not merged["app"]:
             print(f"error: request #{i} is missing 'app'", file=sys.stderr)
+            return 2
+        try:
+            for key, check in _SERVE_COUNTS.items():
+                if merged[key] is not None:
+                    merged[key] = check(str(merged[key]))
+        except argparse.ArgumentTypeError as exc:
+            print(f"error: request #{i}: {key} {exc}", file=sys.stderr)
             return 2
         ns = argparse.Namespace(**merged)
         if _reject_non_pso_noc(ns.objective, [ns.method]):
@@ -537,26 +575,31 @@ def _cmd_serve(args) -> int:
                 label=f"{ns.app}#{i}",
             )
         )
-    with MappingService(cache_dir=args.cache_dir) as service:
+    service = MappingService(cache_dir=args.cache_dir)
+    try:
         results = service.serve_batch(requests)
-        rows = [
-            (
-                req.label,
-                req.method,
-                req.objective,
-                f"{res.mapping.fitness:.0f}",
-                f"{res.report.total_energy_pj * 1e-6:.3f}",
-                res.report.max_latency_cycles,
-            )
-            for req, res in zip(requests, results)
-        ]
-        print(format_table(
-            ["request", "method", "objective", "global spikes", "total uJ",
-             "latency (cy)"],
-            rows,
-        ))
-        _print_cache_stats(service.cache)
-        print(f"service: requests_served={service.requests_served}")
+    except ValueError as exc:
+        # E.g. more faults than a request's fabric survives.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    rows = [
+        (
+            req.label,
+            req.method,
+            req.objective,
+            f"{res.mapping.fitness:.0f}",
+            f"{res.report.total_energy_pj * 1e-6:.3f}",
+            res.report.max_latency_cycles,
+        )
+        for req, res in zip(requests, results)
+    ]
+    print(format_table(
+        ["request", "method", "objective", "global spikes", "total uJ",
+         "latency (cy)"],
+        rows,
+    ))
+    _print_cache_stats(service.cache)
+    print(f"service: requests_served={service.requests_served}")
     return 0
 
 

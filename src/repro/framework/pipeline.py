@@ -62,7 +62,6 @@ def run_pipeline(
     seed: SeedLike = None,
     pso_config: Optional[PSOConfig] = None,
     noc_config: Optional[NocConfig] = None,
-    simulate_noc: bool = True,
     objective: str = "packets",
     faults: int = 0,
     fault_seed: SeedLike = None,
@@ -77,10 +76,6 @@ def run_pipeline(
     method:
         Partitioner: "pso", "pacman", "neutrams", "random", "greedy" or
         "annealing".
-    simulate_noc:
-        When false, skip the cycle-accurate interconnect simulation and
-        return empty NoC statistics (useful for mapping-only sweeps where
-        the fitness value is the quantity of interest).
     noc_config:
         Interconnect parameters, including ``backend="reference"|"fast"``
         to pick the simulation engine (see :mod:`repro.noc.fastsim`).
@@ -131,7 +126,6 @@ def run_pipeline(
                     seed=seed,
                     pso_config=pso_config,
                     noc_config=noc_config,
-                    simulate_noc=simulate_noc,
                     objective=objective,
                     faults=faults,
                     fault_seed=fault_seed,
@@ -172,13 +166,10 @@ def run_pipeline(
                 graph, mapping.assignment, topology,
                 cycles_per_ms=architecture.cycles_per_ms,
             )
-        if simulate_noc:
-            with obs.span("pipeline.simulate_noc"):
-                stats = build_interconnect(
-                    topology, config=noc_config
-                ).simulate(schedule)
-        else:
-            stats = NocStats()
+        with obs.span("pipeline.simulate"):
+            stats = build_interconnect(topology, config=noc_config).simulate(
+                schedule
+            )
         with obs.span("pipeline.report"):
             report = build_report(
                 graph.name, mapping, stats, architecture, topology

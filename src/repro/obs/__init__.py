@@ -26,9 +26,10 @@ results with obs on vs off).  Enable observability for a region with
     print(obs.metrics.counters())
 
 The observer is intentionally a plain module global, *not* thread-local:
-``MappingService.submit`` answers requests on its drain thread, and that
-thread must feed the same registry/tracer as the caller's (the tracer
-keeps per-thread span stacks internally, so trees never interleave).
+any caller may run traced code on threads of its own, and those threads
+must feed the same registry/tracer as the one that entered
+:func:`observe` (the tracer keeps per-thread span stacks internally, so
+trees never interleave).
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Nested wall-clock spans with attributes — the tracing half of obs.
 
 A :class:`Tracer` records a forest of :class:`Span` trees.  Spans nest
-per *thread* (each thread keeps its own span stack, so the
-``MappingService.submit`` drain thread produces its own root spans
-instead of interleaving into the caller's trees), carry arbitrary key/value
-attributes, and may hold zero-duration child *events* (fault injections,
-cache decisions, evacuation moves).
+per *thread* (each thread keeps its own span stack, so spans a caller
+opens on threads of its own form their own trees instead of
+interleaving into each other's), carry arbitrary key/value attributes,
+and may hold zero-duration child *events* (fault injections, cache
+decisions, evacuation moves).
 
 Two cost regimes:
 

@@ -89,6 +89,20 @@ def test_evaluate_and_evaluate_batch_reject_alike(tiny_graph, objective, bad):
         fit.evaluate_batch(bad[None, :])
 
 
+def _one_schedule_score(fit, assignment):
+    """The single-assignment path ``evaluate`` used to take: one
+    ``build_injections`` schedule through ``simulate``, not a batch of
+    one through ``simulate_many``."""
+    from repro.noc.stats import summarize
+    from repro.noc.traffic import build_injections
+
+    schedule = build_injections(
+        fit.graph, assignment, fit.topology,
+        cycles_per_ms=fit.cycles_per_ms, events=fit._events,
+    )
+    return fit._score(summarize(fit._noc.simulate(schedule), fit.topology))
+
+
 class TestNocInLoopVariant:
     def _fit(self, graph, **kwargs):
         topo = tree(2)
@@ -112,13 +126,18 @@ class TestNocInLoopVariant:
         assert fit.evaluate(good) < fit.evaluate(bad)
 
     def test_batch_matches_single(self, tiny_graph):
-        fit = self._fit(tiny_graph)
+        """``evaluate`` scores a batch of one: bit-equal to the batch row
+        and to the one-schedule path it replaced, undelivered penalty
+        included."""
         batch = np.array([[0, 0, 0, 0, 1, 1, 1, 1],
                           [0, 1, 0, 1, 0, 1, 0, 1],
                           [0, 0, 0, 0, 0, 0, 0, 0]])
-        values = fit.evaluate_batch(batch)
-        for row, v in zip(batch, values):
-            assert fit.evaluate(row) == pytest.approx(v)
+        for noc_config in (None, NocConfig(max_extra_cycles=1)):
+            fit = self._fit(tiny_graph, noc_config=noc_config)
+            values = fit.evaluate_batch(batch)
+            for row, v in zip(batch, values):
+                assert fit.evaluate(row) == v == _one_schedule_score(fit, row)
+        assert values[1] >= UNDELIVERED_PENALTY
 
     def test_undelivered_penalized(self, tiny_graph):
         """A drain budget too small to deliver must dominate the score."""

@@ -136,6 +136,59 @@ class TestCommands:
         assert captured.out == ""
 
 
+class TestPlatformFlags:
+    """The platform and fault counts are checked when parsed, and each
+    one given is honoured on its own."""
+
+    @pytest.mark.parametrize("command", ["map", "compare", "explore", "faults"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--crossbars", "-3"), ("--crossbars", "0"), ("--capacity", "0"),
+         ("--chips", "0"), ("--bridge-latency", "-1")],
+    )
+    def test_counts_must_be_positive_integers(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--app", "hello_world", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer, got '{value}'" in err
+
+    @pytest.mark.parametrize("value", ["-1", "1.5"])
+    def test_faults_must_be_a_non_negative_integer(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["map", "--app", "hello_world", "--faults", value]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--faults: must be a non-negative integer, got '{value}'" in err
+        args = build_parser().parse_args(["map", "--app", "x", "--faults", "0"])
+        assert args.faults == 0
+
+    def test_crossbars_alone_sizes_each_crossbar_to_fit(self, capsys):
+        """``--crossbars N`` without ``--capacity``: N crossbars of
+        ``ceil(n_neurons / N)`` neurons (it used to be ignored)."""
+        code = main([
+            "map", "--app", "synth_1x20", "--seed", "3", "--duration", "100",
+            "--crossbars", "4", "--method", "greedy",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out  # 30 neurons
+        assert "Architecture 'cli': 4 crossbars x 8 neurons" in out
+
+    def test_map_reports_an_unsurvivable_fault_count(self, capsys):
+        """A tree has no redundant link: ``--faults 1`` is an error on
+        stderr with exit 2, as in ``repro faults``, not a traceback."""
+        code = main([
+            "map", "--app", "synth_1x20", "--seed", "3", "--duration", "100",
+            "--crossbars", "3", "--capacity", "10", "--method", "greedy",
+            "--faults", "1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: topology 'tree' cannot survive 1 link faults")
+
+
 class TestMultiChipCli:
     def test_chip_flag_defaults(self):
         args = build_parser().parse_args(["map", "--app", "hello_world"])
@@ -257,6 +310,41 @@ class TestServe:
         err = capsys.readouterr().err
         assert err.startswith("error: request #0: ")
         assert f"n_{field}" in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("crossbars", -3), ("crossbars", 0), ("capacity", 0), ("chips", 0),
+         ("bridge_latency", -1), ("faults", -1), ("faults", 1.5)],
+    )
+    def test_serve_rejects_bad_counts_before_building_graph(
+        self, tmp_path, capsys, monkeypatch, field, value
+    ):
+        """A request's counts get the checks of the matching flags."""
+        import repro.framework.cli as cli
+
+        def no_graph(_args):
+            raise AssertionError("graph built for an invalid request")
+
+        monkeypatch.setattr(cli, "_build_graph", no_graph)
+        requests = self._write_requests(
+            tmp_path, [{"app": "synth_1x20", field: value}]
+        )
+        assert main(["serve", "--requests", requests]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: request #0: {field} must be a ")
+        assert f"got '{value}'" in err
+
+    def test_serve_reports_an_unsurvivable_fault_count(self, tmp_path, capsys):
+        requests = self._write_requests(tmp_path, [{
+            "app": "synth_1x20", "seed": 3, "duration": 100,
+            "crossbars": 3, "capacity": 10, "method": "greedy", "faults": 1,
+        }])
+        assert main(["serve", "--requests", requests]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: topology 'tree' cannot survive 1 link faults"
+        )
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["map", "compare", "explore", "faults"])
     @pytest.mark.parametrize(

@@ -20,9 +20,12 @@ class TestRunPipeline:
         assert result.schedule.n_packets == 10  # its 10 spikes
 
     def test_skip_noc_simulation(self, tiny_graph, two_cluster_arch):
-        result = run_pipeline(tiny_graph, two_cluster_arch, method="pacman",
-                              simulate_noc=False)
-        assert result.noc_stats.delivered_count == 0
+        """There is no skip: every run simulates its schedule."""
+        with pytest.raises(TypeError):
+            run_pipeline(tiny_graph, two_cluster_arch, method="pacman",
+                         simulate_noc=False)
+        result = run_pipeline(tiny_graph, two_cluster_arch, method="pacman")
+        assert result.noc_stats.delivered_count > 0
         assert result.report.global_spikes > 0  # mapping metrics intact
 
     def test_noc_config_respected(self, tiny_graph, two_cluster_arch):

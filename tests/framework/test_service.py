@@ -1,4 +1,4 @@
-"""Serving layer: cache keys, in-order serving, futures, the disk layer."""
+"""Serving layer: cache keys, in-order serving, the disk layer."""
 
 from __future__ import annotations
 
@@ -153,8 +153,8 @@ class TestKeyStability:
         # ... and each one moves the token.
         other = dict(
             method="pacman", seed=4, pso_config=SMALL_PSO,
-            noc_config=NocConfig(backend="fast"), simulate_noc=False,
-            objective="spikes", faults=2, fault_seed=1, spare_capacity=0.25,
+            noc_config=NocConfig(backend="fast"), objective="spikes",
+            faults=2, fault_seed=1, spare_capacity=0.25,
             warm_seeds=np.zeros((1, graph.n_neurons), dtype=np.int64),
             warm_start=False, placement=False,
         )
@@ -309,18 +309,18 @@ class TestArtifactSharing:
         from repro.framework.exploration import explore_architecture
         from repro.framework.pipeline import run_fault_campaign
 
-        cache = ArtifactCache(str(tmp_path))
+        service = MappingService(cache_dir=str(tmp_path))
+        cache = service.cache
         kinds = []
         key = cache.key
         cache.key = lambda kind, token: kinds.append(kind) or key(kind, token)
         fast = NocConfig(backend="fast")
-        with MappingService(cache=cache) as service:
-            service.serve_batch([
-                MapRequest(graph, arch, seed=1, pso_config=SMALL_PSO,
-                           noc_config=fast, faults=1, fault_seed=2),
-                MapRequest(graph, arch, seed=2, pso_config=SMALL_PSO,
-                           noc_config=fast, warm=True),
-            ])
+        service.serve_batch([
+            MapRequest(graph, arch, seed=1, pso_config=SMALL_PSO,
+                       noc_config=fast, faults=1, fault_seed=2),
+            MapRequest(graph, arch, seed=2, pso_config=SMALL_PSO,
+                       noc_config=fast, warm=True),
+        ])
         explore_architecture(
             graph, arch, [16, 32], seed=1, pso_config=SMALL_PSO,
             noc_config=fast, cache=cache,
@@ -339,46 +339,11 @@ class TestArtifactSharing:
 
 
 class TestBoundedMemory:
-    def test_lru_evicts_least_recently_used(self):
-        cache = ArtifactCache(max_entries=3)
-        for i in range(4):
-            cache.put(f"k{i}", i)
-        # k0 is the oldest entry and the only casualty.
-        assert cache.get("k0") == (False, None)
-        assert cache.get("k1") == (True, 1)
-        assert cache.stats["evictions"] == 1
-        # The hit freshened k1, so the next eviction takes k2.
-        cache.put("k4", 4)
-        assert cache.get("k2") == (False, None)
-        assert cache.get("k1") == (True, 1)
-        assert cache.stats["evictions"] == 2
-
     def test_unbounded_by_default(self):
         cache = ArtifactCache()
         for i in range(100):
             cache.put(f"k{i}", i)
-        assert cache.stats["evictions"] == 0
         assert cache.get("k0") == (True, 0)
-
-    def test_eviction_drops_memory_not_disk(self, tmp_path):
-        cache = ArtifactCache(str(tmp_path), max_entries=1)
-        key = cache.key("thing", ("token", 1))
-        cache.put(key, np.arange(3), persist=True)
-        cache.put("other", 0)  # evicts the persisted entry from memory
-        assert cache.stats["evictions"] == 1
-        found, value = cache.get(key)  # ...but disk still serves it
-        assert found and np.array_equal(value, np.arange(3))
-        assert cache.stats["disk_hits"] == 1
-
-    def test_invalid_bound_rejected(self):
-        with pytest.raises(ValueError):
-            ArtifactCache(max_entries=0)
-
-    def test_service_owned_cache_is_bounded(self):
-        with MappingService(max_entries=5) as service:
-            assert service.cache.max_entries == 5
-        with pytest.raises(ValueError):
-            MappingService(cache=ArtifactCache(), max_entries=5)
 
 
 # -- result memoization ------------------------------------------------------
@@ -588,33 +553,6 @@ class TestMappingService:
             assert served.mapping.fitness == solo.mapping.fitness
             assert served.schedule == solo.schedule
             assert served.report == solo.report
-
-    def test_submit_futures_match_serve(self, graph, arch):
-        with MappingService() as service:
-            futures = [
-                service.submit(
-                    MapRequest(
-                        graph=graph, architecture=arch, seed=s,
-                        pso_config=SMALL_PSO,
-                    )
-                )
-                for s in (1, 2, 3)
-            ]
-            results = [f.result(timeout=300) for f in futures]
-        for s, res in zip((1, 2, 3), results):
-            ref = run_pipeline(graph, arch, seed=s, pso_config=SMALL_PSO)
-            assert np.array_equal(
-                res.mapping.assignment, ref.mapping.assignment
-            )
-
-    def test_submit_propagates_errors(self, graph):
-        bad_arch = custom(2, 4, name="too-small")  # graph cannot fit
-        with MappingService() as service:
-            future = service.submit(
-                MapRequest(graph=graph, architecture=bad_arch)
-            )
-            with pytest.raises(ValueError):
-                future.result(timeout=60)
 
     def test_repeat_request_served_from_cache(self, graph, arch):
         service = MappingService()

@@ -80,7 +80,6 @@ def requests(draw):
         faults=faults,
         fault_seed=draw(st.sampled_from([None, 9])) if faults else None,
         spare_capacity=draw(st.sampled_from([0.0, 0.15])),
-        simulate_noc=draw(st.booleans()),
     )
 
 
