@@ -3,9 +3,10 @@
 Maps hello_world onto a 3x3 single-chip mesh and exercises the fault
 subsystem on a realistic workload:
 
-- **degradation curve** — the same mapping simulated at rising link
-  fault counts (`repro.framework.pipeline.run_fault_sweep`); every
-  packet must still deliver over the shortest-path detours, and
+- **degradation** — the same mapping simulated at rising link fault
+  counts, one seeded draw per level
+  (`repro.framework.pipeline.run_fault_campaign` with ``draws=1``);
+  every packet must still deliver over the shortest-path detours, and
   latency/energy may only grow relative to the healthy fabric;
 - **backend equivalence** — the most-degraded fabric produces
   bit-identical ``ScheduleSummary`` values on the reference and fast
@@ -15,7 +16,7 @@ subsystem on a realistic workload:
   mid-run and the ``RuntimeRemapper`` migrates every neuron off it
   under the migration budget, keeping the assignment feasible.
 
-Set ``FAULT_REPORT_PATH`` to also write the degradation curve and the
+Set ``FAULT_REPORT_PATH`` to also write the one-draw campaign and the
 evacuation audit as JSON (uploaded as a CI artifact).
 """
 
@@ -28,7 +29,7 @@ import time
 from repro.core.mapper import map_snn
 from repro.core.partition import is_feasible
 from repro.core.runtime import FaultEvent, RuntimeRemapper
-from repro.framework.pipeline import run_fault_sweep
+from repro.framework.pipeline import run_fault_campaign
 from repro.hardware.presets import custom
 from repro.noc.fastsim import FastInterconnect
 from repro.noc.faults import inject_random_faults
@@ -53,25 +54,24 @@ def test_fault_tolerance(benchmark, hello_world_graph):
     arch = _platform_for(graph)
     mapping = map_snn(graph, arch, method="pacman")
 
-    # Degradation curve: one mapping, rising fault counts.
+    # Degradation: one mapping, one fault draw per rising fault count.
     t0 = time.perf_counter()
-    curve = run_fault_sweep(
+    summary = run_fault_campaign(
         graph,
         arch,
-        fault_counts=FAULT_COUNTS,
-        fault_seed=FAULT_SEED,
+        mappings={"pacman": mapping},
+        fault_levels=FAULT_COUNTS,
+        draws=1,
+        campaign_seed=FAULT_SEED,
         noc_config=NocConfig(backend="fast"),
-        mapping=mapping,
     )
     sweep_s = time.perf_counter() - t0
-    healthy = curve.healthy
-    for point in curve.points:
-        assert point.undelivered_packets == 0, (
-            f"{point.n_faults} faults dropped packets"
-        )
+    healthy = summary.baseline("pacman")
+    for point in summary.draws:
+        assert point.undelivered_packets == 0, f"{point.level} faults dropped packets"
         assert point.mean_latency_cycles >= healthy.mean_latency_cycles
         assert point.global_energy_pj >= healthy.global_energy_pj
-    worst = curve.points[-1]
+    worst = summary.level_stats("pacman", max(FAULT_COUNTS))
 
     # Cross-backend equivalence on the most-degraded fabric.
     topology = arch.build_topology()
@@ -116,11 +116,11 @@ def test_fault_tolerance(benchmark, hello_world_graph):
     evacuation_migrations = remapper.total_migrations()
 
     print()
-    print(curve.table())
+    print(summary.table())
     print(
         f"fault sweep {sweep_s * 1e3:.0f}ms; worst fabric "
-        f"({worst.n_faults} faults) latency x"
-        f"{curve.latency_overhead(worst):.2f}; crossbar {victim} "
+        f"({worst.level} faults) latency x"
+        f"{worst.mean_latency_overhead:.2f}; crossbar {victim} "
         f"evacuated {stranded} neurons in {epochs} epochs "
         f"({evacuation_migrations} migrations, budget "
         f"{MIGRATION_BUDGET}/epoch)"
@@ -131,8 +131,8 @@ def test_fault_tolerance(benchmark, hello_world_graph):
         with open(report_path, "w") as fh:
             json.dump(
                 {
-                    "degradation_curve": curve.to_dict(),
-                    "latency_overhead_worst": curve.latency_overhead(worst),
+                    "degradation_curve": summary.to_dict(),
+                    "latency_overhead_worst": worst.mean_latency_overhead,
                     "bit_identical": ref_summary == fast_summary,
                     "kernel_active": fast_sim._ck is not None,
                     "sweep_s": sweep_s,
@@ -150,6 +150,6 @@ def test_fault_tolerance(benchmark, hello_world_graph):
             )
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    benchmark.extra_info["latency_overhead_worst"] = curve.latency_overhead(worst)
+    benchmark.extra_info["latency_overhead_worst"] = worst.mean_latency_overhead
     benchmark.extra_info["bit_identical"] = ref_summary == fast_summary
     benchmark.extra_info["evacuation_migrations"] = evacuation_migrations

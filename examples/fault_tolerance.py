@@ -4,9 +4,10 @@
 Crossbar fabrics in the field lose links and whole compute arrays to
 defects and aging.  This example degrades a mapped fabric four ways:
 
-1. **Dead links** — `run_fault_sweep` re-simulates one fixed mapping at
-   rising link-fault counts; routing detours around the damage and the
-   degradation curve shows what the detours cost in latency and energy.
+1. **Dead links** — `run_fault_campaign` with one draw per level
+   re-simulates one fixed mapping at rising link-fault counts; routing
+   detours around the damage and the table shows what the detours cost
+   in latency and energy.
 2. **A faulty crossbar** — a `FaultEvent` marks one crossbar's compute
    array dead mid-run; the `RuntimeRemapper` evacuates its neurons onto
    healthy crossbars a few migrations per epoch.
@@ -29,7 +30,7 @@ from repro.core.runtime import (
     RuntimeRemapper,
     run_fault_timeline,
 )
-from repro.framework.pipeline import run_fault_campaign, run_fault_sweep
+from repro.framework.pipeline import run_fault_campaign
 from repro.hardware.presets import custom
 from repro.noc.faults import FaultSet, FaultTimeline, FaultWindow
 from repro.noc.interconnect import NocConfig
@@ -46,17 +47,18 @@ def main() -> None:
     mapping = map_snn(graph, arch, method="pacman")
 
     print(f"Degrading the {arch.name} fabric link by link...")
-    curve = run_fault_sweep(
+    degraded = run_fault_campaign(
         graph, arch,
-        fault_counts=(0, 1, 2, 4),
-        fault_seed=SEED,
+        mappings={"pacman": mapping},
+        fault_levels=(0, 1, 2, 4),
+        draws=1,
+        campaign_seed=SEED,
         noc_config=NocConfig(backend="fast"),
-        mapping=mapping,
     )
-    print(curve.table())
-    worst = curve.points[-1]
-    print(f"With {worst.n_faults} dead links every packet still delivers; "
-          f"mean latency is x{curve.latency_overhead(worst):.2f} the "
+    print(degraded.table())
+    worst = degraded.level_stats("pacman", 4)
+    print(f"With {worst.level} dead links every packet still delivers; "
+          f"mean latency is x{worst.mean_latency_overhead:.2f} the "
           f"healthy fabric's.")
 
     print()

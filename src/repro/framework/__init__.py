@@ -17,7 +17,6 @@ from repro.framework.artifacts import ArtifactCache
 from repro.framework.pipeline import (
     PipelineResult,
     run_fault_campaign,
-    run_fault_sweep,
     run_pipeline,
 )
 from repro.framework.exploration import (
@@ -38,7 +37,6 @@ from repro.framework.reproduce import reproduce
 __all__ = [
     "run_pipeline",
     "run_fault_campaign",
-    "run_fault_sweep",
     "PipelineResult",
     "ArtifactCache",
     "MapRequest",

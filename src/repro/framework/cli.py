@@ -15,6 +15,7 @@ user can reproduce any paper row from the shell.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -39,7 +40,7 @@ def _add_app_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=1, help="RNG seed")
     parser.add_argument(
-        "--duration", type=float, default=None,
+        "--duration", type=_positive_float, default=None,
         help="SNN simulation duration in ms (app default when omitted)",
     )
 
@@ -53,7 +54,7 @@ def _add_arch_arguments(parser: argparse.ArgumentParser) -> None:
                         help="neurons per crossbar")
     parser.add_argument("--interconnect", default="tree",
                         choices=["tree", "mesh", "star", "torus"])
-    parser.add_argument("--cycles-per-ms", type=float, default=10.0)
+    parser.add_argument("--cycles-per-ms", type=_positive_float, default=10.0)
     parser.add_argument(
         "--chips", type=_positive_int, default=1,
         help="spread the crossbars over this many chips joined by "
@@ -111,13 +112,27 @@ def _add_spare_capacity_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """``type=`` of the swarm sizes and platform counts: argparse
-    reports anything below 1."""
+    """``type=`` of the swarm sizes, platform counts, sweep points and
+    campaign draws: argparse reports anything below 1."""
     if not (text.isdecimal() and int(text) > 0):
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text!r}"
         )
     return int(text)
+
+
+def _positive_float(text: str) -> float:
+    """``type=`` of ``--cycles-per-ms`` and ``--duration``: argparse
+    reports anything that is not a positive, finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {text!r}"
+        )
+    return value
 
 
 def _non_negative_int(text: str) -> int:
@@ -499,11 +514,13 @@ _SERVE_DEFAULTS = {
     "warm": False,
 }
 
-#: The request keys holding counts, checked as the matching flags are.
+#: The request keys holding numbers, checked as the matching flags are.
 _SERVE_COUNTS = {
+    "duration": _positive_float,
     "crossbars": _positive_int,
     "capacity": _positive_int,
     "chips": _positive_int,
+    "cycles_per_ms": _positive_float,
     "bridge_latency": _positive_int,
     "faults": _non_negative_int,
 }
@@ -645,10 +662,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_argument(p_exp)
     _add_obs_arguments(p_exp)
     p_exp.add_argument("--method", default="pso", choices=METHODS)
-    p_exp.add_argument("--sizes", nargs="+", type=int,
+    p_exp.add_argument("--sizes", nargs="+", type=_positive_int,
                        default=[90, 180, 360, 720, 1440])
     p_exp.add_argument(
-        "--chip-counts", nargs="+", type=int, default=None,
+        "--chip-counts", nargs="+", type=_positive_int, default=None,
         help="sweep chip counts instead of crossbar sizes (platform "
              "taken from the architecture flags)",
     )
@@ -669,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault counts to sweep; include 0 for the healthy baseline",
     )
     p_flt.add_argument(
-        "--draws", type=int, default=16,
+        "--draws", type=_positive_int, default=16,
         help="Monte-Carlo fault draws per non-zero level",
     )
     p_flt.add_argument(

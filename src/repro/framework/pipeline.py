@@ -3,6 +3,8 @@
 The SNN-simulation stage happens upstream (applications produce
 :class:`~repro.snn.graph.SpikeGraph` objects); the pipeline takes the
 graph through mapping, interconnect simulation and metric aggregation.
+:func:`run_fault_campaign` measures mappings on randomly degraded
+fabrics, level by level.
 """
 
 from __future__ import annotations
@@ -13,12 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.mapper import SEED_FREE_METHODS, MappingResult, map_snn
 from repro.core.pso import PSOConfig
 from repro.hardware.architecture import Architecture
-from repro.metrics.report import (
-    DegradationCurve,
-    MetricReport,
-    build_report,
-    degradation_point,
-)
+from repro.metrics.report import MetricReport, build_report
 from repro.noc.fastsim import FastInterconnect, build_interconnect, simulate_fabrics
 from repro.noc.faults import inject_random_faults
 from repro.noc.interconnect import NocConfig
@@ -224,54 +221,6 @@ def _copy_pipeline_result(result: PipelineResult) -> PipelineResult:
     )
 
 
-def run_fault_sweep(
-    graph: SpikeGraph,
-    architecture: Architecture,
-    fault_counts: Sequence[int] = (0, 1, 2, 4),
-    method: str = "pso",
-    seed: SeedLike = None,
-    fault_seed: SeedLike = None,
-    pso_config: Optional[PSOConfig] = None,
-    noc_config: Optional[NocConfig] = None,
-    mapping: Optional[MappingResult] = None,
-    cache=None,
-) -> DegradationCurve:
-    """Measure one mapping across rising link-fault counts.
-
-    The graph is mapped once (on the healthy fabric, or reuse a
-    precomputed ``mapping``), then simulated on each degraded topology
-    drawn with :func:`~repro.noc.faults.inject_random_faults` under
-    ``fault_seed``.  Traffic reroutes over shortest-path detours; the
-    returned :class:`~repro.metrics.report.DegradationCurve` records
-    latency, energy and spike disorder per fault level.
-
-    ``cache`` memoizes the mapping (deterministic requests only); the
-    fault draws never consult it — a handful of levels, one draw each.
-    The restartable form of this study is :func:`run_fault_campaign`.
-    """
-    if mapping is None:
-        mapping = map_snn(
-            graph, architecture, method=method, seed=seed,
-            pso_config=pso_config, noc_config=noc_config, cache=cache,
-        )
-    healthy = architecture.build_topology()
-    healthy_links = healthy.graph.number_of_edges()
-    curve = DegradationCurve(
-        app=graph.name, method=mapping.method, topology_kind=healthy.kind
-    )
-    schedules = _Schedules(graph, architecture)
-    for n_faults in fault_counts:
-        topology, failed = _draw_faults(healthy, n_faults, fault_seed)
-        schedule = schedules.on(topology, mapping.assignment)
-        stats = build_interconnect(topology, config=noc_config).simulate(schedule)
-        curve.points.append(
-            degradation_point(
-                n_faults, failed, stats, architecture, topology, healthy_links
-            )
-        )
-    return curve
-
-
 def _fault_levels(levels: Sequence[int]) -> Tuple[int, ...]:
     """``levels`` as ints; a campaign sweeps each non-negative level once."""
     levels = tuple(int(v) for v in levels)
@@ -300,13 +249,12 @@ def run_fault_campaign(
 ) -> "CampaignSummary":
     """Monte-Carlo fault campaign: N seeded draws per fault level.
 
-    Where :func:`run_fault_sweep` rests a resilience claim on a single
-    seeded fault draw per level, a campaign samples the fault
-    *distribution*: every ``(level, draw)`` cell gets its own child
-    seed via :func:`~repro.utils.rng.derive_seed`, so draws are
-    independent yet individually reproducible — the same
-    ``campaign_seed`` always regenerates the same fault sets,
-    regardless of execution order.
+    A campaign samples the fault *distribution*: every ``(level,
+    draw)`` cell gets its own child seed via
+    :func:`~repro.utils.rng.derive_seed`, so draws are independent yet
+    individually reproducible — the same ``campaign_seed`` always
+    regenerates the same fault sets, regardless of execution order.
+    ``draws=1`` measures one fault draw per level.
 
     A level is drawn first and simulated after: every cell of the level
     draws its faults (one :func:`~repro.noc.faults.inject_random_faults`

@@ -125,7 +125,8 @@ class MappingService:
 
         A request that fails never stops the rest: every request is
         answered (and its result cached) before the first error is
-        raised.
+        raised, its message prefixed with ``request #i:`` (the failing
+        request's index) and its type unchanged.
         """
         requests = list(requests)
         results: List[Optional[PipelineResult]] = [None] * len(requests)
@@ -136,6 +137,7 @@ class MappingService:
                     results[i] = self._serve_one(request)
                 except Exception as exc:
                     if first_error is None:
+                        exc.args = (f"request #{i}: {exc}",)
                         first_error = exc
         self.requests_served += len(requests)
         if first_error is not None:

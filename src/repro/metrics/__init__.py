@@ -30,11 +30,8 @@ from repro.metrics.report import (
     CampaignDraw,
     CampaignLevelStats,
     CampaignSummary,
-    DegradationCurve,
-    DegradationPoint,
     MetricReport,
     build_report,
-    degradation_point,
 )
 
 __all__ = [
@@ -48,9 +45,6 @@ __all__ = [
     "CampaignDraw",
     "CampaignLevelStats",
     "CampaignSummary",
-    "DegradationCurve",
-    "DegradationPoint",
-    "degradation_point",
     "CongestionReport",
     "congestion_report",
     "bottleneck_links",

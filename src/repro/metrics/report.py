@@ -4,12 +4,6 @@
 global traffic, and the architecture's energy model into the full metric
 set the paper evaluates: ISI distortion, disorder count, throughput,
 latency, and local/global/total energy.
-
-:class:`DegradationCurve` stacks the same metrics against rising fault
-counts (see :mod:`repro.noc.faults`): one :class:`DegradationPoint` per
-fault level shows how latency, energy and spike disorder degrade as the
-fabric loses links — the headroom a mapping has when traffic is forced
-onto detours.
 """
 
 from __future__ import annotations
@@ -117,109 +111,6 @@ class MetricReport:
             )
         return format_table(
             [f"{self.app} / {self.method}", "value"], rows
-        )
-
-
-@dataclass(frozen=True)
-class DegradationPoint:
-    """Paper metrics of one mapping measured at one fault level."""
-
-    n_faults: int
-    fault_fraction: float  # failed links / healthy link count
-    failed_links: Tuple[Tuple[int, int], ...]
-    mean_latency_cycles: float
-    max_latency_cycles: int
-    global_energy_pj: float
-    disorder_fraction: float
-    delivered_packets: int
-    undelivered_packets: int
-
-    @property
-    def disorder_percent(self) -> float:
-        return self.disorder_fraction * 100.0
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "n_faults": self.n_faults,
-            "fault_fraction": self.fault_fraction,
-            "failed_links": [list(link) for link in self.failed_links],
-            "mean_latency_cycles": self.mean_latency_cycles,
-            "max_latency_cycles": self.max_latency_cycles,
-            "global_energy_pj": self.global_energy_pj,
-            "disorder_percent": self.disorder_percent,
-            "delivered_packets": self.delivered_packets,
-            "undelivered_packets": self.undelivered_packets,
-        }
-
-
-@dataclass
-class DegradationCurve:
-    """Latency / energy / disorder vs. fault rate for one mapping.
-
-    Points are ordered by rising fault count; the first point is the
-    healthy fabric (``n_faults == 0``) when the sweep included it.
-    """
-
-    app: str
-    method: str
-    topology_kind: str
-    points: List[DegradationPoint] = field(default_factory=list)
-
-    @property
-    def healthy(self) -> DegradationPoint:
-        """The ``n_faults == 0`` point every overhead is measured against.
-
-        Raises a clear ``ValueError`` when the sweep skipped the healthy
-        fabric — overheads against an already-degraded baseline would be
-        silently wrong.
-        """
-        for point in self.points:
-            if point.n_faults == 0:
-                return point
-        raise ValueError(
-            "degradation curve has no healthy (0-fault) point; include "
-            "fault count 0 in the sweep to measure overheads against"
-        )
-
-    def latency_overhead(self, point: DegradationPoint) -> float:
-        """Mean-latency multiplier of ``point`` over the healthy fabric."""
-        base = self.healthy.mean_latency_cycles
-        if base == 0.0:
-            return 1.0
-        return point.mean_latency_cycles / base
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "app": self.app,
-            "method": self.method,
-            "topology_kind": self.topology_kind,
-            "points": [p.to_dict() for p in self.points],
-        }
-
-    def table(self) -> str:
-        rows = [
-            (
-                str(p.n_faults),
-                f"{p.fault_fraction * 100.0:.1f}%",
-                f"{p.mean_latency_cycles:.2f}",
-                str(p.max_latency_cycles),
-                f"{p.global_energy_pj * 1e-6:.3f}",
-                f"{p.disorder_percent:.2f}",
-                str(p.undelivered_packets),
-            )
-            for p in self.points
-        ]
-        return format_table(
-            [
-                "faults",
-                "fault rate",
-                "mean latency (cy)",
-                "max latency (cy)",
-                "global uJ",
-                "disorder %",
-                "undelivered",
-            ],
-            rows,
         )
 
 
@@ -414,32 +305,6 @@ class CampaignSummary:
             ],
             rows,
         )
-
-
-def degradation_point(
-    n_faults: int,
-    failed_links,
-    stats: NocStats,
-    architecture: Architecture,
-    topology,
-    healthy_links: int,
-) -> DegradationPoint:
-    """Collapse one degraded-fabric simulation into its curve point."""
-    return DegradationPoint(
-        n_faults=n_faults,
-        fault_fraction=(
-            n_faults / healthy_links if healthy_links else 0.0
-        ),
-        failed_links=tuple(tuple(link) for link in failed_links),
-        mean_latency_cycles=stats.mean_latency(),
-        max_latency_cycles=stats.max_latency(),
-        global_energy_pj=architecture.energy.global_energy_pj(
-            stats, topology
-        ),
-        disorder_fraction=disorder_fraction(stats),
-        delivered_packets=stats.delivered_count,
-        undelivered_packets=stats.undelivered_count,
-    )
 
 
 def build_report(

@@ -16,14 +16,9 @@ import pytest
 
 from repro.core.mapper import map_snn
 from repro.framework.artifacts import ArtifactCache
-from repro.framework.pipeline import run_fault_campaign, run_fault_sweep
+from repro.framework.pipeline import run_fault_campaign
 from repro.hardware.presets import custom, multichip_board
-from repro.metrics.report import (
-    CampaignDraw,
-    CampaignSummary,
-    DegradationCurve,
-    degradation_point,
-)
+from repro.metrics.report import CampaignDraw, CampaignSummary
 from repro.noc.fastsim import build_interconnect
 from repro.noc.faults import inject_random_faults
 from repro.noc.interconnect import NocConfig
@@ -198,34 +193,3 @@ def test_span_and_counters_say_what_was_reused(cases):
         _campaign(cases["board2x2"])
     span = _campaign_span(obs)
     assert n_labels < span["schedules_built"] <= n_labels * (1 + faulted)
-
-
-@pytest.mark.parametrize("platform", sorted(PLATFORMS))
-def test_sweep_equals_rebuild_every_level(cases, platform):
-    graph, arch, mappings = cases[platform]
-    mapping = mappings["pacman"]
-    counts, fault_seed = (0, 1, 2), 5
-    healthy = arch.build_topology()
-    want = DegradationCurve(
-        app=graph.name, method=mapping.method, topology_kind=healthy.kind
-    )
-    for n_faults in counts:
-        topology, failed = (
-            inject_random_faults(healthy, n_faults, seed=fault_seed)
-            if n_faults else (healthy, [])
-        )
-        schedule = build_injections(
-            graph, mapping.assignment, topology, cycles_per_ms=arch.cycles_per_ms
-        )
-        (stats,) = _simulate(topology, [schedule], None)
-        want.points.append(degradation_point(
-            n_faults, failed, stats, arch, topology,
-            healthy.graph.number_of_edges(),
-        ))
-    for kwargs in ({}, {"cache": ArtifactCache()}):
-        got = run_fault_sweep(
-            graph, arch, fault_counts=counts, fault_seed=fault_seed,
-            mapping=mapping, **kwargs,
-        )
-        assert got.points == want.points
-        assert got.table() == want.table()

@@ -7,7 +7,7 @@ from repro.core.mapper import map_snn
 from repro.core.pso import PSOConfig
 from repro.framework.artifacts import ArtifactCache
 from repro.framework.cli import main
-from repro.framework.pipeline import run_fault_campaign, run_fault_sweep
+from repro.framework.pipeline import run_fault_campaign
 from repro.hardware.presets import architecture_for
 from repro.noc.interconnect import NocConfig
 from repro.obs import observe
@@ -172,29 +172,15 @@ class TestRunFaultCampaign:
 
 
 class TestFaultSweepSatellites:
-    """What a sweep and a campaign may ask of the cache."""
+    """What a campaign may ask of the cache."""
 
     def test_fault_draws_never_touch_the_cache(
         self, graph, arch, mapping, monkeypatch
     ):
-        """Given a mapping, a sweep computes every draw, seeded or not,
-        and a campaign consults the cache once per (level, draw) for the
-        whole point — never for a part (topology, schedule, fault set)."""
+        """Given a mapping, a campaign consults the cache once per
+        (level, draw) for the whole point — never for a part (topology,
+        schedule, fault set)."""
         cache = ArtifactCache()
-
-        def poisoned(*args, **kwargs):
-            raise AssertionError("a fault draw must not consult the cache")
-
-        with monkeypatch.context() as patched:
-            patched.setattr(cache, "get", poisoned)
-            patched.setattr(cache, "put", poisoned)
-            for fault_seed in (None, 3):
-                curve = run_fault_sweep(
-                    graph, arch, fault_counts=(0, 1), mapping=mapping,
-                    fault_seed=fault_seed, cache=cache,
-                )
-                assert len(curve.points) == 2
-
         kinds = []
         key = cache.key
         monkeypatch.setattr(
@@ -204,25 +190,6 @@ class TestFaultSweepSatellites:
         assert len(summary.draws) == 3 * 3
         assert kinds == ["sweep-point"] * (3 * 3)
         assert cache.stats["misses"] == cache.stats["stores"] == 3 * 3
-
-
-class TestDegradationCurveHealthy:
-    def _curve(self, graph, arch, mapping, counts):
-        return run_fault_sweep(
-            graph, arch, fault_counts=counts, method="pacman", fault_seed=3
-        )
-
-    def test_missing_healthy_point_raises(self, graph, arch, mapping):
-        curve = self._curve(graph, arch, mapping, (1, 2))
-        with pytest.raises(ValueError, match="no healthy"):
-            curve.healthy
-        with pytest.raises(ValueError, match="no healthy"):
-            curve.latency_overhead(curve.points[0])
-
-    def test_healthy_point_found(self, graph, arch, mapping):
-        curve = self._curve(graph, arch, mapping, (0, 1))
-        assert curve.healthy.n_faults == 0
-        assert curve.latency_overhead(curve.points[1]) >= 1.0
 
 
 class TestFaultAwareMapping:

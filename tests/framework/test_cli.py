@@ -165,6 +165,35 @@ class TestPlatformFlags:
         args = build_parser().parse_args(["map", "--app", "x", "--faults", "0"])
         assert args.faults == 0
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("explore", "--sizes", "0"), ("explore", "--chip-counts", "0"),
+         ("faults", "--draws", "0"), ("faults", "--draws", "-2")],
+    )
+    def test_sweep_counts_must_be_positive_integers(
+        self, capsys, command, flag, value
+    ):
+        """Rejected when parsed: nothing is mapped for a sweep of zero."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--app", "hello_world", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer, got '{value}'" in err
+
+    @pytest.mark.parametrize("command", ["map", "compare", "explore", "faults"])
+    @pytest.mark.parametrize("flag", ["--cycles-per-ms", "--duration"])
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "fast"])
+    def test_rates_must_be_positive_finite_numbers(
+        self, capsys, command, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--app", "hello_world", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive number, got '{value}'" in err
+        args = build_parser().parse_args([command, "--app", "x", flag, "2.5"])
+        assert vars(args)[flag[2:].replace("-", "_")] == 2.5
+
     def test_crossbars_alone_sizes_each_crossbar_to_fit(self, capsys):
         """``--crossbars N`` without ``--capacity``: N crossbars of
         ``ceil(n_neurons / N)`` neurons (it used to be ignored)."""
@@ -314,7 +343,9 @@ class TestServe:
     @pytest.mark.parametrize(
         "field, value",
         [("crossbars", -3), ("crossbars", 0), ("capacity", 0), ("chips", 0),
-         ("bridge_latency", -1), ("faults", -1), ("faults", 1.5)],
+         ("bridge_latency", -1), ("faults", -1), ("faults", 1.5),
+         ("cycles_per_ms", 0), ("cycles_per_ms", -1.5), ("duration", -5),
+         ("duration", 0)],
     )
     def test_serve_rejects_bad_counts_before_building_graph(
         self, tmp_path, capsys, monkeypatch, field, value
@@ -335,14 +366,18 @@ class TestServe:
         assert f"got '{value}'" in err
 
     def test_serve_reports_an_unsurvivable_fault_count(self, tmp_path, capsys):
-        requests = self._write_requests(tmp_path, [{
+        """The error names the request that failed, not only what failed."""
+        spec = {
             "app": "synth_1x20", "seed": 3, "duration": 100,
-            "crossbars": 3, "capacity": 10, "method": "greedy", "faults": 1,
-        }])
+            "crossbars": 3, "capacity": 10, "method": "greedy",
+        }
+        requests = self._write_requests(
+            tmp_path, [{**spec, "interconnect": "mesh"}, {**spec, "faults": 1}]
+        )
         assert main(["serve", "--requests", requests]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(
-            "error: topology 'tree' cannot survive 1 link faults"
+            "error: request #1: topology 'tree' cannot survive 1 link faults"
         )
         assert captured.out == ""
 

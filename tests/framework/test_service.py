@@ -520,7 +520,8 @@ class TestMappingService:
     def test_serve_batch_survives_a_failing_request(self, graph, arch):
         """Three same-fabric noc requests, the middle one cannot fit:
         the other two are still answered (bit-identically to one-shot
-        runs), the error is re-raised, and no thread is started."""
+        runs), the error is re-raised naming the failing request's index,
+        and no thread is started."""
         ncfg = NocConfig(backend="fast")
         bad_arch = custom(2, 4, interconnect="mesh", name="too-small")
 
@@ -533,7 +534,7 @@ class TestMappingService:
         good = [request(arch, 1), request(arch, 2)]
         service = MappingService()
         threads_before = threading.active_count()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^request #1: "):
             service.serve_batch([good[0], request(bad_arch, 3), good[1]])
         assert threading.active_count() == threads_before
         assert service.requests_served == 3
