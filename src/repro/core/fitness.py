@@ -14,19 +14,29 @@ as options (both default off, matching the paper):
   grouped OR per distinct target set, gathered to the sources) plus a
   popcount, and is exact for integer spike counts, as is the
   per-synapse ``spikes`` form (a blocked sum over the synapse pairs).
-- ``noc_in_loop`` — score an assignment by actually simulating its AER
-  traffic on the interconnect with the fast vectorized backend
-  (:mod:`repro.noc.fastsim`) and reading its total link traversals off
-  the resulting :class:`~repro.noc.stats.NocStats`.  This is the most
-  faithful objective the system has: it sees buffering, arbitration and
-  multicast forking, not just traffic counts.  The instance sorts the
-  graph's spike events once (:class:`~repro.noc.traffic.SpikeEvents`)
-  and every schedule it scores is a filtered view of that list with the
-  same reach masks as destination words.  Swarm batches run through
+- ``noc_in_loop`` — score an assignment by the link traversals its AER
+  traffic makes on the interconnect (total hops, the energy-proportional
+  event count), plus :data:`UNDELIVERED_PENALTY` for each delivery the
+  interconnect misses before its drain deadline.  Neither number depends
+  on timing once every packet is known to arrive, so a row is scored in
+  closed form when the fabric's routing proves it
+  (:class:`~repro.noc.routing.DeliveryCertificate`: every route arrives,
+  the channel dependency graph is acyclic, multicast routes form trees,
+  and the row's hops + deliveries fit in ``max_extra_cycles``) — counted
+  off the swarm's reach masks and the certificate's per-source route
+  masks.  Only the other rows run the cycle loop of the fast backend
+  (:mod:`repro.noc.fastsim`), and the same two numbers are read off its
+  :class:`~repro.noc.stats.NocStats`.  The
+  instance sorts the graph's spike events once
+  (:class:`~repro.noc.traffic.SpikeEvents`) and every schedule it
+  simulates is a filtered view of that list with the same reach masks as
+  destination words.  Those rows run through
   :meth:`~repro.noc.fastsim.FastInterconnect.simulate_many`: one
   GIL-free C call per swarm, spread over an OpenMP thread team where the
   kernel was built with one (``REPRO_NOC_THREADS`` caps it),
-  bit-identical for any thread count.
+  bit-identical for any thread count.  Under ``observe()`` the counter
+  ``fitness.noc_rows{path="closed"|"simulated"}`` says which path scored
+  how many rows.
 """
 
 from __future__ import annotations
@@ -36,7 +46,8 @@ from typing import Optional
 import numpy as np
 
 from repro.core.traffic_matrix import TrafficMatrix
-from repro.noc.topology import Topology
+from repro.noc.topology import Topology, dense_node_ids
+from repro.obs import get_observer
 from repro.snn.graph import SpikeGraph
 
 #: Penalty per undelivered (packet, destination) pair in noc_in_loop
@@ -54,11 +65,12 @@ class InterconnectFitness:
     Parameters
     ----------
     noc_in_loop:
-        Score assignments by cycle-accurate NoC simulation (fast
-        backend) instead of closed-form traffic counts.  Requires
-        ``topology``.  The score is the total link traversals (the
-        energy-proportional event count); undelivered packets add
-        :data:`UNDELIVERED_PENALTY` each.
+        Score assignments by their traffic on the interconnect instead
+        of closed-form traffic counts.  Requires ``topology``.  The score
+        is the total link traversals (the energy-proportional event
+        count); undelivered packets add :data:`UNDELIVERED_PENALTY` each.
+        Rows the routing proves deliverable are counted, the rest
+        simulated (fast backend).
     noc_config:
         Interconnect parameters for ``noc_in_loop`` mode; the backend is
         forced to "fast".
@@ -121,6 +133,12 @@ class InterconnectFitness:
             # pairs (deduplicated once, above) and the graph's spike
             # events, sorted once for every swarm it will ever score.
             self._events = SpikeEvents(graph, cycles_per_ms, matrix=self.matrix)
+            self._certificate = self._noc.routing.certificate()
+            node_ids = dense_node_ids(topology)
+            self._n_routers = node_ids.shape[0]
+            self._attach_bit = np.searchsorted(
+                node_ids, np.asarray(topology.attach_points, dtype=np.int64)
+            )
 
     # -- single assignment ------------------------------------------------------
 
@@ -191,6 +209,33 @@ class InterconnectFitness:
         return float(summary.total_hops) + UNDELIVERED_PENALTY * summary.undelivered
 
     def _simulate_batch(self, assignments: np.ndarray) -> np.ndarray:
+        from repro.noc.traffic import check_assignments
+
+        scores = np.empty(assignments.shape[0], dtype=np.float64)
+        rest = np.arange(assignments.shape[0])
+        if self._certificate.deadlock_free:
+            a = check_assignments(self.graph, assignments, self.topology)
+            reach = self.matrix.reach_masks(
+                a, index=self._attach_bit, n_bits=self._n_routers
+            )
+            self._events.check_emitting(reach.any(axis=2))
+            config = self._noc.config
+            hops, proven = self._certificate.closed_form(
+                reach, self._attach_bit[a], self._events.counts,
+                config.multicast, config.max_extra_cycles,
+            )
+            scores[proven] = hops[proven]
+            rest = rest[~proven]
+        obs = get_observer()
+        if obs.enabled:
+            closed = scores.shape[0] - rest.shape[0]
+            obs.inc("fitness.noc_rows", closed, path="closed")
+            obs.inc("fitness.noc_rows", rest.shape[0], path="simulated")
+        if rest.size:
+            scores[rest] = self._simulate_rows(assignments[rest])
+        return scores
+
+    def _simulate_rows(self, assignments: np.ndarray) -> np.ndarray:
         from repro.noc.stats import summarize
         from repro.noc.traffic import build_injections_batch
 

@@ -117,9 +117,11 @@ def map_snn(
         the modeled hardware; ``"spikes"`` is the paper's literal Eq. 8
         per-synapse count.  The two coincide when each neuron has at most
         one remote target crossbar; the fitness-ablation bench compares
-        them.  ``"noc"`` scores every particle by cycle-accurate NoC
-        simulation (fast backend, hop metric) — the most faithful and
-        most expensive objective.
+        them.  ``"noc"`` scores every particle by its link traversals on
+        the fabric, undelivered traffic penalized: counted in closed
+        form where the routing proves every packet arrives, by
+        cycle-accurate NoC simulation (fast backend) elsewhere — see
+        :class:`~repro.core.fitness.InterconnectFitness`.
     noc_config:
         Interconnect parameters the ``"noc"`` objective simulates under
         (backend forced to "fast").  Pass the same config the final

@@ -71,7 +71,7 @@ def _add_arch_arguments(parser: argparse.ArgumentParser) -> None:
         help="cycles per chip-to-chip bridge crossing (--chips > 1)",
     )
     parser.add_argument(
-        "--bridge-energy", type=float, default=None,
+        "--bridge-energy", type=_non_negative_float, default=None,
         help="pJ per chip-to-chip bridge crossing (default: the "
              "energy model's e_bridge_pj)",
     )
@@ -104,7 +104,7 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _add_spare_capacity_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--spare-capacity", type=float, default=0.0,
+        "--spare-capacity", type=_spare_capacity, default=0.0,
         help="fault-aware headroom fraction in [0, 1): every crossbar "
              "keeps that share of its slots free and the mapping spreads "
              "load so runtime evacuation stays cheap (0 = paper behavior)",
@@ -135,6 +135,32 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    """``type=`` of ``--bridge-energy``: argparse reports anything that
+    is not a finite number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative number, got {text!r}"
+        )
+    return value
+
+
+def _spare_capacity(text: str) -> float:
+    """``type=`` of ``--spare-capacity``: argparse reports anything
+    outside ``[0, 1)``, NaN included."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text!r}")
+    return value
+
+
 def _non_negative_int(text: str) -> int:
     """``type=`` of ``--faults``: argparse reports anything below 0."""
     if not text.isdecimal():
@@ -150,7 +176,8 @@ def _add_pso_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--objective", default="packets", choices=["packets", "spikes", "noc"],
         help="PSO objective: closed-form packet/spike counts, or 'noc' = "
-             "cycle-accurate NoC-in-the-loop swarm scoring",
+             "link hops on the interconnect (counted where the routing "
+             "proves delivery, simulated elsewhere)",
     )
 
 
@@ -522,7 +549,9 @@ _SERVE_COUNTS = {
     "chips": _positive_int,
     "cycles_per_ms": _positive_float,
     "bridge_latency": _positive_int,
+    "bridge_energy": _non_negative_float,
     "faults": _non_negative_int,
+    "spare_capacity": _spare_capacity,
 }
 
 
@@ -587,7 +616,7 @@ def _cmd_serve(args) -> int:
                 objective=ns.objective,
                 faults=ns.faults,
                 fault_seed=ns.fault_seed,
-                spare_capacity=float(ns.spare_capacity),
+                spare_capacity=ns.spare_capacity,
                 warm=bool(ns.warm),
                 label=f"{ns.app}#{i}",
             )

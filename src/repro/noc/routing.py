@@ -23,7 +23,11 @@ forwards to toward router ``d`` (``-1`` on the diagonal), and
   use, so they cost a list lookup and return plain ints, never numpy
   scalars.  The per-pair ``distance()``
   loops in ``tests/framework/test_exploration.py`` are the oracles of
-  exploration's energy estimates.
+  exploration's energy estimates;
+- :meth:`RoutingTable.certificate` (the ``noc`` objective) is what the
+  table proves about delivery, derived once: each source's route masks
+  and whether they form a tree, and whether every route arrives with an
+  acyclic channel dependency graph — see :class:`DeliveryCertificate`.
 
 Two algorithms fill the tables:
 
@@ -76,6 +80,13 @@ class RoutingTable:
         self.distances = distances
         self.name = name
         self._lists = None
+        self._certificate = None
+
+    def certificate(self) -> "DeliveryCertificate":
+        """What this table proves about delivery (derived on first use)."""
+        if self._certificate is None:
+            self._certificate = DeliveryCertificate(self.next_hops)
+        return self._certificate
 
     def _scalar_lookup(self):
         """``(dense index by id, next-hop id rows, distance rows)`` as
@@ -103,6 +114,164 @@ class RoutingTable:
             return 0
         index, _, dist = self._lists or self._scalar_lookup()
         return dist[index[src]][index[dst]]
+
+
+#: Transient bytes :meth:`DeliveryCertificate.closed_form` gathers per
+#: block of packets.
+_BLOCK_BYTES = 1 << 22
+
+
+class DeliveryCertificate:
+    """What a routing table proves about every schedule it routes.
+
+    Derived from ``next_hops`` alone, in whole-array steps (one walk of
+    every route per step, O(n² · n_words) memory):
+
+    ``through``
+        uint64 ``(n, n, n_words)``: bit ``d`` of ``through[s, r]`` is
+        set when the route from ``s`` to ``d`` enters router ``r``
+        (``r != s``; the route's last router is ``d``).  A unicast
+        packet from ``s`` to ``d`` crosses ``distances[s, d]`` links, one
+        per router its route enters.
+    ``tree``
+        bool ``(n,)``: the routes from ``s`` form a tree — the route to
+        any ``d`` enters each of its routers from where the route to
+        that router does.  A multicast packet from ``s`` then enters
+        each router of the union of its routes exactly once (the kernel
+        forks a packet per output port, never twice onto one link).
+    ``deadlock_free``
+        Every route arrives (no unroutable pair, no routing loop) and
+        the channel dependency graph — channel ``u->v`` waits on channel
+        ``v->w`` when some route takes both — is acyclic.  Then, by
+        Dally & Seitz ("Deadlock-free message routing in multiprocessor
+        interconnection networks", IEEE Trans. Computers, 1987), a cycle
+        with packets in flight always forwards or ejects one: a wait
+        chain of full channel buffers would have to end somewhere.
+        Every link traversal and every ejection happens once, so after
+        the last injection the network drains within hops + deliveries
+        cycles.
+
+    :meth:`closed_form` turns this into the simulated objective without
+    the cycle loop, for the schedules it can prove.
+    """
+
+    def __init__(self, next_hops: np.ndarray) -> None:
+        n = next_hops.shape[0]
+        n_words = max(1, -(-n // 64))
+        self.through = np.zeros((n, n, n_words), dtype=np.uint64)
+        self.tree = np.zeros(n, dtype=bool)
+        self.deadlock_free = False
+        src, dst = np.divmod(np.arange(n * n), n)
+        off = src != dst
+        src, dst = src[off], dst[off]
+        # Walk every route once to learn the router each one arrives
+        # from; give up on a table that does not deliver.
+        last = np.full((n, n), -1, dtype=np.int64)
+        here, live = src.copy(), np.arange(src.shape[0])
+        for _ in range(n):  # a loop-free route enters at most n - 1 routers
+            if not live.size:
+                break
+            step = next_hops[here[live], dst[live]]
+            if (step < 0).any():
+                return  # unroutable pair
+            arrived = step == dst[live]
+            done = live[arrived]
+            last[src[done], dst[done]] = here[done]
+            here[live] = step
+            live = live[~arrived]
+        if live.size:
+            return  # routing loop
+        # Walk again: mark each router a route enters, and whether it
+        # enters it from where the route to that router does.
+        tree = np.ones(n, dtype=bool)
+        through = self.through.reshape(n * n, n_words)
+        word = dst >> 6
+        bit = np.left_shift(np.uint64(1), (dst & 63).astype(np.uint64))
+        here, live = src.copy(), np.arange(src.shape[0])
+        while live.size:
+            s, d, u = src[live], dst[live], here[live]
+            v = next_hops[u, d]
+            tree[s[last[s, v] != u]] = False
+            np.bitwise_or.at(through, (s * n + v, word[live]), bit[live])
+            here[live] = v
+            live = live[v != d]
+        self.tree = tree
+        # Channel u->v waits on v->next_hops[v, d] for every d routed
+        # over u->v that v does not eject; channels are numbered u*n+v.
+        v = next_hops[src, dst]
+        on = v != dst
+        u, v, d = src[on], v[on], dst[on]
+        waits = np.unique((u * n + v) * (n * n) + v * n + next_hops[v, d])
+        self.deadlock_free = _acyclic(waits // (n * n), waits % (n * n), n * n)
+
+    def closed_form(
+        self,
+        reach: np.ndarray,
+        src: np.ndarray,
+        spikes: np.ndarray,
+        multicast: bool,
+        max_extra_cycles: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Link traversals of each row's packets, and whether they are
+        proven.
+
+        ``reach`` is uint64 ``(P, N, n_words)``, the destination mask of
+        each neuron's packets under row ``p`` (its own router's bit
+        clear); ``src`` int64 ``(P, N)``, each neuron's dense source
+        router; ``spikes`` int64 ``(N,)``, the packets each neuron
+        injects.  Returns int64 ``hops`` and bool ``proven``, both
+        ``(P,)``: a proven row's schedule delivers everything before the
+        deadline ``last injection + max_extra_cycles`` (the table is
+        deadlock-free and hops + deliveries <= ``max_extra_cycles``) and
+        its link loads sum to ``hops`` — ``Σ spikes · |{r : reach &
+        through[src, r] != 0}|`` multicast (every source involved must
+        be tree-routed), ``Σ spikes · Σ_r popcount(reach & through[src,
+        r])`` unicast.  Unproven rows' ``hops`` mean nothing.
+        """
+        p, n_neurons, n_words = reach.shape
+        n = self.through.shape[0]
+        per_packet = np.bitwise_count(reach).sum(axis=2, dtype=np.int64)
+        deliveries = per_packet @ spikes
+        rows, neurons = np.nonzero((per_packet > 0) & (spikes > 0))
+        sources = src[rows, neurons]
+        masks = reach[rows, neurons]
+        # A swarm repeats (source, mask) pairs: count each distinct one once.
+        pairs = np.empty((rows.shape[0], 1 + n_words), dtype=np.uint64)
+        pairs[:, 0] = sources
+        pairs[:, 1:] = masks
+        rows_as_bytes = np.dtype((np.void, pairs.itemsize * (1 + n_words)))
+        _, first, inverse = np.unique(
+            pairs.view(rows_as_bytes).ravel(), return_index=True, return_inverse=True
+        )
+        entered = np.empty(first.shape[0], dtype=np.int64)
+        block = max(1, _BLOCK_BYTES // (8 * n * n_words))
+        for lo in range(0, first.shape[0], block):
+            at = first[lo : lo + block]
+            hit = self.through[sources[at]] & masks[at, None]
+            if multicast:
+                hit = np.bitwise_or.reduce(hit, axis=2)
+                entered[lo : lo + block] = np.count_nonzero(hit, axis=1)
+            else:
+                entered[lo : lo + block] = np.bitwise_count(hit).sum(axis=(1, 2))
+        per_row = np.zeros((p, n_neurons), dtype=np.int64)
+        per_row[rows, neurons] = entered[inverse]
+        hops = per_row @ spikes
+        proven = (hops + deliveries <= max_extra_cycles) & self.deadlock_free
+        if multicast:
+            proven[rows[~self.tree[sources]]] = False
+        return hops, proven
+
+
+def _acyclic(tail: np.ndarray, head: np.ndarray, n_nodes: int) -> bool:
+    """Whether the edges ``tail[i] -> head[i]`` over nodes ``0 ..
+    n_nodes - 1`` form no cycle: Kahn's algorithm, dropping the edges of
+    every node nothing points at, all at once, round by round."""
+    while tail.size:
+        waiting = np.bincount(head, minlength=n_nodes)[tail] > 0
+        if waiting.all():
+            return False  # every remaining tail is some edge's head
+        tail, head = tail[waiting], head[waiting]
+    return True
 
 
 def _dense_neighbours(topology: Topology, ids: List[int]) -> List[List[int]]:

@@ -509,6 +509,49 @@ class SpikeEvents:
             - np.repeat(np.cumsum(self.counts) - self.counts, self.counts)
         )[order]
 
+    def check_emitting(self, emits: np.ndarray) -> None:
+        """Raise ``ValueError`` when a row of ``emits`` (bool ``(P, N)``:
+        the neurons whose packets that row injects) would inject before
+        cycle 0, naming the first such row's first cycle.  Neurons that
+        do not emit may hold negative spike times, as in the row-oriented
+        reference builder."""
+        if not self.cycle.size or int(self.cycle[0]) >= 0:
+            return
+        # The columns are sorted: a neuron's first event is its lowest.
+        first = np.zeros(self.counts.shape[0], dtype=np.int64)
+        neurons, at = np.unique(self.neuron, return_index=True)
+        first[neurons] = self.cycle[at]
+        lowest = np.where(emits, first, 0).min(axis=1)
+        if (lowest < 0).any():
+            raise ValueError(
+                f"negative injection cycle {int(lowest[lowest < 0][0])} "
+                "(negative spike time in graph)"
+            )
+
+
+def check_assignments(
+    graph: SpikeGraph, assignments: np.ndarray, topology: Topology
+) -> np.ndarray:
+    """``assignments`` as int64 ``(P, N)`` rows, checked against the
+    graph's neuron count and the topology's attach points (``ValueError``
+    naming the mismatch) — what every schedule of ``graph`` on
+    ``topology`` needs of a mapping.  A negative cluster id is left to
+    :meth:`~repro.core.traffic_matrix.TrafficMatrix.reach_masks`."""
+    a = np.asarray(assignments, dtype=np.int64)
+    if a.ndim == 1:
+        a = a[None, :]
+    if a.shape[1] != graph.n_neurons:
+        raise ValueError(
+            f"assignments cover {a.shape[1]} neurons, graph has "
+            f"{graph.n_neurons}"
+        )
+    if a.size and int(a.max()) >= topology.n_attach_points:
+        raise ValueError(
+            f"assignment uses cluster {int(a.max())} but the topology "
+            f"has only {topology.n_attach_points} crossbar attach points"
+        )
+    return a
+
 
 def build_injections_batch(
     graph: SpikeGraph,
@@ -565,19 +608,7 @@ def _build_injections_batch_impl(
     cycles_per_ms: float,
     events: Optional[SpikeEvents],
 ) -> List[ColumnarSchedule]:
-    a = np.asarray(assignments, dtype=np.int64)
-    if a.ndim == 1:
-        a = a[None, :]
-    if a.shape[1] != graph.n_neurons:
-        raise ValueError(
-            f"assignments cover {a.shape[1]} neurons, graph has "
-            f"{graph.n_neurons}"
-        )
-    if a.size and int(a.max()) >= topology.n_attach_points:
-        raise ValueError(
-            f"assignment uses cluster {int(a.max())} but the topology "
-            f"has only {topology.n_attach_points} crossbar attach points"
-        )
+    a = check_assignments(graph, assignments, topology)
     if events is None:
         events = SpikeEvents(graph, cycles_per_ms)
     elif events.graph is not graph or events.cycles_per_ms != cycles_per_ms:
@@ -598,6 +629,7 @@ def _build_injections_batch_impl(
             rows, index=attach_bit, n_bits=node_ids.shape[0]
         )
         emits = words.any(axis=2)
+        events.check_emitting(emits)
         packets = events.counts * emits  # per (row, neuron)
         n_packets = packets.sum(axis=1)
         ends = np.cumsum(n_packets)
@@ -613,16 +645,6 @@ def _build_injections_batch_impl(
         src_node = attach[rows].ravel()[at]
         uid = first_uid.ravel()[at] + events.within[event]
         dst_words = np.take(words.reshape(-1, words.shape[2]), at, axis=0)
-        if cycle.size and int(events.cycle[0]) < 0:
-            # Sorted columns: a row's first packet carries its lowest
-            # cycle.  (Only neurons that emit can trip this, matching
-            # the reference builder's laziness.)
-            first = cycle[starts[starts < ends]]
-            if int(first.min()) < 0:
-                raise ValueError(
-                    f"negative injection cycle {int(first[first < 0][0])} "
-                    "(negative spike time in graph)"
-                )
         # Frozen at birth: the schedules below are read-only views.
         for column in (cycle, src_node, src_neuron, uid, dst_words):
             column.flags.writeable = False

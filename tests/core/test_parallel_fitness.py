@@ -7,6 +7,11 @@ which makes whole swarm runs (same seed) land on the same optimum,
 iteration by iteration — and ``map_snn(objective="noc")`` must carry
 that end to end.  The environment variable is the only spelling: the
 request chain takes neither ``threads=`` nor ``workers=``.
+
+Every fabric here is a 4-chip board, whose routing certificate refuses
+every row (the bridges close a channel dependency cycle): the swarm runs
+through the kernel's thread team instead of being counted in closed
+form.
 """
 
 from __future__ import annotations
@@ -17,11 +22,15 @@ import pytest
 from repro.core.fitness import InterconnectFitness
 from repro.core.mapper import map_snn
 from repro.core.pso import BinaryPSO, PSOConfig
-from repro.noc.topology import tree
+from repro.noc.multichip import multichip
 
 
 def _noc_fitness(graph, **kwargs):
-    return InterconnectFitness(graph, noc_in_loop=True, topology=tree(2), **kwargs)
+    fitness = InterconnectFitness(
+        graph, noc_in_loop=True, topology=multichip(8, n_chips=4), **kwargs
+    )
+    assert not fitness._certificate.deadlock_free
+    return fitness
 
 
 def _under_threads(monkeypatch, threads, fn):
@@ -32,7 +41,7 @@ def _under_threads(monkeypatch, threads, fn):
 class TestBatchDeterminism:
     @pytest.mark.parametrize("threads", [2, 4])
     def test_fitness_vectors_identical(self, tiny_graph, monkeypatch, threads):
-        batch = np.random.default_rng(7).integers(0, 2, size=(12, 8))
+        batch = np.random.default_rng(7).integers(0, 8, size=(12, 8))
         fitness = _noc_fitness(tiny_graph)
         expected = _under_threads(monkeypatch, 0, lambda: fitness.evaluate_batch(batch))
         got = _under_threads(monkeypatch, threads, lambda: fitness.evaluate_batch(batch))
@@ -40,7 +49,7 @@ class TestBatchDeterminism:
 
     def test_single_evaluate_agrees_with_batch(self, tiny_graph, monkeypatch):
         monkeypatch.setenv("REPRO_NOC_THREADS", "2")
-        batch = np.random.default_rng(9).integers(0, 2, size=(4, 8))
+        batch = np.random.default_rng(9).integers(0, 8, size=(4, 8))
         fit = _noc_fitness(tiny_graph)
         values = fit.evaluate_batch(batch)
         for row, value in zip(batch, values):
@@ -57,7 +66,7 @@ class TestSwarmDeterminism:
     def _run(self, graph):
         config = PSOConfig(n_particles=6, n_iterations=4)
         pso = BinaryPSO(
-            _noc_fitness(graph), n_neurons=8, n_clusters=2, capacity=8,
+            _noc_fitness(graph), n_neurons=8, n_clusters=8, capacity=8,
             config=config, seed=123,
         )
         return pso.optimize()
@@ -74,7 +83,7 @@ class TestMapSnnNocObjective:
     def _arch(self):
         from repro.hardware.presets import custom
 
-        return custom(2, 8, interconnect="tree", name="noc-objective")
+        return custom(8, 8, interconnect="mesh", n_chips=4, name="noc-objective")
 
     def test_noc_objective_runs_and_matches_serial(self, tiny_graph, monkeypatch):
         config = PSOConfig(n_particles=4, n_iterations=2)

@@ -194,6 +194,61 @@ class TestPlatformFlags:
         args = build_parser().parse_args([command, "--app", "x", flag, "2.5"])
         assert vars(args)[flag[2:].replace("-", "_")] == 2.5
 
+    @pytest.mark.parametrize("command", ["map", "compare", "explore", "faults"])
+    @pytest.mark.parametrize("value", ["-5", "-0.5", "nan", "inf", "pJ"])
+    def test_bridge_energy_must_be_a_non_negative_finite_number(
+        self, capsys, command, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                [command, "--app", "hello_world", "--bridge-energy", value]
+            )
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (
+            f"argument --bridge-energy: must be a non-negative number, "
+            f"got '{value}'" in err
+        )
+        args = build_parser().parse_args(
+            [command, "--app", "x", "--bridge-energy", "0"]
+        )
+        assert args.bridge_energy == 0.0
+
+    def test_negative_bridge_energy_exits_2_before_mapping(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "map", "--app", "hello_world", "--method", "greedy",
+                "--chips", "2", "--interconnect", "mesh", "--bridge-energy", "-5",
+            ])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--bridge-energy: must be a non-negative number" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["map", "faults"])
+    @pytest.mark.parametrize("value", ["1.5", "1", "-0.1", "nan", "inf", "x"])
+    def test_spare_capacity_must_be_in_the_unit_interval(
+        self, capsys, command, value
+    ):
+        """Checked when parsed: ``faults --spare-capacity 1.5`` used to end
+        in a traceback and ``nan`` to map the baseline alone."""
+        with pytest.raises(SystemExit) as exc:
+            main([
+                command, "--app", "hello_world", "--method", "greedy",
+                "--spare-capacity", value,
+            ])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert (
+            f"argument --spare-capacity: must be in [0, 1), got '{value}'"
+            in captured.err
+        )
+        assert captured.out == ""
+        args = build_parser().parse_args(
+            [command, "--app", "x", "--spare-capacity", "0.25"]
+        )
+        assert args.spare_capacity == 0.25
+
     def test_crossbars_alone_sizes_each_crossbar_to_fit(self, capsys):
         """``--crossbars N`` without ``--capacity``: N crossbars of
         ``ceil(n_neurons / N)`` neurons (it used to be ignored)."""
@@ -364,6 +419,28 @@ class TestServe:
         err = capsys.readouterr().err
         assert err.startswith(f"error: request #0: {field} must be a ")
         assert f"got '{value}'" in err
+
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [("spare_capacity", 1.5, "in [0, 1)"), ("spare_capacity", -0.1, "in [0, 1)"),
+         ("spare_capacity", float("nan"), "in [0, 1)"),
+         ("bridge_energy", -5, "a non-negative number")],
+    )
+    def test_serve_checks_fractions_and_energies_as_the_flags_do(
+        self, tmp_path, capsys, monkeypatch, field, value, rule
+    ):
+        import repro.framework.cli as cli
+
+        def no_graph(_args):
+            raise AssertionError("graph built for an invalid request")
+
+        monkeypatch.setattr(cli, "_build_graph", no_graph)
+        requests = self._write_requests(
+            tmp_path, [{"app": "synth_1x20", field: value}]
+        )
+        assert main(["serve", "--requests", requests]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: request #0: {field} must be {rule}, got ")
 
     def test_serve_reports_an_unsurvivable_fault_count(self, tmp_path, capsys):
         """The error names the request that failed, not only what failed."""
