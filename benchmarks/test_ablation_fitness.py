@@ -36,8 +36,8 @@ def _noc_packets(graph, assignment, arch) -> int:
     return schedule.n_packets
 
 
-def _optimize(graph, arch, count_packets: bool, binarization: str):
-    fitness = InterconnectFitness(graph, count_packets=count_packets)
+def _optimize(graph, arch, objective: str, binarization: str):
+    fitness = InterconnectFitness(graph, objective=objective)
     pso = BinaryPSO(
         fitness,
         n_neurons=graph.n_neurons,
@@ -53,12 +53,15 @@ def _run(graph):
     arch = bench_architecture(graph)
     results = {}
     for objective in ("synapse", "packet"):
-        res = _optimize(graph, arch, objective == "packet", "stochastic")
+        res = _optimize(
+            graph, arch, "packets" if objective == "packet" else "spikes",
+            "stochastic",
+        )
         results[objective] = {
             "fitness": res.best_fitness,
             "noc_packets": _noc_packets(graph, res.best_assignment, arch),
         }
-    res_argmax = _optimize(graph, arch, False, "argmax")
+    res_argmax = _optimize(graph, arch, "spikes", "argmax")
     results["argmax"] = {
         "fitness": res_argmax.best_fitness,
         "noc_packets": _noc_packets(graph, res_argmax.best_assignment, arch),

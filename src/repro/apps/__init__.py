@@ -25,9 +25,7 @@ from repro.apps.image_smoothing import build_image_smoothing
 from repro.apps.digit_recognition import build_digit_recognition
 from repro.apps.heartbeat import build_heartbeat
 from repro.apps.synthetic import (
-    build_convnet,
     build_synthetic,
-    convolutional_feedforward,
     synthetic_feedforward,
 )
 from repro.apps.registry import APPLICATIONS, build_application
@@ -39,8 +37,6 @@ __all__ = [
     "build_heartbeat",
     "build_synthetic",
     "synthetic_feedforward",
-    "build_convnet",
-    "convolutional_feedforward",
     "APPLICATIONS",
     "build_application",
 ]

@@ -31,39 +31,44 @@ from repro.utils.rng import SeedLike, default_rng, derive_seed
 from repro.utils.validation import check_positive
 
 N_CHANNELS = 16      # level-crossing encoder outputs (8 up + 8 down)
+N_LEVELS = N_CHANNELS // 2
 N_LIQUID = 64
 N_READOUT = 16
 LIQUID_GRID = (4, 4, 4)
+
+RR_DRIFT = 0.15      # sinusoidal RR modulation depth (respiration)
+ECG_NOISE = 0.03     # white noise on the ECG, in R-peak units
+ECG_FS_HZ = 250.0    # ECG sample rate
+MIN_RR_MS = 300.0    # physiological RR range the estimator searches
+MAX_RR_MS = 2000.0
+RR_BIN_MS = 10.0     # spike binning of the RR estimator
 
 
 def synthetic_ecg(
     duration_ms: float,
     mean_rr_ms: float = 800.0,
-    rr_drift: float = 0.15,
-    noise: float = 0.03,
-    fs_hz: float = 250.0,
     seed: SeedLike = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Generate a synthetic single-lead ECG.
 
     Returns ``(t_ms, signal, beat_times_ms)``.  Each beat is a stylized
-    P-QRS-T complex; RR intervals drift sinusoidally by ``rr_drift``
+    P-QRS-T complex; RR intervals drift sinusoidally by :data:`RR_DRIFT`
     around ``mean_rr_ms`` (respiratory modulation) plus white jitter —
     preserving the inter-beat-interval structure the LSM encodes.
     """
     check_positive("duration_ms", duration_ms)
     check_positive("mean_rr_ms", mean_rr_ms)
     rng = default_rng(seed)
-    dt_ms = 1000.0 / fs_hz
+    dt_ms = 1000.0 / ECG_FS_HZ
     t = np.arange(0.0, duration_ms, dt_ms)
-    signal = noise * rng.standard_normal(t.size)
+    signal = ECG_NOISE * rng.standard_normal(t.size)
 
     beat_times: List[float] = []
     now = float(rng.uniform(0.0, mean_rr_ms / 4))
     phase = rng.uniform(0, 2 * np.pi)
     while now < duration_ms:
         beat_times.append(now)
-        modulation = 1.0 + rr_drift * np.sin(phase + 2 * np.pi * now / 10_000.0)
+        modulation = 1.0 + RR_DRIFT * np.sin(phase + 2 * np.pi * now / 10_000.0)
         now += mean_rr_ms * modulation + rng.normal(0.0, 0.01 * mean_rr_ms)
 
     def add_wave(center_ms: float, width_ms: float, amplitude: float) -> None:
@@ -85,20 +90,18 @@ def synthetic_ecg(
 def level_crossing_encode(
     t_ms: np.ndarray,
     signal: np.ndarray,
-    n_levels: int = N_CHANNELS // 2,
     delta: float = 0.12,
 ) -> List[np.ndarray]:
     """Level-crossing (delta) encoder: the Das et al. spike generator.
 
     Channel ``2k`` spikes when the signal crosses level ``k`` upward;
     channel ``2k + 1`` when it crosses downward.  Returns one spike-time
-    array per channel (``2 * n_levels`` channels total).
+    array per channel (``2 * N_LEVELS`` channels total).
     """
-    check_positive("n_levels", n_levels)
     check_positive("delta", delta)
     base = float(np.median(signal))
-    levels = base + delta * (np.arange(n_levels) - n_levels / 2.0 + 0.5)
-    trains: List[List[float]] = [[] for _ in range(2 * n_levels)]
+    levels = base + delta * (np.arange(N_LEVELS) - N_LEVELS / 2.0 + 0.5)
+    trains: List[List[float]] = [[] for _ in range(2 * N_LEVELS)]
     above = signal[0] > levels  # state per level
     for i in range(1, signal.size):
         now_above = signal[i] > levels
@@ -176,12 +179,7 @@ def build_heartbeat(
     return graph
 
 
-def estimate_rr_from_spikes(
-    spike_times: np.ndarray,
-    min_rr_ms: float = 300.0,
-    max_rr_ms: float = 2000.0,
-    bin_ms: float = 10.0,
-) -> float:
+def estimate_rr_from_spikes(spike_times: np.ndarray) -> float:
     """Estimate the RR interval from spike-train periodicity.
 
     Liquid activity is beat-locked: binning the spikes and locating the
@@ -193,22 +191,22 @@ def estimate_rr_from_spikes(
     if t.size < 4:
         return float("nan")
     duration = t[-1] - t[0]
-    if duration < 2 * min_rr_ms:
+    if duration < 2 * MIN_RR_MS:
         return float("nan")
-    n_bins = int(np.ceil(duration / bin_ms)) + 1
+    n_bins = int(np.ceil(duration / RR_BIN_MS)) + 1
     binned = np.bincount(
-        ((t - t[0]) / bin_ms).astype(int), minlength=n_bins
+        ((t - t[0]) / RR_BIN_MS).astype(int), minlength=n_bins
     ).astype(np.float64)
     binned -= binned.mean()
     ac = np.correlate(binned, binned, mode="full")[n_bins - 1:]
-    lag_lo = max(1, int(min_rr_ms / bin_ms))
-    lag_hi = min(ac.size - 1, int(max_rr_ms / bin_ms))
+    lag_lo = max(1, int(MIN_RR_MS / RR_BIN_MS))
+    lag_hi = min(ac.size - 1, int(MAX_RR_MS / RR_BIN_MS))
     if lag_hi <= lag_lo:
         return float("nan")
     peak = lag_lo + int(np.argmax(ac[lag_lo : lag_hi + 1]))
     if ac[peak] <= 0:
         return float("nan")
-    return float(peak * bin_ms)
+    return float(peak * RR_BIN_MS)
 
 
 def heart_rate_accuracy(

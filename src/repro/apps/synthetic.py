@@ -26,6 +26,8 @@ from repro.utils.validation import check_positive
 
 N_INPUT_SOURCES = 10
 INPUT_RATE_RANGE_HZ = (10.0, 100.0)
+#: Relative spread of the feedforward weights around the auto-scaled one.
+WEIGHT_JITTER = 0.2
 
 
 def _feedforward_weight(n_pre: int, assumed_rate_hz: float, model: LIFModel) -> float:
@@ -46,7 +48,6 @@ def synthetic_feedforward(
     n_layers: int,
     neurons_per_layer: int,
     seed: SeedLike = None,
-    weight_jitter: float = 0.2,
 ) -> Network:
     """Build the m x n fully connected feedforward network."""
     check_positive("n_layers", n_layers)
@@ -64,7 +65,7 @@ def synthetic_feedforward(
         )
         w = _feedforward_weight(prev.size, prev_rate, model)
         weights = w * (
-            1.0 + weight_jitter * rng.standard_normal((prev.size, pop.size))
+            1.0 + WEIGHT_JITTER * rng.standard_normal((prev.size, pop.size))
         )
         np.clip(weights, 0.05 * w, 3.0 * w, out=weights)
         net.connect(prev, pop, weights=weights, name=f"ff{layer}")
@@ -81,92 +82,6 @@ def build_synthetic(
 ) -> SpikeGraph:
     """Simulate a synthetic topology and return its spike graph."""
     net = synthetic_feedforward(n_layers, neurons_per_layer, seed=seed)
-    sim = Simulation(net, seed=derive_seed(seed, 1))
-    result = sim.run(duration_ms)
-    return SpikeGraph.from_simulation(net, result, coding="rate")
-
-
-def conv_connectivity(
-    pre_side: int,
-    post_side: int,
-    kernel_radius: int,
-    weight: float,
-) -> np.ndarray:
-    """Receptive-field connectivity between two square 2D layers.
-
-    Post-neuron (r, c) integrates the pre-layer disc of ``kernel_radius``
-    around its proportionally scaled position — convolution-style local
-    wiring (shared *structure*, per-synapse weights) as in the ConvNet
-    workloads PACMAN was demonstrated on.
-    """
-    check_positive("pre_side", pre_side)
-    check_positive("post_side", post_side)
-    check_positive("weight", weight)
-    if kernel_radius < 0:
-        raise ValueError(f"kernel_radius must be >= 0, got {kernel_radius}")
-    scale = pre_side / post_side
-    w = np.zeros((pre_side * pre_side, post_side * post_side))
-    for pr in range(post_side):
-        for pc in range(post_side):
-            center_r = int(pr * scale + scale / 2)
-            center_c = int(pc * scale + scale / 2)
-            post_idx = pr * post_side + pc
-            for dr in range(-kernel_radius, kernel_radius + 1):
-                for dc in range(-kernel_radius, kernel_radius + 1):
-                    rr, cc = center_r + dr, center_c + dc
-                    if 0 <= rr < pre_side and 0 <= cc < pre_side:
-                        w[rr * pre_side + cc, post_idx] = weight
-    return w
-
-
-def convolutional_feedforward(
-    layer_sides,
-    kernel_radius: int = 1,
-    seed: SeedLike = None,
-) -> Network:
-    """A ConvNet-like SNN: square layers joined by receptive fields.
-
-    ``layer_sides`` lists the side length of each square layer (e.g.
-    ``[16, 8, 4]`` builds 256 -> 64 -> 16 neurons).  The first layer is
-    driven pixel-wise by Poisson sources; deeper layers see shrinking
-    receptive-field projections.  Spatial locality makes these workloads
-    highly mappable — a good partitioner keeps entire tiles local.
-    """
-    if len(layer_sides) < 1:
-        raise ValueError("need at least one layer side")
-    rng = default_rng(seed)
-    model = LIFModel()
-    net = Network("convnet_" + "x".join(str(s) for s in layer_sides))
-
-    first_side = layer_sides[0]
-    rates = rng.uniform(20.0, 80.0, size=first_side * first_side)
-    prev = net.add_source(
-        "pixels", PoissonSource(first_side * first_side, rates), layer=0
-    )
-    prev_side, prev_rate = first_side, float(rates.mean())
-    for depth, side in enumerate(layer_sides[1:], start=1):
-        if side > prev_side:
-            raise ValueError(
-                f"layer {depth} side {side} exceeds previous side {prev_side}"
-            )
-        pop = net.add_population(f"conv{depth}", side * side, model,
-                                 layer=depth)
-        taps = (2 * kernel_radius + 1) ** 2
-        w = _feedforward_weight(taps, prev_rate, model)
-        weights = conv_connectivity(prev_side, side, kernel_radius, w)
-        net.connect(prev, pop, weights=weights, name=f"conv{depth}")
-        prev, prev_side, prev_rate = pop, side, 25.0
-    return net
-
-
-def build_convnet(
-    layer_sides,
-    kernel_radius: int = 1,
-    seed: SeedLike = None,
-    duration_ms: float = 400.0,
-) -> SpikeGraph:
-    """Simulate a convolutional topology and return its spike graph."""
-    net = convolutional_feedforward(layer_sides, kernel_radius, seed=seed)
     sim = Simulation(net, seed=derive_seed(seed, 1))
     result = sim.run(duration_ms)
     return SpikeGraph.from_simulation(net, result, coding="rate")

@@ -51,9 +51,14 @@ def genetic_partition(
     capacity: int,
     config: GAConfig = GAConfig(),
     seed: SeedLike = None,
-    count_packets: bool = False,
+    objective: str = "spikes",
 ) -> Partition:
-    """Evolve an assignment minimizing interconnect traffic."""
+    """Evolve an assignment minimizing interconnect traffic.
+
+    ``objective`` is a closed-form
+    :data:`~repro.core.fitness.OBJECTIVES` entry, ``"spikes"`` or
+    ``"packets"``, handed to the fitness as is.
+    """
     check_positive("n_clusters", n_clusters)
     check_positive("capacity", capacity)
     n = graph.n_neurons
@@ -62,7 +67,7 @@ def genetic_partition(
             f"{n} neurons cannot fit in {n_clusters} x {capacity} slots"
         )
     rng = default_rng(seed)
-    fitness_fn = InterconnectFitness(graph, count_packets=count_packets)
+    fitness_fn = InterconnectFitness(graph, objective=objective)
     move_cost = graph.neuron_out_traffic()
 
     population = np.stack([

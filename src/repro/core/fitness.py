@@ -2,19 +2,20 @@
 
 The paper's objective (Eq. 8) is the total spike count on the global
 synapse interconnect.  :class:`InterconnectFitness` evaluates it for
-single assignments and swarm batches, with two refinements available
-as options (both default off, matching the paper):
+single assignments and swarm batches.  Its ``objective`` is one of
+:data:`OBJECTIVES`:
 
-- ``count_packets`` — count unique (neuron, destination-crossbar) packets
+- ``"spikes"`` (the default, the paper's Eq. 8) — per-synapse spikes
+  that cross crossbars, a blocked sum over the synapse pairs.
+- ``"packets"`` — count unique (neuron, destination-crossbar) packets
   instead of per-synapse spikes.  With in-network multicast a neuron
   reaching many neurons on one remote crossbar sends one AER packet, so
   this variant matches the hardware cost more closely; the ablation bench
   compares both.  A swarm costs one
   :meth:`~repro.core.traffic_matrix.TrafficMatrix.reach_masks` pass (a
   grouped OR per distinct target set, gathered to the sources) plus a
-  popcount, and is exact for integer spike counts, as is the
-  per-synapse ``spikes`` form (a blocked sum over the synapse pairs).
-- ``noc_in_loop`` — score an assignment by the link traversals its AER
+  popcount, and is exact for integer spike counts, as is ``"spikes"``.
+- ``"noc"`` — score an assignment by the link traversals its AER
   traffic makes on the interconnect (total hops, the energy-proportional
   event count), plus :data:`UNDELIVERED_PENALTY` for each delivery the
   interconnect misses before its drain deadline.  Neither number depends
@@ -50,8 +51,11 @@ from repro.noc.topology import Topology, dense_node_ids
 from repro.obs import get_observer
 from repro.snn.graph import SpikeGraph
 
-#: Penalty per undelivered (packet, destination) pair in noc_in_loop
-#: mode: a mapping that deadlocks or cannot drain must always lose to
+#: The objectives a fitness scores, the paper's Eq. 8 first.
+OBJECTIVES = ("spikes", "packets", "noc")
+
+#: Penalty per undelivered (packet, destination) pair under the "noc"
+#: objective: a mapping that deadlocks or cannot drain must always lose to
 #: any mapping that delivers everything.
 UNDELIVERED_PENALTY = 1e9
 
@@ -64,18 +68,19 @@ class InterconnectFitness:
 
     Parameters
     ----------
-    noc_in_loop:
-        Score assignments by their traffic on the interconnect instead
-        of closed-form traffic counts.  Requires ``topology``.  The score
-        is the total link traversals (the energy-proportional event
-        count); undelivered packets add :data:`UNDELIVERED_PENALTY` each.
-        Rows the routing proves deliverable are counted, the rest
-        simulated (fast backend).
+    objective:
+        One of :data:`OBJECTIVES`.  ``"noc"`` scores assignments by their
+        traffic on the interconnect instead of closed-form traffic
+        counts, and requires ``topology``.  Its score is the total link
+        traversals (the energy-proportional event count); undelivered
+        packets add :data:`UNDELIVERED_PENALTY` each.  Rows the routing
+        proves deliverable are counted, the rest simulated (fast
+        backend).
     noc_config:
-        Interconnect parameters for ``noc_in_loop`` mode; the backend is
-        forced to "fast".
+        Interconnect parameters for the ``"noc"`` objective; the backend
+        is forced to "fast".
     cycles_per_ms:
-        Spike-time to NoC-cycle conversion for ``noc_in_loop`` mode.
+        Spike-time to NoC-cycle conversion for the ``"noc"`` objective.
     balance_watermark / balance_weight:
         Fault-aware spreading term: each cluster packing more than
         ``balance_watermark`` neurons adds
@@ -89,17 +94,22 @@ class InterconnectFitness:
     def __init__(
         self,
         graph: SpikeGraph,
-        count_packets: bool = False,
+        objective: str = "spikes",
         topology: Optional[Topology] = None,
-        noc_in_loop: bool = False,
         noc_config=None,
         cycles_per_ms: float = 10.0,
         balance_watermark: Optional[int] = None,
         balance_weight: float = 0.0,
     ) -> None:
+        if objective not in OBJECTIVES:
+            raise ValueError(
+                f"unknown objective {objective!r}; use one of {OBJECTIVES}"
+            )
+        if objective == "noc" and topology is None:
+            raise ValueError("the 'noc' objective needs a topology")
         self.graph = graph
         self.matrix = TrafficMatrix(graph)
-        self.count_packets = count_packets
+        self.objective = objective
         if balance_weight < 0:
             raise ValueError(
                 f"balance_weight must be non-negative, got {balance_weight}"
@@ -113,13 +123,10 @@ class InterconnectFitness:
             )
         self.balance_watermark = balance_watermark
         self.balance_weight = float(balance_weight)
-        if noc_in_loop and topology is None:
-            raise ValueError("noc_in_loop fitness needs a topology")
         self.topology = topology
-        self.noc_in_loop = noc_in_loop
         self.cycles_per_ms = cycles_per_ms
         self._noc = None
-        if noc_in_loop:
+        if objective == "noc":
             import dataclasses
 
             from repro.noc.fastsim import FastInterconnect
@@ -145,9 +152,9 @@ class InterconnectFitness:
     def evaluate(self, assignment: np.ndarray) -> float:
         """Objective value of one assignment (lower is better)."""
         a = np.asarray(assignment, dtype=np.int64)
-        if self.noc_in_loop:
+        if self.objective == "noc":
             base = self._simulate_batch(a[None, :])[0]
-        elif self.count_packets:
+        elif self.objective == "packets":
             base = self.matrix.packet_traffic(a)
         else:
             base = self.matrix.global_traffic(a)
@@ -160,9 +167,9 @@ class InterconnectFitness:
         a = np.asarray(assignments, dtype=np.int64)
         if a.ndim == 1:
             a = a[None, :]
-        if self.noc_in_loop:
+        if self.objective == "noc":
             base = self._simulate_batch(a)
-        elif self.count_packets:
+        elif self.objective == "packets":
             base = self.matrix.packet_traffic_batch(a)
         else:
             base = self.matrix.global_traffic_batch(a)
@@ -193,12 +200,7 @@ class InterconnectFitness:
             (overflow.astype(np.float64) ** 2).sum(axis=1)
         )
 
-    @property
-    def upper_bound(self) -> float:
-        """Fitness when every synapse is global (all traffic crosses)."""
-        return self.matrix.total
-
-    # -- NoC-in-the-loop variant ------------------------------------------------
+    # -- the noc objective ------------------------------------------------------
 
     def _score(self, summary) -> float:
         """Objective from a :class:`~repro.noc.stats.ScheduleSummary`.

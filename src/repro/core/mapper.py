@@ -23,7 +23,7 @@ from repro.core.baselines import (
     pacman_partition,
     random_partition,
 )
-from repro.core.fitness import InterconnectFitness
+from repro.core.fitness import OBJECTIVES, InterconnectFitness
 from repro.core.partition import Partition
 from repro.core.placement import apply_placement, place_clusters
 from repro.core.pso import BinaryPSO, PSOConfig
@@ -63,12 +63,6 @@ class MappingResult:
     @property
     def assignment(self) -> np.ndarray:
         return self.partition.assignment
-
-    @property
-    def global_fraction(self) -> float:
-        """Fraction of spike events that end up on the interconnect."""
-        total = self.local_spikes + self.global_spikes
-        return self.global_spikes / total if total else 0.0
 
     def describe(self) -> str:
         return (
@@ -176,10 +170,9 @@ def map_snn(
             f"{graph.n_neurons} neurons"
         )
 
-    if objective not in ("packets", "spikes", "noc"):
+    if objective not in OBJECTIVES:
         raise ValueError(
-            f"unknown objective {objective!r}; use 'packets', 'spikes' "
-            "or 'noc'"
+            f"unknown objective {objective!r}; use one of {OBJECTIVES}"
         )
     if objective == "noc" and method != "pso":
         # The structural baselines have no objective to swap in; letting
@@ -254,20 +247,16 @@ def map_snn(
 
     with map_span:
         if method == "pso":
-            if objective == "noc":
-                fitness = InterconnectFitness(
-                    graph,
-                    noc_in_loop=True,
-                    topology=architecture.build_topology(),
-                    cycles_per_ms=architecture.cycles_per_ms,
-                    noc_config=noc_config,
-                    **balance_kwargs,
-                )
-            else:
-                fitness = InterconnectFitness(
-                    graph, count_packets=(objective == "packets"),
-                    **balance_kwargs,
-                )
+            fitness = InterconnectFitness(
+                graph,
+                objective=objective,
+                topology=(
+                    architecture.build_topology() if objective == "noc" else None
+                ),
+                cycles_per_ms=architecture.cycles_per_ms,
+                noc_config=noc_config,
+                **balance_kwargs,
+            )
             move_cost = graph.neuron_out_traffic()
             in_traffic = np.bincount(
                 graph.dst, weights=graph.traffic, minlength=graph.n_neurons
@@ -325,8 +314,7 @@ def map_snn(
             partition = greedy_partition(graph, c, nc_eff)
         elif method == "genetic":
             partition = genetic_partition(
-                graph, c, nc_eff, seed=seed,
-                count_packets=(objective == "packets"), **kwargs,
+                graph, c, nc_eff, seed=seed, objective=objective, **kwargs
             )
         else:  # annealing
             partition = annealing_partition(graph, c, nc_eff, seed=seed, **kwargs)

@@ -74,20 +74,6 @@ class Partition:
         """Neurons placed on each crossbar."""
         return np.bincount(self.assignment, minlength=self.n_clusters)
 
-    def one_hot(self) -> np.ndarray:
-        """The paper's binary ``x_{i,k}`` matrix, shape (N, C)."""
-        x = np.zeros((self.n_neurons, self.n_clusters), dtype=np.float64)
-        x[np.arange(self.n_neurons), self.assignment] = 1.0
-        return x
-
-    def neurons_of(self, cluster: int) -> np.ndarray:
-        """Global ids of neurons on crossbar ``cluster``."""
-        return np.nonzero(self.assignment == cluster)[0]
-
-    def utilization(self) -> float:
-        """Mean fraction of used slots across crossbars."""
-        return float(self.n_neurons / (self.n_clusters * self.capacity))
-
 
 def is_feasible(assignment: np.ndarray, n_clusters: int, capacity: int) -> bool:
     """Check Eqs. 4-5 without raising."""

@@ -20,10 +20,10 @@ expensive than intra-chip ones, and the flat heaviest-pair heuristic is
 blind to that cliff — it happily strands one member of a chatty pair on
 the far chip when the near chip still has room.  The hierarchical pass
 first packs communicating clusters onto the same chip
-(:func:`pack_onto_chips`, capacity-constrained greedy plus swap
-refinement at chip granularity), then arranges each chip's clusters on
-its own slots, and finally runs the same global pairwise-swap hill
-climbing, which can only improve on the construction.
+(capacity-constrained greedy plus swap refinement at chip granularity),
+then arranges each chip's clusters on its own slots, and finally runs
+the same global pairwise-swap hill climbing, which can only improve on
+the construction.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ import numpy as np
 from repro.noc.multichip import MultiChipTopology, chip_distance_matrix
 from repro.noc.routing import RoutingTable, routing_for
 from repro.noc.topology import Topology
+
+#: Hill-climbing passes, at cluster and at chip granularity, before a
+#: placement stops even though a pass still improved it.
+MAX_PASSES = 20
 
 
 def placement_cost(
@@ -90,7 +94,6 @@ def place_clusters(
     traffic: np.ndarray,
     topology: Topology,
     routing: Optional[RoutingTable] = None,
-    max_passes: int = 20,
     loads: Optional[np.ndarray] = None,
     capacity: Optional[int] = None,
     spare_weight: float = 0.0,
@@ -99,7 +102,7 @@ def place_clusters(
 
     Returns ``perm`` with ``perm[k]`` = attach-point slot of cluster ``k``.
     Greedy heaviest-pair-first construction, then pairwise-swap hill
-    climbing until a full pass yields no improvement (or ``max_passes``).
+    climbing until a full pass yields no improvement (or :data:`MAX_PASSES`).
 
     With ``spare_weight > 0`` (requires ``loads`` — neurons per cluster
     — and ``capacity``) the hill climb also minimizes
@@ -157,7 +160,7 @@ def place_clusters(
 
     # Pairwise-swap hill climbing.
     best_cost = total_cost(perm)
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         improved = False
         for a in range(c):
             for b in range(a + 1, c):
@@ -207,33 +210,6 @@ def _greedy_fill(
         free_slots.discard(slot)
 
 
-def pack_onto_chips(
-    traffic: np.ndarray,
-    topology: MultiChipTopology,
-    routing: Optional[RoutingTable] = None,
-    max_passes: int = 20,
-) -> np.ndarray:
-    """Assign clusters to chips, packing communicating clusters together.
-
-    Returns ``chip_of_cluster`` with one chip id per cluster.  Chip
-    capacities are the usable attach slots per chip (slot ids below the
-    cluster count, since placement is a cluster relabeling).  Greedy
-    affinity construction — each cluster joins the chip it already
-    exchanges the most traffic with, capacity permitting — followed by
-    swap/move refinement that minimizes traffic weighted by chip-level
-    bridge distance.
-    """
-    c = traffic.shape[0]
-    if traffic.shape != (c, c):
-        raise ValueError(f"traffic must be square, got {traffic.shape}")
-    if routing is None:
-        routing = routing_for(topology)
-    symmetric = traffic + traffic.T
-    return _pack_onto_chips(
-        symmetric, topology, chip_distance_matrix(topology, routing), max_passes
-    )
-
-
 def _chip_capacities(topology: MultiChipTopology, c: int) -> np.ndarray:
     """Usable placement slots (ids < c) per chip."""
     caps = np.zeros(topology.n_chips, dtype=np.int64)
@@ -246,8 +222,11 @@ def _pack_onto_chips(
     symmetric: np.ndarray,
     topology: MultiChipTopology,
     chip_dist: np.ndarray,
-    max_passes: int = 20,
 ) -> np.ndarray:
+    """Chip of each cluster: greedy affinity construction — each
+    cluster joins the chip it already exchanges the most traffic with,
+    capacity permitting — then swap/move refinement minimizing traffic
+    weighted by chip-level bridge distance."""
     c = symmetric.shape[0]
     n_chips = topology.n_chips
     caps = _chip_capacities(topology, c)
@@ -278,7 +257,7 @@ def _pack_onto_chips(
 
     # Swap / move refinement at chip granularity.
     best_cost = cross_cost(chip_of)
-    for _ in range(max_passes):
+    for _ in range(MAX_PASSES):
         improved = False
         for a in range(c):
             # Move to a chip with spare capacity.

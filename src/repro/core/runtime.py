@@ -197,10 +197,6 @@ class RuntimeRemapper:
                 description=event.description,
             )
 
-    def mark_crossbar_faulty(self, crossbar: int) -> None:
-        """Shorthand for :meth:`apply_fault` without event metadata."""
-        self.apply_fault(FaultEvent(crossbar=crossbar))
-
     def clear_fault(self, event: FaultEvent) -> None:
         """Re-admit ``event.crossbar``'s cluster after a transient fault.
 
@@ -226,10 +222,6 @@ class RuntimeRemapper:
                 time=event.time,
                 description=event.description,
             )
-
-    def mark_crossbar_healed(self, crossbar: int) -> None:
-        """Shorthand for :meth:`clear_fault` without event metadata."""
-        self.clear_fault(FaultEvent(crossbar=crossbar))
 
     def sync_faults(
         self, crossbars: Iterable[int], time: float = 0.0

@@ -170,10 +170,6 @@ class TrafficMatrix:
         cross = a[self.src] != a[self.dst]
         return float(self.traffic[cross].sum())
 
-    def local_traffic(self, assignment: np.ndarray) -> float:
-        """Spikes on synapses kept inside a crossbar."""
-        return self.total - self.global_traffic(assignment)
-
     # -- batched evaluation (one swarm at a time) --------------------------------
 
     def global_traffic_batch(self, assignments: np.ndarray) -> np.ndarray:

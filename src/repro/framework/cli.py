@@ -38,7 +38,9 @@ def _add_app_arguments(parser: argparse.ArgumentParser) -> None:
         help="application name (hello_world, image_smoothing, "
              "digit_recognition, heartbeat, HW/IS/HD/HE, or synth_MxN)",
     )
-    parser.add_argument("--seed", type=int, default=1, help="RNG seed")
+    parser.add_argument(
+        "--seed", type=_non_negative_int, default=1, help="RNG seed"
+    )
     parser.add_argument(
         "--duration", type=_positive_float, default=None,
         help="SNN simulation duration in ms (app default when omitted)",
@@ -97,7 +99,7 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
              "detours",
     )
     parser.add_argument(
-        "--fault-seed", type=int, default=None,
+        "--fault-seed", type=_non_negative_int, default=None,
         help="RNG seed for the fault draw (default: unseeded)",
     )
 
@@ -162,7 +164,8 @@ def _spare_capacity(text: str) -> float:
 
 
 def _non_negative_int(text: str) -> int:
-    """``type=`` of ``--faults``: argparse reports anything below 0."""
+    """``type=`` of ``--faults`` and the seed flags: argparse reports
+    anything below 0 (numpy seeds must be non-negative)."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}"
@@ -552,6 +555,9 @@ _SERVE_COUNTS = {
     "bridge_energy": _non_negative_float,
     "faults": _non_negative_int,
     "spare_capacity": _spare_capacity,
+    "seed": _non_negative_int,
+    "map_seed": _non_negative_int,
+    "fault_seed": _non_negative_int,
 }
 
 
@@ -719,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte-Carlo fault draws per non-zero level",
     )
     p_flt.add_argument(
-        "--campaign-seed", type=int, default=2018,
+        "--campaign-seed", type=_non_negative_int, default=2018,
         help="root seed; each (level, draw) gets an independent child "
              "stream so results never depend on execution order",
     )

@@ -347,7 +347,6 @@ def explore_swarm_size(
     swarm_sizes: Sequence[int],
     n_iterations: int = 100,
     seed: SeedLike = None,
-    base_config: Optional[PSOConfig] = None,
 ) -> List[SwarmPoint]:
     """Fig. 7: PSO quality as a function of swarm size at fixed iterations.
 
@@ -361,10 +360,9 @@ def explore_swarm_size(
     (placement would repair much of a weak swarm's damage and flatten
     the sweep).
     """
-    base = base_config if base_config is not None else PSOConfig()
     points: List[SwarmPoint] = []
     for i, swarm in enumerate(swarm_sizes):
-        config = replace(base, n_particles=swarm, n_iterations=n_iterations)
+        config = PSOConfig(n_particles=swarm, n_iterations=n_iterations)
         result = map_snn(
             graph,
             architecture,

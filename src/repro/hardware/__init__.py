@@ -6,15 +6,13 @@ by a time-multiplexed interconnect carrying AER packets.  This package
 models the platform pieces the mapping flow needs:
 
 - :class:`Architecture` — C crossbars x Nc neurons + interconnect family;
-- :class:`Crossbar` — capacity and local-synapse accounting for one tile;
 - :class:`EnergyModel` — configurable local/global energy parameters
   (stand-in for the paper's in-house CxQuad power numbers);
 - :mod:`repro.hardware.presets` — cxquad(), truenorth_like(), custom().
 """
 
 from repro.hardware.architecture import Architecture
-from repro.hardware.crossbar import Crossbar
-from repro.hardware.energy_model import EnergyBreakdown, EnergyModel
+from repro.hardware.energy_model import EnergyModel
 from repro.hardware.config import load_architecture, save_architecture
 from repro.hardware.presets import (
     cxquad,
@@ -25,9 +23,7 @@ from repro.hardware.presets import (
 
 __all__ = [
     "Architecture",
-    "Crossbar",
     "EnergyModel",
-    "EnergyBreakdown",
     "cxquad",
     "truenorth_like",
     "custom",

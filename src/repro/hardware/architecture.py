@@ -10,9 +10,7 @@ this very specification — :mod:`repro.framework.exploration` sweeps
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List
 
-from repro.hardware.crossbar import Crossbar
 from repro.hardware.energy_model import EnergyModel
 from repro.noc.topology import Topology, build_topology
 from repro.utils.validation import check_positive
@@ -90,12 +88,6 @@ class Architecture:
                 bridge_latency=self.bridge_latency,
             )
         return build_topology(self.interconnect, self.n_crossbars)
-
-    def build_crossbars(self) -> List[Crossbar]:
-        return [
-            Crossbar(index=k, capacity=self.neurons_per_crossbar)
-            for k in range(self.n_crossbars)
-        ]
 
     def fits(self, n_neurons: int) -> bool:
         """Whether a network of ``n_neurons`` can be placed at all."""

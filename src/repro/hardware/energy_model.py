@@ -35,30 +35,6 @@ from repro.utils.validation import check_nonnegative, check_positive
 
 
 @dataclass(frozen=True)
-class EnergyBreakdown:
-    """Result of an energy evaluation, in picojoules."""
-
-    local_pj: float
-    global_pj: float
-
-    @property
-    def total_pj(self) -> float:
-        return self.local_pj + self.global_pj
-
-    @property
-    def local_uj(self) -> float:
-        return self.local_pj * 1e-6
-
-    @property
-    def global_uj(self) -> float:
-        return self.global_pj * 1e-6
-
-    @property
-    def total_uj(self) -> float:
-        return self.total_pj * 1e-6
-
-
-@dataclass(frozen=True)
 class EnergyModel:
     """Configurable per-event energy coefficients (picojoules).
 
@@ -133,10 +109,6 @@ class EnergyModel:
         if crossings is not None:
             bridge_energy = crossings(stats.link_loads) * self.e_bridge_pj
         return hop_energy + endpoint_energy + bridge_energy
-
-    def global_energy_per_spike_hop_pj(self) -> float:
-        """Convenience: energy of moving one packet across one hop."""
-        return self.e_router_pj + self.e_link_pj
 
     # -- analytic global estimate (no NoC simulation) ---------------------------
 

@@ -48,7 +48,6 @@ def multichip_board(
     n_chips: int = 4,
     crossbars_per_chip: int = 4,
     neurons_per_crossbar: int = 256,
-    chip_interconnect: str = "mesh",
     bridge_latency: int = 4,
     cycles_per_ms: float = 10.0,
 ) -> Architecture:
@@ -61,7 +60,7 @@ def multichip_board(
     return Architecture(
         n_crossbars=n_chips * crossbars_per_chip,
         neurons_per_crossbar=neurons_per_crossbar,
-        interconnect=chip_interconnect,
+        interconnect="mesh",
         cycles_per_ms=cycles_per_ms,
         energy=EnergyModel(reference_crossbar_size=256),
         name=f"multichip_board_{n_chips}x{crossbars_per_chip}",

@@ -15,17 +15,9 @@ Both are computed from the NoC simulator's deliveries, read as the
 columns of ``NocStats.delivery_columns()``.
 """
 
-from repro.metrics.congestion import (
-    CongestionReport,
-    bottleneck_links,
-    congestion_report,
-)
+from repro.metrics.congestion import CongestionReport, congestion_report
 from repro.metrics.disorder import disorder_count, disorder_fraction
-from repro.metrics.isi import (
-    isi_distortion_mean,
-    isi_distortion_per_flow,
-    isi_distortion_worst,
-)
+from repro.metrics.isi import isi_distortion_summary
 from repro.metrics.report import (
     CampaignDraw,
     CampaignLevelStats,
@@ -37,9 +29,7 @@ from repro.metrics.report import (
 __all__ = [
     "disorder_count",
     "disorder_fraction",
-    "isi_distortion_per_flow",
-    "isi_distortion_mean",
-    "isi_distortion_worst",
+    "isi_distortion_summary",
     "MetricReport",
     "build_report",
     "CampaignDraw",
@@ -47,5 +37,4 @@ __all__ = [
     "CampaignSummary",
     "CongestionReport",
     "congestion_report",
-    "bottleneck_links",
 ]

@@ -10,7 +10,7 @@ designer inspects when a mapping's worst-case latency looks wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -28,13 +28,6 @@ class CongestionReport:
     mean_link_load: float
     gini: float
     hotspots: Tuple[Tuple[Tuple[int, int], int], ...]
-
-    @property
-    def utilization_spread(self) -> float:
-        """max / mean load over used links; 1.0 means perfectly balanced."""
-        if self.mean_link_load == 0:
-            return 0.0
-        return self.max_link_load / self.mean_link_load
 
 
 def gini_coefficient(values: np.ndarray) -> float:
@@ -77,18 +70,3 @@ def congestion_report(
         hotspots=tuple(stats.hottest_links(top=top)),
     )
 
-
-def bottleneck_links(
-    stats: NocStats,
-    threshold_fraction: float = 0.5,
-) -> List[Tuple[int, int]]:
-    """Links carrying at least ``threshold_fraction`` of the peak load."""
-    if not 0.0 < threshold_fraction <= 1.0:
-        raise ValueError("threshold_fraction must be in (0, 1]")
-    if not stats.link_loads:
-        return []
-    peak = max(stats.link_loads.values())
-    cutoff = peak * threshold_fraction
-    return sorted(
-        link for link, load in stats.link_loads.items() if load >= cutoff
-    )

@@ -27,29 +27,25 @@ rejected at construction), so the first arrival is never overtaken.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 import numpy as np
 
 from repro.noc.stats import NocStats
 
 
-def _disordered(stats: NocStats) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(dst_nodes, destination index, overtaken flag)``: the distinct
-    destinations, then per delivery (in the sorted order) which of them
-    it reached and whether it was overtaken."""
+def _overtaken(stats: NocStats) -> np.ndarray:
+    """Per delivery (in the sorted order), whether it was overtaken."""
     columns = stats.delivery_columns()
-    dst_nodes, dst_index = np.unique(columns.dst_node, return_inverse=True)
+    dst_index = np.unique(columns.dst_node, return_inverse=True)[1]
     order = np.lexsort((columns.uid, columns.delivered_cycle, dst_index))
     dst_index = dst_index[order]
     rank = np.unique(columns.injected_cycle[order], return_inverse=True)[1]
     key = dst_index * dst_index.size + rank
-    return dst_nodes, dst_index, key < np.maximum.accumulate(key)
+    return key < np.maximum.accumulate(key)
 
 
 def disorder_count(stats: NocStats) -> int:
     """Number of delivered spikes that were overtaken by later injections."""
-    return int(_disordered(stats)[2].sum())
+    return int(_overtaken(stats).sum())
 
 
 def disorder_fraction(stats: NocStats) -> float:
@@ -59,13 +55,3 @@ def disorder_fraction(stats: NocStats) -> float:
         return 0.0
     return disorder_count(stats) / total
 
-
-def disorder_by_destination(stats: NocStats) -> Dict[int, float]:
-    """Per-destination disorder fraction, for congestion diagnosis."""
-    dst_nodes, dst_index, overtaken = _disordered(stats)
-    bad = np.bincount(dst_index[overtaken], minlength=dst_nodes.size)
-    total = np.bincount(dst_index, minlength=dst_nodes.size)
-    return {
-        dst: b / n
-        for dst, b, n in zip(dst_nodes.tolist(), bad.tolist(), total.tolist())
-    }

@@ -25,15 +25,15 @@ integers, so their mean and maximum do not depend on flow order.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.noc.stats import NocStats
 
 
-def _flow_maxima(stats: NocStats) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(src_neuron, dst_node, distortion)`` per flow with >= 2 deliveries."""
+def _flow_maxima(stats: NocStats) -> np.ndarray:
+    """The distortion of each flow with >= 2 deliveries."""
     columns = stats.delivery_columns()
     neuron, dst = columns.src_neuron, columns.dst_node
     by_injection = np.lexsort((columns.injected_cycle, dst, neuron))
@@ -52,32 +52,13 @@ def _flow_maxima(stats: NocStats) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Flows with one delivery have no ISI; every start kept here has a
     # same-flow successor, so it indexes into the (n - 1)-long diffs.
     starts = starts[sizes >= 2]
-    maxima = np.maximum.reduceat(distortion, starts).astype(np.float64)
-    return neuron[starts], dst[starts], maxima
-
-
-def isi_distortion_per_flow(stats: NocStats) -> Dict[Tuple[int, int], float]:
-    """Max |ISI_source - ISI_destination| per (src neuron, dst router) flow.
-
-    Flows with fewer than two delivered spikes have no ISI and are skipped.
-    """
-    neuron, dst, maxima = _flow_maxima(stats)
-    return dict(zip(zip(neuron.tolist(), dst.tolist()), maxima.tolist()))
+    return np.maximum.reduceat(distortion, starts).astype(np.float64)
 
 
 def isi_distortion_summary(stats: NocStats) -> Tuple[float, float]:
     """``(mean, worst)`` per-flow ISI distortion from one pass (cycles)."""
-    maxima = _flow_maxima(stats)[2]
+    maxima = _flow_maxima(stats)
     if maxima.size == 0:
         return 0.0, 0.0
     return float(maxima.mean()), float(maxima.max())
 
-
-def isi_distortion_mean(stats: NocStats) -> float:
-    """Paper Table II row: mean per-flow ISI distortion (cycles)."""
-    return isi_distortion_summary(stats)[0]
-
-
-def isi_distortion_worst(stats: NocStats) -> float:
-    """Worst per-flow ISI distortion (cycles)."""
-    return isi_distortion_summary(stats)[1]

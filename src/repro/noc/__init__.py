@@ -67,7 +67,6 @@ from repro.noc.faults import (
     bridge_chains,
     degrade_topology,
     inject_random_faults,
-    survivable_links,
 )
 
 __all__ = [
@@ -92,7 +91,6 @@ __all__ = [
     "bridge_chains",
     "degrade_topology",
     "inject_random_faults",
-    "survivable_links",
     "Interconnect",
     "FastInterconnect",
     "build_interconnect",

@@ -32,11 +32,12 @@ Degraded topologies keep their routers' original ids and carry a
 tables (:func:`~repro.noc.routing.routing_for`) — the detours are what
 the simulators then price.
 
-The link-only helpers (:func:`degrade_topology`, :func:`survivable_links`,
+The link-only helpers (:func:`degrade_topology`,
 :func:`inject_random_faults`) sit on top of the fault model;
 ``degrade_topology`` preserves the topology subclass.  A random draw
 works on one copy of the router graph — cut edges from
-:func:`cut_edges`, a low-link search — and applies its fault set once.
+:func:`cut_edges`, a low-link search — draws only links whose failure
+leaves the fabric connected, and applies its fault set once.
 """
 
 from __future__ import annotations
@@ -450,18 +451,6 @@ def _survivable(g: RouterGraph, chains: List[List[int]]) -> List[Tuple[int, int]
     return survivable
 
 
-def survivable_links(topology: Topology) -> List[Tuple[int, int]]:
-    """Links whose individual failure leaves the fabric connected.
-
-    On a multi-chip fabric a failed bridge segment takes its whole
-    bridge down, so segments are survivable only when the fabric stays
-    connected without the *entire* relay chain (e.g. a 2x2 chip grid
-    tolerates losing any one of its four bridges; a 2-chip board's only
-    bridge is never offered).
-    """
-    return _survivable(topology.graph, bridge_chains(topology))
-
-
 def inject_random_faults(
     topology: Topology,
     n_faults: int,
@@ -538,10 +527,9 @@ class FaultTimeline:
     The fabric's state at any instant is the *union* of the fault sets
     whose windows cover it (see :meth:`FaultSet.__or__`), so faults may
     overlap, arrive while others persist, and clear independently.  A
-    cleared fault re-admits its routers and links: :meth:`topology_at`
-    returns the untouched healthy topology whenever no window is
-    active, which makes healed fabrics trivially bit-identical to the
-    pre-fault fabric on every simulation backend.
+    cleared fault re-admits its routers and links: once no window
+    covers an instant, :meth:`active_at` is the empty fault set and the
+    healthy fabric applies unchanged.
     """
 
     windows: Tuple[FaultWindow, ...] = ()
@@ -569,23 +557,6 @@ class FaultTimeline:
     def crossbars_at(self, time: float) -> FrozenSet[int]:
         """Faulty crossbar indices at ``time`` (for the runtime layer)."""
         return self.active_at(time).faulty_crossbars
-
-    def topology_at(self, healthy: Topology, time: float) -> Topology:
-        """The fabric as the NoC sees it at ``time``.
-
-        Crossbar faults never alter the graph, so a timeline that only
-        carries crossbar faults — or no active window at all — returns
-        ``healthy`` itself, unchanged.
-        """
-        active = self.active_at(time)
-        structural = FaultSet(
-            dead_links=active.dead_links,
-            dead_routers=active.dead_routers,
-            degraded_bridges=active.degraded_bridges,
-        )
-        if not structural:
-            return healthy
-        return apply_faults(healthy, active)
 
     def describe(self) -> str:
         permanent = sum(1 for w in self.windows if w.clear is None)

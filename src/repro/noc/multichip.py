@@ -106,42 +106,11 @@ class MultiChipTopology(Topology):
         if missing:
             raise ValueError(f"routers {missing} have no chip assignment")
 
-    def _signature_fields(self) -> tuple:
-        """Extend the content signature with the chip/bridge bookkeeping.
-
-        The router graph alone already encodes relay chains, but the
-        chip ownership maps decide inter-chip accounting in
-        :func:`~repro.noc.stats.summarize`, so fabrics that differ
-        only there must not share cached artifacts.
-        """
-        return super()._signature_fields() + (
-            self.n_chips,
-            self.chip_kind,
-            self.bridge_latency,
-            tuple(sorted(self.chip_of_router.items())),
-            tuple(self.chip_of_crossbar),
-            tuple(sorted(self.bridge_links)),
-            tuple(sorted(self.bridge_entry_links)),
-            self.n_bridges,
-        )
-
     # -- hierarchy queries ---------------------------------------------------
 
     def chip_of(self, node: int) -> int:
         """Owning chip of a router (:data:`RELAY_CHIP` for relays)."""
         return self.chip_of_router[node]
-
-    def is_bridge_link(self, u: int, v: int) -> bool:
-        """Whether directed link ``(u, v)`` is a bridge segment."""
-        return (u, v) in self.bridge_links
-
-    def routers_of_chip(self, chip: int) -> List[int]:
-        """Router ids owned by ``chip``, ascending."""
-        return sorted(n for n, c in self.chip_of_router.items() if c == chip)
-
-    def crossbars_of_chip(self, chip: int) -> List[int]:
-        """Crossbar indices hosted on ``chip``, ascending."""
-        return [k for k, c in enumerate(self.chip_of_crossbar) if c == chip]
 
     def crosses_chips(
         self, src_nodes: np.ndarray, dst_nodes: np.ndarray
@@ -239,31 +208,10 @@ class ChipBreakdown:
         return sum(self.per_chip_hops.values()) + self.inter_chip_hops
 
     @property
-    def mean_intra_latency(self) -> float:
-        if self.intra_chip_deliveries == 0:
-            return 0.0
-        return self.intra_chip_latency_sum / self.intra_chip_deliveries
-
-    @property
     def mean_inter_latency(self) -> float:
         if self.inter_chip_deliveries == 0:
             return 0.0
         return self.inter_chip_latency_sum / self.inter_chip_deliveries
-
-    def table_rows(self) -> List[Tuple[str, str]]:
-        """(label, value) rows for report tables."""
-        rows: List[Tuple[str, str]] = [
-            (
-                f"chip {chip} hops",
-                str(self.per_chip_hops.get(chip, 0)),
-            )
-            for chip in range(self.n_chips)
-        ]
-        rows.append(("inter-chip hops", str(self.inter_chip_hops)))
-        rows.append(("bridge crossings", str(self.bridge_crossings)))
-        rows.append(("mean intra-chip latency", f"{self.mean_intra_latency:.1f}"))
-        rows.append(("mean inter-chip latency", f"{self.mean_inter_latency:.1f}"))
-        return rows
 
 
 def chip_breakdown(stats, topology: MultiChipTopology) -> ChipBreakdown:

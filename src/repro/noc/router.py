@@ -36,9 +36,6 @@ class Router:
     def occupied(self) -> bool:
         return any(self.buffers.values())
 
-    def total_queued(self) -> int:
-        return sum(len(b) for b in self.buffers.values())
-
     def ports_in_arbitration_order(self, cycle: int) -> List[PortKey]:
         """Input ports rotated by the cycle counter (round-robin fairness)."""
         n = len(self._port_order)

@@ -139,11 +139,6 @@ class NocStats:
         """Total link traversals — the energy-proportional event count."""
         return int(sum(self.link_loads.values()))
 
-    def throughput_packets_per_cycle(self) -> float:
-        if self.cycles_run == 0:
-            return 0.0
-        return self.delivered_count / self.cycles_run
-
     def throughput_aer_per_ms(self, cycles_per_ms: float) -> float:
         """AER packets delivered per millisecond (paper Table II row)."""
         if self.cycles_run == 0:

@@ -123,32 +123,18 @@ class RouterGraph:
         ``edges`` order, so ``neighbors`` may iterate differently after."""
         return RouterGraph(self._adj, self.edges)
 
-    def _eccentricity(self, source: int) -> Tuple[int, int]:
-        """BFS from ``source``: (routers reached, hops to the farthest)."""
-        seen = {source}
-        frontier = [source]
-        depth = -1
-        while frontier:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for v in self._adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return len(seen), depth
-
     def is_connected(self) -> bool:
         if not self._adj:
             raise ValueError("connectivity is undefined for a graph with no routers")
-        return self._eccentricity(next(iter(self._adj)))[0] == len(self._adj)
-
-    def diameter(self) -> int:
-        """Longest shortest path, in hops, of a connected graph."""
-        if not self.is_connected():
-            raise ValueError("diameter is infinite: the graph is not connected")
-        return max(self._eccentricity(n)[1] for n in self._adj)
+        start = next(iter(self._adj))
+        seen = {start}
+        todo = [start]
+        while todo:
+            for v in self._adj[todo.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        return len(seen) == len(self._adj)
 
     def to_networkx(self) -> nx.Graph:
         """Export as a :class:`networkx.Graph`, nodes and edges in order
@@ -197,14 +183,12 @@ class Topology:
             raise ValueError("attach points must be distinct routers")
         if not self.graph.is_connected():
             raise ValueError("topology graph must be connected")
-        # Lazily filled caches (plain attributes, not dataclass fields):
-        # fitness and placement both need the same derived quantities on
-        # the same topology instance, repeatedly.  Valid as long as the
+        # Lazily filled cache (a plain attribute, not a dataclass field):
+        # fitness and placement both need the same hop matrices on the
+        # same topology instance, repeatedly.  Valid as long as the
         # graph is not mutated after first use — builders that derive
         # one topology from another always construct a fresh instance.
-        self._diameter: Optional[int] = None
         self._hop_matrices: Dict[str, "object"] = {}
-        self._content_signature: Optional[tuple] = None
 
     @property
     def n_routers(self) -> int:
@@ -213,50 +197,6 @@ class Topology:
     @property
     def n_attach_points(self) -> int:
         return len(self.attach_points)
-
-    def node_of_crossbar(self, k: int) -> int:
-        """Router hosting crossbar ``k``."""
-        if not 0 <= k < len(self.attach_points):
-            raise IndexError(
-                f"crossbar index {k} out of range "
-                f"[0, {len(self.attach_points)})"
-            )
-        return self.attach_points[k]
-
-    def content_signature(self) -> tuple:
-        """Canonical structure token of this fabric (cached).
-
-        Two topology instances with equal signatures are interchangeable
-        for routing, hop matrices and simulation: the signature covers
-        the router graph (sorted undirected edge list), attach points,
-        kind, grid positions and the concrete subclass.  The serving
-        layer's content-addressed :class:`~repro.framework.artifacts
-        .ArtifactCache` keys derived artifacts by it, so sweeps that
-        rebuild the same fabric per point share one set of artifacts.
-        """
-        if self._content_signature is None:
-            self._content_signature = self._signature_fields()
-        return self._content_signature
-
-    def _signature_fields(self) -> tuple:
-        """Hook for subclasses to extend the content signature."""
-        edges = tuple(
-            sorted((u, v) if u <= v else (v, u) for u, v in self.graph.edges)
-        )
-        return (
-            type(self).__name__,
-            self.kind,
-            self.n_routers,
-            tuple(self.attach_points),
-            edges,
-            tuple(sorted(self.positions.items())),
-        )
-
-    def diameter(self) -> int:
-        """Longest shortest-path (hops) between any two routers (cached)."""
-        if self._diameter is None:
-            self._diameter = self.graph.diameter()
-        return self._diameter
 
     def crossbar_hop_matrix(self, routing=None):
         """All-pairs routed hop distances between attach points, cached.

@@ -21,9 +21,10 @@ never goes stale: the legacy ``Injection`` list
 any consumer that wants objects, and the fast backend's packet plan
 (:meth:`ColumnarSchedule.packet_plan`), which every fabric a schedule is
 simulated on shares.  It is the only schedule type: rows (hand-written
-tests, :func:`synthetic_injections`, the row-oriented reference builder
-that is the oracle in ``tests/noc/test_columnar_schedule.py``) become
-one through :meth:`ColumnarSchedule.from_injections`.
+tests, the synthetic traffic of the NoC tests, the row-oriented
+reference builder that is the oracle in
+``tests/noc/test_columnar_schedule.py``) become one through
+:meth:`ColumnarSchedule.from_injections`.
 
 Schedules are *views of one event list*.  Everything a schedule needs
 that does not depend on the mapping lives in a :class:`SpikeEvents`,
@@ -131,10 +132,10 @@ class ColumnarSchedule:
     The columns are read-only: the builders freeze what they return, a
     writable array handed in is copied once, and unpickling freezes
     again — so what is derived from them (:attr:`injections`,
-    :meth:`packet_plan`, :meth:`duration_cycles`) is derived once and
-    cannot go stale.  Construction enforces the invariants every
-    consumer relies on, the cycle column sorted ascending and
-    non-negative and ``max(1, ceil(n_routers / 64))`` mask words a row:
+    :meth:`packet_plan`) is derived once and cannot go stale.
+    Construction enforces the invariants every consumer relies on, the
+    cycle column sorted ascending and non-negative and
+    ``max(1, ceil(n_routers / 64))`` mask words a row:
     a schedule that breaks one raises ``ValueError`` before either
     backend sees it.
 
@@ -261,7 +262,6 @@ class ColumnarSchedule:
 
     def _forget_derived(self) -> None:
         self._injections: Optional[List[Injection]] = None
-        self._duration: Optional[int] = None
         self._plans: Dict[bool, PacketPlan] = {}
 
     def __eq__(self, other) -> bool:
@@ -284,13 +284,13 @@ class ColumnarSchedule:
 
     def __getstate__(self):
         # Never pickle what is derived from the columns (the legacy
-        # view, the packet plans, the duration): whoever unpickles reads
+        # view, the packet plans): whoever unpickles reads
         # the arrays, and the whole point of the columnar form is not
         # pickling per-packet Injection objects.
         return {
             name: value
             for name, value in self.__dict__.items()
-            if name not in ("_injections", "_duration", "_plans")
+            if name not in ("_injections", "_plans")
         }
 
     def __setstate__(self, state) -> None:
@@ -307,12 +307,6 @@ class ColumnarSchedule:
     @property
     def n_words(self) -> int:
         return int(self.dst_words.shape[1])
-
-    def duration_cycles(self) -> int:
-        """One past the last injection cycle — O(1): the column is sorted."""
-        if self._duration is None:
-            self._duration = int(self.cycle[-1]) + 1 if self.cycle.size else 0
-        return self._duration
 
     def destination_counts(self) -> np.ndarray:
         """Destinations per packet (mask popcounts), int64 ``(n_packets,)``."""
@@ -692,53 +686,3 @@ def build_injections(
         cycles_per_ms=cycles_per_ms,
         events=events,
     )[0]
-
-
-def synthetic_injections(
-    rates_per_node: Sequence[float],
-    topology: Topology,
-    duration_cycles: int,
-    fanout: int = 1,
-    seed=None,
-) -> ColumnarSchedule:
-    """Uniform-random synthetic traffic for stress-testing the NoC itself.
-
-    Each attach point injects Bernoulli(rate) packets per cycle toward
-    ``fanout`` uniformly chosen other attach points.  Used by NoC unit
-    tests and the multicast ablation bench, not by the paper pipeline.
-    """
-    from repro.utils.rng import default_rng
-
-    check_positive("duration_cycles", duration_cycles)
-    rng = default_rng(seed)
-    nodes = [topology.node_of_crossbar(k) for k in range(topology.n_attach_points)]
-    if len(rates_per_node) != len(nodes):
-        raise ValueError(
-            f"need one rate per attach point ({len(nodes)}), got "
-            f"{len(rates_per_node)}"
-        )
-    injections: List[Injection] = []
-    uid = 0
-    for cycle in range(duration_cycles):
-        for k, rate in enumerate(rates_per_node):
-            if rng.random() >= rate:
-                continue
-            others = [n for n in nodes if n != nodes[k]]
-            if not others:
-                continue
-            chosen = rng.choice(
-                len(others), size=min(fanout, len(others)), replace=False
-            )
-            injections.append(
-                Injection(
-                    cycle=cycle,
-                    src_node=nodes[k],
-                    dst_nodes=tuple(sorted(others[i] for i in chosen)),
-                    src_neuron=k,
-                    uid=uid,
-                )
-            )
-            uid += 1
-    return ColumnarSchedule.from_injections(
-        injections, dense_node_ids(topology), n_source_neurons=len(nodes)
-    )

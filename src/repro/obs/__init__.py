@@ -39,7 +39,6 @@ from contextlib import contextmanager
 from typing import Any, Iterator, Union
 
 from repro.obs.exporters import (
-    load_trace_tree,
     prometheus_text,
     read_trace_jsonl,
     span_tree_summary,
@@ -70,7 +69,6 @@ __all__ = [
     "trace_rows",
     "write_trace_jsonl",
     "read_trace_jsonl",
-    "load_trace_tree",
     "prometheus_text",
     "write_metrics_text",
     "span_tree_summary",

@@ -2,10 +2,10 @@
 
 Three consumers, three formats:
 
-- **JSONL traces** (`write_trace_jsonl` / `read_trace_jsonl` /
-  `load_trace_tree`) — one span per line with depth-first ids and parent
-  pointers, so a trace streams to disk without building an intermediate
-  document and round-trips back into the same tree shape;
+- **JSONL traces** (`write_trace_jsonl` / `read_trace_jsonl`) — one
+  span per line with depth-first ids and parent pointers, so a trace
+  streams to disk without building an intermediate document and the
+  tree shape can be rebuilt from the rows;
 - **Prometheus text** (`prometheus_text` / `write_metrics_text`) — the
   plain exposition format, counters suffixed ``_total``, names
   sanitized to the Prometheus charset under a ``repro_`` namespace;
@@ -77,27 +77,6 @@ def read_trace_jsonl(path: str) -> List[Dict[str, Any]]:
             if line:
                 rows.append(json.loads(line))
     return rows
-
-
-def load_trace_tree(path: str) -> List[Span]:
-    """Rebuild the span forest from a JSONL trace file.
-
-    Returns root :class:`Span` objects (detached — not registered with
-    any tracer) with children, attributes and timestamps restored.
-    """
-    spans: Dict[int, Span] = {}
-    roots: List[Span] = []
-    for row in read_trace_jsonl(path):
-        span = Span(row["name"], row.get("attributes") or {})
-        span.t_start = row.get("t_start")
-        span.t_end = row.get("t_end")
-        spans[row["id"]] = span
-        parent = row.get("parent")
-        if parent is None:
-            roots.append(span)
-        else:
-            spans[parent].children.append(span)
-    return roots
 
 
 # -- Prometheus text ---------------------------------------------------------

@@ -14,7 +14,7 @@ Public API
   :class:`ScheduledSource`
 - Simulation: :class:`Simulation`, :class:`SimulationResult`
 - Plasticity: :class:`STDPRule`
-- Coding: :func:`rate_encode`, :func:`latency_encode`, :func:`rate_decode`
+- Coding: :func:`rate_encode`
 - Graph extraction: :class:`SpikeGraph`
 """
 
@@ -33,7 +33,7 @@ from repro.snn.generators import (
 )
 from repro.snn.simulator import Simulation, SimulationResult
 from repro.snn.stdp import STDPRule
-from repro.snn.coding import latency_encode, rate_decode, rate_encode
+from repro.snn.coding import rate_encode
 from repro.snn.graph import SpikeGraph
 
 __all__ = [
@@ -52,7 +52,5 @@ __all__ = [
     "SimulationResult",
     "STDPRule",
     "rate_encode",
-    "latency_encode",
-    "rate_decode",
     "SpikeGraph",
 ]

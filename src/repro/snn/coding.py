@@ -3,13 +3,12 @@
 The paper distinguishes rate-coded applications (hello world, image
 smoothing, digit recognition) from temporally coded ones (heartbeat
 estimation), because ISI distortion on the interconnect only degrades the
-latter.  This module provides the encoders that turn analog stimuli into
-spike schedules and the decoders used by application-level accuracy checks.
+latter.  This module provides the rate encoder that turns analog stimuli
+into Poisson rates (the temporal encoder of the heartbeat application
+lives with it, in :mod:`repro.apps.heartbeat`).
 """
 
 from __future__ import annotations
-
-from typing import List, Sequence
 
 import numpy as np
 
@@ -31,72 +30,3 @@ def rate_encode(
     v = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
     return min_rate_hz + v * (max_rate_hz - min_rate_hz)
 
-
-def latency_encode(
-    values: np.ndarray,
-    window_ms: float = 20.0,
-    t_offset_ms: float = 0.0,
-    repeat_period_ms: float = 0.0,
-    n_repeats: int = 1,
-) -> List[np.ndarray]:
-    """Temporal (time-to-first-spike) coding.
-
-    A stronger stimulus spikes *earlier*: intensity 1.0 fires at
-    ``t_offset_ms``, intensity 0 fires at ``t_offset_ms + window_ms``.
-    With ``n_repeats > 1``, the pattern repeats every ``repeat_period_ms``
-    — the heartbeat application presents one encoded frame per beat.
-
-    Returns one spike-time array per input value, suitable for
-    :class:`repro.snn.generators.ScheduledSource`.
-    """
-    check_positive("window_ms", window_ms)
-    if n_repeats < 1:
-        raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
-    if n_repeats > 1 and repeat_period_ms <= 0:
-        raise ValueError("repeat_period_ms must be positive when repeating")
-    v = np.clip(np.asarray(values, dtype=np.float64), 0.0, 1.0)
-    first = t_offset_ms + (1.0 - v) * window_ms
-    trains: List[np.ndarray] = []
-    for t0 in first:
-        times = t0 + repeat_period_ms * np.arange(n_repeats, dtype=np.float64)
-        trains.append(times)
-    return trains
-
-
-def rate_decode(
-    spike_times: Sequence[np.ndarray],
-    duration_ms: float,
-    max_rate_hz: float = 100.0,
-) -> np.ndarray:
-    """Invert :func:`rate_encode`: spike counts back to [0, 1] intensities."""
-    check_positive("duration_ms", duration_ms)
-    check_positive("max_rate_hz", max_rate_hz)
-    rates = np.asarray(
-        [t.size / (duration_ms / 1000.0) for t in spike_times], dtype=np.float64
-    )
-    return np.clip(rates / max_rate_hz, 0.0, 1.0)
-
-
-def first_spike_decode(
-    spike_times: Sequence[np.ndarray],
-    window_ms: float = 20.0,
-    t_offset_ms: float = 0.0,
-) -> np.ndarray:
-    """Invert :func:`latency_encode` from the first spike of each train.
-
-    Neurons that never spiked decode to intensity 0.
-    """
-    check_positive("window_ms", window_ms)
-    out = np.zeros(len(spike_times), dtype=np.float64)
-    for i, t in enumerate(spike_times):
-        if t.size:
-            out[i] = 1.0 - (t[0] - t_offset_ms) / window_ms
-    return np.clip(out, 0.0, 1.0)
-
-
-def interspike_intervals(spike_times: np.ndarray) -> np.ndarray:
-    """ISIs of a single train; empty for fewer than two spikes."""
-    t = np.asarray(spike_times, dtype=np.float64)
-    if t.size < 2:
-        return np.empty(0, dtype=np.float64)
-    return np.diff(np.sort(t))

@@ -6,7 +6,7 @@ The paper's synthetic workloads drive the first layer from "10 neurons
 creating spike trains whose inter-spike interval follows a Poisson process
 with mean firing rates between 10 Hz and 100 Hz" — that is
 :class:`PoissonSource`.  Temporal-coded inputs (heartbeat) use
-:class:`ScheduledSource` with latency-encoded spike times.
+:class:`ScheduledSource` with level-crossing-encoded spike times.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.utils.rng import SeedLike, default_rng
-from repro.utils.validation import check_nonnegative, check_positive
+from repro.utils.validation import check_positive
 
 
 class SpikeSource:
@@ -191,25 +190,3 @@ class ScheduledSource(SpikeSource):
     def spike_times(self) -> List[np.ndarray]:
         return [t.copy() for t in self._times]
 
-
-def poisson_spike_times(
-    rate_hz: float,
-    duration_ms: float,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """Draw one Poisson spike train as explicit times via exponential ISIs."""
-    check_nonnegative("rate_hz", rate_hz)
-    check_positive("duration_ms", duration_ms)
-    if rate_hz == 0:
-        return np.empty(0, dtype=np.float64)
-    rng = default_rng(seed)
-    mean_isi = 1000.0 / rate_hz
-    # Over-draw then trim: n ~ duration/mean + 6 sigma covers overflow.
-    expected = duration_ms / mean_isi
-    n_draw = int(expected + 6.0 * np.sqrt(expected + 1.0)) + 8
-    isis = rng.exponential(mean_isi, size=n_draw)
-    times = np.cumsum(isis)
-    while times.size and times[-1] < duration_ms:
-        more = np.cumsum(rng.exponential(mean_isi, size=n_draw)) + times[-1]
-        times = np.concatenate([times, more])
-    return times[times < duration_ms]

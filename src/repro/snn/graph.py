@@ -206,14 +206,6 @@ class SpikeGraph:
             count=self.n_neurons,
         )
 
-    def out_degree(self) -> np.ndarray:
-        """Synapse out-degree per neuron."""
-        return np.bincount(self.src, minlength=self.n_neurons)
-
-    def in_degree(self) -> np.ndarray:
-        """Synapse in-degree per neuron."""
-        return np.bincount(self.dst, minlength=self.n_neurons)
-
     def neuron_out_traffic(self) -> np.ndarray:
         """Total synapse traffic originating from each neuron."""
         return np.bincount(self.src, weights=self.traffic, minlength=self.n_neurons)

@@ -56,15 +56,6 @@ class Population:
     def is_source(self) -> bool:
         return self.source is not None
 
-    @property
-    def global_ids(self) -> np.ndarray:
-        """Global neuron ids covered by this population."""
-        if self.id_offset < 0:
-            raise RuntimeError(
-                f"population {self.name!r} has not been added to a network"
-            )
-        return np.arange(self.id_offset, self.id_offset + self.size)
-
 
 @dataclass
 class Projection:
@@ -108,7 +99,7 @@ class Network:
 
     Example
     -------
-    >>> from repro.snn import Network, LIFModel, PoissonSource, all_to_all
+    >>> from repro.snn import Network, LIFModel, PoissonSource
     >>> net = Network("demo")
     >>> src = net.add_source("in", PoissonSource(10, 50.0))
     >>> out = net.add_population("out", 5, LIFModel())
@@ -198,13 +189,6 @@ class Network:
         for pop in self.populations:
             layers[pop.id_offset : pop.id_offset + pop.size] = pop.layer
         return layers
-
-    def neuron_population(self) -> np.ndarray:
-        """Population index (order of addition) of each global neuron id."""
-        idx = np.zeros(self._n_neurons, dtype=np.int64)
-        for p, pop in enumerate(self.populations):
-            idx[pop.id_offset : pop.id_offset + pop.size] = p
-        return idx
 
     def synapse_count(self) -> int:
         """Total realized synapses over all projections."""

@@ -86,18 +86,6 @@ class SimulationResult:
     def total_spikes(self) -> int:
         return int(self.spike_counts().sum())
 
-    def firing_rates_hz(self) -> np.ndarray:
-        """Mean firing rate of each neuron over the run."""
-        return self.spike_counts() / (self.duration_ms / 1000.0)
-
-    def population_rates_hz(self, network: Network) -> Dict[str, float]:
-        """Mean firing rate per population, keyed by population name."""
-        rates = self.firing_rates_hz()
-        return {
-            pop.name: float(rates[pop.id_offset : pop.id_offset + pop.size].mean())
-            for pop in network.populations
-        }
-
 
 class _SpikeColumns:
     """Growable (neuron id, tick) column store with amortized doubling."""
@@ -538,17 +526,3 @@ class Simulation:
             spike_times=spike_arrays,
             counts=counts,
         )
-
-
-def run_network(
-    network: Network,
-    duration_ms: float,
-    dt: float = 1.0,
-    seed: SeedLike = None,
-    stdp: Optional[STDPRule] = None,
-    learning: bool = True,
-) -> SimulationResult:
-    """One-call convenience wrapper: build a Simulation and run it."""
-    return Simulation(network, dt=dt, seed=seed, stdp=stdp).run(
-        duration_ms, learning=learning
-    )

@@ -6,9 +6,9 @@ deliberate: the paper's largest network is 2048 neurons (image smoothing),
 so the biggest matrix is 1024 x 1024 doubles = 8 MB, and dense numpy keeps
 the per-tick propagation a single matmul-free fancy-index reduction.
 
-The functions here construct common weight patterns used by the paper's
-applications: all-to-all, one-to-one, sparse random, and spatial
-(convolution-like) kernels for the image-smoothing network.
+The functions here construct the weight patterns of the paper's
+applications: spatial (convolution-like) kernels for the image-smoothing
+network and distance-decayed random wiring for liquid-state-machine pools.
 """
 
 from __future__ import annotations
@@ -18,60 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.utils.rng import SeedLike, default_rng
-from repro.utils.validation import check_positive, check_probability
-
-
-def all_to_all(
-    n_pre: int,
-    n_post: int,
-    weight: float = 1.0,
-    allow_self: bool = True,
-) -> np.ndarray:
-    """Fully connected weight matrix with uniform ``weight``.
-
-    When ``allow_self`` is false and the matrix is square, the diagonal is
-    zeroed (used by recurrent populations that must not self-connect).
-    """
-    check_positive("n_pre", n_pre)
-    check_positive("n_post", n_post)
-    w = np.full((n_pre, n_post), weight, dtype=np.float64)
-    if not allow_self and n_pre == n_post:
-        np.fill_diagonal(w, 0.0)
-    return w
-
-
-def one_to_one(n: int, weight: float = 1.0) -> np.ndarray:
-    """Identity connectivity: neuron i drives neuron i only."""
-    check_positive("n", n)
-    return np.eye(n, dtype=np.float64) * weight
-
-
-def sparse_random(
-    n_pre: int,
-    n_post: int,
-    probability: float,
-    weight: float = 1.0,
-    weight_std: float = 0.0,
-    allow_self: bool = True,
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """Bernoulli(probability) connectivity with optionally jittered weights.
-
-    Weights are drawn from ``N(weight, weight_std)`` truncated at zero so a
-    connection never flips sign (sign encodes excitatory/inhibitory).
-    """
-    check_probability("probability", probability)
-    rng = default_rng(seed)
-    mask = rng.random((n_pre, n_post)) < probability
-    if not allow_self and n_pre == n_post:
-        np.fill_diagonal(mask, False)
-    if weight_std > 0.0:
-        magnitudes = rng.normal(abs(weight), weight_std, size=(n_pre, n_post))
-        np.clip(magnitudes, 0.0, None, out=magnitudes)
-        w = np.sign(weight) * magnitudes
-    else:
-        w = np.full((n_pre, n_post), float(weight))
-    return np.where(mask, w, 0.0)
+from repro.utils.validation import check_positive
 
 
 def gaussian_kernel_2d(
@@ -137,7 +84,3 @@ def distance_dependent(
     mask = rng.random(prob.shape) < prob
     return np.where(mask, max_weight, 0.0)
 
-
-def count_synapses(weights: np.ndarray) -> int:
-    """Number of realized synapses (non-zero entries) in a weight matrix."""
-    return int(np.count_nonzero(weights))

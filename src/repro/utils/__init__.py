@@ -1,20 +1,17 @@
 """Shared utilities: RNG management, validation helpers, table formatting."""
 
-from repro.utils.rng import default_rng, spawn_rngs
+from repro.utils.rng import default_rng
 from repro.utils.validation import (
     check_nonnegative,
     check_positive,
     check_probability,
-    check_shape,
 )
 from repro.utils.tables import format_table
 
 __all__ = [
     "default_rng",
-    "spawn_rngs",
     "check_nonnegative",
     "check_positive",
     "check_probability",
-    "check_shape",
     "format_table",
 ]

@@ -9,7 +9,7 @@ independent, deterministic streams for each component.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -38,22 +38,6 @@ def replayable(seed: SeedLike, unused: bool = False) -> bool:
     if isinstance(seed, np.random.Generator):
         return False
     return seed is not None or unused
-
-
-def spawn_rngs(seed: SeedLike, n: int) -> Sequence[np.random.Generator]:
-    """Create ``n`` independent generators derived from one seed.
-
-    Uses :class:`numpy.random.SeedSequence` spawning so the streams are
-    statistically independent regardless of how many are requested.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of rngs: {n}")
-    if isinstance(seed, np.random.Generator):
-        # Derive children from the generator's bit stream deterministically.
-        child_seeds = seed.integers(0, 2**63 - 1, size=n)
-        return [np.random.default_rng(int(s)) for s in child_seeds]
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(s) for s in seq.spawn(n)]
 
 
 def derive_seed(seed: SeedLike, salt: int, *salts: int) -> Optional[int]:

@@ -7,7 +7,7 @@ numpy broadcasting.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -31,13 +31,6 @@ def check_probability(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return value
-
-
-def check_shape(name: str, array: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Require ``array.shape == shape``."""
-    if array.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {array.shape}")
-    return array
 
 
 def check_index_range(name: str, indices: Sequence[int], upper: int) -> None:

@@ -58,7 +58,7 @@ class TestImageSmoothing:
     def test_kernel_locality(self):
         graph = build_image_smoothing(seed=0, duration_ms=30.0)
         # Each input connects only within its kernel neighborhood.
-        fanouts = graph.out_degree()[:1024]
+        fanouts = np.bincount(graph.src, minlength=graph.n_neurons)[:1024]
         assert fanouts.max() <= 13  # radius-2 disc
 
 
@@ -137,6 +137,25 @@ class TestHeartbeat:
         assert heart_rate_accuracy(800.0, 800.0) == 1.0
         assert heart_rate_accuracy(800.0, float("nan")) == 0.0
         assert heart_rate_accuracy(800.0, 4000.0) == 0.0
+
+    def test_accuracy_is_one_minus_relative_error(self):
+        assert heart_rate_accuracy(800.0, 880.0) == pytest.approx(0.9)
+        assert heart_rate_accuracy(800.0, 720.0) == pytest.approx(0.9)
+
+    def test_rr_of_a_regular_train(self):
+        train = np.arange(0.0, 8000.0, 800.0)
+        assert estimate_rr_from_spikes(train) == 800.0
+        shuffled = np.random.default_rng(0).permutation(train)
+        assert estimate_rr_from_spikes(shuffled) == 800.0
+
+    @pytest.mark.parametrize(
+        "train",
+        [[0.0, 800.0, 1600.0],            # fewer than four spikes
+         [0.0, 100.0, 200.0, 300.0, 500.0]],  # shorter than two min RRs
+        ids=["too-few-spikes", "too-short"],
+    )
+    def test_rr_undefined_without_enough_activity(self, train):
+        assert np.isnan(estimate_rr_from_spikes(np.array(train)))
 
 
 class TestRegistry:

@@ -61,3 +61,7 @@ class TestParseName:
 
     def test_garbled(self):
         assert parse_synthetic_name("synth_axb") is None
+
+    @pytest.mark.parametrize("name", ["synth_3x", "synth_3x200x1", "synth_"])
+    def test_wrong_field_count(self, name):
+        assert parse_synthetic_name(name) is None

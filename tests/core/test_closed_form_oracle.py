@@ -1,6 +1,6 @@
 """The ``noc`` objective's closed form against the simulation it skips.
 
-``InterconnectFitness(noc_in_loop=True)`` scores a row without the cycle
+``InterconnectFitness(objective="noc")`` scores a row without the cycle
 loop when the fabric's :class:`~repro.noc.routing.DeliveryCertificate`
 proves every packet arrives.  Two oracles:
 
@@ -247,7 +247,7 @@ def test_proven_rows_score_what_the_kernel_does(
     )
     fit = InterconnectFitness(
         graph,
-        noc_in_loop=True,
+        objective="noc",
         topology=topology,
         noc_config=config,
         cycles_per_ms=cycles_per_ms,
@@ -288,7 +288,7 @@ def _rows_by_path(fit, batch):
     ids=["torus-6x6", "board-4-chips"],
 )
 def test_refused_fabrics_are_simulated(tiny_graph, topology):
-    fit = InterconnectFitness(tiny_graph, noc_in_loop=True, topology=topology)
+    fit = InterconnectFitness(tiny_graph, objective="noc", topology=topology)
     assert not fit._certificate.deadlock_free
     batch = np.random.default_rng(3).integers(0, topology.n_attach_points, size=(4, 8))
     scores, rows = _rows_by_path(fit, batch)
@@ -300,14 +300,14 @@ def test_a_short_drain_budget_is_simulated(tiny_graph):
     """Hops + deliveries past ``max_extra_cycles``: no proof, so the
     kernel runs and its undelivered penalty stays in the score."""
     batch = np.array([[0, 1, 2, 3, 0, 1, 2, 3], [0, 0, 0, 0, 1, 1, 1, 1]])
-    roomy = InterconnectFitness(tiny_graph, noc_in_loop=True, topology=mesh(2))
+    roomy = InterconnectFitness(tiny_graph, objective="noc", topology=mesh(2))
     scores, rows = _rows_by_path(roomy, batch)
     assert rows == {"closed": 2, "simulated": 0}
     hops, _ = _closed_form(roomy, batch)
     budget = int(hops.min())  # below every row's hops + deliveries
     tight = InterconnectFitness(
         tiny_graph,
-        noc_in_loop=True,
+        objective="noc",
         topology=mesh(2),
         noc_config=NocConfig(max_extra_cycles=budget),
     )
@@ -321,7 +321,7 @@ def test_a_short_drain_budget_is_simulated(tiny_graph):
 def test_closed_form_path_keeps_the_builders_errors(tiny_graph):
     """Out-of-range clusters and negative spike times of emitting neurons
     raise as the schedule builder does, before anything is scored."""
-    fit = InterconnectFitness(tiny_graph, noc_in_loop=True, topology=mesh(2))
+    fit = InterconnectFitness(tiny_graph, objective="noc", topology=mesh(2))
     with pytest.raises(ValueError, match="only 4 crossbar attach points"):
         fit.evaluate(np.array([0, 0, 0, 0, 4, 4, 4, 4]))
     with pytest.raises(ValueError, match="cover 7 neurons"):
@@ -331,7 +331,7 @@ def test_closed_form_path_keeps_the_builders_errors(tiny_graph):
     graph = SpikeGraph.from_edges(
         8, tiny_graph.src, tiny_graph.dst, tiny_graph.traffic, spike_times=times
     )
-    fit = InterconnectFitness(graph, noc_in_loop=True, topology=mesh(2))
+    fit = InterconnectFitness(graph, objective="noc", topology=mesh(2))
     assert fit.evaluate(np.zeros(8, dtype=np.int64)) == 0.0  # nothing emits
     with pytest.raises(ValueError, match="negative injection cycle -10 "):
         fit.evaluate(np.array([0, 0, 0, 0, 1, 1, 1, 1]))

@@ -23,8 +23,14 @@ class TestDefaultFitness:
             assert fit.evaluate(a) == pytest.approx(brute)
 
     def test_upper_bound(self, tiny_graph):
+        """Eq. 8 never exceeds the graph's total traffic and reaches it
+        when every neuron sits on its own crossbar."""
         fit = InterconnectFitness(tiny_graph)
-        assert fit.upper_bound == tiny_graph.total_traffic()
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            a = rng.integers(0, 3, size=8)
+            assert fit.evaluate(a) <= tiny_graph.total_traffic()
+        assert fit.evaluate(np.arange(8)) == tiny_graph.total_traffic()
 
     def test_batch_agrees_with_single(self, tiny_graph):
         fit = InterconnectFitness(tiny_graph)
@@ -49,7 +55,7 @@ class TestPacketCountVariant:
         )
         a = np.array([0, 1, 1])
         per_synapse = InterconnectFitness(g)
-        per_packet = InterconnectFitness(g, count_packets=True)
+        per_packet = InterconnectFitness(g, objective="packets")
         assert per_synapse.evaluate(a) == 20.0
         assert per_packet.evaluate(a) == 10.0
 
@@ -59,11 +65,11 @@ class TestPacketCountVariant:
             3, [0, 0], [1, 2], [10.0, 10.0], spike_times=spike_times
         )
         a = np.array([0, 1, 2])
-        per_packet = InterconnectFitness(g, count_packets=True)
+        per_packet = InterconnectFitness(g, objective="packets")
         assert per_packet.evaluate(a) == 20.0
 
     def test_all_local_zero(self, tiny_graph):
-        fit = InterconnectFitness(tiny_graph, count_packets=True)
+        fit = InterconnectFitness(tiny_graph, objective="packets")
         assert fit.evaluate(np.zeros(8, dtype=int)) == 0.0
 
 
@@ -80,7 +86,7 @@ def test_evaluate_and_evaluate_batch_reject_alike(tiny_graph, objective, bad):
     """The single and the swarm path of one objective refuse the same
     malformed assignments with the same exception type."""
     fit = InterconnectFitness(
-        tiny_graph, count_packets=objective == "packets"
+        tiny_graph, objective=objective
     )
     bad = np.array(bad)
     with pytest.raises(ValueError):
@@ -107,12 +113,16 @@ class TestNocInLoopVariant:
     def _fit(self, graph, **kwargs):
         topo = tree(2)
         return InterconnectFitness(
-            graph, noc_in_loop=True, topology=topo, **kwargs
+            graph, objective="noc", topology=topo, **kwargs
         )
 
     def test_requires_topology(self, tiny_graph):
         with pytest.raises(ValueError, match="topology"):
-            InterconnectFitness(tiny_graph, noc_in_loop=True)
+            InterconnectFitness(tiny_graph, objective="noc")
+
+    def test_unknown_objective_rejected(self, tiny_graph):
+        with pytest.raises(ValueError, match="unknown objective"):
+            InterconnectFitness(tiny_graph, objective="hops")
 
     def test_all_local_scores_zero(self, tiny_graph):
         fit = self._fit(tiny_graph)

@@ -37,8 +37,19 @@ class TestGeneticPartition:
 
     def test_packet_objective(self, tiny_graph):
         p = genetic_partition(tiny_graph, 2, 4, config=FAST, seed=0,
-                              count_packets=True)
+                              objective="packets")
         assert is_feasible(p.assignment, 2, 4)
+
+    @pytest.mark.parametrize(
+        "objective, match",
+        [("noc", "needs a topology"), ("hops", "unknown objective")],
+    )
+    def test_objective_passed_to_fitness(self, tiny_graph, objective, match):
+        """The objective goes to the fitness as is: only the closed-form
+        ones run without a fabric."""
+        with pytest.raises(ValueError, match=match):
+            genetic_partition(tiny_graph, 2, 4, config=FAST, seed=0,
+                              objective=objective)
 
     def test_impossible_capacity_rejected(self, tiny_graph):
         with pytest.raises(ValueError, match="cannot fit"):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import fitness, mapper
 from repro.core.mapper import METHODS, compare_methods, map_snn
 from repro.core.partition import is_feasible
 from repro.core.pso import PSOConfig
@@ -48,6 +49,26 @@ class TestMapSnn:
         )
         assert pso.fitness <= pacman.fitness
 
+    @pytest.mark.parametrize("objective", fitness.OBJECTIVES)
+    def test_every_objective_maps(self, tiny_graph, two_cluster_arch,
+                                  objective):
+        result = map_snn(
+            tiny_graph, two_cluster_arch, method="pso", seed=0,
+            objective=objective,
+            pso_config=PSOConfig(n_particles=6, n_iterations=3),
+        )
+        assert is_feasible(result.assignment, 2, 4)
+        assert result.fitness == result.global_spikes
+
+    def test_unknown_objective_rejected(self, tiny_graph, two_cluster_arch):
+        with pytest.raises(ValueError, match="unknown objective 'hops'"):
+            map_snn(tiny_graph, two_cluster_arch, method="greedy",
+                    objective="hops")
+
+    def test_objectives_shared_with_fitness(self):
+        assert mapper.OBJECTIVES is fitness.OBJECTIVES
+        assert fitness.OBJECTIVES == ("spikes", "packets", "noc")
+
     def test_unknown_method_rejected(self, tiny_graph, two_cluster_arch):
         with pytest.raises(ValueError, match="unknown method"):
             map_snn(tiny_graph, two_cluster_arch, method="magic")
@@ -57,10 +78,6 @@ class TestMapSnn:
         cramped = custom(n_crossbars=1, neurons_per_crossbar=4)
         with pytest.raises(ValueError, match="exceeds"):
             map_snn(tiny_graph, cramped, method="pacman")
-
-    def test_global_fraction(self, tiny_graph, two_cluster_arch):
-        result = map_snn(tiny_graph, two_cluster_arch, method="pacman")
-        assert 0.0 <= result.global_fraction <= 1.0
 
     def test_describe(self, tiny_graph, two_cluster_arch):
         result = map_snn(tiny_graph, two_cluster_arch, method="greedy")

@@ -1,6 +1,6 @@
 """NoC-in-the-loop fitness through the swarm stack, any thread count.
 
-``InterconnectFitness(noc_in_loop=True)`` must hand ``BinaryPSO`` the
+``InterconnectFitness(objective="noc")`` must hand ``BinaryPSO`` the
 same fitness vectors whatever ``REPRO_NOC_THREADS`` says (``0`` = the
 calling thread alone, ``N`` = an OpenMP team where the build has one) —
 which makes whole swarm runs (same seed) land on the same optimum,
@@ -27,7 +27,7 @@ from repro.noc.multichip import multichip
 
 def _noc_fitness(graph, **kwargs):
     fitness = InterconnectFitness(
-        graph, noc_in_loop=True, topology=multichip(8, n_chips=4), **kwargs
+        graph, objective="noc", topology=multichip(8, n_chips=4), **kwargs
     )
     assert not fitness._certificate.deadlock_free
     return fitness

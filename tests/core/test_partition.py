@@ -79,21 +79,28 @@ class TestPartition:
             Partition(assignment=np.array([], dtype=int), n_clusters=2,
                       capacity=2)
 
-    def test_one_hot_matches_paper_x(self):
-        p = Partition(assignment=np.array([1, 0]), n_clusters=2, capacity=1)
-        x = p.one_hot()
-        assert x.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-        # Eq. 4: every row sums to one.
-        assert (x.sum(axis=1) == 1).all()
+    def test_cluster_sizes_count_empty_crossbars(self):
+        p = Partition(assignment=[2, 2, 0], n_clusters=4, capacity=2)
+        assert p.cluster_sizes().tolist() == [1, 0, 2, 0]
 
-    def test_neurons_of(self):
-        p = Partition(assignment=np.array([0, 1, 0, 1]), n_clusters=2,
-                      capacity=2)
-        assert p.neurons_of(0).tolist() == [0, 2]
+    def test_assignment_coerced_to_int64(self):
+        p = Partition(assignment=[1.0, 0.0], n_clusters=2, capacity=1)
+        assert p.assignment.dtype == np.int64
+        assert p.assignment.tolist() == [1, 0]
 
-    def test_utilization(self):
-        p = Partition(assignment=np.array([0, 1]), n_clusters=2, capacity=2)
-        assert p.utilization() == 0.5
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            Partition(assignment=np.zeros((2, 2), dtype=int), n_clusters=2,
+                      capacity=4)
+
+    @pytest.mark.parametrize(
+        "n_clusters, capacity, name",
+        [(0, 2, "n_clusters"), (2, 0, "capacity")],
+    )
+    def test_nonpositive_sizes_rejected(self, n_clusters, capacity, name):
+        with pytest.raises(ValueError, match=name):
+            Partition(assignment=np.array([0]), n_clusters=n_clusters,
+                      capacity=capacity)
 
 
 class TestIsFeasible:

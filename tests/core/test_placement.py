@@ -17,8 +17,8 @@ class TestPlaceClusters:
         traffic[0, 3] = 100.0  # clusters 0 and 3 talk heavily
         perm = place_clusters(traffic, topo, routing)
         d = routing.distance(
-            topo.node_of_crossbar(int(perm[0])),
-            topo.node_of_crossbar(int(perm[3])),
+            topo.attach_points[int(perm[0])],
+            topo.attach_points[int(perm[3])],
         )
         assert d == 2  # siblings, not across the root (4 hops)
 

@@ -257,7 +257,7 @@ class TestFaultEvents:
     def test_forced_gains_sum_to_improvement(self, tiny_graph):
         """The audit invariant holds even with negative forced gains."""
         rm = self._three_cluster_remapper(tiny_graph, migration_budget=8)
-        rm.mark_crossbar_faulty(0)
+        rm.apply_fault(FaultEvent(crossbar=0))
         epoch = rm.remap_epoch()
         assert epoch.improvement == pytest.approx(
             sum(m.gain for m in epoch.moves)
@@ -268,7 +268,7 @@ class TestFaultEvents:
 
     def test_budget_limits_evacuation(self, tiny_graph):
         rm = self._three_cluster_remapper(tiny_graph, migration_budget=2)
-        rm.mark_crossbar_faulty(0)
+        rm.apply_fault(FaultEvent(crossbar=0))
         epoch = rm.remap_epoch()
         assert epoch.n_migrations == 2
         assert not rm.evacuated(0)
@@ -279,7 +279,7 @@ class TestFaultEvents:
 
     def test_no_moves_back_onto_faulty_cluster(self, tiny_graph):
         rm = self._three_cluster_remapper(tiny_graph, migration_budget=8)
-        rm.mark_crossbar_faulty(0)
+        rm.apply_fault(FaultEvent(crossbar=0))
         for _ in range(4):
             epoch = rm.remap_epoch()
             assert all(m.to_cluster != 0 for m in epoch.moves)
@@ -288,7 +288,7 @@ class TestFaultEvents:
     def test_insufficient_healthy_capacity_rejected(self, tiny_graph):
         rm = _remapper(tiny_graph, [0, 0, 0, 0, 1, 1, 1, 1])
         with pytest.raises(ValueError, match="healthy"):
-            rm.mark_crossbar_faulty(1)
+            rm.apply_fault(FaultEvent(crossbar=1))
         assert rm.faulty_clusters == set()
 
     def test_out_of_range_crossbar_rejected(self, tiny_graph):
@@ -304,7 +304,7 @@ class TestFaultEvents:
 
     def test_zero_budget_fault_epoch_moves_nothing(self, tiny_graph):
         rm = self._three_cluster_remapper(tiny_graph, migration_budget=0)
-        rm.mark_crossbar_faulty(0)
+        rm.apply_fault(FaultEvent(crossbar=0))
         epoch = rm.remap_epoch()
         assert epoch.moves == []
         assert not rm.evacuated(0)
@@ -321,15 +321,15 @@ class TestHealEvents:
 
     def test_clear_reopens_cluster(self, tiny_graph):
         rm = self._three_cluster_remapper(tiny_graph, migration_budget=8)
-        rm.mark_crossbar_faulty(0)
+        rm.apply_fault(FaultEvent(crossbar=0))
         rm.remap_epoch()
         assert rm.evacuated(0)
-        rm.mark_crossbar_healed(0)
+        rm.clear_fault(FaultEvent(crossbar=0))
         assert rm.faulty_clusters == set()
         # The healed cluster is a first-class citizen again: a later
         # fault elsewhere evacuates straight onto it (capacity-wise
         # the only possible refuge), under the ordinary budget.
-        rm.mark_crossbar_faulty(2)
+        rm.apply_fault(FaultEvent(crossbar=2))
         rm.remap_epoch()
         assert rm.evacuated(2)
         assert len(rm.neurons_on(0)) == 4
@@ -338,11 +338,11 @@ class TestHealEvents:
     def test_clear_unknown_fault_rejected(self, tiny_graph):
         rm = self._three_cluster_remapper(tiny_graph)
         with pytest.raises(ValueError, match="not marked faulty"):
-            rm.mark_crossbar_healed(2)
+            rm.clear_fault(FaultEvent(crossbar=2))
 
     def test_heal_log_records_events(self, tiny_graph):
         rm = self._three_cluster_remapper(tiny_graph)
-        rm.mark_crossbar_faulty(0)
+        rm.apply_fault(FaultEvent(crossbar=0))
         event = FaultEvent(crossbar=0, time=9.0, description="healed")
         rm.clear_fault(event)
         assert rm.heal_log == [event]

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.partition import is_feasible
-from repro.core.runtime import Move, RemapEpoch, RuntimeRemapper
+from repro.core.runtime import FaultEvent, Move, RemapEpoch, RuntimeRemapper
 from repro.snn.graph import SpikeGraph
 
 MARGIN = 1e-9
@@ -268,14 +268,14 @@ def run_script(cls, script):
     rm = cls(graph, n_clusters, capacity, assignment, migration_budget=budget)
     out = [rm.remap_epoch()]
     try:
-        rm.mark_crossbar_faulty(victim)
+        rm.apply_fault(FaultEvent(crossbar=victim))
     except ValueError:
         victim = None  # tight platform: the fault would not fit, skip it
     out += [rm.remap_epoch() for _ in range(epochs[0])]
     if redraw is not None:
         rm.observe_traffic(np.asarray(redraw, dtype=np.float64))
     if victim is not None:
-        rm.mark_crossbar_healed(victim)
+        rm.clear_fault(FaultEvent(crossbar=victim))
     out += [rm.remap_epoch() for _ in range(epochs[1])]
     return rm, out
 

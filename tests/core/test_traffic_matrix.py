@@ -42,7 +42,8 @@ class TestTrafficMatrix:
     def test_local_plus_global_is_total(self, tiny_graph):
         m = TrafficMatrix(tiny_graph)
         a = np.array([0, 1, 0, 1, 0, 1, 0, 1])
-        assert m.local_traffic(a) + m.global_traffic(a) == m.total
+        local, _ = local_global_split(tiny_graph, a)
+        assert local + m.global_traffic(a) == m.total
 
     def test_batch_matches_scalar(self, tiny_graph):
         m = TrafficMatrix(tiny_graph)
@@ -314,7 +315,7 @@ class TestReachMasks:
         what the schedule builder raises."""
         g = SpikeGraph.from_edges(4, [0, 0, 1, 2], [1, 2, 3, 3], [5, 5, 2, 1])
         m = TrafficMatrix(g)
-        fitness = InterconnectFitness(g, count_packets=True)
+        fitness = InterconnectFitness(g, objective="packets")
         for bad in ([0, 0, -1, 1], [[0, 0, 1, 1], [-1, -1, -1, -1]]):
             for reader in (
                 m.reach_masks,

@@ -33,7 +33,7 @@ from repro.noc.faults import inject_random_faults
 from repro.noc.interconnect import NocConfig
 from repro.noc.multichip import multichip
 from repro.noc.topology import mesh, mesh_for, tree
-from repro.noc.traffic import synthetic_injections
+from tests.noc.test_traffic import synthetic_injections
 from repro.obs import observe
 from repro.utils.rng import derive_seed
 

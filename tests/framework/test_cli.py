@@ -166,6 +166,44 @@ class TestPlatformFlags:
         assert args.faults == 0
 
     @pytest.mark.parametrize(
+        "command, flag",
+        [("map", "--seed"), ("compare", "--seed"), ("explore", "--seed"),
+         ("faults", "--seed"), ("map", "--fault-seed"),
+         ("faults", "--campaign-seed")],
+    )
+    @pytest.mark.parametrize("value", ["-1", "1.5", "x"])
+    def test_seeds_must_be_non_negative_integers(
+        self, capsys, command, flag, value
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--app", "hello_world", flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a non-negative integer, got '{value}'" in err
+        args = build_parser().parse_args([command, "--app", "x", flag, "0"])
+        assert vars(args)[flag[2:].replace("-", "_")] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "--app", "hello_world", "--method", "greedy", "--seed", "-1"],
+            ["compare", "--app", "hello_world", "--seed", "-2",
+             "--particles", "5", "--iterations", "2"],
+            ["map", "--app", "hello_world", "--method", "greedy",
+             "--faults", "1", "--fault-seed", "-3"],
+        ],
+    )
+    def test_negative_seed_exits_2_before_mapping(self, capsys, argv):
+        """These used to end in numpy's ``expected non-negative integer``
+        (a traceback with exit 1, or a bare message naming no flag)."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "must be a non-negative integer" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "command, flag, value",
         [("explore", "--sizes", "0"), ("explore", "--chip-counts", "0"),
          ("faults", "--draws", "0"), ("faults", "--draws", "-2")],
@@ -400,7 +438,8 @@ class TestServe:
         [("crossbars", -3), ("crossbars", 0), ("capacity", 0), ("chips", 0),
          ("bridge_latency", -1), ("faults", -1), ("faults", 1.5),
          ("cycles_per_ms", 0), ("cycles_per_ms", -1.5), ("duration", -5),
-         ("duration", 0)],
+         ("duration", 0), ("seed", -1), ("map_seed", -2), ("fault_seed", -3),
+         ("seed", 1.5)],
     )
     def test_serve_rejects_bad_counts_before_building_graph(
         self, tmp_path, capsys, monkeypatch, field, value

@@ -86,10 +86,10 @@ def estimate_interconnect_energy_pj_reference(
         spikes = float(neuron_spikes[neuron])
         if spikes == 0.0:
             continue
-        own_node = topology.node_of_crossbar(int(assignment[neuron]))
+        own_node = topology.attach_points[int(assignment[neuron])]
         encodes += spikes  # one encode per spike event
         for c in clusters:
-            dst_node = topology.node_of_crossbar(c)
+            dst_node = topology.attach_points[c]
             spike_hops += spikes * routing.distance(own_node, dst_node)
             decodes += spikes
             if bridged:
@@ -118,8 +118,8 @@ def estimate_synapse_energy_pj_reference(
             spikes = matrix[k1, k2]
             if k1 == k2 or spikes == 0.0:
                 continue
-            n1 = topology.node_of_crossbar(k1)
-            n2 = topology.node_of_crossbar(k2)
+            n1 = topology.attach_points[k1]
+            n2 = topology.attach_points[k2]
             spike_hops += spikes * routing.distance(n1, n2)
             crossing += spikes
             if bridged:

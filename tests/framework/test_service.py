@@ -28,7 +28,6 @@ from repro.framework.pipeline import run_pipeline
 from repro.framework.service import MapRequest, MappingService
 from repro.hardware.presets import architecture_for, custom
 from repro.noc.interconnect import NocConfig
-from repro.noc.topology import build_topology, mesh_for
 
 
 SMALL_PSO = PSOConfig(n_particles=6, n_iterations=4)
@@ -99,16 +98,6 @@ class TestKeyStability:
         assert key(resized) != key(arch)
         rewired = dataclasses.replace(arch, interconnect="tree")
         assert key(rewired) != key(arch)
-
-    def test_topology_signature_distinguishes_kind_and_params(self):
-        keys = {
-            stable_hash(build_topology(kind, 8).content_signature())
-            for kind in ("mesh", "tree", "star", "torus", "multichip")
-        }
-        assert len(keys) == 5
-        assert stable_hash(mesh_for(8).content_signature()) != stable_hash(
-            mesh_for(9).content_signature()
-        )
 
     def test_pipeline_token_tracks_faults_seed_and_method(self, graph, arch):
         base = dict(method="pso", seed=3, pso_config=SMALL_PSO)

@@ -26,12 +26,6 @@ class TestArchitecture:
         assert topo.n_attach_points == 6
         assert topo.kind == "mesh"
 
-    def test_build_crossbars(self):
-        arch = Architecture(n_crossbars=3, neurons_per_crossbar=7)
-        xbars = arch.build_crossbars()
-        assert len(xbars) == 3
-        assert all(x.capacity == 7 for x in xbars)
-
     def test_invalid_dimensions(self):
         with pytest.raises(ValueError):
             Architecture(n_crossbars=0, neurons_per_crossbar=8)

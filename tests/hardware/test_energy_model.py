@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hardware.energy_model import EnergyBreakdown, EnergyModel
+from repro.hardware.energy_model import EnergyModel
 from repro.noc.stats import DeliveryRecord, NocStats
 
 
@@ -54,15 +54,6 @@ class TestGlobalEnergy:
         ) == 10 * 3.0 + 3 * 4.0 + 4 * 5.0
 
 
-class TestEnergyBreakdown:
-    def test_totals_and_units(self):
-        b = EnergyBreakdown(local_pj=1e6, global_pj=2e6)
-        assert b.total_pj == 3e6
-        assert b.local_uj == 1.0
-        assert b.global_uj == 2.0
-        assert b.total_uj == 3.0
-
-
 class TestConfigRoundTrip:
     def test_to_from_dict(self):
         model = EnergyModel(e_router_pj=7.0)
@@ -83,7 +74,7 @@ class TestBridgeEnergy:
         from repro.noc.fastsim import FastInterconnect
         from repro.noc.interconnect import NocConfig
         from repro.noc.multichip import multichip
-        from repro.noc.traffic import synthetic_injections
+        from tests.noc.test_traffic import synthetic_injections
 
         topo = multichip(8, n_chips=2, chip_kind="mesh", bridge_latency=2)
         schedule = synthetic_injections([0.3] * 8, topo, 60, fanout=2, seed=6)

@@ -1,10 +1,6 @@
 """Tests for spike disorder counting."""
 
-from repro.metrics.disorder import (
-    disorder_by_destination,
-    disorder_count,
-    disorder_fraction,
-)
+from repro.metrics.disorder import disorder_count, disorder_fraction
 from repro.noc.stats import DeliveryRecord, NocStats
 
 
@@ -63,14 +59,3 @@ class TestDisorderFraction:
     def test_empty_zero(self):
         assert disorder_fraction(NocStats()) == 0.0
 
-
-class TestDisorderByDestination:
-    def test_per_destination(self):
-        stats = _stats([
-            (0, 1, 10, 11),
-            (1, 1, 0, 12),
-            (2, 2, 0, 5),
-        ])
-        by_dst = disorder_by_destination(stats)
-        assert by_dst[1] == 0.5
-        assert by_dst[2] == 0.0

@@ -23,7 +23,7 @@ from repro.noc.fastsim import FastInterconnect, build_interconnect
 from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.packet import Injection
 from repro.noc.topology import build_topology
-from repro.noc.traffic import synthetic_injections
+from tests.noc.test_traffic import synthetic_injections
 
 
 def record_tuples(stats):
@@ -181,7 +181,7 @@ def traffic_scenarios(draw):
     duplicates = draw(st.booleans())
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
-    nodes = [topo.node_of_crossbar(k) for k in range(n_crossbars)]
+    nodes = [topo.attach_points[k] for k in range(n_crossbars)]
     injections = []
     for uid in range(n_packets):
         src_k = int(rng.integers(0, n_crossbars))

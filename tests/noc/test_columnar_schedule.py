@@ -45,12 +45,12 @@ from repro.noc.traffic import (
     build_injections,
     build_injections_batch,
     dense_node_ids,
-    synthetic_injections,
 )
 from repro.obs import observe
 from repro.snn.graph import SpikeGraph
 from repro.utils.validation import check_positive
 from tests.framework.test_exploration import global_destinations
+from tests.noc.test_traffic import synthetic_injections
 
 
 def reference_injection_rows(
@@ -75,8 +75,8 @@ def reference_injection_rows(
     uid = 0
     for neuron in sorted(dests):
         crossbars = dests[neuron]
-        src_node = topology.node_of_crossbar(int(assignment[neuron]))
-        dst_nodes = tuple(sorted(topology.node_of_crossbar(c) for c in crossbars))
+        src_node = topology.attach_points[int(assignment[neuron])]
+        dst_nodes = tuple(sorted(topology.attach_points[c] for c in crossbars))
         for t_ms in graph.spike_times[neuron]:
             injections.append(
                 Injection(
@@ -164,7 +164,6 @@ class TestColumnarVsLegacyBuilder:
         assert columnar.n_packets == legacy.n_packets
         assert columnar.n_source_neurons == legacy.n_source_neurons
         assert columnar.n_spike_events == legacy.n_spike_events
-        assert columnar.duration_cycles() == legacy.duration_cycles()
 
     @pytest.mark.parametrize("kind,n_crossbars", TOPOLOGIES)
     @pytest.mark.parametrize("multicast", [True, False])
@@ -202,7 +201,6 @@ class TestColumnarVsLegacyBuilder:
         graph = random_graph(10, 30, seed=4)
         schedule = build_injections(graph, np.zeros(10, dtype=int), topo)
         assert schedule.n_packets == 0
-        assert schedule.duration_cycles() == 0
         assert schedule.injections == []
         stats = FastInterconnect(
             topo, config=NocConfig(backend="fast")
@@ -412,21 +410,6 @@ class TestMultiWordFabrics:
 
 
 class TestScheduleSurface:
-    def test_duration_cached_on_legacy_schedule(self):
-        topo = build_topology("star", 4)
-        schedule = synthetic_injections([0.5] * 4, topo, 20, seed=0)
-        first = schedule.duration_cycles()
-        assert first == schedule.duration_cycles()  # cached, stable
-        assert first == max(i.cycle for i in schedule.injections) + 1
-
-    def test_columnar_duration_is_last_cycle_plus_one(self):
-        topo = build_topology("mesh", 9)
-        graph = random_graph(30, 120, seed=47)
-        assignment = np.random.default_rng(53).integers(0, 9, 30)
-        schedule = build_injections(graph, assignment, topo)
-        if schedule.n_packets:
-            assert schedule.duration_cycles() == int(schedule.cycle[-1]) + 1
-
     def test_injections_view_is_cached(self):
         topo = build_topology("mesh", 9)
         graph = random_graph(30, 120, seed=59)

@@ -8,11 +8,11 @@ from repro.noc.faults import (
     FaultSet,
     FaultTimeline,
     FaultWindow,
+    _survivable,
     apply_faults,
     bridge_chains,
     degrade_topology,
     inject_random_faults,
-    survivable_links,
 )
 from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.multichip import (
@@ -25,7 +25,7 @@ from repro.noc.packet import Injection
 from repro.noc.routing import routing_for
 from repro.noc.stats import summarize
 from repro.noc.topology import mesh, mesh_for, torus, tree
-from repro.noc.traffic import synthetic_injections
+from tests.noc.test_traffic import synthetic_injections
 
 
 class TestDegradeTopology:
@@ -49,6 +49,13 @@ class TestDegradeTopology:
         link = next(iter(topo.graph.edges))
         with pytest.raises(ValueError, match="disconnects"):
             degrade_topology(topo, [link])
+
+
+def survivable_links(topology):
+    """Links whose single failure leaves the fabric connected: the pool
+    ``inject_random_faults`` draws from (a failed bridge segment takes
+    its whole bridge down, so a 2-chip board's bridge is never in it)."""
+    return _survivable(topology.graph, bridge_chains(topology))
 
 
 class TestSurvivableLinks:
@@ -410,6 +417,12 @@ class TestFaultWindow:
         with pytest.raises(ValueError, match="clear after"):
             FaultWindow(FaultSet(), arrive=5.0, clear=5.0)
 
+    def test_default_window_is_permanent_from_zero(self):
+        w = FaultWindow(FaultSet(faulty_crossbars=[0]))
+        assert w.arrive == 0.0 and w.clear is None
+        assert w.active_at(0.0)
+        assert not w.active_at(-0.5)
+
 
 class TestFaultTimeline:
     def _timeline(self):
@@ -431,25 +444,24 @@ class TestFaultTimeline:
         assert tl.crossbars_at(7.0) == frozenset({2})
         assert tl.crossbars_at(12.0) == frozenset({2})
 
-    def test_topology_identity_when_no_structural_fault(self):
-        """Healed (or crossbar-only) instants hand back the same object,
-        so the re-admitted fabric is trivially bit-identical."""
-        tl = self._timeline()
-        topo = mesh(3)
-        topo.attach_points.remove(4)  # free router 4 for the dead window
-        assert tl.topology_at(topo, 12.0) is topo  # crossbar fault only
-        assert tl.topology_at(topo, 16.0) is topo  # fully healed
-        degraded = tl.topology_at(topo, 3.0)
-        assert degraded is not topo
-        assert not degraded.graph.has_edge(0, 1)
-        dead = tl.topology_at(topo, 25.0)
-        assert 4 not in dead.graph
-
     def test_describe(self):
         text = self._timeline().describe()
         assert "3 windows" in text
         assert "1 permanent" in text
         assert "5 edges" in text
+
+    def test_crossbars_outside_every_window(self):
+        tl = self._timeline()
+        assert tl.crossbars_at(4.9) == frozenset()
+        assert tl.crossbars_at(15.0) == frozenset()  # half-open: cleared
+        assert tl.crossbars_at(25.0) == frozenset()  # only a dead router
+
+    def test_empty_timeline_is_healthy(self):
+        tl = FaultTimeline()
+        assert tl.edges() == []
+        assert not tl.active_at(0.0)
+        assert tl.crossbars_at(0.0) == frozenset()
+        assert "0 windows (0 permanent), 0 edges" in tl.describe()
 
     def test_windows_coerced_to_tuple(self):
         tl = FaultTimeline([FaultWindow(FaultSet(dead_routers=[0]))])
@@ -479,8 +491,9 @@ class TestTransientCrossBackend:
             [0.4] * topo.n_attach_points, topo, 80, fanout=3, seed=7
         )
         # Phase snapshots: healthy, degraded, healed.
-        phases = {t: tl.topology_at(topo, t) for t in (0.0, 1.5, 3.0)}
-        assert phases[3.0] is topo  # re-admitted, same object
+        assert not tl.active_at(0.0) and not tl.active_at(3.0)
+        degraded = apply_faults(topo, tl.active_at(1.5))
+        phases = {0.0: topo, 1.5: degraded, 3.0: topo}
         baseline = {}
         for time, phase_topo in phases.items():
             engines = self._phase_stats(phase_topo, schedule)

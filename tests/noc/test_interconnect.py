@@ -7,7 +7,7 @@ from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.packet import Injection
 from repro.noc.routing import shortest_path_routing
 from repro.noc.topology import mesh, star, tree
-from repro.noc.traffic import synthetic_injections
+from tests.noc.test_traffic import synthetic_injections
 
 
 def _inject(cycle, src, dsts, neuron=0, uid=-1):

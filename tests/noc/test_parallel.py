@@ -19,7 +19,7 @@ from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.parallel import parallel_simulate_many
 from repro.noc.stats import ScheduleSummary, summarize
 from repro.noc.topology import mesh, tree
-from repro.noc.traffic import synthetic_injections
+from tests.noc.test_traffic import synthetic_injections
 
 
 def _pool_available() -> bool:

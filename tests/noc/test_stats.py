@@ -22,7 +22,6 @@ class TestNocStats:
         stats = NocStats()
         assert stats.max_latency() == 0
         assert stats.mean_latency() == 0.0
-        assert stats.throughput_packets_per_cycle() == 0.0
         assert stats.throughput_aer_per_ms(10.0) == 0.0
 
     def test_throughput(self):
@@ -30,7 +29,6 @@ class TestNocStats:
         stats.cycles_run = 100
         for i in range(10):
             stats.record(_rec(uid=i))
-        assert stats.throughput_packets_per_cycle() == 0.1
         # 100 cycles at 10 cycles/ms = 10 ms; 10 packets / 10 ms = 1.
         assert stats.throughput_aer_per_ms(10.0) == 1.0
 

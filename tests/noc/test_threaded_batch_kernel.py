@@ -28,7 +28,7 @@ from repro.noc.interconnect import NocConfig
 from repro.noc.parallel import parallel_simulate_many
 from repro.noc.stats import summarize
 from repro.noc.topology import mesh, tree
-from repro.noc.traffic import synthetic_injections
+from tests.noc.test_traffic import synthetic_injections
 
 KERNEL = load_kernel()
 

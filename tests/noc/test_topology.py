@@ -71,14 +71,14 @@ class TestStar:
         assert topo.graph.degree(hub) == 5
 
     def test_diameter_two(self):
-        assert star(4).diameter() == 2
+        assert nx.diameter(star(4).graph.to_networkx()) == 2
 
     def test_single_crossbar_star(self):
         """The degenerate 1-crossbar star stays connected and routable."""
         topo = star(1)
         assert topo.n_routers == 2           # crossbar 0 + hub 1
         assert topo.attach_points == [0]
-        assert topo.node_of_crossbar(0) == 0
+        assert topo.attach_points[0] == 0
         from repro.noc.routing import routing_for
         routing = routing_for(topo)
         assert routing.distance(0, 1) == 1
@@ -91,7 +91,9 @@ class TestTorus:
         assert topo.graph.has_edge(0, 6)      # column wrap
 
     def test_smaller_diameter_than_mesh(self):
-        assert torus(4).diameter() < mesh(4).diameter()
+        assert nx.diameter(torus(4).graph.to_networkx()) < nx.diameter(
+            mesh(4).graph.to_networkx()
+        )
 
     def test_width_two_adds_no_duplicate_wrap(self):
         """A 2-wide dimension already has the wrap link as a mesh edge."""
@@ -108,7 +110,7 @@ class TestTorus:
         assert nx.is_connected(topo.graph.to_networkx())
         # Attach points are the first n routers, each carrying a position.
         for k in range(n):
-            assert topo.node_of_crossbar(k) in topo.positions
+            assert topo.attach_points[k] in topo.positions
 
     def test_torus_for_five_wraps_rows_only(self):
         # 5 crossbars -> 3x2 grid: width 3 wraps, height 2 does not.
@@ -141,21 +143,10 @@ class TestXYRoutingPositions:
     def test_mesh_for_positions_cover_attach_points(self):
         topo = mesh_for(7)
         for k in range(7):
-            assert topo.node_of_crossbar(k) in topo.positions
+            assert topo.attach_points[k] in topo.positions
 
 
 class TestCaching:
-    def test_diameter_cached(self, monkeypatch):
-        topo = mesh(3)
-        first = topo.diameter()
-        import repro.noc.topology as topo_mod
-
-        def boom(_):
-            raise AssertionError("diameter recomputed despite cache")
-
-        monkeypatch.setattr(topo_mod.RouterGraph, "diameter", boom)
-        assert topo.diameter() == first
-
     def test_hop_matrix_cached_per_routing(self):
         from repro.noc.routing import routing_for, shortest_path_routing
 
@@ -179,7 +170,7 @@ class TestCaching:
         for k1 in range(topo.n_attach_points):
             for k2 in range(topo.n_attach_points):
                 expected = 0 if k1 == k2 else routing.distance(
-                    topo.node_of_crossbar(k1), topo.node_of_crossbar(k2)
+                    topo.attach_points[k1], topo.attach_points[k2]
                 )
                 assert matrix[k1, k2] == expected
 
@@ -246,8 +237,3 @@ class TestTopologyValidation:
         g.add_edges_from([(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="connected"):
             Topology(graph=g, attach_points=[0], kind="test")
-
-    def test_node_of_crossbar_bounds(self):
-        topo = tree(3)
-        with pytest.raises(IndexError):
-            topo.node_of_crossbar(3)

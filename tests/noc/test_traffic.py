@@ -3,13 +3,55 @@
 import numpy as np
 import pytest
 
-from repro.noc.traffic import (
-    build_injections,
-    synthetic_injections,
-)
-from repro.noc.topology import star, tree
+from repro.noc.packet import Injection
+from repro.noc.topology import dense_node_ids, star, tree
+from repro.noc.traffic import ColumnarSchedule, build_injections
 from repro.snn.graph import SpikeGraph
+from repro.utils.rng import default_rng
+from repro.utils.validation import check_positive
 from tests.framework.test_exploration import global_destinations
+
+
+def synthetic_injections(rates_per_node, topology, duration_cycles, fanout=1,
+                         seed=None):
+    """Uniform-random synthetic traffic for stress-testing the NoC itself.
+
+    Each attach point injects Bernoulli(rate) packets per cycle toward
+    ``fanout`` uniformly chosen other attach points.
+    """
+    check_positive("duration_cycles", duration_cycles)
+    rng = default_rng(seed)
+    nodes = list(topology.attach_points)
+    if len(rates_per_node) != len(nodes):
+        raise ValueError(
+            f"need one rate per attach point ({len(nodes)}), got "
+            f"{len(rates_per_node)}"
+        )
+    injections = []
+    uid = 0
+    for cycle in range(duration_cycles):
+        for k, rate in enumerate(rates_per_node):
+            if rng.random() >= rate:
+                continue
+            others = [n for n in nodes if n != nodes[k]]
+            if not others:
+                continue
+            chosen = rng.choice(
+                len(others), size=min(fanout, len(others)), replace=False
+            )
+            injections.append(
+                Injection(
+                    cycle=cycle,
+                    src_node=nodes[k],
+                    dst_nodes=tuple(sorted(others[i] for i in chosen)),
+                    src_neuron=k,
+                    uid=uid,
+                )
+            )
+            uid += 1
+    return ColumnarSchedule.from_injections(
+        injections, dense_node_ids(topology), n_source_neurons=len(nodes)
+    )
 
 
 def _graph_with_spikes():
@@ -66,15 +108,14 @@ class TestBuildInjections:
         assignment = np.array([0, 2, 2])
         schedule = build_injections(g, assignment, topo)
         inj = schedule.injections[0]
-        assert inj.src_node == topo.node_of_crossbar(0)
-        assert inj.dst_nodes == (topo.node_of_crossbar(2),)
+        assert inj.src_node == topo.attach_points[0]
+        assert inj.dst_nodes == (topo.attach_points[2],)
 
     def test_local_only_graph_empty_schedule(self):
         g = _graph_with_spikes()
         topo = star(3)
         schedule = build_injections(g, np.array([0, 0, 0]), topo)
         assert schedule.n_packets == 0
-        assert schedule.duration_cycles() == 0
 
     def test_sorted_by_cycle(self):
         g = _graph_with_spikes()

@@ -392,7 +392,7 @@ class TestComputeOnce:
         matrices = _count_constructions(monkeypatch, TrafficMatrix)
         events = _count_constructions(monkeypatch, SpikeEvents)
         fitness = InterconnectFitness(
-            tiny_graph, noc_in_loop=True, topology=mesh_for(4)
+            tiny_graph, objective="noc", topology=mesh_for(4)
         )
         rng = np.random.default_rng(5)
         for _ in range(3):

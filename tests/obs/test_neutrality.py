@@ -20,11 +20,28 @@ from repro.hardware.presets import architecture_for
 from repro.noc.interconnect import NocConfig
 from repro.obs import (
     get_observer,
-    load_trace_tree,
     observe,
     read_trace_jsonl,
     write_trace_jsonl,
 )
+from repro.obs.tracer import Span
+
+
+def load_trace_tree(path):
+    """Rebuild the span forest (detached root spans) from a JSONL trace."""
+    spans = {}
+    roots = []
+    for row in read_trace_jsonl(path):
+        span = Span(row["name"], row.get("attributes") or {})
+        span.t_start = row.get("t_start")
+        span.t_end = row.get("t_end")
+        spans[row["id"]] = span
+        parent = row.get("parent")
+        if parent is None:
+            roots.append(span)
+        else:
+            spans[parent].children.append(span)
+    return roots
 
 
 SMALL_PSO = PSOConfig(n_particles=6, n_iterations=4)

@@ -1,6 +1,6 @@
 """Property-based tests on fault-injection invariants.
 
-The load-bearing claims: ``survivable_links`` never offers a link whose
+The load-bearing claims: the survivable-link pool never offers a link whose
 removal disconnects the fabric (on multichip boards that means no
 bridge chain is ever cut), and ``inject_random_faults`` either delivers
 exactly the requested count or raises with the achieved count — never a
@@ -16,9 +16,9 @@ from repro.noc.faults import (
     bridge_chains,
     degrade_topology,
     inject_random_faults,
-    survivable_links,
 )
 from repro.noc.multichip import multichip
+from tests.noc.test_faults import survivable_links
 
 
 @st.composite

@@ -18,7 +18,7 @@ def traffic_scenarios(draw):
     n_packets = draw(st.integers(min_value=1, max_value=30))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
-    nodes = [topo.node_of_crossbar(k) for k in range(n_crossbars)]
+    nodes = [topo.attach_points[k] for k in range(n_crossbars)]
     injections = []
     for uid in range(n_packets):
         src_k = int(rng.integers(0, n_crossbars))

@@ -26,7 +26,7 @@ from repro.snn.generators import (
 )
 from repro.snn.network import Network
 from repro.snn.neuron import AdaptiveLIFModel, IzhikevichModel, LIFModel, NeuronState
-from repro.snn.simulator import Simulation, SimulationResult, run_network
+from repro.snn.simulator import Simulation, SimulationResult
 from repro.snn.stdp import STDPRule, STDPState
 
 
@@ -320,15 +320,6 @@ class TestColumnarResult:
         result = Simulation(net, seed=1).run(100.0)
         for t in result.spike_times:
             assert np.all(np.diff(t) > 0)
-
-    def test_run_network_engine_kwarg(self):
-        """``run_network`` runs the engine: its trains equal the oracle's."""
-        net = _lif_recurrent_net()
-        a = run_network(net, 80.0, seed=2)
-        b = run_reference(Simulation(net, seed=2), 80.0, True)
-        assert len(a.spike_times) == len(b.spike_times)
-        for x, y in zip(a.spike_times, b.spike_times):
-            assert np.array_equal(x, y)
 
 
 class TestSampleTicks:

@@ -7,7 +7,6 @@ from repro.snn.generators import (
     PoissonSource,
     RegularSource,
     ScheduledSource,
-    poisson_spike_times,
 )
 
 
@@ -107,20 +106,3 @@ class TestScheduledSource:
         times[0] = 99.0
         assert src.spike_times[0][0] == 1.0
 
-
-class TestPoissonSpikeTimes:
-    def test_rate_statistics(self):
-        times = poisson_spike_times(100.0, 10_000.0, seed=0)
-        # 100 Hz x 10 s = 1000 expected.
-        assert 850 < times.size < 1150
-
-    def test_zero_rate_empty(self):
-        assert poisson_spike_times(0.0, 100.0).size == 0
-
-    def test_all_within_duration(self):
-        times = poisson_spike_times(200.0, 500.0, seed=1)
-        assert (times < 500.0).all() and (times >= 0).all()
-
-    def test_sorted(self):
-        times = poisson_spike_times(50.0, 2000.0, seed=2)
-        assert (np.diff(times) >= 0).all()

@@ -59,10 +59,6 @@ class TestQueries(object):
         # 24 heavy edges x 100 + 1 bridge x 5.
         assert tiny_graph.total_traffic() == 24 * 100 + 5
 
-    def test_degrees(self, chain_graph):
-        assert chain_graph.out_degree().tolist() == [1, 1, 1, 1, 1, 0]
-        assert chain_graph.in_degree().tolist() == [0, 1, 1, 1, 1, 1]
-
     def test_neuron_out_traffic(self, chain_graph):
         assert chain_graph.neuron_out_traffic().tolist() == [
             10.0, 10.0, 10.0, 10.0, 10.0, 0.0,

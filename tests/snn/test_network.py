@@ -22,11 +22,6 @@ class TestPopulation:
         with pytest.raises(ValueError, match="size"):
             Population(name="bad", size=5, source=PoissonSource(3, 1.0))
 
-    def test_global_ids_before_registration_raise(self):
-        pop = Population(name="p", size=3, model=LIFModel())
-        with pytest.raises(RuntimeError):
-            _ = pop.global_ids
-
 
 class TestNetwork:
     def test_contiguous_id_ranges(self):
@@ -34,9 +29,7 @@ class TestNetwork:
         a = net.add_source("a", PoissonSource(3, 1.0))
         b = net.add_population("b", 4, LIFModel())
         c = net.add_population("c", 2, LIFModel())
-        assert list(a.global_ids) == [0, 1, 2]
-        assert list(b.global_ids) == [3, 4, 5, 6]
-        assert list(c.global_ids) == [7, 8]
+        assert [a.id_offset, b.id_offset, c.id_offset] == [0, 3, 7]
         assert net.n_neurons == 9
 
     def test_duplicate_name_raises(self):
@@ -83,12 +76,6 @@ class TestNetwork:
         net.add_population("h", 3, LIFModel(), layer=1)
         layers = net.neuron_layers()
         assert list(layers) == [0, 0, 1, 1, 1]
-
-    def test_neuron_population_index(self):
-        net = Network()
-        net.add_source("in", PoissonSource(2, 1.0))
-        net.add_population("h", 2, LIFModel())
-        assert list(net.neuron_population()) == [0, 0, 1, 1]
 
     def test_edges_concatenate_projections(self):
         net = Network()

@@ -6,7 +6,7 @@ import pytest
 from repro.snn.generators import ScheduledSource
 from repro.snn.network import Network
 from repro.snn.neuron import LIFModel
-from repro.snn.simulator import Simulation, run_network
+from repro.snn.simulator import Simulation
 
 
 def _relay_network(weight: float = 400.0, delay_ms: float = 1.0) -> Network:
@@ -96,23 +96,6 @@ class TestSimulationResult:
         counts = result.spike_counts()
         assert counts.sum() == result.total_spikes()
         assert counts.shape == (small_network.n_neurons,)
-
-    def test_firing_rates(self):
-        net = Network()
-        net.add_source("in", ScheduledSource([np.arange(0.0, 1000.0, 10.0)]))
-        result = Simulation(net, seed=0).run(1000.0)
-        rates = result.firing_rates_hz()
-        assert rates[0] == pytest.approx(100.0)
-
-    def test_population_rates(self, small_network):
-        result = Simulation(small_network, seed=0).run(1000.0)
-        rates = result.population_rates_hz(small_network)
-        assert set(rates) == {"in", "out"}
-        assert rates["in"] == pytest.approx(40.0, rel=0.2)
-
-    def test_run_network_wrapper(self, small_network):
-        result = run_network(small_network, 100.0, seed=0)
-        assert result.duration_ms == 100.0
 
 
 class TestBiasCurrent:

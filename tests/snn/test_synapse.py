@@ -3,75 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.snn.synapse import (
-    all_to_all,
-    count_synapses,
-    distance_dependent,
-    gaussian_kernel_2d,
-    one_to_one,
-    sparse_random,
-)
-
-
-class TestAllToAll:
-    def test_shape_and_value(self):
-        w = all_to_all(3, 4, weight=2.0)
-        assert w.shape == (3, 4)
-        assert (w == 2.0).all()
-
-    def test_no_self_zeroes_diagonal(self):
-        w = all_to_all(4, 4, weight=1.0, allow_self=False)
-        assert np.diag(w).sum() == 0
-        assert count_synapses(w) == 12
-
-    def test_no_self_ignored_for_rectangular(self):
-        w = all_to_all(2, 3, allow_self=False)
-        assert count_synapses(w) == 6
-
-    def test_zero_size_raises(self):
-        with pytest.raises(ValueError):
-            all_to_all(0, 3)
-
-
-class TestOneToOne:
-    def test_identity_pattern(self):
-        w = one_to_one(5, weight=3.0)
-        assert count_synapses(w) == 5
-        assert (np.diag(w) == 3.0).all()
-
-
-class TestSparseRandom:
-    def test_probability_zero_empty(self):
-        w = sparse_random(10, 10, probability=0.0, seed=0)
-        assert count_synapses(w) == 0
-
-    def test_probability_one_full(self):
-        w = sparse_random(10, 10, probability=1.0, seed=0)
-        assert count_synapses(w) == 100
-
-    def test_density_close_to_probability(self):
-        w = sparse_random(100, 100, probability=0.3, seed=1)
-        density = count_synapses(w) / w.size
-        assert 0.25 < density < 0.35
-
-    def test_deterministic_given_seed(self):
-        a = sparse_random(20, 20, probability=0.5, seed=9)
-        b = sparse_random(20, 20, probability=0.5, seed=9)
-        assert np.array_equal(a, b)
-
-    def test_negative_weight_keeps_sign(self):
-        w = sparse_random(30, 30, probability=0.5, weight=-2.0,
-                          weight_std=0.5, seed=2)
-        nz = w[w != 0]
-        assert (nz <= 0).all()
-
-    def test_no_self_connections(self):
-        w = sparse_random(15, 15, probability=1.0, allow_self=False, seed=0)
-        assert np.diag(w).sum() == 0
-
-    def test_bad_probability_raises(self):
-        with pytest.raises(ValueError):
-            sparse_random(5, 5, probability=1.5)
+from repro.snn.synapse import distance_dependent, gaussian_kernel_2d
 
 
 class TestGaussianKernel:
@@ -91,13 +23,45 @@ class TestGaussianKernel:
 
     def test_edge_pixels_have_fewer_targets(self):
         w = gaussian_kernel_2d((5, 5), sigma=1.0, radius=2)
-        corner_targets = count_synapses(w[0:1])
-        center_targets = count_synapses(w[12:13])
+        corner_targets = np.count_nonzero(w[0:1])
+        center_targets = np.count_nonzero(w[12:13])
         assert corner_targets < center_targets
 
     def test_symmetric_weights(self):
         w = gaussian_kernel_2d((6, 6), sigma=1.5, radius=2)
         assert np.allclose(w, w.T)
+
+    def test_default_radius_is_two_sigma(self):
+        w = gaussian_kernel_2d((9, 9), sigma=1.5)
+        center = 4 * 9 + 4
+        rows, cols = np.divmod(np.nonzero(w[center])[0], 9)
+        reach = (rows - 4) ** 2 + (cols - 4) ** 2
+        assert reach.max() == 9  # radius ceil(2 * 1.5) = 3
+        assert w[center, 4 * 9 + 7] == pytest.approx(np.exp(-9 / 4.5))
+
+    def test_weight_scales_linearly(self):
+        one = gaussian_kernel_2d((4, 4), sigma=1.0, weight=1.0, radius=2)
+        three = gaussian_kernel_2d((4, 4), sigma=1.0, weight=3.0, radius=2)
+        assert np.allclose(three, 3.0 * one)
+
+    def test_non_square_grid_is_row_major(self):
+        w = gaussian_kernel_2d((3, 5), sigma=1.0, radius=1)
+        assert w.shape == (15, 15)
+        # Pixel (0, 0) drives its right neighbour (0, 1) and the one
+        # below it (1, 0) = index 5, but not (0, 2) or (2, 0).
+        assert np.nonzero(w[0])[0].tolist() == [0, 1, 5]
+
+    def test_single_pixel(self):
+        w = gaussian_kernel_2d((1, 1), sigma=1.0, weight=2.5)
+        assert w.tolist() == [[2.5]]
+
+    @pytest.mark.parametrize(
+        "shape, sigma, name",
+        [((0, 3), 1.0, "rows"), ((3, -1), 1.0, "cols"), ((3, 3), 0.0, "sigma")],
+    )
+    def test_invalid_arguments_raise(self, shape, sigma, name):
+        with pytest.raises(ValueError, match=name):
+            gaussian_kernel_2d(shape, sigma=sigma)
 
 
 class TestDistanceDependent:
@@ -124,3 +88,27 @@ class TestDistanceDependent:
         pos = np.zeros((3, 3))
         with pytest.raises(ValueError):
             distance_dependent(pos, pos, lambda_=0.0)
+
+    def test_zero_probability_scale_is_empty(self):
+        pos = np.random.default_rng(1).random((6, 3))
+        w = distance_dependent(pos, pos, lambda_=1.0, probability_scale=0.0,
+                               seed=2)
+        assert not w.any()
+
+    def test_connected_synapses_get_max_weight(self):
+        pos = np.random.default_rng(4).random((12, 3))
+        w = distance_dependent(pos, pos, lambda_=1.0, max_weight=0.7, seed=6)
+        assert w.any()
+        assert set(np.unique(w).tolist()) <= {0.0, 0.7}
+
+    def test_rectangular_projection(self):
+        rng = np.random.default_rng(8)
+        w = distance_dependent(rng.random((5, 2)), rng.random((3, 2)),
+                               lambda_=1.0, seed=9)
+        assert w.shape == (5, 3)
+
+    def test_long_range_scale_one_connects_all(self):
+        rng = np.random.default_rng(10)
+        pre, post = rng.random((4, 3)), rng.random((7, 3))
+        w = distance_dependent(pre, post, lambda_=1e9, max_weight=2.0, seed=11)
+        assert (w == 2.0).all()

@@ -11,7 +11,7 @@ PUBLIC_SURFACE = {
         "Network", "Population", "Projection", "LIFModel",
         "AdaptiveLIFModel", "IzhikevichModel", "PoissonSource",
         "RegularSource", "ScheduledSource", "Simulation", "STDPRule",
-        "SpikeGraph", "rate_encode", "latency_encode",
+        "SpikeGraph", "rate_encode",
     ],
     "repro.noc": [
         "Topology", "mesh", "tree", "star", "torus", "Interconnect",
@@ -20,7 +20,7 @@ PUBLIC_SURFACE = {
         "build_injections", "degrade_topology", "inject_random_faults",
     ],
     "repro.hardware": [
-        "Architecture", "Crossbar", "EnergyModel", "cxquad",
+        "Architecture", "EnergyModel", "cxquad",
         "truenorth_like", "custom", "load_architecture",
         "save_architecture",
     ],
@@ -31,13 +31,13 @@ PUBLIC_SURFACE = {
         "annealing_partition", "place_clusters", "apply_placement",
     ],
     "repro.metrics": [
-        "disorder_fraction", "isi_distortion_mean", "MetricReport",
-        "build_report", "congestion_report", "bottleneck_links",
+        "disorder_fraction", "MetricReport", "build_report",
+        "congestion_report",
     ],
     "repro.obs": [
         "Observer", "Tracer", "Span", "MetricsRegistry", "get_observer",
         "observe", "write_trace_jsonl", "read_trace_jsonl",
-        "load_trace_tree", "prometheus_text", "write_metrics_text",
+        "prometheus_text", "write_metrics_text",
         "span_tree_summary",
     ],
     "repro.framework": [
@@ -47,7 +47,7 @@ PUBLIC_SURFACE = {
     "repro.apps": [
         "build_application", "build_hello_world", "build_image_smoothing",
         "build_digit_recognition", "build_heartbeat", "build_synthetic",
-        "build_convnet", "APPLICATIONS",
+        "APPLICATIONS",
     ],
 }
 

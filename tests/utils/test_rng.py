@@ -1,9 +1,10 @@
 """Tests for RNG helpers: determinism, independence, coercion."""
 
 import numpy as np
+
 import pytest
 
-from repro.utils.rng import default_rng, derive_seed, spawn_rngs
+from repro.utils.rng import default_rng, derive_seed, replayable
 
 
 class TestDefaultRng:
@@ -25,31 +26,6 @@ class TestDefaultRng:
         assert isinstance(default_rng(None), np.random.Generator)
 
 
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_zero(self):
-        assert len(spawn_rngs(0, 0)) == 0
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_streams_independent(self):
-        r1, r2 = spawn_rngs(7, 2)
-        assert not np.array_equal(r1.random(16), r2.random(16))
-
-    def test_deterministic_from_seed(self):
-        a = [g.random() for g in spawn_rngs(3, 4)]
-        b = [g.random() for g in spawn_rngs(3, 4)]
-        assert a == b
-
-    def test_spawn_from_generator(self):
-        children = spawn_rngs(np.random.default_rng(5), 3)
-        assert len(children) == 3
-
-
 class TestDeriveSeed:
     def test_none_stays_none(self):
         assert derive_seed(None, 3) is None
@@ -63,3 +39,41 @@ class TestDeriveSeed:
     def test_from_generator_is_int(self):
         s = derive_seed(np.random.default_rng(0), 0)
         assert isinstance(s, int)
+
+    def test_extra_salts_change_seed(self):
+        """Each (level, draw) cell of a campaign gets its own stream."""
+        cells = {derive_seed(10, level, draw)
+                 for level in range(4) for draw in range(5)}
+        assert len(cells) == 20
+
+    def test_salt_order_matters(self):
+        assert derive_seed(10, 1, 2) != derive_seed(10, 2, 1)
+
+    def test_child_seed_seeds_numpy(self):
+        s = derive_seed(2018, 3, 4)
+        assert isinstance(s, int) and s >= 0
+        assert np.array_equal(default_rng(s).random(4), default_rng(s).random(4))
+
+    def test_generator_parent_advances(self):
+        """A generator is a position in a stream: each draw moves it on,
+        so two children of the same generator differ."""
+        gen = np.random.default_rng(0)
+        assert derive_seed(gen, 0) != derive_seed(gen, 0)
+
+
+class TestReplayable:
+    @pytest.mark.parametrize(
+        "seed, unused, expected",
+        [
+            (7, False, True),
+            (7, True, True),
+            (None, True, True),
+            (None, False, False),
+            (np.random.default_rng(0), False, False),
+            (np.random.default_rng(0), True, False),
+        ],
+        ids=["int", "int-unused", "none-unused", "none-drawn",
+             "generator", "generator-unused"],
+    )
+    def test_memoizable_only_by_content(self, seed, unused, expected):
+        assert replayable(seed, unused=unused) is expected

@@ -8,7 +8,6 @@ from repro.utils.validation import (
     check_nonnegative,
     check_positive,
     check_probability,
-    check_shape,
 )
 
 
@@ -20,6 +19,10 @@ class TestCheckPositive:
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError, match="x"):
             check_positive("x", bad)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="x must be positive"):
+            check_positive("x", float("nan"))
 
 
 class TestCheckNonnegative:
@@ -41,15 +44,9 @@ class TestCheckProbability:
         with pytest.raises(ValueError, match="p"):
             check_probability("p", bad)
 
-
-class TestCheckShape:
-    def test_accepts_match(self):
-        arr = np.zeros((2, 3))
-        assert check_shape("a", arr, (2, 3)) is arr
-
-    def test_rejects_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            check_shape("a", np.zeros((2, 3)), (3, 2))
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+            check_probability("p", float("nan"))
 
 
 class TestCheckIndexRange:
@@ -66,3 +63,12 @@ class TestCheckIndexRange:
     def test_rejects_too_large(self):
         with pytest.raises(ValueError, match="idx"):
             check_index_range("idx", [5], 5)
+
+    def test_message_names_bounds(self):
+        with pytest.raises(ValueError, match=r"min=-2, max=3, allowed=\[0, 3\)"):
+            check_index_range("idx", np.array([-2, 3]), 3)
+
+    def test_two_dimensional_array_checked_whole(self):
+        check_index_range("idx", np.array([[0, 1], [2, 0]]), 3)
+        with pytest.raises(ValueError, match="idx"):
+            check_index_range("idx", np.array([[0, 1], [2, 3]]), 3)
