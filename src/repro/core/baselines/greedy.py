@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.core.partition import Partition
 from repro.core.traffic_matrix import TrafficMatrix
-from repro.snn.graph import SpikeGraph
 from repro.utils.validation import check_positive
 
 
@@ -22,24 +21,26 @@ _BLOCK = 512
 
 
 def greedy_partition(
-    graph: SpikeGraph,
+    matrix: TrafficMatrix,
     n_clusters: int,
     capacity: int,
 ) -> Partition:
     """Union-find merge of neuron groups along hottest synapses first.
 
-    The pairs go through the scalar union-find a block at a time; after
-    each block the pairs that can no longer merge are dropped from the
-    rest, so the Python loop mostly sees pairs that still can.
+    Takes the graph's :class:`~repro.core.traffic_matrix.TrafficMatrix`
+    (its deduplicated synapse pairs) rather than the graph, so a caller
+    that already holds one builds none again.  The pairs go through the
+    scalar union-find a block at a time; after each block the pairs that
+    can no longer merge are dropped from the rest, so the Python loop
+    mostly sees pairs that still can.
     """
     check_positive("n_clusters", n_clusters)
     check_positive("capacity", capacity)
-    n = graph.n_neurons
+    n = matrix.n_neurons
     if n > n_clusters * capacity:
         raise ValueError(
             f"{n} neurons cannot fit in {n_clusters} x {capacity} slots"
         )
-    matrix = TrafficMatrix(graph)
 
     # Plain lists: the union-find touches one scalar at a time, which
     # numpy indexing makes several times slower.

@@ -28,10 +28,16 @@ single assignments and swarm batches.  Its ``objective`` is one of
   masks.  Only the other rows run the cycle loop of the fast backend
   (:mod:`repro.noc.fastsim`), and the same two numbers are read off its
   :class:`~repro.noc.stats.NocStats`.  The
-  instance sorts the graph's spike events once
-  (:class:`~repro.noc.traffic.SpikeEvents`) and every schedule it
-  simulates is a filtered view of that list with the same reach masks as
-  destination words.  Those rows run through
+  instance builds the graph's :class:`~repro.core.traffic_matrix.TrafficMatrix`,
+  sorts its spike events (:class:`~repro.noc.traffic.SpikeEvents`) and
+  builds its engine once; every schedule it simulates is a filtered view
+  of that event list with the same reach masks as destination words.
+  Within one :func:`~repro.framework.pipeline.run_pipeline` the mapper
+  passes these on by argument: the matrix to the greedy warm start and
+  ``extras["packets"]``, the events to the final schedule, and the
+  engine (with its routing table and certificate) to the final run
+  where that run's fabric and config are the swarm's.  Those rows run
+  through
   :meth:`~repro.noc.fastsim.FastInterconnect.simulate_many`: one
   GIL-free C call per swarm, spread over an OpenMP thread team where the
   kernel was built with one (``REPRO_NOC_THREADS`` caps it),

@@ -11,7 +11,7 @@ baseline it is compared against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -37,6 +37,11 @@ from repro.hardware.architecture import Architecture
 from repro.obs import get_observer
 from repro.snn.graph import SpikeGraph
 from repro.utils.rng import SeedLike, replayable
+
+if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
+    from repro.noc.fastsim import FastInterconnect
+    from repro.noc.topology import Topology
+    from repro.noc.traffic import SpikeEvents
 
 METHODS = (
     "pso", "pacman", "neutrams", "random", "greedy", "annealing", "genetic",
@@ -146,6 +151,32 @@ def map_snn(
         Forwarded to the ``"annealing"`` / ``"genetic"`` baseline (e.g.
         annealing config); a ``TypeError`` for every other method.
     """
+    return _map_snn(
+        graph, architecture, method=method, seed=seed, pso_config=pso_config,
+        warm_start=warm_start, placement=placement, objective=objective,
+        noc_config=noc_config, cache=cache, warm_seeds=warm_seeds,
+        spare_capacity=spare_capacity, **kwargs,
+    )[0]
+
+
+class _Derived(NamedTuple):
+    """What one mapping run built of its graph and fabric, for its caller
+    to use instead of building it again; all ``None`` after a memo hit.
+    ``topology`` is the healthy fabric of the fitness or the placement
+    pass; ``events`` and ``engine`` are the ``noc`` fitness's."""
+
+    matrix: Optional[TrafficMatrix] = None
+    topology: Optional["Topology"] = None
+    events: Optional["SpikeEvents"] = None
+    engine: Optional["FastInterconnect"] = None
+
+
+def _map_snn(
+    graph: SpikeGraph, architecture: Architecture, method, seed, pso_config,
+    warm_start, placement, objective, noc_config, cache, warm_seeds,
+    spare_capacity, **kwargs,
+) -> Tuple[MappingResult, _Derived]:
+    """:func:`map_snn`, plus what it built on the way."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; options: {METHODS}")
     if kwargs and method not in ("annealing", "genetic"):
@@ -213,7 +244,7 @@ def map_snn(
                 if obs.enabled:
                     obs.inc("map.memo_hits", method=method)
                     obs.event("map.memo_hit", method=method, objective=objective)
-                return _copy_mapping_result(cached)
+                return _copy_mapping_result(cached), _Derived()
 
     obs = get_observer()
     if obs.enabled:
@@ -245,18 +276,20 @@ def map_snn(
             ),
         )
 
+    matrix = topology = fitness = None
     with map_span:
         if method == "pso":
+            if objective == "noc":
+                topology = architecture.build_topology()
             fitness = InterconnectFitness(
                 graph,
                 objective=objective,
-                topology=(
-                    architecture.build_topology() if objective == "noc" else None
-                ),
+                topology=topology,
                 cycles_per_ms=architecture.cycles_per_ms,
                 noc_config=noc_config,
                 **balance_kwargs,
             )
+            matrix = fitness.matrix
             move_cost = graph.neuron_out_traffic()
             in_traffic = np.bincount(
                 graph.dst, weights=graph.traffic, minlength=graph.n_neurons
@@ -275,7 +308,7 @@ def map_snn(
                 with obs.span("map.warm_start"):
                     seeds = [pacman_partition(graph, c, nc_eff).assignment]
                     try:
-                        seeds.append(greedy_partition(graph, c, nc_eff).assignment)
+                        seeds.append(greedy_partition(matrix, c, nc_eff).assignment)
                     except ValueError:
                         pass  # greedy can be skipped if packing is degenerate
                     initial = np.stack(seeds)
@@ -311,7 +344,8 @@ def map_snn(
         elif method == "random":
             partition = random_partition(graph, c, nc_eff, seed=seed)
         elif method == "greedy":
-            partition = greedy_partition(graph, c, nc_eff)
+            matrix = TrafficMatrix(graph)
+            partition = greedy_partition(matrix, c, nc_eff)
         elif method == "genetic":
             partition = genetic_partition(
                 graph, c, nc_eff, seed=seed, objective=objective, **kwargs
@@ -324,7 +358,7 @@ def map_snn(
         # potentially undo) the simulated optimum; skip it there.
         if placement and c > 1 and not (method == "pso" and objective == "noc"):
             with obs.span("map.placement"):
-                matrix = cluster_traffic(graph, partition.assignment, c)
+                traffic = cluster_traffic(graph, partition.assignment, c)
                 topology = architecture.build_topology()
                 spare_kwargs: Dict[str, object] = {}
                 if spare_capacity > 0:
@@ -337,10 +371,10 @@ def map_snn(
                         ),
                         capacity=nc,
                         spare_weight=(
-                            spare_capacity * float(matrix.sum()) / max(c, 1)
+                            spare_capacity * float(traffic.sum()) / max(c, 1)
                         ),
                     )
-                perm = place_clusters(matrix, topology, **spare_kwargs)
+                perm = place_clusters(traffic, topology, **spare_kwargs)
                 partition = Partition(
                     assignment=apply_placement(partition.assignment, perm),
                     n_clusters=c,
@@ -360,9 +394,10 @@ def map_snn(
 
     local_spikes, global_spikes = local_global_split(graph, partition.assignment)
     local_syn, global_syn = synapse_split_counts(graph, partition.assignment)
-    # The PSO's fitness already aggregated this graph; the structural
-    # methods never did.
-    matrix = fitness.matrix if method == "pso" else TrafficMatrix(graph)
+    # The PSO's fitness and the greedy method already aggregated this
+    # graph; the other structural methods never did.
+    if matrix is None:
+        matrix = TrafficMatrix(graph)
     extras["packets"] = matrix.packet_traffic(partition.assignment)
     extras["objective"] = objective
     if spare_capacity > 0:
@@ -388,7 +423,9 @@ def map_snn(
         )
     if memo_key is not None:
         cache.put(memo_key, _copy_mapping_result(mapping), persist=True)
-    return mapping
+    if objective != "noc":
+        return mapping, _Derived(matrix, topology)
+    return mapping, _Derived(matrix, topology, fitness._events, fitness._noc)
 
 
 def _copy_mapping_result(mapping: MappingResult) -> MappingResult:

@@ -475,8 +475,21 @@ def run_fault_timeline(
     epochs run under the remapper's ordinary migration budget, letting
     load drain off dying crossbars and flow back onto healed ones.
     Returns one :class:`TimelineStep` per edge.
+
+    The remapper moves neurons off crossbars; it has no fabric to route
+    around.  A window holding dead links, dead routers or degraded
+    bridges raises ``ValueError`` before the first step rather than
+    have those faults dropped.
     """
     check_positive("epochs_per_edge", epochs_per_edge)
+    for i, window in enumerate(timeline.windows):
+        faults = window.faults
+        if faults.dead_links or faults.dead_routers or faults.degraded_bridges:
+            raise ValueError(
+                f"fault timeline window {i} holds fabric faults "
+                f"({faults.describe()}); run_fault_timeline applies "
+                "faulty crossbars only"
+            )
     obs = get_observer()
     steps: List[TimelineStep] = []
     for time in timeline.edges():

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.core.mapper import SEED_FREE_METHODS, MappingResult, map_snn
+from repro.core.mapper import SEED_FREE_METHODS, MappingResult, _map_snn, map_snn
 from repro.core.pso import PSOConfig
 from repro.hardware.architecture import Architecture
 from repro.metrics.report import MetricReport, build_report
@@ -21,7 +21,12 @@ from repro.noc.faults import inject_random_faults
 from repro.noc.interconnect import NocConfig
 from repro.noc.stats import NocStats
 from repro.noc.topology import Topology
-from repro.noc.traffic import ColumnarSchedule, build_injections, schedule_addressing
+from repro.noc.traffic import (
+    ColumnarSchedule,
+    SpikeEvents,
+    build_injections,
+    schedule_addressing,
+)
 from repro.obs import get_observer
 from repro.snn.graph import SpikeGraph
 from repro.utils.rng import SeedLike, replayable
@@ -78,7 +83,11 @@ def run_pipeline(
         to pick the simulation engine (see :mod:`repro.noc.fastsim`).
         Also forwarded to the ``"noc"`` objective's fitness (backend
         forced to "fast" there), so the swarm optimizes the same fabric
-        the final mapping is measured on.
+        the final mapping is measured on.  The swarm's engine is the
+        final run's engine when that run would build an equal one: no
+        ``faults`` (the same healthy fabric) and a ``backend="fast"``
+        config (the same fields).  Otherwise the final run builds its
+        own engine, of the kind ``noc_config`` names.
     objective:
         PSO objective — "packets", "spikes", or "noc" for
         NoC-in-the-loop swarm scoring (see :func:`~repro.core.mapper.map_snn`).
@@ -148,25 +157,35 @@ def run_pipeline(
     with pipeline_span:
         if obs.enabled:
             obs.inc("pipeline.runs", method=method)
-        mapping = map_snn(
+        # What the mapping built of the graph and the healthy fabric
+        # serves every stage below; a memo hit built nothing.
+        mapping, derived = _map_snn(
             graph, architecture, method=method, seed=seed,
-            pso_config=pso_config, objective=objective,
-            noc_config=noc_config, cache=cache, warm_seeds=warm_seeds,
-            spare_capacity=spare_capacity,
+            pso_config=pso_config, warm_start=True, placement=True,
+            objective=objective, noc_config=noc_config, cache=cache,
+            warm_seeds=warm_seeds, spare_capacity=spare_capacity,
         )
         with obs.span("pipeline.build_topology"):
-            topology, failed_links = _draw_faults(
-                architecture.build_topology(), faults, fault_seed
-            )
+            healthy = derived.topology or architecture.build_topology()
+            topology, failed_links = _draw_faults(healthy, faults, fault_seed)
         with obs.span("pipeline.build_schedule"):
+            events = derived.events or SpikeEvents(
+                graph, architecture.cycles_per_ms, matrix=derived.matrix
+            )
             schedule = build_injections(
                 graph, mapping.assignment, topology,
-                cycles_per_ms=architecture.cycles_per_ms,
+                cycles_per_ms=architecture.cycles_per_ms, events=events,
             )
         with obs.span("pipeline.simulate"):
-            stats = build_interconnect(topology, config=noc_config).simulate(
-                schedule
-            )
+            # The swarm's engine, where the run would build an equal one.
+            engine = derived.engine
+            if (
+                engine is None
+                or topology is not healthy
+                or engine.config != noc_config
+            ):
+                engine = build_interconnect(topology, config=noc_config)
+            stats = engine.simulate(schedule)
         with obs.span("pipeline.report"):
             report = build_report(
                 graph.name, mapping, stats, architecture, topology
@@ -194,18 +213,20 @@ def _draw_faults(healthy, n_faults, seed):
 
 
 class _Schedules:
-    """One run's schedules: one per (mapping label, fabric addressing)."""
+    """One run's schedules: one per (mapping label, fabric addressing),
+    all cut from the run's one :class:`~repro.noc.traffic.SpikeEvents`."""
 
     def __init__(self, graph, architecture) -> None:
-        self._args = (graph, architecture.cycles_per_ms)
+        self._events = SpikeEvents(graph, architecture.cycles_per_ms)
         self.built: dict = {}
 
     def on(self, topology, assignment, label=None) -> ColumnarSchedule:
-        graph, cycles_per_ms = self._args
         key = (label, schedule_addressing(topology))
         if key not in self.built:
+            events = self._events
             self.built[key] = build_injections(
-                graph, assignment, topology, cycles_per_ms=cycles_per_ms
+                events.graph, assignment, topology,
+                cycles_per_ms=events.cycles_per_ms, events=events,
             )
         return self.built[key]
 

@@ -36,10 +36,11 @@ def gini_coefficient(values: np.ndarray) -> float:
     0 = perfectly even load, ->1 = all traffic on one link.
     """
     v = np.sort(np.asarray(values, dtype=np.float64))
-    if v.size == 0 or v.sum() == 0:
-        return 0.0
+    # Checked before the zero-sum shortcut: [-1, 1] sums to zero too.
     if (v < 0).any():
         raise ValueError("loads must be non-negative")
+    if v.size == 0 or v.sum() == 0:
+        return 0.0
     n = v.size
     index = np.arange(1, n + 1)
     return float((2 * (index * v).sum()) / (n * v.sum()) - (n + 1) / n)

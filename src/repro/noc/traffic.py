@@ -451,11 +451,15 @@ def schedule_addressing(topology: Topology) -> Tuple[Tuple[int, ...], Tuple[int,
 class SpikeEvents:
     """All a schedule reads of a graph that no mapping changes.
 
-    Built once per ``(graph, cycles_per_ms)`` — by whoever scores many
-    mappings of one graph (:class:`~repro.core.fitness.InterconnectFitness`
-    keeps one for its lifetime and hands it to the builders), or on the
-    spot by a bare :func:`build_injections` / :func:`build_injections_batch`
-    call.
+    Built once per run and passed by argument to every builder call of
+    that run: :class:`~repro.core.fitness.InterconnectFitness` keeps one
+    for its lifetime, and :func:`~repro.framework.pipeline.run_pipeline`
+    cuts its final schedule from that one (or, for the other objectives,
+    from one built on the mapping's
+    :class:`~repro.core.traffic_matrix.TrafficMatrix`); a fault campaign
+    cuts every mapping's schedules from one.  A bare
+    :func:`build_injections` / :func:`build_injections_batch` call
+    without ``events`` builds its own on the spot.
 
     The graph's spike events are converted to cycles
     (``int(round(t * cycles_per_ms))``, IEEE round-half-even) and stably

@@ -20,8 +20,8 @@ def check_positive(name: str, value: float) -> float:
 
 
 def check_nonnegative(name: str, value: float) -> float:
-    """Require ``value >= 0``."""
-    if value < 0:
+    """Require ``value >= 0`` (NaN fails, as in :func:`check_positive`)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
 

@@ -15,13 +15,14 @@ from repro.core.baselines import (
 )
 from repro.core.fitness import InterconnectFitness
 from repro.core.partition import is_feasible
+from repro.core.traffic_matrix import TrafficMatrix
 from repro.snn.graph import SpikeGraph
 
 ALL_BASELINES = [
     lambda g, c, cap: pacman_partition(g, c, cap),
     lambda g, c, cap: neutrams_partition(g, c, cap, seed=0),
     lambda g, c, cap: random_partition(g, c, cap, seed=0),
-    lambda g, c, cap: greedy_partition(g, c, cap),
+    lambda g, c, cap: greedy_partition(TrafficMatrix(g), c, cap),
     lambda g, c, cap: annealing_partition(
         g, c, cap, config=AnnealingConfig(n_steps=500), seed=0
     ),
@@ -91,7 +92,7 @@ class TestNeutrams:
 
 class TestGreedy:
     def test_hottest_edges_local(self, tiny_graph):
-        p = greedy_partition(tiny_graph, 2, 4)
+        p = greedy_partition(TrafficMatrix(tiny_graph), 2, 4)
         fit = InterconnectFitness(tiny_graph)
         assert fit.evaluate(p.assignment) == 5.0
 
@@ -104,7 +105,7 @@ class TestGreedy:
                 if a != b:
                     src.append(a), dst.append(b), tr.append(10.0)
         g = SpikeGraph.from_edges(5, src, dst, tr)
-        p = greedy_partition(g, 2, 3)
+        p = greedy_partition(TrafficMatrix(g), 2, 3)
         assert is_feasible(p.assignment, 2, 3)
 
 
@@ -144,8 +145,6 @@ def _greedy_oracle(graph, n_clusters, capacity):
     between blocks: every pair goes through the union-find, in traffic
     order.  Returns ``(assignment, split)`` where ``split`` says the
     split-a-group branch ran."""
-    from repro.core.traffic_matrix import TrafficMatrix
-
     n = graph.n_neurons
     matrix = TrafficMatrix(graph)
     parent = np.arange(n)
@@ -216,7 +215,7 @@ class TestGreedyPinned:
     def test_assignment_equals_previous_implementation(self, case):
         graph, n_clusters, capacity = case
         want, _ = _greedy_oracle(graph, n_clusters, capacity)
-        got = greedy_partition(graph, n_clusters, capacity)
+        got = greedy_partition(TrafficMatrix(graph), n_clusters, capacity)
         assert got.assignment.dtype == np.int64
         assert got.assignment.tolist() == want.tolist()
 
@@ -241,7 +240,7 @@ class TestGreedyPinned:
         want, _ = _greedy_oracle(graph, n_clusters, cap)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(greedy, "_BLOCK", block)
-            got = greedy_partition(graph, n_clusters, cap)
+            got = greedy_partition(TrafficMatrix(graph), n_clusters, cap)
         assert got.assignment.tolist() == want.tolist()
 
     def test_split_branch_pinned(self):
@@ -252,5 +251,5 @@ class TestGreedyPinned:
         )
         want, split = _greedy_oracle(graph, 2, 3)
         assert split
-        got = greedy_partition(graph, 2, 3).assignment
+        got = greedy_partition(TrafficMatrix(graph), 2, 3).assignment
         assert got.tolist() == want.tolist() == [0, 0, 1, 1, 0, 1]

@@ -396,3 +396,27 @@ class TestRunFaultTimeline:
         rm = self._three_cluster_remapper(tiny_graph)
         with pytest.raises(ValueError):
             run_fault_timeline(rm, self._transient(), epochs_per_edge=0)
+
+    @pytest.mark.parametrize(
+        "fabric",
+        [
+            {"dead_links": [(0, 1)]},
+            {"dead_routers": [3]},
+            {"degraded_bridges": {0: 2}},
+        ],
+    )
+    def test_fabric_faults_rejected_before_the_first_step(self, tiny_graph, fabric):
+        """The remapper has no fabric: a window with link, router or
+        bridge faults raises instead of having them dropped."""
+        from repro.core.runtime import run_fault_timeline
+        from repro.noc.faults import FaultSet, FaultTimeline, FaultWindow
+
+        rm = self._three_cluster_remapper(tiny_graph, migration_budget=8)
+        timeline = FaultTimeline([
+            FaultWindow(FaultSet(faulty_crossbars=[0]), arrive=1.0, clear=5.0),
+            FaultWindow(FaultSet(faulty_crossbars=[2], **fabric), arrive=2.0),
+        ])
+        with pytest.raises(ValueError, match="window 1 holds fabric faults"):
+            run_fault_timeline(rm, timeline)
+        assert rm.faulty_clusters == set()
+        assert rm.history == []

@@ -1,10 +1,17 @@
 """Tests for the end-to-end pipeline (paper Fig. 4)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.pso import PSOConfig
 from repro.framework.pipeline import run_pipeline
-from repro.noc.interconnect import NocConfig
+from repro.hardware.presets import custom
+from repro.metrics.report import build_report
+from repro.noc.fastsim import FastInterconnect
+from repro.noc.interconnect import Interconnect, NocConfig
+from repro.noc.stats import NocStats
+from repro.noc.traffic import build_injections
 
 
 class TestRunPipeline:
@@ -83,3 +90,61 @@ class TestRunPipeline:
         )
         assert (best.noc_stats.n_injected <= worst.noc_stats.n_injected)
         assert (best.report.global_energy_pj <= worst.report.global_energy_pj)
+
+
+class TestSharedEngineOracle:
+    """A ``noc`` run on a healthy fabric measures its mapping on the
+    engine the swarm scored with.  On a 4-chip board the routing
+    certificate refuses every row, so that engine has run the swarm's
+    ``simulate_many`` batches before the final ``simulate``: its result
+    must equal, field by field, a fresh reference engine's run of the
+    same assignment — no state may carry over from one run to the next."""
+
+    # Two slots per crossbar: no mapping keeps all traffic local.
+    ARCH = custom(8, 2, interconnect="mesh", n_chips=4, name="board")
+
+    @pytest.mark.parametrize("multicast", [True, False])
+    def test_final_run_equals_a_fresh_reference_run(
+        self, monkeypatch, tiny_graph, multicast
+    ):
+        calls = []
+        for name in ("simulate_many", "simulate"):
+            original = getattr(FastInterconnect, name)
+
+            def logged(self, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, self))
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(FastInterconnect, name, logged)
+        config = NocConfig(backend="fast", buffer_capacity=2, multicast=multicast)
+        result = run_pipeline(
+            tiny_graph, self.ARCH, method="pso", seed=5, objective="noc",
+            pso_config=PSOConfig(n_particles=6, n_iterations=4),
+            noc_config=config,
+        )
+        # One engine served the swarm and then the final run.
+        engines = {id(engine) for _, engine in calls}
+        assert len(engines) == 1
+        names = [name for name, _ in calls]
+        assert names[-1] == "simulate" and "simulate_many" in names[:-1]
+
+        topology = self.ARCH.build_topology()
+        schedule = build_injections(
+            tiny_graph, result.mapping.assignment, topology,
+            cycles_per_ms=self.ARCH.cycles_per_ms,
+        )
+        reference = Interconnect(
+            topology, config=dataclasses.replace(config, backend="reference")
+        ).simulate(schedule)
+        assert reference.delivered_count > 0
+        for field in dataclasses.fields(NocStats):
+            assert getattr(result.noc_stats, field.name) == getattr(
+                reference, field.name
+            ), field.name
+        want = build_report(
+            tiny_graph.name, result.mapping, reference, self.ARCH, topology
+        )
+        for field in dataclasses.fields(want):
+            assert getattr(result.report, field.name) == getattr(
+                want, field.name
+            ), field.name

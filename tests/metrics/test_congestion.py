@@ -31,6 +31,10 @@ class TestGini:
         with pytest.raises(ValueError):
             gini_coefficient(np.array([-1.0, 2.0]))
 
+    def test_negative_rejected_when_loads_sum_to_zero(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            gini_coefficient(np.array([-1.0, 1.0]))
+
     def test_one_hot_is_one_minus_one_over_n(self):
         g = gini_coefficient(np.array([0.0, 0.0, 0.0, 100.0]))
         assert g == pytest.approx(0.75)

@@ -414,6 +414,106 @@ class TestComputeOnce:
             pso_config=PSOConfig(n_particles=6, n_iterations=5),
         )
         assert len(events) == 1
-        # The fitness's and the greedy warm start's; the result's
-        # extras["packets"] reuses the fitness's.
-        assert len(matrices) == 2
+        # The fitness's, which the greedy warm start and the result's
+        # extras["packets"] reuse.
+        assert len(matrices) == 1
+
+
+class TestComputeOncePerPipeline:
+    """Counts, not timings: one ``run_pipeline`` derives each per-graph
+    and per-fabric object once and passes it on."""
+
+    ARCH = custom(4, 2, interconnect="mesh", name="tiny-mesh")
+    PSO = PSOConfig(n_particles=6, n_iterations=5)
+
+    def _count(self, monkeypatch):
+        from repro.hardware.architecture import Architecture
+        from repro.noc.fastsim import FastInterconnect
+        from repro.noc.interconnect import Interconnect
+
+        counts = {
+            cls.__name__: _count_constructions(monkeypatch, cls)
+            for cls in (TrafficMatrix, SpikeEvents)
+        }
+        # The engines themselves, in construction order (a host without
+        # the compiled kernel also builds reference engines to fall back
+        # on, so their count is not pinned).
+        for cls in (FastInterconnect, Interconnect):
+            built = counts[cls.__name__] = []
+            original = cls.__init__
+
+            def recording(self, *args, _built=built, _original=original, **kwargs):
+                _built.append(self)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", recording)
+        topologies = counts["build_topology"] = []
+        build_topology = Architecture.build_topology
+
+        def counting_topology(arch):
+            topologies.append(arch)
+            return build_topology(arch)
+
+        monkeypatch.setattr(Architecture, "build_topology", counting_topology)
+        return counts
+
+    def _run(self, tiny_graph, **kwargs):
+        from repro.framework.pipeline import run_pipeline
+
+        return run_pipeline(
+            tiny_graph, self.ARCH, method="pso", seed=3, pso_config=self.PSO,
+            **kwargs,
+        )
+
+    def test_healthy_noc_run_builds_each_object_once(self, monkeypatch, tiny_graph):
+        from repro.noc.interconnect import NocConfig
+
+        counts = self._count(monkeypatch)
+        self._run(
+            tiny_graph, objective="noc", noc_config=NocConfig(backend="fast")
+        )
+        del counts["Interconnect"]
+        assert {name: len(built) for name, built in counts.items()} == {
+            "TrafficMatrix": 1,
+            "SpikeEvents": 1,
+            "FastInterconnect": 1,
+            "build_topology": 1,
+        }
+
+    def test_packets_run_builds_one_matrix(self, monkeypatch, tiny_graph):
+        counts = self._count(monkeypatch)
+        self._run(tiny_graph, objective="packets")
+        assert len(counts["TrafficMatrix"]) == 1
+        assert len(counts["SpikeEvents"]) == 1
+        assert len(counts["build_topology"]) == 1  # the placement pass's
+
+    def test_faults_get_a_fresh_engine_on_the_degraded_fabric(
+        self, monkeypatch, tiny_graph
+    ):
+        from repro.noc.interconnect import NocConfig
+
+        counts = self._count(monkeypatch)
+        result = self._run(
+            tiny_graph, objective="noc", noc_config=NocConfig(backend="fast"),
+            faults=1, fault_seed=0,
+        )
+        swarm, final = counts["FastInterconnect"]
+        assert result.failed_links
+        assert final is not swarm
+        assert final.topology is result.topology
+        assert swarm.topology is not result.topology
+        assert len(counts["SpikeEvents"]) == 1  # events know no fabric
+
+    def test_reference_backend_gets_a_reference_engine(self, monkeypatch, tiny_graph):
+        from repro.noc.interconnect import NocConfig
+
+        counts = self._count(monkeypatch)
+        result = self._run(
+            tiny_graph, objective="noc",
+            noc_config=NocConfig(backend="reference"),
+        )
+        (swarm,) = counts["FastInterconnect"]
+        final = counts["Interconnect"][-1]
+        assert swarm.topology is final.topology is result.topology
+        assert final.config == NocConfig(backend="reference")
+        assert len(counts["build_topology"]) == 1

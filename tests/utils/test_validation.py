@@ -33,6 +33,10 @@ class TestCheckNonnegative:
         with pytest.raises(ValueError, match="x"):
             check_nonnegative("x", -1e-9)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="x must be non-negative"):
+            check_nonnegative("x", float("nan"))
+
 
 class TestCheckProbability:
     @pytest.mark.parametrize("ok", [0.0, 0.5, 1.0])
