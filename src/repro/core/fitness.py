@@ -208,13 +208,15 @@ class InterconnectFitness:
 
     # -- the noc objective ------------------------------------------------------
 
-    def _score(self, summary) -> float:
-        """Objective from a :class:`~repro.noc.stats.ScheduleSummary`.
+    def _score(self, stats) -> float:
+        """Objective from a simulated schedule's
+        :class:`~repro.noc.stats.NocStats`: two counters, no per-delivery
+        column is read.
 
         Integer-exact inputs (hop totals, delivery counts) make this
         bit-identical whichever engine simulated the schedule.
         """
-        return float(summary.total_hops) + UNDELIVERED_PENALTY * summary.undelivered
+        return float(stats.total_hops()) + UNDELIVERED_PENALTY * stats.undelivered_count
 
     def _simulate_batch(self, assignments: np.ndarray) -> np.ndarray:
         from repro.noc.traffic import check_assignments
@@ -244,7 +246,6 @@ class InterconnectFitness:
         return scores
 
     def _simulate_rows(self, assignments: np.ndarray) -> np.ndarray:
-        from repro.noc.stats import summarize
         from repro.noc.traffic import build_injections_batch
 
         # One columnar batch: every schedule is a filtered view of the
@@ -256,9 +257,6 @@ class InterconnectFitness:
             cycles_per_ms=self.cycles_per_ms, events=self._events,
         )
         return np.asarray(
-            [
-                self._score(summarize(stats, self.topology))
-                for stats in self._noc.simulate_many(schedules)
-            ],
+            [self._score(stats) for stats in self._noc.simulate_many(schedules)],
             dtype=np.float64,
         )

@@ -34,6 +34,7 @@ from repro.core.traffic_matrix import (
     synapse_split_counts,
 )
 from repro.hardware.architecture import Architecture
+from repro.noc.routing import RoutingTable, routing_for
 from repro.obs import get_observer
 from repro.snn.graph import SpikeGraph
 from repro.utils.rng import SeedLike, replayable
@@ -163,10 +164,12 @@ class _Derived(NamedTuple):
     """What one mapping run built of its graph and fabric, for its caller
     to use instead of building it again; all ``None`` after a memo hit.
     ``topology`` is the healthy fabric of the fitness or the placement
-    pass; ``events`` and ``engine`` are the ``noc`` fitness's."""
+    pass, ``routing`` that pass's (or the ``noc`` engine's) routing
+    table on it; ``events`` and ``engine`` are the ``noc`` fitness's."""
 
     matrix: Optional[TrafficMatrix] = None
     topology: Optional["Topology"] = None
+    routing: Optional[RoutingTable] = None
     events: Optional["SpikeEvents"] = None
     engine: Optional["FastInterconnect"] = None
 
@@ -276,7 +279,7 @@ def _map_snn(
             ),
         )
 
-    matrix = topology = fitness = None
+    matrix = topology = routing = fitness = None
     with map_span:
         if method == "pso":
             if objective == "noc":
@@ -360,6 +363,7 @@ def _map_snn(
             with obs.span("map.placement"):
                 traffic = cluster_traffic(graph, partition.assignment, c)
                 topology = architecture.build_topology()
+                routing = routing_for(topology)
                 spare_kwargs: Dict[str, object] = {}
                 if spare_capacity > 0:
                     # Keep loaded clusters near free slots: evacuation
@@ -374,7 +378,9 @@ def _map_snn(
                             spare_capacity * float(traffic.sum()) / max(c, 1)
                         ),
                     )
-                perm = place_clusters(traffic, topology, **spare_kwargs)
+                perm = place_clusters(
+                    traffic, topology, routing=routing, **spare_kwargs
+                )
                 partition = Partition(
                     assignment=apply_placement(partition.assignment, perm),
                     n_clusters=c,
@@ -424,8 +430,11 @@ def _map_snn(
     if memo_key is not None:
         cache.put(memo_key, _copy_mapping_result(mapping), persist=True)
     if objective != "noc":
-        return mapping, _Derived(matrix, topology)
-    return mapping, _Derived(matrix, topology, fitness._events, fitness._noc)
+        return mapping, _Derived(matrix, topology, routing)
+    engine = fitness._noc
+    return mapping, _Derived(
+        matrix, topology, engine.routing, fitness._events, engine
+    )
 
 
 def _copy_mapping_result(mapping: MappingResult) -> MappingResult:

@@ -177,14 +177,17 @@ def run_pipeline(
                 cycles_per_ms=architecture.cycles_per_ms, events=events,
             )
         with obs.span("pipeline.simulate"):
-            # The swarm's engine, where the run would build an equal one.
+            # The swarm's engine, where the run would build an equal one;
+            # otherwise a new engine, on the mapping's routing table when
+            # it simulates the healthy fabric.
             engine = derived.engine
             if (
                 engine is None
                 or topology is not healthy
                 or engine.config != noc_config
             ):
-                engine = build_interconnect(topology, config=noc_config)
+                routing = derived.routing if topology is healthy else None
+                engine = build_interconnect(topology, routing, config=noc_config)
             stats = engine.simulate(schedule)
         with obs.span("pipeline.report"):
             report = build_report(

@@ -43,20 +43,6 @@ _i64p = ctypes.POINTER(ctypes.c_int64)
 _u64p = ctypes.POINTER(ctypes.c_uint64)
 
 
-class KernelResult(ctypes.Structure):
-    """Mirror of the C ``Result`` struct."""
-
-    _fields_ = [
-        ("d_meta", _i32p),
-        ("d_dst", _i32p),
-        ("d_cycle", _i64p),
-        ("d_hops", _i32p),
-        ("d_len", ctypes.c_int64),
-        ("cycles_run", ctypes.c_int64),
-        ("status", ctypes.c_int32),
-    ]
-
-
 class KernelFabric(ctypes.Structure):
     """Mirror of the C ``Fabric`` struct: one network's tables."""
 
@@ -74,8 +60,10 @@ class KernelFabric(ctypes.Structure):
 
 
 # The entry points: fabric records once, then CSR-concatenated
-# per-schedule arrays (see the comment above nocsim_run_batch in the
-# C source for the exact layout).
+# per-schedule arrays, then the outputs — slabs and arrays the host
+# allocates and owns; the kernel writes into them, allocates nothing
+# that outlives the call and returns nothing (see the comment above
+# nocsim_run_batch in the C source for the exact layout).
 _ARGTYPES_BATCH = [
     ctypes.POINTER(KernelFabric),  # fabrics [F]
     _i32p,           # fabric_of [S]
@@ -95,6 +83,14 @@ _ARGTYPES_BATCH = [
     _i64p,           # link_counts (per-schedule slices)
     _i64p,           # peak_off [S]
     _i32p,           # peaks (per-schedule slices)
+    _i64p,           # d_off [S+1]
+    _i32p,           # d_meta (per-schedule delivery slices)
+    _i32p,           # d_dst
+    _i64p,           # d_cycle
+    _i32p,           # d_hops
+    _i64p,           # d_len [S]
+    _i64p,           # cycles_run [S]
+    _i32p,           # status [S]: 0 ok, 1 failed (the host falls back)
 ]
 
 # The multi-word entry point takes the call's n_words right after
@@ -272,14 +268,9 @@ def load_kernel() -> Optional[ctypes.CDLL]:
             _build()
         lib = ctypes.CDLL(_SO)
         lib.nocsim_run_batch.argtypes = _ARGTYPES_BATCH
-        lib.nocsim_run_batch.restype = ctypes.POINTER(KernelResult)
+        lib.nocsim_run_batch.restype = None
         lib.nocsim_run_batch_mw.argtypes = _ARGTYPES_BATCH_MW
-        lib.nocsim_run_batch_mw.restype = ctypes.POINTER(KernelResult)
-        lib.nocsim_free_batch.argtypes = [
-            ctypes.POINTER(KernelResult),
-            ctypes.c_int64,
-        ]
-        lib.nocsim_free_batch.restype = None
+        lib.nocsim_run_batch_mw.restype = None
         lib.nocsim_openmp.argtypes = []
         lib.nocsim_openmp.restype = ctypes.c_int32
         lib._repro_openmp = bool(lib.nocsim_openmp())

@@ -37,12 +37,15 @@
  * one call can simulate the schedules of many degraded fabrics (a fault
  * campaign level) as well as a swarm on one.  Schedules run in parallel
  * with OpenMP when compiled with -fopenmp, in a plain serial loop
- * otherwise.  Each schedule writes its delivery log (meta index,
- * destination router, cycle, hop count) and cycle count into its own
- * Result slab and its link loads / per-port peak occupancies into its
- * own slices of the link_counts/peaks slabs (per-schedule offsets, as
- * the fabrics' sizes differ), so the output is the same bit for bit
- * regardless of thread count or of which schedules share the call.
+ * otherwise.  Every output lives in memory the host allocated and owns:
+ * each schedule writes its link loads, per-port peak occupancies and
+ * delivery log (meta index, destination router, cycle, hop count) into
+ * its own slices of the batch's slabs (per-schedule offsets, as the
+ * fabrics' and schedules' sizes differ), and its delivery count, cycle
+ * count and status into its own entries of three per-schedule arrays.
+ * So the output is the same bit for bit regardless of thread count or
+ * of which schedules share the call, and nothing the kernel allocates
+ * outlives it.
  */
 
 #include <stdint.h>
@@ -118,49 +121,6 @@ static int pool_push(Pool *p, uint64_t mask, int32_t hops, int32_t meta) {
     return 0;
 }
 
-typedef struct {
-    int32_t *meta;
-    int32_t *dst;
-    int64_t *cycle;
-    int32_t *hops;
-    int64_t len;
-    int64_t cap;
-} Log;
-
-static int log_push(Log *g, int32_t meta, int32_t dst, int64_t cycle, int32_t hops) {
-    if (g->len == g->cap) {
-        int64_t ncap = g->cap ? g->cap * 2 : 64;
-        int32_t *nm = (int32_t *)realloc(g->meta, (size_t)ncap * sizeof(int32_t));
-        int32_t *nd = (int32_t *)realloc(g->dst, (size_t)ncap * sizeof(int32_t));
-        int64_t *nc = (int64_t *)realloc(g->cycle, (size_t)ncap * sizeof(int64_t));
-        int32_t *nh = (int32_t *)realloc(g->hops, (size_t)ncap * sizeof(int32_t));
-        if (nm) g->meta = nm;
-        if (nd) g->dst = nd;
-        if (nc) g->cycle = nc;
-        if (nh) g->hops = nh;
-        if (!nm || !nd || !nc || !nh) return -1;
-        g->cap = ncap;
-    }
-    g->meta[g->len] = meta;
-    g->dst[g->len] = dst;
-    g->cycle[g->len] = cycle;
-    g->hops[g->len] = hops;
-    g->len++;
-    return 0;
-}
-
-/* One schedule's result slab: the host reads the arrays of the whole
- * batch, then calls nocsim_free_batch. */
-typedef struct {
-    int32_t *d_meta;
-    int32_t *d_dst;
-    int64_t *d_cycle;
-    int32_t *d_hops;
-    int64_t d_len;
-    int64_t cycles_run;
-    int32_t status; /* 0 ok, 1 allocation failure */
-} Result;
-
 /* Staged forward: lands downstream at end of cycle. */
 typedef struct {
     int32_t gp;
@@ -180,11 +140,12 @@ typedef struct {
     const int32_t *out_eidx;    /* [deg_total] directed edge id */
 } Fabric;
 
-/* One schedule, single-word masks.  Fills a caller-provided zeroed
- * Result; fabric tables are read-only so concurrent calls on disjoint
- * Results/outputs are safe. */
-static void run_single(
-    Result *res,
+/* One schedule, single-word masks.  Writes only into the host's
+ * output slices; fabric tables are read-only, so concurrent calls on
+ * disjoint slices are safe.  Returns 0, or 1 on an allocation failure
+ * or a delivery past the d_cap slots of its log slice (the host then
+ * reruns the schedule on the reference engine). */
+static int run_single(
     const Fabric *fab,
     /* config */
     int32_t capacity,
@@ -201,7 +162,14 @@ static void run_single(
     const int32_t *bucket_pid,  /* [n_packets] */
     /* outputs (host-allocated) */
     int64_t *link_counts,       /* [n_edges], zeroed by host */
-    int32_t *peaks              /* [n_flat_ports], zeroed by host */
+    int32_t *peaks,             /* [n_flat_ports], zeroed by host */
+    int64_t d_cap,              /* slots of each delivery column below */
+    int32_t *d_meta,            /* [d_cap] injection packet index */
+    int32_t *d_dst,             /* [d_cap] destination router */
+    int64_t *d_cycle,           /* [d_cap] delivery cycle */
+    int32_t *d_hops,            /* [d_cap] hop count */
+    int64_t *d_len,             /* deliveries written */
+    int64_t *cycles_run
 ) {
     const int32_t n_routers = fab->n_routers;
     const int32_t n_flat_ports = fab->n_flat_ports;
@@ -217,7 +185,8 @@ static void run_single(
     int32_t *qcount = (int32_t *)calloc((size_t)n_routers, sizeof(int32_t));
     int32_t *gp_owner = (int32_t *)malloc((size_t)n_flat_ports * sizeof(int32_t));
     Pool pool = {0};
-    Log dlog = {0};
+    int status = 1; /* until the run completes */
+    int64_t n_del = 0;
     Staged *staged = NULL;
     int64_t staged_cap = 256, staged_len = 0;
     staged = (Staged *)malloc((size_t)staged_cap * sizeof(Staged));
@@ -228,7 +197,6 @@ static void run_single(
     pool.meta = (int32_t *)malloc((size_t)pool.cap * sizeof(int32_t));
 
     if (!bufs || !qcount || !gp_owner || !staged || !pool.mask || !pool.hops || !pool.meta) {
-        res->status = 1;
         goto cleanup;
     }
     for (int32_t i = 0; i < n_routers; i++) {
@@ -252,7 +220,7 @@ static void run_single(
             for (int64_t b = bucket_off[pos]; b < bucket_off[pos + 1]; b++) {
                 int32_t pid = bucket_pid[b];
                 int32_t gp = pk_srcgp[pid];
-                if (fifo_push(&bufs[gp], pid)) { res->status = 1; goto cleanup; }
+                if (fifo_push(&bufs[gp], pid)) goto cleanup;
                 int32_t r = gp_owner[gp];
                 qcount[r]++;
                 busy |= 1ULL << r;
@@ -290,9 +258,12 @@ static void run_single(
                 if (mask & ibit) {
                     if (ejections < ej_max) {
                         ejections++;
-                        if (log_push(&dlog, pool.meta[pid], i, cycle, pool.hops[pid])) {
-                            res->status = 1; goto cleanup;
-                        }
+                        if (n_del == d_cap) goto cleanup; /* slice full */
+                        d_meta[n_del] = pool.meta[pid];
+                        d_dst[n_del] = i;
+                        d_cycle[n_del] = cycle;
+                        d_hops[n_del] = pool.hops[pid];
+                        n_del++;
                         progressed = ibit;
                     }
                     if (mask == ibit) {
@@ -323,13 +294,13 @@ static void run_single(
                     } else {
                         npid = (int32_t)pool.len;
                         if (pool_push(&pool, g, pool.hops[pid] + 1, pool.meta[pid])) {
-                            res->status = 1; goto cleanup;
+                            goto cleanup;
                         }
                     }
                     if (staged_len == staged_cap) {
                         staged_cap *= 2;
                         Staged *ns = (Staged *)realloc(staged, (size_t)staged_cap * sizeof(Staged));
-                        if (!ns) { res->status = 1; goto cleanup; }
+                        if (!ns) goto cleanup;
                         staged = ns;
                     }
                     staged[staged_len].gp = gp2;
@@ -360,7 +331,7 @@ static void run_single(
 
         for (int64_t s = 0; s < staged_len; s++) {
             int32_t gp = staged[s].gp;
-            if (fifo_push(&bufs[gp], staged[s].pid)) { res->status = 1; goto cleanup; }
+            if (fifo_push(&bufs[gp], staged[s].pid)) goto cleanup;
             if (bufs[gp].len > peaks[gp]) peaks[gp] = bufs[gp].len;
             int32_t r = gp_owner[gp];
             qcount[r]++;
@@ -370,13 +341,9 @@ static void run_single(
         cycle++;
     }
 
-    res->cycles_run = cycle;
-    res->d_meta = dlog.meta;
-    res->d_dst = dlog.dst;
-    res->d_cycle = dlog.cycle;
-    res->d_hops = dlog.hops;
-    res->d_len = dlog.len;
-    dlog.meta = NULL; dlog.dst = NULL; dlog.cycle = NULL; dlog.hops = NULL;
+    *d_len = n_del;
+    *cycles_run = cycle;
+    status = 0;
 
 cleanup:
     if (bufs) {
@@ -389,10 +356,7 @@ cleanup:
     free(pool.hops);
     free(pool.meta);
     free(staged);
-    free(dlog.meta);
-    free(dlog.dst);
-    free(dlog.cycle);
-    free(dlog.hops);
+    return status;
 }
 
 /* ------------------------------------------------------------------ */
@@ -429,8 +393,7 @@ static int pool_mw_push(PoolMW *p, int32_t nw, const uint64_t *mask,
 }
 
 /* One schedule, multi-word masks.  Same contract as run_single. */
-static void run_single_mw(
-    Result *res,
+static int run_single_mw(
     const Fabric *fab,
     int32_t n_words,
     /* config */
@@ -448,7 +411,14 @@ static void run_single_mw(
     const int32_t *bucket_pid,  /* [n_packets] */
     /* outputs (host-allocated) */
     int64_t *link_counts,       /* [n_edges], zeroed by host */
-    int32_t *peaks              /* [n_flat_ports], zeroed by host */
+    int32_t *peaks,             /* [n_flat_ports], zeroed by host */
+    int64_t d_cap,              /* slots of each delivery column below */
+    int32_t *d_meta,            /* [d_cap] injection packet index */
+    int32_t *d_dst,             /* [d_cap] destination router */
+    int64_t *d_cycle,           /* [d_cap] delivery cycle */
+    int32_t *d_hops,            /* [d_cap] hop count */
+    int64_t *d_len,             /* deliveries written */
+    int64_t *cycles_run
 ) {
     const int32_t nw = n_words;
     const int32_t n_routers = fab->n_routers;
@@ -476,7 +446,8 @@ static void run_single_mw(
     uint64_t *gr = (uint64_t *)malloc((size_t)nw * sizeof(uint64_t));
     uint64_t *prog = (uint64_t *)malloc((size_t)nw * sizeof(uint64_t));
     PoolMW pool = {0};
-    Log dlog = {0};
+    int status = 1; /* until the run completes */
+    int64_t n_del = 0;
     Staged *staged = NULL;
     int64_t staged_cap = 256, staged_len = 0;
     staged = (Staged *)malloc((size_t)staged_cap * sizeof(Staged));
@@ -488,7 +459,6 @@ static void run_single_mw(
 
     if (!bufs || !qcount || !gp_owner || !busy || !out_stamp || !hm || !gr ||
         !prog || !staged || !pool.mask || !pool.hops || !pool.meta) {
-        res->status = 1;
         goto cleanup;
     }
     for (int32_t i = 0; i < n_routers; i++) {
@@ -512,7 +482,7 @@ static void run_single_mw(
             for (int64_t b = bucket_off[pos]; b < bucket_off[pos + 1]; b++) {
                 int32_t pid = bucket_pid[b];
                 int32_t gp = pk_srcgp[pid];
-                if (fifo_push(&bufs[gp], pid)) { res->status = 1; goto cleanup; }
+                if (fifo_push(&bufs[gp], pid)) goto cleanup;
                 int32_t r = gp_owner[gp];
                 qcount[r]++;
                 busy[r >> 6] |= 1ULL << (r & 63);
@@ -555,10 +525,12 @@ static void run_single_mw(
                     if (hm[iw] & ib) {
                         if (ejections < ej_max) {
                             ejections++;
-                            if (log_push(&dlog, pool.meta[pid], i, cycle,
-                                         pool.hops[pid])) {
-                                res->status = 1; goto cleanup;
-                            }
+                            if (n_del == d_cap) goto cleanup; /* slice full */
+                            d_meta[n_del] = pool.meta[pid];
+                            d_dst[n_del] = i;
+                            d_cycle[n_del] = cycle;
+                            d_hops[n_del] = pool.hops[pid];
+                            n_del++;
                             prog[iw] = ib;
                             has_prog = 1;
                         }
@@ -605,14 +577,14 @@ static void run_single_mw(
                             if (pool_mw_push(&pool, nw, gr,
                                              pool.hops[pid] + 1,
                                              pool.meta[pid])) {
-                                res->status = 1; goto cleanup;
+                                goto cleanup;
                             }
                         }
                         if (staged_len == staged_cap) {
                             staged_cap *= 2;
                             Staged *ns = (Staged *)realloc(
                                 staged, (size_t)staged_cap * sizeof(Staged));
-                            if (!ns) { res->status = 1; goto cleanup; }
+                            if (!ns) goto cleanup;
                             staged = ns;
                         }
                         staged[staged_len].gp = gp2;
@@ -648,7 +620,7 @@ static void run_single_mw(
 
         for (int64_t s = 0; s < staged_len; s++) {
             int32_t gp = staged[s].gp;
-            if (fifo_push(&bufs[gp], staged[s].pid)) { res->status = 1; goto cleanup; }
+            if (fifo_push(&bufs[gp], staged[s].pid)) goto cleanup;
             if (bufs[gp].len > peaks[gp]) peaks[gp] = bufs[gp].len;
             int32_t r = gp_owner[gp];
             qcount[r]++;
@@ -658,13 +630,9 @@ static void run_single_mw(
         cycle++;
     }
 
-    res->cycles_run = cycle;
-    res->d_meta = dlog.meta;
-    res->d_dst = dlog.dst;
-    res->d_cycle = dlog.cycle;
-    res->d_hops = dlog.hops;
-    res->d_len = dlog.len;
-    dlog.meta = NULL; dlog.dst = NULL; dlog.cycle = NULL; dlog.hops = NULL;
+    *d_len = n_del;
+    *cycles_run = cycle;
+    status = 0;
 
 cleanup:
     if (bufs) {
@@ -682,10 +650,7 @@ cleanup:
     free(pool.hops);
     free(pool.meta);
     free(staged);
-    free(dlog.meta);
-    free(dlog.dst);
-    free(dlog.cycle);
-    free(dlog.hops);
+    return status;
 }
 
 /* ------------------------------------------------------------------ */
@@ -702,17 +667,6 @@ int32_t nocsim_openmp(void) {
 #endif
 }
 
-void nocsim_free_batch(Result *arr, int64_t n_schedules) {
-    if (!arr) return;
-    for (int64_t s = 0; s < n_schedules; s++) {
-        free(arr[s].d_meta);
-        free(arr[s].d_dst);
-        free(arr[s].d_cycle);
-        free(arr[s].d_hops);
-    }
-    free(arr);
-}
-
 /* Fabric records are passed once; schedule s runs on
  * fabrics[fabric_of[s]], and its arrays are concatenated with CSR-style
  * offsets:
@@ -724,20 +678,32 @@ void nocsim_free_batch(Result *arr, int64_t n_schedules) {
  *                   of bucket_cycle; its bucket_off slice (length
  *                   n_buckets_s + 1, values schedule-local) starts at
  *                   bucket_off + bk_off[s] + s;
- *   deadline[S]   — per-schedule stop cycle;
+ *   deadline[S]   — per-schedule stop cycle.
+ *
+ * Every output is a host-allocated slab or array the kernel writes
+ * into and never frees:
+ *
  *   link_off[S]   — schedule s's link loads start at link_counts +
  *                   link_off[s] (its fabric's edge count of them); the
  *                   slab is zeroed by the host;
  *   peak_off[S]   — schedule s's per-port peaks start at peaks +
  *                   peak_off[s] (its fabric's n_flat_ports of them);
- *                   zeroed by the host.
+ *                   zeroed by the host;
+ *   d_off[S+1]    — schedule s's deliveries go to [d_off[s], d_off[s+1])
+ *                   of the four columns d_meta, d_dst, d_cycle, d_hops;
+ *                   the host sizes each slice to the schedule's expected
+ *                   deliveries (every delivery clears one destination
+ *                   bit, so no run makes more);
+ *   d_len[S], cycles_run[S] — deliveries written and cycles run, set
+ *                   when status[s] is 0;
+ *   status[S]     — 0 ok, 1 on an allocation failure or a delivery past
+ *                   the end of the schedule's slice.
  *
  * One call reads one buffer capacity, one ejection limit and (mw) one
  * mask width; the host puts fabrics that differ in those into separate
  * calls.  n_threads > 0 caps the OpenMP team size; <= 0 uses the
- * runtime default.  Returns an array of S Result structs (free with
- * nocsim_free_batch), or NULL on allocation failure. */
-Result *nocsim_run_batch(
+ * runtime default. */
+void nocsim_run_batch(
     const Fabric *fabrics,
     const int32_t *fabric_of,
     int32_t capacity,
@@ -755,10 +721,16 @@ Result *nocsim_run_batch(
     const int64_t *link_off,
     int64_t *link_counts,
     const int64_t *peak_off,
-    int32_t *peaks
+    int32_t *peaks,
+    const int64_t *d_off,
+    int32_t *d_meta,
+    int32_t *d_dst,
+    int64_t *d_cycle,
+    int32_t *d_hops,
+    int64_t *d_len,
+    int64_t *cycles_run,
+    int32_t *status
 ) {
-    Result *arr = (Result *)calloc((size_t)n_schedules, sizeof(Result));
-    if (!arr) return NULL;
 #ifdef _OPENMP
     int nt = n_threads > 0 ? n_threads : omp_get_max_threads();
     #pragma omp parallel for schedule(dynamic) num_threads(nt)
@@ -768,18 +740,20 @@ Result *nocsim_run_batch(
     for (int64_t s = 0; s < n_schedules; s++) {
         int64_t p0 = pk_off[s];
         int64_t b0 = bk_off[s];
-        run_single(&arr[s], &fabrics[fabric_of[s]], capacity, ej_max,
-                   deadline[s], pk_off[s + 1] - p0, pk_mask + p0,
-                   pk_srcgp + p0, bk_off[s + 1] - b0, bucket_cycle + b0,
-                   bucket_off + b0 + s, bucket_pid + p0,
-                   link_counts + link_off[s], peaks + peak_off[s]);
+        int64_t d0 = d_off[s];
+        status[s] = run_single(
+            &fabrics[fabric_of[s]], capacity, ej_max, deadline[s],
+            pk_off[s + 1] - p0, pk_mask + p0, pk_srcgp + p0,
+            bk_off[s + 1] - b0, bucket_cycle + b0, bucket_off + b0 + s,
+            bucket_pid + p0, link_counts + link_off[s], peaks + peak_off[s],
+            d_off[s + 1] - d0, d_meta + d0, d_dst + d0, d_cycle + d0,
+            d_hops + d0, &d_len[s], &cycles_run[s]);
     }
-    return arr;
 }
 
 /* Same layout; n_words (one mask width for the whole call) follows
  * fabric_of. */
-Result *nocsim_run_batch_mw(
+void nocsim_run_batch_mw(
     const Fabric *fabrics,
     const int32_t *fabric_of,
     int32_t n_words,
@@ -798,10 +772,16 @@ Result *nocsim_run_batch_mw(
     const int64_t *link_off,
     int64_t *link_counts,
     const int64_t *peak_off,
-    int32_t *peaks
+    int32_t *peaks,
+    const int64_t *d_off,
+    int32_t *d_meta,
+    int32_t *d_dst,
+    int64_t *d_cycle,
+    int32_t *d_hops,
+    int64_t *d_len,
+    int64_t *cycles_run,
+    int32_t *status
 ) {
-    Result *arr = (Result *)calloc((size_t)n_schedules, sizeof(Result));
-    if (!arr) return NULL;
 #ifdef _OPENMP
     int nt = n_threads > 0 ? n_threads : omp_get_max_threads();
     #pragma omp parallel for schedule(dynamic) num_threads(nt)
@@ -811,12 +791,13 @@ Result *nocsim_run_batch_mw(
     for (int64_t s = 0; s < n_schedules; s++) {
         int64_t p0 = pk_off[s];
         int64_t b0 = bk_off[s];
-        run_single_mw(&arr[s], &fabrics[fabric_of[s]], n_words, capacity,
-                      ej_max, deadline[s], pk_off[s + 1] - p0,
-                      pk_mask + p0 * n_words, pk_srcgp + p0,
-                      bk_off[s + 1] - b0, bucket_cycle + b0,
-                      bucket_off + b0 + s, bucket_pid + p0,
-                      link_counts + link_off[s], peaks + peak_off[s]);
+        int64_t d0 = d_off[s];
+        status[s] = run_single_mw(
+            &fabrics[fabric_of[s]], n_words, capacity, ej_max, deadline[s],
+            pk_off[s + 1] - p0, pk_mask + p0 * n_words, pk_srcgp + p0,
+            bk_off[s + 1] - b0, bucket_cycle + b0, bucket_off + b0 + s,
+            bucket_pid + p0, link_counts + link_off[s], peaks + peak_off[s],
+            d_off[s + 1] - d0, d_meta + d0, d_dst + d0, d_cycle + d0,
+            d_hops + d0, &d_len[s], &cycles_run[s]);
     }
-    return arr;
 }

@@ -141,7 +141,9 @@ class _Plan(NamedTuple):
     """Kernel-ready packet plan of one schedule.  The five arrays are
     C-contiguous in the dtypes the kernel reads, in its argument order
     (a batch concatenates them column by column); ``meta`` maps a packet
-    index back to its injection for the delivery records."""
+    index back to its injection for the delivery records, and
+    ``n_expected`` sizes the schedule's delivery slice (each delivery
+    clears one destination bit, so no run makes more)."""
 
     mask_words: np.ndarray    # uint64 (n_packets, n_words)
     src_gp: np.ndarray        # int32 (n_packets,) source injection port
@@ -149,18 +151,21 @@ class _Plan(NamedTuple):
     bucket_off: np.ndarray    # int64 (n_buckets + 1,)
     bucket_pid: np.ndarray    # int32 (n_packets,) packets in bucket order
     meta: PacketMeta
+    n_expected: int
 
 
 class FastNocStats(NocStats):
     """:class:`NocStats` with columnar, lazily materialized deliveries.
 
     The kernel records deliveries as flat ``(packet, router, cycle,
-    hops)`` columns; full :class:`DeliveryRecord` objects are only
-    constructed when ``deliveries`` is first accessed.  Every metric
-    (counts, latencies, ISI distortion, disorder, chip breakdown) is
-    answered from :meth:`delivery_columns` — gathers over those columns
-    — so neither swarm scoring nor the metric report pays for record
-    construction.
+    hops)`` columns, straight into the batch's host-allocated slabs;
+    the stats hold views of its schedule's slices (so a kept stats keeps
+    its batch's delivery slabs alive).  Full :class:`DeliveryRecord`
+    objects are only constructed when ``deliveries`` is first accessed.
+    Every metric (counts, latencies, ISI distortion, disorder, chip
+    breakdown) is answered from :meth:`delivery_columns` — gathers over
+    those columns — so neither swarm scoring nor the metric report pays
+    for record construction.
     """
 
     def _attach(self, delivered, p_meta: PacketMeta, node_ids) -> None:
@@ -351,7 +356,7 @@ class FastInterconnect:
         with OpenMP parallelism across independent schedules when the
         kernel was built with it — bit-identical for any thread count,
         because each schedule runs the same single-schedule algorithm
-        into its own result slab.
+        into its own slices of the batch's output slabs.
 
         ``threads`` caps the team (``None`` defers to
         ``REPRO_NOC_THREADS``, then one per core).  ``0`` means "no
@@ -402,6 +407,7 @@ class FastInterconnect:
             bucket_off=packets.bucket_off,
             bucket_pid=packets.bucket_pid,
             meta=packets.meta,
+            n_expected=packets.n_expected,
         )
 
 
@@ -510,10 +516,12 @@ def _run_jobs(jobs: Sequence[FabricJob], n_threads: int) -> List[List[NocStats]]
 
 
 def _dispatch(live: List[_Live], n_threads: int) -> bool:
-    """Concatenate the plans CSR-style, run one batch entry point once
-    with every schedule on its own fabric, and attach each schedule's
-    result slab.  ``False`` on any kernel failure (the caller falls
-    back)."""
+    """Concatenate the plans CSR-style, allocate every output the call
+    writes (the kernel allocates nothing that outlives it), run one
+    batch entry point once with every schedule on its own fabric, and
+    attach to each schedule's stats views of its slices of the delivery
+    slabs.  ``False`` when any schedule reports a failure in its
+    ``status`` entry (the caller falls back)."""
     n_live = len(live)
     plans = [item.plan for item in live]
     if n_live == 1:
@@ -545,11 +553,18 @@ def _dispatch(live: List[_Live], n_threads: int) -> bool:
     fabric_of = np.array(
         [fabric_index[id(item.engine)][0] for item in live], dtype=np.int32
     )
-    # Each schedule's link loads and port peaks are its fabric's size.
+    # Each schedule's link loads and port peaks are its fabric's size,
+    # its delivery slice its expected deliveries.
     link_off = _offsets(len(item.engine._edges) for item in live)
     peak_off = _offsets(item.engine._n_flat_ports for item in live)
+    d_off = _offsets(p.n_expected for p in plans)
     link_counts = np.zeros(int(link_off[-1]), dtype=np.int64)
     peaks = np.zeros(int(peak_off[-1]), dtype=np.int32)
+    n_slots = int(d_off[-1])
+    d_meta, d_dst, d_hops = (np.empty(n_slots, dtype=np.int32) for _ in range(3))
+    d_cycle = np.empty(n_slots, dtype=np.int64)
+    d_len, cycles_run = (np.empty(n_live, dtype=np.int64) for _ in range(2))
+    status = np.empty(n_live, dtype=np.int32)
     ck = live[0].engine._ck
     kind, n_words, capacity, ej_max = live[0].engine._call_key
     if kind == "c":
@@ -558,61 +573,35 @@ def _dispatch(live: List[_Live], n_threads: int) -> bool:
         entry, per_call = ck.nocsim_run_batch_mw, (n_words, capacity, ej_max)
     # One ctypes call for the whole batch; ctypes releases the GIL for
     # the duration, so the OpenMP team runs truly in parallel.
-    res_p = entry(
-        fabrics,
-        _ptr(fabric_of),
-        *per_call,
-        n_live,
-        _ptr(pk_off),
-        _ptr(pk_mask),
-        _ptr(pk_srcgp),
-        _ptr(bk_off),
-        _ptr(bucket_cycle),
-        _ptr(bucket_off),
-        _ptr(bucket_pid),
-        _ptr(deadlines),
-        n_threads,
-        _ptr(link_off),
-        _ptr(link_counts),
-        _ptr(peak_off),
-        _ptr(peaks),
+    inputs = (
+        pk_off, pk_mask, pk_srcgp, bk_off, bucket_cycle, bucket_off, bucket_pid,
+        deadlines,
     )
-    if not res_p:
+    outputs = (
+        link_off, link_counts, peak_off, peaks,
+        d_off, d_meta, d_dst, d_cycle, d_hops, d_len, cycles_run, status,
+    )
+    entry(
+        fabrics, _ptr(fabric_of), *per_call, n_live,
+        *map(_ptr, inputs), n_threads, *map(_ptr, outputs),
+    )
+    if status.any():
         return False
-    try:
-        extracted = []
-        for s in range(n_live):
-            res = res_p[s]
-            if res.status != 0:
-                return False
-            d_len = res.d_len
-            if d_len:
-                cols = tuple(
-                    np.ctypeslib.as_array(column, shape=(d_len,)).copy()
-                    for column in (res.d_meta, res.d_dst, res.d_cycle, res.d_hops)
-                )
-            else:
-                cols = (
-                    np.empty(0, dtype=np.int32),
-                    np.empty(0, dtype=np.int32),
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int32),
-                )
-            extracted.append((cols, res.cycles_run))
-    finally:
-        ck.nocsim_free_batch(res_p, n_live)
-
     for s, item in enumerate(live):
-        cols, cycles_run = extracted[s]
         engine, stats = item.engine, item.stats
-        stats.cycles_run = int(cycles_run)
+        stats.cycles_run = int(cycles_run[s])
         counts = link_counts[link_off[s]:link_off[s + 1]].tolist()
         stats.link_loads = {
             edge: count for edge, count in zip(engine._edges, counts) if count
         }
         pk = peaks[peak_off[s]:peak_off[s + 1]]
         stats.peak_buffer_occupancy = int(pk.max()) if pk.size else 0
-        stats._attach(cols, item.plan.meta, engine._node_arr)
+        d = slice(d_off[s], d_off[s] + d_len[s])
+        stats._attach(
+            (d_meta[d], d_dst[d], d_cycle[d], d_hops[d]),
+            item.plan.meta,
+            engine._node_arr,
+        )
     return True
 
 

@@ -106,7 +106,8 @@ def _one_schedule_score(fit, assignment):
         fit.graph, assignment, fit.topology,
         cycles_per_ms=fit.cycles_per_ms, events=fit._events,
     )
-    return fit._score(summarize(fit._noc.simulate(schedule), fit.topology))
+    s = summarize(fit._noc.simulate(schedule), fit.topology)
+    return float(s.total_hops) + UNDELIVERED_PENALTY * s.undelivered
 
 
 class TestNocInLoopVariant:

@@ -2,12 +2,17 @@
 be missing or fail must land on the reference engine, bit for bit.
 
 ``FastInterconnect`` has one engine (the C batch kernel) and one
-fallback (the reference ``Interconnect``).  The fallback engages when
-(a) no kernel could be built or loaded, (b) the batch entry point
-returns NULL, or (c) a schedule's ``Result.status`` is non-zero.  Each
-is forced here on a single-word mesh, a 100-router multi-word mesh, a
+fallback (the reference ``Interconnect``).  The kernel writes every
+output into memory the host allocated, and returns nothing; the
+fallback engages when (a) no kernel could be built or loaded, or
+(b) a schedule's entry of the host's ``status`` array comes back
+non-zero — an allocation failure inside the kernel, or a delivery
+past the end of the schedule's slice of the delivery slabs.  Both are
+forced here on a single-word mesh, a 100-router multi-word mesh, a
 degraded fabric and a multichip board, for both schedule
-representations, and compared field by field with the oracle.
+representations, and compared field by field with the oracle; the
+slice bound is also driven for real, by sizing the slice one slot
+short.
 """
 
 from __future__ import annotations
@@ -36,28 +41,22 @@ REAL_KERNEL = ckernel.load_kernel()
 
 
 class _FailingKernel:
-    """The real kernel behind a batch entry that fails the given way."""
+    """The real kernel behind batch entries whose first schedule reports
+    a failure."""
 
-    def __init__(self, mode: str) -> None:
-        self.mode = mode
+    def __init__(self) -> None:
         self.calls = 0
 
     def _run(self, entry, args):
         self.calls += 1
-        if self.mode == "null":
-            return None
-        res_p = entry(*args)
-        res_p[0].status = 1  # what an allocation failure mid-run reports
-        return res_p
+        entry(*args)
+        args[-1][0] = 1  # status[0]: what an allocation failure mid-run reports
 
     def nocsim_run_batch(self, *args):
-        return self._run(REAL_KERNEL.nocsim_run_batch, args)
+        self._run(REAL_KERNEL.nocsim_run_batch, args)
 
     def nocsim_run_batch_mw(self, *args):
-        return self._run(REAL_KERNEL.nocsim_run_batch_mw, args)
-
-    def nocsim_free_batch(self, res_p, n_schedules):
-        REAL_KERNEL.nocsim_free_batch(res_p, n_schedules)
+        self._run(REAL_KERNEL.nocsim_run_batch_mw, args)
 
 
 def _break_kernel(monkeypatch, mode):
@@ -67,7 +66,7 @@ def _break_kernel(monkeypatch, mode):
     elif REAL_KERNEL is None:
         pytest.skip("needs the real kernel to wrap (no C compiler)")
     else:
-        stub = _FailingKernel(mode)
+        stub = _FailingKernel()
     monkeypatch.setattr(fastsim, "load_kernel", lambda: stub)
     return stub
 
@@ -113,7 +112,7 @@ def _fields(stats):
 FABRICS = ["mesh-1word", "mesh-100", "degraded", "multichip"]
 
 
-@pytest.mark.parametrize("mode", ["missing", "null", "status"])
+@pytest.mark.parametrize("mode", ["missing", "status"])
 @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "rows"])
 @pytest.mark.parametrize("fabric", FABRICS)
 def test_fallback_matches_reference(monkeypatch, fabric, columnar, mode):
@@ -147,8 +146,7 @@ def test_fallback_matches_reference(monkeypatch, fabric, columnar, mode):
         assert counters["noc.kernel.fallbacks"] == 2
 
 
-@pytest.mark.parametrize("mode", ["null", "status"])
-def test_failed_multi_fabric_call_reruns_every_schedule(monkeypatch, mode):
+def test_failed_multi_fabric_call_reruns_every_schedule(monkeypatch):
     """One failed call of a multi-fabric dispatch reruns all of its
     schedules, each on its own fabric's reference engine; single- and
     multi-word fabrics are two calls, so two fallbacks."""
@@ -158,7 +156,7 @@ def test_failed_multi_fabric_call_reruns_every_schedule(monkeypatch, mode):
         _fields(Interconnect(topology).simulate(schedule.injections))
         for topology, schedule in zip(topologies, schedules)
     ]
-    stub = _break_kernel(monkeypatch, mode)
+    stub = _break_kernel(monkeypatch, "status")
     config = NocConfig(backend="fast")
     jobs = [
         (FastInterconnect(topology, config=config), [schedule, [], schedule])
@@ -175,6 +173,35 @@ def test_failed_multi_fabric_call_reruns_every_schedule(monkeypatch, mode):
     assert counters["noc.kernel.fallbacks"] == 2
     assert counters['noc.engine_runs{engine="reference"}'] == 2 * len(FABRICS)
     assert not any('engine="c' in key for key in counters)
+
+
+@pytest.mark.parametrize("fabric", ["mesh-1word", "mesh-100"])
+def test_delivery_slice_one_slot_short_falls_back(monkeypatch, fabric):
+    """The kernel's bound on the host's delivery slice, driven for real:
+    a slice one slot shorter than the schedule's deliveries makes the
+    last delivery fail the schedule, and the host reruns it on the
+    reference engine."""
+    if REAL_KERNEL is None:
+        pytest.skip("compiled kernel unavailable (no C compiler)")
+    topology = _fabric(fabric)
+    schedule = _schedule(topology)
+    want = _fields(Interconnect(topology).simulate(schedule.injections))
+    assert want[2] > 0 and want[3] == 0  # every slot of the slice is used
+    plan = FastInterconnect._columnar_plan
+
+    def one_slot_short(self, columns, stats):
+        planned = plan(self, columns, stats)
+        return planned._replace(n_expected=planned.n_expected - 1)
+
+    monkeypatch.setattr(FastInterconnect, "_columnar_plan", one_slot_short)
+    fast = FastInterconnect(topology, config=NocConfig(backend="fast"))
+    with observe(tracer=False) as obs:
+        stats = fast.simulate(schedule)
+    assert _fields(stats) == want
+    assert not isinstance(stats, FastNocStats)
+    counters = obs.metrics.counters()
+    assert counters["noc.kernel.fallbacks"] == 1
+    assert counters['noc.engine_runs{engine="reference"}'] == 1
 
 
 def test_healthy_kernel_counts_its_own_engine():
@@ -313,6 +340,6 @@ class TestLoudWhenMissing:
     def test_kernel_exports_only_the_batch_entry_points(self):
         if REAL_KERNEL is None:
             pytest.skip("compiled kernel unavailable (no C compiler)")
-        for gone in ("nocsim_run", "nocsim_run_mw", "nocsim_free"):
+        for gone in ("nocsim_run", "nocsim_run_mw", "nocsim_free", "nocsim_free_batch"):
             assert not hasattr(REAL_KERNEL, gone)
         assert ckernel.load_error() is None

@@ -487,6 +487,36 @@ class TestComputeOncePerPipeline:
         assert len(counts["SpikeEvents"]) == 1
         assert len(counts["build_topology"]) == 1  # the placement pass's
 
+    def test_packets_run_builds_one_routing_table(self, monkeypatch):
+        """The placement pass's routing table serves the final engine on
+        the same healthy fabric (hello_world on a 6-crossbar mesh)."""
+        import math
+        import sys
+
+        import repro.noc.routing
+        from repro.apps import build_application
+        from repro.framework.pipeline import run_pipeline
+
+        original = repro.noc.routing.routing_for
+        tables = []
+
+        def counting(topology):
+            tables.append(topology)
+            return original(topology)
+
+        for name, module in list(sys.modules.items()):
+            bound = vars(module).get("routing_for")
+            if name.startswith("repro.") and bound is original:
+                monkeypatch.setattr(module, "routing_for", counting)
+        graph = build_application("hello_world", seed=1)
+        arch = custom(6, math.ceil(graph.n_neurons / 6), interconnect="mesh")
+        result = run_pipeline(
+            graph, arch, method="pso", seed=3, pso_config=self.PSO,
+            objective="packets",
+        )
+        assert len(tables) == 1
+        assert tables[0] is result.topology
+
     def test_faults_get_a_fresh_engine_on_the_degraded_fabric(
         self, monkeypatch, tiny_graph
     ):
