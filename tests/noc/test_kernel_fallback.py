@@ -41,22 +41,25 @@ REAL_KERNEL = ckernel.load_kernel()
 
 
 class _FailingKernel:
-    """The real kernel behind batch entries whose first schedule reports
-    a failure."""
+    """The real kernel behind batch entries whose first (``status``) or
+    last (``last-status``) schedule reports a failure."""
 
-    def __init__(self) -> None:
+    def __init__(self, mode: str) -> None:
+        self.mode = mode
         self.calls = 0
 
-    def _run(self, entry, args):
+    def _run(self, entry, args, n_schedules):
         self.calls += 1
         entry(*args)
-        args[-1][0] = 1  # status[0]: what an allocation failure mid-run reports
+        failed = 0 if self.mode == "status" else n_schedules - 1
+        args[-1][failed] = 1  # what an allocation failure mid-run reports
 
+    # The arguments open (fabrics, fabric_of, *per-call sizes, n_schedules).
     def nocsim_run_batch(self, *args):
-        self._run(REAL_KERNEL.nocsim_run_batch, args)
+        self._run(REAL_KERNEL.nocsim_run_batch, args, args[4])
 
     def nocsim_run_batch_mw(self, *args):
-        self._run(REAL_KERNEL.nocsim_run_batch_mw, args)
+        self._run(REAL_KERNEL.nocsim_run_batch_mw, args, args[5])
 
 
 def _break_kernel(monkeypatch, mode):
@@ -66,7 +69,7 @@ def _break_kernel(monkeypatch, mode):
     elif REAL_KERNEL is None:
         pytest.skip("needs the real kernel to wrap (no C compiler)")
     else:
-        stub = _FailingKernel()
+        stub = _FailingKernel(mode)
     monkeypatch.setattr(fastsim, "load_kernel", lambda: stub)
     return stub
 
@@ -112,7 +115,7 @@ def _fields(stats):
 FABRICS = ["mesh-1word", "mesh-100", "degraded", "multichip"]
 
 
-@pytest.mark.parametrize("mode", ["missing", "status"])
+@pytest.mark.parametrize("mode", ["missing", "status", "last-status"])
 @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "rows"])
 @pytest.mark.parametrize("fabric", FABRICS)
 def test_fallback_matches_reference(monkeypatch, fabric, columnar, mode):
@@ -146,17 +149,19 @@ def test_fallback_matches_reference(monkeypatch, fabric, columnar, mode):
         assert counters["noc.kernel.fallbacks"] == 2
 
 
-def test_failed_multi_fabric_call_reruns_every_schedule(monkeypatch):
+@pytest.mark.parametrize("mode", ["status", "last-status"])
+def test_failed_multi_fabric_call_reruns_every_schedule(monkeypatch, mode):
     """One failed call of a multi-fabric dispatch reruns all of its
-    schedules, each on its own fabric's reference engine; single- and
-    multi-word fabrics are two calls, so two fallbacks."""
+    schedules, each on its own fabric's reference engine, whichever
+    schedule failed; single- and multi-word fabrics are two calls, so
+    two fallbacks."""
     topologies = [_fabric(name) for name in FABRICS]
     schedules = [_schedule(topology) for topology in topologies]
     want = [
         _fields(Interconnect(topology).simulate(schedule.injections))
         for topology, schedule in zip(topologies, schedules)
     ]
-    stub = _break_kernel(monkeypatch, "status")
+    stub = _break_kernel(monkeypatch, mode)
     config = NocConfig(backend="fast")
     jobs = [
         (FastInterconnect(topology, config=config), [schedule, [], schedule])
@@ -175,7 +180,7 @@ def test_failed_multi_fabric_call_reruns_every_schedule(monkeypatch):
     assert not any('engine="c' in key for key in counters)
 
 
-@pytest.mark.parametrize("fabric", ["mesh-1word", "mesh-100"])
+@pytest.mark.parametrize("fabric", FABRICS)
 def test_delivery_slice_one_slot_short_falls_back(monkeypatch, fabric):
     """The kernel's bound on the host's delivery slice, driven for real:
     a slice one slot shorter than the schedule's deliveries makes the
