@@ -61,14 +61,11 @@ def synthetic_digit(klass: int, seed: SeedLike = None) -> np.ndarray:
     return np.clip(image / max(image.max(), 1e-9) + jitter, 0.0, 1.0)
 
 
-def build_digit_recognition_network(
-    seed: SeedLike = None,
-    initial_image: np.ndarray = None,
-) -> Network:
-    """784 pixel sources -> 250 exc (plastic) <-> 250 inh, Diehl & Cook wiring."""
+def build_digit_recognition_network(seed: SeedLike = None) -> Network:
+    """784 pixel sources -> 250 exc (plastic) <-> 250 inh, Diehl & Cook
+    wiring; the sources start on a synthetic digit 0."""
     rng = default_rng(seed)
-    if initial_image is None:
-        initial_image = synthetic_digit(0, seed=rng)
+    initial_image = synthetic_digit(0, seed=rng)
     net = Network("digit_recognition")
     rates = rate_encode(initial_image.ravel(), max_rate_hz=63.75, min_rate_hz=0.0)
     inputs = net.add_source("pixels", PoissonSource(N_INPUTS, rates), layer=0)

@@ -32,6 +32,7 @@ from repro.utils.validation import check_positive
 
 N_CHANNELS = 16      # level-crossing encoder outputs (8 up + 8 down)
 N_LEVELS = N_CHANNELS // 2
+LEVEL_DELTA = 0.12    # encoder level spacing, in R-peak units
 N_LIQUID = 64
 N_READOUT = 16
 LIQUID_GRID = (4, 4, 4)
@@ -87,20 +88,16 @@ def synthetic_ecg(
     return t, signal, np.asarray(beat_times)
 
 
-def level_crossing_encode(
-    t_ms: np.ndarray,
-    signal: np.ndarray,
-    delta: float = 0.12,
-) -> List[np.ndarray]:
+def level_crossing_encode(t_ms: np.ndarray, signal: np.ndarray) -> List[np.ndarray]:
     """Level-crossing (delta) encoder: the Das et al. spike generator.
 
     Channel ``2k`` spikes when the signal crosses level ``k`` upward;
-    channel ``2k + 1`` when it crosses downward.  Returns one spike-time
-    array per channel (``2 * N_LEVELS`` channels total).
+    channel ``2k + 1`` when it crosses downward; levels are
+    :data:`LEVEL_DELTA` apart.  Returns one spike-time array per channel
+    (``2 * N_LEVELS`` channels total).
     """
-    check_positive("delta", delta)
     base = float(np.median(signal))
-    levels = base + delta * (np.arange(N_LEVELS) - N_LEVELS / 2.0 + 0.5)
+    levels = base + LEVEL_DELTA * (np.arange(N_LEVELS) - N_LEVELS / 2.0 + 0.5)
     trains: List[List[float]] = [[] for _ in range(2 * N_LEVELS)]
     above = signal[0] > levels  # state per level
     for i in range(1, signal.size):

@@ -26,11 +26,10 @@ from repro.utils.rng import SeedLike, default_rng, derive_seed
 IMAGE_SHAPE: Tuple[int, int] = (32, 32)
 KERNEL_SIGMA = 1.0
 KERNEL_RADIUS = 2
+MAX_RATE_HZ = 80.0  # rate of a white pixel
 
 
-def synthetic_image(
-    shape: Tuple[int, int] = IMAGE_SHAPE, seed: SeedLike = None
-) -> np.ndarray:
+def synthetic_image(seed: SeedLike = None) -> np.ndarray:
     """A noisy multi-blob test image with intensities in [0, 1].
 
     Smooth Gaussian blobs over speckle noise give the smoothing kernel
@@ -38,9 +37,9 @@ def synthetic_image(
     gradients to preserve).
     """
     rng = default_rng(seed)
-    rows, cols = shape
+    rows, cols = IMAGE_SHAPE
     yy, xx = np.mgrid[0:rows, 0:cols]
-    image = 0.15 * rng.random(shape)  # speckle noise floor
+    image = 0.15 * rng.random(IMAGE_SHAPE)  # speckle noise floor
     for _ in range(4):
         cy, cx = rng.uniform(0, rows), rng.uniform(0, cols)
         sigma = rng.uniform(2.0, 6.0)
@@ -49,19 +48,12 @@ def synthetic_image(
     return np.clip(image, 0.0, 1.0)
 
 
-def build_image_smoothing_network(
-    seed: SeedLike = None,
-    image: np.ndarray = None,
-    max_rate_hz: float = 80.0,
-) -> Network:
+def build_image_smoothing_network(seed: SeedLike = None) -> Network:
     """1024 rate-encoded pixel sources -> Gaussian kernel -> 1024 LIF."""
-    if image is None:
-        image = synthetic_image(seed=seed)
-    if image.shape != IMAGE_SHAPE:
-        raise ValueError(f"image must be {IMAGE_SHAPE}, got {image.shape}")
+    image = synthetic_image(seed=seed)
     n_pixels = image.size
     net = Network("image_smoothing")
-    rates = rate_encode(image.ravel(), max_rate_hz=max_rate_hz, min_rate_hz=2.0)
+    rates = rate_encode(image.ravel(), max_rate_hz=MAX_RATE_HZ, min_rate_hz=2.0)
     inputs = net.add_source("pixels", PoissonSource(n_pixels, rates), layer=0)
     model = LIFModel()
     outputs = net.add_population("smoothed", n_pixels, model, layer=1)

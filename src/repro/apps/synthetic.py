@@ -19,7 +19,7 @@ import numpy as np
 from repro.snn.generators import PoissonSource
 from repro.snn.graph import SpikeGraph
 from repro.snn.network import Network
-from repro.snn.neuron import LIFModel
+from repro.snn.neuron import RESISTANCE, V_REST, LIFModel
 from repro.snn.simulator import Simulation
 from repro.utils.rng import SeedLike, default_rng, derive_seed
 from repro.utils.validation import check_positive
@@ -38,7 +38,7 @@ def _feedforward_weight(n_pre: int, assumed_rate_hz: float, model: LIFModel) -> 
     ~1.5x the rheobase (threshold - rest), which yields mid-range firing
     without saturation.
     """
-    rheobase = (model.v_thresh - model.v_rest) / model.resistance
+    rheobase = (model.v_thresh - V_REST) / RESISTANCE
     target_current = 1.5 * rheobase
     mean_spikes_per_ms = n_pre * assumed_rate_hz / 1000.0
     return target_current / max(mean_spikes_per_ms, 1e-9)

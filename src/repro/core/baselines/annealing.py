@@ -16,24 +16,24 @@ from repro.core.fitness import InterconnectFitness
 from repro.core.partition import Partition, random_assignment
 from repro.snn.graph import SpikeGraph
 from repro.utils.rng import SeedLike, default_rng
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count
+
+#: Geometric cooling: from ``T_INITIAL`` by ``ALPHA`` per step, floored
+#: at ``T_FINAL``.
+T_INITIAL = 100.0
+T_FINAL = 0.01
+ALPHA = 0.999
 
 
 @dataclass(frozen=True)
 class AnnealingConfig:
-    """SA schedule: geometric cooling from ``t_initial`` by ``alpha``/step."""
+    """SA budget: ``n_steps`` (an integer of at least 1) steps of the
+    :data:`T_INITIAL` / :data:`ALPHA` / :data:`T_FINAL` schedule."""
 
     n_steps: int = 20_000
-    t_initial: float = 100.0
-    t_final: float = 0.01
-    alpha: float = 0.999
 
     def __post_init__(self) -> None:
-        check_positive("n_steps", self.n_steps)
-        check_positive("t_initial", self.t_initial)
-        check_positive("t_final", self.t_final)
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+        check_count("n_steps", self.n_steps)
 
 
 def annealing_partition(
@@ -81,7 +81,7 @@ def annealing_partition(
     current = fitness.evaluate(assignment)
     best = current
     best_assignment = assignment.copy()
-    temperature = config.t_initial
+    temperature = T_INITIAL
 
     for step in range(config.n_steps):
         # Alternate single-neuron moves with pairwise swaps; swaps keep
@@ -93,7 +93,7 @@ def annealing_partition(
             i, j = int(i), int(j)
             ci, cj = int(assignment[i]), int(assignment[j])
             if ci == cj:
-                temperature = max(temperature * config.alpha, config.t_final)
+                temperature = max(temperature * ALPHA, T_FINAL)
                 continue
             delta = move_delta(i, cj)
             assignment[i] = cj  # tentative, so j's delta sees i moved
@@ -107,7 +107,7 @@ def annealing_partition(
             new_cluster = int(rng.integers(0, n_clusters))
             old_cluster = int(assignment[neuron])
             if new_cluster == old_cluster or sizes[new_cluster] >= capacity:
-                temperature = max(temperature * config.alpha, config.t_final)
+                temperature = max(temperature * ALPHA, T_FINAL)
                 continue
             delta = move_delta(neuron, new_cluster)
             if accept(delta, temperature):
@@ -118,7 +118,7 @@ def annealing_partition(
         if current < best:
             best = current
             best_assignment = assignment.copy()
-        temperature = max(temperature * config.alpha, config.t_final)
+        temperature = max(temperature * ALPHA, T_FINAL)
 
     return Partition(
         assignment=best_assignment, n_clusters=n_clusters, capacity=capacity

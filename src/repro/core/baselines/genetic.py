@@ -21,28 +21,35 @@ from repro.core.fitness import InterconnectFitness
 from repro.core.partition import Partition, random_assignment, repair_assignment
 from repro.snn.graph import SpikeGraph
 from repro.utils.rng import SeedLike, default_rng
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import check_count, check_positive
+
+#: Contenders per tournament pick.
+TOURNAMENT = 3
+#: Probability that two parents are crossed rather than one copied.
+CROSSOVER_RATE = 0.9
+#: Per-gene mutation probability.
+MUTATION_RATE = 0.02
+#: Best individuals carried unchanged into each generation.
+ELITE = 2
 
 
 @dataclass(frozen=True)
 class GAConfig:
-    """GA hyper-parameters; defaults sized like the PSO bench budget."""
+    """GA budget; defaults sized like the PSO bench budget.  Both counts
+    are integers of at least 1, and the population holds the
+    :data:`ELITE` individuals."""
 
     population: int = 60
     generations: int = 40
-    tournament: int = 3
-    crossover_rate: float = 0.9
-    mutation_rate: float = 0.02
-    elite: int = 2
 
     def __post_init__(self) -> None:
-        check_positive("population", self.population)
-        check_positive("generations", self.generations)
-        check_positive("tournament", self.tournament)
-        check_probability("crossover_rate", self.crossover_rate)
-        check_probability("mutation_rate", self.mutation_rate)
-        if not 0 <= self.elite <= self.population:
-            raise ValueError("elite must be within the population size")
+        check_count("population", self.population)
+        check_count("generations", self.generations)
+        if self.population < ELITE:
+            raise ValueError(
+                f"population must hold the {ELITE} elite individuals, "
+                f"got {self.population}"
+            )
 
 
 def genetic_partition(
@@ -77,23 +84,23 @@ def genetic_partition(
     fitness = fitness_fn.evaluate_batch(population)
 
     def tournament_pick() -> int:
-        contenders = rng.integers(0, config.population, size=config.tournament)
+        contenders = rng.integers(0, config.population, size=TOURNAMENT)
         return int(contenders[np.argmin(fitness[contenders])])
 
     for _ in range(config.generations):
         order = np.argsort(fitness, kind="stable")
-        elites = population[order[: config.elite]].copy()
+        elites = population[order[:ELITE]].copy()
 
         children = []
-        while len(children) < config.population - config.elite:
+        while len(children) < config.population - ELITE:
             a = population[tournament_pick()]
             b = population[tournament_pick()]
-            if rng.random() < config.crossover_rate:
+            if rng.random() < CROSSOVER_RATE:
                 mask = rng.random(n) < 0.5
                 child = np.where(mask, a, b)
             else:
                 child = a.copy()
-            mutate = rng.random(n) < config.mutation_rate
+            mutate = rng.random(n) < MUTATION_RATE
             if mutate.any():
                 child = child.copy()
                 child[mutate] = rng.integers(0, n_clusters, size=int(mutate.sum()))

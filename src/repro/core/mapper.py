@@ -463,15 +463,14 @@ def compare_methods(
     seed: SeedLike = None,
     pso_config: Optional[PSOConfig] = None,
     objective: str = "packets",
-    noc_config=None,
     cache=None,
-    spare_capacity: float = 0.0,
 ) -> Dict[str, MappingResult]:
     """Run several partitioners on the same problem (Fig. 5 style).
 
     The ``"noc"`` objective only applies to PSO, so it restricts
     ``methods`` to ``("pso",)`` — mixing NoC-scored and structural
-    results in one table would be apples-to-oranges.
+    results in one table would be apples-to-oranges.  A ``"noc"``
+    swarm scores on the default :class:`~repro.noc.interconnect.NocConfig`.
     """
     if objective == "noc":
         rejected = [m for m in methods if m != "pso"]
@@ -483,8 +482,7 @@ def compare_methods(
     return {
         m: map_snn(
             graph, architecture, method=m, seed=seed, pso_config=pso_config,
-            objective=objective, noc_config=noc_config, cache=cache,
-            spare_capacity=spare_capacity,
+            objective=objective, cache=cache,
         )
         for m in methods
     }

@@ -32,7 +32,6 @@ and ``tests/core/test_pso.py`` pins trajectories that predate all of it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
@@ -42,9 +41,17 @@ from repro.core.fitness import InterconnectFitness
 from repro.core.partition import Partition, repair_batch
 from repro.obs import get_observer
 from repro.utils.rng import SeedLike, default_rng
-from repro.utils.validation import check_nonnegative, check_positive
+from repro.utils.validation import check_count, check_positive
 
 BatchFitness = Callable[[np.ndarray], np.ndarray]
+
+#: Eq. 1's inertia weight and acceleration constants: the Clerc-Kennedy
+#: constriction values, fixed for every swarm the paper runs.
+INERTIA = 0.729
+COGNITIVE = 1.49445  # phi_1: pull toward the particle's own best
+SOCIAL = 1.49445     # phi_2: pull toward the swarm's best
+#: Velocity clamp of Eq. 1.
+V_MAX = 6.0
 
 
 @dataclass(frozen=True)
@@ -56,58 +63,31 @@ class PSOConfig:
     its Fig. 7 shows.  Defaults here are mid-range so unit tests stay fast;
     benches pass the paper's values explicitly.
 
-    The two counts must be integers (``operator.index`` accepts them),
-    the five coefficients finite, ``inertia``, ``cognitive`` and
-    ``social`` non-negative and ``v_max``, ``x_max`` positive: anything
-    else would fail deep inside numpy or run the swarm on NaN.
-
-    ``dtype`` selects the floating-point type of the swarm's position,
-    velocity and best-position buffers (six (P, N, C) buffers: position,
-    velocity, personal best, scratch, uniform draws, one-hot).
-    ``np.float32`` shrinks them at the cost of a slightly different
-    stochastic trajectory; ``np.float64`` (default) reproduces the
-    historical bit-exact results.
+    The two counts must be integers (``operator.index`` accepts them)
+    of at least 1 and ``x_max`` finite and positive: anything else would
+    fail deep inside numpy or run the swarm on NaN.  Eq. 1's
+    coefficients are the module constants :data:`INERTIA`,
+    :data:`COGNITIVE`, :data:`SOCIAL` and :data:`V_MAX`.  The swarm's
+    six ``(P, N, C)`` buffers (position, velocity, personal best,
+    scratch, uniform draws, one-hot) are float64.
     """
 
     n_particles: int = 100
     n_iterations: int = 100
-    inertia: float = 0.729
-    cognitive: float = 1.49445  # phi_1: pull toward the particle's own best
-    social: float = 1.49445     # phi_2: pull toward the swarm's best
-    v_max: float = 6.0
     x_max: float = 10.0
     binarization: str = "stochastic"  # or "argmax"
-    dtype: object = np.float64
 
     def __post_init__(self) -> None:
-        for name in ("n_particles", "n_iterations"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(
-                    f"{name} must be an integer, got {value!r}"
-                ) from None
-            check_positive(name, value)
-        for name in ("inertia", "cognitive", "social", "v_max", "x_max"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        check_positive("v_max", self.v_max)
+        check_count("n_particles", self.n_particles)
+        check_count("n_iterations", self.n_iterations)
+        if not math.isfinite(self.x_max):
+            raise ValueError(f"x_max must be finite, got {self.x_max!r}")
         check_positive("x_max", self.x_max)
-        for name in ("inertia", "cognitive", "social"):
-            check_nonnegative(name, getattr(self, name))
         if self.binarization not in ("stochastic", "argmax"):
             raise ValueError(
                 f"unknown binarization {self.binarization!r}; "
                 "use 'stochastic' or 'argmax'"
             )
-        dtype = np.dtype(self.dtype)
-        if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-            raise ValueError(
-                f"dtype must be float32 or float64, got {dtype}"
-            )
-        object.__setattr__(self, "dtype", dtype)
 
 
 @dataclass
@@ -174,8 +154,7 @@ class BinaryPSO:
             self._evaluate: BatchFitness = evaluate_batch
         else:
             self._evaluate = fitness
-        self._dtype = np.dtype(self.config.dtype)
-        self._half_x = self._dtype.type(self.config.x_max / 2.0)
+        self._half_x = np.float64(self.config.x_max / 2.0)
         self._onehot_buf: Optional[np.ndarray] = None
         self._onehot_base: Optional[np.ndarray] = None
         self._onehot_set: Optional[np.ndarray] = None
@@ -214,13 +193,8 @@ class BinaryPSO:
         cfg = self.config
         p, n, c = cfg.n_particles, self.n_neurons, self.n_clusters
 
-        # Init draws stay float64 regardless of cfg.dtype so the float32
-        # swarm explores from the same starting cloud.
         positions = self.rng.uniform(-1.0, 1.0, size=(p, n, c))
-        velocities = self.rng.uniform(-cfg.v_max / 2, cfg.v_max / 2, size=(p, n, c))
-        if self._dtype != np.float64:
-            positions = positions.astype(self._dtype)
-            velocities = velocities.astype(self._dtype)
+        velocities = self.rng.uniform(-V_MAX / 2, V_MAX / 2, size=(p, n, c))
         scratch = np.empty_like(positions)
         r = np.empty_like(positions)
         # The decode's cumulative planes live in r's memory: the uniform
@@ -290,17 +264,17 @@ class BinaryPSO:
             # In-place Eq. 1: the operands and operation order of
             # `inertia*v + cognitive*r1*(pbest-x) + social*r2*(gbest-x)`,
             # r1 then r2 drawn into the one buffer (see the docstring).
-            velocities *= cfg.inertia
+            velocities *= INERTIA
             for attractor, phi in (
-                (pbest_positions, cfg.cognitive),
-                (gbest_position[None, :, :], cfg.social),
+                (pbest_positions, COGNITIVE),
+                (gbest_position[None, :, :], SOCIAL),
             ):
                 np.subtract(attractor, positions, out=scratch)
                 self._rand(out=r)
                 r *= phi
                 r *= scratch
                 velocities += r
-            np.clip(velocities, -cfg.v_max, cfg.v_max, out=velocities)
+            np.clip(velocities, -V_MAX, V_MAX, out=velocities)
             positions += velocities
             np.clip(positions, -cfg.x_max, cfg.x_max, out=positions)
 
@@ -314,19 +288,9 @@ class BinaryPSO:
     # -- internals ------------------------------------------------------------------
 
     def _rand(self, size=None, out=None) -> np.ndarray:
-        """Uniform [0, 1) draws in the swarm dtype.
-
-        The float64 path is byte-for-byte the historical stream; float32
-        consumes the bit stream differently (one uint32 per value) and is
-        only used when ``PSOConfig(dtype=np.float32)`` opts in.
-        """
-        if self._dtype == np.float64:
-            if out is not None:
-                return self.rng.random(out=out)
-            return self.rng.random(size=size)
-        if out is not None:
-            return self.rng.random(out=out, dtype=np.float32)
-        return self.rng.random(size=size, dtype=np.float32)
+        """Uniform [0, 1) draws from the swarm stream: the one draw site
+        of Eq. 1's factors and the decode's ``u``."""
+        return self.rng.random(size=size, out=out)
 
     def _binarize(
         self,
@@ -409,7 +373,7 @@ class BinaryPSO:
         p, n = assignments.shape
         buf = self._onehot_buf
         if buf is None or buf.shape[0] != p:
-            buf = np.empty((p, n, self.n_clusters), dtype=self._dtype)
+            buf = np.empty((p, n, self.n_clusters), dtype=np.float64)
             buf.fill(-self._half_x)
             self._onehot_buf = buf
             self._onehot_base = np.arange(
@@ -434,7 +398,7 @@ class BinaryPSO:
             onehot = np.full(
                 (self.n_neurons, self.n_clusters),
                 -self._half_x,
-                dtype=self._dtype,
+                dtype=np.float64,
             )
             onehot[np.arange(self.n_neurons), initial_assignments[i]] = (
                 self._half_x

@@ -36,6 +36,9 @@ from repro.obs import get_observer
 from repro.snn.graph import SpikeGraph
 from repro.utils.validation import check_nonnegative, check_positive
 
+#: Strongest desired moves per side that the swap search pairs.
+SWAP_CANDIDATES = 8
+
 
 @dataclass(frozen=True)
 class FaultEvent:
@@ -73,7 +76,7 @@ class RemapEpoch:
 
     fitness_before: float
     fitness_after: float
-    moves: List[Move] = field(default_factory=list)
+    moves: List[Move] = field(default_factory=list, init=False)  # appended as applied
 
     @property
     def improvement(self) -> float:
@@ -330,15 +333,14 @@ class RuntimeRemapper:
             self._gains(), stranded[by_cluster], self._admitting(sizes)
         )
 
-    def _best_swap(
-        self, gains: np.ndarray, top_k: int = 8
-    ) -> Optional[Tuple[int, int, float]]:
+    def _best_swap(self, gains: np.ndarray) -> Optional[Tuple[int, int, float]]:
         """Best pairwise exchange, found via per-neuron desired moves.
 
         Capacity-blocked improvements manifest as *desires*: neuron i
         wants cluster b, neuron j in b wants i's cluster a.  Pairing the
         strongest opposite desires and scoring the exact swap gain finds
-        the improving exchange without an O(N^2) scan.
+        the improving exchange without an O(N^2) scan: the
+        :data:`SWAP_CANDIDATES` strongest desires of each side are paired.
         """
         a = self.assignment
         neurons, clusters = np.nonzero((gains > 1e-12) & self._admitting())
@@ -355,8 +357,8 @@ class RuntimeRemapper:
             reverse = desires.get((cb, ca))
             if not reverse or ca > cb:
                 continue  # unordered pairs once
-            for gain_i, i in sorted(forward, reverse=True)[:top_k]:
-                for gain_j, j in sorted(reverse, reverse=True)[:top_k]:
+            for gain_i, i in sorted(forward, reverse=True)[:SWAP_CANDIDATES]:
+                for gain_j, j in sorted(reverse, reverse=True)[:SWAP_CANDIDATES]:
                     # j's gain once i has moved: their shared traffic
                     # changes sides twice.
                     shared = self._pair_traffic.get((min(i, j), max(i, j)), 0.0)

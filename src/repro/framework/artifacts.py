@@ -58,7 +58,7 @@ from repro.obs import get_observer
 
 #: Bump when token layouts change incompatibly: old on-disk entries then
 #: miss instead of deserializing into the wrong shape.
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
 _DIGESTS: Dict[int, Any] = {}  # id(instance) -> (weakref, digest); see _digest
 
@@ -141,7 +141,7 @@ def config_token(config: Any) -> Any:
     """Canonical token of a frozen config dataclass (``None`` passes through).
 
     One digest per instance of its field values folded by ``repr``, which
-    round-trips floats exactly and renders dtype-like fields stably.
+    round-trips floats exactly.
     """
     if config is None:
         return None

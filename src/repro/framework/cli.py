@@ -485,19 +485,19 @@ def _cmd_faults(args) -> int:
             graph, arch, cache=cache, spare_capacity=spare, **kwargs
         )
 
-    if args.spare_capacity > 0:
-        # Same method and seed twice, with and without headroom: the
-        # campaign then measures what the spare-capacity knob buys.
-        mappings = {
-            "baseline": build_mapping(0.0),
-            "fault-aware": build_mapping(args.spare_capacity),
-        }
-    else:
-        mappings = {args.method: build_mapping(0.0)}
-    for label, mapping in mappings.items():
-        print(f"{label}: {mapping.describe()}")
-
     try:
+        if args.spare_capacity > 0:
+            # Same method and seed twice, with and without headroom: the
+            # campaign then measures what the spare-capacity knob buys.
+            mappings = {
+                "baseline": build_mapping(0.0),
+                "fault-aware": build_mapping(args.spare_capacity),
+            }
+        else:
+            mappings = {args.method: build_mapping(0.0)}
+        for label, mapping in mappings.items():
+            print(f"{label}: {mapping.describe()}")
+
         summary = run_fault_campaign(
             graph, arch,
             mappings=mappings,
@@ -508,7 +508,8 @@ def _cmd_faults(args) -> int:
             cache=cache,
         )
     except ValueError as exc:
-        # More faults than the fabric survives.
+        # A mapping that does not fit (e.g. the spare capacity leaves
+        # too few slots), or more faults than the fabric survives.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(summary.table())

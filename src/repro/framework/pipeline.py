@@ -10,9 +10,9 @@ fabrics, level by level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.mapper import SEED_FREE_METHODS, MappingResult, _map_snn, map_snn
+from repro.core.mapper import SEED_FREE_METHODS, MappingResult, _map_snn
 from repro.core.pso import PSOConfig
 from repro.hardware.architecture import Architecture
 from repro.metrics.report import MetricReport, build_report
@@ -260,15 +260,11 @@ def _fault_levels(levels: Sequence[int]) -> Tuple[int, ...]:
 def run_fault_campaign(
     graph: SpikeGraph,
     architecture: Architecture,
-    mappings: Optional[dict] = None,
+    mappings: Dict[str, MappingResult],
     fault_levels: Sequence[int] = (1, 2, 4),
     draws: int = 8,
     campaign_seed: int = 0,
-    method: str = "pso",
-    seed: SeedLike = None,
-    pso_config: Optional[PSOConfig] = None,
     noc_config: Optional[NocConfig] = None,
-    spare_capacity: float = 0.0,
     cache=None,
 ) -> "CampaignSummary":
     """Monte-Carlo fault campaign: N seeded draws per fault level.
@@ -302,25 +298,23 @@ def run_fault_campaign(
     ----------
     mappings:
         ``{label: MappingResult}`` mappings to measure under identical
-        fault draws (e.g. a fault-aware vs. a baseline mapping).
-        ``None`` maps the graph once with ``method``/``seed``/
-        ``spare_capacity`` and labels it ``method``.
+        fault draws (e.g. a fault-aware vs. a baseline mapping), at
+        least one; the campaign maps nothing itself.
     fault_levels / draws:
         Link-fault counts to sweep, and seeded draws per level.  A
         negative or repeated level raises ``ValueError`` before
         anything is mapped or simulated.
     cache:
         An :class:`~repro.framework.artifacts.ArtifactCache`.  Memoizes
-        the ``mappings=None`` mapping, and every finished ``(level,
-        draw)`` whole (kind ``sweep-point``, on disk when the cache has
-        a directory), keyed by what shapes it: graph and architecture
-        content, every mapping's label and assignment, the NoC config,
-        the level, the draw and its child seed.  A level's missing draws
-        are computed together and stored one entry each as the level
-        finishes, so a killed run loses at most the level in flight; run
-        again on the same directory it computes only the missing draws
-        (a grown grid only the new ones), and a changed seed, mapping or
-        config hits nothing.
+        every finished ``(level, draw)`` whole (kind ``sweep-point``, on
+        disk when the cache has a directory), keyed by what shapes it:
+        graph and architecture content, every mapping's label and
+        assignment, the NoC config, the level, the draw and its child
+        seed.  A level's missing draws are computed together and stored
+        one entry each as the level finishes, so a killed run loses at
+        most the level in flight; run again on the same directory it
+        computes only the missing draws (a grown grid only the new ones),
+        and a changed seed, mapping or config hits nothing.
     """
     from repro.framework.artifacts import (
         _sweep_points,
@@ -335,14 +329,6 @@ def run_fault_campaign(
     if draws <= 0:
         raise ValueError(f"draws must be positive, got {draws}")
     levels = _fault_levels(fault_levels)
-    if mappings is None:
-        mappings = {
-            method: map_snn(
-                graph, architecture, method=method, seed=seed,
-                pso_config=pso_config, noc_config=noc_config, cache=cache,
-                spare_capacity=spare_capacity,
-            )
-        }
     if not mappings:
         raise ValueError("campaign needs at least one mapping to measure")
     labels = tuple(mappings)

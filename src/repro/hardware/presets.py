@@ -16,13 +16,12 @@ from repro.hardware.architecture import Architecture
 from repro.hardware.energy_model import EnergyModel
 
 
-def cxquad(cycles_per_ms: float = 10.0) -> Architecture:
+def cxquad() -> Architecture:
     """The paper's reference platform: 4 crossbars x 256 neurons, NoC-tree."""
     return Architecture(
         n_crossbars=4,
         neurons_per_crossbar=256,
         interconnect="tree",
-        cycles_per_ms=cycles_per_ms,
         energy=EnergyModel(reference_crossbar_size=128),
         name="cxquad",
     )
@@ -31,14 +30,12 @@ def cxquad(cycles_per_ms: float = 10.0) -> Architecture:
 def truenorth_like(
     n_crossbars: int = 16,
     neurons_per_crossbar: int = 256,
-    cycles_per_ms: float = 10.0,
 ) -> Architecture:
     """A TrueNorth-style platform: small tiles on a NoC-mesh."""
     return Architecture(
         n_crossbars=n_crossbars,
         neurons_per_crossbar=neurons_per_crossbar,
         interconnect="mesh",
-        cycles_per_ms=cycles_per_ms,
         energy=EnergyModel(reference_crossbar_size=256),
         name="truenorth_like",
     )
@@ -48,24 +45,21 @@ def multichip_board(
     n_chips: int = 4,
     crossbars_per_chip: int = 4,
     neurons_per_crossbar: int = 256,
-    bridge_latency: int = 4,
-    cycles_per_ms: float = 10.0,
 ) -> Architecture:
     """A board of several mesh chips joined by bridges (TrueNorth-style).
 
-    Chip-to-chip links are slower than on-chip hops (``bridge_latency``
-    cycles each) and each crossing pays the energy model's
-    ``e_bridge_pj`` on top of per-hop costs.
+    Chip-to-chip links are slower than on-chip hops (4 cycles each) and
+    each crossing pays the energy model's ``e_bridge_pj`` on top of
+    per-hop costs.
     """
     return Architecture(
         n_crossbars=n_chips * crossbars_per_chip,
         neurons_per_crossbar=neurons_per_crossbar,
         interconnect="mesh",
-        cycles_per_ms=cycles_per_ms,
         energy=EnergyModel(reference_crossbar_size=256),
         name=f"multichip_board_{n_chips}x{crossbars_per_chip}",
         n_chips=n_chips,
-        bridge_latency=bridge_latency,
+        bridge_latency=4,
     )
 
 

@@ -49,7 +49,6 @@ def gini_coefficient(values: np.ndarray) -> float:
 def congestion_report(
     stats: NocStats,
     topology: Topology,
-    top: int = 5,
 ) -> CongestionReport:
     """Summarize link utilization of a finished NoC simulation.
 
@@ -68,6 +67,6 @@ def congestion_report(
         max_link_load=int(loads.max()) if loads.size else 0,
         mean_link_load=float(loads.mean()) if loads.size else 0.0,
         gini=gini_coefficient(padded),
-        hotspots=tuple(stats.hottest_links(top=top)),
+        hotspots=tuple(stats.hottest_links()),
     )
 

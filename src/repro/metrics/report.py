@@ -201,8 +201,9 @@ class CampaignSummary:
     levels: Tuple[int, ...]
     draws_per_level: int
     labels: Tuple[str, ...]
-    healthy: Dict[str, CampaignDraw] = field(default_factory=dict)
-    draws: List[CampaignDraw] = field(default_factory=list)
+    # Filled in by the campaign as it measures.
+    healthy: Dict[str, CampaignDraw] = field(default_factory=dict, init=False)
+    draws: List[CampaignDraw] = field(default_factory=list, init=False)
 
     def draws_for(self, mapping: str, level: int) -> List[CampaignDraw]:
         return [

@@ -51,7 +51,7 @@ is a flat array:
   and a ``KernelFabric`` record (router and port counts plus pointers
   to them) is what a kernel call's schedules point at; engines share a
   call when they agree on what it reads once (``_call_key``: kernel
-  body and mask width, ``buffer_capacity``, ``ejections_per_cycle``);
+  body and mask width, ``buffer_capacity``);
 - **precomputed next-hop port masks** — the routing table's dense
   ``next_hops`` array (:mod:`repro.noc.routing`) collapses into
   per-router ``(dst_mask, neighbor, downstream_port, edge)`` entries:
@@ -96,7 +96,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.noc._ckernel import KernelFabric, load_kernel, resolve_threads
-from repro.noc.interconnect import Interconnect, NocConfig
+from repro.noc.interconnect import EJECTIONS_PER_CYCLE, Interconnect, NocConfig
 from repro.noc.packet import Injection
 from repro.noc.routing import RoutingTable, route_links, routing_for
 from repro.noc.stats import DeliveryColumns, DeliveryRecord, NocStats
@@ -366,16 +366,11 @@ class FastInterconnect:
         return simulate_fabrics([(self, schedules)], threads)[0]
 
     @property
-    def _call_key(self) -> Tuple[str, int, int, int]:
+    def _call_key(self) -> Tuple[str, int, int]:
         """What one kernel call reads once for all its schedules: the
-        body, the mask width, the buffer capacity and the ejection
-        limit.  Engines that agree on it can share a call."""
-        return (
-            self._engine,
-            self._n_words,
-            self.config.buffer_capacity,
-            self.config.ejections_per_cycle,
-        )
+        body, the mask width and the buffer capacity.  Engines that
+        agree on it can share a call."""
+        return (self._engine, self._n_words, self.config.buffer_capacity)
 
     # -- schedule expansion --------------------------------------------------
 
@@ -426,7 +421,7 @@ def simulate_fabrics(
     degraded fabric): every schedule of every job runs in **one**
     kernel call, each schedule naming its own fabric's tables.  Engines
     that disagree on what a call reads once (``_call_key``: kernel body
-    and mask width, ``buffer_capacity``, ``ejections_per_cycle``) go
+    and mask width, ``buffer_capacity``) go
     into separate calls, in first-seen order.  A call that fails reruns
     all of its schedules, each on its own fabric's reference engine
     (``noc.kernel.fallbacks`` ticks once per failed call), and an
@@ -566,11 +561,13 @@ def _dispatch(live: List[_Live], n_threads: int) -> bool:
     d_len, cycles_run = (np.empty(n_live, dtype=np.int64) for _ in range(2))
     status = np.empty(n_live, dtype=np.int32)
     ck = live[0].engine._ck
-    kind, n_words, capacity, ej_max = live[0].engine._call_key
+    kind, n_words, capacity = live[0].engine._call_key
     if kind == "c":
-        entry, per_call = ck.nocsim_run_batch, (capacity, ej_max)
+        entry, per_call = ck.nocsim_run_batch, (capacity, EJECTIONS_PER_CYCLE)
     else:
-        entry, per_call = ck.nocsim_run_batch_mw, (n_words, capacity, ej_max)
+        entry, per_call = ck.nocsim_run_batch_mw, (
+            n_words, capacity, EJECTIONS_PER_CYCLE,
+        )
     # One ctypes call for the whole batch; ctypes releases the GIL for
     # the duration, so the OpenMP team runs truly in parallel.
     inputs = (

@@ -20,7 +20,6 @@ deadlocked configuration fails loudly in tests rather than spinning.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -30,44 +29,39 @@ from repro.noc.routing import RoutingTable, route_links, routing_for
 from repro.noc.stats import DeliveryRecord, NocStats
 from repro.noc.topology import Topology
 from repro.obs import get_observer
+from repro.utils.validation import check_count
+
+#: Decoder bandwidth at each tile: deliveries a router ejects per cycle.
+EJECTIONS_PER_CYCLE = 1
 
 
 @dataclass(frozen=True)
 class NocConfig:
-    """Tunable interconnect parameters (Noxim's configuration surface).
+    """The interconnect parameters an experiment chooses.
 
-    ``buffer_capacity`` is packets per channel buffer; ``ejections_per_cycle``
-    models decoder bandwidth at each tile; ``multicast`` toggles Noxim++
+    ``buffer_capacity`` is packets per channel buffer; ``multicast`` toggles Noxim++
     extension #3 (single packet forked in-network) versus plain unicast
     replication at the source; ``max_extra_cycles`` bounds
     post-injection drain time before the simulation declares itself
     stuck; ``backend`` selects the simulation engine — "reference" is the
     object-per-packet oracle loop in this module, "fast" is the compiled
     kernel behind :mod:`repro.noc.fastsim` (bit-identical; it hands
-    whatever it cannot run back to this loop).
+    whatever it cannot run back to this loop).  Each tile's decoder
+    ejects :data:`EJECTIONS_PER_CYCLE` deliveries per cycle.
 
-    The three counts must be integers (``operator.index`` accepts them)
+    The two counts must be integers (``operator.index`` accepts them)
     of at least 1 and ``multicast`` a ``bool``: the compiled kernel
     takes them as C integers.
     """
 
     buffer_capacity: int = 8
-    ejections_per_cycle: int = 1
     multicast: bool = True
     max_extra_cycles: int = 200_000
     backend: str = "reference"
 
     def __post_init__(self) -> None:
-        for name in ("buffer_capacity", "ejections_per_cycle", "max_extra_cycles"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(
-                    f"{name} must be an integer, got {value!r}"
-                ) from None
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_count("buffer_capacity", self.buffer_capacity)
+        check_count("max_extra_cycles", self.max_extra_cycles)
         if not isinstance(self.multicast, bool):
             raise ValueError(
                 f"multicast must be a bool, got {self.multicast!r}"
@@ -241,7 +235,7 @@ class Interconnect:
                 progressed: set = set()
                 for direction, dst_group in groups.items():
                     if direction == "eject":
-                        if ejections >= self.config.ejections_per_cycle:
+                        if ejections >= EJECTIONS_PER_CYCLE:
                             continue
                         ejections += 1
                         stats.record(

@@ -51,6 +51,10 @@ class DeliveryColumns(NamedTuple):
     delivered_cycle: np.ndarray
 
 
+#: Links a congestion report names as hotspots.
+HOTSPOTS = 5
+
+
 @dataclass
 class NocStats:
     """Aggregate outcome of one interconnect simulation.
@@ -69,14 +73,17 @@ class NocStats:
         Packet traversals per directed link ``(u, v)``.
     peak_buffer_occupancy:
         High-water mark over all bounded channel buffers.
+
+    Every attribute starts empty and is filled in by the engine that
+    runs the simulation: none is a constructor argument.
     """
 
-    deliveries: List[DeliveryRecord] = field(default_factory=list)
-    n_injected: int = 0
-    n_expected_deliveries: int = 0
-    cycles_run: int = 0
-    link_loads: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    peak_buffer_occupancy: int = 0
+    deliveries: List[DeliveryRecord] = field(default_factory=list, init=False)
+    n_injected: int = field(default=0, init=False)
+    n_expected_deliveries: int = field(default=0, init=False)
+    cycles_run: int = field(default=0, init=False)
+    link_loads: Dict[Tuple[int, int], int] = field(default_factory=dict, init=False)
+    peak_buffer_occupancy: int = field(default=0, init=False)
 
     # -- bookkeeping used by the simulator ---------------------------------
 
@@ -146,9 +153,10 @@ class NocStats:
         duration_ms = self.cycles_run / cycles_per_ms
         return self.delivered_count / duration_ms
 
-    def hottest_links(self, top: int = 5) -> List[Tuple[Tuple[int, int], int]]:
-        """The ``top`` most-loaded directed links, for congestion reports."""
-        return sorted(self.link_loads.items(), key=lambda kv: -kv[1])[:top]
+    def hottest_links(self) -> List[Tuple[Tuple[int, int], int]]:
+        """The :data:`HOTSPOTS` most-loaded directed links, for
+        congestion reports."""
+        return sorted(self.link_loads.items(), key=lambda kv: -kv[1])[:HOTSPOTS]
 
     def describe(self) -> str:
         return (

@@ -203,11 +203,11 @@ class ColumnarSchedule:
         rows: Sequence[Injection],
         node_ids: np.ndarray,
         n_source_neurons: int,
-        cycles_per_ms: float = 1.0,
     ) -> "ColumnarSchedule":
         """The schedule of row-oriented injections over the routers
         ``node_ids`` (sorted), by the rules of the reference
-        :func:`~repro.noc.interconnect.build_packet_schedule`.
+        :func:`~repro.noc.interconnect.build_packet_schedule`.  The rows
+        carry their own cycles, so ``cycles_per_ms`` is 1.
 
         A row's own router is dropped from its destinations, and a row
         left with none is dropped; uid ``-1`` takes the next id after
@@ -255,7 +255,7 @@ class ColumnarSchedule:
             uid=uid,
             dst_words=words[order].astype(np.uint64, copy=False),
             node_ids=node_ids,
-            cycles_per_ms=cycles_per_ms,
+            cycles_per_ms=1.0,
             n_source_neurons=n_source_neurons,
             n_spike_events=len(rows),
         )

@@ -27,9 +27,7 @@ from repro.utils.validation import check_positive
 class Population:
     """A named group of neurons sharing a model (or a spike source).
 
-    Exactly one of ``model`` / ``source`` is set.  ``bias_current`` is a
-    constant input added every tick (used to give idle neurons a baseline
-    drive without wiring a dedicated source).
+    Exactly one of ``model`` / ``source`` is set.
     """
 
     name: str
@@ -37,7 +35,6 @@ class Population:
     model: Optional[NeuronModel] = None
     source: Optional[SpikeSource] = None
     layer: int = 0
-    bias_current: float = 0.0
     id_offset: int = field(default=-1, init=False)
 
     def __post_init__(self) -> None:
@@ -121,12 +118,9 @@ class Network:
         size: int,
         model: NeuronModel,
         layer: int = 0,
-        bias_current: float = 0.0,
     ) -> Population:
         """Add a dynamical population and assign its global id range."""
-        pop = Population(
-            name=name, size=size, model=model, layer=layer, bias_current=bias_current
-        )
+        pop = Population(name=name, size=size, model=model, layer=layer)
         return self._register(pop)
 
     def add_source(self, name: str, source: SpikeSource, layer: int = 0) -> Population:

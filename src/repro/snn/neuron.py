@@ -35,6 +35,15 @@ class NeuronState:
     extra: Dict[str, np.ndarray] = field(default_factory=dict)
 
 
+#: Resting and reset potentials (mV) and membrane resistance (MOhm) of
+#: both LIF models: conventional cortical values.
+V_REST = -65.0
+V_RESET = -70.0
+RESISTANCE = 1.0
+#: Izhikevich spike cutoff (mV).
+V_PEAK = 30.0
+
+
 class NeuronModel:
     """Interface for point-neuron dynamics.
 
@@ -54,43 +63,39 @@ class NeuronModel:
 class LIFModel(NeuronModel):
     """Leaky integrate-and-fire neuron.
 
-    Membrane dynamics ``tau_m * dv/dt = (v_rest - v) + R * I``; a spike is
-    emitted when ``v >= v_thresh``, after which ``v`` is clamped to
-    ``v_reset`` for ``t_ref`` milliseconds.
+    Membrane dynamics ``tau_m * dv/dt = (V_REST - v) + R * I`` with
+    ``R = RESISTANCE``; a spike is emitted when ``v >= v_thresh``, after
+    which ``v`` is clamped to ``V_RESET`` for ``t_ref`` milliseconds.
 
-    Parameters use conventional cortical values by default (mV / ms / MOhm).
+    Parameters use conventional cortical values by default (mV / ms).
     """
 
     tau_m: float = 20.0
-    v_rest: float = -65.0
-    v_reset: float = -70.0
     v_thresh: float = -50.0
     t_ref: float = 2.0
-    resistance: float = 1.0
 
     def __post_init__(self) -> None:
         check_positive("tau_m", self.tau_m)
-        if self.v_thresh <= self.v_reset:
+        if self.v_thresh <= V_RESET:
             raise ValueError(
-                f"v_thresh ({self.v_thresh}) must exceed v_reset ({self.v_reset})"
+                f"v_thresh ({self.v_thresh}) must exceed v_reset ({V_RESET})"
             )
         if self.t_ref < 0:
             raise ValueError(f"t_ref must be non-negative, got {self.t_ref}")
 
     def allocate_state(self, n: int) -> NeuronState:
         return NeuronState(
-            v=np.full(n, self.v_rest, dtype=np.float64),
+            v=np.full(n, V_REST, dtype=np.float64),
             refractory=np.zeros(n, dtype=np.float64),
         )
 
     def step(self, state: NeuronState, input_current: np.ndarray, dt: float) -> np.ndarray:
+        # RESISTANCE is 1.0, so R * I is I bit for bit.
         active = state.refractory <= 0.0
-        dv = (dt / self.tau_m) * (
-            (self.v_rest - state.v) + self.resistance * input_current
-        )
+        dv = (dt / self.tau_m) * ((V_REST - state.v) + input_current)
         state.v = np.where(active, state.v + dv, state.v)
         spiked = active & (state.v >= self.v_thresh)
-        state.v[spiked] = self.v_reset
+        state.v[spiked] = V_RESET
         state.refractory[spiked] = self.t_ref
         state.refractory[~spiked] -= dt
         np.clip(state.refractory, 0.0, None, out=state.refractory)
@@ -110,7 +115,6 @@ class IzhikevichModel(NeuronModel):
     b: float = 0.2
     c: float = -65.0
     d: float = 8.0
-    v_peak: float = 30.0
 
     def allocate_state(self, n: int) -> NeuronState:
         v = np.full(n, self.c, dtype=np.float64)
@@ -129,10 +133,10 @@ class IzhikevichModel(NeuronModel):
             state.v = state.v + half * dv
             # Clamp runaway trajectories so one step past threshold cannot
             # overflow the quadratic term before spike detection.
-            np.clip(state.v, -120.0, 2.0 * self.v_peak, out=state.v)
+            np.clip(state.v, -120.0, 2.0 * V_PEAK, out=state.v)
         du = self.a * (self.b * state.v - u)
         state.extra["u"] = u + dt * du
-        spiked = state.v >= self.v_peak
+        spiked = state.v >= V_PEAK
         state.v[spiked] = self.c
         state.extra["u"][spiked] += self.d
         return spiked
@@ -150,20 +154,17 @@ class AdaptiveLIFModel(NeuronModel):
     """
 
     tau_m: float = 20.0
-    v_rest: float = -65.0
-    v_reset: float = -70.0
     v_thresh: float = -52.0
     t_ref: float = 5.0
-    resistance: float = 1.0
     theta_plus: float = 0.8
     tau_theta: float = 1_000.0
 
     def __post_init__(self) -> None:
         check_positive("tau_m", self.tau_m)
         check_positive("tau_theta", self.tau_theta)
-        if self.v_thresh <= self.v_reset:
+        if self.v_thresh <= V_RESET:
             raise ValueError(
-                f"v_thresh ({self.v_thresh}) must exceed v_reset ({self.v_reset})"
+                f"v_thresh ({self.v_thresh}) must exceed v_reset ({V_RESET})"
             )
         if self.theta_plus < 0:
             raise ValueError(f"theta_plus must be non-negative, got {self.theta_plus}")
@@ -172,7 +173,7 @@ class AdaptiveLIFModel(NeuronModel):
 
     def allocate_state(self, n: int) -> NeuronState:
         return NeuronState(
-            v=np.full(n, self.v_rest, dtype=np.float64),
+            v=np.full(n, V_REST, dtype=np.float64),
             refractory=np.zeros(n, dtype=np.float64),
             extra={"theta": np.zeros(n, dtype=np.float64)},
         )
@@ -181,12 +182,10 @@ class AdaptiveLIFModel(NeuronModel):
         theta = state.extra["theta"]
         theta *= np.exp(-dt / self.tau_theta)
         active = state.refractory <= 0.0
-        dv = (dt / self.tau_m) * (
-            (self.v_rest - state.v) + self.resistance * input_current
-        )
+        dv = (dt / self.tau_m) * ((V_REST - state.v) + input_current)
         state.v = np.where(active, state.v + dv, state.v)
         spiked = active & (state.v >= self.v_thresh + theta)
-        state.v[spiked] = self.v_reset
+        state.v[spiked] = V_RESET
         state.refractory[spiked] = self.t_ref
         theta[spiked] += self.theta_plus
         state.refractory[~spiked] -= dt

@@ -1,7 +1,7 @@
 """Clock-driven SNN simulation engine.
 
-The simulator advances all populations on a fixed tick (default 1 ms,
-CARLsim's resolution).  Each tick:
+The simulator advances all populations on a fixed tick of :data:`DT`
+(1 ms, CARLsim's resolution).  Each tick:
 
 1. stimulus populations draw spikes from their sources;
 2. spikes scheduled to arrive this tick (projection delays) are converted
@@ -41,10 +41,13 @@ from repro.snn.generators import (
     ScheduledSource,
 )
 from repro.snn.network import Network
-from repro.snn.neuron import LIFModel
+from repro.snn.neuron import V_REST, V_RESET, LIFModel
 from repro.snn.stdp import STDPRule, STDPState
 from repro.utils.rng import SeedLike, default_rng
 from repro.utils.validation import check_positive
+
+#: Tick length in milliseconds.
+DT = 1.0
 
 # Projections at or below this non-zero density deliver through a CSR
 # scatter instead of a dense row gather, once the dense gather is big
@@ -142,20 +145,15 @@ class _FusedLIF:
                 [np.full(pop.size, getattr(pop.model, attr)) for pop in pops]
             )
 
-        self.v = col("v_rest").copy()
+        self.v = np.full(self.n, V_REST)
         self.refractory = np.zeros(self.n, dtype=np.float64)
-        self.v_rest = col("v_rest")
-        self.v_reset = col("v_reset")
         self.v_thresh = col("v_thresh")
         self.t_ref = col("t_ref")
-        self.resistance = col("resistance")
-        self.uniform_resistance = bool(np.all(self.resistance == 1.0))
         self.tau_m = col("tau_m")
         self._coeff: Optional[np.ndarray] = None
         self._max_ref_ticks = 0
         self._refr_left = 0  # ticks until every refractory window has lapsed
         self._t1 = np.empty(self.n, dtype=np.float64)
-        self._t2 = np.empty(self.n, dtype=np.float64)
         self._active = np.empty(self.n, dtype=bool)
         self._spiked = np.empty(self.n, dtype=bool)
 
@@ -172,15 +170,11 @@ class _FusedLIF:
             self._coeff = dt / self.tau_m
             self._max_ref_ticks = int(np.ceil(self.t_ref.max() / dt))
         v, refr = self.v, self.refractory
-        t1, t2 = self._t1, self._t2
+        t1 = self._t1
         spiked = self._spiked
         quiescent = self._refr_left <= 0
-        np.subtract(self.v_rest, v, out=t1)
-        if self.uniform_resistance:
-            t1 += currents
-        else:
-            np.multiply(self.resistance, currents, out=t2)
-            t1 += t2
+        np.subtract(V_REST, v, out=t1)
+        t1 += currents  # RESISTANCE is 1.0: R * I is I bit for bit
         t1 *= self._coeff
         t1 += v
         if quiescent:
@@ -190,7 +184,7 @@ class _FusedLIF:
             np.greater_equal(v, self.v_thresh, out=spiked)
             hits = np.nonzero(spiked)[0]
             if hits.size:
-                np.copyto(v, self.v_reset, where=spiked)
+                np.copyto(v, V_RESET, where=spiked)
                 np.copyto(refr, self.t_ref, where=spiked)
                 self._refr_left = self._max_ref_ticks
             return hits
@@ -203,18 +197,14 @@ class _FusedLIF:
         np.subtract(refr, dt, out=t1)
         np.maximum(t1, 0.0, out=t1)
         if hits.size:
-            np.copyto(v, self.v_reset, where=spiked)
+            np.copyto(v, V_RESET, where=spiked)
             np.copyto(t1, self.t_ref, where=spiked)
             self._refr_left = self._max_ref_ticks
         else:
+            # Counting down from t_ref by DT = 1.0 is exact (r - 1.0 is
+            # representable for every float r >= 1), so the columns are
+            # exact zeros after ceil(t_ref) ticks.
             self._refr_left -= 1
-            if self._refr_left <= 0 and t1.any():
-                # Sequential max(r - dt, 0) countdowns can leave an
-                # eps-scale positive residue past ceil(t_ref / dt) ticks
-                # (e.g. t_ref=1.0 at dt=0.1) — and the reference loop
-                # masks on refractory > 0, residue included.  Stay on the
-                # full path until the columns are exactly zero.
-                self._refr_left = 1
         self.refractory, self._t1 = t1, refr
         return hits
 
@@ -226,9 +216,8 @@ class Simulation:
     ----------
     network:
         The SNN to simulate.  The network object is not mutated except for
-        plastic projection weights (when ``learning`` is on).
-    dt:
-        Tick length in milliseconds.
+        plastic projection weights (when ``learning`` is on).  It runs
+        on ticks of :data:`DT` milliseconds.
     seed:
         Seed or generator for all stochastic sources.
     stdp:
@@ -238,13 +227,11 @@ class Simulation:
     def __init__(
         self,
         network: Network,
-        dt: float = 1.0,
         seed: SeedLike = None,
         stdp: Optional[STDPRule] = None,
     ) -> None:
-        check_positive("dt", dt)
         self.network = network
-        self.dt = float(dt)
+        self.dt = DT
         self.rng = default_rng(seed)
         self.stdp = stdp
         self._validate_delays()
@@ -363,9 +350,6 @@ class Simulation:
             cur_lo[pi] = offset
             offset += pop.size
         n_dyn = offset
-        bias = np.empty(n_dyn, dtype=np.float64)
-        for pi, pop in layout:
-            bias[cur_lo[pi] : cur_lo[pi] + pop.size] = pop.bias_current
         currents = np.empty(n_dyn, dtype=np.float64)
 
         fused = _FusedLIF([pop for _, pop in lif]) if lif else None
@@ -445,7 +429,7 @@ class Simulation:
         for step in range(n_steps):
             # 1. Deliver delayed spikes into input currents (projection
             #    order — the reference loop's accumulation order).
-            np.copyto(currents, bias)
+            currents.fill(0.0)
             for plan in plans:
                 arriving = plan[0][plan[1]]
                 if arriving.size and plan[2]:

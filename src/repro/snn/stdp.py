@@ -20,6 +20,10 @@ import numpy as np
 
 from repro.utils.validation import check_positive
 
+#: Decay time constants (ms) of the ``x_pre`` and ``x_post`` traces.
+TAU_PLUS = 20.0
+TAU_MINUS = 20.0
+
 
 @dataclass
 class STDPState:
@@ -31,17 +35,14 @@ class STDPState:
 
 @dataclass(frozen=True)
 class STDPRule:
-    """Pair-based STDP with exponential traces and soft bounds."""
+    """Pair-based STDP with exponential traces (:data:`TAU_PLUS`,
+    :data:`TAU_MINUS`) and soft bounds."""
 
     a_plus: float = 0.01
     a_minus: float = 0.012
-    tau_plus: float = 20.0
-    tau_minus: float = 20.0
     w_max: float = 1.0
 
     def __post_init__(self) -> None:
-        check_positive("tau_plus", self.tau_plus)
-        check_positive("tau_minus", self.tau_minus)
         check_positive("w_max", self.w_max)
         if self.a_plus < 0 or self.a_minus < 0:
             raise ValueError("a_plus and a_minus must be non-negative")
@@ -65,8 +66,8 @@ class STDPRule:
         Only entries that are already non-zero are modified, so the rule
         never creates synapses absent from the topology.
         """
-        state.x_pre *= np.exp(-dt / self.tau_plus)
-        state.x_post *= np.exp(-dt / self.tau_minus)
+        state.x_pre *= np.exp(-dt / TAU_PLUS)
+        state.x_post *= np.exp(-dt / TAU_MINUS)
 
         mask = weights != 0.0
         if post_spikes.size:

@@ -43,11 +43,19 @@ def replayable(seed: SeedLike, unused: bool = False) -> bool:
 def derive_seed(seed: SeedLike, salt: int, *salts: int) -> Optional[int]:
     """Derive a deterministic child seed from ``seed`` and integer salts.
 
-    Extra salts fan one parent seed out into a whole family of
-    independent child streams (e.g. ``derive_seed(seed, level, draw)``
-    for Monte-Carlo campaigns — each (level, draw) cell gets its own
-    reproducible stream).  Returns ``None`` when ``seed`` is ``None``
-    (preserving non-determinism).
+    Extra salts fan one parent seed out into a family of child streams
+    (``derive_seed(campaign_seed, level, draw)`` gives each cell of a
+    Monte-Carlo campaign its own reproducible stream).  Children with
+    the same number of salts are distinct streams; children with
+    different numbers are not independent: numpy's
+    :class:`~numpy.random.SeedSequence` pads its entropy with zeros, so
+    trailing zero salts drop out and ``derive_seed(s, level, 0) ==
+    derive_seed(s, level)``.  Callers therefore keep one salt count per
+    parent seed: the fault campaign is the only caller with two salts,
+    and its campaign seed feeds nothing else; every other caller uses
+    one.  The derivation itself stays as it is, since every app graph
+    and every digest is drawn from it.  Returns ``None`` when ``seed``
+    is ``None`` (preserving non-determinism).
     """
     if seed is None:
         return None

@@ -7,6 +7,7 @@ numpy broadcasting.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -19,17 +20,21 @@ def check_positive(name: str, value: float) -> float:
     return value
 
 
+def check_count(name: str, value: int) -> int:
+    """Require an integer (``operator.index`` accepts it) of at least 1."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value!r}")
+    return value
+
+
 def check_nonnegative(name: str, value: float) -> float:
     """Require ``value >= 0`` (NaN fails, as in :func:`check_positive`)."""
     if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
-    return value
-
-
-def check_probability(name: str, value: float) -> float:
-    """Require ``0 <= value <= 1``."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value!r}")
     return value
 
 

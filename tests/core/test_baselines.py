@@ -127,9 +127,9 @@ class TestAnnealing:
 
     def test_bad_config(self):
         with pytest.raises(ValueError):
-            AnnealingConfig(alpha=1.5)
-        with pytest.raises(ValueError):
             AnnealingConfig(n_steps=0)
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            AnnealingConfig(n_steps=2.5)
 
 
 class TestRandom:

@@ -223,7 +223,6 @@ def _closed_form(fit, batch):
     graph=graphs(),
     multicast=st.booleans(),
     buffer_capacity=st.integers(1, 8),
-    ejections=st.integers(1, 3),
     cycles_per_ms=st.sampled_from([0.5, 1.0, 10.0, 100.0]),
     max_extra_cycles=st.integers(1, 300),
     seed=st.integers(0, 2**31 - 1),
@@ -234,14 +233,12 @@ def test_proven_rows_score_what_the_kernel_does(
     graph,
     multicast,
     buffer_capacity,
-    ejections,
     cycles_per_ms,
     max_extra_cycles,
     seed,
 ):
     config = NocConfig(
         buffer_capacity=buffer_capacity,
-        ejections_per_cycle=ejections,
         multicast=multicast,
         max_extra_cycles=max_extra_cycles,
     )

@@ -73,9 +73,13 @@ class TestGeneticPartition:
 class TestGAConfig:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(population=0), dict(generations=0), dict(crossover_rate=1.5),
-         dict(mutation_rate=-0.1), dict(elite=100)],
+        [dict(population=0), dict(generations=0), dict(population=1)],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             GAConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["population", "generations"])
+    def test_non_integer_count_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            GAConfig(**{name: 2.5})

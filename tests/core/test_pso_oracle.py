@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pso import BinaryPSO, PSOConfig
+from repro.core.pso import COGNITIVE, INERTIA, SOCIAL, V_MAX, BinaryPSO, PSOConfig
 
 # -- the replaced implementation ------------------------------------------------
 
@@ -49,7 +49,7 @@ class OracleOneHot:
         pso = self.pso
         p, n = assignments.shape
         if self.buf is None or self.buf.shape[0] != p:
-            self.buf = np.empty((p, n, pso.n_clusters), dtype=pso._dtype)
+            self.buf = np.empty((p, n, pso.n_clusters), dtype=np.float64)
             self.buf.fill(-pso._half_x)
             self.prev = None
         if self.prev is not None:
@@ -72,10 +72,7 @@ def oracle_optimize(pso, initial_assignments=None):
     one_hot = OracleOneHot(pso)
 
     positions = pso.rng.uniform(-1.0, 1.0, size=(p, n, c))
-    velocities = pso.rng.uniform(-cfg.v_max / 2, cfg.v_max / 2, size=(p, n, c))
-    if pso._dtype != np.float64:
-        positions = positions.astype(pso._dtype)
-        velocities = velocities.astype(pso._dtype)
+    velocities = pso.rng.uniform(-V_MAX / 2, V_MAX / 2, size=(p, n, c))
     scratch = np.empty_like(positions)
     scratch2 = np.empty_like(positions)
     r1 = np.empty_like(positions)
@@ -127,16 +124,16 @@ def oracle_optimize(pso, initial_assignments=None):
         pso._rand(out=r1)
         pso._rand(out=r2)
         fills += 2
-        velocities *= cfg.inertia
+        velocities *= INERTIA
         np.subtract(pbest_positions, positions, out=scratch)
-        np.multiply(r1, cfg.cognitive, out=scratch2)
+        np.multiply(r1, COGNITIVE, out=scratch2)
         scratch2 *= scratch
         velocities += scratch2
         np.subtract(gbest_position[None, :, :], positions, out=scratch)
-        np.multiply(r2, cfg.social, out=scratch2)
+        np.multiply(r2, SOCIAL, out=scratch2)
         scratch2 *= scratch
         velocities += scratch2
-        np.clip(velocities, -cfg.v_max, cfg.v_max, out=velocities)
+        np.clip(velocities, -V_MAX, V_MAX, out=velocities)
         positions += velocities
         np.clip(positions, -cfg.x_max, cfg.x_max, out=positions)
 
@@ -201,7 +198,6 @@ def _decode_cases(draw):
     p = draw(st.integers(1, 7))
     n = draw(st.integers(1, 40))
     c = draw(st.sampled_from([1, 2, 3, 6, 9, 65]))
-    dtype = draw(st.sampled_from([np.float64, np.float32]))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     x_max = 10.0
     # A wide cloud clipped to the box: many entries sit exactly on
@@ -212,7 +208,7 @@ def _decode_cases(draw):
         # Whole neurons with equal positions: equal sigmoids, so the
         # cumulative sums are small multiples of one value.
         positions[:, :: 2, :] = positions[:, :: 2, :1]
-    return positions.astype(dtype), dtype, draw(st.integers(0, 2**31 - 1))
+    return positions, draw(st.integers(0, 2**31 - 1))
 
 
 # -- decode ----------------------------------------------------------------------
@@ -222,10 +218,10 @@ class TestDecodeOracle:
     @given(_decode_cases())
     @settings(max_examples=150, deadline=None)
     def test_same_assignments_and_same_stream_position(self, case):
-        positions, dtype, seed = case
+        positions, seed = case
         p, n, c = positions.shape
-        new = _make(n, c, seed=seed, dtype=dtype)
-        old = _make(n, c, seed=seed, dtype=dtype)
+        new = _make(n, c, seed=seed)
+        old = _make(n, c, seed=seed)
         got = new._binarize(positions.copy())
         want = oracle_binarize(old, positions.copy())
         assert got.dtype == np.int64 and got.shape == (p, n)
@@ -241,9 +237,8 @@ class TestDecodeOracle:
         assert np.array_equal(got, oracle_binarize(old, positions))
         assert new.rng.bit_generator.state == old.rng.bit_generator.state
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("c", [2, 4, 8])
-    def test_exact_ties_fall_to_the_lower_cluster(self, c, dtype):
+    def test_exact_ties_fall_to_the_lower_cluster(self, c):
         """``u * total == cum[k]`` is not ``>``: the draw lands on ``k``.
 
         All-zero positions give sigmoids of exactly 0.5, so with ``c`` a
@@ -251,12 +246,12 @@ class TestDecodeOracle:
         ``u = (k + 1) / c`` meet exactly; one ulp more lands on ``k + 1``.
         """
         n = 2 * c
-        positions = np.zeros((3, n, c), dtype=dtype)
+        positions = np.zeros((3, n, c))
         k = np.arange(n) % (c - 1)
-        ties = ((k + 1) / c).astype(dtype)  # exact: c is a power of two
-        for u, want in ((ties, k), (np.nextafter(ties, dtype(1)), k + 1)):
+        ties = (k + 1) / c  # exact: c is a power of two
+        for u, want in ((ties, k), (np.nextafter(ties, 1.0), k + 1)):
             u = np.broadcast_to(u, (3, n))
-            new, old = _make(n, c, dtype=dtype), _make(n, c, dtype=dtype)
+            new, old = _make(n, c), _make(n, c)
             new._rand = lambda size=None, out=None: u.reshape(size).copy()
             old._rand = new._rand
             got = new._binarize(positions)
@@ -277,9 +272,8 @@ class TestDecodeOracle:
 
 
 class TestOneHotOracle:
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_sequence_of_batches_equals_put_along_axis(self, dtype):
-        pso = _make(11, 5, dtype=dtype)
+    def test_sequence_of_batches_equals_put_along_axis(self):
+        pso = _make(11, 5)
         oracle = OracleOneHot(pso)
         rng = np.random.default_rng(4)
         # The swarm's batches, then a differently sized one (warm-start
@@ -338,7 +332,6 @@ def _loop_cases(draw):
         n_particles=draw(st.integers(1, 9)),
         n_iterations=draw(st.integers(1, 7)),
         binarization=draw(st.sampled_from(["stochastic", "stochastic", "argmax"])),
-        dtype=draw(st.sampled_from([np.float64, np.float64, np.float32])),
     )
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)

@@ -11,6 +11,8 @@ bridge fault deletes relay routers — the draws that must *not* reuse
 the healthy schedule.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,8 +38,9 @@ PLATFORMS = {
     "board2": lambda: multichip_board(
         n_chips=2, crossbars_per_chip=4, neurons_per_crossbar=8
     ),
-    "board2x2": lambda: multichip_board(
-        n_chips=4, crossbars_per_chip=4, neurons_per_crossbar=4, bridge_latency=3
+    "board2x2": lambda: dataclasses.replace(
+        multichip_board(n_chips=4, crossbars_per_chip=4, neurons_per_crossbar=4),
+        bridge_latency=3,
     ),
 }
 

@@ -134,13 +134,6 @@ class TestRunFaultCampaign:
         with pytest.raises(ValueError, match="at least one"):
             run_fault_campaign(graph, arch, mappings={})
 
-    def test_auto_mapping_when_none_given(self, graph, arch):
-        summary = run_fault_campaign(
-            graph, arch, method="pacman", fault_levels=(0, 1), draws=2,
-            campaign_seed=3,
-        )
-        assert summary.labels == ("pacman",)
-
     def test_cached_and_uncached_agree(self, graph, arch, mapping):
         plain = _run(graph, arch, mapping)
         cached = _run(graph, arch, mapping, cache=ArtifactCache())

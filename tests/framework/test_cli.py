@@ -310,6 +310,18 @@ class TestPlatformFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: topology 'tree' cannot survive 1 link faults")
 
+    @pytest.mark.parametrize("command", ["map", "faults"])
+    def test_spare_capacity_that_leaves_too_few_slots(self, capsys, command):
+        """Headroom that leaves fewer slots than neurons is an error on
+        stderr with exit 2 in both commands, not a traceback."""
+        code = main([
+            command, "--app", "hello_world", "--interconnect", "mesh",
+            "--crossbars", "9", "--method", "greedy", "--spare-capacity", "0.2",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: spare_capacity=0.2 reserves 3 of 14 slots")
+
 
 class TestMultiChipCli:
     def test_chip_flag_defaults(self):

@@ -166,8 +166,7 @@ PSOS = [
     PSOConfig(5, 2),
     PSOConfig(5, 2),
     PSOConfig(5, 3),
-    PSOConfig(5, 2, v_max=6),  # int, not 6.0
-    PSOConfig(5, 2, dtype=np.float32),
+    PSOConfig(5, 2, x_max=10),  # int, not 10.0
 ]
 NOCS = [
     None,

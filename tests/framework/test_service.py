@@ -314,9 +314,15 @@ class TestArtifactSharing:
             graph, arch, [16, 32], seed=1, pso_config=SMALL_PSO,
             noc_config=fast, cache=cache,
         )
+        mapping = map_snn(graph, arch, method="greedy", cache=cache)
         run_fault_campaign(
-            graph, arch, method="greedy", fault_levels=(0, 1), draws=2,
-            noc_config=fast, cache=cache,
+            graph,
+            arch,
+            {"greedy": mapping},
+            fault_levels=(0, 1),
+            draws=2,
+            noc_config=fast,
+            cache=cache,
         )
         assert set(kinds) == {
             "mapping-result", "pipeline-result", "warm-state", "sweep-point",

@@ -136,7 +136,8 @@ def delivery_records(draw):
 @given(delivery_records())
 @settings(max_examples=300, deadline=None)
 def test_generated_deliveries_match_record_loops(records):
-    plain = NocStats(deliveries=list(records))
+    plain = NocStats()
+    plain.deliveries = list(records)
     assert_metrics_match_oracle(plain)
     eager = FastNocStats()
     eager.deliveries = list(records)
@@ -153,12 +154,12 @@ def test_uid_orders_same_cycle_arrivals():
     counts as first, whatever order the simulator recorded them in."""
 
     def stats(uid_of_late_injection):
-        return NocStats(
-            deliveries=[
-                DeliveryRecord(1 - uid_of_late_injection, 0, 0, 9, 3, 10, 1),
-                DeliveryRecord(uid_of_late_injection, 1, 0, 9, 5, 10, 1),
-            ]
-        )
+        stats = NocStats()
+        stats.deliveries = [
+            DeliveryRecord(1 - uid_of_late_injection, 0, 0, 9, 3, 10, 1),
+            DeliveryRecord(uid_of_late_injection, 1, 0, 9, 5, 10, 1),
+        ]
+        return stats
 
     assert disorder_count(stats(uid_of_late_injection=0)) == 1
     assert disorder_count(stats(uid_of_late_injection=1)) == 0

@@ -85,12 +85,6 @@ class TestDeterministicBitIdentical:
         ref, fast = run_both(topo, schedule.injections)
         assert_identical(ref, fast)
 
-    def test_multi_ejection_budget(self):
-        topo = build_topology("mesh", 9)
-        schedule = synthetic_injections([0.5] * 9, topo, 100, fanout=4, seed=1)
-        ref, fast = run_both(topo, schedule.injections, ejections_per_cycle=3)
-        assert_identical(ref, fast)
-
     def test_deadline_capped_run_matches(self):
         """Undelivered accounting matches when the drain budget is tiny."""
         topo = build_topology("tree", 4)

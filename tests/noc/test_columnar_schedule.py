@@ -99,12 +99,16 @@ def build_injections_reference(
     cycles_per_ms: float = 10.0,
 ) -> ColumnarSchedule:
     """The rows of :func:`reference_injection_rows` as a schedule,
-    through :meth:`ColumnarSchedule.from_injections`."""
+    through :meth:`ColumnarSchedule.from_injections` (which stamps
+    ``cycles_per_ms=1``; the rows' own rate goes back on the result)."""
     rows, n_source_neurons = reference_injection_rows(
         graph, assignment, topology, cycles_per_ms
     )
-    return ColumnarSchedule.from_injections(
-        rows, dense_node_ids(topology), n_source_neurons, cycles_per_ms
+    return dataclasses.replace(
+        ColumnarSchedule.from_injections(
+            rows, dense_node_ids(topology), n_source_neurons
+        ),
+        cycles_per_ms=cycles_per_ms,
     )
 
 
@@ -514,10 +518,10 @@ class TestPlannedOnce:
         routers build (and plan) schedules of their own."""
         graph = random_graph(32, 120, seed=73)
         arch = (
-            multichip_board(
-                n_chips=4,
-                crossbars_per_chip=4,
-                neurons_per_crossbar=4,
+            dataclasses.replace(
+                multichip_board(
+                    n_chips=4, crossbars_per_chip=4, neurons_per_crossbar=4
+                ),
                 bridge_latency=3,
             )
             if board

@@ -181,9 +181,9 @@ class TestConfigValidation:
     # Non-integer counts and a non-bool multicast flag: the reference
     # engine ran them, the compiled kernel could not take them.
     @pytest.mark.parametrize(
-        "kwargs", [dict(buffer_capacity=0), dict(ejections_per_cycle=0),
+        "kwargs", [dict(buffer_capacity=0),
                    dict(max_extra_cycles=0), dict(buffer_capacity=2.5),
-                   dict(ejections_per_cycle=1.5), dict(max_extra_cycles=1.5),
+                   dict(max_extra_cycles=1.5),
                    dict(buffer_capacity="8"), dict(multicast="no"),
                    dict(multicast=1)]
     )
@@ -204,5 +204,5 @@ class TestLinkLoads:
         topo = star(4)
         injections = [_inject(c, 0, [1]) for c in range(10)]
         stats = Interconnect(topo).simulate(injections)
-        hottest = stats.hottest_links(top=2)
+        hottest = stats.hottest_links()
         assert hottest[0][1] >= hottest[1][1]

@@ -166,10 +166,12 @@ class TestNetworkxStaysCold:
             "result = run_pipeline(graph, board, method='greedy', seed=1)\n"
             "assert result.noc_stats.undelivered_count == 0",
             GRAPH + "from repro.framework.pipeline import run_fault_campaign\n"
+            "from repro.core.mapper import map_snn\n"
             "from repro.hardware import custom\n"
             "arch = custom(9, 16, interconnect='mesh')\n"
-            "summary = run_fault_campaign(graph, arch, fault_levels=(1,), draws=2,"
-            " method='greedy', seed=1)\n"
+            "mapping = map_snn(graph, arch, method='greedy', seed=1)\n"
+            "summary = run_fault_campaign(graph, arch, {'greedy': mapping},"
+            " fault_levels=(1,), draws=2)\n"
             "assert len(summary.draws) == 2",
         ],
         ids=["import", "map-tree", "map-mesh", "map-faults", "multichip", "campaign"],

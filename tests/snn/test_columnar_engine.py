@@ -68,7 +68,7 @@ def run_reference(self, duration_ms: float, learning: bool) -> SimulationResult:
 
         # 1. Deliver delayed spikes into input currents.
         currents: Dict[str, np.ndarray] = {
-            pop.name: np.full(pop.size, pop.bias_current, dtype=np.float64)
+            pop.name: np.zeros(pop.size, dtype=np.float64)
             for pop in net.populations
             if not pop.is_source
         }
@@ -121,16 +121,16 @@ def run_reference(self, duration_ms: float, learning: bool) -> SimulationResult:
     )
 
 
-def assert_engines_identical(net, duration, dt=1.0, seed=7, stdp=None,
+def assert_engines_identical(net, duration, seed=7, stdp=None,
                              learning=True):
     """Run both engines from identical initial state; compare everything."""
     saved_weights = [proj.weights.copy() for proj in net.projections]
-    ref = run_reference(Simulation(net, dt=dt, seed=seed, stdp=stdp),
+    ref = run_reference(Simulation(net, seed=seed, stdp=stdp),
                          duration, learning)
     ref_weights = [proj.weights.copy() for proj in net.projections]
     for proj, w in zip(net.projections, saved_weights):
         proj.weights[...] = w
-    col = Simulation(net, dt=dt, seed=seed, stdp=stdp).run(
+    col = Simulation(net, seed=seed, stdp=stdp).run(
         duration, learning=learning)
     assert ref.duration_ms == col.duration_ms
     assert ref.dt == col.dt
@@ -151,9 +151,8 @@ def _lif_recurrent_net(seed=0):
     net = Network("lif-recurrent")
     net.add_source("pa", PoissonSource(12, 80.0))
     net.add_source("pb", PoissonSource(8, np.linspace(20.0, 120.0, 8)))
-    net.add_population("x", 20, LIFModel(), bias_current=2.0)
-    net.add_population("y", 10, LIFModel(tau_m=30.0, t_ref=3.0,
-                                         resistance=2.0))
+    net.add_population("x", 20, LIFModel())
+    net.add_population("y", 10, LIFModel(tau_m=30.0, t_ref=3.0))
     net.add_population("z", 6, LIFModel(t_ref=0.0))
     net.connect("pa", "x", weights=rng.uniform(0, 60, (12, 20)))
     net.connect("pb", "x", weights=rng.uniform(0, 40, (8, 20)), delay_ms=2.0)
@@ -164,26 +163,12 @@ def _lif_recurrent_net(seed=0):
 
 
 class TestEquivalenceMatrix:
-    @pytest.mark.parametrize("dt", [1.0, 0.5, 0.25])
-    def test_multi_pop_recurrent_lif(self, dt):
-        assert_engines_identical(_lif_recurrent_net(), 200.0, dt=dt)
+    def test_multi_pop_recurrent_lif(self):
+        assert_engines_identical(_lif_recurrent_net(), 200.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 42])
     def test_seed_sweep(self, seed):
         assert_engines_identical(_lif_recurrent_net(), 150.0, seed=seed)
-
-    @pytest.mark.parametrize("t_ref", [0.7, 1.0, 2.0])
-    def test_non_dyadic_dt_refractory_residue(self, t_ref):
-        """Regression: at dt=0.1, sequential max(r - dt, 0) countdowns
-        leave an eps-scale positive refractory residue past
-        ceil(t_ref / dt) ticks; the fused fast path must not re-enable
-        such neurons one tick before the reference engine does."""
-        rng = np.random.default_rng(2)
-        net = Network("residue")
-        net.add_source("p", PoissonSource(8, 90.0))
-        net.add_population("o", 10, LIFModel(t_ref=t_ref))
-        net.connect("p", "o", weights=rng.uniform(20, 90, (8, 10)))
-        assert_engines_identical(net, 40.0, dt=0.1)
 
     @pytest.mark.parametrize("delay", [1.0, 2.0, 5.0])
     def test_delay_sweep(self, delay):
@@ -209,7 +194,6 @@ class TestEquivalenceMatrix:
         net.connect("sch", "o", weights=np.full((3, 6), 200.0))
         net.connect("reg", "o", weights=np.full((4, 6), 100.0), delay_ms=2.0)
         assert_engines_identical(net, 60.0)
-        assert_engines_identical(net, 60.0, dt=0.5)
 
     def test_izhikevich_and_adaptive_lif_fall_back(self):
         rng = np.random.default_rng(5)
@@ -287,12 +271,7 @@ class TestEquivalenceMatrix:
         net.connect("p", "o", weights=np.full((5, 4), 60.0))
         assert_engines_identical(net, 120.0)
 
-    def test_bias_only_and_idle_networks(self):
-        net = Network("bias")
-        net.add_population("b", 3, LIFModel(), bias_current=30.0)
-        ref, col = assert_engines_identical(net, 100.0)
-        assert col.total_spikes() > 0
-
+    def test_idle_network(self):
         idle = Network("idle")
         idle.add_population("q", 2, LIFModel())
         _, col = assert_engines_identical(idle, 50.0)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.snn.neuron import (
+    V_REST,
+    V_RESET,
     IZHIKEVICH_PRESETS,
     IzhikevichModel,
     LIFModel,
@@ -17,7 +19,7 @@ class TestLIFModel:
         for _ in range(200):
             spiked = model.step(state, np.zeros(4), dt=1.0)
             assert not spiked.any()
-        assert np.allclose(state.v, model.v_rest)
+        assert np.allclose(state.v, V_REST)
 
     def test_strong_current_spikes(self):
         model = LIFModel()
@@ -41,7 +43,7 @@ class TestLIFModel:
         for _ in range(100):
             if model.step(state, np.array([200.0]), dt=1.0).any():
                 break
-        assert state.v[0] == model.v_reset
+        assert state.v[0] == V_RESET
 
     def test_refractory_blocks_integration(self):
         model = LIFModel(t_ref=5.0)
@@ -78,7 +80,7 @@ class TestLIFModel:
 
     def test_invalid_thresholds_raise(self):
         with pytest.raises(ValueError):
-            LIFModel(v_thresh=-80.0, v_reset=-70.0)
+            LIFModel(v_thresh=-80.0)
 
     def test_negative_tau_raises(self):
         with pytest.raises(ValueError):

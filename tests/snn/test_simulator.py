@@ -43,7 +43,7 @@ class TestSimulationBasics:
         net.add_population("a", 1, LIFModel())
         net.connect("a", "a", weights=np.array([[1.0]]), delay_ms=1.5)
         with pytest.raises(ValueError, match="whole number"):
-            Simulation(net, dt=1.0)
+            Simulation(net)
 
     def test_zero_duration_rejected(self, small_network):
         with pytest.raises(ValueError):
@@ -98,14 +98,8 @@ class TestSimulationResult:
         assert counts.shape == (small_network.n_neurons,)
 
 
-class TestBiasCurrent:
-    def test_bias_drives_firing_without_input(self):
-        net = Network()
-        net.add_population("driven", 1, LIFModel(), bias_current=30.0)
-        result = Simulation(net, seed=0).run(200.0)
-        assert result.spike_times[0].size > 0
-
-    def test_no_bias_no_firing(self):
+class TestNoInput:
+    def test_no_input_no_firing(self):
         net = Network()
         net.add_population("idle", 1, LIFModel())
         result = Simulation(net, seed=0).run(200.0)

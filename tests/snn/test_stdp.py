@@ -63,7 +63,7 @@ class TestSTDPRuleUnit:
 
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError):
-            STDPRule(tau_plus=0.0)
+            STDPRule(w_max=0.0)
         with pytest.raises(ValueError):
             STDPRule(a_plus=-0.1)
 

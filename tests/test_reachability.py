@@ -15,7 +15,24 @@ root folder, or in one of perfbench's ``"module:qualname"`` patch
 targets.  Re-exports, ``__all__``, docstrings and tests are not uses.
 A method is matched by its attribute name alone, so the check can
 miss a dead method that shares its name with a live one, never the
-other way round.  :data:`ALLOWED` names the few kept exceptions.
+other way round.
+
+One level further down the same holds for options: every defaulted
+parameter of a public function, method or constructor, and every
+defaulted field of a public dataclass or named tuple, is set by some
+call in ``src/`` or a root folder -- by keyword, by position, through
+``*`` / ``**`` unpacking (``cls(**config)``), by ``cls(...)`` inside
+the class, or by ``dataclasses.replace(..., field=...)``.  A call is
+matched by the name it calls (a subclass's name calls its base's
+constructor), so this check is a floor too.  A callable handed on as a
+value (a call argument, a container element, an assigned or returned
+value) may be called with anything, so its options all count as set.
+An option no caller sets is a constant or dead code: it goes, with the
+branch it selects, or becomes a module constant.  State that a
+constructor fills in is ``field(init=False)``, not an option.  The
+parameters of a name :data:`ALLOWED` keeps are kept with it.
+
+:data:`ALLOWED` names the few kept exceptions of both checks.
 """
 
 import ast
@@ -58,6 +75,20 @@ ALLOWED = {
     ),
     "repro.hardware.presets:cxquad": (
         "the paper's reference platform (CxQuad), exported by repro.hardware"
+    ),
+    "repro.framework.cli:main(argv)": (
+        "the console entry point reads sys.argv when called bare; argv is "
+        "how an embedding program (and the CLI tests) pass their own"
+    ),
+    "repro.noc.interconnect:NocConfig(max_extra_cycles)": (
+        "safety bound: the drain deadline and the delivery certificate's "
+        "hop bound read it, and tests drive both through it"
+    ),
+    "repro.snn.generators:RegularSource.__init__(phase_ms)": (
+        "the per-neuron phase is how the engine-equivalence tests drive "
+        "staggered regular trains through both simulator paths; no caller "
+        "outside tests builds a RegularSource at all, which is a question "
+        "for the class, not for this parameter"
     ),
 }
 
@@ -191,5 +222,180 @@ def test_every_public_name_is_reached_from_a_caller():
     unreached = set(_unreached())
     missing = sorted(unreached - set(ALLOWED))
     assert not missing, f"names no caller reaches: {missing}"
-    stale = sorted(set(ALLOWED) - unreached)
+    stale = sorted(k for k in set(ALLOWED) - unreached if "(" not in k)
     assert not stale, f"allowed names a caller reaches, or gone: {stale}"
+
+
+def _is_record(node):
+    """Whether a class's annotated fields are its constructor's parameters
+    (a ``@dataclass`` or a ``NamedTuple``)."""
+    for target in node.decorator_list:
+        target = target.func if isinstance(target, ast.Call) else target
+        if _referenced(target) == ["dataclass"]:
+            return True
+    return any(_referenced(base) == ["NamedTuple"] for base in node.bases)
+
+
+def _init_false(value):
+    return (
+        isinstance(value, ast.Call)
+        and _referenced(value.func) == ["field"]
+        and any(
+            k.arg == "init" and isinstance(k.value, ast.Constant) and not k.value.value
+            for k in value.keywords
+        )
+    )
+
+
+def _fields(node):
+    """``(name, defaulted)`` of each constructor field of a record class."""
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            annotation = ast.unparse(item.annotation)
+            if "ClassVar" not in annotation and not _init_false(item.value):
+                yield item.target.id, item.value is not None
+
+
+def _parameters(fn, method):
+    """The positional parameter names of a function (without a method's
+    ``self`` / ``cls``) and the names of its defaulted parameters."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    if method and ["staticmethod"] not in map(_referenced, fn.decorator_list):
+        positional = positional[1:]
+    defaulted = positional[len(positional) - len(args.defaults) :]
+    if not args.defaults:
+        defaulted = []
+    keyword_only = zip(args.kwonlyargs, args.kw_defaults)
+    return positional, defaulted + [a.arg for a, d in keyword_only if d is not None]
+
+
+def _subclasses():
+    """Each ``src/`` class name, mapped to its own and its subclasses' names."""
+    bases = {}
+    for file in _src_files():
+        for node in ast.walk(_parse(file)):
+            if isinstance(node, ast.ClassDef):
+                for base in node.bases:
+                    for name in _referenced(base):
+                        bases.setdefault(name, set()).add(node.name)
+    closure = {}
+    for name in bases:
+        todo, seen = [name], {name}
+        while todo:
+            for sub in bases.get(todo.pop(), ()):
+                if sub not in seen:
+                    seen.add(sub)
+                    todo.append(sub)
+        closure[name] = seen
+    return closure
+
+
+def _options():
+    """``(qualname, callee names, positional names, defaulted names,
+    record)`` of every public function, method and constructor (``record``:
+    the dataclass or named-tuple fields), skipping the names
+    :data:`ALLOWED` keeps."""
+    subclasses = _subclasses()
+    for qualname, node, _ in _definitions():
+        if qualname in ALLOWED:
+            continue
+        if isinstance(node, ast.FunctionDef):
+            method = "." in qualname.split(":")[1]
+            yield qualname, {node.name}, *_parameters(node, method), False
+            continue
+        names = subclasses.get(node.name, {node.name})
+        if _is_record(node):
+            fields = list(_fields(node))
+            defaulted = [name for name, default in fields if default]
+            yield qualname, names, [name for name, _ in fields], defaulted, True
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                callees = names | {"__init__"}
+                positional, defaulted = _parameters(item, method=True)
+                yield f"{qualname}.__init__", callees, positional, defaulted, False
+
+
+def _handed_on(node, parents):
+    """Whether a name is passed on as a value rather than called."""
+    parent = parents.get(node)
+    if isinstance(parent, ast.keyword):
+        parent = parents.get(parent)
+    elif isinstance(parent, (ast.List, ast.Tuple, ast.Set, ast.Dict)):
+        parent = parents.get(parent)
+        if isinstance(parent, (ast.Compare, ast.Subscript)):
+            return False
+        if not isinstance(parent, ast.Call):
+            return True
+    if isinstance(parent, ast.Call):
+        checks = (["isinstance"], ["issubclass"])
+        return node is not parent.func and _referenced(parent.func) not in checks
+    return isinstance(parent, (ast.Assign, ast.Return, ast.Lambda))
+
+
+def _without_annotations(tree):
+    """``tree`` with its annotations blanked: a type named in one is not
+    a callable handed on."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign):
+            node.annotation = ast.Constant(None)
+        elif isinstance(node, ast.arg):
+            node.annotation = None
+        elif isinstance(node, ast.FunctionDef):
+            node.returns = None
+    return tree
+
+
+def _calls():
+    """Each called name, mapped to the ``(n_positional, keywords,
+    unpacked)`` of every call to it in ``src/`` and the root folders (a
+    callable handed on counts as one unpacked call); also every field
+    name a ``replace(...)`` call sets."""
+    calls, replaced = {}, set()
+    for file in _src_files() + _root_files():
+        tree = _without_annotations(_parse(file))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in ast.walk(cls):
+                    if isinstance(node, ast.Name) and node.id == "cls":
+                        node.id = cls.name
+        parents = {}
+        for node in ast.walk(tree):
+            parents.update(dict.fromkeys(ast.iter_child_nodes(node), node))
+        for node in ast.walk(tree):
+            for name in _referenced(node):
+                if _handed_on(node, parents):
+                    calls.setdefault(name, []).append((0, set(), True))
+            if not isinstance(node, ast.Call):
+                continue
+            keywords = {k.arg for k in node.keywords}
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            call = (len(node.args), keywords, None in keywords or starred)
+            for name in _referenced(node.func):
+                calls.setdefault(name, []).append(call)
+                if name == "replace":
+                    replaced |= keywords
+    return calls, replaced
+
+
+def _unset():
+    calls, replaced = _calls()
+    for qualname, names, positional, defaulted, record in _options():
+        for param in defaulted:
+            if record and param in replaced:
+                continue
+            index = positional.index(param) if param in positional else len(positional)
+            if not any(
+                unpacked or param in keywords or index < n_positional
+                for name in names
+                for n_positional, keywords, unpacked in calls.get(name, ())
+            ):
+                yield f"{qualname}({param})"
+
+
+def test_every_option_is_set_by_a_caller():
+    unset = set(_unset())
+    missing = sorted(unset - set(ALLOWED))
+    assert not missing, f"options no caller sets: {missing}"
+    stale = sorted(k for k in set(ALLOWED) - unset if "(" in k)
+    assert not stale, f"allowed options a caller sets, or gone: {stale}"

@@ -46,6 +46,14 @@ class TestDeriveSeed:
                  for level in range(4) for draw in range(5)}
         assert len(cells) == 20
 
+    def test_trailing_zero_salts_drop_out(self):
+        """SeedSequence pads its entropy with zeros: children of different
+        salt counts collide, which is why a parent seed keeps one salt
+        count.  Pinned so a change to the derivation shows."""
+        assert derive_seed(10, 1, 0) == derive_seed(10, 1)
+        assert derive_seed(10, 1, 0, 0) == derive_seed(10, 1)
+        assert derive_seed(10, 1, 1) != derive_seed(10, 1)
+
     def test_salt_order_matters(self):
         assert derive_seed(10, 1, 2) != derive_seed(10, 2, 1)
 

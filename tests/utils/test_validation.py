@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.utils.validation import (
+    check_count,
     check_index_range,
     check_nonnegative,
     check_positive,
-    check_probability,
 )
 
 
@@ -25,6 +25,22 @@ class TestCheckPositive:
             check_positive("x", float("nan"))
 
 
+class TestCheckCount:
+    @pytest.mark.parametrize("good", [1, 7, np.int64(3)])
+    def test_accepts_integers_of_at_least_one(self, good):
+        assert check_count("n", good) == good
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, "8", None, np.float64(3.0)])
+    def test_rejects_non_integers(self, bad):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            check_count("n", bad)
+
+    @pytest.mark.parametrize("bad", [0, -1, np.int64(0)])
+    def test_rejects_below_one(self, bad):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            check_count("n", bad)
+
+
 class TestCheckNonnegative:
     def test_accepts_zero(self):
         assert check_nonnegative("x", 0) == 0
@@ -36,21 +52,6 @@ class TestCheckNonnegative:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="x must be non-negative"):
             check_nonnegative("x", float("nan"))
-
-
-class TestCheckProbability:
-    @pytest.mark.parametrize("ok", [0.0, 0.5, 1.0])
-    def test_accepts_unit_interval(self, ok):
-        assert check_probability("p", ok) == ok
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.1])
-    def test_rejects_outside(self, bad):
-        with pytest.raises(ValueError, match="p"):
-            check_probability("p", bad)
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
-            check_probability("p", float("nan"))
 
 
 class TestCheckIndexRange:
