@@ -118,8 +118,8 @@ def test_batched_swarm_repair_and_decode_speedup(benchmark):
         "BinaryPSO._one_hot diverged from the repeat/tile build"
     )
 
-    t_legacy = min(timeit.repeat(legacy_generation, number=1, repeat=3))
-    t_batched = min(timeit.repeat(batched_generation, number=3, repeat=3)) / 3
+    t_legacy = min(timeit.repeat(legacy_generation, number=1, repeat=5))
+    t_batched = min(timeit.repeat(batched_generation, number=3, repeat=5)) / 3
     speedup = t_legacy / t_batched
 
     _write_report(
@@ -211,8 +211,8 @@ def test_columnar_snn_engine_speedup(benchmark, heartbeat_scale_network):
             best = min(best, time.perf_counter() - t0)
         return best, result
 
-    t_ref, ref = run(lambda sim: run_reference(sim, LSM_DURATION_MS, True), 2)
-    t_col, col = run(lambda sim: sim.run(LSM_DURATION_MS), 3)
+    t_ref, ref = run(lambda sim: run_reference(sim, LSM_DURATION_MS, True), 3)
+    t_col, col = run(lambda sim: sim.run(LSM_DURATION_MS), 5)
     for gid, (a, b) in enumerate(zip(ref.spike_times, col.spike_times)):
         assert np.array_equal(a, b), (
             f"columnar engine diverged from the reference at neuron {gid}"

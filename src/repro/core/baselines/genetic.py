@@ -109,7 +109,8 @@ def genetic_partition(
             )
             children.append(child)
 
-        population = np.concatenate([elites, np.stack(children)], axis=0)
+        # A population of only elites breeds no children.
+        population = np.vstack([elites, *children])
         fitness = fitness_fn.evaluate_batch(population)
 
     best = int(np.argmin(fitness))

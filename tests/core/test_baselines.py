@@ -131,6 +131,12 @@ class TestAnnealing:
         with pytest.raises(ValueError, match="n_steps must be an integer"):
             AnnealingConfig(n_steps=2.5)
 
+    def test_single_step_runs(self, tiny_graph):
+        p = annealing_partition(
+            tiny_graph, 2, 4, config=AnnealingConfig(n_steps=1), seed=0
+        )
+        assert is_feasible(p.assignment, 2, 4)
+
 
 class TestRandom:
     def test_seed_determinism(self, tiny_graph):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.baselines.genetic import GAConfig, genetic_partition
+from repro.core.baselines.genetic import ELITE, GAConfig, genetic_partition
 from repro.core.fitness import InterconnectFitness
 from repro.core.partition import is_feasible
 
@@ -78,6 +78,14 @@ class TestGAConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             GAConfig(**kwargs)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_smallest_populations_run(self, tiny_graph, extra):
+        """A population of only the elites breeds no children; one more
+        breeds one.  Both run and stay feasible."""
+        config = GAConfig(population=ELITE + extra, generations=3)
+        p = genetic_partition(tiny_graph, 2, 4, config=config, seed=0)
+        assert is_feasible(p.assignment, 2, 4)
 
     @pytest.mark.parametrize("name", ["population", "generations"])
     def test_non_integer_count_rejected(self, name):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.fitness import InterconnectFitness
 from repro.core.partition import is_feasible
-from repro.core.pso import BinaryPSO, PSOConfig
+from repro.core.pso import COGNITIVE, INERTIA, SOCIAL, BinaryPSO, PSOConfig
 
 
 def _digest(arr: np.ndarray) -> str:
@@ -265,6 +265,9 @@ class TestConfigValidation:
             ((), dict(n_iterations=2.0), "n_iterations"),
             ((), dict(n_particles="8"), "n_particles"),
             ((), dict(x_max=float("inf")), "x_max"),
+            ((), dict(x_max=float("nan")), "x_max"),
+            ((), dict(x_max=0.0), "x_max"),
+            ((), dict(x_max=-1.0), "x_max"),
         ],
     )
     def test_unrunnable_config_rejected(self, args, kwargs, match):
@@ -272,3 +275,11 @@ class TestConfigValidation:
         that would move the swarm on NaN, fail at construction."""
         with pytest.raises(ValueError, match=match):
             PSOConfig(*args, **kwargs)
+
+    def test_eq1_coefficients_are_the_constriction_values(self):
+        """Eq. 1's fixed coefficients: inertia 0.729 and both pulls
+        0.729 * 2.05 (to the nearest float, 1.49445), the constriction
+        setting the PINNED trajectories were recorded with."""
+        assert INERTIA == 0.729
+        assert COGNITIVE == SOCIAL == 1.49445
+        assert COGNITIVE == pytest.approx(INERTIA * 2.05, rel=1e-15)

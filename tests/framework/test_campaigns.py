@@ -130,6 +130,12 @@ class TestRunFaultCampaign:
         assert captured.out == ""  # rejected before the app is even built
         assert "error: fault levels must be distinct" in captured.err
 
+    def test_mappings_are_required(self, graph, arch):
+        """The campaign maps nothing itself: the caller's mappings are
+        what it measures."""
+        with pytest.raises(TypeError, match="mappings"):
+            run_fault_campaign(graph, arch)
+
     def test_empty_mappings_rejected(self, graph, arch):
         with pytest.raises(ValueError, match="at least one"):
             run_fault_campaign(graph, arch, mappings={})

@@ -322,6 +322,28 @@ class TestPlatformFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: spare_capacity=0.2 reserves 3 of 14 slots")
 
+    @pytest.mark.parametrize(
+        "spare, labels", [("0", ["greedy"]), ("0.2", ["baseline", "fault-aware"])]
+    )
+    def test_faults_maps_once_or_with_and_without_headroom(
+        self, capsys, spare, labels
+    ):
+        """Headroom maps the app twice, without and with spare slots,
+        and the campaign reports each mapping at every level."""
+        code = main([
+            "faults", "--app", "hello_world", "--interconnect", "mesh",
+            "--crossbars", "9", "--capacity", "20", "--levels", "0", "1",
+            "--draws", "2", "--method", "greedy", "--spare-capacity", spare,
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [ln.split(" | ") for ln in captured.out.splitlines()
+                if " | " in ln][1:]
+        assert [(r[0].strip(), r[1].strip()) for r in rows] == [
+            (label, level) for label in labels for level in ("0", "1")
+        ]
+
 
 class TestMultiChipCli:
     def test_chip_flag_defaults(self):

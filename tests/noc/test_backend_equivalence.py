@@ -19,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.noc import fastsim as fastsim_module
+from repro.noc import interconnect as interconnect_module
 from repro.noc.fastsim import FastInterconnect, build_interconnect
 from repro.noc.interconnect import Interconnect, NocConfig
 from repro.noc.packet import Injection
@@ -84,6 +86,22 @@ class TestDeterministicBitIdentical:
         schedule = synthetic_injections([0.4] * 8, topo, 120, fanout=2, seed=3)
         ref, fast = run_both(topo, schedule.injections)
         assert_identical(ref, fast)
+
+    @pytest.mark.parametrize("n_routers", [9, 81])
+    def test_multi_ejection_budget(self, monkeypatch, n_routers):
+        """Both engines still take the decoder budget as an input: at
+        three ejections per cycle they agree, on one-word (<= 63
+        routers) and multi-word destination masks alike."""
+        topo = build_topology("mesh", n_routers)
+        schedule = synthetic_injections(
+            [0.5] * n_routers, topo, 60, fanout=4, seed=1
+        )
+        one_per_cycle, _ = run_both(topo, schedule.injections)
+        monkeypatch.setattr(interconnect_module, "EJECTIONS_PER_CYCLE", 3)
+        monkeypatch.setattr(fastsim_module, "EJECTIONS_PER_CYCLE", 3)
+        ref, fast = run_both(topo, schedule.injections)
+        assert_identical(ref, fast)
+        assert record_tuples(ref) != record_tuples(one_per_cycle)
 
     def test_deadline_capped_run_matches(self):
         """Undelivered accounting matches when the drain budget is tiny."""

@@ -184,8 +184,9 @@ class TestConfigValidation:
         "kwargs", [dict(buffer_capacity=0),
                    dict(max_extra_cycles=0), dict(buffer_capacity=2.5),
                    dict(max_extra_cycles=1.5),
-                   dict(buffer_capacity="8"), dict(multicast="no"),
-                   dict(multicast=1)]
+                   dict(buffer_capacity="8"), dict(max_extra_cycles="200"),
+                   dict(multicast="no"), dict(multicast=1),
+                   dict(backend="gpu")]
     )
     def test_bad_config(self, kwargs):
         with pytest.raises(ValueError):

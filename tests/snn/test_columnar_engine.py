@@ -3,7 +3,7 @@
 The columnar engine (precomputed source spikes, fused LIF stepping,
 CSR/dense delivery, one sort/split at the end) must reproduce the
 reference per-tick loop exactly — spike times AND learned STDP weights —
-across dt, delays, source types, neuron models, sparsity regimes and
+across delays, source types, neuron models, sparsity regimes and
 learning configurations.
 
 :func:`run_reference` is that loop (``self`` is the ``Simulation`` it
@@ -11,11 +11,14 @@ reads ``network``, ``dt``, ``rng`` and ``stdp`` from);
 ``benchmarks/test_frontend_speedup.py`` times the engine against it.
 """
 
+import math
 from collections import deque
 from typing import Dict, List
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.snn import simulator as simulator_module
 from repro.snn.generators import (
@@ -169,6 +172,32 @@ class TestEquivalenceMatrix:
     @pytest.mark.parametrize("seed", [0, 1, 42])
     def test_seed_sweep(self, seed):
         assert_engines_identical(_lif_recurrent_net(), 150.0, seed=seed)
+
+    @pytest.mark.parametrize("t_ref", [0.3, 0.7, 1.0, 1.5, 2.5, 3.3])
+    def test_fractional_refractory_periods(self, t_ref):
+        """The fused stepper leaves its refractory path ``ceil(t_ref)``
+        ticks after the last spike; the countdown must be exactly zero
+        by then, or a neuron would wake one tick before it does in the
+        reference loop (which masks on ``refractory > 0``)."""
+        rng = np.random.default_rng(2)
+        net = Network("refractory")
+        net.add_source("p", PoissonSource(8, 90.0))
+        net.add_population("o", 10, LIFModel(t_ref=t_ref))
+        net.connect("p", "o", weights=rng.uniform(20, 90, (8, 10)))
+        _, col = assert_engines_identical(net, 200.0)
+        assert col.total_spikes() > 0
+
+    @given(st.floats(0.0, 500.0))
+    @settings(max_examples=200, deadline=None)
+    def test_unit_tick_countdown_is_exact(self, t_ref):
+        """``max(r - DT, 0)`` from any ``t_ref`` reaches exactly zero
+        after ``ceil(t_ref)`` ticks: ``r - 1.0`` is exact for ``r >= 1``."""
+        r = np.array([t_ref])
+        for _ in range(math.ceil(t_ref)):
+            assert r[0] > 0.0
+            np.subtract(r, simulator_module.DT, out=r)
+            np.maximum(r, 0.0, out=r)
+        assert r[0] == 0.0
 
     @pytest.mark.parametrize("delay", [1.0, 2.0, 5.0])
     def test_delay_sweep(self, delay):
