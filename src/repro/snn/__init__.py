@@ -8,29 +8,18 @@ numpy-vectorized SNN simulator that produces the same artifact
 
 Public API
 ----------
-- Neuron models: :class:`LIFModel`, :class:`IzhikevichModel`
+- Neuron models: :class:`LIFModel`, :class:`AdaptiveLIFModel`
 - Network construction: :class:`Network`, :class:`Population`, :class:`Projection`
-- Spike sources: :class:`PoissonSource`, :class:`RegularSource`,
-  :class:`ScheduledSource`
+- Spike sources: :class:`PoissonSource`, :class:`ScheduledSource`
 - Simulation: :class:`Simulation`, :class:`SimulationResult`
 - Plasticity: :class:`STDPRule`
 - Coding: :func:`rate_encode`
 - Graph extraction: :class:`SpikeGraph`
 """
 
-from repro.snn.neuron import (
-    AdaptiveLIFModel,
-    IzhikevichModel,
-    LIFModel,
-    NeuronModel,
-)
+from repro.snn.neuron import AdaptiveLIFModel, LIFModel, NeuronModel
 from repro.snn.network import Network, Population, Projection
-from repro.snn.generators import (
-    PoissonSource,
-    RegularSource,
-    ScheduledSource,
-    SpikeSource,
-)
+from repro.snn.generators import PoissonSource, ScheduledSource
 from repro.snn.simulator import Simulation, SimulationResult
 from repro.snn.stdp import STDPRule
 from repro.snn.coding import rate_encode
@@ -40,13 +29,10 @@ __all__ = [
     "NeuronModel",
     "LIFModel",
     "AdaptiveLIFModel",
-    "IzhikevichModel",
     "Network",
     "Population",
     "Projection",
-    "SpikeSource",
     "PoissonSource",
-    "RegularSource",
     "ScheduledSource",
     "Simulation",
     "SimulationResult",

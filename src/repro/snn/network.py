@@ -18,22 +18,23 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.snn.generators import SpikeSource
+from repro.snn.generators import PoissonSource, ScheduledSource
 from repro.snn.neuron import NeuronModel
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_finite, check_positive
 
 
 @dataclass
 class Population:
     """A named group of neurons sharing a model (or a spike source).
 
-    Exactly one of ``model`` / ``source`` is set.
+    Exactly one of ``model`` / ``source`` is set; a source is a
+    :class:`PoissonSource` or a :class:`ScheduledSource`.
     """
 
     name: str
     size: int
     model: Optional[NeuronModel] = None
-    source: Optional[SpikeSource] = None
+    source: Optional[Union[PoissonSource, ScheduledSource]] = None
     layer: int = 0
     id_offset: int = field(default=-1, init=False)
 
@@ -43,7 +44,14 @@ class Population:
             raise ValueError(
                 f"population {self.name!r} must set exactly one of model/source"
             )
-        if self.source is not None and self.source.size != self.size:
+        if self.source is None:
+            return
+        if not isinstance(self.source, (PoissonSource, ScheduledSource)):
+            raise TypeError(
+                f"population {self.name!r}: source must be a PoissonSource or "
+                f"a ScheduledSource, got {type(self.source).__name__}"
+            )
+        if self.source.size != self.size:
             raise ValueError(
                 f"population {self.name!r} size {self.size} != source size "
                 f"{self.source.size}"
@@ -78,10 +86,8 @@ class Projection:
                 f"projection {self.describe()}: weights shape {self.weights.shape} "
                 f"!= (pre.size, post.size) = {expected}"
             )
-        if self.delay_ms <= 0:
-            raise ValueError(
-                f"projection {self.describe()}: delay_ms must be positive"
-            )
+        check_finite(f"projection {self.describe()}: delay_ms", self.delay_ms)
+        check_positive(f"projection {self.describe()}: delay_ms", self.delay_ms)
         self.weights = np.asarray(self.weights, dtype=np.float64)
 
     def describe(self) -> str:
@@ -123,7 +129,9 @@ class Network:
         pop = Population(name=name, size=size, model=model, layer=layer)
         return self._register(pop)
 
-    def add_source(self, name: str, source: SpikeSource, layer: int = 0) -> Population:
+    def add_source(
+        self, name: str, source: Union[PoissonSource, ScheduledSource], layer: int = 0
+    ) -> Population:
         """Add a stimulus population backed by ``source``."""
         pop = Population(name=name, size=source.size, source=source, layer=layer)
         return self._register(pop)

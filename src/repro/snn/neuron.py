@@ -1,11 +1,12 @@
 """Point-neuron models.
 
-Two classic models cover the paper's applications:
+Two models cover the paper's applications:
 
 - :class:`LIFModel` — leaky integrate-and-fire, used by the feedforward
-  rate-coded applications (hello world, image smoothing) and the LSM liquid.
-- :class:`IzhikevichModel` — the model CARLsim natively integrates; used by
-  the digit-recognition network where richer excitability matters.
+  rate-coded applications (hello world, image smoothing), the heartbeat
+  liquid and readout, and digit recognition's inhibitory layer.
+- :class:`AdaptiveLIFModel` — LIF with a homeostatic threshold, digit
+  recognition's excitatory layer (Diehl & Cook, 2015).
 
 Models are stateless parameter containers.  Mutable state lives in a
 :class:`NeuronState` owned by the simulator, so one model instance can be
@@ -14,20 +15,20 @@ shared across populations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict
 
 import numpy as np
 
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_finite, check_nonnegative, check_positive
 
 
 @dataclass
 class NeuronState:
     """Mutable per-population state advanced by the simulator.
 
-    ``extra`` holds model-specific variables (e.g. the Izhikevich recovery
-    variable ``u``) keyed by name.
+    ``extra`` holds model-specific variables (the adaptive threshold
+    ``theta`` of :class:`AdaptiveLIFModel`) keyed by name.
     """
 
     v: np.ndarray
@@ -40,8 +41,19 @@ class NeuronState:
 V_REST = -65.0
 V_RESET = -70.0
 RESISTANCE = 1.0
-#: Izhikevich spike cutoff (mV).
-V_PEAK = 30.0
+
+
+def _check_lif_parameters(model: NeuronModel) -> None:
+    """Every parameter finite, ``tau_m`` positive, ``t_ref``
+    non-negative and ``v_thresh`` above :data:`V_RESET`."""
+    for f in fields(model):
+        check_finite(f.name, getattr(model, f.name))
+    check_positive("tau_m", model.tau_m)
+    check_nonnegative("t_ref", model.t_ref)
+    if model.v_thresh <= V_RESET:
+        raise ValueError(
+            f"v_thresh ({model.v_thresh}) must exceed v_reset ({V_RESET})"
+        )
 
 
 class NeuronModel:
@@ -75,13 +87,7 @@ class LIFModel(NeuronModel):
     t_ref: float = 2.0
 
     def __post_init__(self) -> None:
-        check_positive("tau_m", self.tau_m)
-        if self.v_thresh <= V_RESET:
-            raise ValueError(
-                f"v_thresh ({self.v_thresh}) must exceed v_reset ({V_RESET})"
-            )
-        if self.t_ref < 0:
-            raise ValueError(f"t_ref must be non-negative, got {self.t_ref}")
+        _check_lif_parameters(self)
 
     def allocate_state(self, n: int) -> NeuronState:
         return NeuronState(
@@ -103,46 +109,6 @@ class LIFModel(NeuronModel):
 
 
 @dataclass(frozen=True)
-class IzhikevichModel(NeuronModel):
-    """Izhikevich (2003) neuron: ``v' = 0.04 v^2 + 5 v + 140 - u + I``.
-
-    Defaults are the regular-spiking parameter set (a=0.02, b=0.2, c=-65,
-    d=8).  Integration uses two half-steps per tick, matching CARLsim's
-    practice for numerical stability at dt = 1 ms.
-    """
-
-    a: float = 0.02
-    b: float = 0.2
-    c: float = -65.0
-    d: float = 8.0
-
-    def allocate_state(self, n: int) -> NeuronState:
-        v = np.full(n, self.c, dtype=np.float64)
-        u = self.b * v
-        return NeuronState(
-            v=v,
-            refractory=np.zeros(n, dtype=np.float64),
-            extra={"u": u},
-        )
-
-    def step(self, state: NeuronState, input_current: np.ndarray, dt: float) -> np.ndarray:
-        u = state.extra["u"]
-        half = dt / 2.0
-        for _ in range(2):
-            dv = 0.04 * state.v**2 + 5.0 * state.v + 140.0 - u + input_current
-            state.v = state.v + half * dv
-            # Clamp runaway trajectories so one step past threshold cannot
-            # overflow the quadratic term before spike detection.
-            np.clip(state.v, -120.0, 2.0 * V_PEAK, out=state.v)
-        du = self.a * (self.b * state.v - u)
-        state.extra["u"] = u + dt * du
-        spiked = state.v >= V_PEAK
-        state.v[spiked] = self.c
-        state.extra["u"][spiked] += self.d
-        return spiked
-
-
-@dataclass(frozen=True)
 class AdaptiveLIFModel(NeuronModel):
     """LIF with an adaptive (homeostatic) threshold.
 
@@ -160,16 +126,9 @@ class AdaptiveLIFModel(NeuronModel):
     tau_theta: float = 1_000.0
 
     def __post_init__(self) -> None:
-        check_positive("tau_m", self.tau_m)
+        _check_lif_parameters(self)
         check_positive("tau_theta", self.tau_theta)
-        if self.v_thresh <= V_RESET:
-            raise ValueError(
-                f"v_thresh ({self.v_thresh}) must exceed v_reset ({V_RESET})"
-            )
-        if self.theta_plus < 0:
-            raise ValueError(f"theta_plus must be non-negative, got {self.theta_plus}")
-        if self.t_ref < 0:
-            raise ValueError(f"t_ref must be non-negative, got {self.t_ref}")
+        check_nonnegative("theta_plus", self.theta_plus)
 
     def allocate_state(self, n: int) -> NeuronState:
         return NeuronState(
@@ -191,13 +150,3 @@ class AdaptiveLIFModel(NeuronModel):
         state.refractory[~spiked] -= dt
         np.clip(state.refractory, 0.0, None, out=state.refractory)
         return spiked
-
-
-# Named Izhikevich parameter sets from the 2003 paper, as CARLsim exposes them.
-IZHIKEVICH_PRESETS: Dict[str, IzhikevichModel] = {
-    "regular_spiking": IzhikevichModel(a=0.02, b=0.2, c=-65.0, d=8.0),
-    "intrinsically_bursting": IzhikevichModel(a=0.02, b=0.2, c=-55.0, d=4.0),
-    "chattering": IzhikevichModel(a=0.02, b=0.2, c=-50.0, d=2.0),
-    "fast_spiking": IzhikevichModel(a=0.1, b=0.2, c=-65.0, d=2.0),
-    "low_threshold_spiking": IzhikevichModel(a=0.02, b=0.25, c=-65.0, d=2.0),
-}

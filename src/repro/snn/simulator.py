@@ -13,12 +13,12 @@ The simulator advances all populations on a fixed tick of :data:`DT`
 Spikes are recorded into growable (neuron id, tick) column buffers and
 materialized by one sort/split at the end; source spikes are
 precomputed for the whole run (one batched RNG draw for all Poisson
-sources, closed-form grids for regular and scheduled trains); every
+sources, a searchsorted over the tick grid for scheduled trains); every
 ``LIFModel`` population steps through one fused, allocation-free update
 with per-neuron parameter columns; and projection currents flow through
-precomputed CSR or dense dispatch with ring-buffer delay lines.  Unknown
-:class:`NeuronModel` / :class:`SpikeSource` subclasses step per
-population and sample per tick.  Each of those transformations keeps
+precomputed CSR or dense dispatch with ring-buffer delay lines.  Other
+:class:`NeuronModel` subclasses (``AdaptiveLIFModel``) step per
+population.  Each of those transformations keeps
 the float operations of the original per-tick/per-spike loop, so spike
 trains (and learned STDP weights) are bit-identical to it under a fixed
 seed; that loop is the equivalence oracle in
@@ -35,11 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.snn.generators import (
-    PoissonSource,
-    RegularSource,
-    ScheduledSource,
-)
+from repro.snn.generators import PoissonSource
 from repro.snn.network import Network
 from repro.snn.neuron import V_REST, V_RESET, LIFModel
 from repro.snn.stdp import STDPRule, STDPState
@@ -252,71 +248,43 @@ class Simulation:
 
         ``locals[indptr[t]:indptr[t + 1]]`` are the neurons firing on tick
         ``t``.  RNG consumption matches the reference loop's per-tick
-        sampling exactly: regular/scheduled sources draw nothing, and all
+        sampling exactly: scheduled sources draw nothing, and all
         Poisson sources' per-tick draws are contiguous in population
         order, so one (ticks, total) matrix consumes the same stream.
-        Unknown :class:`SpikeSource` subclasses force the generic per-tick
-        fallback (identical draws by construction).
         """
         net, dt = self.network, self.dt
-        source_pops = [
-            (pi, pop) for pi, pop in enumerate(net.populations) if pop.is_source
-        ]
-        columns: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        known = all(
-            type(pop.source) in (PoissonSource, RegularSource, ScheduledSource)
-            for _, pop in source_pops
-        )
         raw: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        if not known:
-            per_tick: Dict[int, List[np.ndarray]] = {pi: [] for pi, _ in source_pops}
-            for step in range(n_steps):
-                for pi, pop in source_pops:
-                    per_tick[pi].append(
-                        np.asarray(pop.source.sample(step, dt, self.rng), dtype=np.int64)
-                    )
-            for pi, fired in per_tick.items():
-                if fired:
-                    ids = np.concatenate(fired)
-                    ticks = np.repeat(
-                        np.arange(n_steps), [f.size for f in fired]
-                    )
-                else:
-                    ids = np.empty(0, dtype=np.int64)
-                    ticks = np.empty(0, dtype=np.int64)
-                raw[pi] = (ids, ticks)
-        else:
-            poisson = [
-                (pi, pop) for pi, pop in source_pops
-                if type(pop.source) is PoissonSource
-            ]
-            for pi, pop in source_pops:
-                if type(pop.source) is not PoissonSource:
-                    raw[pi] = pop.source.sample_ticks(n_steps, dt)
-            if poisson:
-                p = np.concatenate(
-                    [pop.source.rates_hz * (dt / 1000.0) for _, pop in poisson]
+        poisson = []
+        for pi, pop in enumerate(net.populations):
+            if isinstance(pop.source, PoissonSource):
+                poisson.append((pi, pop))
+            elif pop.is_source:
+                raw[pi] = pop.source.sample_ticks(n_steps, dt)
+        if poisson:
+            p = np.concatenate(
+                [pop.source.rates_hz * (dt / 1000.0) for _, pop in poisson]
+            )
+            bounds = np.cumsum([0] + [pop.size for _, pop in poisson])
+            total = int(bounds[-1])
+            parts: Dict[int, Tuple[List[np.ndarray], List[np.ndarray]]] = {
+                pi: ([], []) for pi, _ in poisson
+            }
+            chunk = max(1, _POISSON_CHUNK // max(1, total))
+            for start in range(0, n_steps, chunk):
+                rows = min(chunk, n_steps - start)
+                u = self.rng.random(size=(rows, total))
+                hit_t, hit_i = np.nonzero(u < p[None, :])
+                for k, (pi, _) in enumerate(poisson):
+                    lo, hi = bounds[k], bounds[k + 1]
+                    mask = (hit_i >= lo) & (hit_i < hi)
+                    parts[pi][0].append(hit_i[mask] - lo)
+                    parts[pi][1].append(hit_t[mask] + start)
+            for pi, (ids, ticks) in parts.items():
+                raw[pi] = (
+                    np.concatenate(ids) if ids else np.empty(0, np.int64),
+                    np.concatenate(ticks) if ticks else np.empty(0, np.int64),
                 )
-                bounds = np.cumsum([0] + [pop.size for _, pop in poisson])
-                total = int(bounds[-1])
-                parts: Dict[int, Tuple[List[np.ndarray], List[np.ndarray]]] = {
-                    pi: ([], []) for pi, _ in poisson
-                }
-                chunk = max(1, _POISSON_CHUNK // max(1, total))
-                for start in range(0, n_steps, chunk):
-                    rows = min(chunk, n_steps - start)
-                    u = self.rng.random(size=(rows, total))
-                    hit_t, hit_i = np.nonzero(u < p[None, :])
-                    for k, (pi, _) in enumerate(poisson):
-                        lo, hi = bounds[k], bounds[k + 1]
-                        mask = (hit_i >= lo) & (hit_i < hi)
-                        parts[pi][0].append(hit_i[mask] - lo)
-                        parts[pi][1].append(hit_t[mask] + start)
-                for pi, (ids, ticks) in parts.items():
-                    raw[pi] = (
-                        np.concatenate(ids) if ids else np.empty(0, np.int64),
-                        np.concatenate(ticks) if ticks else np.empty(0, np.int64),
-                    )
+        columns: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         for pi, (ids, ticks) in raw.items():
             counts = np.bincount(ticks, minlength=n_steps)
             indptr = np.concatenate([[0], np.cumsum(counts)])
@@ -330,11 +298,6 @@ class Simulation:
         net, dt = self.network, self.dt
         n_pops = len(net.populations)
 
-        # States for fallback (non-LIF) populations; reset sources first so
-        # the precompute pass sees fresh cursors, like the reference loop.
-        for pop in net.populations:
-            if pop.is_source and pop.source is not None:
-                pop.source.reset()
         source_plan = self._precompute_source_spikes(n_steps)
 
         dyn_pops = [(pi, pop) for pi, pop in enumerate(net.populations) if not pop.is_source]

@@ -38,6 +38,12 @@ def check_nonnegative(name: str, value: float) -> float:
     return value
 
 
+def check_finite(name: str, value) -> None:
+    """Require ``value`` (a number or an array) to be finite everywhere."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def check_index_range(name: str, indices: Sequence[int], upper: int) -> None:
     """Require every index in ``indices`` to lie in ``[0, upper)``."""
     arr = np.asarray(indices)

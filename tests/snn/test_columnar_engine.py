@@ -7,7 +7,9 @@ across delays, source types, neuron models, sparsity regimes and
 learning configurations.
 
 :func:`run_reference` is that loop (``self`` is the ``Simulation`` it
-reads ``network``, ``dt``, ``rng`` and ``stdp`` from);
+reads ``network``, ``dt``, ``rng`` and ``stdp`` from); it draws source
+spikes tick by tick through :func:`per_tick_sampler`, which the engine's
+whole-run source plans must reproduce.
 ``benchmarks/test_frontend_speedup.py`` times the engine against it.
 """
 
@@ -21,16 +23,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.snn import simulator as simulator_module
-from repro.snn.generators import (
-    PoissonSource,
-    RegularSource,
-    ScheduledSource,
-    SpikeSource,
-)
-from repro.snn.network import Network
-from repro.snn.neuron import AdaptiveLIFModel, IzhikevichModel, LIFModel, NeuronState
+from repro.snn.generators import PoissonSource, ScheduledSource
+from repro.snn.network import Network, Population
+from repro.snn.neuron import AdaptiveLIFModel, LIFModel, NeuronState
 from repro.snn.simulator import Simulation, SimulationResult
 from repro.snn.stdp import STDPRule, STDPState
+
+
+def per_tick_sampler(source):
+    """A fresh ``sample(step, dt, rng)`` for one run of ``source``: the
+    indices (within the source population) that spike on tick ``step``."""
+    if isinstance(source, PoissonSource):
+
+        def sample(step, dt, rng):
+            p = source.rates_hz * (dt / 1000.0)
+            return np.nonzero(rng.random(source.size) < p)[0]
+
+        return sample
+
+    spike_times = source.spike_times
+    cursors = np.zeros(source.size, dtype=np.int64)
+
+    def sample(step, dt, rng):
+        t_end = (step + 1) * dt
+        fired = []
+        for i, times in enumerate(spike_times):
+            c = cursors[i]
+            n = c
+            while n < times.size and times[n] < t_end:
+                n += 1
+            if n > c:
+                fired.append(i)
+                cursors[i] = n
+        return np.asarray(fired, dtype=np.int64)
+
+    return sample
 
 
 def run_reference(self, duration_ms: float, learning: bool) -> SimulationResult:
@@ -38,11 +65,12 @@ def run_reference(self, duration_ms: float, learning: bool) -> SimulationResult:
     net = self.network
 
     states: Dict[str, NeuronState] = {}
+    samplers = {}
     for pop in net.populations:
-        if not pop.is_source:
+        if pop.is_source:
+            samplers[pop.name] = per_tick_sampler(pop.source)
+        else:
             states[pop.name] = pop.model.allocate_state(pop.size)
-        elif pop.source is not None:
-            pop.source.reset()
 
     # Per-projection delay lines: deque of spike-index arrays, one slot
     # per tick of delay.  Slot 0 is delivered on the *next* tick.
@@ -86,7 +114,7 @@ def run_reference(self, duration_ms: float, learning: bool) -> SimulationResult:
         spikes_by_pop: Dict[str, np.ndarray] = {}
         for pop in net.populations:
             if pop.is_source:
-                fired = pop.source.sample(step, self.dt, self.rng)
+                fired = samplers[pop.name](step, self.dt, self.rng)
             else:
                 mask = pop.model.step(
                     states[pop.name], currents[pop.name], self.dt
@@ -211,32 +239,40 @@ class TestEquivalenceMatrix:
                     delay_ms=delay)
         assert_engines_identical(net, 200.0)
 
-    def test_scheduled_and_regular_sources(self):
-        net = Network("sched-reg")
+    def test_scheduled_and_periodic_sources(self):
+        """Explicit trains beside staggered periodic ones (period 7 ms,
+        phases 0-3 ms), both as scheduled sources."""
+        net = Network("sched-periodic")
         net.add_source("sch", ScheduledSource(
             [[1.0, 5.5, 5.7, 9.0], [], [2.0, 2.5, 30.0]]
         ))
-        net.add_source("reg", RegularSource(
-            4, period_ms=7.0, phase_ms=[0.0, 1.0, 2.0, 3.0]
+        net.add_source("reg", ScheduledSource(
+            [np.arange(phase, 60.0, 7.0) for phase in (0.0, 1.0, 2.0, 3.0)]
         ))
         net.add_population("o", 6, LIFModel())
         net.connect("sch", "o", weights=np.full((3, 6), 200.0))
         net.connect("reg", "o", weights=np.full((4, 6), 100.0), delay_ms=2.0)
         assert_engines_identical(net, 60.0)
 
-    def test_izhikevich_and_adaptive_lif_fall_back(self):
+    def test_adaptive_lif_populations_fall_back(self):
+        """Two non-fused populations step one after the other, between
+        the fused LIF group and the delivery of their spikes."""
         rng = np.random.default_rng(5)
         net = Network("fallback")
         net.add_source("p", PoissonSource(10, 100.0))
-        net.add_population("iz", 8, IzhikevichModel())
+        net.add_population("a2", 8, AdaptiveLIFModel(
+            v_thresh=-55.0, t_ref=2.0, theta_plus=2.0, tau_theta=200.0
+        ))
         net.add_population("al", 8, AdaptiveLIFModel())
         net.add_population("l", 8, LIFModel())
-        net.connect("p", "iz", weights=rng.uniform(0, 25, (10, 8)))
+        net.connect("p", "a2", weights=rng.uniform(0, 25, (10, 8)))
         net.connect("p", "al", weights=rng.uniform(0, 80, (10, 8)))
-        net.connect("iz", "l", weights=rng.uniform(0, 90, (8, 8)),
+        net.connect("a2", "l", weights=rng.uniform(0, 90, (8, 8)),
                     delay_ms=2.0)
         net.connect("al", "l", weights=rng.uniform(0, 90, (8, 8)))
-        assert_engines_identical(net, 250.0)
+        _, col = assert_engines_identical(net, 250.0)
+        counts = col.spike_counts()
+        assert counts[10:18].sum() > 0 and counts[18:26].sum() > 0
 
     @pytest.mark.parametrize("learning", [True, False])
     def test_stdp_spike_trains_and_weights(self, learning):
@@ -281,24 +317,20 @@ class TestEquivalenceMatrix:
         for a, b in zip(all_csr.spike_times, all_dense.spike_times):
             assert np.array_equal(a, b)
 
-    def test_custom_source_falls_back_to_per_tick_sampling(self):
-        class EveryOther(SpikeSource):
-            def __init__(self, size):
-                self.size = size
+    def test_custom_source_is_refused(self):
+        """The engine plans a run's source spikes from the two source
+        types alone; any other object is refused when the population is
+        built, not sampled some other way."""
 
-            def sample(self, step, dt, rng):
-                draw = int(rng.integers(0, 2))  # consumes the stream
-                if (step + draw) % 2 == 0:
-                    return np.arange(self.size)
-                return np.empty(0, dtype=np.int64)
+        class EveryOther:
+            size = 3
 
         net = Network("custom")
-        net.add_source("c", EveryOther(3))
-        net.add_source("p", PoissonSource(5, 60.0))
-        net.add_population("o", 4, LIFModel())
-        net.connect("c", "o", weights=np.full((3, 4), 100.0))
-        net.connect("p", "o", weights=np.full((5, 4), 60.0))
-        assert_engines_identical(net, 120.0)
+        with pytest.raises(TypeError, match="PoissonSource or a ScheduledSource"):
+            net.add_source("c", EveryOther())
+        with pytest.raises(TypeError, match="EveryOther"):
+            Population(name="c", size=3, source=EveryOther())
+        assert net.populations == []
 
     def test_idle_network(self):
         idle = Network("idle")
@@ -331,14 +363,15 @@ class TestColumnarResult:
 
 
 class TestSampleTicks:
-    """The vectorized source plans must match per-tick sampling exactly."""
+    """The planned source spikes match the per-tick oracle exactly."""
 
-    def test_scheduled_source_plan_and_cursors(self):
+    def test_scheduled_source_plan(self):
         times = [[0.4, 1.0, 1.1, 7.7], [], [0.0, 99.0]]
-        a, b = ScheduledSource(times), ScheduledSource(times)
+        source = ScheduledSource(times)
+        sample = per_tick_sampler(source)
         n_steps, dt = 20, 0.5
-        per_tick = [b.sample(step, dt, None) for step in range(n_steps)]
-        ids, ticks = a.sample_ticks(n_steps, dt)
+        per_tick = [sample(step, dt, None) for step in range(n_steps)]
+        ids, ticks = source.sample_ticks(n_steps, dt)
         expect_ids, expect_ticks = [], []
         for step, fired in enumerate(per_tick):
             expect_ids.extend(int(i) for i in fired)
@@ -346,27 +379,39 @@ class TestSampleTicks:
         order = np.lexsort((expect_ids, expect_ticks))
         assert np.array_equal(ids, np.asarray(expect_ids)[order])
         assert np.array_equal(ticks, np.asarray(expect_ticks)[order])
-        assert np.array_equal(a._cursors, b._cursors)
 
-    def test_regular_source_plan(self):
-        a = RegularSource(5, period_ms=3.0, phase_ms=[0.0, 0.5, 1.0, 1.5, 2.0])
-        n_steps, dt = 40, 0.5
-        ids, ticks = a.sample_ticks(n_steps, dt)
-        got = {(int(t), int(i)) for t, i in zip(ticks, ids)}
-        expected = set()
-        for step in range(n_steps):
-            for i in a.sample(step, dt, None):
-                expected.add((step, int(i)))
-        assert got == expected
+    @given(
+        st.lists(
+            st.lists(st.floats(0.0, 40.0), max_size=12), min_size=1, max_size=5
+        ),
+        st.integers(0, 45),
+        st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scheduled_source_plan_generated(self, times, n_steps, dt):
+        """Generated trains (ties, spikes sharing a tick, spikes past the
+        horizon), every tick length: the plan is the oracle's, and
+        planning again gives it again."""
+        source = ScheduledSource(times)
+        sample = per_tick_sampler(source)
+        expected = [
+            (step, int(i))
+            for step in range(n_steps)
+            for i in sample(step, dt, None)
+        ]
+        for _ in range(2):
+            ids, ticks = source.sample_ticks(n_steps, dt)
+            assert list(zip(ticks.tolist(), ids.tolist())) == expected
 
     def test_poisson_batched_draw_matches_per_tick_stream(self):
         """One (ticks, total) matrix consumes the PCG stream exactly like
         per-tick, per-source draws in population order."""
         sources = [PoissonSource(7, 80.0), PoissonSource(3, 40.0)]
+        samplers = [per_tick_sampler(src) for src in sources]
         n_steps = 50
         rng = np.random.default_rng(123)
         per_tick = [
-            [src.sample(step, 1.0, rng) for src in sources]
+            [sample(step, 1.0, rng) for sample in samplers]
             for step in range(n_steps)
         ]
         rng2 = np.random.default_rng(123)
@@ -377,3 +422,47 @@ class TestSampleTicks:
             fired_b = np.nonzero(u[step, 7:] < p[7:])[0]
             assert np.array_equal(fired_a, per_tick[step][0])
             assert np.array_equal(fired_b, per_tick[step][1])
+
+
+class TestSourcesHoldNoState:
+    """A run leaves its sources as it found them: one network run by
+    several simulations with one seed gives one set of trains, whatever
+    ran before."""
+
+    @staticmethod
+    def _net():
+        rng = np.random.default_rng(4)
+        net = Network("stateless")
+        net.add_source("p", PoissonSource(6, 90.0))
+        net.add_source("s", ScheduledSource(
+            [[0.5, 3.0, 3.2, 40.0], [], np.arange(1.0, 80.0, 4.0)]
+        ))
+        net.add_population("o", 5, LIFModel())
+        net.connect("p", "o", weights=rng.uniform(0, 80, (6, 5)))
+        net.connect("s", "o", weights=np.full((3, 5), 60.0), delay_ms=2.0)
+        return net
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert all(np.array_equal(x, y) for x, y in zip(a.spike_times, b.spike_times))
+
+    def test_back_to_back(self):
+        net = self._net()
+        first = Simulation(net, seed=11).run(80.0)
+        second = Simulation(net, seed=11).run(80.0)
+        assert first.total_spikes() > 0
+        self._assert_same(first, second)
+
+    def test_interleaved(self):
+        net = self._net()
+        a, b = Simulation(net, seed=11), Simulation(net, seed=11)
+        fresh = Simulation(self._net(), seed=11).run(80.0)
+        for source in (pop.source for pop in net.populations if pop.is_source):
+            if isinstance(source, ScheduledSource):
+                source.sample_ticks(30, 1.0)
+        Simulation(net, seed=3).run(25.0)
+        ra = a.run(80.0)
+        Simulation(net, seed=11).run(50.0)
+        rb = b.run(80.0)
+        self._assert_same(ra, fresh)
+        self._assert_same(rb, fresh)

@@ -70,6 +70,14 @@ class TestNetwork:
         with pytest.raises(ValueError, match="delay"):
             net.connect("a", "a", weights=np.ones((2, 2)), delay_ms=0.0)
 
+    @pytest.mark.parametrize("delay", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delay_raises(self, delay):
+        net = Network()
+        net.add_population("a", 2, LIFModel())
+        with pytest.raises(ValueError, match="delay_ms must be finite"):
+            net.connect("a", "a", weights=np.ones((2, 2)), delay_ms=delay)
+        assert net.projections == []
+
     def test_neuron_layers(self):
         net = Network()
         net.add_source("in", PoissonSource(2, 1.0), layer=0)

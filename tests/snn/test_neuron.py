@@ -1,15 +1,9 @@
-"""Tests for LIF and Izhikevich neuron dynamics."""
+"""Tests for the LIF and adaptive-threshold LIF neuron models."""
 
 import numpy as np
 import pytest
 
-from repro.snn.neuron import (
-    V_REST,
-    V_RESET,
-    IZHIKEVICH_PRESETS,
-    IzhikevichModel,
-    LIFModel,
-)
+from repro.snn.neuron import V_REST, V_RESET, AdaptiveLIFModel, LIFModel
 
 
 class TestLIFModel:
@@ -91,61 +85,19 @@ class TestLIFModel:
             LIFModel(t_ref=-1.0)
 
 
-class TestIzhikevichModel:
-    def test_resting_silence(self):
-        model = IzhikevichModel()
-        state = model.allocate_state(3)
-        for _ in range(300):
-            assert not model.step(state, np.zeros(3), dt=1.0).any()
+class TestNonFiniteParameters:
+    """A NaN or infinite parameter is refused when the model is built,
+    naming the parameter, for both models."""
 
-    def test_dc_current_produces_regular_spiking(self):
-        model = IzhikevichModel()  # regular spiking
-        state = model.allocate_state(1)
-        spikes = 0
-        for _ in range(500):
-            spikes += int(model.step(state, np.array([10.0]), dt=1.0).any())
-        assert 2 <= spikes <= 60  # regular spiking, not bursting/silent
+    @pytest.mark.parametrize("model", [LIFModel, AdaptiveLIFModel])
+    @pytest.mark.parametrize("name", ["tau_m", "v_thresh", "t_ref"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_shared_parameters(self, model, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            model(**{name: bad})
 
-    def test_reset_to_c(self):
-        model = IzhikevichModel()
-        state = model.allocate_state(1)
-        for _ in range(500):
-            if model.step(state, np.array([15.0]), dt=1.0).any():
-                break
-        assert state.v[0] == model.c
-
-    def test_recovery_variable_increments_on_spike(self):
-        model = IzhikevichModel()
-        state = model.allocate_state(1)
-        u_before = state.extra["u"][0]
-        for _ in range(500):
-            if model.step(state, np.array([15.0]), dt=1.0).any():
-                break
-        assert state.extra["u"][0] > u_before
-
-    def test_fast_spiking_fires_more(self):
-        rs, fs = IZHIKEVICH_PRESETS["regular_spiking"], IZHIKEVICH_PRESETS["fast_spiking"]
-        counts = {}
-        for name, model in (("rs", rs), ("fs", fs)):
-            state = model.allocate_state(1)
-            n = 0
-            for _ in range(400):
-                n += int(model.step(state, np.array([10.0]), dt=1.0).any())
-            counts[name] = n
-        assert counts["fs"] > counts["rs"]
-
-    def test_presets_complete(self):
-        assert set(IZHIKEVICH_PRESETS) == {
-            "regular_spiking",
-            "intrinsically_bursting",
-            "chattering",
-            "fast_spiking",
-            "low_threshold_spiking",
-        }
-
-    def test_no_overflow_under_huge_current(self):
-        model = IzhikevichModel()
-        state = model.allocate_state(1)
-        for _ in range(100):
-            model.step(state, np.array([1e4]), dt=1.0)
-        assert np.isfinite(state.v).all()
+    @pytest.mark.parametrize("name", ["theta_plus", "tau_theta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_adaptation_parameters(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            AdaptiveLIFModel(**{name: bad})

@@ -9,8 +9,8 @@ PUBLIC_SURFACE = {
     "repro": ["map_snn", "compare_methods", "run_pipeline", "__version__"],
     "repro.snn": [
         "Network", "Population", "Projection", "LIFModel",
-        "AdaptiveLIFModel", "IzhikevichModel", "PoissonSource",
-        "RegularSource", "ScheduledSource", "Simulation", "STDPRule",
+        "AdaptiveLIFModel", "PoissonSource", "ScheduledSource",
+        "Simulation", "STDPRule",
         "SpikeGraph", "rate_encode",
     ],
     "repro.noc": [

@@ -15,7 +15,9 @@ root folder, or in one of perfbench's ``"module:qualname"`` patch
 targets.  Re-exports, ``__all__``, docstrings and tests are not uses.
 A method is matched by its attribute name alone, so the check can
 miss a dead method that shares its name with a live one, never the
-other way round.
+other way round.  The same holds for every public module-level
+constant (a name a top-level assignment binds, outside a package
+``__init__``): some code reads it.  Assigning to a name is not a use.
 
 One level further down the same holds for options: every defaulted
 parameter of a public function, method or constructor, and every
@@ -83,12 +85,6 @@ ALLOWED = {
     "repro.noc.interconnect:NocConfig(max_extra_cycles)": (
         "safety bound: the drain deadline and the delivery certificate's "
         "hop bound read it, and tests drive both through it"
-    ),
-    "repro.snn.generators:RegularSource.__init__(phase_ms)": (
-        "the per-neuron phase is how the engine-equivalence tests drive "
-        "staggered regular trains through both simulator paths; no caller "
-        "outside tests builds a RegularSource at all, which is a question "
-        "for the class, not for this parameter"
     ),
 }
 
@@ -178,6 +174,27 @@ def _definitions():
                         yield f"{module}:{node.name}.{item.name}", item, file
 
 
+def _constants():
+    """``(qualname, name, node, file)`` of every public module-level
+    constant: each name a top-level assignment binds in a module that
+    is not a package ``__init__``."""
+    for file in _src_files():
+        if file.name == "__init__.py":
+            continue
+        module = _module_name(file)
+        for node in _parse(file).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and name.id[0] != "_":
+                        yield f"{module}:{name.id}", name.id, node, file
+
+
 def _referenced(node):
     """The names one AST node refers to."""
     if isinstance(node, ast.Name):
@@ -195,16 +212,23 @@ def _patched(node):
     return []
 
 
+def _reads(file):
+    """The nodes of one file, without the targets it assigns to."""
+    for node in ast.walk(_parse(file)):
+        if not isinstance(getattr(node, "ctx", None), ast.Store):
+            yield node
+
+
 def _uses():
-    """Every referenced name, mapped to the ``(file, line)`` of each use
-    in ``src/``; a use from a root folder is ``(None, 0)``."""
+    """Every read name, mapped to the ``(file, line)`` of each use in
+    ``src/``; a use from a root folder is ``(None, 0)``."""
     uses = {}
     for file in _src_files():
-        for node in ast.walk(_parse(file)):
+        for node in _reads(file):
             for name in _referenced(node):
                 uses.setdefault(name, []).append((file, node.lineno))
     for file in _root_files():
-        for node in ast.walk(_parse(file)):
+        for node in _reads(file):
             for name in _referenced(node) + _patched(node):
                 uses.setdefault(name, []).append((None, 0))
     return uses
@@ -212,9 +236,12 @@ def _uses():
 
 def _unreached():
     uses = _uses()
-    for qualname, node, file in _definitions():
+    named = [
+        (qualname, node.name, node, file) for qualname, node, file in _definitions()
+    ]
+    for qualname, name, node, file in named + list(_constants()):
         inside = range(node.lineno, node.end_lineno + 1)
-        if all(at == file and line in inside for at, line in uses.get(node.name, ())):
+        if all(at == file and line in inside for at, line in uses.get(name, ())):
             yield qualname
 
 
